@@ -203,6 +203,23 @@ func (r *remoteRecord) Data(timeOrder int) (graphapi.EdgeData, error) {
 	return graphapi.EdgeData{Dst: reply.Dst, Timestamp: reply.Ts, Props: reply.Props}, nil
 }
 
+// DataRange implements graphapi.RangeDataRecord: one round trip for the
+// whole interval instead of one per edge, and none for an empty one.
+func (r *remoteRecord) DataRange(beg, end int) ([]graphapi.EdgeData, error) {
+	if beg >= end {
+		return nil, nil
+	}
+	conn, err := r.c.owner(r.id)
+	if err != nil {
+		return nil, err
+	}
+	var reply edgesReply
+	if err := conn.Call("RecDataRange", recRangeArgs{ID: r.id, EType: r.etype, Lo: int64(beg), Hi: int64(end)}, &reply); err != nil {
+		return nil, err
+	}
+	return reply.Edges, nil
+}
+
 func (r *remoteRecord) Destinations() []graphapi.NodeID {
 	conn, err := r.c.owner(r.id)
 	if err != nil {

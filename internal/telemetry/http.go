@@ -20,23 +20,35 @@ var processStart = time.Now()
 // package need not import them.
 var (
 	adminReportsMu sync.RWMutex
-	adminReports   = map[string]func() string{}
+	adminReports   = map[string]*func() string{}
 )
 
 // RegisterAdminReport publishes fn's output at /debug/<name> on every
 // admin handler. Re-registering a name replaces the previous generator
-// (a process hosting several stores reports the most recent one).
-func RegisterAdminReport(name string, fn func() string) {
+// (a process hosting several stores reports the most recent one). The
+// returned function withdraws this registration, if it is still the
+// current one, so that whatever fn holds can be collected.
+func RegisterAdminReport(name string, fn func() string) (unregister func()) {
 	adminReportsMu.Lock()
 	defer adminReportsMu.Unlock()
-	adminReports[name] = fn
+	adminReports[name] = &fn
+	return func() {
+		adminReportsMu.Lock()
+		defer adminReportsMu.Unlock()
+		if adminReports[name] == &fn {
+			delete(adminReports, name)
+		}
+	}
 }
 
 // adminReport resolves a registered report generator (nil if absent).
 func adminReport(name string) func() string {
 	adminReportsMu.RLock()
 	defer adminReportsMu.RUnlock()
-	return adminReports[name]
+	if fn := adminReports[name]; fn != nil {
+		return *fn
+	}
+	return nil
 }
 
 // adminStreams holds pluggable streaming endpoints: name → handler,

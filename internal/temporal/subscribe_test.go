@@ -37,7 +37,10 @@ func TestSubscriptionGapFree(t *testing.T) {
 	g := buildSubGraph(t, 32, 4)
 	defer g.Close()
 	const writers, perWriter = 16, 120
-	sub := g.Subscribe(zipg.SubscriptionFilter{}, writers*perWriter+64)
+	// AppendEdge auto-creates a missing endpoint (one extra EvNodePut per
+	// writer's source node), so the firehose carries more events than
+	// ops; the ring holds all of them, whatever the consumer's pace.
+	sub := g.Subscribe(zipg.SubscriptionFilter{}, writers*(perWriter+1)+64)
 	defer sub.Close()
 
 	var wg sync.WaitGroup
@@ -65,17 +68,40 @@ func TestSubscriptionGapFree(t *testing.T) {
 		}(w)
 	}
 
+	// The consumer drains while the writers run and stops once they are
+	// done and every partition's tail has reached the store's own
+	// sequence counter — not at a fixed event count, which the extra
+	// endpoint events would make it reach too early.
+	st := g.Store()
 	delivered := 0
 	lastSeq := map[int]uint64{}
+	writersDone := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		for delivered < writers*perWriter {
-			evs, err := sub.Next(ctx, 256)
-			if err != nil || evs == nil {
-				return
+		caughtUp := func() bool {
+			select {
+			case <-writersDone:
+			default:
+				return false
+			}
+			for part := 0; part < st.NumPartitions(); part++ {
+				if lastSeq[part] != st.LastSeq(part) {
+					return false
+				}
+			}
+			return true
+		}
+		for !caughtUp() {
+			// A short wait per round: the last event may already have
+			// been consumed when the writers finish.
+			round, cancelRound := context.WithTimeout(ctx, 10*time.Millisecond)
+			evs, err := sub.Next(round, 256)
+			cancelRound()
+			if ctx.Err() != nil || (err == nil && evs == nil) {
+				return // timed out, or the subscription closed
 			}
 			for _, ev := range evs {
 				delivered++
@@ -88,25 +114,24 @@ func TestSubscriptionGapFree(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(writersDone)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-done
-	// AppendEdge may auto-create endpoint nodes (extra EvNodePut events),
-	// so delivered is AT LEAST one event per op; with a big ring nothing
-	// may be dropped, and every partition's tail must line up with the
-	// store's own sequence counter.
+	// At least one event per op; with a big ring nothing may be dropped,
+	// and every partition's tail must line up with the store's own
+	// sequence counter.
 	if delivered < writers*perWriter {
 		t.Fatalf("delivered %d events, want >= %d", delivered, writers*perWriter)
 	}
 	if d := sub.Dropped(); d != 0 {
 		t.Fatalf("dropped %d events with an oversized ring", d)
 	}
-	st := g.Store()
-	for part, last := range lastSeq {
-		if want := st.LastSeq(part); last != want {
+	for part := 0; part < st.NumPartitions(); part++ {
+		if last, want := lastSeq[part], st.LastSeq(part); last != want {
 			t.Fatalf("partition %d: consumer saw last seq %d, store at %d", part, last, want)
 		}
 	}

@@ -19,26 +19,25 @@ type TAO struct {
 }
 
 // AssocRange is Algorithm 1: at most limit edges with source id and type
-// atype, ordered by timestamp, starting at TimeOrder idx.
+// atype, ordered by timestamp, starting at TimeOrder idx. Here and in
+// Algorithms 2 and 3 the get_edge_data loop is graphapi.DataRange: one
+// call on records that batch it (one round trip through the cluster),
+// the loop itself on all others.
 func (t TAO) AssocRange(id graphapi.NodeID, atype graphapi.EdgeType, idx, limit int) ([]graphapi.EdgeData, error) {
 	rec, ok := t.S.GetEdgeRecord(id, atype)
 	if !ok {
 		return nil, nil
 	}
-	var results []graphapi.EdgeData
 	end := idx + limit
 	if end > rec.Count() {
 		end = rec.Count()
 	}
-	for i := idx; i < end; i++ {
-		if i < 0 {
-			continue
-		}
-		e, err := rec.Data(i)
-		if err != nil {
-			return nil, fmt.Errorf("assoc_range(%d,%d): %w", id, atype, err)
-		}
-		results = append(results, e)
+	if idx < 0 {
+		idx = 0
+	}
+	results, err := graphapi.DataRange(rec, idx, end)
+	if err != nil {
+		return nil, fmt.Errorf("assoc_range(%d,%d): %w", id, atype, err)
 	}
 	return results, nil
 }
@@ -51,12 +50,12 @@ func (t TAO) AssocGet(id1 graphapi.NodeID, atype graphapi.EdgeType, id2set map[g
 		return nil, nil
 	}
 	beg, end := rec.Range(lo, hi)
+	edges, err := graphapi.DataRange(rec, beg, end)
+	if err != nil {
+		return nil, fmt.Errorf("assoc_get(%d,%d): %w", id1, atype, err)
+	}
 	var results []graphapi.EdgeData
-	for i := beg; i < end; i++ {
-		e, err := rec.Data(i)
-		if err != nil {
-			return nil, fmt.Errorf("assoc_get(%d,%d): %w", id1, atype, err)
-		}
+	for _, e := range edges {
 		if id2set[e.Dst] {
 			results = append(results, e)
 		}
@@ -85,13 +84,9 @@ func (t TAO) AssocTimeRange(id graphapi.NodeID, atype graphapi.EdgeType, lo, hi 
 	if beg+limit < end {
 		end = beg + limit
 	}
-	var results []graphapi.EdgeData
-	for i := beg; i < end; i++ {
-		e, err := rec.Data(i)
-		if err != nil {
-			return nil, fmt.Errorf("assoc_time_range(%d,%d): %w", id, atype, err)
-		}
-		results = append(results, e)
+	results, err := graphapi.DataRange(rec, beg, end)
+	if err != nil {
+		return nil, fmt.Errorf("assoc_time_range(%d,%d): %w", id, atype, err)
 	}
 	return results, nil
 }
