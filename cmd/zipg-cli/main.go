@@ -138,9 +138,10 @@ func main() {
 	}
 }
 
-// codecsCmd prints the per-shard codec report: which codec each region
-// (Ψ, SA/ISA samples, offset columns) chose, its size and decode speed,
-// and each shard's sampling rate α and read heat. In local mode it
+// codecsCmd prints the per-shard codec report: each region's (Ψ, SA/ISA
+// samples, offset columns) codec, size, bits per row and decode speed,
+// Ψ's share of payload-free run blocks and directory/payload split, and
+// each shard's sampling rate α and read heat. In local mode it
 // reads the store directly; otherwise it fetches /debug/codecs from
 // the -admin endpoint.
 func codecsCmd(local *zipg.Graph, admin string) error {

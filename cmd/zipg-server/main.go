@@ -33,7 +33,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated addresses of all servers, in ID order")
 	shards := flag.Int("shards", 4, "shards per server (paper default: one per core)")
 	alpha := flag.Int("alpha", 32, "succinct sampling rate")
-	codec := flag.String("codec", "auto", "region codec policy: auto, legacy, simple8b or varint")
+	codec := flag.String("codec", "auto", "codec policy of the SA/ISA sample arrays and offset columns: auto, legacy, simple8b or varint")
 	autoTune := flag.Bool("autotune-alpha", false, "let compactions retune per-shard alpha from read heat")
 	groupCommit := flag.Bool("group-commit", true, "batch concurrent appends through the group-commit leader (false: one store lock per record)")
 	compactInterval := flag.Duration("compact-interval", 0, "run a full online compaction every interval (0 to disable; enables the background worker)")

@@ -6,11 +6,11 @@ import (
 )
 
 // This file is the pluggable integer-codec layer. The succinct store's
-// regions (Ψ buckets, SA/ISA sample arrays) and the layout offset
-// vectors all hold integer sequences with very different shapes — Ψ is
-// dominated by tiny deltas with rare large jumps, sample arrays are
-// near-uniform values of fixed magnitude, offset vectors are smooth
-// ramps — and no single encoding is best for all of them. A Codec turns
+// SA/ISA sample arrays and the layout offset vectors hold integer
+// sequences of different shapes — sample arrays are near-uniform values
+// of fixed magnitude, offset vectors are smooth ramps — and no single
+// encoding is best for both. (Ψ is not a codec region: it is always a
+// MonotoneVector, the one encoding built for its random Get.) A Codec turns
 // a sequence into an immutable Seq; ChooseCodec trial-encodes a sample
 // of a region with every registered codec and picks the winner by a
 // measured decode-speed × size score, so each region gets the encoding
@@ -24,8 +24,7 @@ type CodecID uint8
 const (
 	// CodecLegacy is the repo's original hand-rolled packing: per-block
 	// delta bit-packing (MonotoneVector) for monotone sequences and
-	// fixed-width packing (PackedVector) otherwise. Byte-identical to
-	// the pre-codec formats.
+	// fixed-width packing (PackedVector) otherwise.
 	CodecLegacy CodecID = 0
 	// CodecSimple8b is word-aligned selector packing: each 64-bit word
 	// holds 1..240 values at a uniform width chosen by a 4-bit selector,
@@ -81,8 +80,7 @@ type Codec interface {
 	Name() string
 	// Encode compresses vals. monotone asserts vals is non-decreasing
 	// and selects the delta layout. width is a fixed-width hint for
-	// codecs that pack at one width (0 = derive from the data); the
-	// legacy codec uses it to reproduce historical byte layouts exactly.
+	// codecs that pack at one width (0 = derive from the data).
 	// Returns nil if the codec cannot represent vals (e.g. simple8b
 	// with values >= 2^60).
 	Encode(vals []uint64, monotone bool, width uint) Seq
@@ -122,8 +120,7 @@ const (
 	// CodecAuto trial-encodes a sample of each region with every codec
 	// and picks per region by decode-speed × size score. The default.
 	CodecAuto CodecPolicy = iota
-	// CodecForceLegacy pins every region to the legacy packing,
-	// reproducing pre-codec builds byte for byte.
+	// CodecForceLegacy pins every region to the legacy packing.
 	CodecForceLegacy
 	// CodecForceSimple8b pins every region to simple8b.
 	CodecForceSimple8b
@@ -350,7 +347,7 @@ func DecodeSeq(buf []byte) (Seq, int, error) {
 
 // legacyCodec adapts the original hand-rolled structures to the codec
 // interface: MonotoneVector for monotone sequences, PackedVector
-// otherwise. Encodings are byte-identical to the pre-codec formats.
+// otherwise.
 type legacyCodec struct{}
 
 func (legacyCodec) ID() CodecID  { return CodecLegacy }

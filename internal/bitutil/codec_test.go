@@ -1,7 +1,6 @@
 package bitutil
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -194,39 +193,6 @@ func maxVal(vals []uint64) uint64 {
 		}
 	}
 	return m
-}
-
-// TestLegacyCodecByteIdentical proves the legacy codec is a pure
-// refactor: its serialized bytes equal the pre-codec MonotoneVector /
-// PackedVector encodings exactly, for every pattern and size.
-func TestLegacyCodecByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	legacy, _ := CodecByID(CodecLegacy)
-	for _, pat := range codecTestPatterns {
-		for _, n := range codecTestSizes {
-			raw := pat.gen(n, rng)
-			mono := prefixSum(raw)
-
-			s := legacy.Encode(mono, true, 0)
-			want := NewMonotoneVector(mono)
-			if !bytes.Equal(s.AppendBinary(nil), want.AppendBinary(nil)) {
-				t.Fatalf("%s n=%d: monotone legacy encoding diverged from MonotoneVector", pat.name, n)
-			}
-
-			width := WidthFor(maxVal(raw))
-			if width == 0 {
-				width = 1
-			}
-			s = legacy.Encode(raw, false, width)
-			pv := NewPackedVector(n, width)
-			for i, v := range raw {
-				pv.Set(i, v)
-			}
-			if !bytes.Equal(s.AppendBinary(nil), pv.AppendBinary(nil)) {
-				t.Fatalf("%s n=%d: raw legacy encoding diverged from PackedVector", pat.name, n)
-			}
-		}
-	}
 }
 
 // TestEncodeWithPolicyForced verifies forced policies pick their codec

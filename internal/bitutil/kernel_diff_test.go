@@ -1,7 +1,10 @@
 package bitutil
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -82,25 +85,124 @@ func adversarialSequences() map[string][]uint64 {
 		rnd[i] = rnd[i-1] + step
 	}
 	seqs["random-mixed"] = rnd
+
+	// The shapes the directory record and the strictness rule create.
+	// run(n, base) is a +1 run: strict, so payload-free.
+	run := func(n int, base uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = base + uint64(i)
+		}
+		return out
+	}
+	for _, n := range []int{2, 15, 16, 17, 32, 33} {
+		seqs[fmt.Sprintf("run-%d", n)] = run(n, 1000)
+	}
+	for p := 1; p < monotoneBlock; p++ {
+		// A run of two blocks broken at position p of the first: one
+		// delta of 7 (strict stays on), or one repeated value (strict
+		// off, so the rest of the run costs width-1 payload again).
+		broken, dup := run(2*monotoneBlock, 50), run(2*monotoneBlock, 50)
+		for i := p; i < len(broken); i++ {
+			broken[i] += 6
+			dup[i]--
+		}
+		seqs[fmt.Sprintf("run-broken-at-%d", p)] = broken
+		seqs[fmt.Sprintf("run-dup-at-%d", p)] = dup
+	}
+	// One duplicate in the last position of a long run: every other
+	// block is still a run, but none may be payload-free.
+	lateDup := run(5*monotoneBlock, 0)
+	lateDup[len(lateDup)-1] = lateDup[len(lateDup)-2]
+	seqs["run-dup-last"] = lateDup
+	// One 64-bit delta inside a run, before and after the sub-anchor.
+	for _, p := range []int{3, monotoneHalf + 3} {
+		wide := run(2*monotoneBlock, 0)
+		for i := p; i < len(wide); i++ {
+			wide[i] += math.MaxUint64 - 100
+		}
+		seqs[fmt.Sprintf("run-delta64-at-%d", p)] = wide
+	}
+	// A final short block of width >= 2, without and with a sub-anchor.
+	for _, tail := range []int{1, monotoneHalf, monotoneHalf + 1, monotoneBlock - 1} {
+		short := make([]uint64, monotoneBlock+tail)
+		for i := range short {
+			short[i] = uint64(i * i * 3)
+		}
+		seqs[fmt.Sprintf("short-tail-%d", tail)] = short
+	}
+	// Anchors of 64 bits: the directory record is wider than a word.
+	wideRec := make([]uint64, 4*monotoneBlock+3)
+	for i := range wideRec {
+		wideRec[i] = 1<<63 + uint64(i*i)<<20
+	}
+	seqs["record-over-64-bits"] = wideRec
+	seqs["record-over-64-bits-run"] = run(3*monotoneBlock+1, 1<<63)
 	return seqs
 }
 
-// TestMonotoneGetAgainstReference checks Get against the raw sequence on
-// every adversarial pattern, and round-trips through serialization to
-// prove the sub-anchor slots survive encode/decode.
+// TestMonotoneShapesEncodeAsIntended pins what the shapes above are for:
+// a strict +1 run is payload-free, a single repeated value anywhere turns
+// strict mode off for the whole vector, and 64-bit anchors take the
+// two-window record path.
+func TestMonotoneShapesEncodeAsIntended(t *testing.T) {
+	seqs := adversarialSequences()
+	for _, name := range []string{"run-16", "run-33", "plus-one-run", "record-over-64-bits-run"} {
+		mv := NewMonotoneVector(seqs[name])
+		if st := mv.Stats(); mv.strict != 1 || st.PayloadBytes != 0 || st.EmptyBlocks != st.Blocks {
+			t.Errorf("%s: strict=%d stats=%+v, want a payload-free strict vector", name, mv.strict, st)
+		}
+	}
+	for _, name := range []string{"run-dup-at-1", "run-dup-at-15", "run-dup-last", "all-equal"} {
+		if mv := NewMonotoneVector(seqs[name]); mv.strict != 0 {
+			t.Errorf("%s: strict mode on over a repeated value", name)
+		}
+	}
+	// A repeated value costs what it always did: width-1 blocks for the
+	// run around it.
+	if st := NewMonotoneVector(seqs["run-dup-last"]).Stats(); st.EmptyBlocks != 0 || st.PayloadBytes == 0 {
+		t.Errorf("run-dup-last: stats %+v, want every block to carry width-1 payload", st)
+	}
+	if mv := NewMonotoneVector(seqs["run-broken-at-5"]); mv.strict != 1 || mv.Stats().EmptyBlocks != 1 {
+		t.Errorf("run-broken-at-5: strict=%d stats=%+v, want one payload-free block of two", mv.strict, mv.Stats())
+	}
+	for _, name := range []string{"record-over-64-bits", "record-over-64-bits-run"} {
+		if mv := NewMonotoneVector(seqs[name]); mv.rw <= 64 {
+			t.Errorf("%s: record width %d, want over 64", name, mv.rw)
+		}
+	}
+}
+
+// TestMonotoneGetAgainstReference checks Get, DecodeAll and
+// DecodeBlockInto against the raw sequence on every adversarial pattern,
+// and round-trips through serialization to prove the directory records
+// and the sub-anchor slots survive encode/decode.
 func TestMonotoneGetAgainstReference(t *testing.T) {
 	for name, vals := range adversarialSequences() {
 		mv := NewMonotoneVector(vals)
-		dec, _, err := DecodeMonotoneVector(mv.AppendBinary(nil))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
+		buf := mv.AppendBinary(nil)
+		dec, k, err := DecodeMonotoneVector(buf)
+		if err != nil || k != len(buf) {
+			t.Fatalf("%s: decode: %v, consumed %d of %d", name, err, k, len(buf))
 		}
-		for i, want := range vals {
-			if got := mv.Get(i); got != want {
-				t.Fatalf("%s: Get(%d)=%d want %d", name, i, got, want)
+		if dec.Stats() != mv.Stats() || dec.SizeBytes() != mv.SizeBytes() {
+			t.Fatalf("%s: stats %+v after reload, built %+v", name, dec.Stats(), mv.Stats())
+		}
+		for _, v := range []*MonotoneVector{mv, dec} {
+			for i, want := range vals {
+				if got := v.Get(i); got != want {
+					t.Fatalf("%s: Get(%d)=%d want %d", name, i, got, want)
+				}
 			}
-			if got := dec.Get(i); got != want {
-				t.Fatalf("%s: decoded Get(%d)=%d want %d", name, i, got, want)
+			if all := v.DecodeAll(nil); len(all) != len(vals) || (len(vals) > 0 && !reflect.DeepEqual(all, vals)) {
+				t.Fatalf("%s: DecodeAll=%v want %v", name, all, vals)
+			}
+			var blk [MonotoneBlockSize]uint64
+			for b := 0; b*monotoneBlock < len(vals); b++ {
+				cnt := v.DecodeBlockInto(b, &blk)
+				if want := vals[b*monotoneBlock : min((b+1)*monotoneBlock, len(vals))]; !reflect.DeepEqual(blk[:cnt], want) {
+					t.Fatalf("%s: block %d = %v want %v", name, b, blk[:cnt], want)
+				}
 			}
 		}
 	}

@@ -388,18 +388,11 @@ func (s *Server) registerHandlers() {
 		if !ok {
 			return nil, fmt.Errorf("cluster: no record (%d,%d)", a.ID, a.EType)
 		}
-		if a.Lo < 0 || a.Hi > int64(rec.Count()) {
-			return nil, fmt.Errorf("cluster: time orders [%d,%d) out of range [0,%d)", a.Lo, a.Hi, rec.Count())
+		edges, err := rec.GetEdgeDataRange(int(a.Lo), int(a.Hi))
+		if err != nil {
+			return nil, err
 		}
-		reply := edgesReply{Edges: make([]graphapi.EdgeData, 0, max(a.Hi-a.Lo, 0))}
-		for i := a.Lo; i < a.Hi; i++ {
-			d, err := rec.GetEdgeData(int(i))
-			if err != nil {
-				return nil, err
-			}
-			reply.Edges = append(reply.Edges, d)
-		}
-		return reply, nil
+		return edgesReply{Edges: edges}, nil
 	})
 	s.rpc.Handle("RecDsts", func(ctx context.Context, blob []byte) (any, error) {
 		var a recArgs

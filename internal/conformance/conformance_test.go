@@ -460,9 +460,10 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 
 // TestDataRangeMatchesDataLoop: graphapi.DataRange(rec, b, e) is the
 // Data(i) loop over [b, e), on every system — in process, where it is
-// that loop, and through the cluster, where it is one RecDataRange round
-// trip — on stores fragmented by rollovers and carrying deletes, for
-// whole, partial, empty, inverted and out-of-range intervals.
+// one record walk through store.EdgeRecord.GetEdgeDataRange, and through
+// the cluster, where it is one RecDataRange round trip into the same —
+// on stores fragmented by rollovers and carrying deletes, for whole,
+// partial, empty, inverted and out-of-range intervals.
 func TestDataRangeMatchesDataLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const nNodes = 24
@@ -477,12 +478,14 @@ func TestDataRangeMatchesDataLoop(t *testing.T) {
 	}
 	c, cl := launchCluster(t, nodes, edges)
 	sys := map[string]graphapi.Store{"zipg": g, "cluster": cl}
-	rec, ok := cl.GetEdgeRecord(edges[0].Src, edges[0].Type)
-	if !ok {
-		t.Fatalf("no record for edge %+v", edges[0])
-	}
-	if _, ok := rec.(graphapi.RangeDataRecord); !ok {
-		t.Fatal("the cluster client's record does not batch DataRange")
+	for name, s := range sys {
+		rec, ok := s.GetEdgeRecord(edges[0].Src, edges[0].Type)
+		if !ok {
+			t.Fatalf("[%s] no record for edge %+v", name, edges[0])
+		}
+		if _, ok := rec.(graphapi.RangeDataRecord); !ok {
+			t.Fatalf("[%s] the record does not batch DataRange", name)
+		}
 	}
 	for i := 0; i < 600; i++ {
 		e := graphapi.Edge{

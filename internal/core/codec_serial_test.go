@@ -4,31 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/layout"
-	"zipg/internal/succinct"
 )
-
-// preCodecShardWire is shardWire as it existed before the codec layer:
-// EdgeFormat is present (PR "hot-field record headers") but none of the
-// codec fields are. Gob matches by name, so encoding it reproduces a
-// pre-codec archive, and decoding a modern all-legacy blob into it
-// proves the modern wire form is readable by pre-codec builds.
-type preCodecShardWire struct {
-	NodeStore    []byte
-	EdgeStore    []byte
-	NodeIDs      []int64
-	NodeOffsets  []int64
-	EdgeSrcs     []int64
-	EdgeIndex    []layout.EdgeRecordIndex
-	NodeSchema   layout.SchemaSpec
-	EdgeSchema   layout.SchemaSpec
-	RawNodeBytes int
-	RawEdgeBytes int
-	EdgeFormat   int
-}
 
 // checkShardsAgree asserts both shards answer node-property and edge
 // queries identically.
@@ -73,87 +54,6 @@ func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
 	}
 }
 
-// TestPreCodecShardArchiveLoads proves shard archives serialized before
-// the codec layer still load and answer identically: a gob blob built
-// from the pre-codec wire struct (legacy offsets, row-form edge index,
-// ZSUC1 succinct stores) must reconstruct a working shard.
-func TestPreCodecShardArchiveLoads(t *testing.T) {
-	fresh, nodes, edges := buildTestShard(t)
-
-	ns := fresh.Nodes().Schema()
-	es := fresh.Edges().Schema()
-	nodeFlat, ids, offs, err := layout.BuildNodeFile(nodes, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeFlat, edgeIndex, err := layout.BuildEdgeFileFormat(edges, es, layout.EdgeFormatHot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Legacy-codec stores marshal as ZSUC1 — byte-identical to pre-codec
-	// builds (asserted by the succinct-level serial tests).
-	opts := succinct.Options{SamplingRate: 4, Codec: bitutil.CodecForceLegacy}
-	w := preCodecShardWire{
-		NodeStore:    succinct.Build(nodeFlat, opts).MarshalBinary(),
-		EdgeStore:    succinct.Build(edgeFlat, opts).MarshalBinary(),
-		NodeIDs:      ids,
-		NodeOffsets:  offs,
-		EdgeSrcs:     distinctSources(edges),
-		EdgeIndex:    edgeIndex,
-		NodeSchema:   ns.Spec(),
-		EdgeSchema:   es.Spec(),
-		RawNodeBytes: len(nodeFlat),
-		RawEdgeBytes: len(edgeFlat),
-		EdgeFormat:   layout.EdgeFormatHot,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := UnmarshalShard(buf.Bytes(), nil)
-	if err != nil {
-		t.Fatalf("pre-codec archive failed to load: %v", err)
-	}
-	checkShardsAgree(t, fresh, loaded, nodes)
-}
-
-// TestLegacyShardWireIsPreCodecShape: a shard built with the forced
-// legacy codec must marshal into the exact gob shape pre-codec builds
-// wrote — every legacy field populated, no codec field present — so
-// old readers can load archives written by this build.
-func TestLegacyShardWireIsPreCodecShape(t *testing.T) {
-	ns := mustSchema(t, []string{"city", "name"})
-	es := mustSchema(t, []string{"w"})
-	_, nodes, edges := buildTestShard(t)
-	sh, err := Build(nodes, edges, ns, es, Options{SamplingRate: 4, Codec: bitutil.CodecForceLegacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decoding into the pre-codec struct sees all its fields; a blob
-	// that used the Enc fields would leave NodeOffsets/EdgeIndex empty.
-	var w preCodecShardWire
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.NodeOffsets) == 0 || len(w.EdgeIndex) == 0 {
-		t.Fatalf("legacy shard marshaled without legacy fields (offsets=%d index=%d)",
-			len(w.NodeOffsets), len(w.EdgeIndex))
-	}
-	// And the full modern struct must see the codec fields nil.
-	var mw shardWire
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&mw); err != nil {
-		t.Fatal(err)
-	}
-	if mw.NodeOffsetsEnc != nil || mw.EdgeIdxOffsEnc != nil {
-		t.Fatal("legacy shard carried codec-tagged fields")
-	}
-}
-
 // TestCodecShardRoundTrip: shards built under every policy round-trip
 // through Marshal/Unmarshal preserving codec identity and answers.
 func TestCodecShardRoundTrip(t *testing.T) {
@@ -189,6 +89,33 @@ func TestCodecShardRoundTrip(t *testing.T) {
 					policy, rc.Region, rc.Codec, want[rc.Region])
 			}
 		}
+	}
+}
+
+// TestOldShardRefusedByVersion: a shard from before the codec-tagged
+// offset columns carries no NodeOffsetsEnc/EdgeIdxOffsEnc, and its stores
+// are ZSUC1. UnmarshalShard checks the stores first, so the error names
+// the format version, not a missing column.
+func TestOldShardRefusedByVersion(t *testing.T) {
+	sh, _, _ := buildTestShard(t)
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w shardWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	w.NodeOffsetsEnc, w.EdgeIdxOffsEnc = nil, nil
+	copy(w.NodeStore, "ZSUC1\x00")
+	copy(w.EdgeStore, "ZSUC1\x00")
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	_, err = UnmarshalShard(old.Bytes(), nil)
+	if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), "ZSUC1") {
+		t.Errorf("err = %v, want unsupported format version naming ZSUC1", err)
 	}
 }
 

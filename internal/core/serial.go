@@ -19,24 +19,16 @@ type shardWire struct {
 	NodeStore    []byte
 	EdgeStore    []byte
 	NodeIDs      []int64
-	NodeOffsets  []int64
 	EdgeSrcs     []int64
-	EdgeIndex    []layout.EdgeRecordIndex
 	NodeSchema   layout.SchemaSpec
 	EdgeSchema   layout.SchemaSpec
 	RawNodeBytes int
 	RawEdgeBytes int
-	// EdgeFormat versions the EdgeFile record layout. Gob leaves absent
-	// fields zero, so shards serialized before the hot-field header
-	// decode to layout.EdgeFormatLegacy and keep parsing correctly.
+	// EdgeFormat versions the EdgeFile record layout
+	// (layout.EdgeFormat*).
 	EdgeFormat int
-	// Codec-layer fields. When NodeOffsetsEnc is non-nil it carries the
-	// codec-tagged node offset column and replaces NodeOffsets; when
-	// EdgeIdxOffsEnc is non-nil the three EdgeIdx* columns replace
-	// EdgeIndex. Pre-codec shards decode with these fields nil (gob
-	// default, like EdgeFormat) and load through the legacy fields; an
-	// all-legacy shard also marshals through the legacy fields, keeping
-	// its wire form identical to pre-codec builds.
+	// The offset columns travel codec-tagged (bitutil.AppendSeq); the
+	// edge record index's key columns stay raw.
 	NodeOffsetsEnc []byte
 	EdgeIdxSrcs    []int64
 	EdgeIdxTypes   []int64
@@ -46,27 +38,19 @@ type shardWire struct {
 // MarshalBinary serializes the shard.
 func (s *Shard) MarshalBinary() ([]byte, error) {
 	w := shardWire{
-		NodeStore:    s.nodeStore.MarshalBinary(),
-		EdgeStore:    s.edgeStore.MarshalBinary(),
-		NodeIDs:      s.nodes.IDs(),
-		EdgeSrcs:     s.edgeSrcs,
-		NodeSchema:   s.nodes.Schema().Spec(),
-		EdgeSchema:   s.edges.Schema().Spec(),
-		RawNodeBytes: s.rawNodeBytes,
-		RawEdgeBytes: s.rawEdgeBytes,
-		EdgeFormat:   s.edgeFormat,
-	}
-	nodeOffs := s.nodes.OffsetsSeq()
-	_, nodeLegacy := nodeOffs.(*bitutil.MonotoneVector)
-	_, edgeLegacy := s.edgeIdxOffs.(*bitutil.MonotoneVector)
-	if nodeLegacy && edgeLegacy {
-		w.NodeOffsets = s.nodes.Offsets()
-		w.EdgeIndex = s.edgeIndexSlice()
-	} else {
-		w.NodeOffsetsEnc = bitutil.AppendSeq(nil, nodeOffs)
-		w.EdgeIdxSrcs = s.edgeIdxSrcs
-		w.EdgeIdxTypes = s.edgeIdxTypes
-		w.EdgeIdxOffsEnc = bitutil.AppendSeq(nil, s.edgeIdxOffs)
+		NodeStore:      s.nodeStore.MarshalBinary(),
+		EdgeStore:      s.edgeStore.MarshalBinary(),
+		NodeIDs:        s.nodes.IDs(),
+		EdgeSrcs:       s.edgeSrcs,
+		NodeSchema:     s.nodes.Schema().Spec(),
+		EdgeSchema:     s.edges.Schema().Spec(),
+		RawNodeBytes:   s.rawNodeBytes,
+		RawEdgeBytes:   s.rawEdgeBytes,
+		EdgeFormat:     s.edgeFormat,
+		NodeOffsetsEnc: bitutil.AppendSeq(nil, s.nodes.OffsetsSeq()),
+		EdgeIdxSrcs:    s.edgeIdxSrcs,
+		EdgeIdxTypes:   s.edgeIdxTypes,
+		EdgeIdxOffsEnc: bitutil.AppendSeq(nil, s.edgeIdxOffs),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -97,22 +81,18 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
 		return nil, fmt.Errorf("core: edge store: %w", err)
 	}
-	var nodeOffs bitutil.Seq
-	if w.NodeOffsetsEnc != nil {
-		if nodeOffs, _, err = bitutil.DecodeSeq(w.NodeOffsetsEnc); err != nil {
-			return nil, fmt.Errorf("core: node offsets: %w", err)
-		}
-	} else {
-		nodeOffs = layout.PackOffsets(w.NodeOffsets)
+	nodeOffs, _, err := bitutil.DecodeSeq(w.NodeOffsetsEnc)
+	if err != nil {
+		return nil, fmt.Errorf("core: node offsets: %w", err)
 	}
-	if w.EdgeIdxOffsEnc != nil {
-		s.edgeIdxSrcs = w.EdgeIdxSrcs
-		s.edgeIdxTypes = w.EdgeIdxTypes
-		if s.edgeIdxOffs, _, err = bitutil.DecodeSeq(w.EdgeIdxOffsEnc); err != nil {
-			return nil, fmt.Errorf("core: edge index offsets: %w", err)
-		}
-	} else {
-		s.setEdgeIndex(w.EdgeIndex, bitutil.CodecForceLegacy)
+	s.edgeIdxSrcs = w.EdgeIdxSrcs
+	s.edgeIdxTypes = w.EdgeIdxTypes
+	if s.edgeIdxOffs, _, err = bitutil.DecodeSeq(w.EdgeIdxOffsEnc); err != nil {
+		return nil, fmt.Errorf("core: edge index offsets: %w", err)
+	}
+	if nodeOffs.Len() != len(w.NodeIDs) || s.edgeIdxOffs.Len() != len(s.edgeIdxSrcs) || len(s.edgeIdxTypes) != len(s.edgeIdxSrcs) {
+		return nil, fmt.Errorf("core: index columns disagree in length (%d node IDs/%d offsets, %d/%d/%d edge index)",
+			len(w.NodeIDs), nodeOffs.Len(), len(s.edgeIdxSrcs), len(s.edgeIdxTypes), s.edgeIdxOffs.Len())
 	}
 	s.nodes = layout.NewNodeFileViewSeq(s.nodeStore, nodeSchema, w.NodeIDs, nodeOffs, med)
 	s.edges = layout.NewEdgeFileViewFormat(s.edgeStore, edgeSchema, s.edgeFormat)

@@ -23,7 +23,7 @@ type Options struct {
 	// Medium is the simulated storage for this shard's structures
 	// (nil = unlimited).
 	Medium *memsim.Medium
-	// Codec selects how each region's integer codec is chosen (Ψ and
+	// Codec selects how each region's integer codec is chosen (the
 	// sample arrays in the succinct stores, plus the NodeFile and
 	// EdgeFile offset columns). Zero value = bitutil.CodecAuto.
 	Codec bitutil.CodecPolicy

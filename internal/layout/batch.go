@@ -55,32 +55,6 @@ func (v *NodeFileView) GetPropertiesBatch(ids []NodeID, propertyIDs []string) ([
 	return vals, oks
 }
 
-// WarmCaches populates the ref's lazy caches — the decoded timestamp
-// array and the property-length prefix sums — in one record walk, instead
-// of the one whole-array extract (and ISA anchor) each that the lazy
-// accessors pay when first touched separately. Accessors that only read
-// the caches (Timestamp, TimeRange, propLocation) are pure in-memory
-// lookups afterwards. No-op when both caches are already warm.
-func (v *EdgeFileView) WarmCaches(ref *EdgeRecordRef) {
-	if ref.ts != nil && ref.propEnds != nil {
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	w := newRecWalk(v.src, ref.tsOff)
-	if ref.ts == nil {
-		sc.buf = w.appendN(sc.buf[:0], ref.Count*ref.TLen)
-		ref.ts = decodeFixedArray(sc.buf, ref.TLen, ref.Count)
-	} else {
-		w.skip(ref.Count * ref.TLen)
-	}
-	w.skip(ref.Count * ref.DLen)
-	if ref.propEnds == nil {
-		sc.buf = w.appendN(sc.buf[:0], ref.Count*ref.PLenW)
-		ref.propEnds = prefixSums(sc.buf, ref.PLenW, ref.Count)
-	}
-}
-
 // decodeFixedArray decodes count fixed-width values from raw.
 func decodeFixedArray(raw []byte, width, count int) []int64 {
 	out := make([]int64, 0, count)
@@ -161,10 +135,9 @@ func (v *EdgeFileView) GetEdgeRangeBatch(reqs []EdgeRangeReq) ([][]EdgeData, err
 }
 
 // rangeFromWalk decodes one record slice with a single front-to-back
-// walk: header, full timestamp array, the requested destination window,
-// full property-length array, and the contiguous property payload of the
-// requested edges — where the scalar path pays one extract (ISA anchor)
-// per field per edge, this pays one walk per record.
+// walk: the header, then the fields rangeBody reads — where the scalar
+// path pays one extract (ISA anchor) per field per edge, this pays one
+// walk per record.
 func (v *EdgeFileView) rangeFromWalk(w *recWalk, req EdgeRangeReq, sc *recScratch) ([]EdgeData, error) {
 	keyLen := recordKeyLen(req.Src, req.Type)
 	w.skip(keyLen)
@@ -173,52 +146,77 @@ func (v *EdgeFileView) rangeFromWalk(w *recWalk, req EdgeRangeReq, sc *recScratc
 	if !ok {
 		return nil, fmt.Errorf("layout: bad edge record at %d for (%d,%d)", req.Offset, req.Src, req.Type)
 	}
-	idx := req.Idx
-	if idx < 0 {
-		idx = 0 // scalar loops skip i < 0
-	}
-	end := req.Idx + req.Limit
-	if end > ref.Count {
-		end = ref.Count
-	}
-	n := end - idx
-	if n <= 0 {
+	beg := max(req.Idx, 0) // scalar loops skip i < 0
+	end := min(req.Idx+req.Limit, ref.Count)
+	if beg >= end {
 		return nil, nil
 	}
-	// Timestamps: decode the whole (Count·TLen) array — the walker passes
-	// over it anyway, and the requested window needs it in time order.
-	sc.buf = w.appendN(sc.buf[:0], ref.Count*ref.TLen)
-	ts := decodeFixedArray(sc.buf, ref.TLen, ref.Count)
-	// Destinations: only the requested window materializes; the walker
-	// skips the flanks.
-	w.skip(idx * ref.DLen)
-	sc.buf = w.appendN(sc.buf[:0], n*ref.DLen)
-	dsts := decodeFixedArray(sc.buf, ref.DLen, n)
-	w.skip((ref.Count - idx - n) * ref.DLen)
-	// Property lengths: full array, for the window's byte range.
-	sc.buf = w.appendN(sc.buf[:0], ref.Count*ref.PLenW)
-	ends := prefixSums(sc.buf, ref.PLenW, ref.Count)
-	start := 0
-	if idx > 0 {
-		start = ends[idx-1]
+	return v.rangeBody(w, ref.tsOff, &ref, beg, end, sc)
+}
+
+// GetEdgeDataRange returns GetEdgeData(ref, i) for every TimeOrder i in
+// [beg, end) — §2.2's get_edge_data loop of Algorithms 1–3 — in one record
+// walk instead of one per edge: whatever the ref has not cached yet of
+// the timestamp array and the property lengths (both are cached on the
+// way), the destinations of the interval, and its property lists, which
+// are contiguous. An empty interval is nil.
+func (v *EdgeFileView) GetEdgeDataRange(ref *EdgeRecordRef, beg, end int) ([]EdgeData, error) {
+	if beg >= end {
+		return nil, nil
 	}
-	w.skip(start)
-	sc.buf = w.appendN(sc.buf[:0], ends[idx+n-1]-start)
-	payload := sc.buf
-	out := make([]EdgeData, 0, n)
+	if beg < 0 || end > ref.Count {
+		return nil, fmt.Errorf("layout: time orders [%d,%d) out of range [0,%d)", beg, end, ref.Count)
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	at := ref.tsOff
+	if ref.ts != nil {
+		at = ref.dstOff + beg*ref.DLen
+	}
+	w := newRecWalk(v.src, at)
+	return v.rangeBody(&w, at, ref, beg, end, sc)
+}
+
+// rangeBody reads edges [beg, end) of ref, 0 <= beg < end <= Count, with
+// w positioned at file offset at, which is at or before the first field
+// still needed. Fields are visited in file order and the gaps between
+// them skipped, so the walker decides per gap between stepping on and
+// re-anchoring.
+func (v *EdgeFileView) rangeBody(w *recWalk, at int, ref *EdgeRecordRef, beg, end int, sc *recScratch) ([]EdgeData, error) {
+	read := func(off, n int) []byte {
+		w.skip(off - at)
+		sc.buf = w.appendN(sc.buf[:0], n)
+		at = off + n
+		return sc.buf
+	}
+	if ref.ts == nil {
+		ref.ts = decodeFixedArray(read(ref.tsOff, ref.Count*ref.TLen), ref.TLen, ref.Count)
+	}
+	out := make([]EdgeData, end-beg)
+	dsts := read(ref.dstOff+beg*ref.DLen, len(out)*ref.DLen)
+	for i := range out {
+		out[i] = EdgeData{Dst: NodeID(DecodeFixed(dsts[i*ref.DLen : (i+1)*ref.DLen])), Timestamp: ref.ts[beg+i]}
+	}
+	if ref.propEnds == nil {
+		ref.propEnds = prefixSums(read(ref.pLenOff, ref.Count*ref.PLenW), ref.PLenW, ref.Count)
+	}
+	ends := ref.propEnds
+	start := 0
+	if beg > 0 {
+		start = ends[beg-1]
+	}
+	payload := read(ref.propOff+start, ends[end-1]-start)
 	cur := start
-	for i := 0; i < n; i++ {
-		e := EdgeData{Dst: NodeID(dsts[i]), Timestamp: ts[idx+i]}
-		bend := ends[idx+i]
+	for i := range out {
+		bend := ends[beg+i]
 		if bend > cur {
 			props, _, err := v.schema.ParseProps(payload[cur-start : bend-start])
 			if err != nil {
-				return nil, fmt.Errorf("layout: edge %d/%d props: %w", ref.Src, idx+i, err)
+				return nil, fmt.Errorf("layout: edge %d/%d props: %w", ref.Src, beg+i, err)
 			}
-			e.Props = props
+			out[i].Props = props
 		}
 		cur = bend
-		out = append(out, e)
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package layout
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"zipg/internal/succinct"
@@ -196,33 +197,94 @@ func TestHotLegacyViewsAgree(t *testing.T) {
 	}
 }
 
-// TestWarmCachesAllocs is the satellite fix's guarantee: once a ref's
-// lazy caches are populated by WarmCaches, the hot read accessors do no
-// further allocation (GetEdgeData previously re-derived the timestamp
-// array on every cold call).
-func TestWarmCachesAllocs(t *testing.T) {
-	edges, schema := buildEdges(200)
+// TestGetEdgeDataRangeAgainstLoop: GetEdgeDataRange(ref, b, e) is the
+// GetEdgeData(ref, i) loop over [b, e) — over raw and compressed sources,
+// both record formats, α ∈ {4, 8, 32}, and every state the ref's caches
+// can be in when the range arrives — and leaves both caches filled.
+func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
+	edges, schema := buildEdges(400)
+	for i := range edges {
+		// One record with no properties at all, and property-less edges
+		// inside the others: their lists hold only the length header and
+		// the end marker.
+		if (edges[i].Src == 3 && edges[i].Type == 1) || i%7 == 0 {
+			edges[i].Props = nil
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	sawBare := false
+	warm := map[string]func(v *EdgeFileView, ref *EdgeRecordRef){
+		"cold":     func(*EdgeFileView, *EdgeRecordRef) {},
+		"ts":       func(v *EdgeFileView, ref *EdgeRecordRef) { v.Timestamps(ref) },
+		"propEnds": func(v *EdgeFileView, ref *EdgeRecordRef) { v.RecordEnd(ref) },
+		"both":     func(v *EdgeFileView, ref *EdgeRecordRef) { v.Timestamps(ref); v.RecordEnd(ref) },
+	}
+	for _, format := range []int{EdgeFormatLegacy, EdgeFormatHot} {
+		for _, alpha := range []int{4, 8, 32} {
+			raw, comp, index := edgeViewsFormat(t, edges, schema, format, alpha)
+			for _, rec := range index {
+				// The reference: one edge at a time off the raw bytes.
+				rref, _ := raw.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+				want := make([]EdgeData, rref.Count)
+				for i := range want {
+					var err error
+					if want[i], err = raw.GetEdgeData(&rref, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n := len(want)
+				if !slices.ContainsFunc(want, func(e EdgeData) bool { return len(e.Props) > 0 }) {
+					sawBare = true
+				}
+				for state, warmUp := range warm {
+					for _, v := range []*EdgeFileView{raw, comp} {
+						b := rng.Intn(n + 1)
+						for _, r := range [][2]int{{0, n}, {b, b + rng.Intn(n-b+1)}, {n - 1, n}} {
+							ref, ok := v.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+							if !ok {
+								t.Fatalf("record (%d,%d) missing", rec.Src, rec.Type)
+							}
+							warmUp(v, &ref)
+							got, err := v.GetEdgeDataRange(&ref, r[0], r[1])
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(got) != r[1]-r[0] || (len(got) > 0 && !reflect.DeepEqual(got, want[r[0]:r[1]])) {
+								t.Fatalf("format %d α=%d (%d,%d) %s [%d,%d): got %v want %v",
+									format, alpha, rec.Src, rec.Type, state, r[0], r[1], got, want[r[0]:r[1]])
+							}
+							if r[0] < r[1] && (ref.ts == nil || ref.propEnds == nil) {
+								t.Fatalf("%s: range read left a cache cold", state)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawBare {
+		t.Error("no record without properties was read")
+	}
+	// Intervals: empty and inverted are nil, out of range is an error.
 	_, comp, index := edgeViewsFormat(t, edges, schema, EdgeFormatHot, 8)
-	rec := index[0]
-	ref, ok := comp.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-	if !ok || ref.Count == 0 {
-		t.Fatal("record missing")
+	ref, _ := comp.GetEdgeRecordAt(index[0].Offset, index[0].Src, index[0].Type)
+	n := ref.Count
+	// A ref the range read has warmed answers the timestamp accessors
+	// from its caches: no extract, so no allocation.
+	if _, err := comp.GetEdgeDataRange(&ref, 0, 1); err != nil {
+		t.Fatal(err)
 	}
-	comp.WarmCaches(&ref)
-	if ref.ts == nil || ref.propEnds == nil {
-		t.Fatal("WarmCaches left caches cold")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	if allocs := testing.AllocsPerRun(100, func() {
 		comp.Timestamp(&ref, 0)
 		comp.TimeRange(&ref, 10, 50000)
-		comp.propLocation(&ref, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm accessors allocated %v per run, want 0", allocs)
+	}); allocs != 0 {
+		t.Errorf("Timestamp/TimeRange on a warmed ref allocated %v per run, want 0", allocs)
 	}
-	// WarmCaches itself is idempotent and free once warm.
-	allocs = testing.AllocsPerRun(100, func() { comp.WarmCaches(&ref) })
-	if allocs != 0 {
-		t.Fatalf("warm WarmCaches allocated %v per run, want 0", allocs)
+	for _, r := range [][2]int{{0, 0}, {n, n}, {n, 0}, {-3, -1}, {n + 1, n + 4}, {-1, n}, {0, n + 1}} {
+		got, err := comp.GetEdgeDataRange(&ref, r[0], r[1])
+		wantErr := r[0] < r[1] && (r[0] < 0 || r[1] > n)
+		if (err != nil) != wantErr || got != nil {
+			t.Errorf("GetEdgeDataRange(%d,%d) of %d = %v, %v; want error %v", r[0], r[1], n, got, err, wantErr)
+		}
 	}
 }

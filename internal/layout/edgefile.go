@@ -459,17 +459,6 @@ func (v *EdgeFileView) propEndSums(ref *EdgeRecordRef) []int {
 	return ref.propEnds
 }
 
-// propLocation returns the absolute offset and length of the i-th edge's
-// serialized property list.
-func (v *EdgeFileView) propLocation(ref *EdgeRecordRef, i int) (int, int) {
-	ends := v.propEndSums(ref)
-	start := 0
-	if i > 0 {
-		start = ends[i-1]
-	}
-	return ref.propOff + start, ends[i] - start
-}
-
 // PropBlobs returns every edge's serialized property list in time order,
 // sharing one extract of the whole property area (the batched form of
 // per-edge prop reads; blobs alias the extract's backing array).
@@ -502,30 +491,17 @@ type EdgeData struct {
 }
 
 // GetEdgeData returns the i-th edge's (destination, timestamp,
-// property list) — §2.2's get_edge_data, with i being the TimeOrder.
-// On a cold ref the timestamp array and the property prefix sums are
-// populated together in one record walk (WarmCaches) instead of one
-// whole-array extract each; after that, each call is one destination
-// extract, one property extract and O(1) arithmetic.
+// property list) — §2.2's get_edge_data, with i being the TimeOrder: the
+// one-edge case of GetEdgeDataRange. On a cold ref that is one record
+// walk, which also caches the timestamp array and the property prefix
+// sums on the ref; after that, one walk from the destination to the
+// property list.
 func (v *EdgeFileView) GetEdgeData(ref *EdgeRecordRef, i int) (EdgeData, error) {
-	if i < 0 || i >= ref.Count {
-		return EdgeData{}, fmt.Errorf("layout: time order %d out of range [0,%d)", i, ref.Count)
+	out, err := v.GetEdgeDataRange(ref, i, i+1)
+	if err != nil {
+		return EdgeData{}, err
 	}
-	v.WarmCaches(ref)
-	d := EdgeData{
-		Dst:       v.Destination(ref, i),
-		Timestamp: ref.ts[i],
-	}
-	off, n := v.propLocation(ref, i)
-	if n > 0 {
-		blob := v.src.Extract(off, n)
-		props, _, err := v.schema.ParseProps(blob)
-		if err != nil {
-			return EdgeData{}, fmt.Errorf("layout: edge %d/%d props: %w", ref.Src, i, err)
-		}
-		d.Props = props
-	}
-	return d, nil
+	return out[0], nil
 }
 
 // TimeRange returns the half-open TimeOrder range [beg, end) of edges

@@ -116,15 +116,6 @@ func (v *NodeFileView) Schema() *PropertySchema { return v.schema }
 // IDs returns the sorted node IDs backing the view.
 func (v *NodeFileView) IDs() []NodeID { return v.ids }
 
-// Offsets materializes the per-node record offsets parallel to IDs.
-func (v *NodeFileView) Offsets() []int64 {
-	out := make([]int64, 0, v.offs.Len())
-	for _, u := range v.offs.DecodeAll(make([]uint64, 0, v.offs.Len())) {
-		out = append(out, int64(u))
-	}
-	return out
-}
-
 // OffsetsSeq returns the codec-encoded offset column (for serialization
 // and codec reports).
 func (v *NodeFileView) OffsetsSeq() bitutil.Seq { return v.offs }

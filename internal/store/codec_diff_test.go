@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -217,6 +218,55 @@ func TestAutoTuneAlphaLadder(t *testing.T) {
 	for p, a := range s2.TunedAlphas() {
 		if a != base {
 			t.Errorf("untuned partition %d alpha = %d, want %d", p, a, base)
+		}
+	}
+}
+
+// TestCodecReportFieldNames is the golden test of the codecs admin
+// surface (/debug/codecs, zipg-cli codecs): every region line carries
+// the same labelled fields, the Ψ lines add the run-block share and the
+// directory/payload split, and the numbers behind them add up.
+func TestCodecReportFieldNames(t *testing.T) {
+	ns, es := testSchemas(t)
+	nodes, edges := testGraph(40, 400, 9)
+	s, err := New(nodes, edges, ns, es, Config{NumShards: 2, SamplingRate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := `  (node|edge)/(psi|sa|isa|offsets|index) +\w+ +\d+ elems +\d+ bytes +\d+\.\d{3} bits/row +\d+\.\d\d ns/elem decode`
+	mono := ` +run-blocks=\d+\.\d% dir=\d+B payload=\d+B`
+	line := regexp.MustCompile(`^` + region + `(` + mono + `)?( +\[trials: .*\])?$`)
+	psi := regexp.MustCompile(`^  (node|edge)/psi .*decode` + mono + `$`)
+	lines := strings.Split(strings.TrimSpace(FormatCodecReport(s.CodecReport())), "\n")
+	var regions, psis int
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "#"), strings.HasPrefix(l, "primary/"):
+		case !line.MatchString(l):
+			t.Errorf("region line does not match the golden format:\n%s", l)
+		default:
+			regions++
+			if strings.Contains(l, "/psi ") {
+				psis++
+				if !psi.MatchString(l) {
+					t.Errorf("psi line lacks its block breakdown:\n%s", l)
+				}
+			}
+		}
+	}
+	if regions != 2*8 || psis != 2*2 {
+		t.Errorf("report has %d region lines, %d of them psi; want 16 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
+	}
+	for _, fc := range s.CodecReport() {
+		for _, rc := range fc.Regions {
+			if rc.BitsPerRow <= 0 {
+				t.Errorf("%s %s: bits/row %v", fc.Fragment, rc.Region, rc.BitsPerRow)
+			}
+			if strings.HasSuffix(rc.Region, "/psi") &&
+				(rc.DirBytes+rc.PayloadBytes != rc.Bytes || rc.RunBlockShare <= 0 || rc.RunBlockShare > 1) {
+				t.Errorf("%s %s: dir %d + payload %d != %d bytes, or run share %v outside (0,1]",
+					fc.Fragment, rc.Region, rc.DirBytes, rc.PayloadBytes, rc.Bytes, rc.RunBlockShare)
+			}
 		}
 	}
 }

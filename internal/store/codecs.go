@@ -57,17 +57,24 @@ func (s *Store) CodecReport() []FragmentCodecs {
 
 // FormatCodecReport renders a codec report as the text table the
 // codecs admin surfaces (zipg-cli codecs, /debug/codecs) print: one
-// line per region with its codec, element count, encoded bytes and
-// measured decode speed, grouped under per-fragment headers that carry
-// α and the partition's accumulated reads.
+// line per region with its codec, element count, encoded bytes, bits
+// per row served and measured decode speed — and, for a region held as a
+// monotone vector (Ψ above all), the share of its blocks that are
+// payload-free runs and the directory/payload split of its bytes —
+// grouped under per-fragment headers that carry α and the partition's
+// accumulated reads.
 func FormatCodecReport(report []FragmentCodecs) string {
 	var b strings.Builder
 	b.WriteString("# per-shard codec report: fragment (alpha, reads) then one line per encoded region\n")
 	for _, fc := range report {
 		fmt.Fprintf(&b, "%s  alpha=%d  reads=%d\n", fc.Fragment, fc.Alpha, fc.Reads)
 		for _, rc := range fc.Regions {
-			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %7.2f ns/elem decode",
-				rc.Region, rc.Codec, rc.Elems, rc.Bytes, rc.DecodeNs)
+			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row  %7.2f ns/elem decode",
+				rc.Region, rc.Codec, rc.Elems, rc.Bytes, rc.BitsPerRow, rc.DecodeNs)
+			if rc.DirBytes > 0 {
+				fmt.Fprintf(&b, "  run-blocks=%.1f%% dir=%dB payload=%dB",
+					100*rc.RunBlockShare, rc.DirBytes, rc.PayloadBytes)
+			}
 			if len(rc.Trials) > 0 {
 				b.WriteString("  [trials:")
 				for _, tr := range rc.Trials {

@@ -115,6 +115,21 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(strings.NewReader(""), nil); err == nil {
 		t.Error("empty stream should fail")
 	}
+	// An archive whose shards carry a retired succinct format is refused
+	// by name, not misread.
+	blob, err := mutatedStore(t).SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, []byte("ZSUC3\x00")) {
+		t.Fatal("saved store carries no ZSUC3 succinct store")
+	}
+	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00"} {
+		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC3\x00"), []byte(old))), nil)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), old[:5]) {
+			t.Errorf("archive with %q stores: err = %v, want unsupported format version naming it", old, err)
+		}
+	}
 }
 
 func TestSaveDeterministicQueries(t *testing.T) {

@@ -248,6 +248,36 @@ func (r *EdgeRecord) GetEdgeData(timeOrder int) (layout.EdgeData, error) {
 	return d, err
 }
 
+// GetEdgeDataRange returns GetEdgeData(i) for every TimeOrder i in
+// [beg, end), in order — the get_edge_data loop of Algorithms 1–3 as one
+// call. An empty interval is nil; it fails where GetEdgeData(i) would. A
+// single clean compressed piece is read in one record walk; a fragmented
+// record goes edge by edge through the merged index.
+func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
+	if beg >= end {
+		return nil, nil
+	}
+	if beg < 0 || end > r.count {
+		return nil, fmt.Errorf("store: time orders [%d,%d) out of range [0,%d)", beg, end, r.count)
+	}
+	if p, ok := r.singleCleanPiece(); ok {
+		out, err := p.shard.Edges().GetEdgeDataRange(&p.ref, beg, end)
+		for _, d := range out {
+			recordSuccinctEdgeData(d, nil)
+		}
+		return out, err
+	}
+	out := make([]layout.EdgeData, 0, end-beg)
+	for i := beg; i < end; i++ {
+		d, err := r.GetEdgeData(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
 // recordSuccinctEdgeData accounts the bytes of one edge's data
 // extracted from a compressed EdgeFile (destination + timestamp words
 // plus the property payload).

@@ -46,8 +46,9 @@ type Config struct {
 	// following update pointers — the strawman §3.5 argues against.
 	// Exists only for the ablation benchmark.
 	DisableFannedUpdates bool
-	// Codec selects how shard regions (Ψ, SA/ISA samples, offset
-	// columns) pick their integer codec. Zero value = bitutil.CodecAuto.
+	// Codec selects how the shard regions that have a choice (SA/ISA
+	// samples, offset columns) pick their integer codec. Zero value =
+	// bitutil.CodecAuto.
 	Codec bitutil.CodecPolicy
 	// AutoTuneAlpha lets Compact retune each partition's sampling rate α
 	// from its accumulated read counts: hot partitions get denser

@@ -447,6 +447,116 @@ func TestEdgeDataOutOfRange(t *testing.T) {
 	}
 }
 
+// TestEdgeDataRangeMatchesLoop: EdgeRecord.GetEdgeDataRange(b, e) is the
+// GetEdgeData(i) loop over [b, e), at α ∈ {4, 8, 32}, on every shape of
+// record the store builds — one clean compressed piece, a compressed
+// piece with physical deletes, a record fragmented over shards and the
+// LogStore, a record living in the LogStore alone — with the piece's
+// ref caches cold and warm, for whole, partial, one-edge, empty, inverted
+// and out-of-range intervals.
+func TestEdgeDataRangeMatchesLoop(t *testing.T) {
+	ns, es := testSchemas(t)
+	nodes, edges := testGraph(12, 300, 5)
+	for _, alpha := range []int{4, 8, 32} {
+		s, err := New(nodes, edges, ns, es, Config{NumShards: 2, SamplingRate: alpha, LogStoreThreshold: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes := map[string]int{}
+		check := func(src, etype int64) {
+			rng := rand.New(rand.NewSource(src*7 + etype))
+			loop, ok := s.GetEdgeRecord(src, etype)
+			if !ok {
+				return
+			}
+			n := loop.Count()
+			switch p, clean := loop.singleCleanPiece(); {
+			case clean:
+				shapes["clean"]++
+			case len(loop.pieces) > 1:
+				shapes["fragmented"]++
+			case p == nil && loop.pieces[0].shard == nil:
+				shapes["log-only"]++
+			default:
+				shapes["deletes"]++
+			}
+			want := make([]layout.EdgeData, n)
+			for i := range want {
+				if want[i], err = loop.GetEdgeData(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ranges := [][2]int{{0, n}, {n - 1, n}, {0, 0}, {n, n}, {n, 0}, {-1, n}, {0, n + 1}, {-3, -1}, {n + 1, n + 4}}
+			for k := 0; k < 3; k++ {
+				b := rng.Intn(n + 1)
+				ranges = append(ranges, [2]int{b, b + rng.Intn(n-b+1)})
+			}
+			for _, warm := range []bool{false, true} {
+				for _, r := range ranges {
+					rec, _ := s.GetEdgeRecord(src, etype) // fresh refs: cold caches
+					if warm {
+						rec.GetEdgeRange(want[0].Timestamp+1, math.MaxInt64)
+						if _, err := rec.GetEdgeData(n - 1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := rec.GetEdgeDataRange(r[0], r[1])
+					wantErr := r[0] < r[1] && (r[0] < 0 || r[1] > n)
+					if (err != nil) != wantErr {
+						t.Fatalf("α=%d (%d,%d) warm=%v [%d,%d) of %d: err = %v", alpha, src, etype, warm, r[0], r[1], n, err)
+					}
+					if wantErr || r[0] >= r[1] {
+						if got != nil {
+							t.Fatalf("α=%d (%d,%d) [%d,%d): got %v, want nil", alpha, src, etype, r[0], r[1], got)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(got, want[r[0]:r[1]]) {
+						t.Fatalf("α=%d (%d,%d) warm=%v [%d,%d): got %v want %v", alpha, src, etype, warm, r[0], r[1], got, want[r[0]:r[1]])
+					}
+				}
+			}
+		}
+		all := func() {
+			for src := int64(0); src < 16; src++ {
+				for etype := int64(0); etype < 3; etype++ {
+					check(src, etype)
+				}
+			}
+		}
+		all() // every record is one clean piece
+		// Physical deletes on compressed pieces, then appends: fragments
+		// over the LogStore and, past the threshold, frozen shards; node
+		// 15 gets its edges last and has them in the LogStore only.
+		for i, e := range edges[:40] {
+			if i%4 == 0 {
+				s.DeleteEdges(e.Src, e.Type, e.Dst)
+			}
+		}
+		all()
+		for i := 0; i < 150; i++ {
+			e := layout.Edge{Src: int64(i % 14), Dst: int64(100 + i), Type: int64(i % 3), Timestamp: int64(i * 61 % 10000), Props: map[string]string{"weight": fmt.Sprint(i % 7)}}
+			if err := s.AppendEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if err := s.AppendEdge(layout.Edge{Src: 15, Dst: int64(i), Type: 1, Timestamp: int64(50 - i), Props: map[string]string{"weight": "3"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all()
+		for _, shape := range []string{"clean", "deletes", "fragmented", "log-only"} {
+			if shapes[shape] == 0 {
+				t.Errorf("α=%d: no %s record was exercised (%v)", alpha, shape, shapes)
+			}
+		}
+		if s.Rollovers() == 0 {
+			t.Errorf("α=%d: the store never rolled over", alpha)
+		}
+	}
+}
+
 func TestNodeMatches(t *testing.T) {
 	s, nodes, _ := newTestStore(t, 10, 10, 2)
 	n := nodes[4]

@@ -2,31 +2,25 @@ package succinct
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"zipg/internal/bitutil"
 )
 
-// TestSerialV1ForLegacyCodec locks the serial-format versioning: a
-// store whose regions all use the legacy codec marshals as ZSUC1 —
-// byte-identical to pre-codec builds — while any non-legacy region
-// switches the container to ZSUC2. Both load and answer identically.
-func TestSerialV1ForLegacyCodec(t *testing.T) {
+// TestSerialOneVersion: whatever the sample-array codecs, a store
+// marshals under the one magic, reloads and answers identically; every
+// other magic — the retired ZSUC1/ZSUC2 included — is refused with an
+// error that names what was found.
+func TestSerialOneVersion(t *testing.T) {
 	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
-
-	legacy := Build(text, Options{SamplingRate: 8, Codec: bitutil.CodecForceLegacy})
-	blob := legacy.MarshalBinary()
-	if !bytes.HasPrefix(blob, []byte(serialMagic)) {
-		t.Fatalf("legacy-codec store marshaled with magic %q, want %q", blob[:6], serialMagic)
-	}
-
-	varint := Build(text, Options{SamplingRate: 8, Codec: bitutil.CodecForceVarint})
-	vblob := varint.MarshalBinary()
-	if !bytes.HasPrefix(vblob, []byte(serialMagicV2)) {
-		t.Fatalf("varint-codec store marshaled with magic %q, want %q", vblob[:6], serialMagicV2)
-	}
-
-	for _, blob := range [][]byte{blob, vblob} {
+	for _, policy := range []bitutil.CodecPolicy{bitutil.CodecAuto, bitutil.CodecForceLegacy, bitutil.CodecForceVarint} {
+		built := Build(text, Options{SamplingRate: 8, Codec: policy})
+		blob := built.MarshalBinary()
+		if !bytes.HasPrefix(blob, []byte("ZSUC3\x00")) {
+			t.Fatalf("policy %v marshaled with magic %q", policy, blob[:6])
+		}
 		got, err := UnmarshalStore(blob, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -34,9 +28,25 @@ func TestSerialV1ForLegacyCodec(t *testing.T) {
 		if !bytes.Equal(got.Extract(0, len(text)), text) {
 			t.Fatal("reloaded store extracts different bytes")
 		}
-		if w, g := legacy.Count([]byte("abra")), got.Count([]byte("abra")); g != w {
+		if w, g := built.Count([]byte("abra")), got.Count([]byte("abra")); g != w {
 			t.Fatalf("reloaded Count = %d, want %d", g, w)
 		}
+		if w, g := built.CompressedSize(), got.CompressedSize(); g != w {
+			t.Fatalf("reloaded CompressedSize = %d, want %d", g, w)
+		}
+	}
+
+	blob := Build(text, Options{SamplingRate: 8}).MarshalBinary()
+	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC9\x00", "nope"} {
+		bad := append([]byte(magic), blob[6:]...)
+		_, err := UnmarshalStore(bad, nil)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version") ||
+			!strings.Contains(err.Error(), strconv.Quote(magic)[1:5]) {
+			t.Errorf("magic %q: err = %v, want unsupported format version naming it", magic, err)
+		}
+	}
+	if _, err := UnmarshalStore(nil, nil); err == nil {
+		t.Error("empty input loaded")
 	}
 }
 

@@ -41,10 +41,9 @@ var (
 		"Psi block decodes (distinct NPA regions touched) by batch kernels.")
 
 	// Codec layer: which codec each built region landed on and what it
-	// cost to decide. One regions increment per region built (Ψ, SA
-	// samples, ISA samples, layout offset vectors), bytes summed across
-	// the region's sequences, so the exposition shows the live codec mix
-	// without walking shards.
+	// cost to decide. One regions increment per region built under a
+	// codec policy (SA samples, ISA samples, layout offset vectors), so
+	// the exposition shows the live codec mix without walking shards.
 	mCodecRegionsLegacy = telemetry.NewCounterL("zipg_codec_regions_total", `codec="legacy"`,
 		"Regions encoded at build/compact time, by chosen codec.")
 	mCodecRegionsS8b = telemetry.NewCounterL("zipg_codec_regions_total", `codec="simple8b"`,

@@ -69,7 +69,9 @@ func (s *Store) searchRange(pattern []byte) (int, int) {
 		bStart, bEnd := int(s.bucketStart[b]), int(s.bucketStart[b+1])
 		size := bEnd - bStart
 		// Rows i in the bucket with Ψ(i) in [lo, hi).
-		s.med.Access(s.regPsi, int64(float64(bStart)*s.psiBytesPerRow), 64)
+		if s.med != nil {
+			s.med.Access(s.regPsi, int64(float64(bStart)*s.psiBytesPerRow), 64)
+		}
 		newLo := s.psi[b].SearchGE(0, size, uint64(lo))
 		newHi := s.psi[b].SearchGE(newLo, size, uint64(hi))
 		lo, hi = bStart+newLo, bStart+newHi

@@ -10,34 +10,61 @@ import (
 type RegionCodec struct {
 	// Region names the encoded region: "psi", "sa", "isa".
 	Region string
-	// Codec is the name of the codec every sequence in the region uses.
+	// Codec is the name of the region's codec.
 	Codec string
-	// Elems is the total element count across the region's sequences.
+	// Elems is the region's element count.
 	Elems int
 	// Bytes is the region's encoded in-memory footprint.
 	Bytes int
+	// BitsPerRow is Bytes in bits over the rows the region serves: the
+	// suffix-array rows of its store for Ψ and the sample arrays, its
+	// own elements for an offset column.
+	BitsPerRow float64
 	// DecodeNs is the measured DecodeAll cost per element, sampled at
-	// report time on the region's largest sequence.
+	// report time.
 	DecodeNs float64
 	// Trials holds the build-time trial measurements that chose the
-	// codec; empty for forced policies and loaded stores.
+	// codec; empty for Ψ, forced policies and loaded stores.
 	Trials []bitutil.TrialResult
+
+	// The last three are set for regions held as a
+	// bitutil.MonotoneVector (Ψ always): the share of blocks that need
+	// no delta payload — +1 runs, read from the directory record alone —
+	// and the split of Bytes between directory and payload. Counted when
+	// the vector was built or loaded.
+	RunBlockShare float64
+	DirBytes      int
+	PayloadBytes  int
 }
 
-// regionReport summarizes seqs (all encoded with one codec) under name.
-func regionReport(name string, meta *regionMeta, seqs ...bitutil.Seq) RegionCodec {
-	rc := RegionCodec{Region: name, Trials: meta.trials}
+// regionReport summarizes seqs (all encoded with one codec), which
+// together serve rows rows, under name.
+func regionReport(name string, rows int, trials []bitutil.TrialResult, seqs ...bitutil.Seq) RegionCodec {
+	rc := RegionCodec{Region: name, Trials: trials}
 	var largest bitutil.Seq
+	var st bitutil.MonotoneStats
 	for _, q := range seqs {
 		rc.Elems += q.Len()
 		rc.Bytes += q.SizeBytes()
 		if largest == nil || q.Len() > largest.Len() {
 			largest = q
 		}
+		if mv, ok := q.(*bitutil.MonotoneVector); ok {
+			v := mv.Stats()
+			st.Blocks += v.Blocks
+			st.EmptyBlocks += v.EmptyBlocks
+			st.DirBytes += v.DirBytes
+			st.PayloadBytes += v.PayloadBytes
+		}
 	}
 	if largest != nil {
 		rc.Codec = bitutil.CodecName(largest.CodecID())
 		rc.DecodeNs = bitutil.MeasureDecodeNs(largest)
+	}
+	rc.BitsPerRow = float64(rc.Bytes) * 8 / float64(max(rows, 1))
+	if st.Blocks > 0 {
+		rc.RunBlockShare = float64(st.EmptyBlocks) / float64(st.Blocks)
+		rc.DirBytes, rc.PayloadBytes = st.DirBytes, st.PayloadBytes
 	}
 	return rc
 }
@@ -45,28 +72,27 @@ func regionReport(name string, meta *regionMeta, seqs ...bitutil.Seq) RegionCode
 // RegionCodecs reports the codec, size and measured decode speed of each
 // encoded region (Ψ, SA samples, ISA samples).
 func (s *Store) RegionCodecs() []RegionCodec {
+	psi := make([]bitutil.Seq, len(s.psi))
+	for i, p := range s.psi {
+		psi[i] = p
+	}
 	return []RegionCodec{
-		regionReport("psi", &s.psiMeta, s.psi...),
-		regionReport("sa", &s.saMeta, s.saSamples),
-		regionReport("isa", &s.isaMeta, s.isaSamples),
+		regionReport("psi", s.n, nil, psi...),
+		regionReport("sa", s.n, s.saMeta.trials, s.saSamples),
+		regionReport("isa", s.n, s.isaMeta.trials, s.isaSamples),
 	}
 }
 
 // SeqRegionCodec builds the report entry for one externally held region
-// (the layout offset columns, encoded by core under the same policy).
+// (the layout offset columns, encoded by core under the same policy);
+// its rows are its own elements.
 func SeqRegionCodec(name string, q bitutil.Seq, trials []bitutil.TrialResult) RegionCodec {
-	return RegionCodec{
-		Region:   name,
-		Codec:    bitutil.CodecName(q.CodecID()),
-		Elems:    q.Len(),
-		Bytes:    q.SizeBytes(),
-		DecodeNs: bitutil.MeasureDecodeNs(q),
-		Trials:   trials,
-	}
+	return regionReport(name, q.Len(), trials, q)
 }
 
-// CountCodecRegion bumps the codec build metrics for one externally
-// encoded region.
+// CountCodecRegion bumps the codec build metrics for one region encoded
+// under a codec policy (the sample arrays here, the offset columns in
+// core; Ψ has no codec to choose).
 func CountCodecRegion(q bitutil.Seq) {
 	if !telemetry.Enabled() {
 		return
@@ -75,29 +101,4 @@ func CountCodecRegion(q bitutil.Seq) {
 		regions.Inc()
 		sz.Add(int64(q.SizeBytes()))
 	}
-}
-
-// countCodecMetrics bumps the per-codec region counters for a freshly
-// built store (one increment per region, bytes summed across the
-// region's sequences).
-func (s *Store) countCodecMetrics() {
-	if !telemetry.Enabled() {
-		return
-	}
-	count := func(seqs ...bitutil.Seq) {
-		if len(seqs) == 0 {
-			return
-		}
-		bytes := 0
-		for _, q := range seqs {
-			bytes += q.SizeBytes()
-		}
-		if regions, sz := codecCounters(seqs[0].CodecID()); regions != nil {
-			regions.Inc()
-			sz.Add(int64(bytes))
-		}
-	}
-	count(s.psi...)
-	count(s.saSamples)
-	count(s.isaSamples)
 }

@@ -63,9 +63,10 @@ type Store struct {
 	psiBlockBase []int32
 	psiBlocks    int
 
-	// Ψ, stored per bucket. One codec per region: every bucket uses the
-	// codec recorded in psiMeta, chosen at build time.
-	psi []bitutil.Seq
+	// Ψ, stored per bucket. Within a bucket Ψ is strictly increasing, so
+	// every bucket is a strict bitutil.MonotoneVector and its +1 runs are
+	// payload-free blocks.
+	psi []*bitutil.MonotoneVector
 
 	// Value-sampled SA: saSampleBits marks rows whose SA value is a
 	// multiple of α; saSamples holds those values in row order.
@@ -76,11 +77,11 @@ type Store struct {
 	isaSamples bitutil.Seq
 
 	// Per-region codec bookkeeping (see RegionCodecs).
-	psiMeta regionMeta
 	saMeta  regionMeta
 	isaMeta regionMeta
 
-	// Simulated storage placement.
+	// Simulated storage placement; med is nil outside budgeted
+	// experiments, and then nothing below is used.
 	med            *memsim.Medium
 	regPsi         uint32
 	regSA          uint32
@@ -93,12 +94,12 @@ type Options struct {
 	// SamplingRate is α; 0 means DefaultSamplingRate.
 	SamplingRate int
 	// Medium is the simulated storage the structure lives on; nil means
-	// an unlimited (never-missing) medium.
+	// plain memory, with no access accounting at all.
 	Medium *memsim.Medium
-	// Codec selects how each region's integer codec is chosen. The zero
-	// value (bitutil.CodecAuto) trial-encodes a sample of each region
-	// with every registered codec and picks per region by measured
-	// decode-speed × size score.
+	// Codec selects how the codec of the SA and ISA sample arrays is
+	// chosen. The zero value (bitutil.CodecAuto) trial-encodes a sample
+	// of each with every registered codec and picks by measured
+	// decode-speed × size score. Ψ is always a bitutil.MonotoneVector.
 	Codec bitutil.CodecPolicy
 }
 
@@ -116,11 +117,6 @@ func Build(text []byte, opts Options) *Store {
 	if alpha <= 0 {
 		alpha = DefaultSamplingRate
 	}
-	med := opts.Medium
-	if med == nil {
-		med = memsim.Unlimited()
-	}
-
 	sa := suffix.Array(text)
 	n := len(sa)
 
@@ -129,7 +125,7 @@ func Build(text []byte, opts Options) *Store {
 		isa[p] = int32(i)
 	}
 
-	s := &Store{n: n, alpha: alpha, med: med}
+	s := &Store{n: n, alpha: alpha, med: opts.Medium}
 
 	// Character buckets. The shifted alphabet has the sentinel at 0.
 	present := make([]bool, 257)
@@ -165,45 +161,25 @@ func Build(text []byte, opts Options) *Store {
 		}
 	}
 
-	// Ψ per bucket. One codec serves the whole region: the choice is
-	// trialed once — on the largest bucket, whose delta distribution
-	// dominates the region's bytes (buckets cannot be concatenated for
-	// sampling without breaking monotonicity) — then applied to every
-	// bucket.
+	// Ψ per bucket.
+	s.psi = make([]*bitutil.MonotoneVector, len(s.bucketChar))
 	psiVals := make([]uint64, 0, n)
-	bucketVals := func(b int) []uint64 {
-		lo, hi := int(s.bucketStart[b]), int(s.bucketStart[b+1])
+	for b := range s.bucketChar {
 		psiVals = psiVals[:0]
-		for row := lo; row < hi; row++ {
+		for row := s.bucketStart[b]; row < s.bucketStart[b+1]; row++ {
 			next := int(sa[row]) + 1
 			if next == n {
 				next = 0
 			}
 			psiVals = append(psiVals, uint64(isa[next]))
 		}
-		return psiVals
-	}
-	psiCodec := resolveCodec(opts.Codec, &s.psiMeta, func() []uint64 {
-		big := 0
-		for b := range s.bucketChar {
-			if s.bucketStart[b+1]-s.bucketStart[b] > s.bucketStart[big+1]-s.bucketStart[big] {
-				big = b
-			}
-		}
-		return bucketVals(big)
-	}, true, 0)
-	s.psi = make([]bitutil.Seq, len(s.bucketChar))
-	var psiBytes int
-	for b := range s.bucketChar {
-		s.psi[b] = encodeRegion(psiCodec, bucketVals(b), true, 0)
-		psiBytes += s.psi[b].SizeBytes()
+		s.psi[b] = bitutil.NewMonotoneVector(psiVals)
 		// Builds run as background work (rollover compression, online
 		// compaction) racing foreground queries; yield between buckets so
 		// query latency is bounded by one bucket's encode, not the whole
 		// Ψ region's.
 		runtime.Gosched()
 	}
-	s.psiBytesPerRow = float64(psiBytes) / float64(n)
 
 	// SA samples (by value). Sample values in row order are not monotone,
 	// so the region uses the raw layout; the width hint reproduces the
@@ -222,48 +198,41 @@ func Build(text []byte, opts Options) *Store {
 		}
 	}
 	widthHint := bitutil.WidthFor(uint64(n - 1))
-	saCodec := resolveCodec(opts.Codec, &s.saMeta, func() []uint64 { return sampleVals }, false, widthHint)
-	s.saSamples = encodeRegion(saCodec, sampleVals, false, widthHint)
+	s.saSamples = encodeSamples(opts.Codec, &s.saMeta, sampleVals, widthHint)
 
 	// ISA samples (by position).
 	isaVals := make([]uint64, 0, (n+alpha-1)/alpha)
 	for p := 0; p < n; p += alpha {
 		isaVals = append(isaVals, uint64(isa[p]))
 	}
-	isaCodec := resolveCodec(opts.Codec, &s.isaMeta, func() []uint64 { return isaVals }, false, widthHint)
-	s.isaSamples = encodeRegion(isaCodec, isaVals, false, widthHint)
+	s.isaSamples = encodeSamples(opts.Codec, &s.isaMeta, isaVals, widthHint)
 
-	s.countCodecMetrics()
-	s.registerRegions()
+	CountCodecRegion(s.saSamples)
+	CountCodecRegion(s.isaSamples)
+	s.finish()
 	return s
 }
 
-// resolveCodec picks a region's codec: a forced policy pins it; auto
-// trial-encodes the sample (fetched lazily — forced builds never
-// materialize it) and records the trials in meta for reports.
-func resolveCodec(policy bitutil.CodecPolicy, meta *regionMeta, sample func() []uint64, monotone bool, width uint) bitutil.Codec {
+// encodeSamples encodes a sample array under policy: a forced policy
+// pins the codec; auto trial-encodes vals and records the trials in meta
+// for reports. A codec that cannot represent vals (a forced simple8b
+// over values >= 2^60) falls back to legacy, which encodes anything.
+func encodeSamples(policy bitutil.CodecPolicy, meta *regionMeta, vals []uint64, width uint) bitutil.Seq {
+	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
+	c := legacy
 	if id, ok := policy.Forced(); ok {
-		c, _ := bitutil.CodecByID(id)
-		return c
+		c, _ = bitutil.CodecByID(id)
+	} else {
+		start := time.Now()
+		c, meta.trials = bitutil.ChooseCodec(vals, false, width)
+		if telemetry.Enabled() {
+			mCodecTrialNs.Add(time.Since(start).Nanoseconds())
+		}
 	}
-	start := time.Now()
-	c, trials := bitutil.ChooseCodec(sample(), monotone, width)
-	if telemetry.Enabled() {
-		mCodecTrialNs.Add(time.Since(start).Nanoseconds())
-	}
-	meta.trials = trials
-	return c
-}
-
-// encodeRegion encodes vals with the region's codec, falling back to
-// legacy (which encodes anything) if the codec cannot represent them —
-// e.g. a forced simple8b policy over values >= 2^60.
-func encodeRegion(c bitutil.Codec, vals []uint64, monotone bool, width uint) bitutil.Seq {
-	if seq := c.Encode(vals, monotone, width); seq != nil {
+	if seq := c.Encode(vals, false, width); seq != nil {
 		return seq
 	}
-	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
-	return legacy.Encode(vals, monotone, width)
+	return legacy.Encode(vals, false, width)
 }
 
 // rowDirShift fixes the row→bucket directory's sampling stride at
@@ -301,13 +270,25 @@ func (s *Store) buildPsiBlockIndex() {
 	s.psiBlocks = total
 }
 
-func (s *Store) registerRegions() {
+// psiSizeBytes sums the Ψ buckets' footprints.
+func (s *Store) psiSizeBytes() int {
+	total := 0
+	for _, p := range s.psi {
+		total += p.SizeBytes()
+	}
+	return total
+}
+
+// finish derives the lookup tables that are never serialized and, when
+// there is a simulated medium, places the store's regions on it.
+func (s *Store) finish() {
 	s.buildRowDir()
 	s.buildPsiBlockIndex()
-	var psiBytes int
-	for _, p := range s.psi {
-		psiBytes += p.SizeBytes()
+	if s.med == nil {
+		return
 	}
+	psiBytes := s.psiSizeBytes()
+	s.psiBytesPerRow = float64(psiBytes) / float64(s.n)
 	s.regPsi = s.med.Register(int64(psiBytes))
 	s.regSA = s.med.Register(int64(s.saSampleBits.SizeBytes() + s.saSamples.SizeBytes()))
 	s.regISA = s.med.Register(int64(s.isaSamples.SizeBytes()))
@@ -325,16 +306,9 @@ func (s *Store) SamplingRate() int { return s.alpha }
 
 // CompressedSize returns the total in-memory footprint in bytes.
 func (s *Store) CompressedSize() int {
-	total := len(s.bucketChar)*4 + len(s.bucketStart)*4 + len(s.rowDir)*4
-	for _, p := range s.psi {
-		total += p.SizeBytes()
-	}
-	total += s.saSampleBits.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
-	return total
+	return len(s.bucketChar)*4 + len(s.bucketStart)*4 + len(s.rowDir)*4 + s.psiSizeBytes() +
+		s.saSampleBits.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
 }
-
-// Medium returns the simulated storage the store lives on.
-func (s *Store) Medium() *memsim.Medium { return s.med }
 
 // bucketOfRow returns the bucket index containing row: the directory
 // entry for the row's stride, advanced past any bucket boundaries inside
@@ -357,25 +331,17 @@ func (s *Store) bucketOfChar(c int32) int {
 	return -1
 }
 
-// psiAt evaluates Ψ[row], charging the simulated medium when charge is
-// set (the in-memory path); the cold path walks uncharged and pays one
-// direct flat-file read instead (see Extract).
-func (s *Store) psiAt(row int, charge bool) int {
-	b := s.bucketOfRow(row)
-	if charge {
-		s.med.Access(s.regPsi, int64(float64(row)*s.psiBytesPerRow), 8)
-	}
-	return int(s.psi[b].Get(row - int(s.bucketStart[b])))
-}
-
 // stepRow returns the (shifted) first character of the suffix at row and
 // Ψ[row] in one bucket lookup.
-func (s *Store) stepRow(row int, charge bool) (c int32, next int) {
+func (s *Store) stepRow(row int) (c int32, next int) {
 	b := s.bucketOfRow(row)
-	if charge {
-		s.med.Access(s.regPsi, int64(float64(row)*s.psiBytesPerRow), 8)
-	}
 	return s.bucketChar[b], int(s.psi[b].Get(row - int(s.bucketStart[b])))
+}
+
+// psiAt evaluates Ψ[row].
+func (s *Store) psiAt(row int) int {
+	_, next := s.stepRow(row)
+	return next
 }
 
 // LookupSA returns SA[row]: the text offset of the suffix at the given
@@ -391,11 +357,13 @@ func (s *Store) LookupSA(row int) int {
 		if steps%8 == 0 {
 			s.chargePsiAt(row)
 		}
-		row = s.psiAt(row, false)
+		row = s.psiAt(row)
 		steps++
 	}
 	rank := s.saSampleBits.Rank1(row)
-	s.med.Access(s.regSA, int64(rank)*8, 8)
+	if s.med != nil {
+		s.med.Access(s.regSA, int64(rank)*8, 8)
+	}
 	if telemetry.Enabled() {
 		mPsiSteps.Add(int64(steps))
 	}
@@ -415,14 +383,20 @@ func (s *Store) LookupISA(pos int) int {
 	return s.lookupISA(pos, true)
 }
 
+// lookupISA walks from the ISA sample preceding pos. charge bills every
+// Ψ step of the walk to the medium (a bare lookup); walkers pass false
+// and bill the anchor page themselves.
 func (s *Store) lookupISA(pos int, charge bool) int {
 	q := pos / s.alpha
 	if charge {
-		s.med.Access(s.regISA, int64(q)*8, 8)
+		s.chargeISAAt(pos)
 	}
 	row := int(s.isaSamples.Get(q))
 	for p := q * s.alpha; p < pos; p++ {
-		row = s.psiAt(row, charge)
+		if charge {
+			s.chargePsiAt(row)
+		}
+		row = s.psiAt(row)
 	}
 	if telemetry.Enabled() {
 		mISALookups.Inc()
@@ -445,10 +419,14 @@ const extractChargeStride = 64
 
 // chargePsiAt bills one page access at row's position in the Ψ region.
 func (s *Store) chargePsiAt(row int) {
-	s.med.Access(s.regPsi, int64(float64(row)*s.psiBytesPerRow), 8)
+	if s.med != nil {
+		s.med.Access(s.regPsi, int64(float64(row)*s.psiBytesPerRow), 8)
+	}
 }
 
 // chargeISAAt bills the ISA sample page used for text position pos.
 func (s *Store) chargeISAAt(pos int) {
-	s.med.Access(s.regISA, int64(pos/s.alpha)*8, 8)
+	if s.med != nil {
+		s.med.Access(s.regISA, int64(pos/s.alpha)*8, 8)
+	}
 }

@@ -3,6 +3,7 @@ package succinct
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -308,6 +309,36 @@ func TestMediumFootprintMatchesCompressedSize(t *testing.T) {
 	s := Build(text, Options{SamplingRate: 32, Medium: med})
 	if med.Footprint() != int64(s.CompressedSize()) {
 		t.Errorf("medium footprint %d != compressed size %d", med.Footprint(), s.CompressedSize())
+	}
+}
+
+// TestNoMediumMeansNoSimulator: a store built or loaded without a
+// Medium holds none — its Ψ loop has nothing to charge — and its size and
+// answers are those of the same store on a medium.
+func TestNoMediumMeansNoSimulator(t *testing.T) {
+	text := buildText(10, 20_000, 4)
+	plain := Build(text, Options{SamplingRate: 8})
+	loaded, err := UnmarshalStore(plain.MarshalBinary(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onMedium := Build(text, Options{SamplingRate: 8, Medium: memsim.Unlimited()})
+	for name, s := range map[string]*Store{"built": plain, "loaded": loaded} {
+		if s.med != nil {
+			t.Errorf("%s without a medium holds one", name)
+		}
+		if s.CompressedSize() != onMedium.CompressedSize() {
+			t.Errorf("%s: CompressedSize %d, on a medium %d", name, s.CompressedSize(), onMedium.CompressedSize())
+		}
+		if !bytes.Equal(s.Extract(100, 700), onMedium.Extract(100, 700)) {
+			t.Errorf("%s: extract differs from the store on a medium", name)
+		}
+		if got, want := s.Search(text[40:46]), onMedium.Search(text[40:46]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: search differs from the store on a medium", name)
+		}
+		if s.LookupSA(s.LookupISA(1234)) != 1234 {
+			t.Errorf("%s: SA/ISA lookups disagree", name)
+		}
 	}
 }
 

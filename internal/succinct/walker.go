@@ -29,7 +29,7 @@ func (w *Walker) stepPsi(row int) (int32, int) {
 	if w.bc != nil {
 		return w.bc.stepRow(row)
 	}
-	return w.s.stepRow(row, false)
+	return w.s.stepRow(row)
 }
 
 // anchorISA re-anchors at text position pos, routing the anchor walk's

@@ -78,10 +78,10 @@ type Options struct {
 	// Medium, if set, places the store on a simulated storage hierarchy
 	// (used by the benchmark harness to model memory pressure).
 	Medium *memsim.Medium
-	// Codec names the integer-codec policy for shard regions (Ψ, SA/ISA
-	// samples, offset columns): "auto" picks per region by trial
-	// encoding; "legacy", "simple8b" or "varint" force one codec
-	// everywhere. Empty = "auto".
+	// Codec names the integer-codec policy for the shard regions that
+	// have one (SA/ISA samples, offset columns; Ψ is always a monotone
+	// vector): "auto" picks per region by trial encoding; "legacy",
+	// "simple8b" or "varint" force one codec everywhere. Empty = "auto".
 	Codec string
 	// AutoTuneAlpha lets Compact retune each shard's sampling rate α
 	// from the reads it drew since the last compaction: hot shards get
@@ -306,6 +306,11 @@ func (a recordAdapter) Range(tLo, tHi int64) (int, int) {
 }
 
 func (a recordAdapter) Data(timeOrder int) (EdgeData, error) { return a.r.GetEdgeData(timeOrder) }
+
+// DataRange implements graphapi.RangeDataRecord.
+func (a recordAdapter) DataRange(beg, end int) ([]EdgeData, error) {
+	return a.r.GetEdgeDataRange(beg, end)
+}
 
 func (a recordAdapter) Destinations() []NodeID { return a.r.Destinations() }
 
