@@ -109,73 +109,6 @@ func TestPackedVectorQuick(t *testing.T) {
 	}
 }
 
-func TestBitmapRankSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 10_000
-	b := NewBitmap(n)
-	set := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) == 0 {
-			b.Set(i)
-			set[i] = true
-		}
-	}
-	b.FinishRank()
-
-	rank := 0
-	ones := []int{}
-	for i := 0; i < n; i++ {
-		if got := b.Rank1(i); got != rank {
-			t.Fatalf("Rank1(%d) = %d, want %d", i, got, rank)
-		}
-		if set[i] {
-			ones = append(ones, i)
-			rank++
-		}
-		if b.Get(i) != set[i] {
-			t.Fatalf("Get(%d) = %v, want %v", i, b.Get(i), set[i])
-		}
-	}
-	if b.Ones() != len(ones) {
-		t.Fatalf("Ones() = %d, want %d", b.Ones(), len(ones))
-	}
-	for k, pos := range ones {
-		if got := b.Select1(k); got != pos {
-			t.Fatalf("Select1(%d) = %d, want %d", k, got, pos)
-		}
-	}
-}
-
-func TestBitmapEdgeCases(t *testing.T) {
-	b := NewBitmap(64)
-	b.Set(0)
-	b.Set(63)
-	b.FinishRank()
-	if b.Rank1(64) != 2 {
-		t.Errorf("Rank1(64) = %d, want 2", b.Rank1(64))
-	}
-	if b.Select1(0) != 0 || b.Select1(1) != 63 {
-		t.Errorf("select wrong: %d %d", b.Select1(0), b.Select1(1))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Select1 out of range should panic")
-		}
-	}()
-	b.Select1(2)
-}
-
-func TestBitmapSetAfterFinishPanics(t *testing.T) {
-	b := NewBitmap(8)
-	b.FinishRank()
-	defer func() {
-		if recover() == nil {
-			t.Error("Set after FinishRank should panic")
-		}
-	}()
-	b.Set(1)
-}
-
 func TestMonotoneVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vals := make([]uint64, 5000)
@@ -248,30 +181,6 @@ func TestMonotoneVectorCompresses(t *testing.T) {
 	mv := NewMonotoneVector(vals)
 	if mv.SizeBytes() >= len(vals)*4 {
 		t.Errorf("monotone vector too large: %d bytes for %d elems", mv.SizeBytes(), len(vals))
-	}
-}
-
-func TestBitmapSerialization(t *testing.T) {
-	b := NewBitmap(100)
-	for _, i := range []int{0, 7, 63, 64, 99} {
-		b.Set(i)
-	}
-	b.FinishRank()
-	buf := b.AppendBinary(nil)
-	got, n, err := DecodeBitmap(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d, want %d", n, len(buf))
-	}
-	for i := 0; i < 100; i++ {
-		if got.Get(i) != b.Get(i) {
-			t.Fatalf("bit %d mismatch", i)
-		}
-	}
-	if got.Ones() != 5 || got.Rank1(64) != 3 {
-		t.Fatalf("rank index not rebuilt: ones=%d rank=%d", got.Ones(), got.Rank1(64))
 	}
 }
 

@@ -215,12 +215,21 @@ func (bs *blockSeq) AppendBinary(buf []byte) []byte {
 }
 
 // decodeBlockSeq reads a sequence serialized with AppendBinary and
-// returns it with the number of bytes consumed.
+// returns it with the number of bytes consumed. The input is untrusted:
+// the column lengths, the block offsets and the extent of every block's
+// encoded values are checked here, so no accessor of the returned
+// sequence can index out of range.
 func decodeBlockSeq(id CodecID, mono bool, buf []byte) (*blockSeq, int, error) {
 	if len(buf) < 8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated block seq header")
 	}
-	bs := &blockSeq{id: id, mono: mono, n: int(binary.LittleEndian.Uint64(buf))}
+	// The offset table spends at least a bit on each block.
+	n64 := binary.LittleEndian.Uint64(buf)
+	if n64 > uint64(len(buf))*8*SeqBlockSize {
+		return nil, 0, fmt.Errorf("bitutil: block seq of %d elements exceeds its %d bytes", n64, len(buf))
+	}
+	bs := &blockSeq{id: id, mono: mono, n: int(n64)}
+	nblocks := (bs.n + SeqBlockSize - 1) / SeqBlockSize
 	pos := 8
 	var err error
 	var k int
@@ -236,17 +245,55 @@ func decodeBlockSeq(id CodecID, mono bool, buf []byte) (*blockSeq, int, error) {
 		return nil, 0, err
 	}
 	pos += k
+	if bs.offs.Len() != nblocks+1 || (mono && bs.anchors.Len() != nblocks) {
+		return nil, 0, fmt.Errorf("bitutil: block seq of %d blocks with %d offsets, %d anchors", nblocks, bs.offs.Len(), bs.anchors.Len())
+	}
 	if len(buf) < pos+8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated block seq payload header")
 	}
-	np := int(binary.LittleEndian.Uint64(buf[pos:]))
+	np := binary.LittleEndian.Uint64(buf[pos:])
 	pos += 8
-	if len(buf) < pos+np {
+	if np > uint64(len(buf)-pos) {
 		return nil, 0, fmt.Errorf("bitutil: truncated block seq payload")
 	}
-	bs.payload = append([]byte(nil), buf[pos:pos+np]...)
-	pos += np
+	bs.payload = append([]byte(nil), buf[pos:pos+int(np)]...)
+	pos += int(np)
+	if bs.offs.Get(0) != 0 || bs.offs.Get(nblocks) != np {
+		return nil, 0, fmt.Errorf("bitutil: block seq offsets span [%d,%d) of %d payload bytes", bs.offs.Get(0), bs.offs.Get(nblocks), np)
+	}
+	for b := 0; b < nblocks; b++ {
+		from, to := bs.offs.Get(b), bs.offs.Get(b+1)
+		cnt := min(bs.n-b*SeqBlockSize, SeqBlockSize)
+		if mono {
+			cnt-- // the first value is the anchor
+		}
+		if from > to || to > np || !bs.holds(bs.payload[from:to], cnt) {
+			return nil, 0, fmt.Errorf("bitutil: block seq block %d: payload bytes [%d,%d) do not hold its %d values", b, from, to, cnt)
+		}
+	}
 	return bs, pos, nil
+}
+
+// holds reports whether pay encodes at least cnt values, which is what
+// decodePayload will read from it.
+func (bs *blockSeq) holds(pay []byte, cnt int) bool {
+	for cnt > 0 {
+		if bs.id == CodecSimple8b {
+			if len(pay) < 8 {
+				return false
+			}
+			cnt -= s8bSel[pay[7]>>4].n
+			pay = pay[8:]
+		} else {
+			_, k := binary.Uvarint(pay)
+			if k <= 0 {
+				return false
+			}
+			cnt--
+			pay = pay[k:]
+		}
+	}
+	return true
 }
 
 // s8bCodec is word-aligned selector packing in the Simple-8b family:

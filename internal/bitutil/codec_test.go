@@ -294,4 +294,37 @@ func TestDecodeSeqErrors(t *testing.T) {
 	if _, _, err := DecodeSeq(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated buffer must error")
 	}
+	// A block seq whose payload is shorter than its element count says, or
+	// whose offsets leave the payload, is an error and not a sequence that
+	// panics on Get.
+	ramp := make([]uint64, 3*SeqBlockSize)
+	for i := range ramp {
+		ramp[i] = uint64(i * 1000)
+	}
+	for _, policy := range []CodecPolicy{CodecForceSimple8b, CodecForceVarint} {
+		for _, mono := range []bool{false, true} {
+			s, _ := EncodeWithPolicy(ramp, mono, 0, policy)
+			good := AppendSeq(nil, s)
+			if _, k, err := DecodeSeq(good); err != nil || k != len(good) {
+				t.Fatalf("%v mono=%v: own serial form: %v", policy, mono, err)
+			}
+			for name, corrupt := range map[string]func(b []byte){
+				"more elements than payload": func(b []byte) { b[1] = 4*SeqBlockSize - 1 },
+				"huge element count":         func(b []byte) { b[8] = 0x40 },
+				"payload cut to zeros":       func(b []byte) { clear(b[len(b)-40:]) },
+				"varint never ends":          func(b []byte) { b[len(b)-1] |= 0x80 },
+			} {
+				bad := append([]byte(nil), good...)
+				corrupt(bad)
+				back, _, err := DecodeSeq(bad)
+				if err != nil {
+					continue
+				}
+				// Still a sequence: then every accessor must stay in range.
+				if got := back.DecodeAll(nil); len(got) != back.Len() {
+					t.Errorf("%v mono=%v, %s: decoded %d of %d", policy, mono, name, len(got), back.Len())
+				}
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package bitutil
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,6 +127,9 @@ func FuzzMonotoneDeltaPatterns(f *testing.F) {
 		f.Add(broken)
 	}
 	f.Add(append(append([]byte(nil), ones[:5]...), 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+	for _, deltas := range runShapeDeltas() {
+		f.Add(deltas)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var deltas []uint64
 		for len(data) > 0 && len(deltas) < 4096 {
@@ -281,13 +285,21 @@ func FuzzDecodeMonotoneVector(f *testing.F) {
 
 // hostileMonotoneSeeds are corrupt serial forms, each wrong in one way
 // DecodeMonotoneVector must catch: the same bytes are checked in under
-// testdata/fuzz/FuzzDecodeMonotoneVector.
+// testdata/fuzz/FuzzDecodeMonotoneVector. The vector they corrupt is
+// three blocks with payload, then a +1 run of four blocks that writes
+// one record: seven blocks, four records, one span.
 func hostileMonotoneSeeds() map[string][]byte {
-	vals := make([]uint64, 3*monotoneBlock)
-	for i := range vals {
+	vals := make([]uint64, 7*monotoneBlock)
+	for i := range vals[:3*monotoneBlock] {
 		vals[i] = uint64(i * i * 5)
 	}
+	for i := 3 * monotoneBlock; i < len(vals); i++ {
+		vals[i] = vals[i-1] + 1
+	}
 	mv := NewMonotoneVector(vals)
+	if mv.marks[0] != 0b1111 {
+		panic(fmt.Sprintf("hostile seeds: marks %#b, want four records in one span", mv.marks[0]))
+	}
 	good := mv.AppendBinary(nil)
 	patchLastRecord := func(w uint, off uint64) []byte {
 		bad := *mv
@@ -299,34 +311,63 @@ func hostileMonotoneSeeds() map[string][]byte {
 		writeBits(bad.dir, pos, widthBits+mv.ow, uint64(w)|off<<widthBits)
 		return bad.AppendBinary(nil)
 	}
+	withMarks := func(m uint64) []byte {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(bad[monotoneHeader:], m)
+		return bad
+	}
 	hugeN := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(hugeN, 1<<60)
+	wrapN := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(wrapN, ^uint64(0)-3)
 	zeroWidth := append([]byte(nil), good...)
 	zeroWidth[9] = 0
 	wideOffset := append([]byte(nil), good...)
 	wideOffset[10] = maxOffsetWidth + 1
 	return map[string][]byte{
-		"truncated_directory": good[:monotoneHeader+9],
+		"truncated_directory": good[:monotoneHeader+8+9],
 		"truncated_payload":   good[:len(good)-8],
 		"offset_past_end":     patchLastRecord(6, mv.omask),
 		"width_65":            patchLastRecord(65, 0),
 		"huge_n":              hugeN,
+		"n_wraps":             wrapN,
 		"anchor_width_0":      zeroWidth,
 		"offset_width_58":     wideOffset,
+		"no_first_mark":       withMarks(0b1110),
+		"mark_past_end":       withMarks(0b1111 | 1<<7),
+		"mark_count_off":      withMarks(0b1111 | 1<<32),
+		"wide_continued":      withMarks(0b1011),
+	}
+}
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the hostile seeds checked in under testdata/fuzz")
+
+// checkHostileSeeds asserts that decode refuses every seed and that the
+// checked-in corpus of the fuzz target holds exactly those bytes.
+func checkHostileSeeds(t *testing.T, target string, seeds map[string][]byte, decode func([]byte) error) {
+	t.Helper()
+	for name, seed := range seeds {
+		if decode(seed) == nil {
+			t.Errorf("%s: decoded, want an error", name)
+		}
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		path := filepath.Join("testdata", "fuzz", target, name)
+		if *updateCorpus {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s: corpus file is not this seed (%v); rewrite it with go test -run %s -update-corpus", path, err, t.Name())
+		}
 	}
 }
 
 // TestDecodeMonotoneVectorRejectsCorrupt: every hostile seed is an error,
 // and the checked-in fuzz corpus holds exactly those bytes.
 func TestDecodeMonotoneVectorRejectsCorrupt(t *testing.T) {
-	for name, seed := range hostileMonotoneSeeds() {
-		if mv, _, err := DecodeMonotoneVector(seed); err == nil {
-			t.Errorf("%s: decoded to a vector of %d elements, want an error", name, mv.Len())
-		}
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		path := filepath.Join("testdata", "fuzz", "FuzzDecodeMonotoneVector", name)
-		if got, err := os.ReadFile(path); err != nil || string(got) != want {
-			t.Errorf("%s: corpus file is not this seed (%v); regenerate it with:\n%s", path, err, want)
-		}
-	}
+	checkHostileSeeds(t, "FuzzDecodeMonotoneVector", hostileMonotoneSeeds(), func(b []byte) error {
+		_, _, err := DecodeMonotoneVector(b)
+		return err
+	})
 }

@@ -137,8 +137,53 @@ func adversarialSequences() map[string][]uint64 {
 		wideRec[i] = 1<<63 + uint64(i*i)<<20
 	}
 	seqs["record-over-64-bits"] = wideRec
-	seqs["record-over-64-bits-run"] = run(3*monotoneBlock+1, 1<<63)
+	// ... and one such record followed by continued blocks, across a span.
+	seqs["record-over-64-bits-run"] = run((spanBlocks+8)*monotoneBlock+1, 1<<63)
+
+	// The shapes the one-record-per-run directory creates, each as a
+	// constant run (strict off) and as a +1 run (strict on).
+	for name, deltas := range runShapeDeltas() {
+		for bump, kind := range []string{"const", "run"} {
+			vals, sum := make([]uint64, len(deltas)), uint64(1000)
+			for i, d := range deltas {
+				sum += uint64(d) + uint64(bump)
+				vals[i] = sum
+			}
+			seqs[name+"/"+kind] = vals
+		}
+	}
 	return seqs
+}
+
+// runShapeDeltas are delta streams, one byte per delta (the form
+// FuzzMonotoneDeltaPatterns reads; element i is the sum of deltas 0..i),
+// for the shapes the continuation rule creates. They are zeros but for
+// the breaks: as given, constant runs of a non-strict vector; with every
+// delta raised by one, +1 runs of a strict one. Both continue records.
+func runShapeDeltas() map[string][]byte {
+	const block, span = monotoneBlock, spanBlocks * monotoneBlock
+	shapes := map[string][]byte{}
+	// A vector that is a single run: of the edge lengths, ending exactly
+	// at a block boundary after crossing 0, 1, 30, 31, 32 and 63 of them
+	// (at a span boundary for 32 and 64 blocks), and ending mid-block
+	// after crossing 1, 2, 31, 32, 33 and 64.
+	for _, n := range []int{0, 1, block, block + 1, span, span + 1} {
+		shapes[fmt.Sprintf("single-run-%d", n)] = make([]byte, n)
+	}
+	for _, k := range []int{1, 2, 31, 32, 33, 64} {
+		shapes[fmt.Sprintf("single-run-%d", k*block)] = make([]byte, k*block)
+		shapes[fmt.Sprintf("single-run-%d", k*block+block/2)] = make([]byte, k*block+block/2)
+	}
+	// A run of 64 blocks and a half broken by one delta: mid-block, in a
+	// block's last slot, across a block boundary (both neighbours stay
+	// payload-free, but the second must not continue the first), and on
+	// either side of and across a span boundary.
+	for _, at := range []int{2*block + 5, 3*block - 1, 2 * block, span - 1, span, span + 1, 33 * block} {
+		broken := make([]byte, 64*block+block/2)
+		broken[at] = 7
+		shapes[fmt.Sprintf("run-broken-at-%d", at)] = broken
+	}
+	return shapes
 }
 
 // TestMonotoneShapesEncodeAsIntended pins what the shapes above are for:
@@ -169,6 +214,46 @@ func TestMonotoneShapesEncodeAsIntended(t *testing.T) {
 	for _, name := range []string{"record-over-64-bits", "record-over-64-bits-run"} {
 		if mv := NewMonotoneVector(seqs[name]); mv.rw <= 64 {
 			t.Errorf("%s: record width %d, want over 64", name, mv.rw)
+		}
+	}
+
+	// One record per run: a span's first block always writes one, a block
+	// continuing a width-0 run never does, and a break writes one for the
+	// broken block (when it carries payload) and one for the run after it.
+	for name, want := range map[string]int{
+		"single-run-0":            0,
+		"single-run-1":            1,
+		"single-run-16":           1,
+		"single-run-17":           1,
+		"single-run-512":          1,
+		"single-run-513":          2,
+		"single-run-1032":         3,
+		"run-33":                  1,
+		"record-over-64-bits-run": 2,
+		"run-broken-at-32":        4, // blocks 0 and 2, spans 1 and 2
+		"run-broken-at-37":        5, // blocks 0, 2 (payload) and 3, spans 1 and 2
+		"run-broken-at-47":        5,
+		"run-broken-at-511":       4, // block 0, block 31 (payload), spans 1 and 2
+		"run-broken-at-512":       3, // the break falls on a forced record
+		"run-broken-at-513":       4, // spans 0 and 1 (payload), block 33, span 2
+		"run-broken-at-528":       4,
+		"all-equal":               1,
+		"plus-one-run":            1,
+		"short-tail-9":            2,
+	} {
+		checked := 0
+		for _, kind := range []string{"", "/const", "/run"} {
+			vals, ok := seqs[name+kind]
+			if !ok {
+				continue
+			}
+			checked++
+			if st := NewMonotoneVector(vals).Stats(); st.Records != want {
+				t.Errorf("%s%s: %d records for %d blocks, want %d", name, kind, st.Records, st.Blocks, want)
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no such sequence", name)
 		}
 	}
 }

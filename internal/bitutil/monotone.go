@@ -38,10 +38,10 @@ func hasMid(w uint, cnt int) bool {
 	return w >= 2 && cnt > monotoneHalf
 }
 
-// MonotoneVector stores a non-decreasing sequence of integers as one
-// bit-packed directory record per block plus bit-packed per-block deltas,
-// where each block chooses its own delta width. Within each character
-// bucket the succinct store's Ψ array is strictly increasing and — for
+// MonotoneVector stores a non-decreasing sequence of integers as
+// bit-packed directory records plus bit-packed per-block deltas, where
+// each block chooses its own delta width. Within each character bucket
+// the succinct store's Ψ array is strictly increasing and — for
 // compressible text — dominated by +1 runs, so per-block widths are where
 // the compression of the whole structure comes from.
 //
@@ -56,6 +56,18 @@ func hasMid(w uint, cnt int) bool {
 // and no payload at all: Get is anchor + j from the record alone. A
 // sequence with a repeated value stores plain deltas (strict = 0).
 //
+// The directory holds one record per run, not per block: a width-0 block
+// that continues the width-0 block before it (its anchor is that block's
+// anchor plus strict·monotoneBlock) writes no record, and its anchor is
+// the record's plus strict·monotoneBlock per block past it. The marks
+// array says which blocks wrote one, one word per spanBlocks blocks:
+//
+//	[ records before the span (high 32 bits) | block k of the span starts a record (bit k) ]
+//
+// Bit 0 is always set — a span's first block always writes a record — so
+// block → record is one load, a popcount and a leading-zeros count, and
+// a record is never more than spanBlocks-1 blocks back.
+//
 // Random access to element i sums at most monotoneHalf deltas; use a
 // MonotoneCursor for sequential access (one block decode per
 // monotoneBlock elements).
@@ -66,13 +78,17 @@ type MonotoneVector struct {
 	rw     uint   // record width: aw + widthBits + ow
 	amask  uint64
 	omask  uint64
-	dir    []uint64 // nblocks records, plus one pad word for window
+	marks  []uint64 // one word per spanBlocks blocks
+	dir    []uint64 // records, plus one pad word for window
 	bits   []uint64 // concatenated delta payload (with sub-anchor slots)
 
+	records     int // directory records, counted at build/decode
 	emptyBlocks int // width-0 blocks, counted at build/decode for Stats
 }
 
 const (
+	// spanBlocks is the number of blocks one marks word covers.
+	spanBlocks = 32
 	// widthBits is the size of a record's delta-width field (0..64).
 	widthBits = 7
 	widthMask = 1<<widthBits - 1
@@ -130,10 +146,12 @@ func NewMonotoneVector(vals []uint64) *MonotoneVector {
 		}
 	}
 
-	// Lay out the bit stream.
+	// Lay out the bit stream, and mark the blocks that write a record:
+	// all but those continuing the width-0 run of the block before.
 	mv := &MonotoneVector{n: n, strict: strict}
 	widths := make([]uint8, nblocks)
 	offs := make([]uint64, nblocks)
+	mv.marks = make([]uint64, (nblocks+spanBlocks-1)/spanBlocks)
 	var totalBits uint64
 	for b := range widths {
 		if maxDelta[b] > strict {
@@ -143,6 +161,14 @@ func NewMonotoneVector(vals []uint64) *MonotoneVector {
 		}
 		offs[b] = totalBits
 		totalBits += blockPayloadBits(uint(widths[b]), blockCount(n, b))
+		if b%spanBlocks == 0 {
+			mv.marks[b/spanBlocks] = uint64(mv.records) << 32
+		} else if widths[b] == 0 && widths[b-1] == 0 &&
+			vals[b*monotoneBlock] == vals[(b-1)*monotoneBlock]+strict*monotoneBlock {
+			continue
+		}
+		mv.marks[b/spanBlocks] |= 1 << (b % spanBlocks)
+		mv.records++
 	}
 	mv.bits = make([]uint64, (totalBits+63)/64)
 	var lastAnchor uint64
@@ -150,14 +176,18 @@ func NewMonotoneVector(vals []uint64) *MonotoneVector {
 		lastAnchor = vals[(nblocks-1)*monotoneBlock]
 	}
 	mv.setFieldWidths(WidthFor(lastAnchor), WidthFor(totalBits))
-	mv.dir = make([]uint64, dirWords(nblocks, mv.rw))
+	mv.dir = make([]uint64, dirWords(mv.records, mv.rw))
+	var rec uint64
 	for b := 0; b < nblocks; b++ {
+		if mv.marks[b/spanBlocks]>>(b%spanBlocks)&1 == 0 {
+			continue
+		}
 		start := b * monotoneBlock
 		end := start + blockCount(n, b)
 		w := uint(widths[b])
-		rec := uint64(b) * uint64(mv.rw)
 		writeBits(mv.dir, rec, mv.aw, vals[start])
 		writeBits(mv.dir, rec+uint64(mv.aw), widthBits+mv.ow, uint64(w)|offs[b]<<widthBits)
+		rec += uint64(mv.rw)
 		if w == 0 {
 			continue
 		}
@@ -188,8 +218,8 @@ func (mv *MonotoneVector) setFieldWidths(aw, ow uint) {
 
 // dirWords returns the directory's length in words: the records plus one
 // pad word, so a two-word window over any record bit stays in bounds.
-func dirWords(nblocks int, rw uint) int {
-	return int((uint64(nblocks)*uint64(rw)+63)/64) + 1
+func dirWords(records int, rw uint) int {
+	return int((uint64(records)*uint64(rw)+63)/64) + 1
 }
 
 // window returns the 64 bits of words starting at bit pos. The word
@@ -200,9 +230,19 @@ func window(words []uint64, pos uint64) uint64 {
 	return words[word]>>off | hi<<(64-off)
 }
 
-// record returns block b's anchor, delta width and payload bit offset.
-func (mv *MonotoneVector) record(b uint) (anchor uint64, w uint, off uint64) {
-	pos := uint64(b) * uint64(mv.rw)
+// locate returns the record that serves block b and how many blocks past
+// the record's own block b lies: the marks of the span up to and
+// including b, shifted so that b's is the top bit, are counted for the
+// one and measured to the nearest set bit for the other.
+func (mv *MonotoneVector) locate(b uint) (rec uint64, past uint) {
+	m := mv.marks[b/spanBlocks]
+	upTo := uint32(m) << (spanBlocks - 1 - b%spanBlocks)
+	return m>>32 + uint64(bits.OnesCount32(upTo)) - 1, uint(bits.LeadingZeros32(upTo))
+}
+
+// recordAt returns the fields of directory record rec.
+func (mv *MonotoneVector) recordAt(rec uint64) (anchor uint64, w uint, off uint64) {
+	pos := rec * uint64(mv.rw)
 	x := window(mv.dir, pos)
 	anchor = x & mv.amask
 	if mv.rw <= 64 {
@@ -213,9 +253,24 @@ func (mv *MonotoneVector) record(b uint) (anchor uint64, w uint, off uint64) {
 	return anchor, uint(x & widthMask), x >> widthBits & mv.omask
 }
 
+// recordAnchor returns the anchor field of directory record rec.
+func (mv *MonotoneVector) recordAnchor(rec uint64) uint64 {
+	return window(mv.dir, rec*uint64(mv.rw)) & mv.amask
+}
+
+// record returns block b's anchor, delta width and payload bit offset. A
+// block past its record's own continues a width-0 run, so it has the
+// record's width and an anchor strict·monotoneBlock further per block.
+func (mv *MonotoneVector) record(b uint) (anchor uint64, w uint, off uint64) {
+	rec, past := mv.locate(b)
+	anchor, w, off = mv.recordAt(rec)
+	return anchor + mv.strict*monotoneBlock*uint64(past), w, off
+}
+
 // anchor returns block b's first value.
 func (mv *MonotoneVector) anchor(b int) uint64 {
-	return window(mv.dir, uint64(b)*uint64(mv.rw)) & mv.amask
+	rec, past := mv.locate(uint(b))
+	return mv.recordAnchor(rec) + mv.strict*monotoneBlock*uint64(past)
 }
 
 // Len returns the number of elements.
@@ -225,8 +280,9 @@ func (mv *MonotoneVector) Len() int { return mv.n }
 // constant runs otherwise) resolve from the directory record alone.
 func (mv *MonotoneVector) Get(i int) uint64 {
 	j := uint(i) % monotoneBlock
-	anchor, w, base := mv.record(uint(i) / monotoneBlock)
-	v := anchor + mv.strict*uint64(j)
+	rec, past := mv.locate(uint(i) / monotoneBlock)
+	anchor, w, base := mv.recordAt(rec)
+	v := anchor + mv.strict*uint64(past*monotoneBlock+j)
 	if w == 0 || j == 0 {
 		return v
 	}
@@ -295,19 +351,35 @@ func (mv *MonotoneVector) decodeBlock(b int, out *[monotoneBlock]uint64) int {
 // or hi if none. The sequence is non-decreasing by construction.
 //
 // Instead of binary-searching element probes (each a delta re-sum), it
-// binary-searches the anchor field of the directory records to isolate
-// the single candidate block, decodes that block once, and scans the
-// decoded values.
+// isolates the single candidate block, decodes that block once, and scans
+// the decoded values. The block is found in two binary searches over the
+// anchor field of the directory records: first over one record per span —
+// the span's first, whose index its marks word carries, so a probe is
+// that word and the record and no counting — then over the blocks of the
+// one span left, all served by that span's marks word and a run of
+// adjacent records.
 func (mv *MonotoneVector) SearchGE(lo, hi int, target uint64) int {
 	if lo >= hi {
 		return lo
 	}
 	b0 := lo / monotoneBlock
 	b1 := (hi - 1) / monotoneBlock
+	// First span past b0's whose first anchor reaches target.
+	loS, hiS := b0/spanBlocks+1, b1/spanBlocks+1
+	for loS < hiS {
+		mid := int(uint(loS+hiS) >> 1)
+		if mv.recordAnchor(mv.marks[mid]>>32) >= target {
+			hiS = mid
+		} else {
+			loS = mid + 1
+		}
+	}
 	// First block past b0 whose anchor reaches target: every in-range
 	// index at or past its start satisfies the predicate, so the answer
-	// is inside the preceding block or is that block's first index.
-	loB, hiB := b0+1, b1+1
+	// is inside the preceding block or is that block's first index. It
+	// is past the first block of span loS-1, and no further than the
+	// first block of span loS.
+	loB, hiB := max((loS-1)*spanBlocks, b0)+1, min(loS*spanBlocks, b1+1)
 	for loB < hiB {
 		mid := int(uint(loB+hiB) >> 1)
 		if mv.anchor(mid) >= target {
@@ -338,17 +410,44 @@ func (mv *MonotoneVector) SearchGE(lo, hi int, target uint64) int {
 	return hi
 }
 
+// Below reports whether every element is less than limit. It looks at
+// every block, not at the last element: a vector decoded from untrusted
+// bytes is well-formed but need not be monotone.
+func (mv *MonotoneVector) Below(limit uint64) bool {
+	var vals [monotoneBlock]uint64
+	for b := 0; b*monotoneBlock < mv.n; b++ {
+		cnt := blockCount(mv.n, b)
+		anchor, w, _ := mv.record(uint(b))
+		if w == 0 {
+			// Of limit and not of the last value, so the sum cannot wrap.
+			if anchor >= limit || mv.strict*uint64(cnt-1) >= limit-anchor {
+				return false
+			}
+			continue
+		}
+		mv.decodeBlock(b, &vals)
+		for _, v := range vals[:cnt] {
+			if v >= limit {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SizeBytes returns the in-memory footprint of the payload.
 func (mv *MonotoneVector) SizeBytes() int {
-	return (len(mv.dir) + len(mv.bits)) * 8
+	return (len(mv.marks) + len(mv.dir) + len(mv.bits)) * 8
 }
 
 // MonotoneStats says where a vector's bytes go: how many of its blocks
-// are served from the directory record alone, and how the footprint
-// splits between directory and delta payload.
+// need no delta payload, how many of them still write a directory
+// record, and how the footprint splits between directory (marks and
+// records) and delta payload.
 type MonotoneStats struct {
 	Blocks       int
 	EmptyBlocks  int // width 0: +1 runs when strict, constant runs otherwise
+	Records      int // blocks that write a record; the rest continue a run
 	DirBytes     int
 	PayloadBytes int
 }
@@ -359,7 +458,8 @@ func (mv *MonotoneVector) Stats() MonotoneStats {
 	return MonotoneStats{
 		Blocks:       (mv.n + monotoneBlock - 1) / monotoneBlock,
 		EmptyBlocks:  mv.emptyBlocks,
-		DirBytes:     len(mv.dir) * 8,
+		Records:      mv.records,
+		DirBytes:     (len(mv.marks) + len(mv.dir)) * 8,
 		PayloadBytes: len(mv.bits) * 8,
 	}
 }
@@ -368,26 +468,25 @@ func (mv *MonotoneVector) Stats() MonotoneStats {
 // each for strict, aw and ow, then the payload word count.
 const monotoneHeader = 8 + 3 + 8
 
-// AppendBinary serializes the vector: the header, the directory records
-// (without the pad word) and the payload words.
+// AppendBinary serializes the vector: the header, the marks, the
+// directory records (without the pad word) and the payload words.
 func (mv *MonotoneVector) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(mv.n))
 	buf = append(buf, byte(mv.strict), byte(mv.aw), byte(mv.ow))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(mv.bits)))
-	for _, w := range mv.dir[:len(mv.dir)-1] {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	for _, w := range mv.bits {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+	for _, words := range [][]uint64{mv.marks, mv.dir[:len(mv.dir)-1], mv.bits} {
+		for _, w := range words {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
 	}
 	return buf
 }
 
 // DecodeMonotoneVector reads a vector serialized with AppendBinary and
 // returns it with the number of bytes consumed. The input is untrusted:
-// the field widths, the directory and payload lengths and every block's
-// width and payload extent are checked here, so no accessor of the
-// returned vector can index out of range.
+// the field widths, the marks, the directory and payload lengths and
+// every block's width and payload extent are checked here, so no accessor
+// of the returned vector can index out of range.
 func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	if len(buf) < monotoneHeader {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone vector header")
@@ -401,37 +500,55 @@ func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	if aw < 1 || aw > 64 || ow < 1 || ow > maxOffsetWidth {
 		return nil, 0, fmt.Errorf("bitutil: invalid monotone field widths (anchor %d, offset %d)", aw, ow)
 	}
-	// A record is more than a byte, so more blocks than bytes is
-	// corrupt; checking first keeps the products below from overflowing.
-	avail := uint64(len(buf) - monotoneHeader)
+	// However long its runs, a vector spends one marks word per span, so
+	// more spans than words is corrupt; checking first keeps the sums and
+	// products below from overflowing.
+	words := uint64(len(buf)-monotoneHeader) / 8
+	if n64 > words*spanBlocks*monotoneBlock {
+		return nil, 0, fmt.Errorf("bitutil: monotone vector of %d elements exceeds its %d bytes", n64, len(buf))
+	}
 	nblocks := (n64 + monotoneBlock - 1) / monotoneBlock
-	if n64 > uint64(len(buf))*monotoneBlock || nbits > avail/8 {
-		return nil, 0, fmt.Errorf("bitutil: monotone vector of %d elements, %d payload words exceeds its %d bytes", n64, nbits, len(buf))
+	nspans := (nblocks + spanBlocks - 1) / spanBlocks
+	if nbits > words-nspans {
+		return nil, 0, fmt.Errorf("bitutil: monotone vector of %d spans, %d payload words exceeds its %d bytes", nspans, nbits, len(buf))
 	}
 	mv := &MonotoneVector{n: int(n64), strict: uint64(strict)}
 	mv.setFieldWidths(aw, ow)
-	ndir := dirWords(int(nblocks), mv.rw)
-	if uint64(ndir-1)+nbits > avail/8 {
-		return nil, 0, fmt.Errorf("bitutil: truncated monotone vector: %d blocks need %d directory words", nblocks, ndir-1)
-	}
 	pos := monotoneHeader
-	mv.dir = make([]uint64, ndir)
-	for i := range mv.dir[:ndir-1] {
-		mv.dir[i] = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
+	readWords := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(buf[pos:])
+			pos += 8
+		}
+		return out
 	}
-	mv.bits = make([]uint64, nbits)
-	for i := range mv.bits {
-		mv.bits[i] = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
+	// Marks: every span's first block writes a record, none past the last
+	// block does, and the high half counts the records before the span.
+	mv.marks = readWords(int(nspans))
+	for s, m := range mv.marks {
+		inSpan := min(nblocks-uint64(s)*spanBlocks, spanBlocks)
+		if m&1 == 0 || uint64(uint32(m))>>inSpan != 0 || m>>32 != uint64(mv.records) {
+			return nil, 0, fmt.Errorf("bitutil: monotone marks of span %d (%#x) do not fit its %d blocks after %d records", s, m, inSpan, mv.records)
+		}
+		mv.records += bits.OnesCount32(uint32(m))
 	}
+	ndir := dirWords(mv.records, mv.rw)
+	if uint64(ndir-1) > words-nspans-nbits {
+		return nil, 0, fmt.Errorf("bitutil: truncated monotone vector: %d records need %d directory words", mv.records, ndir-1)
+	}
+	mv.dir = append(readWords(ndir-1), 0)
+	mv.bits = readWords(int(nbits))
 	for b := 0; b < int(nblocks); b++ {
-		_, w, off := mv.record(uint(b))
+		rec, past := mv.locate(uint(b))
+		_, w, off := mv.recordAt(rec)
 		if w > 64 {
 			return nil, 0, fmt.Errorf("bitutil: monotone block %d: delta width %d", b, w)
 		}
 		if w == 0 {
 			mv.emptyBlocks++
+		} else if past > 0 {
+			return nil, 0, fmt.Errorf("bitutil: monotone block %d continues a record of delta width %d", b, w)
 		}
 		if end := off + blockPayloadBits(w, blockCount(mv.n, b)); end > nbits*64 {
 			return nil, 0, fmt.Errorf("bitutil: monotone block %d: payload bits [%d,%d) past the %d stored", b, off, end, nbits*64)

@@ -1,6 +1,6 @@
 // Package bitutil provides the bit-level building blocks used by the
 // succinct data structures: fixed-width bit-packed integer vectors,
-// rank/select bitmaps, and block-compressed monotone sequences.
+// block-compressed monotone sequences, and sparse sets with rank.
 //
 // All structures in this package are immutable after construction and
 // safe for concurrent readers.
@@ -169,7 +169,13 @@ func DecodePackedVector(buf []byte) (*PackedVector, int, error) {
 	if width == 0 || width > 64 {
 		return nil, 0, fmt.Errorf("bitutil: invalid packed vector width %d", width)
 	}
-	n := int(binary.LittleEndian.Uint64(buf[1:9]))
+	// An element is at least a bit; checking first keeps the product
+	// below from overflowing.
+	n64 := binary.LittleEndian.Uint64(buf[1:9])
+	if n64 > uint64(len(buf))*8 {
+		return nil, 0, fmt.Errorf("bitutil: packed vector of %d elements exceeds its %d bytes", n64, len(buf))
+	}
+	n := int(n64)
 	nbits := uint64(n) * uint64(width)
 	nwords := int((nbits + 63) / 64)
 	need := 9 + nwords*8

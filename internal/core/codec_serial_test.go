@@ -119,6 +119,34 @@ func TestOldShardRefusedByVersion(t *testing.T) {
 	}
 }
 
+// TestShardWithoutOffsetColumnsRefused: current stores but no
+// codec-tagged offset column — either one — is named as an unsupported
+// shard format, not reported as a column that failed to decode.
+func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
+	sh, _, _ := buildTestShard(t)
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, drop := range map[string]func(w *shardWire){
+		"node offsets": func(w *shardWire) { w.NodeOffsetsEnc = nil },
+		"edge index":   func(w *shardWire) { w.EdgeIdxOffsEnc = nil },
+	} {
+		var w shardWire
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		drop(&w)
+		var cut bytes.Buffer
+		if err := gob.NewEncoder(&cut).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalShard(cut.Bytes(), nil); err == nil || !strings.Contains(err.Error(), "unsupported shard format") {
+			t.Errorf("without %s: err = %v, want unsupported shard format", name, err)
+		}
+	}
+}
+
 func mustSchema(t *testing.T, ids []string) *layout.PropertySchema {
 	t.Helper()
 	s, err := layout.NewPropertySchema(ids, 64)

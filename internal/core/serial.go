@@ -81,6 +81,9 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
 		return nil, fmt.Errorf("core: edge store: %w", err)
 	}
+	if len(w.NodeOffsetsEnc) == 0 || len(w.EdgeIdxOffsEnc) == 0 {
+		return nil, fmt.Errorf("core: unsupported shard format: no codec-tagged offset columns (written before them, or cut short)")
+	}
 	nodeOffs, _, err := bitutil.DecodeSeq(w.NodeOffsetsEnc)
 	if err != nil {
 		return nil, fmt.Errorf("core: node offsets: %w", err)

@@ -205,11 +205,22 @@ func (v *EdgeFileView) rangeBody(w *recWalk, at int, ref *EdgeRecordRef, beg, en
 	if beg > 0 {
 		start = ends[beg-1]
 	}
-	payload := read(ref.propOff+start, ends[end-1]-start)
+	// The interval's property lists are contiguous. None is shorter than
+	// the empty list — the length header, the delimiters and the end
+	// marker — so an interval whose lists add up to only that holds no
+	// property at all: there is nothing to learn from reading it, and
+	// seeking it would cost a Skip (half of α Ψ steps, or an ISA anchor)
+	// before the walk over it.
+	var payload []byte
+	if ends[end-1]-start > len(out)*v.schema.PropsEncodedSize(nil) {
+		payload = read(ref.propOff+start, ends[end-1]-start)
+	}
 	cur := start
 	for i := range out {
 		bend := ends[beg+i]
-		if bend > cur {
+		if bend > cur && payload == nil {
+			out[i].Props = map[string]string{} // what ParseProps makes of an empty list
+		} else if bend > cur {
 			props, _, err := v.schema.ParseProps(payload[cur-start : bend-start])
 			if err != nil {
 				return nil, fmt.Errorf("layout: edge %d/%d props: %w", ref.Src, beg+i, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zipg/internal/succinct"
+	"zipg/internal/telemetry"
 )
 
 // Differential tests for the vectorized layout readers: every batch
@@ -279,6 +280,27 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 		comp.TimeRange(&ref, 10, 50000)
 	}); allocs != 0 {
 		t.Errorf("Timestamp/TimeRange on a warmed ref allocated %v per run, want 0", allocs)
+	}
+	// The record without properties: on a warmed ref a range read is the
+	// anchor walk to its first destination and the destinations, and it
+	// stops there — the property area is empty, so it is not sought.
+	for _, rec := range index {
+		if rec.Src != 3 || rec.Type != 1 {
+			continue
+		}
+		bare, _ := comp.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+		comp.Timestamps(&bare)
+		comp.RecordEnd(&bare)
+		prev := telemetry.SetEnabled(true)
+		before := telemetry.TakeSnapshot()
+		got, err := comp.GetEdgeDataRange(&bare, 1, bare.Count)
+		steps := telemetry.Delta(before, telemetry.TakeSnapshot())["zipg_succinct_psi_steps_total"]
+		telemetry.SetEnabled(prev)
+		from := bare.dstOff + bare.DLen
+		if want := from%8 + (bare.Count-1)*bare.DLen; err != nil || len(got) != bare.Count-1 || int(steps) != want {
+			t.Errorf("property-less record: %d edges, %v, in %v psi steps; want %d in %d (anchor at %d, α=8, and %d bytes)",
+				len(got), err, steps, bare.Count-1, want, from, (bare.Count-1)*bare.DLen)
+		}
 	}
 	for _, r := range [][2]int{{0, 0}, {n, n}, {n, 0}, {-3, -1}, {n + 1, n + 4}, {-1, n}, {0, n + 1}} {
 		got, err := comp.GetEdgeDataRange(&ref, r[0], r[1])

@@ -233,8 +233,8 @@ func TestCodecReportFieldNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region := `  (node|edge)/(psi|sa|isa|offsets|index) +\w+ +\d+ elems +\d+ bytes +\d+\.\d{3} bits/row +\d+\.\d\d ns/elem decode`
-	mono := ` +run-blocks=\d+\.\d% dir=\d+B payload=\d+B`
+	region := `  (node|edge)/(psi|marks|sa|isa|offsets|index) +\w+ +\d+ elems +\d+ bytes +\d+\.\d{3} bits/row +\d+\.\d\d ns/elem decode`
+	mono := ` +run-blocks=\d+\.\d% records=\d+\.\d% dir=\d+B payload=\d+B`
 	line := regexp.MustCompile(`^` + region + `(` + mono + `)?( +\[trials: .*\])?$`)
 	psi := regexp.MustCompile(`^  (node|edge)/psi .*decode` + mono + `$`)
 	lines := strings.Split(strings.TrimSpace(FormatCodecReport(s.CodecReport())), "\n")
@@ -254,8 +254,8 @@ func TestCodecReportFieldNames(t *testing.T) {
 			}
 		}
 	}
-	if regions != 2*8 || psis != 2*2 {
-		t.Errorf("report has %d region lines, %d of them psi; want 16 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
+	if regions != 2*10 || psis != 2*2 {
+		t.Errorf("report has %d region lines, %d of them psi; want 20 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
 	}
 	for _, fc := range s.CodecReport() {
 		for _, rc := range fc.Regions {
@@ -263,9 +263,10 @@ func TestCodecReportFieldNames(t *testing.T) {
 				t.Errorf("%s %s: bits/row %v", fc.Fragment, rc.Region, rc.BitsPerRow)
 			}
 			if strings.HasSuffix(rc.Region, "/psi") &&
-				(rc.DirBytes+rc.PayloadBytes != rc.Bytes || rc.RunBlockShare <= 0 || rc.RunBlockShare > 1) {
-				t.Errorf("%s %s: dir %d + payload %d != %d bytes, or run share %v outside (0,1]",
-					fc.Fragment, rc.Region, rc.DirBytes, rc.PayloadBytes, rc.Bytes, rc.RunBlockShare)
+				(rc.DirBytes+rc.PayloadBytes != rc.Bytes || rc.RunBlockShare <= 0 || rc.RunBlockShare > 1 ||
+					rc.RecordShare <= 0 || rc.RecordShare > 1) {
+				t.Errorf("%s %s: dir %d + payload %d != %d bytes, or run share %v or record share %v outside (0,1]",
+					fc.Fragment, rc.Region, rc.DirBytes, rc.PayloadBytes, rc.Bytes, rc.RunBlockShare, rc.RecordShare)
 			}
 		}
 	}

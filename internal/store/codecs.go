@@ -60,7 +60,8 @@ func (s *Store) CodecReport() []FragmentCodecs {
 // line per region with its codec, element count, encoded bytes, bits
 // per row served and measured decode speed — and, for a region held as a
 // monotone vector (Ψ above all), the share of its blocks that are
-// payload-free runs and the directory/payload split of its bytes —
+// payload-free runs, the share that write a directory record and the
+// directory/payload split of its bytes —
 // grouped under per-fragment headers that carry α and the partition's
 // accumulated reads.
 func FormatCodecReport(report []FragmentCodecs) string {
@@ -72,8 +73,8 @@ func FormatCodecReport(report []FragmentCodecs) string {
 			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row  %7.2f ns/elem decode",
 				rc.Region, rc.Codec, rc.Elems, rc.Bytes, rc.BitsPerRow, rc.DecodeNs)
 			if rc.DirBytes > 0 {
-				fmt.Fprintf(&b, "  run-blocks=%.1f%% dir=%dB payload=%dB",
-					100*rc.RunBlockShare, rc.DirBytes, rc.PayloadBytes)
+				fmt.Fprintf(&b, "  run-blocks=%.1f%% records=%.1f%% dir=%dB payload=%dB",
+					100*rc.RunBlockShare, 100*rc.RecordShare, rc.DirBytes, rc.PayloadBytes)
 			}
 			if len(rc.Trials) > 0 {
 				b.WriteString("  [trials:")

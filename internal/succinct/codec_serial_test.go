@@ -11,14 +11,14 @@ import (
 
 // TestSerialOneVersion: whatever the sample-array codecs, a store
 // marshals under the one magic, reloads and answers identically; every
-// other magic — the retired ZSUC1/ZSUC2 included — is refused with an
+// other magic — the retired ZSUC1/ZSUC2/ZSUC3 included — is refused with an
 // error that names what was found.
 func TestSerialOneVersion(t *testing.T) {
 	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
 	for _, policy := range []bitutil.CodecPolicy{bitutil.CodecAuto, bitutil.CodecForceLegacy, bitutil.CodecForceVarint} {
 		built := Build(text, Options{SamplingRate: 8, Codec: policy})
 		blob := built.MarshalBinary()
-		if !bytes.HasPrefix(blob, []byte("ZSUC3\x00")) {
+		if !bytes.HasPrefix(blob, []byte("ZSUC4\x00")) {
 			t.Fatalf("policy %v marshaled with magic %q", policy, blob[:6])
 		}
 		got, err := UnmarshalStore(blob, nil)
@@ -37,7 +37,7 @@ func TestSerialOneVersion(t *testing.T) {
 	}
 
 	blob := Build(text, Options{SamplingRate: 8}).MarshalBinary()
-	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC9\x00", "nope"} {
+	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC9\x00", "nope"} {
 		bad := append([]byte(magic), blob[6:]...)
 		_, err := UnmarshalStore(bad, nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") ||

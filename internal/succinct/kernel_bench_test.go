@@ -59,3 +59,20 @@ func BenchmarkSearchCount(b *testing.B) {
 		s.Count(pats[i%len(pats)])
 	}
 }
+
+// BenchmarkLookupSA measures a locate: up to α Ψ steps, each followed by
+// the question "is this row sampled" — what every hit of a Search costs.
+func BenchmarkLookupSA(b *testing.B) {
+	s := Build(benchText(1<<21, 1), Options{})
+	rows := make([]int, 1<<14)
+	rng := rand.New(rand.NewSource(4))
+	for i := range rows {
+		rows[i] = rng.Intn(s.InputLen() + 1)
+	}
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += s.LookupSA(rows[i%len(rows)])
+	}
+	_ = sink
+}

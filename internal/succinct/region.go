@@ -8,11 +8,13 @@ import (
 // RegionCodec describes how one region of a store is encoded, for the
 // codec report surfaced through Store.CodecReport / zipg-cli codecs.
 type RegionCodec struct {
-	// Region names the encoded region: "psi", "sa", "isa".
+	// Region names the encoded region: "psi", "marks" (the sampled
+	// rows), "sa", "isa".
 	Region string
-	// Codec is the name of the region's codec.
+	// Codec is the name of the region's codec ("sparse" for the sampled
+	// rows, which are a bitutil.SparseSet and no Seq).
 	Codec string
-	// Elems is the region's element count.
+	// Elems is the region's element count (the members of "marks").
 	Elems int
 	// Bytes is the region's encoded in-memory footprint.
 	Bytes int
@@ -27,12 +29,15 @@ type RegionCodec struct {
 	// codec; empty for Ψ, forced policies and loaded stores.
 	Trials []bitutil.TrialResult
 
-	// The last three are set for regions held as a
+	// The last four are set for regions held as a
 	// bitutil.MonotoneVector (Ψ always): the share of blocks that need
-	// no delta payload — +1 runs, read from the directory record alone —
-	// and the split of Bytes between directory and payload. Counted when
-	// the vector was built or loaded.
+	// no delta payload — +1 runs, read from a directory record alone —
+	// the share that write a directory record (the rest continue the
+	// record of the run they are in), and the split of Bytes between
+	// directory (marks and records) and payload. Counted when the vector
+	// was built or loaded.
 	RunBlockShare float64
+	RecordShare   float64
 	DirBytes      int
 	PayloadBytes  int
 }
@@ -53,6 +58,7 @@ func regionReport(name string, rows int, trials []bitutil.TrialResult, seqs ...b
 			v := mv.Stats()
 			st.Blocks += v.Blocks
 			st.EmptyBlocks += v.EmptyBlocks
+			st.Records += v.Records
 			st.DirBytes += v.DirBytes
 			st.PayloadBytes += v.PayloadBytes
 		}
@@ -64,13 +70,15 @@ func regionReport(name string, rows int, trials []bitutil.TrialResult, seqs ...b
 	rc.BitsPerRow = float64(rc.Bytes) * 8 / float64(max(rows, 1))
 	if st.Blocks > 0 {
 		rc.RunBlockShare = float64(st.EmptyBlocks) / float64(st.Blocks)
+		rc.RecordShare = float64(st.Records) / float64(st.Blocks)
 		rc.DirBytes, rc.PayloadBytes = st.DirBytes, st.PayloadBytes
 	}
 	return rc
 }
 
 // RegionCodecs reports the codec, size and measured decode speed of each
-// encoded region (Ψ, SA samples, ISA samples).
+// encoded region (Ψ, the sampled rows, SA samples, ISA samples). With
+// the bucket tables and the row directory their bytes are CompressedSize.
 func (s *Store) RegionCodecs() []RegionCodec {
 	psi := make([]bitutil.Seq, len(s.psi))
 	for i, p := range s.psi {
@@ -78,6 +86,13 @@ func (s *Store) RegionCodecs() []RegionCodec {
 	}
 	return []RegionCodec{
 		regionReport("psi", s.n, nil, psi...),
+		{
+			Region:     "marks",
+			Codec:      "sparse",
+			Elems:      s.saMarks.Len(),
+			Bytes:      s.saMarks.SizeBytes(),
+			BitsPerRow: float64(s.saMarks.SizeBytes()) * 8 / float64(s.n),
+		},
 		regionReport("sa", s.n, s.saMeta.trials, s.saSamples),
 		regionReport("isa", s.n, s.isaMeta.trials, s.isaSamples),
 	}

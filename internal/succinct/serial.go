@@ -3,6 +3,7 @@ package succinct
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -10,8 +11,9 @@ import (
 
 // serialMagic identifies a serialized Store and its format version.
 // There is one version: ZSUC1 and ZSUC2 (Ψ buckets in the four-array
-// monotone vector form) are refused by name, like any other magic.
-const serialMagic = "ZSUC3\x00"
+// monotone vector form) and ZSUC3 (a directory record per block, the
+// sampled rows as a bitmap) are refused by name, like any other magic.
+const serialMagic = "ZSUC4\x00"
 
 // MarshalBinary serializes the store into a flat byte slice. The format
 // is what cmd/zipg-load writes and what servers load at startup; it
@@ -30,7 +32,7 @@ func (s *Store) MarshalBinary() []byte {
 	for _, p := range s.psi {
 		buf = p.AppendBinary(buf)
 	}
-	buf = s.saSampleBits.AppendBinary(buf)
+	buf = s.saMarks.AppendBinary(buf)
 	buf = bitutil.AppendSeq(buf, s.saSamples)
 	buf = bitutil.AppendSeq(buf, s.isaSamples)
 	return buf
@@ -52,7 +54,7 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	s.alpha = int(binary.LittleEndian.Uint64(buf[pos+8:]))
 	nb := int(binary.LittleEndian.Uint64(buf[pos+16:]))
 	pos += 24
-	if s.n <= 0 || s.alpha <= 0 || nb <= 0 || nb > 257 {
+	if s.n <= 0 || s.n > math.MaxInt32 || s.alpha <= 0 || s.alpha > math.MaxInt32 || nb <= 0 || nb > 257 {
 		return nil, fmt.Errorf("succinct: corrupt header (n=%d alpha=%d buckets=%d)", s.n, s.alpha, nb)
 	}
 	need := nb*4 + (nb+1)*4
@@ -69,6 +71,20 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 		s.bucketStart[i] = int32(binary.LittleEndian.Uint32(buf[pos+i*4:]))
 	}
 	pos += (nb + 1) * 4
+	// The decoders below make each structure safe to read on its own; the
+	// checks here make them safe to read through one another, so that no
+	// row, rank or position one of them yields is out of range for the
+	// next: the buckets tile [0, n) in character order, every bucket's Ψ
+	// has its rows and points at rows, and the samples are one per α
+	// positions and in range.
+	if s.bucketStart[0] != 0 || int(s.bucketStart[nb]) != s.n {
+		return nil, fmt.Errorf("succinct: buckets span rows [%d,%d) of %d", s.bucketStart[0], s.bucketStart[nb], s.n)
+	}
+	for i, c := range s.bucketChar {
+		if c < 0 || c > 256 || (i > 0 && c <= s.bucketChar[i-1]) || s.bucketStart[i+1] < s.bucketStart[i] {
+			return nil, fmt.Errorf("succinct: bucket %d (char %d, rows [%d,%d)) out of order", i, c, s.bucketStart[i], s.bucketStart[i+1])
+		}
+	}
 
 	var err error
 	var k int
@@ -78,9 +94,12 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 			return nil, fmt.Errorf("succinct: psi bucket %d: %w", i, err)
 		}
 		pos += k
+		if rows := int(s.bucketStart[i+1] - s.bucketStart[i]); s.psi[i].Len() != rows || !s.psi[i].Below(uint64(s.n)) {
+			return nil, fmt.Errorf("succinct: psi bucket %d: %d values for %d rows, or one past row %d", i, s.psi[i].Len(), rows, s.n)
+		}
 	}
-	if s.saSampleBits, k, err = bitutil.DecodeBitmap(buf[pos:]); err != nil {
-		return nil, fmt.Errorf("succinct: sa sample bitmap: %w", err)
+	if s.saMarks, k, err = bitutil.DecodeSparseSet(buf[pos:]); err != nil {
+		return nil, fmt.Errorf("succinct: sampled rows: %w", err)
 	}
 	pos += k
 	if s.saSamples, k, err = bitutil.DecodeSeq(buf[pos:]); err != nil {
@@ -89,6 +108,21 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	pos += k
 	if s.isaSamples, _, err = bitutil.DecodeSeq(buf[pos:]); err != nil {
 		return nil, fmt.Errorf("succinct: isa samples: %w", err)
+	}
+	nsamples := (s.n + s.alpha - 1) / s.alpha
+	if s.saMarks.Universe() != s.n || s.saMarks.Len() != nsamples || s.saSamples.Len() != nsamples || s.isaSamples.Len() != nsamples {
+		return nil, fmt.Errorf("succinct: %d sampled rows of %d, %d sa samples, %d isa samples, want %d each of %d rows",
+			s.saMarks.Len(), s.saMarks.Universe(), s.saSamples.Len(), s.isaSamples.Len(), nsamples, s.n)
+	}
+	for _, v := range s.saSamples.DecodeAll(make([]uint64, 0, nsamples)) {
+		if v >= uint64(nsamples) {
+			return nil, fmt.Errorf("succinct: sa sample %d, want below %d", v, nsamples)
+		}
+	}
+	for _, v := range s.isaSamples.DecodeAll(make([]uint64, 0, nsamples)) {
+		if v >= uint64(s.n) {
+			return nil, fmt.Errorf("succinct: isa sample %d, want below %d", v, s.n)
+		}
 	}
 	s.finish()
 	return s, nil

@@ -1,0 +1,179 @@
+package succinct
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"zipg/internal/bitutil"
+	"zipg/internal/suffix"
+)
+
+// TestLookupSAAgainstSuffixArray: LookupSA(row) is the suffix array, and
+// LookupISA its inverse, for every row of every corpus at every sampling
+// rate — as built and after a serial round trip, which must also keep
+// CompressedSize.
+func TestLookupSAAgainstSuffixArray(t *testing.T) {
+	for name, text := range diffTexts() {
+		sa := suffix.Array(text)
+		for _, alpha := range []int{4, 8, 32} {
+			built := Build(text, Options{SamplingRate: alpha})
+			loaded, err := UnmarshalStore(built.MarshalBinary(), nil)
+			if err != nil {
+				t.Fatalf("%s/α=%d: %v", name, alpha, err)
+			}
+			if loaded.CompressedSize() != built.CompressedSize() {
+				t.Errorf("%s/α=%d: %d bytes after reload, built %d", name, alpha, loaded.CompressedSize(), built.CompressedSize())
+			}
+			for _, s := range []*Store{built, loaded} {
+				for row, want := range sa {
+					if got := s.LookupSA(row); got != int(want) {
+						t.Fatalf("%s/α=%d: LookupSA(%d)=%d want %d", name, alpha, row, got, want)
+					}
+					if got := s.LookupISA(int(want)); got != row {
+						t.Fatalf("%s/α=%d: LookupISA(%d)=%d want %d", name, alpha, want, got, row)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegionsSumToCompressedSize: the regions RegionCodecs lists, the
+// bucket tables and the row directory are the whole footprint — nothing
+// is reported twice and nothing is left out of the report.
+func TestRegionsSumToCompressedSize(t *testing.T) {
+	for name, text := range diffTexts() {
+		s := Build(text, Options{SamplingRate: 8})
+		sum := (len(s.bucketChar) + len(s.bucketStart) + len(s.rowDir)) * 4
+		var names []string
+		for _, rc := range s.RegionCodecs() {
+			sum += rc.Bytes
+			names = append(names, rc.Region)
+		}
+		if want := []string{"psi", "marks", "sa", "isa"}; !slices.Equal(names, want) {
+			t.Errorf("%s: regions %v, want %v", name, names, want)
+		}
+		if sum != s.CompressedSize() {
+			t.Errorf("%s: regions and tables sum to %d bytes, CompressedSize is %d", name, sum, s.CompressedSize())
+		}
+	}
+}
+
+// corruptStores returns serial forms that every decoder accepts on its
+// own and UnmarshalStore must still refuse, because what one structure
+// yields would be out of range for the next.
+func corruptStores(t testing.TB) map[string][]byte {
+	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
+	good := Build(text, Options{SamplingRate: 8, Codec: bitutil.CodecForceLegacy})
+	with := func(change func(s *Store)) []byte {
+		s := *good
+		s.bucketStart = append([]int32(nil), good.bucketStart...)
+		s.bucketChar = append([]int32(nil), good.bucketChar...)
+		s.psi = append([]*bitutil.MonotoneVector(nil), good.psi...)
+		change(&s)
+		return s.MarshalBinary()
+	}
+	samples := func(q bitutil.Seq, at int, v uint64) bitutil.Seq {
+		vals := q.DecodeAll(nil)
+		vals[at] = v
+		return bitutil.PackSlice(vals)
+	}
+	n := good.n
+	nsamples := good.saSamples.Len()
+	var rows []int
+	for row := 0; row < n; row++ {
+		if _, ok := good.saMarks.Rank(row); ok {
+			rows = append(rows, row)
+		}
+	}
+	return map[string][]byte{
+		"buckets_start_past_0": with(func(s *Store) { s.bucketStart[0] = 1 }),
+		"buckets_end_before_n": with(func(s *Store) { s.bucketStart[len(s.bucketStart)-1]-- }),
+		"buckets_decreasing":   with(func(s *Store) { s.bucketStart[2], s.bucketStart[3] = s.bucketStart[3], s.bucketStart[2] }),
+		"bucket_chars_repeat":  with(func(s *Store) { s.bucketChar[2] = s.bucketChar[1] }),
+		"bucket_char_past_256": with(func(s *Store) { s.bucketChar[len(s.bucketChar)-1] = 300 }),
+		"psi_bucket_too_short": with(func(s *Store) { s.psi[1] = bitutil.NewMonotoneVector(s.psi[1].DecodeAll(nil)[1:]) }),
+		"psi_value_past_n": with(func(s *Store) {
+			vals := s.psi[1].DecodeAll(nil)
+			vals[len(vals)-1] = uint64(n)
+			s.psi[1] = bitutil.NewMonotoneVector(vals)
+		}),
+		"one_sampled_row_short": with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n, rows[1:]) }),
+		"sampled_rows_past_n":   with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n+1, rows) }),
+		"one_sa_sample_short":   with(func(s *Store) { s.saSamples = bitutil.PackSlice(s.saSamples.DecodeAll(nil)[1:]) }),
+		"one_isa_sample_more":   with(func(s *Store) { s.isaSamples = bitutil.PackSlice(append(s.isaSamples.DecodeAll(nil), 0)) }),
+		"sa_sample_past_range":  with(func(s *Store) { s.saSamples = samples(s.saSamples, 3, uint64(nsamples)) }),
+		"isa_sample_past_n":     with(func(s *Store) { s.isaSamples = samples(s.isaSamples, 3, uint64(n)) }),
+		"alpha_disagrees":       with(func(s *Store) { s.alpha = 4 }),
+	}
+}
+
+// TestUnmarshalStoreRejectsCorrupt: each of the cross-structure faults
+// is an error at load, not a panic at the first query.
+func TestUnmarshalStoreRejectsCorrupt(t *testing.T) {
+	for name, blob := range corruptStores(t) {
+		if _, err := UnmarshalStore(blob, nil); err == nil {
+			t.Errorf("%s: loaded, want an error", name)
+		}
+	}
+}
+
+// FuzzUnmarshalStore feeds UnmarshalStore arbitrary bytes. The only
+// outcomes allowed are an error, or a store on which Extract of the whole
+// text, LookupSA of every row and LookupISA of every position return
+// without panicking, in range — and, where the store's Ψ and samples do
+// belong together (a damaged archive's need not), agree: LookupISA and
+// LookupSA are inverses and the text is as long as the header says.
+func FuzzUnmarshalStore(f *testing.F) {
+	// Short texts: the engine minimizes every input that finds new
+	// coverage, for up to a minute when the input is kilobytes long.
+	for _, text := range [][]byte{
+		[]byte("ab"), []byte("mississippi"), benchText(300, 3), bytes.Repeat([]byte("aaaabbbbccccaaaa"), 40),
+	} {
+		for _, opts := range []Options{
+			{SamplingRate: 2, Codec: bitutil.CodecForceVarint}, {SamplingRate: 4, Codec: bitutil.CodecForceSimple8b}, {SamplingRate: 32},
+		} {
+			f.Add(Build(text, opts).MarshalBinary())
+		}
+	}
+	for _, blob := range corruptStores(f) {
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalStore(data, nil)
+		if err != nil {
+			return
+		}
+		n := s.InputLen() + 1
+		if n*min(n, s.SamplingRate()) > 1<<21 {
+			t.Skip("a lookup walks up to α rows; every lookup of a store this large takes all the time there is")
+		}
+		text := s.Extract(0, n)
+		coherent := len(text) == n-1
+		for pos := 0; pos < n; pos++ {
+			row := s.LookupISA(pos)
+			if row < 0 || row >= n {
+				t.Fatalf("LookupISA(%d)=%d outside [0,%d)", pos, row, n)
+			}
+			back := s.LookupSA(row)
+			if back < 0 || back >= n {
+				t.Fatalf("LookupSA(%d)=%d outside [0,%d)", row, back, n)
+			}
+			coherent = coherent && back == pos
+		}
+		if !coherent {
+			return
+		}
+		for row := 0; row < n; row++ {
+			if pos := s.LookupSA(row); s.LookupISA(pos) != row {
+				t.Fatalf("ISA[SA[%d]=%d]=%d", row, pos, s.LookupISA(pos))
+			}
+		}
+		if n > 3 {
+			if hits := s.Search(text[n-3:]); len(hits) == 0 || hits[len(hits)-1] != int64(n-3) {
+				t.Fatalf("Search of the text's last two bytes found %v, want %d last", hits, n-3)
+			}
+		}
+	})
+}

@@ -68,10 +68,11 @@ type Store struct {
 	// payload-free blocks.
 	psi []*bitutil.MonotoneVector
 
-	// Value-sampled SA: saSampleBits marks rows whose SA value is a
-	// multiple of α; saSamples holds those values in row order.
-	saSampleBits *bitutil.Bitmap
-	saSamples    bitutil.Seq
+	// Value-sampled SA: saMarks holds the rows whose SA value is a
+	// multiple of α; saSamples holds those values, divided by α, in row
+	// order.
+	saMarks   *bitutil.SparseSet
+	saSamples bitutil.Seq
 
 	// Position-sampled ISA: isaSamples[j] = ISA[j*α].
 	isaSamples bitutil.Seq
@@ -82,11 +83,12 @@ type Store struct {
 
 	// Simulated storage placement; med is nil outside budgeted
 	// experiments, and then nothing below is used.
-	med            *memsim.Medium
-	regPsi         uint32
-	regSA          uint32
-	regISA         uint32
-	psiBytesPerRow float64
+	med              *memsim.Medium
+	regPsi           uint32
+	regSA            uint32
+	regISA           uint32
+	psiBytesPerRow   float64
+	saBytesPerSample float64
 }
 
 // Options configures Build.
@@ -181,31 +183,28 @@ func Build(text []byte, opts Options) *Store {
 		runtime.Gosched()
 	}
 
-	// SA samples (by value). Sample values in row order are not monotone,
-	// so the region uses the raw layout; the width hint reproduces the
-	// historical fixed-width packing under the legacy codec.
-	s.saSampleBits = bitutil.NewBitmap(n)
-	var sampleVals []uint64
-	for row := 0; row < n; row++ {
-		if int(sa[row])%alpha == 0 {
-			s.saSampleBits.Set(row)
+	// SA samples (by value): the rows whose SA value is a multiple of α,
+	// and those values over α. In row order they are not monotone, so the
+	// region uses the raw layout; the width hint reproduces the historical
+	// fixed-width packing under the legacy codec.
+	nsamples := (n + alpha - 1) / alpha
+	sampledRows := make([]int, 0, nsamples)
+	sampleVals := make([]uint64, 0, nsamples)
+	for row, p := range sa {
+		if int(p)%alpha == 0 {
+			sampledRows = append(sampledRows, row)
+			sampleVals = append(sampleVals, uint64(int(p)/alpha))
 		}
 	}
-	s.saSampleBits.FinishRank()
-	for row := 0; row < n; row++ {
-		if s.saSampleBits.Get(row) {
-			sampleVals = append(sampleVals, uint64(sa[row]))
-		}
-	}
-	widthHint := bitutil.WidthFor(uint64(n - 1))
-	s.saSamples = encodeSamples(opts.Codec, &s.saMeta, sampleVals, widthHint)
+	s.saMarks = bitutil.NewSparseSet(n, sampledRows)
+	s.saSamples = encodeSamples(opts.Codec, &s.saMeta, sampleVals, bitutil.WidthFor(uint64(nsamples-1)))
 
 	// ISA samples (by position).
-	isaVals := make([]uint64, 0, (n+alpha-1)/alpha)
+	isaVals := make([]uint64, 0, nsamples)
 	for p := 0; p < n; p += alpha {
 		isaVals = append(isaVals, uint64(isa[p]))
 	}
-	s.isaSamples = encodeSamples(opts.Codec, &s.isaMeta, isaVals, widthHint)
+	s.isaSamples = encodeSamples(opts.Codec, &s.isaMeta, isaVals, bitutil.WidthFor(uint64(n-1)))
 
 	CountCodecRegion(s.saSamples)
 	CountCodecRegion(s.isaSamples)
@@ -290,7 +289,9 @@ func (s *Store) finish() {
 	psiBytes := s.psiSizeBytes()
 	s.psiBytesPerRow = float64(psiBytes) / float64(s.n)
 	s.regPsi = s.med.Register(int64(psiBytes))
-	s.regSA = s.med.Register(int64(s.saSampleBits.SizeBytes() + s.saSamples.SizeBytes()))
+	saBytes := s.saMarks.SizeBytes() + s.saSamples.SizeBytes()
+	s.saBytesPerSample = float64(saBytes) / float64(s.saSamples.Len())
+	s.regSA = s.med.Register(int64(saBytes))
 	s.regISA = s.med.Register(int64(s.isaSamples.SizeBytes()))
 	// Bucket boundary tables and the row→bucket directory are a few KB
 	// and always hot; account for them in the footprint without charging
@@ -307,7 +308,7 @@ func (s *Store) SamplingRate() int { return s.alpha }
 // CompressedSize returns the total in-memory footprint in bytes.
 func (s *Store) CompressedSize() int {
 	return len(s.bucketChar)*4 + len(s.bucketStart)*4 + len(s.rowDir)*4 + s.psiSizeBytes() +
-		s.saSampleBits.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
+		s.saMarks.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
 }
 
 // bucketOfRow returns the bucket index containing row: the directory
@@ -345,13 +346,18 @@ func (s *Store) psiAt(row int) int {
 }
 
 // LookupSA returns SA[row]: the text offset of the suffix at the given
-// suffix-array row. Cost: at most α Ψ steps.
+// suffix-array row. Cost: fewer than α Ψ steps — the walk adds one to the
+// SA value per step and stops at a multiple of α, or at 0 past the end.
+// The bound is kept for a store loaded from a damaged archive, whose Ψ
+// and samples may parse and still not belong together: its answer is
+// then wrong, but it is an answer, in range.
 func (s *Store) LookupSA(row int) int {
 	if row < 0 || row >= s.n {
 		panic(fmt.Sprintf("succinct: row %d out of range [0,%d)", row, s.n))
 	}
-	steps := 0
-	for !s.saSampleBits.Get(row) {
+	steps, limit := 0, min(s.alpha, s.n)
+	rank, sampled := s.saMarks.Rank(row)
+	for !sampled && steps < limit {
 		// Charge the walk at the same stride as extraction (see
 		// extractChargeStride); a locate is at most α steps.
 		if steps%8 == 0 {
@@ -359,15 +365,15 @@ func (s *Store) LookupSA(row int) int {
 		}
 		row = s.psiAt(row)
 		steps++
+		rank, sampled = s.saMarks.Rank(row)
 	}
-	rank := s.saSampleBits.Rank1(row)
 	if s.med != nil {
-		s.med.Access(s.regSA, int64(rank)*8, 8)
+		s.med.Access(s.regSA, int64(float64(rank)*s.saBytesPerSample), 8)
 	}
 	if telemetry.Enabled() {
 		mPsiSteps.Add(int64(steps))
 	}
-	v := int(s.saSamples.Get(rank)) - steps
+	v := int(s.saSamples.Get(rank))*s.alpha - steps
 	if v < 0 {
 		v += s.n
 	}
