@@ -22,7 +22,7 @@
 //	save <path> / load <path>       persist / restore (local mode)
 //	trace [id]                      fetch + pretty-print a distributed
 //	                                span tree from -admin (no id: list)
-//	codecs                          per-shard codec/α report: local
+//	codecs                          per-shard region/α report: local
 //	                                store directly, or /debug/codecs
 //	                                from -admin
 //	quit
@@ -138,10 +138,10 @@ func main() {
 	}
 }
 
-// codecsCmd prints the per-shard codec report: each region's (Ψ, SA/ISA
-// samples, offset columns) codec, size, bits per row and decode speed,
-// Ψ's share of payload-free run blocks and directory/payload split, and
-// each shard's sampling rate α and read heat. In local mode it
+// codecsCmd prints the per-shard region report: each region's (Ψ, the
+// sampled rows, SA/ISA samples, offset columns) encoding, size and bits
+// per row, Ψ's share of payload-free run blocks and directory/payload
+// split, and each shard's sampling rate α and read heat. In local mode it
 // reads the store directly; otherwise it fetches /debug/codecs from
 // the -admin endpoint.
 func codecsCmd(local *zipg.Graph, admin string) error {

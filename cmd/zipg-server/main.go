@@ -19,7 +19,6 @@ import (
 	"strings"
 	"syscall"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/cluster"
 	"zipg/internal/datafile"
 	"zipg/internal/telemetry"
@@ -33,9 +32,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated addresses of all servers, in ID order")
 	shards := flag.Int("shards", 4, "shards per server (paper default: one per core)")
 	alpha := flag.Int("alpha", 32, "succinct sampling rate")
-	codec := flag.String("codec", "auto", "codec policy of the SA/ISA sample arrays and offset columns: auto, legacy, simple8b or varint")
 	autoTune := flag.Bool("autotune-alpha", false, "let compactions retune per-shard alpha from read heat")
-	groupCommit := flag.Bool("group-commit", true, "batch concurrent appends through the group-commit leader (false: one store lock per record)")
 	compactInterval := flag.Duration("compact-interval", 0, "run a full online compaction every interval (0 to disable; enables the background worker)")
 	compactRollovers := flag.Int("compact-rollovers", 0, "run a full online compaction after this many log rollovers (0 to disable; enables the background worker)")
 	admin := flag.String("admin", "127.0.0.1:0",
@@ -70,26 +67,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Enable telemetry before the build so build-time series (codec
-	// region/bytes/trial counters) record the initial compression.
+	// Enable telemetry before the build so build-time series (the worker
+	// pool's task counters) record the initial compression.
 	if !*noTelemetry {
 		telemetry.Enable()
 	}
 	fmt.Printf("server %d: compressing %d nodes, %d edges into %d shards...\n",
 		*id, len(g.Nodes), len(g.Edges), *shards)
-	policy, err := bitutil.PolicyByName(*codec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	srv, err := cluster.NewServer(g.Nodes, g.Edges, nodeSchema, edgeSchema, cluster.ServerConfig{
 		ID:                    *id,
 		NumServers:            g.NumServers,
 		ShardsPerServer:       *shards,
 		SamplingRate:          *alpha,
-		Codec:                 policy,
 		AutoTuneAlpha:         *autoTune,
-		DisableGroupCommit:    !*groupCommit,
 		CompactInterval:       *compactInterval,
 		CompactAfterRollovers: *compactRollovers,
 	})

@@ -256,33 +256,6 @@ var Experiments = map[string]func(Options) (*Result, error){
 	"ablation-fanned":   AblationFanned,
 	"ablation-logstore": AblationLogStore,
 	"ablation-shards":   AblationShards,
-	// End-to-end telemetry readout on a live loopback cluster (no paper
-	// figure; validates the observability layer and §4.1's fan-out).
-	"telemetry-cluster": TelemetryCluster,
-	// Distributed-tracing readout: per-phase latency attribution by
-	// server from assembled span trees on a live loopback cluster (no
-	// paper figure; validates the tracer and the phase taxonomy).
-	"trace-attribution": TraceAttribution,
-	// Worker-pool sweep over multi-fragment search and multi-shard
-	// builds (no paper figure; §3.4/§4.1's aggregator parallelism).
-	"parallel-scaling": ParallelScaling,
-	// Succinct access-kernel latencies vs the recorded pre-kernel
-	// baseline (no paper figure; §3.1's extract/search primitives).
-	"kernel-bench": KernelBench,
-	// Vectorized batch reads vs their scalar loops across batch sizes
-	// (no paper figure; the batch kernel contract in DESIGN.md).
-	"batch-bench": BatchBench,
-	// Pluggable integer codecs × α sweep plus the α auto-tuning demo
-	// (no paper figure; the codec layer in DESIGN.md).
-	"codec-bench": CodecBench,
-	// Group-committed write path + online compaction under concurrent
-	// writers (no paper figure; §3.5's write log and §4.1's GC, with
-	// the stop-the-world pauses engineered out — see DESIGN.md).
-	"ingest-bench": IngestBench,
-	// Temporal engine: windowed scans with hot-header pruning, live
-	// subscription delivery lag, temporal reachability (no paper
-	// figure; the temporal layer in DESIGN.md).
-	"temporal-bench": TemporalBench,
 }
 
 // ExperimentNames returns the runnable experiment IDs, sorted.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"zipg/internal/telemetry"
@@ -93,25 +92,4 @@ func telemetryNotes(label string, d telemetry.Snapshot) []string {
 		}
 	}
 	return []string{fmt.Sprintf("telemetry[%s]: %s", label, strings.Join(parts, " "))}
-}
-
-// perMethodNotes renders the per-RPC-method call deltas, sorted by
-// volume (the cluster telemetry experiment's main table feed).
-func perMethodNotes(d telemetry.Snapshot) []string {
-	type mc struct {
-		method string
-		calls  float64
-	}
-	var ms []mc
-	for k, v := range d {
-		if rest, ok := strings.CutPrefix(k, `zipg_rpc_calls_total{method="`); ok {
-			ms = append(ms, mc{strings.TrimSuffix(rest, `"}`), v})
-		}
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].calls > ms[j].calls })
-	out := make([]string, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, fmt.Sprintf("rpc method %-12s %8.0f calls", m.method, m.calls))
-	}
-	return out
 }

@@ -557,19 +557,6 @@ func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	return mv, pos, nil
 }
 
-// Cursor returns a streaming cursor positioned at index 0. (Historically
-// this returned a MonotoneVector-specific cursor; the codec layer
-// generalized it to SeqCursor, which streams any Seq.)
-func (mv *MonotoneVector) Cursor() SeqCursor {
-	return NewSeqCursor(mv)
-}
-
-// CodecID identifies the legacy hand-rolled packing.
-func (mv *MonotoneVector) CodecID() CodecID { return CodecLegacy }
-
-// Monotone reports the monotone (delta) encoding layout.
-func (mv *MonotoneVector) Monotone() bool { return true }
-
 // DecodeAll appends every element to dst and returns it.
 func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {
 	var blk [monotoneBlock]uint64
@@ -588,6 +575,49 @@ func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {
 // the block as a plain array read.
 func (mv *MonotoneVector) DecodeBlockInto(b int, dst *[MonotoneBlockSize]uint64) int {
 	return mv.decodeBlock(b, dst)
+}
+
+// MonotoneCursor streams a MonotoneVector: each block is decoded once
+// into a small buffer and then read by index, so a sequential pass costs
+// one block decode per monotoneBlock elements instead of one random
+// access per element. A cursor is a value type — keep it on the stack.
+// Not safe for concurrent use (the vector is).
+type MonotoneCursor struct {
+	mv    *MonotoneVector
+	block int // decoded block index, -1 = none
+	next  int // absolute index returned by the next Next call
+	vals  [monotoneBlock]uint64
+}
+
+// Cursor returns a streaming cursor positioned at index 0.
+func (mv *MonotoneVector) Cursor() MonotoneCursor {
+	return MonotoneCursor{mv: mv, block: -1}
+}
+
+// Seek positions the cursor so the next Next call returns element i.
+// Seeking within the already-decoded block keeps the buffer.
+func (c *MonotoneCursor) Seek(i int) { c.next = i }
+
+// Pos returns the absolute index the next Next call will return.
+func (c *MonotoneCursor) Pos() int { return c.next }
+
+// Next returns the element at the cursor and advances by one. The caller
+// must not read past Len()-1.
+func (c *MonotoneCursor) Next() uint64 {
+	v := c.At(c.next)
+	c.next++
+	return v
+}
+
+// At returns element i, decoding its block only if it is not the one
+// already buffered. The cursor position is unchanged.
+func (c *MonotoneCursor) At(i int) uint64 {
+	b := i / monotoneBlock
+	if b != c.block {
+		c.mv.decodeBlock(b, &c.vals)
+		c.block = b
+	}
+	return c.vals[i-b*monotoneBlock]
 }
 
 // writeBits stores the low w bits of v at bit position pos.

@@ -105,49 +105,6 @@ func (pv *PackedVector) Get(i int) uint64 {
 	return v & mask
 }
 
-// CodecID identifies the legacy hand-rolled packing.
-func (pv *PackedVector) CodecID() CodecID { return CodecLegacy }
-
-// Monotone reports the raw (non-delta) encoding layout. The data itself
-// may still be non-decreasing — SearchGE is valid only when it is.
-func (pv *PackedVector) Monotone() bool { return false }
-
-// DecodeAll appends every element to dst and returns it.
-func (pv *PackedVector) DecodeAll(dst []uint64) []uint64 {
-	for i := 0; i < pv.n; i++ {
-		dst = append(dst, pv.Get(i))
-	}
-	return dst
-}
-
-// DecodeBlockInto expands block b into dst and returns the element count
-// (short for the final block).
-func (pv *PackedVector) DecodeBlockInto(b int, dst *[SeqBlockSize]uint64) int {
-	start := b * SeqBlockSize
-	cnt := pv.n - start
-	if cnt > SeqBlockSize {
-		cnt = SeqBlockSize
-	}
-	for k := 0; k < cnt; k++ {
-		dst[k] = pv.Get(start + k)
-	}
-	return cnt
-}
-
-// SearchGE returns the smallest index i in [lo, hi) with Get(i) >= target,
-// or hi if none. Valid only when the stored data is non-decreasing.
-func (pv *PackedVector) SearchGE(lo, hi int, target uint64) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pv.Get(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // AppendBinary serializes the vector into buf and returns the extended
 // slice. Format: width (1 byte), n (8 bytes LE), words.
 func (pv *PackedVector) AppendBinary(buf []byte) []byte {

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/memsim"
@@ -159,14 +158,9 @@ type ServerConfig struct {
 	Medium *memsim.Medium
 	// LogStoreThreshold triggers local LogStore rollover.
 	LogStoreThreshold int64
-	// Codec selects the store's region-codec policy (zero = auto).
-	Codec bitutil.CodecPolicy
 	// AutoTuneAlpha lets local compactions retune per-shard α from
 	// accumulated read counts.
 	AutoTuneAlpha bool
-	// DisableGroupCommit makes every append take the store lock
-	// individually instead of batching through the group committer.
-	DisableGroupCommit bool
 	// BackgroundCompaction moves rollover compression off the write
 	// path onto this server's background worker. Implied by
 	// CompactInterval or CompactAfterRollovers.
@@ -205,9 +199,7 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 		SamplingRate:          cfg.SamplingRate,
 		Medium:                cfg.Medium,
 		LogStoreThreshold:     cfg.LogStoreThreshold,
-		Codec:                 cfg.Codec,
 		AutoTuneAlpha:         cfg.AutoTuneAlpha,
-		DisableGroupCommit:    cfg.DisableGroupCommit,
 		BackgroundCompaction:  cfg.BackgroundCompaction,
 		CompactInterval:       cfg.CompactInterval,
 		CompactAfterRollovers: cfg.CompactAfterRollovers,
@@ -220,7 +212,7 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 	s.registerHandlers()
 	s.registerMultiLevel()
 	s.registerTemporal()
-	// The admin mux serves this store's codec/α state at /debug/codecs
+	// The admin mux serves this store's region/α state at /debug/codecs
 	// until the server closes (or a later server's report replaces it).
 	s.unregisterReport = telemetry.RegisterAdminReport("codecs", func() string {
 		return store.FormatCodecReport(st.CodecReport())

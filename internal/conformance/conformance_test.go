@@ -453,6 +453,28 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 		}
 		return true
 	}
+	// One fixed script ahead of the random ones, the single-writer shape
+	// the write path was first checked with: a run of appended edges to
+	// destinations that do not exist yet, across a log rollover, then a node
+	// rewritten, an edge triple and a node deleted, and the neighbor lists
+	// observed (the script's final sweep observes every node).
+	var fixed opScript
+	for i := 0; i < 80; i++ {
+		fixed.Ops = append(fixed.Ops, scriptOp{Kind: 0, ID: uint16(i % 7), Dst: uint16(nNodes + i%4), Type: 1, Ts: uint32(i)})
+	}
+	_, edges := randomGraph(rand.New(rand.NewSource(77)), nNodes, 40)
+	fixed.Ops = append(fixed.Ops,
+		scriptOp{Kind: 2, ID: 5, Value: 1},
+		scriptOp{Kind: 4, ID: uint16(edges[3].Src), Dst: uint16(edges[3].Dst), Type: uint8(edges[3].Type)},
+		scriptOp{Kind: 3, ID: 11})
+	for id := uint16(0); id < 10; id++ {
+		for etype := uint8(0); etype < 3; etype++ {
+			fixed.Ops = append(fixed.Ops, scriptOp{Kind: 7, ID: id, Type: etype})
+		}
+	}
+	if !f(fixed) {
+		t.Error("the fixed append/rewrite/delete script diverged from the reference")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}

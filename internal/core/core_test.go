@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zipg/internal/layout"
@@ -60,30 +63,163 @@ func TestShardQueries(t *testing.T) {
 	}
 }
 
+// checkShardsAgree asserts both shards answer node-property and edge
+// queries identically.
+func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
+	t.Helper()
+	for _, n := range nodes {
+		pa, oka := a.Nodes().GetAllProps(n.ID)
+		pb, okb := b.Nodes().GetAllProps(n.ID)
+		if oka != okb || !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("node %d: %v/%v vs %v/%v", n.ID, pa, oka, pb, okb)
+		}
+	}
+	for _, src := range a.EdgeSources() {
+		for etype := int64(0); etype < 2; etype++ {
+			ra, oka := a.Edges().GetEdgeRecord(src, etype)
+			rb, okb := b.Edges().GetEdgeRecord(src, etype)
+			if oka != okb {
+				t.Fatalf("record (%d,%d): %v vs %v", src, etype, oka, okb)
+			}
+			if !oka {
+				continue
+			}
+			if ra.Count != rb.Count {
+				t.Fatalf("record (%d,%d) counts: %d vs %d", src, etype, ra.Count, rb.Count)
+			}
+			for i := 0; i < ra.Count; i++ {
+				da, err1 := a.Edges().GetEdgeData(&ra, i)
+				db, err2 := b.Edges().GetEdgeData(&rb, i)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if !reflect.DeepEqual(da, db) {
+					t.Fatalf("record (%d,%d)[%d]: %+v vs %+v", src, etype, i, da, db)
+				}
+			}
+		}
+	}
+	offA, okA := a.EdgeRecordOffset(a.EdgeSources()[0], 0)
+	offB, okB := b.EdgeRecordOffset(a.EdgeSources()[0], 0)
+	if okA != okB || offA != offB {
+		t.Fatalf("EdgeRecordOffset diverged: %d/%v vs %d/%v", offA, okA, offB, okB)
+	}
+}
+
+// TestShardSerializationRoundTrip: a shard survives Marshal/Unmarshal
+// with its answers, its raw size and every region's encoding and bytes.
 func TestShardSerializationRoundTrip(t *testing.T) {
 	sh, nodes, _ := buildTestShard(t)
 	blob, err := sh.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := memsim.Unlimited()
-	got, err := UnmarshalShard(blob, med)
+	got, err := UnmarshalShard(blob, memsim.Unlimited())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		props, ok := got.Nodes().GetAllProps(n.ID)
-		if !ok || !reflect.DeepEqual(props, n.Props) {
-			t.Fatalf("after round trip, node %d: %v", n.ID, props)
-		}
-	}
-	wantRef, _ := sh.Edges().GetEdgeRecord(3, 0)
-	gotRef, ok := got.Edges().GetEdgeRecord(3, 0)
-	if !ok || gotRef.Count != wantRef.Count {
-		t.Fatalf("edge record after round trip: %+v want %+v", gotRef, wantRef)
-	}
+	checkShardsAgree(t, sh, got, nodes)
 	if got.RawSize() != sh.RawSize() {
 		t.Fatalf("raw size %d != %d", got.RawSize(), sh.RawSize())
+	}
+	if want, back := sh.CodecReport(), got.CodecReport(); !reflect.DeepEqual(want, back) {
+		t.Errorf("region report after reload:\n%+v\nbuilt:\n%+v", back, want)
+	}
+}
+
+// encodeWire gob-encodes a (possibly doctored) wire struct.
+func encodeWire(t *testing.T, w any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// currentWire decodes a freshly built shard's wire form for doctoring.
+func currentWire(t *testing.T) shardWire {
+	t.Helper()
+	sh, _, _ := buildTestShard(t)
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w shardWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// taggedShardWire is the wire form of the build before this one: the
+// offset columns codec-tagged, under field names of their own.
+type taggedShardWire struct {
+	NodeStore      []byte
+	EdgeStore      []byte
+	NodeIDs        []int64
+	EdgeSrcs       []int64
+	NodeSchema     layout.SchemaSpec
+	EdgeSchema     layout.SchemaSpec
+	RawNodeBytes   int
+	RawEdgeBytes   int
+	EdgeFormat     int
+	NodeOffsetsEnc []byte
+	EdgeIdxSrcs    []int64
+	EdgeIdxTypes   []int64
+	EdgeIdxOffsEnc []byte
+}
+
+func tagged(w shardWire) taggedShardWire {
+	return taggedShardWire{
+		NodeStore: w.NodeStore, EdgeStore: w.EdgeStore, NodeIDs: w.NodeIDs, EdgeSrcs: w.EdgeSrcs,
+		NodeSchema: w.NodeSchema, EdgeSchema: w.EdgeSchema, RawNodeBytes: w.RawNodeBytes, RawEdgeBytes: w.RawEdgeBytes,
+		EdgeFormat: w.EdgeFormat, EdgeIdxSrcs: w.EdgeIdxSrcs, EdgeIdxTypes: w.EdgeIdxTypes,
+		NodeOffsetsEnc: append([]byte{1}, w.NodeOffsets...), EdgeIdxOffsEnc: append([]byte{1}, w.EdgeIdxOffs...),
+	}
+}
+
+// TestOldShardRefusedByVersion: a shard from an earlier build — ZSUC1
+// stores and no offset columns at all, or ZSUC4 stores and codec-tagged
+// columns — is refused by the version of its stores, which UnmarshalShard
+// checks first: the error names the format found, not a missing column
+// or a vector that failed to decode.
+func TestOldShardRefusedByVersion(t *testing.T) {
+	for _, magic := range []string{"ZSUC1", "ZSUC4"} {
+		w := currentWire(t)
+		copy(w.NodeStore, magic)
+		copy(w.EdgeStore, magic)
+		var old any = tagged(w)
+		if magic == "ZSUC1" {
+			w.NodeOffsets, w.EdgeIdxOffs = nil, nil
+			old = w
+		}
+		_, err := UnmarshalShard(encodeWire(t, old), nil)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), magic) {
+			t.Errorf("err = %v, want unsupported format version naming %s", err, magic)
+		}
+	}
+}
+
+// TestShardWithoutOffsetColumnsRefused: current stores but an offset
+// column missing — either one, or both because they are the tagged
+// columns of the build before — is named as an unsupported shard format,
+// not reported as a column that failed to decode; so is an EdgeFile
+// record format other than the one this build reads.
+func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
+	for name, doctor := range map[string]func(w shardWire) any{
+		"node offsets":   func(w shardWire) any { w.NodeOffsets = nil; return w },
+		"edge index":     func(w shardWire) any { w.EdgeIdxOffs = nil; return w },
+		"tagged columns": func(w shardWire) any { return tagged(w) },
+	} {
+		if _, err := UnmarshalShard(encodeWire(t, doctor(currentWire(t))), nil); err == nil || !strings.Contains(err.Error(), "unsupported shard format") {
+			t.Errorf("without %s: err = %v, want unsupported shard format", name, err)
+		}
+	}
+	w := currentWire(t)
+	w.EdgeFormat = 0
+	if _, err := UnmarshalShard(encodeWire(t, w), nil); err == nil || !strings.Contains(err.Error(), "unsupported edge record format 0") {
+		t.Errorf("edge format 0: err = %v, want unsupported edge record format 0", err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Differential tests for the vectorized layout readers: every batch
 // accessor must return byte-identical results to a scalar loop over the
 // same requests, on raw and compressed sources, at several sampling
-// rates, and (for edges) in both record formats.
+// rates.
 
 func TestGetPropertiesBatchAgainstScalar(t *testing.T) {
 	nodes, schema := buildNodes(80)
@@ -22,11 +22,11 @@ func TestGetPropertiesBatchAgainstScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	views := []*NodeFileView{
-		NewNodeFileView(NewRawSource(flat, nil), schema, ids, offs, nil),
+		NewNodeFileView(NewRawSource(flat, nil), schema, ids, PackOffsets(offs), nil),
 	}
 	for _, alpha := range []int{4, 8, 32} {
 		st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
-		views = append(views, NewNodeFileView(st, schema, ids, offs, nil))
+		views = append(views, NewNodeFileView(st, schema, ids, PackOffsets(offs), nil))
 	}
 	rng := rand.New(rand.NewSource(7))
 	pidSets := [][]string{nil, {"age"}, {"location", "age"}, {"nickname", "status", "age"}}
@@ -64,49 +64,48 @@ func TestGetPropertiesBatchAgainstScalar(t *testing.T) {
 	}
 }
 
-// edgeViewsFormat builds raw and compressed views of one format.
-func edgeViewsFormat(t testing.TB, edges []Edge, schema *PropertySchema, format, alpha int) (raw, comp *EdgeFileView, index []EdgeRecordIndex) {
+// edgeViewsAlpha builds raw and compressed views of edges and their
+// record index.
+func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha int) (raw, comp *EdgeFileView, index []EdgeRecordIndex) {
 	t.Helper()
-	flat, index, err := BuildEdgeFileFormat(edges, schema, format)
+	flat, index, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewEdgeFileViewFormat(NewRawSource(flat, nil), schema, format)
+	raw = NewEdgeFileView(NewRawSource(flat, nil), schema)
 	st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
-	comp = NewEdgeFileViewFormat(st, schema, format)
+	comp = NewEdgeFileView(st, schema)
 	return raw, comp, index
 }
 
 func TestGetEdgeRangeBatchAgainstScalar(t *testing.T) {
 	edges, schema := buildEdges(400)
 	rng := rand.New(rand.NewSource(11))
-	for _, format := range []int{EdgeFormatLegacy, EdgeFormatHot} {
-		for _, alpha := range []int{4, 8, 32} {
-			raw, comp, index := edgeViewsFormat(t, edges, schema, format, alpha)
-			for _, v := range []*EdgeFileView{raw, comp} {
-				for trial := 0; trial < 10; trial++ {
-					n := rng.Intn(40)
-					reqs := make([]EdgeRangeReq, n)
-					for i := range reqs {
-						rec := index[rng.Intn(len(index))]
-						reqs[i] = EdgeRangeReq{
-							Src: rec.Src, Type: rec.Type, Offset: rec.Offset,
-							Idx:   rng.Intn(12) - 2, // negative indices too
-							Limit: rng.Intn(20),
-						}
-						if rng.Intn(8) == 0 && i > 0 {
-							reqs[i] = reqs[rng.Intn(i)] // duplicate
-						}
+	for _, alpha := range []int{4, 8, 32} {
+		raw, comp, index := edgeViewsAlpha(t, edges, schema, alpha)
+		for _, v := range []*EdgeFileView{raw, comp} {
+			for trial := 0; trial < 10; trial++ {
+				n := rng.Intn(40)
+				reqs := make([]EdgeRangeReq, n)
+				for i := range reqs {
+					rec := index[rng.Intn(len(index))]
+					reqs[i] = EdgeRangeReq{
+						Src: rec.Src, Type: rec.Type, Offset: rec.Offset,
+						Idx:   rng.Intn(12) - 2, // negative indices too
+						Limit: rng.Intn(20),
 					}
-					got, err := v.GetEdgeRangeBatch(reqs)
-					if err != nil {
-						t.Fatal(err)
+					if rng.Intn(8) == 0 && i > 0 {
+						reqs[i] = reqs[rng.Intn(i)] // duplicate
 					}
-					for i, req := range reqs {
-						want := scalarEdgeRange(t, v, req)
-						if !reflect.DeepEqual(got[i], want) {
-							t.Fatalf("format %d α=%d req %+v: got %v want %v", format, alpha, req, got[i], want)
-						}
+				}
+				got, err := v.GetEdgeRangeBatch(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, req := range reqs {
+					want := scalarEdgeRange(t, v, req)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("α=%d req %+v: got %v want %v", alpha, req, got[i], want)
 					}
 				}
 			}
@@ -140,67 +139,9 @@ func scalarEdgeRange(t *testing.T, v *EdgeFileView, req EdgeRangeReq) []EdgeData
 	return out
 }
 
-// TestHotLegacyViewsAgree proves the hot-field header changes the
-// record encoding but never the query results: every accessor returns
-// identical values over both formats, including TimeRange with
-// degenerate bounds (where the hot short-circuit must match the scalar
-// binary searches exactly).
-func TestHotLegacyViewsAgree(t *testing.T) {
-	edges, schema := buildEdges(300)
-	_, legacy, index := edgeViewsFormat(t, edges, schema, EdgeFormatLegacy, 8)
-	_, hot, hotIndex := edgeViewsFormat(t, edges, schema, EdgeFormatHot, 8)
-	if len(index) != len(hotIndex) {
-		t.Fatalf("index sizes differ: %d vs %d", len(index), len(hotIndex))
-	}
-	rng := rand.New(rand.NewSource(13))
-	for i, rec := range index {
-		lref, ok := legacy.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-		if !ok {
-			t.Fatalf("legacy record %d missing", i)
-		}
-		href, ok := hot.GetEdgeRecordAt(hotIndex[i].Offset, rec.Src, rec.Type)
-		if !ok {
-			t.Fatalf("hot record %d missing", i)
-		}
-		if lref.Count != href.Count {
-			t.Fatalf("record %d count: %d vs %d", i, lref.Count, href.Count)
-		}
-		if !reflect.DeepEqual(legacy.Timestamps(&lref), hot.Timestamps(&href)) {
-			t.Fatalf("record %d timestamps differ", i)
-		}
-		if !reflect.DeepEqual(legacy.Destinations(&lref), hot.Destinations(&href)) {
-			t.Fatalf("record %d destinations differ", i)
-		}
-		for j := 0; j < lref.Count; j++ {
-			ld, err1 := legacy.GetEdgeData(&lref, j)
-			hd, err2 := hot.GetEdgeData(&href, j)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if !reflect.DeepEqual(ld, hd) {
-				t.Fatalf("record %d edge %d: %+v vs %+v", i, j, ld, hd)
-			}
-		}
-		// TimeRange on cold refs exercises the hot-header short-circuit;
-		// re-parse per probe so caches stay cold.
-		for probe := 0; probe < 12; probe++ {
-			tLo := int64(rng.Intn(120000)) - 10000
-			tHi := int64(rng.Intn(120000)) - 10000 // tHi < tLo happens too
-			lr, _ := legacy.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-			hr, _ := hot.GetEdgeRecordAt(hotIndex[i].Offset, rec.Src, rec.Type)
-			lb, le := legacy.TimeRange(&lr, tLo, tHi)
-			hb, he := hot.TimeRange(&hr, tLo, tHi)
-			if lb != hb || le != he {
-				t.Fatalf("record %d TimeRange(%d,%d): legacy [%d,%d) hot [%d,%d)",
-					i, tLo, tHi, lb, le, hb, he)
-			}
-		}
-	}
-}
-
 // TestGetEdgeDataRangeAgainstLoop: GetEdgeDataRange(ref, b, e) is the
 // GetEdgeData(ref, i) loop over [b, e) — over raw and compressed sources,
-// both record formats, α ∈ {4, 8, 32}, and every state the ref's caches
+// α ∈ {4, 8, 32}, and every state the ref's caches
 // can be in when the range arrives — and leaves both caches filled.
 func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 	edges, schema := buildEdges(400)
@@ -220,43 +161,41 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 		"propEnds": func(v *EdgeFileView, ref *EdgeRecordRef) { v.RecordEnd(ref) },
 		"both":     func(v *EdgeFileView, ref *EdgeRecordRef) { v.Timestamps(ref); v.RecordEnd(ref) },
 	}
-	for _, format := range []int{EdgeFormatLegacy, EdgeFormatHot} {
-		for _, alpha := range []int{4, 8, 32} {
-			raw, comp, index := edgeViewsFormat(t, edges, schema, format, alpha)
-			for _, rec := range index {
-				// The reference: one edge at a time off the raw bytes.
-				rref, _ := raw.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-				want := make([]EdgeData, rref.Count)
-				for i := range want {
-					var err error
-					if want[i], err = raw.GetEdgeData(&rref, i); err != nil {
-						t.Fatal(err)
-					}
+	for _, alpha := range []int{4, 8, 32} {
+		raw, comp, index := edgeViewsAlpha(t, edges, schema, alpha)
+		for _, rec := range index {
+			// The reference: one edge at a time off the raw bytes.
+			rref, _ := raw.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+			want := make([]EdgeData, rref.Count)
+			for i := range want {
+				var err error
+				if want[i], err = raw.GetEdgeData(&rref, i); err != nil {
+					t.Fatal(err)
 				}
-				n := len(want)
-				if !slices.ContainsFunc(want, func(e EdgeData) bool { return len(e.Props) > 0 }) {
-					sawBare = true
-				}
-				for state, warmUp := range warm {
-					for _, v := range []*EdgeFileView{raw, comp} {
-						b := rng.Intn(n + 1)
-						for _, r := range [][2]int{{0, n}, {b, b + rng.Intn(n-b+1)}, {n - 1, n}} {
-							ref, ok := v.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-							if !ok {
-								t.Fatalf("record (%d,%d) missing", rec.Src, rec.Type)
-							}
-							warmUp(v, &ref)
-							got, err := v.GetEdgeDataRange(&ref, r[0], r[1])
-							if err != nil {
-								t.Fatal(err)
-							}
-							if len(got) != r[1]-r[0] || (len(got) > 0 && !reflect.DeepEqual(got, want[r[0]:r[1]])) {
-								t.Fatalf("format %d α=%d (%d,%d) %s [%d,%d): got %v want %v",
-									format, alpha, rec.Src, rec.Type, state, r[0], r[1], got, want[r[0]:r[1]])
-							}
-							if r[0] < r[1] && (ref.ts == nil || ref.propEnds == nil) {
-								t.Fatalf("%s: range read left a cache cold", state)
-							}
+			}
+			n := len(want)
+			if !slices.ContainsFunc(want, func(e EdgeData) bool { return len(e.Props) > 0 }) {
+				sawBare = true
+			}
+			for state, warmUp := range warm {
+				for _, v := range []*EdgeFileView{raw, comp} {
+					b := rng.Intn(n + 1)
+					for _, r := range [][2]int{{0, n}, {b, b + rng.Intn(n-b+1)}, {n - 1, n}} {
+						ref, ok := v.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+						if !ok {
+							t.Fatalf("record (%d,%d) missing", rec.Src, rec.Type)
+						}
+						warmUp(v, &ref)
+						got, err := v.GetEdgeDataRange(&ref, r[0], r[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != r[1]-r[0] || (len(got) > 0 && !reflect.DeepEqual(got, want[r[0]:r[1]])) {
+							t.Fatalf("α=%d (%d,%d) %s [%d,%d): got %v want %v",
+								alpha, rec.Src, rec.Type, state, r[0], r[1], got, want[r[0]:r[1]])
+						}
+						if r[0] < r[1] && (ref.ts == nil || ref.propEnds == nil) {
+							t.Fatalf("%s: range read left a cache cold", state)
 						}
 					}
 				}
@@ -267,7 +206,7 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 		t.Error("no record without properties was read")
 	}
 	// Intervals: empty and inverted are nil, out of range is an error.
-	_, comp, index := edgeViewsFormat(t, edges, schema, EdgeFormatHot, 8)
+	_, comp, index := edgeViewsAlpha(t, edges, schema, 8)
 	ref, _ := comp.GetEdgeRecordAt(index[0].Offset, index[0].Src, index[0].Type)
 	n := ref.Count
 	// A ref the range read has warmed answers the timestamp accessors

@@ -24,33 +24,21 @@ type Edge struct {
 // that record the per-record fixed widths chosen for timestamps,
 // destination IDs and property-list lengths — the paper's middle ground
 // between variable-length and globally fixed-length encodings.
-const (
-	edgeCountWidth = 6
-	metaWidth      = edgeCountWidth + 3
-)
+const edgeCountWidth = 6
 
-// EdgeFile record formats. Legacy is Figure 2 exactly; Hot prepends a
-// versioned hot-field header that promotes the fields every TAO
-// assoc_range / assoc_count / time-range query touches — edge count,
-// edge type and the timestamp span — to fixed-offset slots right after
-// the record key, so filters and range pruning read the header instead
-// of decoding the record body. The format is a whole-file property
-// carried by the shard (serialized shards gob-encode it; pre-hot shards
-// decode to Legacy), and each hot record additionally starts with a
-// version digit so a misconfigured view fails parsing instead of
-// misreading.
-const (
-	EdgeFormatLegacy = 0
-	EdgeFormatHot    = 1
-)
-
-// Hot-field header: after the $src#etype, key come
+// An EdgeFile record is Figure 2 behind a hot-field header that promotes
+// the fields every TAO assoc_range / assoc_count / time-range query
+// touches — edge count, edge type and the timestamp span — to
+// fixed-offset slots right after the record key, so filters and range
+// pruning read the header instead of decoding the record body. After the
+// $src#etype, key come
 //
 //	ver(1) count(6) TLen(1) DLen(1) PLenW(1) ETW(1) etype(ETW) tsMin(TLen) tsMax(TLen)
 //
-// followed by the same timestamp/destination/propLength/property arrays
-// as the legacy layout. tsMin/tsMax reuse the record's TLen so the
-// header grows by only 3+ETW+2·TLen digits per record.
+// followed by Figure 2's timestamp/destination/propLength/property
+// arrays. tsMin/tsMax reuse the record's TLen so the header grows by
+// only 3+ETW+2·TLen digits per record, and the version digit makes a
+// file in another layout fail parsing instead of being misread.
 const (
 	hotVersion    = 1
 	hotFixedWidth = 1 + edgeCountWidth + 3 + 1 // ver + count + TLen/DLen/PLenW + ETW
@@ -92,22 +80,12 @@ type EdgeRecordIndex struct {
 	Offset int64
 }
 
-// BuildEdgeFile serializes edges into the legacy EdgeFile layout of
-// Figure 2 (see BuildEdgeFileFormat for the format-aware form).
+// BuildEdgeFile serializes edges into the EdgeFile layout: one record
+// per (src, etype) holding metadata, sorted timestamps, destination IDs
+// and property lists, the latter two ordered to match the timestamps.
+// Records appear in (src, etype) order. The returned index lists every
+// record's key and start offset, in file order.
 func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, []EdgeRecordIndex, error) {
-	return BuildEdgeFileFormat(edges, schema, EdgeFormatLegacy)
-}
-
-// BuildEdgeFileFormat serializes edges into the EdgeFile layout: one
-// record per (src, etype) holding metadata, sorted timestamps,
-// destination IDs and property lists, the latter two ordered to match the
-// timestamps. Records appear in (src, etype) order. The returned index
-// lists every record's key and start offset, in file order. format
-// selects the record header layout (EdgeFormatLegacy or EdgeFormatHot).
-func BuildEdgeFileFormat(edges []Edge, schema *PropertySchema, format int) ([]byte, []EdgeRecordIndex, error) {
-	if format != EdgeFormatLegacy && format != EdgeFormatHot {
-		return nil, nil, fmt.Errorf("layout: unknown edge file format %d", format)
-	}
 	type key struct {
 		src   NodeID
 		etype EdgeType
@@ -135,7 +113,7 @@ func BuildEdgeFileFormat(edges []Edge, schema *PropertySchema, format int) ([]by
 	for _, k := range keys {
 		index = append(index, EdgeRecordIndex{Src: k.src, Type: k.etype, Offset: int64(len(flat))})
 		var err error
-		if flat, err = appendEdgeRecord(flat, k.src, k.etype, groups[k], schema, format); err != nil {
+		if flat, err = appendEdgeRecord(flat, k.src, k.etype, groups[k], schema); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -143,7 +121,7 @@ func BuildEdgeFileFormat(edges []Edge, schema *PropertySchema, format int) ([]by
 }
 
 // appendEdgeRecord serializes one EdgeRecord.
-func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, schema *PropertySchema, format int) ([]byte, error) {
+func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, schema *PropertySchema) ([]byte, error) {
 	sort.SliceStable(group, func(i, j int) bool { return group[i].Timestamp < group[j].Timestamp })
 
 	// Per-record fixed widths (TLength/DLength in Figure 2).
@@ -174,27 +152,20 @@ func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, sch
 	}
 
 	flat = append(flat, RecordKey(src, etype)...)
-	if format == EdgeFormatHot {
-		etw := FixedWidth(uint64(etype))
-		if etw > 9 {
-			return nil, fmt.Errorf("layout: edge type %d too wide for hot header", etype)
-		}
-		flat = AppendFixed(flat, hotVersion, 1)
-		flat = AppendFixed(flat, uint64(len(group)), edgeCountWidth)
-		flat = AppendFixed(flat, uint64(tLen), 1)
-		flat = AppendFixed(flat, uint64(dLen), 1)
-		flat = AppendFixed(flat, uint64(pLenW), 1)
-		flat = AppendFixed(flat, uint64(etw), 1)
-		flat = AppendFixed(flat, uint64(etype), etw)
-		// group is timestamp-sorted, so the span is the two ends.
-		flat = AppendFixed(flat, uint64(group[0].Timestamp), tLen)
-		flat = AppendFixed(flat, uint64(group[len(group)-1].Timestamp), tLen)
-	} else {
-		flat = AppendFixed(flat, uint64(len(group)), edgeCountWidth)
-		flat = AppendFixed(flat, uint64(tLen), 1)
-		flat = AppendFixed(flat, uint64(dLen), 1)
-		flat = AppendFixed(flat, uint64(pLenW), 1)
+	etw := FixedWidth(uint64(etype))
+	if etw > 9 {
+		return nil, fmt.Errorf("layout: edge type %d too wide for hot header", etype)
 	}
+	flat = AppendFixed(flat, hotVersion, 1)
+	flat = AppendFixed(flat, uint64(len(group)), edgeCountWidth)
+	flat = AppendFixed(flat, uint64(tLen), 1)
+	flat = AppendFixed(flat, uint64(dLen), 1)
+	flat = AppendFixed(flat, uint64(pLenW), 1)
+	flat = AppendFixed(flat, uint64(etw), 1)
+	flat = AppendFixed(flat, uint64(etype), etw)
+	// group is timestamp-sorted, so the span is the two ends.
+	flat = AppendFixed(flat, uint64(group[0].Timestamp), tLen)
+	flat = AppendFixed(flat, uint64(group[len(group)-1].Timestamp), tLen)
 	for _, e := range group {
 		flat = AppendFixed(flat, uint64(e.Timestamp), tLen)
 	}
@@ -226,8 +197,7 @@ type EdgeRecordRef struct {
 	PLenW  int
 
 	// TsMin/TsMax are the record's timestamp span, read from the
-	// hot-field header. Valid only on refs parsed from a hot-format file
-	// (hasHot); TimeRange uses them to answer fully-covering and
+	// hot-field header; TimeRange uses them to answer fully-covering and
 	// fully-disjoint queries without touching the timestamp array.
 	TsMin int64
 	TsMax int64
@@ -237,7 +207,6 @@ type EdgeRecordRef struct {
 	pLenOff int
 	propOff int
 
-	hasHot   bool
 	ts       []int64 // decoded timestamp array; nil until first use
 	propEnds []int   // prefix sums of property-list lengths; nil until first use
 }
@@ -245,9 +214,9 @@ type EdgeRecordRef struct {
 // HotSpan returns the record's [TsMin, TsMax] timestamp span read from
 // the hot-field header, for callers that prune whole records against a
 // time window without touching the timestamp array. ok is false on
-// legacy-format refs and empty records, where no span is available.
+// empty records, which have no span.
 func (r *EdgeRecordRef) HotSpan() (tsMin, tsMax int64, ok bool) {
-	if !r.hasHot || r.Count == 0 {
+	if r.Count == 0 {
 		return 0, 0, false
 	}
 	return r.TsMin, r.TsMax, true
@@ -258,28 +227,15 @@ func (r *EdgeRecordRef) HotSpan() (tsMin, tsMax int64, ok bool) {
 type EdgeFileView struct {
 	src    ByteSource
 	schema *PropertySchema
-	format int
 }
 
-// NewEdgeFileView wraps a serialized legacy-format EdgeFile (see
-// NewEdgeFileViewFormat).
+// NewEdgeFileView wraps a serialized EdgeFile.
 func NewEdgeFileView(src ByteSource, schema *PropertySchema) *EdgeFileView {
-	return NewEdgeFileViewFormat(src, schema, EdgeFormatLegacy)
-}
-
-// NewEdgeFileViewFormat wraps a serialized EdgeFile whose records use the
-// given format. The format must match what the file was built with —
-// shards persist it alongside the compressed bytes.
-func NewEdgeFileViewFormat(src ByteSource, schema *PropertySchema, format int) *EdgeFileView {
-	return &EdgeFileView{src: src, schema: schema, format: format}
+	return &EdgeFileView{src: src, schema: schema}
 }
 
 // Schema returns the edge property schema.
 func (v *EdgeFileView) Schema() *PropertySchema { return v.schema }
-
-// Format returns the record format the view parses
-// (EdgeFormatLegacy/EdgeFormatHot).
-func (v *EdgeFileView) Format() int { return v.format }
 
 // recordKeyLen returns len(RecordKey(src, etype)) without building the
 // key: the two delimiters and the comma plus the decimal digits.
@@ -310,42 +266,28 @@ func (v *EdgeFileView) parseRecordAt(off int64, keyLen int, src NodeID, etype Ed
 
 // parseRecordWalk parses a record header with w positioned just past the
 // record key (at off+keyLen), leaving w at the start of the timestamp
-// array. buf is scratch for the header bytes. This is the single header
-// parser for both formats; the batch read paths call it with a shared
-// walker so header, field arrays and property payload ride one
-// suffix-array walk.
+// array. buf is scratch for the header bytes. The batch read paths call
+// it with a shared walker so header, field arrays and property payload
+// ride one suffix-array walk.
 func (v *EdgeFileView) parseRecordWalk(w *recWalk, off int64, keyLen int, src NodeID, etype EdgeType, buf []byte) (EdgeRecordRef, bool) {
 	ref := EdgeRecordRef{Src: src, Type: etype, Offset: off}
-	if v.format == EdgeFormatHot {
-		buf = w.appendN(buf[:0], hotFixedWidth)
-		if len(buf) < hotFixedWidth || DecodeFixed(buf[:1]) != hotVersion {
-			return EdgeRecordRef{}, false
-		}
-		ref.Count = int(DecodeFixed(buf[1 : 1+edgeCountWidth]))
-		ref.TLen = int(DecodeFixed(buf[1+edgeCountWidth : 2+edgeCountWidth]))
-		ref.DLen = int(DecodeFixed(buf[2+edgeCountWidth : 3+edgeCountWidth]))
-		ref.PLenW = int(DecodeFixed(buf[3+edgeCountWidth : 4+edgeCountWidth]))
-		etw := int(DecodeFixed(buf[4+edgeCountWidth : 5+edgeCountWidth]))
-		varLen := etw + 2*ref.TLen
-		buf = w.appendN(buf[:0], varLen)
-		if len(buf) < varLen {
-			return EdgeRecordRef{}, false
-		}
-		ref.TsMin = int64(DecodeFixed(buf[etw : etw+ref.TLen]))
-		ref.TsMax = int64(DecodeFixed(buf[etw+ref.TLen:]))
-		ref.hasHot = true
-		ref.tsOff = int(off) + keyLen + hotFixedWidth + varLen
-	} else {
-		buf = w.appendN(buf[:0], metaWidth)
-		if len(buf) < metaWidth {
-			return EdgeRecordRef{}, false
-		}
-		ref.Count = int(DecodeFixed(buf[:edgeCountWidth]))
-		ref.TLen = int(DecodeFixed(buf[edgeCountWidth : edgeCountWidth+1]))
-		ref.DLen = int(DecodeFixed(buf[edgeCountWidth+1 : edgeCountWidth+2]))
-		ref.PLenW = int(DecodeFixed(buf[edgeCountWidth+2 : edgeCountWidth+3]))
-		ref.tsOff = int(off) + keyLen + metaWidth
+	buf = w.appendN(buf[:0], hotFixedWidth)
+	if len(buf) < hotFixedWidth || DecodeFixed(buf[:1]) != hotVersion {
+		return EdgeRecordRef{}, false
 	}
+	ref.Count = int(DecodeFixed(buf[1 : 1+edgeCountWidth]))
+	ref.TLen = int(DecodeFixed(buf[1+edgeCountWidth : 2+edgeCountWidth]))
+	ref.DLen = int(DecodeFixed(buf[2+edgeCountWidth : 3+edgeCountWidth]))
+	ref.PLenW = int(DecodeFixed(buf[3+edgeCountWidth : 4+edgeCountWidth]))
+	etw := int(DecodeFixed(buf[4+edgeCountWidth : 5+edgeCountWidth]))
+	varLen := etw + 2*ref.TLen
+	buf = w.appendN(buf[:0], varLen)
+	if len(buf) < varLen {
+		return EdgeRecordRef{}, false
+	}
+	ref.TsMin = int64(DecodeFixed(buf[etw : etw+ref.TLen]))
+	ref.TsMax = int64(DecodeFixed(buf[etw+ref.TLen:]))
+	ref.tsOff = int(off) + keyLen + hotFixedWidth + varLen
 	ref.dstOff = ref.tsOff + ref.Count*ref.TLen
 	ref.pLenOff = ref.dstOff + ref.Count*ref.DLen
 	ref.propOff = ref.pLenOff + ref.Count*ref.PLenW
@@ -507,13 +449,12 @@ func (v *EdgeFileView) GetEdgeData(ref *EdgeRecordRef, i int) (EdgeData, error) 
 // TimeRange returns the half-open TimeOrder range [beg, end) of edges
 // with timestamps in [tLo, tHi), via binary search over the sorted
 // timestamp array (§3.3's motivation for sorted fixed-width timestamps).
-// On hot-format refs the header's timestamp span answers queries that
-// fully cover or fully miss the record without decoding the array at
-// all; otherwise the array is decoded once (one extract) and searched
-// in memory. The short-circuits return exactly what the binary searches
-// would.
+// The header's timestamp span answers queries that fully cover or fully
+// miss the record without decoding the array at all; otherwise the array
+// is decoded once (one extract) and searched in memory. The
+// short-circuits return exactly what the binary searches would.
 func (v *EdgeFileView) TimeRange(ref *EdgeRecordRef, tLo, tHi int64) (int, int) {
-	if ref.hasHot && ref.ts == nil && ref.Count > 0 {
+	if ref.ts == nil && ref.Count > 0 {
 		switch {
 		case tLo <= ref.TsMin && tHi > ref.TsMax:
 			return 0, ref.Count

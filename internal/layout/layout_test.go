@@ -190,9 +190,9 @@ func nodeViews(t testing.TB, nodes []Node, schema *PropertySchema) (raw, compres
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewNodeFileView(NewRawSource(flat, nil), schema, ids, offs, nil)
+	raw = NewNodeFileView(NewRawSource(flat, nil), schema, ids, PackOffsets(offs), nil)
 	st := succinct.Build(flat, succinct.Options{SamplingRate: 8})
-	compressed = NewNodeFileView(st, schema, ids, offs, nil)
+	compressed = NewNodeFileView(st, schema, ids, PackOffsets(offs), nil)
 	return raw, compressed
 }
 
@@ -457,6 +457,27 @@ func TestEdgeFileTimeRange(t *testing.T) {
 		beg, end = v.TimeRange(&ref, 10_000, 20_000)
 		if beg != end {
 			t.Fatalf("empty range not empty: [%d,%d)", beg, end)
+		}
+	}
+
+	// On a cold ref the header's span answers a window that covers or
+	// misses the whole record; whatever the bounds — inverted too — the
+	// answer is what binary searches over the input timestamps give.
+	edges, schema = buildEdges(300)
+	raw, comp = edgeViews(t, edges, schema)
+	rng := rand.New(rand.NewSource(13))
+	for k, want := range groupEdges(edges) {
+		for probe := 0; probe < 12; probe++ {
+			tLo := int64(rng.Intn(120000)) - 10000
+			tHi := int64(rng.Intn(120000)) - 10000
+			wantBeg := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= tLo })
+			wantEnd := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= tHi })
+			for _, v := range []*EdgeFileView{raw, comp} {
+				ref, _ := v.GetEdgeRecord(k[0], k[1])
+				if beg, end := v.TimeRange(&ref, tLo, tHi); beg != wantBeg || end != wantEnd {
+					t.Fatalf("record (%d,%d) TimeRange(%d,%d) = [%d,%d), want [%d,%d)", k[0], k[1], tLo, tHi, beg, end, wantBeg, wantEnd)
+				}
+			}
 		}
 	}
 }

@@ -52,28 +52,19 @@ type NodeFileView struct {
 	src    ByteSource
 	schema *PropertySchema
 	ids    []NodeID
-	// offs holds the per-record start offsets codec-encoded: record
-	// starts ascend monotonically, so the column compresses from 8
-	// bytes/node to roughly its delta entropy. Which codec is chosen at
-	// shard build time (core trial-encodes under the configured policy);
-	// views built from raw []int64 offsets use the legacy packing.
-	offs bitutil.Seq
+	// offs holds the per-record start offsets: record starts ascend, so
+	// the column compresses from 8 bytes/node to roughly its delta
+	// entropy.
+	offs *bitutil.MonotoneVector
 
 	med *memsim.Medium
 	reg uint32 // region for the (NodeID, offset) index
 }
 
-// NewNodeFileView wraps a serialized NodeFile. ids/offsets must be
-// parallel and sorted by ID (which makes offsets non-decreasing). The
-// index's footprint is charged to med (nil = unlimited).
-func NewNodeFileView(src ByteSource, schema *PropertySchema, ids []NodeID, offsets []int64, med *memsim.Medium) *NodeFileView {
-	return NewNodeFileViewSeq(src, schema, ids, PackOffsets(offsets), med)
-}
-
-// NewNodeFileViewSeq is NewNodeFileView over an already codec-encoded
-// offset column (the shard build and load paths, which choose the codec
-// by policy).
-func NewNodeFileViewSeq(src ByteSource, schema *PropertySchema, ids []NodeID, offs bitutil.Seq, med *memsim.Medium) *NodeFileView {
+// NewNodeFileView wraps a serialized NodeFile. ids must be sorted and
+// offs (see PackOffsets) parallel to it. The index's footprint is
+// charged to med (nil = unlimited).
+func NewNodeFileView(src ByteSource, schema *PropertySchema, ids []NodeID, offs *bitutil.MonotoneVector, med *memsim.Medium) *NodeFileView {
 	if med == nil {
 		med = memsim.Unlimited()
 	}
@@ -84,27 +75,19 @@ func NewNodeFileViewSeq(src ByteSource, schema *PropertySchema, ids []NodeID, of
 		offs:   offs,
 		med:    med,
 		// The index charge stays at the historical 16 bytes/node so
-		// medium-pressure experiments remain comparable across codecs;
-		// the Go-heap saving from the encoded column is real either way.
+		// medium-pressure experiments remain comparable; the Go-heap
+		// saving from the packed column is real either way.
 		reg: med.Register(int64(len(ids)) * 16),
 	}
 }
 
-// PackOffsets encodes a record-offset column (non-decreasing) with the
-// legacy codec — the deterministic default for views not built through
-// a codec policy.
-func PackOffsets(offsets []int64) bitutil.Seq {
-	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
-	return legacy.Encode(OffsetsToUint64(offsets), true, 0)
-}
-
-// OffsetsToUint64 converts an offset column for codec encoding.
-func OffsetsToUint64(offsets []int64) []uint64 {
+// PackOffsets packs a record-offset column (non-decreasing).
+func PackOffsets(offsets []int64) *bitutil.MonotoneVector {
 	vals := make([]uint64, len(offsets))
 	for i, o := range offsets {
 		vals[i] = uint64(o)
 	}
-	return vals
+	return bitutil.NewMonotoneVector(vals)
 }
 
 // NumNodes returns the number of nodes in the file.
@@ -116,9 +99,9 @@ func (v *NodeFileView) Schema() *PropertySchema { return v.schema }
 // IDs returns the sorted node IDs backing the view.
 func (v *NodeFileView) IDs() []NodeID { return v.ids }
 
-// OffsetsSeq returns the codec-encoded offset column (for serialization
-// and codec reports).
-func (v *NodeFileView) OffsetsSeq() bitutil.Seq { return v.offs }
+// Offsets returns the packed offset column (for serialization and size
+// reports).
+func (v *NodeFileView) Offsets() *bitutil.MonotoneVector { return v.offs }
 
 // Contains reports whether the file holds a record for id.
 func (v *NodeFileView) Contains(id NodeID) bool { return v.indexOf(id) >= 0 }
@@ -267,7 +250,9 @@ func (v *NodeFileView) FindNodes(props map[string]string) []NodeID {
 		matches := v.src.Search(pattern)
 		ids := make(map[NodeID]bool, len(matches))
 		for _, off := range matches {
-			k := seqOffsetToIndex(v.offs, off)
+			// The record holding the hit: the last one starting at or
+			// before off.
+			k := v.offs.SearchGE(0, v.offs.Len(), uint64(off)+1) - 1
 			v.med.Access(v.reg, int64(k)*16, 16)
 			if k >= 0 {
 				ids[v.ids[k]] = true

@@ -180,9 +180,3 @@ func (r *RawSource) Bytes() []byte { return r.data }
 func offsetToIndex(starts []int64, off int64) int {
 	return bitutil.SearchGT(starts, off) - 1
 }
-
-// seqOffsetToIndex is offsetToIndex over a codec-encoded offset column:
-// the greatest i with Get(i) <= off, via the Seq's anchor-aware SearchGE.
-func seqOffsetToIndex(offs bitutil.Seq, off int64) int {
-	return offs.SearchGE(0, offs.Len(), uint64(off)+1) - 1
-}

@@ -7,10 +7,10 @@ import (
 	"zipg/internal/succinct"
 )
 
-// FragmentCodecs describes one compressed fragment's codec state for
-// the admin report (zipg-cli codecs, /debug/codecs): which fragment,
-// the α its succinct stores sample at, the reads its primary partition
-// has drawn since the last compaction, and every codec-encoded region.
+// FragmentCodecs describes one compressed fragment for the admin report
+// (zipg-cli codecs, /debug/codecs): which fragment, the α its succinct
+// stores sample at, the reads its primary partition has drawn since the
+// last compaction, and every encoded region.
 type FragmentCodecs struct {
 	// Fragment names the shard: "primary/<p>" or "frozen/<gen>".
 	Fragment string
@@ -20,11 +20,11 @@ type FragmentCodecs struct {
 	// last compaction (always 0 for frozen generations, which have no
 	// partition of their own).
 	Reads int64
-	// Regions lists the fragment's codec-encoded regions.
+	// Regions lists the fragment's encoded regions.
 	Regions []succinct.RegionCodec
 }
 
-// CodecReport describes every compressed fragment's codec choices and
+// CodecReport describes every compressed fragment's region sizes and
 // sampling rate — the data behind the codecs admin surface.
 func (s *Store) CodecReport() []FragmentCodecs {
 	s.mu.RLock()
@@ -40,7 +40,7 @@ func (s *Store) CodecReport() []FragmentCodecs {
 	}
 	for g, f := range s.frozen {
 		if f.raw != nil {
-			// Sealed but not yet compressed: no codec regions to report.
+			// Sealed but not yet compressed: no regions to report.
 			out = append(out, FragmentCodecs{
 				Fragment: fmt.Sprintf("frozen/%d (raw, awaiting compression)", g),
 			})
@@ -55,33 +55,25 @@ func (s *Store) CodecReport() []FragmentCodecs {
 	return out
 }
 
-// FormatCodecReport renders a codec report as the text table the
-// codecs admin surfaces (zipg-cli codecs, /debug/codecs) print: one
-// line per region with its codec, element count, encoded bytes, bits
-// per row served and measured decode speed — and, for a region held as a
-// monotone vector (Ψ above all), the share of its blocks that are
-// payload-free runs, the share that write a directory record and the
-// directory/payload split of its bytes —
-// grouped under per-fragment headers that carry α and the partition's
-// accumulated reads.
+// FormatCodecReport renders a report as the text table the codecs admin
+// surfaces (zipg-cli codecs, /debug/codecs) print: one line per region
+// with its encoding, element count, encoded bytes and bits per row
+// served — and, for a monotone region (Ψ above all), the share of its
+// blocks that are payload-free runs, the share that write a directory
+// record and the directory/payload split of its bytes — grouped under
+// per-fragment headers that carry α and the partition's accumulated
+// reads.
 func FormatCodecReport(report []FragmentCodecs) string {
 	var b strings.Builder
-	b.WriteString("# per-shard codec report: fragment (alpha, reads) then one line per encoded region\n")
+	b.WriteString("# per-shard region report: fragment (alpha, reads) then one line per encoded region\n")
 	for _, fc := range report {
 		fmt.Fprintf(&b, "%s  alpha=%d  reads=%d\n", fc.Fragment, fc.Alpha, fc.Reads)
 		for _, rc := range fc.Regions {
-			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row  %7.2f ns/elem decode",
-				rc.Region, rc.Codec, rc.Elems, rc.Bytes, rc.BitsPerRow, rc.DecodeNs)
+			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row",
+				rc.Region, rc.Encoding, rc.Elems, rc.Bytes, rc.BitsPerRow)
 			if rc.DirBytes > 0 {
 				fmt.Fprintf(&b, "  run-blocks=%.1f%% records=%.1f%% dir=%dB payload=%dB",
 					100*rc.RunBlockShare, 100*rc.RecordShare, rc.DirBytes, rc.PayloadBytes)
-			}
-			if len(rc.Trials) > 0 {
-				b.WriteString("  [trials:")
-				for _, tr := range rc.Trials {
-					fmt.Fprintf(&b, " %s=%dB/%.2fns", tr.Name, tr.Bytes, tr.NsPerElem)
-				}
-				b.WriteString("]")
 			}
 			b.WriteString("\n")
 		}

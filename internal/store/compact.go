@@ -159,7 +159,7 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 	}
 	fresh, err := parallel.MapErr("store.compact_shards", s.cfg.NumShards, func(p int) (*core.Shard, error) {
 		sh, err := core.Build(partNodes[p], partEdges[p], s.nodeSchema, s.edgeSchema,
-			core.Options{SamplingRate: c.alphas[p], Medium: s.cfg.Medium, Codec: s.cfg.Codec})
+			core.Options{SamplingRate: c.alphas[p], Medium: s.cfg.Medium})
 		if err != nil {
 			return nil, fmt.Errorf("store: compact shard %d: %w", p, err)
 		}

@@ -9,10 +9,9 @@ import (
 
 // The group-committed write path.
 //
-// Every append serializing through s.mu individually is the seed
-// bottleneck this file replaces: under W concurrent writers the store
-// lock is acquired W times per W records, and each acquisition also
-// contends with the read paths' RLocks. Group commit amortizes that.
+// Were every append to take s.mu itself, W concurrent writers would
+// acquire the store lock W times per W records, each acquisition also
+// contending with the read paths' RLocks. Group commit amortizes that.
 // A writer enqueues its prepared put on its partition's queue and then
 // either becomes the *leader* — the one writer holding the commit
 // token — or waits for its put's done signal. The leader drains every

@@ -7,16 +7,13 @@ import (
 	"zipg/internal/layout"
 )
 
-// benchmarkIngest measures concurrent append throughput. The two
-// variants isolate the group committer: identical work, with the
-// write path either batching via the leader protocol (default) or
-// taking the store lock per record (the seed behavior).
-func benchmarkIngest(b *testing.B, disableGroupCommit bool) {
+// BenchmarkIngestGroupCommit measures concurrent append throughput
+// through the group committer.
+func BenchmarkIngestGroupCommit(b *testing.B) {
 	ns, es := testSchemas(b)
 	nodes, edges := testGraph(100, 400, 11)
 	s, err := New(nodes, edges, ns, es, Config{
 		NumShards: 4, SamplingRate: 8, LogStoreThreshold: 1 << 30,
-		DisableGroupCommit: disableGroupCommit,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -38,6 +35,3 @@ func benchmarkIngest(b *testing.B, disableGroupCommit bool) {
 		}
 	})
 }
-
-func BenchmarkIngestGroupCommit(b *testing.B) { benchmarkIngest(b, false) }
-func BenchmarkIngestPerRecord(b *testing.B)   { benchmarkIngest(b, true) }

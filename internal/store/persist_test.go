@@ -121,11 +121,11 @@ func TestLoadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(blob, []byte("ZSUC4\x00")) {
-		t.Fatal("saved store carries no ZSUC4 succinct store")
+	if !bytes.Contains(blob, []byte("ZSUC5\x00")) {
+		t.Fatal("saved store carries no ZSUC5 succinct store")
 	}
-	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00"} {
-		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC4\x00"), []byte(old))), nil)
+	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00"} {
+		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC5\x00"), []byte(old))), nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), old[:5]) {
 			t.Errorf("archive with %q stores: err = %v, want unsupported format version naming it", old, err)
 		}

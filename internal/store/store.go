@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/core"
 	"zipg/internal/layout"
 	"zipg/internal/logstore"
@@ -46,18 +45,10 @@ type Config struct {
 	// following update pointers — the strawman §3.5 argues against.
 	// Exists only for the ablation benchmark.
 	DisableFannedUpdates bool
-	// Codec selects how the shard regions that have a choice (SA/ISA
-	// samples, offset columns) pick their integer codec. Zero value =
-	// bitutil.CodecAuto.
-	Codec bitutil.CodecPolicy
 	// AutoTuneAlpha lets Compact retune each partition's sampling rate α
 	// from its accumulated read counts: hot partitions get denser
 	// samples (faster random access), cold ones compress harder.
 	AutoTuneAlpha bool
-	// DisableGroupCommit makes every append take the store lock
-	// individually (the pre-group-commit write path). Exists for the
-	// ingest-bench ablation; leave false in production.
-	DisableGroupCommit bool
 	// BackgroundCompaction moves LogStore rollover compression off the
 	// write path: crossing the threshold seals the log into a raw
 	// frozen generation (O(1) under the lock) and a background worker
@@ -200,7 +191,7 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		p := s.partitionOf(e.Src)
 		partEdges[p] = append(partEdges[p], e)
 	}
-	opts := core.Options{SamplingRate: cfg.SamplingRate, Medium: cfg.Medium, Codec: cfg.Codec}
+	opts := core.Options{SamplingRate: cfg.SamplingRate, Medium: cfg.Medium}
 	// Independent shards compress concurrently (each suffix-array build
 	// stays sequential internally); the paper builds one shard per core.
 	shards, err := parallel.MapErr("store.build_shards", cfg.NumShards, func(p int) (*core.Shard, error) {
@@ -286,17 +277,6 @@ func (s *Store) AppendNode(id layout.NodeID, props map[string]string) error {
 	if err != nil {
 		return err
 	}
-	if s.cfg.DisableGroupCommit {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.log.AddNode(id, props); err != nil {
-			return err
-		}
-		delete(s.deletedNodes, id)
-		s.addPtrLocked(id, s.curGenLocked())
-		s.emitLocked([]Event{{Part: s.partitionOf(id), Kind: EvNodePut, Node: id, Props: props}})
-		return s.maybeRolloverLocked()
-	}
 	return s.submitWrite(s.partitionOf(id), put)
 }
 
@@ -317,16 +297,6 @@ func (s *Store) AppendEdge(e layout.Edge) error {
 				return err
 			}
 		}
-	}
-	if s.cfg.DisableGroupCommit {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.log.AddEdge(e); err != nil {
-			return err
-		}
-		s.addPtrLocked(e.Src, s.curGenLocked())
-		s.emitLocked([]Event{{Part: s.partitionOf(e.Src), Kind: EvEdgeAdd, Node: e.Src, Edge: e}})
-		return s.maybeRolloverLocked()
 	}
 	return s.submitWrite(s.partitionOf(e.Src), put)
 }
@@ -456,7 +426,7 @@ func (s *Store) maybeRolloverLocked() error {
 	tm := telemetry.StartTimer()
 	nodes, edges := s.log.Contents()
 	sh, err := core.Build(nodes, edges, s.nodeSchema, s.edgeSchema,
-		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium, Codec: s.cfg.Codec})
+		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 	if err != nil {
 		return fmt.Errorf("store: rollover: %w", err)
 	}

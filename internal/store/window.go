@@ -61,13 +61,6 @@ func (w WindowStats) record() {
 	mTemporalEdgesScanned.Add(int64(w.Scanned))
 }
 
-// TemporalScanCounters returns the cumulative (pieces, pruned, scanned)
-// counter values — the bench harness reads deltas around a window sweep
-// to report the pruned fraction.
-func TemporalScanCounters() (pieces, pruned, scanned int64) {
-	return mTemporalPieces.Value(), mTemporalShardsPruned.Value(), mTemporalEdgesScanned.Value()
-}
-
 // EdgesInWindow returns the live edges of (src, etype) with timestamps
 // in [tLo, tHi), globally timestamp-sorted (fragment order breaks
 // ties), plus the scan's pruning stats. Deleted nodes yield nil.

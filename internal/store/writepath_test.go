@@ -9,56 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/layout"
 	"zipg/internal/telemetry"
 )
-
-// TestGroupCommitEquivalence drives identical write mixes through the
-// group-committed path and the per-record-lock path and checks the
-// stores answer identically: group commit is a concurrency-control
-// change, not a semantics change.
-func TestGroupCommitEquivalence(t *testing.T) {
-	run := func(disable bool) *Store {
-		ns, es := testSchemas(t)
-		nodes, edges := testGraph(30, 120, 2)
-		s, err := New(nodes, edges, ns, es, Config{
-			NumShards: 3, SamplingRate: 8, LogStoreThreshold: 3000,
-			DisableGroupCommit: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 80; i++ {
-			if err := s.AppendEdge(layout.Edge{Src: int64(i % 7), Dst: int64(400 + i), Type: 1, Timestamp: int64(50000 + i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.AppendNode(5, map[string]string{"name": "rewritten"}); err != nil {
-			t.Fatal(err)
-		}
-		s.DeleteEdges(edges[3].Src, edges[3].Type, edges[3].Dst)
-		s.DeleteNode(11)
-		return s
-	}
-	grouped, perRecord := run(false), run(true)
-	for id := int64(0); id < 30; id++ {
-		gv, gok := grouped.GetNodeProps(id, nil)
-		pv, pok := perRecord.GetNodeProps(id, nil)
-		if gok != pok || !reflect.DeepEqual(gv, pv) {
-			t.Fatalf("node %d: grouped (%v,%v) != per-record (%v,%v)", id, gv, gok, pv, pok)
-		}
-	}
-	for src := int64(0); src < 10; src++ {
-		for ty := int64(0); ty < 3; ty++ {
-			gn := grouped.NeighborIDs(src, ty, nil)
-			pn := perRecord.NeighborIDs(src, ty, nil)
-			if !reflect.DeepEqual(gn, pn) {
-				t.Fatalf("neighbors(%d,%d): grouped %v != per-record %v", src, ty, gn, pn)
-			}
-		}
-	}
-}
 
 // TestGroupCommitConcurrentWriters hammers the group committer from
 // many goroutines and verifies nothing is lost or misattributed.
@@ -123,15 +76,13 @@ func mutateForCompact(t *testing.T, s *Store, edges []layout.Edge) {
 
 // TestCompactDeterminism locks the determinism of compaction's
 // materialize pass: two stores given identical histories must compact
-// to byte-identical primary shards. (The codec is pinned: auto-tuning
-// trial-times decode speed, which is inherently run-dependent.)
+// to byte-identical primary shards.
 func TestCompactDeterminism(t *testing.T) {
 	build := func() *Store {
 		ns, es := testSchemas(t)
 		nodes, edges := testGraph(25, 100, 4)
 		s, err := New(nodes, edges, ns, es, Config{
 			NumShards: 3, SamplingRate: 8, LogStoreThreshold: 2500,
-			Codec: bitutil.CodecForceLegacy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -448,7 +399,7 @@ func TestBackgroundCompaction(t *testing.T) {
 
 // TestWritePathMetricNames locks the write-path and online-compaction
 // metric names into the default registry's exposition so renames fail
-// CI (same style as TestCodecMetricNames).
+// CI (same style as the telemetry package's TestTraceMetricNames).
 func TestWritePathMetricNames(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)

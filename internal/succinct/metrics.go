@@ -1,9 +1,6 @@
 package succinct
 
-import (
-	"zipg/internal/bitutil"
-	"zipg/internal/telemetry"
-)
+import "zipg/internal/telemetry"
 
 // Kernel telemetry: the quantities the streaming kernels exist to
 // shrink. Counters are batched — hot loops accumulate locally and add
@@ -39,36 +36,4 @@ var (
 		"Psi evaluations served from the per-batch decoded-block cache in batch kernels.")
 	mBatchRegions = telemetry.NewCounter("zipg_batch_regions_touched_total",
 		"Psi block decodes (distinct NPA regions touched) by batch kernels.")
-
-	// Codec layer: which codec each built region landed on and what it
-	// cost to decide. One regions increment per region built under a
-	// codec policy (SA samples, ISA samples, layout offset vectors), so
-	// the exposition shows the live codec mix without walking shards.
-	mCodecRegionsLegacy = telemetry.NewCounterL("zipg_codec_regions_total", `codec="legacy"`,
-		"Regions encoded at build/compact time, by chosen codec.")
-	mCodecRegionsS8b = telemetry.NewCounterL("zipg_codec_regions_total", `codec="simple8b"`,
-		"Regions encoded at build/compact time, by chosen codec.")
-	mCodecRegionsVarint = telemetry.NewCounterL("zipg_codec_regions_total", `codec="varint"`,
-		"Regions encoded at build/compact time, by chosen codec.")
-	mCodecBytesLegacy = telemetry.NewCounterL("zipg_codec_bytes_total", `codec="legacy"`,
-		"Encoded bytes produced at build/compact time, by chosen codec.")
-	mCodecBytesS8b = telemetry.NewCounterL("zipg_codec_bytes_total", `codec="simple8b"`,
-		"Encoded bytes produced at build/compact time, by chosen codec.")
-	mCodecBytesVarint = telemetry.NewCounterL("zipg_codec_bytes_total", `codec="varint"`,
-		"Encoded bytes produced at build/compact time, by chosen codec.")
-	mCodecTrialNs = telemetry.NewCounter("zipg_codec_trial_ns_total",
-		"Nanoseconds spent trial-encoding region samples to choose codecs.")
 )
-
-// codecCounters returns the (regions, bytes) counter pair for a codec.
-func codecCounters(id bitutil.CodecID) (*telemetry.Counter, *telemetry.Counter) {
-	switch id {
-	case bitutil.CodecLegacy:
-		return mCodecRegionsLegacy, mCodecBytesLegacy
-	case bitutil.CodecSimple8b:
-		return mCodecRegionsS8b, mCodecBytesS8b
-	case bitutil.CodecVarint:
-		return mCodecRegionsVarint, mCodecBytesVarint
-	}
-	return nil, nil
-}

@@ -1,19 +1,18 @@
 package succinct
 
-import (
-	"zipg/internal/bitutil"
-	"zipg/internal/telemetry"
-)
+import "zipg/internal/bitutil"
 
 // RegionCodec describes how one region of a store is encoded, for the
-// codec report surfaced through Store.CodecReport / zipg-cli codecs.
+// region-size report surfaced through Store.CodecReport / zipg-cli
+// codecs.
 type RegionCodec struct {
 	// Region names the encoded region: "psi", "marks" (the sampled
 	// rows), "sa", "isa".
 	Region string
-	// Codec is the name of the region's codec ("sparse" for the sampled
-	// rows, which are a bitutil.SparseSet and no Seq).
-	Codec string
+	// Encoding names the type that holds the region: "monotone"
+	// (bitutil.MonotoneVector), "packed" (bitutil.PackedVector) or
+	// "sparse" (bitutil.SparseSet).
+	Encoding string
 	// Elems is the region's element count (the members of "marks").
 	Elems int
 	// Bytes is the region's encoded in-memory footprint.
@@ -22,18 +21,11 @@ type RegionCodec struct {
 	// suffix-array rows of its store for Ψ and the sample arrays, its
 	// own elements for an offset column.
 	BitsPerRow float64
-	// DecodeNs is the measured DecodeAll cost per element, sampled at
-	// report time.
-	DecodeNs float64
-	// Trials holds the build-time trial measurements that chose the
-	// codec; empty for Ψ, forced policies and loaded stores.
-	Trials []bitutil.TrialResult
 
-	// The last four are set for regions held as a
-	// bitutil.MonotoneVector (Ψ always): the share of blocks that need
-	// no delta payload — +1 runs, read from a directory record alone —
-	// the share that write a directory record (the rest continue the
-	// record of the run they are in), and the split of Bytes between
+	// The last four are set for monotone regions: the share of blocks
+	// that need no delta payload — +1 runs, read from a directory record
+	// alone — the share that write a directory record (the rest continue
+	// the record of the run they are in), and the split of Bytes between
 	// directory (marks and records) and payload. Counted when the vector
 	// was built or loaded.
 	RunBlockShare float64
@@ -42,32 +34,32 @@ type RegionCodec struct {
 	PayloadBytes  int
 }
 
-// regionReport summarizes seqs (all encoded with one codec), which
-// together serve rows rows, under name.
-func regionReport(name string, rows int, trials []bitutil.TrialResult, seqs ...bitutil.Seq) RegionCodec {
-	rc := RegionCodec{Region: name, Trials: trials}
-	var largest bitutil.Seq
+// region fills in the fields every encoding has.
+func region(name, encoding string, elems, bytes, rows int) RegionCodec {
+	return RegionCodec{
+		Region:     name,
+		Encoding:   encoding,
+		Elems:      elems,
+		Bytes:      bytes,
+		BitsPerRow: float64(bytes) * 8 / float64(max(rows, 1)),
+	}
+}
+
+// monotoneRegion summarizes vecs, which together serve rows rows, under
+// name.
+func monotoneRegion(name string, rows int, vecs ...*bitutil.MonotoneVector) RegionCodec {
 	var st bitutil.MonotoneStats
-	for _, q := range seqs {
-		rc.Elems += q.Len()
-		rc.Bytes += q.SizeBytes()
-		if largest == nil || q.Len() > largest.Len() {
-			largest = q
-		}
-		if mv, ok := q.(*bitutil.MonotoneVector); ok {
-			v := mv.Stats()
-			st.Blocks += v.Blocks
-			st.EmptyBlocks += v.EmptyBlocks
-			st.Records += v.Records
-			st.DirBytes += v.DirBytes
-			st.PayloadBytes += v.PayloadBytes
-		}
+	elems := 0
+	for _, mv := range vecs {
+		elems += mv.Len()
+		v := mv.Stats()
+		st.Blocks += v.Blocks
+		st.EmptyBlocks += v.EmptyBlocks
+		st.Records += v.Records
+		st.DirBytes += v.DirBytes
+		st.PayloadBytes += v.PayloadBytes
 	}
-	if largest != nil {
-		rc.Codec = bitutil.CodecName(largest.CodecID())
-		rc.DecodeNs = bitutil.MeasureDecodeNs(largest)
-	}
-	rc.BitsPerRow = float64(rc.Bytes) * 8 / float64(max(rows, 1))
+	rc := region(name, "monotone", elems, st.DirBytes+st.PayloadBytes, rows)
 	if st.Blocks > 0 {
 		rc.RunBlockShare = float64(st.EmptyBlocks) / float64(st.Blocks)
 		rc.RecordShare = float64(st.Records) / float64(st.Blocks)
@@ -76,44 +68,21 @@ func regionReport(name string, rows int, trials []bitutil.TrialResult, seqs ...b
 	return rc
 }
 
-// RegionCodecs reports the codec, size and measured decode speed of each
-// encoded region (Ψ, the sampled rows, SA samples, ISA samples). With
-// the bucket tables and the row directory their bytes are CompressedSize.
+// RegionCodecs reports the encoding and size of each region (Ψ, the
+// sampled rows, SA samples, ISA samples). With the bucket tables and the
+// row directory their bytes are CompressedSize.
 func (s *Store) RegionCodecs() []RegionCodec {
-	psi := make([]bitutil.Seq, len(s.psi))
-	for i, p := range s.psi {
-		psi[i] = p
-	}
 	return []RegionCodec{
-		regionReport("psi", s.n, nil, psi...),
-		{
-			Region:     "marks",
-			Codec:      "sparse",
-			Elems:      s.saMarks.Len(),
-			Bytes:      s.saMarks.SizeBytes(),
-			BitsPerRow: float64(s.saMarks.SizeBytes()) * 8 / float64(s.n),
-		},
-		regionReport("sa", s.n, s.saMeta.trials, s.saSamples),
-		regionReport("isa", s.n, s.isaMeta.trials, s.isaSamples),
+		monotoneRegion("psi", s.n, s.psi...),
+		region("marks", "sparse", s.saMarks.Len(), s.saMarks.SizeBytes(), s.n),
+		region("sa", "packed", s.saSamples.Len(), s.saSamples.SizeBytes(), s.n),
+		region("isa", "packed", s.isaSamples.Len(), s.isaSamples.SizeBytes(), s.n),
 	}
 }
 
-// SeqRegionCodec builds the report entry for one externally held region
-// (the layout offset columns, encoded by core under the same policy);
-// its rows are its own elements.
-func SeqRegionCodec(name string, q bitutil.Seq, trials []bitutil.TrialResult) RegionCodec {
-	return regionReport(name, q.Len(), trials, q)
-}
-
-// CountCodecRegion bumps the codec build metrics for one region encoded
-// under a codec policy (the sample arrays here, the offset columns in
-// core; Ψ has no codec to choose).
-func CountCodecRegion(q bitutil.Seq) {
-	if !telemetry.Enabled() {
-		return
-	}
-	if regions, sz := codecCounters(q.CodecID()); regions != nil {
-		regions.Inc()
-		sz.Add(int64(q.SizeBytes()))
-	}
+// OffsetsRegion builds the report entry for one offset column held
+// outside the store (the layout's NodeFile offsets and edge record
+// index); its rows are its own elements.
+func OffsetsRegion(name string, mv *bitutil.MonotoneVector) RegionCodec {
+	return monotoneRegion(name, mv.Len(), mv)
 }

@@ -11,9 +11,10 @@ import (
 
 // serialMagic identifies a serialized Store and its format version.
 // There is one version: ZSUC1 and ZSUC2 (Ψ buckets in the four-array
-// monotone vector form) and ZSUC3 (a directory record per block, the
-// sampled rows as a bitmap) are refused by name, like any other magic.
-const serialMagic = "ZSUC4\x00"
+// monotone vector form), ZSUC3 (a directory record per block, the
+// sampled rows as a bitmap) and ZSUC4 (a codec tag byte ahead of each
+// sample array) are refused by name, like any other magic.
+const serialMagic = "ZSUC5\x00"
 
 // MarshalBinary serializes the store into a flat byte slice. The format
 // is what cmd/zipg-load writes and what servers load at startup; it
@@ -33,8 +34,8 @@ func (s *Store) MarshalBinary() []byte {
 		buf = p.AppendBinary(buf)
 	}
 	buf = s.saMarks.AppendBinary(buf)
-	buf = bitutil.AppendSeq(buf, s.saSamples)
-	buf = bitutil.AppendSeq(buf, s.isaSamples)
+	buf = s.saSamples.AppendBinary(buf)
+	buf = s.isaSamples.AppendBinary(buf)
 	return buf
 }
 
@@ -102,11 +103,11 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 		return nil, fmt.Errorf("succinct: sampled rows: %w", err)
 	}
 	pos += k
-	if s.saSamples, k, err = bitutil.DecodeSeq(buf[pos:]); err != nil {
+	if s.saSamples, k, err = bitutil.DecodePackedVector(buf[pos:]); err != nil {
 		return nil, fmt.Errorf("succinct: sa samples: %w", err)
 	}
 	pos += k
-	if s.isaSamples, _, err = bitutil.DecodeSeq(buf[pos:]); err != nil {
+	if s.isaSamples, _, err = bitutil.DecodePackedVector(buf[pos:]); err != nil {
 		return nil, fmt.Errorf("succinct: isa samples: %w", err)
 	}
 	nsamples := (s.n + s.alpha - 1) / s.alpha
@@ -114,13 +115,11 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 		return nil, fmt.Errorf("succinct: %d sampled rows of %d, %d sa samples, %d isa samples, want %d each of %d rows",
 			s.saMarks.Len(), s.saMarks.Universe(), s.saSamples.Len(), s.isaSamples.Len(), nsamples, s.n)
 	}
-	for _, v := range s.saSamples.DecodeAll(make([]uint64, 0, nsamples)) {
-		if v >= uint64(nsamples) {
+	for i := 0; i < nsamples; i++ {
+		if v := s.saSamples.Get(i); v >= uint64(nsamples) {
 			return nil, fmt.Errorf("succinct: sa sample %d, want below %d", v, nsamples)
 		}
-	}
-	for _, v := range s.isaSamples.DecodeAll(make([]uint64, 0, nsamples)) {
-		if v >= uint64(s.n) {
+		if v := s.isaSamples.Get(i); v >= uint64(s.n) {
 			return nil, fmt.Errorf("succinct: isa sample %d, want below %d", v, s.n)
 		}
 	}

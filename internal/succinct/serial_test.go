@@ -3,6 +3,8 @@ package succinct
 import (
 	"bytes"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"zipg/internal/bitutil"
@@ -60,12 +62,49 @@ func TestRegionsSumToCompressedSize(t *testing.T) {
 	}
 }
 
+// TestSerialOneVersion: a store marshals under the one magic, reloads
+// and answers identically; every other magic — the retired ZSUC1–ZSUC4
+// included — is refused with an error that names what was found.
+func TestSerialOneVersion(t *testing.T) {
+	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
+	built := Build(text, Options{SamplingRate: 8})
+	blob := built.MarshalBinary()
+	if !bytes.HasPrefix(blob, []byte("ZSUC5\x00")) {
+		t.Fatalf("marshaled with magic %q", blob[:6])
+	}
+	got, err := UnmarshalStore(blob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Extract(0, len(text)), text) {
+		t.Fatal("reloaded store extracts different bytes")
+	}
+	if w, g := built.Count([]byte("abra")), got.Count([]byte("abra")); g != w {
+		t.Fatalf("reloaded Count = %d, want %d", g, w)
+	}
+	if w, g := built.CompressedSize(), got.CompressedSize(); g != w {
+		t.Fatalf("reloaded CompressedSize = %d, want %d", g, w)
+	}
+
+	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC9\x00", "nope"} {
+		bad := append([]byte(magic), blob[6:]...)
+		_, err := UnmarshalStore(bad, nil)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version") ||
+			!strings.Contains(err.Error(), strconv.Quote(magic)[1:5]) {
+			t.Errorf("magic %q: err = %v, want unsupported format version naming it", magic, err)
+		}
+	}
+	if _, err := UnmarshalStore(nil, nil); err == nil {
+		t.Error("empty input loaded")
+	}
+}
+
 // corruptStores returns serial forms that every decoder accepts on its
 // own and UnmarshalStore must still refuse, because what one structure
 // yields would be out of range for the next.
 func corruptStores(t testing.TB) map[string][]byte {
 	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
-	good := Build(text, Options{SamplingRate: 8, Codec: bitutil.CodecForceLegacy})
+	good := Build(text, Options{SamplingRate: 8})
 	with := func(change func(s *Store)) []byte {
 		s := *good
 		s.bucketStart = append([]int32(nil), good.bucketStart...)
@@ -74,8 +113,15 @@ func corruptStores(t testing.TB) map[string][]byte {
 		change(&s)
 		return s.MarshalBinary()
 	}
-	samples := func(q bitutil.Seq, at int, v uint64) bitutil.Seq {
-		vals := q.DecodeAll(nil)
+	unpack := func(pv *bitutil.PackedVector) []uint64 {
+		vals := make([]uint64, pv.Len())
+		for i := range vals {
+			vals[i] = pv.Get(i)
+		}
+		return vals
+	}
+	samples := func(pv *bitutil.PackedVector, at int, v uint64) *bitutil.PackedVector {
+		vals := unpack(pv)
 		vals[at] = v
 		return bitutil.PackSlice(vals)
 	}
@@ -101,8 +147,8 @@ func corruptStores(t testing.TB) map[string][]byte {
 		}),
 		"one_sampled_row_short": with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n, rows[1:]) }),
 		"sampled_rows_past_n":   with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n+1, rows) }),
-		"one_sa_sample_short":   with(func(s *Store) { s.saSamples = bitutil.PackSlice(s.saSamples.DecodeAll(nil)[1:]) }),
-		"one_isa_sample_more":   with(func(s *Store) { s.isaSamples = bitutil.PackSlice(append(s.isaSamples.DecodeAll(nil), 0)) }),
+		"one_sa_sample_short":   with(func(s *Store) { s.saSamples = bitutil.PackSlice(unpack(s.saSamples)[1:]) }),
+		"one_isa_sample_more":   with(func(s *Store) { s.isaSamples = bitutil.PackSlice(append(unpack(s.isaSamples), 0)) }),
 		"sa_sample_past_range":  with(func(s *Store) { s.saSamples = samples(s.saSamples, 3, uint64(nsamples)) }),
 		"isa_sample_past_n":     with(func(s *Store) { s.isaSamples = samples(s.isaSamples, 3, uint64(n)) }),
 		"alpha_disagrees":       with(func(s *Store) { s.alpha = 4 }),
@@ -131,10 +177,8 @@ func FuzzUnmarshalStore(f *testing.F) {
 	for _, text := range [][]byte{
 		[]byte("ab"), []byte("mississippi"), benchText(300, 3), bytes.Repeat([]byte("aaaabbbbccccaaaa"), 40),
 	} {
-		for _, opts := range []Options{
-			{SamplingRate: 2, Codec: bitutil.CodecForceVarint}, {SamplingRate: 4, Codec: bitutil.CodecForceSimple8b}, {SamplingRate: 32},
-		} {
-			f.Add(Build(text, opts).MarshalBinary())
+		for _, alpha := range []int{2, 4, 32} {
+			f.Add(Build(text, Options{SamplingRate: alpha}).MarshalBinary())
 		}
 	}
 	for _, blob := range corruptStores(f) {

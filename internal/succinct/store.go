@@ -25,7 +25,6 @@ package succinct
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -72,14 +71,10 @@ type Store struct {
 	// multiple of α; saSamples holds those values, divided by α, in row
 	// order.
 	saMarks   *bitutil.SparseSet
-	saSamples bitutil.Seq
+	saSamples *bitutil.PackedVector
 
 	// Position-sampled ISA: isaSamples[j] = ISA[j*α].
-	isaSamples bitutil.Seq
-
-	// Per-region codec bookkeeping (see RegionCodecs).
-	saMeta  regionMeta
-	isaMeta regionMeta
+	isaSamples *bitutil.PackedVector
 
 	// Simulated storage placement; med is nil outside budgeted
 	// experiments, and then nothing below is used.
@@ -98,19 +93,6 @@ type Options struct {
 	// Medium is the simulated storage the structure lives on; nil means
 	// plain memory, with no access accounting at all.
 	Medium *memsim.Medium
-	// Codec selects how the codec of the SA and ISA sample arrays is
-	// chosen. The zero value (bitutil.CodecAuto) trial-encodes a sample
-	// of each with every registered codec and picks by measured
-	// decode-speed × size score. Ψ is always a bitutil.MonotoneVector.
-	Codec bitutil.CodecPolicy
-}
-
-// regionMeta holds the trial measurements that chose a region's codec
-// (empty for forced policies and loaded stores). The chosen codec itself
-// is not recorded here — the encoded sequences carry their own CodecID,
-// which cannot diverge from reality.
-type regionMeta struct {
-	trials []bitutil.TrialResult
 }
 
 // Build compresses text. The text may contain any byte values.
@@ -184,54 +166,27 @@ func Build(text []byte, opts Options) *Store {
 	}
 
 	// SA samples (by value): the rows whose SA value is a multiple of α,
-	// and those values over α. In row order they are not monotone, so the
-	// region uses the raw layout; the width hint reproduces the historical
-	// fixed-width packing under the legacy codec.
+	// and those values over α. In row order they are not monotone, so
+	// they are packed at the fixed width of the largest possible one.
 	nsamples := (n + alpha - 1) / alpha
 	sampledRows := make([]int, 0, nsamples)
-	sampleVals := make([]uint64, 0, nsamples)
+	s.saSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(nsamples-1)))
 	for row, p := range sa {
 		if int(p)%alpha == 0 {
+			s.saSamples.Set(len(sampledRows), uint64(int(p)/alpha))
 			sampledRows = append(sampledRows, row)
-			sampleVals = append(sampleVals, uint64(int(p)/alpha))
 		}
 	}
 	s.saMarks = bitutil.NewSparseSet(n, sampledRows)
-	s.saSamples = encodeSamples(opts.Codec, &s.saMeta, sampleVals, bitutil.WidthFor(uint64(nsamples-1)))
 
 	// ISA samples (by position).
-	isaVals := make([]uint64, 0, nsamples)
-	for p := 0; p < n; p += alpha {
-		isaVals = append(isaVals, uint64(isa[p]))
+	s.isaSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(n-1)))
+	for j := 0; j < nsamples; j++ {
+		s.isaSamples.Set(j, uint64(isa[j*alpha]))
 	}
-	s.isaSamples = encodeSamples(opts.Codec, &s.isaMeta, isaVals, bitutil.WidthFor(uint64(n-1)))
 
-	CountCodecRegion(s.saSamples)
-	CountCodecRegion(s.isaSamples)
 	s.finish()
 	return s
-}
-
-// encodeSamples encodes a sample array under policy: a forced policy
-// pins the codec; auto trial-encodes vals and records the trials in meta
-// for reports. A codec that cannot represent vals (a forced simple8b
-// over values >= 2^60) falls back to legacy, which encodes anything.
-func encodeSamples(policy bitutil.CodecPolicy, meta *regionMeta, vals []uint64, width uint) bitutil.Seq {
-	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
-	c := legacy
-	if id, ok := policy.Forced(); ok {
-		c, _ = bitutil.CodecByID(id)
-	} else {
-		start := time.Now()
-		c, meta.trials = bitutil.ChooseCodec(vals, false, width)
-		if telemetry.Enabled() {
-			mCodecTrialNs.Add(time.Since(start).Nanoseconds())
-		}
-	}
-	if seq := c.Encode(vals, false, width); seq != nil {
-		return seq
-	}
-	return legacy.Encode(vals, false, width)
 }
 
 // rowDirShift fixes the row→bucket directory's sampling stride at

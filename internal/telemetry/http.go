@@ -16,7 +16,7 @@ var processStart = time.Now()
 
 // adminReports holds pluggable admin report pages: name → generator.
 // Registered reports are served at /debug/<name> as plain text. Higher
-// layers (the store's codec report, say) register here so the telemetry
+// layers (the store's region report, say) register here so the telemetry
 // package need not import them.
 var (
 	adminReportsMu sync.RWMutex
@@ -89,8 +89,8 @@ var publishOnce sync.Once
 //	/debug/slow       slow-query ring, failures first (text)
 //	/debug/pprof/     the standard net/http/pprof profiles
 //	/debug/{name}     any report published via RegisterAdminReport
-//	                  (zipg-server registers "codecs": per-shard codec
-//	                  and sampling-rate report)
+//	                  (zipg-server registers "codecs": per-shard region
+//	                  size and sampling-rate report)
 //	/stream/{name}    any streaming handler published via
 //	                  RegisterAdminStream (zipg-server registers
 //	                  "subscribe": chunked NDJSON change feed)

@@ -9,6 +9,7 @@ import (
 	"zipg"
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
+	"zipg/internal/telemetry"
 	"zipg/internal/temporal"
 )
 
@@ -268,6 +269,53 @@ func TestTemporalDifferential(t *testing.T) {
 			checkDifferential(t, g, m, "compacted")
 		})
 	}
+	// Time-ordered ingest: every frozen generation covers its own band of
+	// timestamps and every source has a piece in each, so a window over
+	// the last 1/32 of the range is answered — still as the naive model
+	// answers it — with at least half the pieces skipped on their header
+	// span alone.
+	t.Run("time-ordered narrow window", func(t *testing.T) {
+		const nNodes, perSrc = 32, 48
+		nodes := make([]layout.Node, nNodes)
+		for i := range nodes {
+			nodes[i] = layout.Node{ID: int64(i)}
+		}
+		g, err := zipg.Compress(zipg.GraphData{Nodes: nodes},
+			zipg.Options{NumShards: 2, SamplingRate: 32, LogStoreThreshold: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		m := newNaive(nodes, nil)
+		const tsBase, tsStep = 1_500_000_000, 1000
+		for i := 0; i < nNodes*perSrc; i++ {
+			e := layout.Edge{Src: int64(i % nNodes), Dst: int64((i*7 + 13) % nNodes), Type: int64(i % 2), Timestamp: int64(tsBase + i*tsStep)}
+			if err := g.AppendEdge(e); err != nil {
+				t.Fatal(err)
+			}
+			m.appendEdge(e)
+		}
+		tsEnd := int64(tsBase + nNodes*perSrc*tsStep)
+		lo := tsEnd - (tsEnd-tsBase)/32
+
+		defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+		before := telemetry.TakeSnapshot()
+		eng := g.Temporal()
+		for src := int64(0); src < nNodes; src++ {
+			for etype := int64(0); etype < 2; etype++ {
+				got := eng.AssocTimeRange(src, etype, lo, tsEnd, 0)
+				canonicalize(got)
+				if want := m.window(src, etype, lo, tsEnd); edgesFP(got) != edgesFP(want) {
+					t.Fatalf("AssocTimeRange(%d,%d,[%d,%d)) =\n  %s\nwant\n  %s", src, etype, lo, tsEnd, edgesFP(got), edgesFP(want))
+				}
+			}
+		}
+		d := telemetry.Delta(before, telemetry.TakeSnapshot())
+		pieces, pruned := d["zipg_temporal_pieces_total"], d["zipg_temporal_shards_pruned_total"]
+		if pieces == 0 || pruned < pieces/2 {
+			t.Errorf("narrow window pruned %.0f of %.0f pieces, want at least half", pruned, pieces)
+		}
+	})
 }
 
 // TestTemporalBatchMatchesScalar: the vectorized batch variant must be

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/memsim"
@@ -78,19 +77,10 @@ type Options struct {
 	// Medium, if set, places the store on a simulated storage hierarchy
 	// (used by the benchmark harness to model memory pressure).
 	Medium *memsim.Medium
-	// Codec names the integer-codec policy for the shard regions that
-	// have one (SA/ISA samples, offset columns; Ψ is always a monotone
-	// vector): "auto" picks per region by trial encoding; "legacy",
-	// "simple8b" or "varint" force one codec everywhere. Empty = "auto".
-	Codec string
 	// AutoTuneAlpha lets Compact retune each shard's sampling rate α
 	// from the reads it drew since the last compaction: hot shards get
 	// denser samples, cold shards compress harder.
 	AutoTuneAlpha bool
-	// DisableGroupCommit makes every append take the store lock
-	// individually instead of batching through the group committer.
-	// Exists for the ingest-bench ablation; leave false in production.
-	DisableGroupCommit bool
 	// BackgroundCompaction moves write-log rollover compression off the
 	// write path: crossing the threshold seals the log O(1) and a
 	// background worker compresses it. Implied by CompactInterval or
@@ -173,21 +163,12 @@ func keys(m map[string]bool) []string {
 // when several stores — e.g. cluster servers — must agree on delimiters,
 // or when properties not present in the initial data will be appended).
 func CompressWithSchemas(data GraphData, nodeSchema, edgeSchema *layout.PropertySchema, opts Options) (*Graph, error) {
-	policy := bitutil.CodecAuto
-	if opts.Codec != "" {
-		var err error
-		if policy, err = bitutil.PolicyByName(opts.Codec); err != nil {
-			return nil, fmt.Errorf("zipg: %w", err)
-		}
-	}
 	s, err := store.New(data.Nodes, data.Edges, nodeSchema, edgeSchema, store.Config{
 		NumShards:             opts.NumShards,
 		SamplingRate:          opts.SamplingRate,
 		Medium:                opts.Medium,
 		LogStoreThreshold:     opts.LogStoreThreshold,
-		Codec:                 policy,
 		AutoTuneAlpha:         opts.AutoTuneAlpha,
-		DisableGroupCommit:    opts.DisableGroupCommit,
 		BackgroundCompaction:  opts.BackgroundCompaction,
 		CompactInterval:       opts.CompactInterval,
 		CompactAfterRollovers: opts.CompactAfterRollovers,
