@@ -66,9 +66,8 @@ func FuzzMonotoneDeltaPatterns(f *testing.F) {
 	})
 }
 
-// checkMonotoneAgainstNaive asserts Get ≡ DecodeAll ≡ DecodeBlockInto ≡
-// vals and SearchGE ≡ a linear scan, on the vector and on its serial
-// round trip.
+// checkMonotoneAgainstNaive asserts Get ≡ DecodeAll ≡ vals and SearchGE
+// ≡ a linear scan, on the vector and on its serial round trip.
 func checkMonotoneAgainstNaive(t *testing.T, mv *MonotoneVector, vals []uint64) {
 	t.Helper()
 	buf := mv.AppendBinary(nil)
@@ -83,16 +82,9 @@ func checkMonotoneAgainstNaive(t *testing.T, mv *MonotoneVector, vals []uint64) 
 		if all := v.DecodeAll(nil); len(vals) > 0 && !reflect.DeepEqual(all, vals) {
 			t.Fatalf("DecodeAll mismatch: %v want %v", all, vals)
 		}
-		var blk [MonotoneBlockSize]uint64
 		for i, want := range vals {
 			if got := v.Get(i); got != want {
 				t.Fatalf("Get(%d)=%d want %d", i, got, want)
-			}
-			if i%monotoneBlock == 0 {
-				v.DecodeBlockInto(i/monotoneBlock, &blk)
-			}
-			if blk[i%monotoneBlock] != want {
-				t.Fatalf("block %d[%d]=%d want %d", i/monotoneBlock, i%monotoneBlock, blk[i%monotoneBlock], want)
 			}
 		}
 		checkSearchGE(t, v, vals)
@@ -128,9 +120,8 @@ func checkSearchGE(t *testing.T, mv *MonotoneVector, vals []uint64) {
 // FuzzDecodeMonotoneVector feeds DecodeMonotoneVector arbitrary bytes.
 // The only outcomes allowed are an error, or a vector whose accessors
 // agree with each other on every index without panicking: Get ≡
-// DecodeAll ≡ DecodeBlockInto, and — where the decoded values are in
-// fact non-decreasing, which a corrupt input need not be — SearchGE ≡ a
-// linear scan.
+// DecodeAll, and — where the decoded values are in fact non-decreasing,
+// which a corrupt input need not be — SearchGE ≡ a linear scan.
 func FuzzDecodeMonotoneVector(f *testing.F) {
 	for _, vals := range adversarialSequences() {
 		f.Add(NewMonotoneVector(vals).AppendBinary(nil))
@@ -151,16 +142,9 @@ func FuzzDecodeMonotoneVector(f *testing.F) {
 			t.Fatalf("DecodeAll returned %d of %d elements", len(all), mv.Len())
 		}
 		sorted := true
-		var blk [MonotoneBlockSize]uint64
 		for i, want := range all {
 			if got := mv.Get(i); got != want {
 				t.Fatalf("Get(%d)=%d, DecodeAll says %d", i, got, want)
-			}
-			if i%monotoneBlock == 0 {
-				mv.DecodeBlockInto(i/monotoneBlock, &blk)
-			}
-			if blk[i%monotoneBlock] != want {
-				t.Fatalf("DecodeBlockInto %d[%d]=%d, DecodeAll says %d", i/monotoneBlock, i%monotoneBlock, blk[i%monotoneBlock], want)
 			}
 			sorted = sorted && (i == 0 || all[i-1] <= want)
 		}

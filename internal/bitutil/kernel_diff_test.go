@@ -258,10 +258,10 @@ func TestMonotoneShapesEncodeAsIntended(t *testing.T) {
 	}
 }
 
-// TestMonotoneGetAgainstReference checks Get, DecodeAll and
-// DecodeBlockInto against the raw sequence on every adversarial pattern,
-// and round-trips through serialization to prove the directory records
-// and the sub-anchor slots survive encode/decode.
+// TestMonotoneGetAgainstReference checks Get and DecodeAll against the
+// raw sequence on every adversarial pattern, and round-trips through
+// serialization to prove the directory records and the sub-anchor slots
+// survive encode/decode.
 func TestMonotoneGetAgainstReference(t *testing.T) {
 	for name, vals := range adversarialSequences() {
 		mv := NewMonotoneVector(vals)
@@ -282,60 +282,6 @@ func TestMonotoneGetAgainstReference(t *testing.T) {
 			if all := v.DecodeAll(nil); len(all) != len(vals) || (len(vals) > 0 && !reflect.DeepEqual(all, vals)) {
 				t.Fatalf("%s: DecodeAll=%v want %v", name, all, vals)
 			}
-			var blk [MonotoneBlockSize]uint64
-			for b := 0; b*monotoneBlock < len(vals); b++ {
-				cnt := v.DecodeBlockInto(b, &blk)
-				if want := vals[b*monotoneBlock : min((b+1)*monotoneBlock, len(vals))]; !reflect.DeepEqual(blk[:cnt], want) {
-					t.Fatalf("%s: block %d = %v want %v", name, b, blk[:cnt], want)
-				}
-			}
-		}
-	}
-}
-
-// TestMonotoneCursorAgainstGet drives a cursor through sequential scans,
-// random seeks and random At probes and checks every value against Get.
-func TestMonotoneCursorAgainstGet(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for name, vals := range adversarialSequences() {
-		if len(vals) == 0 {
-			continue
-		}
-		mv := NewMonotoneVector(vals)
-
-		// Full sequential scan.
-		c := mv.Cursor()
-		for i := range vals {
-			if got := c.Next(); got != vals[i] {
-				t.Fatalf("%s: cursor Next at %d = %d want %d", name, i, got, vals[i])
-			}
-		}
-
-		// Random seeks followed by short scans.
-		for trial := 0; trial < 50; trial++ {
-			start := rng.Intn(len(vals))
-			c.Seek(start)
-			if c.Pos() != start {
-				t.Fatalf("%s: Pos=%d after Seek(%d)", name, c.Pos(), start)
-			}
-			n := rng.Intn(2 * monotoneBlock)
-			for i := start; i < len(vals) && i < start+n; i++ {
-				if got := c.Next(); got != vals[i] {
-					t.Fatalf("%s: after Seek(%d), Next at %d = %d want %d", name, start, i, got, vals[i])
-				}
-			}
-		}
-
-		// Random At probes do not disturb the position.
-		c.Seek(0)
-		for trial := 0; trial < 50; trial++ {
-			i := rng.Intn(len(vals))
-			if got := c.At(i); got != vals[i] {
-				t.Fatalf("%s: At(%d)=%d want %d", name, i, got, vals[i])
-			}
-		}
-		if c.Pos() != 0 {
-			t.Fatalf("%s: At moved position to %d", name, c.Pos())
 		}
 	}
 }

@@ -25,10 +25,6 @@ const monotoneBlock = 16
 // window, already O(1).
 const monotoneHalf = monotoneBlock / 2
 
-// MonotoneBlockSize is monotoneBlock, exported so batch kernels can
-// reason about which accesses share a cursor block without decoding.
-const MonotoneBlockSize = monotoneBlock
-
 // hasMid reports whether a block carries a sub-anchor slot: only blocks
 // that extend past the midpoint and are wide enough that summing
 // monotoneBlock-1 deltas would actually cost something. For w<=1 the
@@ -68,9 +64,7 @@ func hasMid(w uint, cnt int) bool {
 // block → record is one load, a popcount and a leading-zeros count, and
 // a record is never more than spanBlocks-1 blocks back.
 //
-// Random access to element i sums at most monotoneHalf deltas; use a
-// MonotoneCursor for sequential access (one block decode per
-// monotoneBlock elements).
+// Random access to element i sums at most monotoneHalf deltas.
 type MonotoneVector struct {
 	n      int
 	strict uint64 // 1: deltas are stored minus one
@@ -566,58 +560,6 @@ func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {
 		dst = append(dst, blk[:cnt]...)
 	}
 	return dst
-}
-
-// DecodeBlockInto expands block b into dst as absolute values and
-// returns the element count (short for the final block; only the first
-// count slots are written). Batch kernels use it to fill a shared
-// decoded-block cache where one decode serves every later access to
-// the block as a plain array read.
-func (mv *MonotoneVector) DecodeBlockInto(b int, dst *[MonotoneBlockSize]uint64) int {
-	return mv.decodeBlock(b, dst)
-}
-
-// MonotoneCursor streams a MonotoneVector: each block is decoded once
-// into a small buffer and then read by index, so a sequential pass costs
-// one block decode per monotoneBlock elements instead of one random
-// access per element. A cursor is a value type — keep it on the stack.
-// Not safe for concurrent use (the vector is).
-type MonotoneCursor struct {
-	mv    *MonotoneVector
-	block int // decoded block index, -1 = none
-	next  int // absolute index returned by the next Next call
-	vals  [monotoneBlock]uint64
-}
-
-// Cursor returns a streaming cursor positioned at index 0.
-func (mv *MonotoneVector) Cursor() MonotoneCursor {
-	return MonotoneCursor{mv: mv, block: -1}
-}
-
-// Seek positions the cursor so the next Next call returns element i.
-// Seeking within the already-decoded block keeps the buffer.
-func (c *MonotoneCursor) Seek(i int) { c.next = i }
-
-// Pos returns the absolute index the next Next call will return.
-func (c *MonotoneCursor) Pos() int { return c.next }
-
-// Next returns the element at the cursor and advances by one. The caller
-// must not read past Len()-1.
-func (c *MonotoneCursor) Next() uint64 {
-	v := c.At(c.next)
-	c.next++
-	return v
-}
-
-// At returns element i, decoding its block only if it is not the one
-// already buffered. The cursor position is unchanged.
-func (c *MonotoneCursor) At(i int) uint64 {
-	b := i / monotoneBlock
-	if b != c.block {
-		c.mv.decodeBlock(b, &c.vals)
-		c.block = b
-	}
-	return c.vals[i-b*monotoneBlock]
 }
 
 // writeBits stores the low w bits of v at bit position pos.

@@ -48,12 +48,17 @@ func testGraph(t testing.TB, nNodes, nEdges int) ([]layout.Node, []layout.Edge, 
 
 func launchTestCluster(t testing.TB, nodes []layout.Node, edges []layout.Edge, ns, es *layout.PropertySchema, servers int) (*Cluster, *Client) {
 	t.Helper()
-	c, err := Launch(nodes, edges, ns, es, LaunchConfig{
+	return launchTestReplicas(t, nodes, edges, ns, es, LaunchConfig{
 		NumServers:        servers,
 		ShardsPerServer:   2,
 		SamplingRate:      8,
 		LogStoreThreshold: 64 << 10,
-	})
+	}, 1)
+}
+
+func launchTestReplicas(t testing.TB, nodes []layout.Node, edges []layout.Edge, ns, es *layout.PropertySchema, cfg LaunchConfig, replicas int) (*Cluster, *Client) {
+	t.Helper()
+	c, err := LaunchWithReplicas(nodes, edges, ns, es, cfg, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,30 +227,32 @@ func sortIDs(ids []int64) {
 	}
 }
 
+// twoHopRef is the reference two-hop: expand twice, filter the second
+// hop.
+func twoHopRef(ref *refgraph.Graph, id int64, etype int64, props map[string]string) []int64 {
+	union := map[int64]bool{}
+	for _, n := range ref.GetNeighborIDs(id, etype, nil) {
+		for _, m := range ref.GetNeighborIDs(n, etype, props) {
+			union[m] = true
+		}
+	}
+	var out []int64
+	for n := range union {
+		out = append(out, n)
+	}
+	sortIDs(out)
+	return out
+}
+
 func TestTwoHopNeighborsMultiLevelShipping(t *testing.T) {
 	nodes, edges, ns, es := testGraph(t, 30, 150)
 	_, client := launchTestCluster(t, nodes, edges, ns, es, 3)
 	ref := refgraph.New(nodes, edges)
 
-	// Reference two-hop: expand twice, filter the second hop.
-	twoHopRef := func(id int64, etype int64, props map[string]string) []int64 {
-		union := map[int64]bool{}
-		for _, n := range ref.GetNeighborIDs(id, etype, nil) {
-			for _, m := range ref.GetNeighborIDs(n, etype, props) {
-				union[m] = true
-			}
-		}
-		var out []int64
-		for n := range union {
-			out = append(out, n)
-		}
-		sortIDs(out)
-		return out
-	}
 	for _, id := range []int64{0, 3, 7, 11} {
 		for _, etype := range []int64{-1, 0, 1} {
 			for _, props := range []map[string]string{nil, {"city": "Ithaca"}} {
-				want := twoHopRef(id, etype, props)
+				want := twoHopRef(ref, id, etype, props)
 				got := client.TwoHopNeighbors(id, etype, props)
 				if len(got) == 0 && len(want) == 0 {
 					continue

@@ -22,116 +22,37 @@ type LaunchConfig struct {
 
 // Cluster is a set of in-process servers plus their addresses.
 type Cluster struct {
+	// Servers and Addrs hold each partition's first replica — every
+	// server there is, at one replica per partition. Peer links for
+	// function shipping go to these.
 	Servers []*Server
 	Addrs   []string
+
+	// replicas[p][r] is replica r of partition p; addrs mirrors it.
+	replicas [][]*Server
+	addrs    [][]string
 }
 
 // Launch partitions the graph by node owner, builds one server per
 // partition on a loopback port, and interconnects them.
 func Launch(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layout.PropertySchema, cfg LaunchConfig) (*Cluster, error) {
-	if cfg.NumServers <= 0 {
-		cfg.NumServers = 1
-	}
-	partNodes := make([][]layout.Node, cfg.NumServers)
-	partEdges := make([][]layout.Edge, cfg.NumServers)
-	for _, n := range nodes {
-		o := OwnerOf(n.ID, cfg.NumServers)
-		partNodes[o] = append(partNodes[o], n)
-	}
-	for _, e := range edges {
-		o := OwnerOf(e.Src, cfg.NumServers)
-		partEdges[o] = append(partEdges[o], e)
-	}
-	c := &Cluster{}
-	for sid := 0; sid < cfg.NumServers; sid++ {
-		var med *memsim.Medium
-		if cfg.MediumFor != nil {
-			med = cfg.MediumFor(sid)
-		}
-		srv, err := NewServer(partNodes[sid], partEdges[sid], nodeSchema, edgeSchema, ServerConfig{
-			ID:                sid,
-			NumServers:        cfg.NumServers,
-			ShardsPerServer:   cfg.ShardsPerServer,
-			SamplingRate:      cfg.SamplingRate,
-			Medium:            med,
-			LogStoreThreshold: cfg.LogStoreThreshold,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("cluster: listen server %d: %w", sid, err)
-		}
-		c.Servers = append(c.Servers, srv)
-		c.Addrs = append(c.Addrs, addr)
-	}
-	for _, srv := range c.Servers {
-		srv.ConnectPeers(c.Addrs)
-	}
-	return c, nil
+	return LaunchWithReplicas(nodes, edges, nodeSchema, edgeSchema, cfg, 1)
 }
 
-// Client connects a new client to the cluster.
-func (c *Cluster) Client() (*Client, error) { return NewClient(c.Addrs) }
-
-// Close shuts every server down.
-func (c *Cluster) Close() {
-	for _, s := range c.Servers {
-		if s != nil {
-			s.Close()
-		}
-	}
-}
-
-// Partition splits a node list by owner (exported for cmd/zipg-load).
-func Partition(nodes []graphapi.Node, edges []graphapi.Edge, numServers int) ([][]graphapi.Node, [][]graphapi.Edge) {
-	pn := make([][]graphapi.Node, numServers)
-	pe := make([][]graphapi.Edge, numServers)
-	for _, n := range nodes {
-		o := OwnerOf(n.ID, numServers)
-		pn[o] = append(pn[o], n)
-	}
-	for _, e := range edges {
-		o := OwnerOf(e.Src, numServers)
-		pe[o] = append(pe[o], e)
-	}
-	return pn, pe
-}
-
-// ReplicatedCluster is a cluster with several replicas per partition.
-type ReplicatedCluster struct {
-	// Servers[p][r] is replica r of partition p.
-	Servers [][]*Server
-	// Addrs mirrors Servers.
-	Addrs [][]string
-}
-
-// LaunchWithReplicas launches cfg.NumServers partitions with `replicas`
-// identical copies of each (§4.1: replication-based fault tolerance;
-// queries are load-balanced evenly across replicas).
-func LaunchWithReplicas(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layout.PropertySchema, cfg LaunchConfig, replicas int) (*ReplicatedCluster, error) {
+// LaunchWithReplicas is Launch with `replicas` identical copies of each
+// partition (§4.1: replication-based fault tolerance; the client
+// load-balances reads evenly across replicas).
+func LaunchWithReplicas(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layout.PropertySchema, cfg LaunchConfig, replicas int) (*Cluster, error) {
 	if cfg.NumServers <= 0 {
 		cfg.NumServers = 1
 	}
 	if replicas <= 0 {
 		replicas = 1
 	}
-	partNodes := make([][]layout.Node, cfg.NumServers)
-	partEdges := make([][]layout.Edge, cfg.NumServers)
-	for _, n := range nodes {
-		o := OwnerOf(n.ID, cfg.NumServers)
-		partNodes[o] = append(partNodes[o], n)
-	}
-	for _, e := range edges {
-		o := OwnerOf(e.Src, cfg.NumServers)
-		partEdges[o] = append(partEdges[o], e)
-	}
-	c := &ReplicatedCluster{
-		Servers: make([][]*Server, cfg.NumServers),
-		Addrs:   make([][]string, cfg.NumServers),
+	partNodes, partEdges := Partition(nodes, edges, cfg.NumServers)
+	c := &Cluster{
+		replicas: make([][]*Server, cfg.NumServers),
+		addrs:    make([][]string, cfg.NumServers),
 	}
 	for p := 0; p < cfg.NumServers; p++ {
 		for r := 0; r < replicas; r++ {
@@ -151,45 +72,53 @@ func LaunchWithReplicas(nodes []layout.Node, edges []layout.Edge, nodeSchema, ed
 				c.Close()
 				return nil, err
 			}
+			c.replicas[p] = append(c.replicas[p], srv)
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: listen partition %d replica %d: %w", p, r, err)
 			}
-			c.Servers[p] = append(c.Servers[p], srv)
-			c.Addrs[p] = append(c.Addrs[p], addr)
+			c.addrs[p] = append(c.addrs[p], addr)
 		}
+		c.Servers = append(c.Servers, c.replicas[p][0])
+		c.Addrs = append(c.Addrs, c.addrs[p][0])
 	}
-	// Peer links for function shipping use each partition's first replica.
-	primaries := make([]string, cfg.NumServers)
-	for p := range c.Addrs {
-		primaries[p] = c.Addrs[p][0]
-	}
-	for _, reps := range c.Servers {
+	for _, reps := range c.replicas {
 		for _, srv := range reps {
-			srv.ConnectPeers(primaries)
+			srv.ConnectPeers(c.Addrs)
 		}
 	}
 	return c, nil
 }
 
-// Client connects a replica-aware client.
-func (c *ReplicatedCluster) Client() (*ReplicatedClient, error) {
-	return NewReplicatedClient(c.Addrs)
-}
+// Client connects a new client to the cluster, aware of every replica.
+func (c *Cluster) Client() (*Client, error) { return newClient(c.addrs) }
 
-// Close shuts every replica down.
-func (c *ReplicatedCluster) Close() {
-	for _, reps := range c.Servers {
+// Close shuts every server down.
+func (c *Cluster) Close() {
+	for _, reps := range c.replicas {
 		for _, s := range reps {
-			if s != nil {
-				s.Close()
-			}
+			s.Close()
 		}
 	}
 }
 
 // StopReplica shuts down one replica (for failover tests).
-func (c *ReplicatedCluster) StopReplica(partition, replica int) {
-	c.Servers[partition][replica].Close()
+func (c *Cluster) StopReplica(partition, replica int) {
+	c.replicas[partition][replica].Close()
+}
+
+// Partition splits a node list by owner (exported for cmd/zipg-load).
+func Partition(nodes []graphapi.Node, edges []graphapi.Edge, numServers int) ([][]graphapi.Node, [][]graphapi.Edge) {
+	pn := make([][]graphapi.Node, numServers)
+	pe := make([][]graphapi.Edge, numServers)
+	for _, n := range nodes {
+		o := OwnerOf(n.ID, numServers)
+		pn[o] = append(pn[o], n)
+	}
+	for _, e := range edges {
+		o := OwnerOf(e.Src, numServers)
+		pe[o] = append(pe[o], e)
+	}
+	return pn, pe
 }

@@ -75,12 +75,8 @@ func (c *Client) TwoHopNeighbors(id graphapi.NodeID, etype graphapi.EdgeType, pr
 		wg.Add(1)
 		go func(owner int, ids []graphapi.NodeID) {
 			defer wg.Done()
-			conn, err := c.conn(owner)
-			if err != nil {
-				return
-			}
 			var reply idsReply
-			if err := conn.Call("NeighborsBatch", twoHopArgs{IDs: ids, EType: etype, Props: props}, &reply); err != nil {
+			if err := c.callRead(context.Background(), owner, "NeighborsBatch", twoHopArgs{IDs: ids, EType: etype, Props: props}, &reply); err != nil {
 				return
 			}
 			mu.Lock()

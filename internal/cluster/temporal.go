@@ -228,13 +228,8 @@ func (c *Client) AssocTimeRange(src graphapi.NodeID, etype graphapi.EdgeType, tL
 func (c *Client) AssocTimeRangeCtx(ctx context.Context, src graphapi.NodeID, etype graphapi.EdgeType, tLo, tHi int64, limit int) []layout.EdgeData {
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.assoc_time_range")
 	defer sp.End()
-	conn, err := c.owner(src)
-	if err != nil {
-		sp.SetError(err)
-		return nil
-	}
 	var reply windowEdgesReply
-	if err := conn.CallCtx(ctx, "TemporalRange", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi, Limit: limit}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(src), "TemporalRange", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi, Limit: limit}, &reply); err != nil {
 		sp.SetError(err)
 		return nil
 	}
@@ -253,13 +248,8 @@ func (c *Client) AssocTimeRangeCtx(ctx context.Context, src graphapi.NodeID, ety
 func (c *Client) AssocCountInWindow(src graphapi.NodeID, etype graphapi.EdgeType, tLo, tHi int64) int {
 	sp, ctx := telemetry.StartSpanCtx(context.Background(), "client.assoc_count_in_window")
 	defer sp.End()
-	conn, err := c.owner(src)
-	if err != nil {
-		sp.SetError(err)
-		return 0
-	}
 	var reply windowCountReply
-	if err := conn.CallCtx(ctx, "TemporalCount", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(src), "TemporalCount", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
 		sp.SetError(err)
 		return 0
 	}
@@ -271,13 +261,8 @@ func (c *Client) AssocCountInWindow(src graphapi.NodeID, etype graphapi.EdgeType
 func (c *Client) PathInWindow(src, dst graphapi.NodeID, tLo, tHi int64, maxHops int) temporal.PathResult {
 	sp, ctx := telemetry.StartSpanCtx(context.Background(), "client.path_in_window")
 	defer sp.End()
-	conn, err := c.owner(src)
-	if err != nil {
-		sp.SetError(err)
-		return temporal.PathResult{}
-	}
 	var reply pathReply
-	if err := conn.CallCtx(ctx, "PathInWindow", pathArgs{Src: src, Dst: dst, Lo: tLo, Hi: tHi, MaxHops: maxHops}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(src), "PathInWindow", pathArgs{Src: src, Dst: dst, Lo: tLo, Hi: tHi, MaxHops: maxHops}, &reply); err != nil {
 		sp.SetError(err)
 		return temporal.PathResult{}
 	}

@@ -49,10 +49,12 @@ func systems(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl := launchCluster(t, nodes, edges)
+	_, cl := launchCluster(t, nodes, edges, 1)
+	_, clr := launchCluster(t, nodes, edges, 2)
 	return map[string]graphapi.Store{
 		"zipg":        g,
 		"cluster":     cl,
+		"cluster-2x2": clr,
 		"neo4j":       ps,
 		"neo4j-tuned": pst,
 		"titan":       kv,
@@ -60,23 +62,24 @@ func systems(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) map[str
 	}
 }
 
-// launchCluster serves the graph from a 2-server × 2-shard loopback
-// cluster (the benchmark's shape) and connects a client: every query
-// and write of the suites below also crosses the wire format, the
-// owner routing and the aggregator's function shipping. The log
-// threshold is small enough that the mutation rounds roll over.
-func launchCluster(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) (*cluster.Cluster, clusterStore) {
+// launchCluster serves the graph from a 2-partition × 2-shard loopback
+// cluster (the benchmark's shape at one replica) and connects a client:
+// every query and write of the suites below also crosses the wire
+// format, the owner routing, the aggregator's function shipping and,
+// with more replicas, the client's read spreading and write fan-out.
+// The log threshold is small enough that the mutation rounds roll over.
+func launchCluster(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge, replicas int) (*cluster.Cluster, clusterStore) {
 	t.Helper()
 	nodeSchema, edgeSchema, err := zipg.DeriveSchemas(zipg.GraphData{Nodes: nodes, Edges: edges})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.Launch(nodes, edges, nodeSchema, edgeSchema, cluster.LaunchConfig{
+	c, err := cluster.LaunchWithReplicas(nodes, edges, nodeSchema, edgeSchema, cluster.LaunchConfig{
 		NumServers:        2,
 		ShardsPerServer:   2,
 		SamplingRate:      8,
 		LogStoreThreshold: 2 << 10,
-	})
+	}, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +382,7 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 		}
 		// Closed per script, ahead of the test's own cleanup: quick runs
 		// 25 of these.
-		c, cl := launchCluster(t, nodes, edges)
+		c, cl := launchCluster(t, nodes, edges, 1)
 		defer c.Close()
 		defer cl.Close()
 		ref := refgraph.New(nodes, edges)
@@ -498,7 +501,7 @@ func TestDataRangeMatchesDataLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, cl := launchCluster(t, nodes, edges)
+	c, cl := launchCluster(t, nodes, edges, 1)
 	sys := map[string]graphapi.Store{"zipg": g, "cluster": cl}
 	for name, s := range sys {
 		rec, ok := s.GetEdgeRecord(edges[0].Src, edges[0].Type)

@@ -8,11 +8,11 @@ import (
 
 // This file holds the vectorized record read paths. Both views accept a
 // batch of record requests, hand the record offsets to the succinct
-// WalkBatch kernel (which sorts them and moves ONE shared walker with
-// shared Ψ cursors through the file), and decode each record with a
-// single front-to-back walk. Over a non-compressed source the same
-// per-record decode runs in a plain loop — the code path is identical,
-// only the walker sharing is succinct-specific.
+// WalkBatch kernel (which sorts them and moves ONE shared walker
+// through the file), and decode each record with a single front-to-back
+// walk. Over a non-compressed source the same per-record decode runs in
+// a plain loop — the code path is identical, only the walker sharing is
+// succinct-specific.
 
 // GetPropertiesBatch answers GetProperties(id, propertyIDs) for every id
 // in one locality-sorted sweep. Results are positional: vals[i]/oks[i]

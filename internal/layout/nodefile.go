@@ -57,27 +57,29 @@ type NodeFileView struct {
 	// entropy.
 	offs *bitutil.MonotoneVector
 
-	med *memsim.Medium
-	reg uint32 // region for the (NodeID, offset) index
+	med *memsim.Medium // nil outside budgeted experiments: no accounting
+	reg uint32         // region for the (NodeID, offset) index
 }
 
 // NewNodeFileView wraps a serialized NodeFile. ids must be sorted and
-// offs (see PackOffsets) parallel to it. The index's footprint is
-// charged to med (nil = unlimited).
+// offs (see PackOffsets) parallel to it. The index's footprint and
+// touches are charged to med; nil means plain memory, with no access
+// accounting at all.
 func NewNodeFileView(src ByteSource, schema *PropertySchema, ids []NodeID, offs *bitutil.MonotoneVector, med *memsim.Medium) *NodeFileView {
-	if med == nil {
-		med = memsim.Unlimited()
-	}
-	return &NodeFileView{
-		src:    src,
-		schema: schema,
-		ids:    ids,
-		offs:   offs,
-		med:    med,
+	v := &NodeFileView{src: src, schema: schema, ids: ids, offs: offs, med: med}
+	if med != nil {
 		// The index charge stays at the historical 16 bytes/node so
 		// medium-pressure experiments remain comparable; the Go-heap
 		// saving from the packed column is real either way.
-		reg: med.Register(int64(len(ids)) * 16),
+		v.reg = med.Register(int64(len(ids)) * 16)
+	}
+	return v
+}
+
+// chargeIndexAt bills one touch of the (NodeID, offset) index at entry k.
+func (v *NodeFileView) chargeIndexAt(k int) {
+	if v.med != nil {
+		v.med.Access(v.reg, int64(k)*16, 16)
 	}
 }
 
@@ -109,8 +111,7 @@ func (v *NodeFileView) Contains(id NodeID) bool { return v.indexOf(id) >= 0 }
 // indexOf returns the index of id in the sorted index, or -1.
 func (v *NodeFileView) indexOf(id NodeID) int {
 	k := bitutil.SearchGE(v.ids, id)
-	// Charge the binary search's touches on the index.
-	v.med.Access(v.reg, int64(k)*16, 16)
+	v.chargeIndexAt(k) // the binary search's touches on the index
 	if k < len(v.ids) && v.ids[k] == id {
 		return k
 	}
@@ -253,7 +254,7 @@ func (v *NodeFileView) FindNodes(props map[string]string) []NodeID {
 			// The record holding the hit: the last one starting at or
 			// before off.
 			k := v.offs.SearchGE(0, v.offs.Len(), uint64(off)+1) - 1
-			v.med.Access(v.reg, int64(k)*16, 16)
+			v.chargeIndexAt(k)
 			if k >= 0 {
 				ids[v.ids[k]] = true
 			}

@@ -99,29 +99,39 @@ func (r *recWalk) skip(n int) {
 }
 
 // RawSource is an uncompressed ByteSource over a plain byte slice,
-// charging a simulated medium for every touch. The LogStore and the
-// baselines use it; it is also handy in tests as ground truth against the
-// compressed path.
+// charging a simulated medium, if it has one, for every touch. Only
+// tests use it: it is their ground truth against the compressed path.
 type RawSource struct {
 	data []byte
 	med  *memsim.Medium
 	reg  uint32
 }
 
-// NewRawSource places data on med (nil = unlimited medium).
+// NewRawSource places data on med; nil means plain memory, with no
+// access accounting at all.
 func NewRawSource(data []byte, med *memsim.Medium) *RawSource {
-	if med == nil {
-		med = memsim.Unlimited()
+	r := &RawSource{data: data, med: med}
+	if med != nil {
+		r.reg = med.Register(int64(len(data)))
 	}
-	return &RawSource{data: data, med: med, reg: med.Register(int64(len(data)))}
+	return r
 }
 
-// Append adds bytes to the source (LogStore growth) and returns the
-// offset at which they were written.
+// chargeAt bills a touch of n bytes at off.
+func (r *RawSource) chargeAt(off, n int) {
+	if r.med != nil {
+		r.med.Access(r.reg, int64(off), int64(n))
+	}
+}
+
+// Append adds bytes to the source and returns the offset at which they
+// were written.
 func (r *RawSource) Append(b []byte) int64 {
 	off := int64(len(r.data))
 	r.data = append(r.data, b...)
-	r.med.Grow(int64(len(b)))
+	if r.med != nil {
+		r.med.Grow(int64(len(b)))
+	}
 	return off
 }
 
@@ -134,7 +144,7 @@ func (r *RawSource) Extract(off, n int) []byte {
 	if end > len(r.data) {
 		end = len(r.data)
 	}
-	r.med.Access(r.reg, int64(off), int64(end-off))
+	r.chargeAt(off, end-off)
 	return r.data[off:end]
 }
 
@@ -151,7 +161,7 @@ func (r *RawSource) Search(pattern []byte) []int64 {
 	if len(pattern) == 0 {
 		return nil
 	}
-	r.med.Access(r.reg, 0, int64(len(r.data)))
+	r.chargeAt(0, len(r.data))
 	var out []int64
 	for i := 0; ; {
 		k := bytes.Index(r.data[i:], pattern)

@@ -61,7 +61,7 @@ type edgeKey struct {
 type LogStore struct {
 	nodeSchema *layout.PropertySchema
 	edgeSchema *layout.PropertySchema
-	med        *memsim.Medium
+	med        *memsim.Medium // nil outside budgeted experiments: no accounting
 	gen        int
 
 	mu    sync.RWMutex
@@ -71,11 +71,9 @@ type LogStore struct {
 }
 
 // New creates an empty LogStore with the given generation number (its
-// position in the store's fragment chain).
+// position in the store's fragment chain). Growth is charged to med;
+// nil means plain memory, with no accounting at all.
 func New(nodeSchema, edgeSchema *layout.PropertySchema, med *memsim.Medium, gen int) *LogStore {
-	if med == nil {
-		med = memsim.Unlimited()
-	}
 	return &LogStore{
 		nodeSchema: nodeSchema,
 		edgeSchema: edgeSchema,
@@ -83,6 +81,13 @@ func New(nodeSchema, edgeSchema *layout.PropertySchema, med *memsim.Medium, gen 
 		gen:        gen,
 		nodes:      make(map[layout.NodeID]map[string]string),
 		edges:      make(map[edgeKey][]layout.Edge),
+	}
+}
+
+// chargeGrowth adds n absorbed bytes to the medium's footprint.
+func (l *LogStore) chargeGrowth(n int64) {
+	if l.med != nil {
+		l.med.Grow(n)
 	}
 }
 
@@ -167,7 +172,7 @@ func (l *LogStore) ApplyPuts(puts []Put) {
 		grow += p.grow
 	}
 	l.mu.Unlock()
-	l.med.Grow(grow)
+	l.chargeGrowth(grow)
 	mAppendNodes.Add(nNodes)
 	mAppendEdges.Add(nEdges)
 	mAppendBytes.Add(grow)
@@ -183,7 +188,7 @@ func (l *LogStore) AddNode(id layout.NodeID, props map[string]string) error {
 	l.nodes[id] = put.NodeProps
 	l.size += put.grow
 	l.mu.Unlock()
-	l.med.Grow(put.grow)
+	l.chargeGrowth(put.grow)
 	mAppendNodes.Inc()
 	mAppendBytes.Add(put.grow)
 	return nil
@@ -200,7 +205,7 @@ func (l *LogStore) AddEdge(e layout.Edge) error {
 	l.edges[k] = append(l.edges[k], e)
 	l.size += put.grow
 	l.mu.Unlock()
-	l.med.Grow(put.grow)
+	l.chargeGrowth(put.grow)
 	mAppendEdges.Inc()
 	mAppendBytes.Add(put.grow)
 	return nil

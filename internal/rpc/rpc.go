@@ -40,6 +40,12 @@ var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 // client before sending, or on the server on arrival.
 var ErrDeadlineExceeded = errors.New("rpc: deadline exceeded")
 
+// ErrConnLost is the sentinel matched by errors.Is when a call failed
+// because its connection did: the send failed, or the connection broke
+// before the reply arrived. The callee may or may not have run. An error
+// a handler returned never matches it, whatever its text.
+var ErrConnLost = errors.New("rpc: connection lost")
+
 // deadlineErrMsg is the wire form of a server-side deadline rejection
 // (error strings cross the wire, sentinels do not).
 const deadlineErrMsg = "rpc: deadline exceeded before handler ran"
@@ -323,18 +329,20 @@ type Client struct {
 }
 
 // call is one in-flight request's rendezvous with the read loop, which
-// fills resp and then signals done. Calls are pooled: a caller may put
+// fills resp — or lost, when the connection failed first — and then
+// signals done. Calls are pooled: a caller may put
 // one back only once no read loop can still hold it, which is after it
 // received from done or after it removed the pending entry itself.
 type call struct {
 	resp frame
+	lost error
 	done chan struct{} // buffered, so the read loop never blocks on a caller
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 func putCall(cl *call) {
-	cl.resp = frame{}
+	cl.resp, cl.lost = frame{}, nil
 	callPool.Put(cl)
 }
 
@@ -361,7 +369,7 @@ func (c *Client) readLoop() {
 			c.mu.Lock()
 			c.err = err
 			for id, cl := range c.pending {
-				cl.resp = frame{err: fmt.Sprintf("rpc: connection lost: %v", err)}
+				cl.lost = err
 				cl.done <- struct{}{}
 				delete(c.pending, id)
 			}
@@ -442,7 +450,7 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 		cerr := c.err
 		c.mu.Unlock()
 		putCall(cl)
-		return fmt.Errorf("rpc: connection lost: %w", cerr)
+		return fmt.Errorf("%w: %w", ErrConnLost, cerr)
 	}
 	c.pending[id] = cl
 	c.mu.Unlock()
@@ -452,7 +460,7 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 		endNet()
 		c.forget(id, cl)
 		putCall(cl)
-		return fmt.Errorf("rpc: send: %w", werr)
+		return fmt.Errorf("%w: send: %w", ErrConnLost, werr)
 	}
 	select {
 	case <-cl.done:
@@ -468,8 +476,11 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 		}
 	}
 	endNet()
-	resp := cl.resp
+	resp, lost := cl.resp, cl.lost
 	putCall(cl)
+	if lost != nil {
+		return fmt.Errorf("%w: %w", ErrConnLost, lost)
+	}
 	sp.AddRemoteSpans(resp.spans)
 	if resp.err != "" {
 		if resp.err == deadlineErrMsg {

@@ -2,160 +2,17 @@ package succinct
 
 import (
 	"sort"
-	"sync"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/telemetry"
 )
-
-// This file implements the vectorized batch read path: N requested
-// substrings (or walk anchors) are sorted by text offset and served by
-// ONE walker whose Ψ evaluations route through a per-batch decoded-block
-// cache shared across the whole batch. Two effects make a batch cheaper
-// than a scalar loop over the same requests:
-//
-//   - locality: consecutive (sorted) requests either continue the current
-//     suffix-array walk (a forward Skip) or re-anchor at an ISA sample —
-//     whichever is cheaper — so nearby records stop paying one full ISA
-//     anchor walk each, and
-//   - block-decode sharing: each Ψ evaluation lands in one 16-element
-//     monotone block; the batch decodes a block once on first touch into
-//     a dense per-batch array and serves every later touch with a plain
-//     load, where the scalar path re-sums deltas on every evaluation.
-//     A 64-record batch touches each block several times on average, but
-//     in an interleaved order no single streaming cursor can exploit.
-//
-// Results always come back in caller order; sorting is internal.
-
-// batchCursors is the per-batch Ψ decode cache: vals holds decoded Ψ
-// values indexed by absolute suffix-array row, and done is a bitmap over
-// global block IDs (Store.psiBlockBase) marking which 16-element blocks
-// have been decoded into vals. vals is never cleared — done gates every
-// read — so a batch costs one bitmap clear plus one block decode per
-// distinct block touched. Value is pooled; not safe for concurrent use.
-type batchCursors struct {
-	s    *Store
-	vals []uint64 // decoded Ψ by absolute row; nil => store too big, scalar fallback
-	done []uint64
-	// reuse counts Ψ evaluations served from an already-decoded block;
-	// regions counts evaluations that had to touch the bit stream.
-	reuse   int64
-	regions int64
-}
-
-// maxBatchCacheRows bounds the dense cache: a store with more rows than
-// this (32 MiB of vals) serves batches through scalar Ψ reads instead.
-// Shards are sized far below this in practice.
-const maxBatchCacheRows = 1 << 22
-
-var batchCursorPool = sync.Pool{New: func() any { return new(batchCursors) }}
-
-// getBatchCursors checks a decode cache out of the pool, sized and reset
-// for this store.
-func (s *Store) getBatchCursors() *batchCursors {
-	bc := batchCursorPool.Get().(*batchCursors)
-	bc.s = s
-	bc.reuse, bc.regions = 0, 0
-	if s.n > maxBatchCacheRows {
-		bc.vals, bc.done = nil, bc.done[:0]
-		return bc
-	}
-	// Pad so the last block's fixed-size decode target stays in bounds
-	// even when the block is short.
-	nv := s.n + bitutil.MonotoneBlockSize
-	if cap(bc.vals) < nv {
-		bc.vals = make([]uint64, nv)
-	}
-	bc.vals = bc.vals[:nv]
-	nd := (s.psiBlocks + 63) / 64
-	if cap(bc.done) < nd {
-		bc.done = make([]uint64, nd)
-	}
-	bc.done = bc.done[:nd]
-	clear(bc.done)
-	return bc
-}
-
-// putBatchCursors flushes the batch's cache statistics and returns the
-// cache to the pool.
-func putBatchCursors(bc *batchCursors) {
-	if telemetry.Enabled() {
-		mBatchCursorReuse.Add(bc.reuse)
-		mBatchRegions.Add(bc.regions)
-	}
-	bc.s = nil
-	batchCursorPool.Put(bc)
-}
-
-// stepRow is Store.stepRow with the Ψ evaluation routed through the
-// batch's decoded-block cache: the first touch of a block decodes all 16
-// elements into vals at their absolute row positions, every later touch
-// is a single load.
-func (bc *batchCursors) stepRow(row int) (int32, int) {
-	s := bc.s
-	b := s.bucketOfRow(row)
-	i := row - int(s.bucketStart[b])
-	if bc.vals == nil {
-		bc.regions++
-		return s.bucketChar[b], int(s.psi[b].Get(i))
-	}
-	blk := i / bitutil.MonotoneBlockSize
-	g := int(s.psiBlockBase[b]) + blk
-	if bc.done[g>>6]&(1<<uint(g&63)) == 0 {
-		base := row - i%bitutil.MonotoneBlockSize
-		s.psi[b].DecodeBlockInto(blk,
-			(*[bitutil.MonotoneBlockSize]uint64)(bc.vals[base:base+bitutil.MonotoneBlockSize]))
-		bc.done[g>>6] |= 1 << uint(g&63)
-		bc.regions++
-	} else {
-		bc.reuse++
-	}
-	return s.bucketChar[b], int(bc.vals[row])
-}
-
-// psiAt is Store.psiAt through the shared cursors.
-func (bc *batchCursors) psiAt(row int) int {
-	_, next := bc.stepRow(row)
-	return next
-}
-
-// lookupISABatch is lookupISA with the anchor walk's Ψ steps routed
-// through bc (uncharged, like a walker's interior steps; callers charge
-// the anchor page).
-func (s *Store) lookupISABatch(pos int, bc *batchCursors) int {
-	q := pos / s.alpha
-	row := int(s.isaSamples.Get(q))
-	for p := q * s.alpha; p < pos; p++ {
-		row = bc.psiAt(row)
-	}
-	if telemetry.Enabled() {
-		mISALookups.Inc()
-		mPsiSteps.Add(int64(pos - q*s.alpha))
-	}
-	return row
-}
-
-// walkCursor is Walk with Ψ evaluations routed through shared batch
-// cursors.
-func (s *Store) walkCursor(off int, bc *batchCursors) Walker {
-	if off < 0 {
-		off = 0
-	}
-	if off > s.n-1 {
-		off = s.n - 1
-	}
-	s.chargeISAAt(off)
-	row := s.lookupISABatch(off, bc)
-	s.chargePsiAt(row)
-	return Walker{s: s, row: row, off: off, bc: bc}
-}
 
 // WalkBatch visits every requested text offset with one shared walker,
 // in ascending offset order (ties keep caller order), calling visit with
 // the caller's index each time. The walker carries its suffix-array row
-// and the batch's shared Ψ cursors across requests: visit may read and
-// skip forward freely, and the move to the next request continues the
-// walk when that is cheaper than a fresh ISA anchor.
+// across requests: visit may read and skip forward freely, and the move
+// to the next request continues the walk when that is cheaper than a
+// fresh ISA anchor, so nearby records stop paying one full anchor walk
+// each. Ψ is evaluated exactly as a scalar Walk evaluates it.
 //
 // The contract mirrors Walk: offsets are clamped to the text. visit must
 // not retain w past its return, and results derived inside visit appear
@@ -178,88 +35,11 @@ func (s *Store) WalkBatch(offs []int, visit func(idx int, w *Walker)) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return offs[order[a]] < offs[order[b]] })
-	bc := s.getBatchCursors()
-	defer putBatchCursors(bc)
-	w := s.walkCursor(offs[order[0]], bc)
+	w := s.Walk(offs[order[0]])
 	for k, idx := range order {
 		if k > 0 {
 			w.SeekTo(offs[idx])
 		}
 		visit(idx, &w)
 	}
-}
-
-// ExtractRequest names one substring for ExtractBatch: up to Len bytes
-// starting at text offset Off.
-type ExtractRequest struct {
-	Off int
-	Len int
-}
-
-// ExtractBatch extracts every requested substring in one locality-sorted
-// sweep and returns the results in caller order. Semantics per request
-// match Extract: out-of-range offsets or Len <= 0 yield nil, reads
-// truncate at end of text. All results share one backing buffer, and
-// exact duplicate requests are decoded once and alias the same bytes —
-// treat the results as read-only.
-func (s *Store) ExtractBatch(reqs []ExtractRequest) [][]byte {
-	out := make([][]byte, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if telemetry.Enabled() {
-		mBatchRequests.Add(int64(len(reqs)))
-	}
-	// Exact arena size: the walker stops at end of text, so each valid
-	// request contributes exactly its truncated length. The arena must
-	// never grow past this capacity — earlier results alias into it.
-	total := 0
-	for _, r := range reqs {
-		if r.Off >= 0 && r.Off < s.n-1 && r.Len > 0 {
-			l := r.Len
-			if m := s.n - 1 - r.Off; l > m {
-				l = m
-			}
-			total += l
-		}
-	}
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Off != rb.Off {
-			return ra.Off < rb.Off
-		}
-		return ra.Len < rb.Len
-	})
-	bc := s.getBatchCursors()
-	defer putBatchCursors(bc)
-	arena := make([]byte, 0, total)
-	var w Walker
-	started := false
-	prev := ExtractRequest{Off: -1, Len: -1}
-	prevIdx := -1
-	for _, idx := range order {
-		r := reqs[idx]
-		if r.Off < 0 || r.Off >= s.n-1 || r.Len <= 0 {
-			continue // out[idx] stays nil, like Extract
-		}
-		if prevIdx >= 0 && r == prev {
-			out[idx] = out[prevIdx]
-			continue
-		}
-		if !started {
-			w = s.walkCursor(r.Off, bc)
-			started = true
-		} else {
-			w.SeekTo(r.Off)
-		}
-		start := len(arena)
-		arena = w.Append(arena, r.Len)
-		out[idx] = arena[start:len(arena):len(arena)]
-		prev, prevIdx = r, idx
-	}
-	return out
 }

@@ -6,59 +6,6 @@ import (
 	"testing"
 )
 
-// TestExtractBatchAgainstScalar proves ExtractBatch byte-identical to a
-// scalar Extract loop over the same requests, including shuffled order,
-// exact duplicates, overlapping windows, and out-of-range offsets, at
-// every sampling rate the kernels special-case.
-func TestExtractBatchAgainstScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for name, text := range diffTexts() {
-		for _, alpha := range []int{4, 8, 32} {
-			s := Build(text, Options{SamplingRate: alpha})
-			for trial := 0; trial < 30; trial++ {
-				n := 1 + rng.Intn(80)
-				reqs := make([]ExtractRequest, n)
-				for i := range reqs {
-					switch rng.Intn(8) {
-					case 0: // out of range / degenerate
-						reqs[i] = ExtractRequest{Off: len(text) + rng.Intn(4), Len: 8}
-					case 1:
-						reqs[i] = ExtractRequest{Off: -1 - rng.Intn(3), Len: 8}
-					case 2:
-						reqs[i] = ExtractRequest{Off: rng.Intn(len(text)), Len: -rng.Intn(2)}
-					case 3: // exact duplicate of an earlier request
-						if i > 0 {
-							reqs[i] = reqs[rng.Intn(i)]
-							continue
-						}
-						fallthrough
-					default:
-						reqs[i] = ExtractRequest{Off: rng.Intn(len(text)), Len: 1 + rng.Intn(64)}
-					}
-				}
-				got := s.ExtractBatch(reqs)
-				if len(got) != len(reqs) {
-					t.Fatalf("%s/α=%d: %d results for %d requests", name, alpha, len(got), len(reqs))
-				}
-				for i, r := range reqs {
-					want := s.Extract(r.Off, r.Len)
-					if !bytes.Equal(got[i], want) {
-						t.Fatalf("%s/α=%d: batch[%d] for (%d,%d) = %q want %q",
-							name, alpha, i, r.Off, r.Len, got[i], want)
-					}
-					if want == nil && got[i] != nil {
-						t.Fatalf("%s/α=%d: batch[%d] non-nil for invalid request", name, alpha, i)
-					}
-				}
-			}
-			// Empty batch.
-			if got := s.ExtractBatch(nil); len(got) != 0 {
-				t.Fatalf("%s/α=%d: ExtractBatch(nil) returned %d results", name, alpha, len(got))
-			}
-		}
-	}
-}
-
 // TestWalkBatchAgainstScalar drives WalkBatch with shuffled anchors and
 // checks each visit reads exactly what a fresh scalar Walk would, that
 // indices arrive in ascending-offset order, and that every request is

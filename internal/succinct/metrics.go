@@ -25,15 +25,7 @@ var (
 	mExtractBytes = telemetry.NewCounter("zipg_succinct_extract_bytes_total",
 		"Bytes decoded out of compressed stores by extract kernels.")
 
-	// Batch kernels (ExtractBatch/WalkBatch). mBatchRequests counts items
-	// that rode a batch; the cursor pair makes the sharing win observable:
-	// reuse is Ψ evaluations served from an already-decoded block of a
-	// shared per-bucket cursor, regions is the block decodes actually paid
-	// — a scalar loop would pay one delta re-sum per evaluation instead.
+	// mBatchRequests counts items that rode WalkBatch.
 	mBatchRequests = telemetry.NewCounterL("zipg_batch_requests_total", `layer="succinct"`,
 		"Items requested through batch kernels, by layer.")
-	mBatchCursorReuse = telemetry.NewCounter("zipg_batch_cursor_reuse_total",
-		"Psi evaluations served from the per-batch decoded-block cache in batch kernels.")
-	mBatchRegions = telemetry.NewCounter("zipg_batch_regions_touched_total",
-		"Psi block decodes (distinct NPA regions touched) by batch kernels.")
 )

@@ -55,13 +55,6 @@ type Store struct {
 	// search. Derived from bucketStart; a few KB, charged to the medium.
 	rowDir []int32
 
-	// psiBlockBase numbers every bucket's monotone blocks in one global
-	// sequence: bucket k's block j has global ID psiBlockBase[k]+j, and
-	// psiBlocks is the total. Batch kernels key their per-batch
-	// decoded-block cache by global ID. Derived; rebuilt at load.
-	psiBlockBase []int32
-	psiBlocks    int
-
 	// Ψ, stored per bucket. Within a bucket Ψ is strictly increasing, so
 	// every bucket is a strict bitutil.MonotoneVector and its +1 runs are
 	// payload-free blocks.
@@ -212,18 +205,6 @@ func (s *Store) buildRowDir() {
 	s.rowDir = dir
 }
 
-// buildPsiBlockIndex derives the global block numbering from the bucket
-// table (never serialized; rebuilt at load, like rowDir).
-func (s *Store) buildPsiBlockIndex() {
-	s.psiBlockBase = make([]int32, len(s.psi))
-	total := 0
-	for k, p := range s.psi {
-		s.psiBlockBase[k] = int32(total)
-		total += (p.Len() + bitutil.MonotoneBlockSize - 1) / bitutil.MonotoneBlockSize
-	}
-	s.psiBlocks = total
-}
-
 // psiSizeBytes sums the Ψ buckets' footprints.
 func (s *Store) psiSizeBytes() int {
 	total := 0
@@ -233,11 +214,10 @@ func (s *Store) psiSizeBytes() int {
 	return total
 }
 
-// finish derives the lookup tables that are never serialized and, when
-// there is a simulated medium, places the store's regions on it.
+// finish derives the row→bucket directory and, when there is a
+// simulated medium, places the store's regions on it.
 func (s *Store) finish() {
 	s.buildRowDir()
-	s.buildPsiBlockIndex()
 	if s.med == nil {
 		return
 	}

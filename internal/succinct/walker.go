@@ -16,29 +16,6 @@ type Walker struct {
 	row   int // suffix-array row of the current text offset
 	off   int // current text offset
 	since int // Ψ steps since the last medium charge (see extractChargeStride)
-
-	// bc, when non-nil, routes every Ψ evaluation through the batch's
-	// shared per-bucket cursors (see batch.go). Scalar walkers leave it
-	// nil and hit Store.stepRow directly.
-	bc *batchCursors
-}
-
-// stepPsi evaluates Ψ at row through the shared batch cursors when the
-// walker belongs to a batch, else through the store directly.
-func (w *Walker) stepPsi(row int) (int32, int) {
-	if w.bc != nil {
-		return w.bc.stepRow(row)
-	}
-	return w.s.stepRow(row)
-}
-
-// anchorISA re-anchors at text position pos, routing the anchor walk's
-// Ψ steps through the batch cursors when present.
-func (w *Walker) anchorISA(pos int) int {
-	if w.bc != nil {
-		return w.s.lookupISABatch(pos, w.bc)
-	}
-	return w.s.lookupISA(pos, false)
 }
 
 // Walk returns a walker positioned at text offset off (clamped to the
@@ -77,7 +54,7 @@ func (w *Walker) step(next int) {
 func (w *Walker) Append(dst []byte, n int) []byte {
 	read := 0
 	for ; read < n; read++ {
-		c, next := w.stepPsi(w.row)
+		c, next := w.s.stepRow(w.row)
 		if c == 0 {
 			break // sentinel: end of text
 		}
@@ -98,7 +75,7 @@ func (w *Walker) Append(dst []byte, n int) []byte {
 func (w *Walker) AppendUntil(dst []byte, delim byte, max int) []byte {
 	read := 0
 	for ; read < max; read++ {
-		c, next := w.stepPsi(w.row)
+		c, next := w.s.stepRow(w.row)
 		if c == 0 || byte(c-1) == delim {
 			break
 		}
@@ -129,14 +106,14 @@ func (w *Walker) Skip(n int) {
 	anchorCost := target % s.alpha
 	if anchorCost < walkCost {
 		s.chargeISAAt(target)
-		w.row = w.anchorISA(target) // counts its own Ψ steps
+		w.row = s.lookupISA(target, false) // counts its own Ψ steps
 		w.off = target
 		w.since = 0
 		return
 	}
 	steps := 0
 	for w.off < target {
-		_, next := w.stepPsi(w.row)
+		_, next := s.stepRow(w.row)
 		w.step(next)
 		steps++
 	}
@@ -162,7 +139,7 @@ func (w *Walker) SeekTo(off int) {
 		return
 	}
 	s.chargeISAAt(off)
-	w.row = w.anchorISA(off)
+	w.row = s.lookupISA(off, false)
 	w.off = off
 	w.since = 0
 }

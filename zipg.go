@@ -203,9 +203,9 @@ func (g *Graph) GetNodeProperty(id NodeID, propertyIDs []string) ([]string, bool
 }
 
 // ObjGetBatch answers GetNodeProperty(id, nil) for every id in one
-// vectorized pass over the compressed shards (locality-sorted succinct
-// kernels, shared decode cursors). Results are positional and identical
-// to a scalar loop: absent or deleted nodes yield (nil, false).
+// vectorized pass over the compressed shards (one locality-sorted
+// succinct walk per shard). Results are positional and identical to a
+// scalar loop: absent or deleted nodes yield (nil, false).
 func (g *Graph) ObjGetBatch(ids []NodeID) ([][]string, []bool) {
 	vals, oks := g.s.ObjGetBatch(ids)
 	for i, ok := range oks {
