@@ -119,46 +119,55 @@ func blockCount(n, b int) int {
 	return min(n-b*monotoneBlock, monotoneBlock)
 }
 
-// NewMonotoneVector compresses vals, which must be non-decreasing.
-func NewMonotoneVector(vals []uint64) *MonotoneVector {
+// NewMonotoneVector compresses vals, which must be non-decreasing and
+// not negative. It reads vals in place, whatever the element type — a Ψ
+// bucket arrives as a slice of the builder's int32 rows — and beyond the
+// vector allocates one byte per block.
+func NewMonotoneVector[T int32 | int64 | uint64](vals []T) *MonotoneVector {
 	n := len(vals)
 	nblocks := (n + monotoneBlock - 1) / monotoneBlock
+	if n > 0 && vals[0] < 0 {
+		panic(fmt.Sprintf("bitutil: negative value %d in a monotone sequence", vals[0]))
+	}
 
-	// First pass: per-block max delta, and whether any value repeats.
-	maxDelta := make([]uint64, nblocks)
+	// Whether any value repeats decides how every delta is stored, so it
+	// is settled first; a sequence with a repeat says so early.
 	strict := uint64(1)
+	for i := 1; i < n; i++ {
+		if vals[i] == vals[i-1] {
+			strict = 0
+			break
+		}
+	}
+
+	// Per-block delta width, from the largest delta inside the block.
+	mv := &MonotoneVector{n: n, strict: strict}
+	widths := make([]uint8, nblocks)
 	for i := 1; i < n; i++ {
 		if vals[i] < vals[i-1] {
 			panic(fmt.Sprintf("bitutil: sequence not monotone at %d: %d < %d", i, vals[i], vals[i-1]))
 		}
-		d := vals[i] - vals[i-1]
-		if d == 0 {
-			strict = 0
+		if i%monotoneBlock == 0 {
+			continue
 		}
-		if b := i / monotoneBlock; i%monotoneBlock != 0 && d > maxDelta[b] {
-			maxDelta[b] = d
+		if w := uint8(bits.Len64(uint64(vals[i]-vals[i-1]) - strict)); w > widths[i/monotoneBlock] {
+			widths[i/monotoneBlock] = w
 		}
 	}
 
 	// Lay out the bit stream, and mark the blocks that write a record:
 	// all but those continuing the width-0 run of the block before.
-	mv := &MonotoneVector{n: n, strict: strict}
-	widths := make([]uint8, nblocks)
-	offs := make([]uint64, nblocks)
 	mv.marks = make([]uint64, (nblocks+spanBlocks-1)/spanBlocks)
 	var totalBits uint64
-	for b := range widths {
-		if maxDelta[b] > strict {
-			widths[b] = uint8(bits.Len64(maxDelta[b] - strict))
-		} else {
+	for b, w := range widths {
+		if w == 0 {
 			mv.emptyBlocks++
 		}
-		offs[b] = totalBits
-		totalBits += blockPayloadBits(uint(widths[b]), blockCount(n, b))
+		totalBits += blockPayloadBits(uint(w), blockCount(n, b))
 		if b%spanBlocks == 0 {
 			mv.marks[b/spanBlocks] = uint64(mv.records) << 32
-		} else if widths[b] == 0 && widths[b-1] == 0 &&
-			vals[b*monotoneBlock] == vals[(b-1)*monotoneBlock]+strict*monotoneBlock {
+		} else if w == 0 && widths[b-1] == 0 &&
+			uint64(vals[b*monotoneBlock]) == uint64(vals[(b-1)*monotoneBlock])+strict*monotoneBlock {
 			continue
 		}
 		mv.marks[b/spanBlocks] |= 1 << (b % spanBlocks)
@@ -167,34 +176,33 @@ func NewMonotoneVector(vals []uint64) *MonotoneVector {
 	mv.bits = make([]uint64, (totalBits+63)/64)
 	var lastAnchor uint64
 	if nblocks > 0 {
-		lastAnchor = vals[(nblocks-1)*monotoneBlock]
+		lastAnchor = uint64(vals[(nblocks-1)*monotoneBlock])
 	}
 	mv.setFieldWidths(WidthFor(lastAnchor), WidthFor(totalBits))
 	mv.dir = make([]uint64, dirWords(mv.records, mv.rw))
-	var rec uint64
+	var rec, pos uint64 // next record's bit in dir, next block's in bits
 	for b := 0; b < nblocks; b++ {
 		if mv.marks[b/spanBlocks]>>(b%spanBlocks)&1 == 0 {
-			continue
+			continue // continues a width-0 run: no record, no payload
 		}
 		start := b * monotoneBlock
 		end := start + blockCount(n, b)
 		w := uint(widths[b])
-		writeBits(mv.dir, rec, mv.aw, vals[start])
-		writeBits(mv.dir, rec+uint64(mv.aw), widthBits+mv.ow, uint64(w)|offs[b]<<widthBits)
+		writeBits(mv.dir, rec, mv.aw, uint64(vals[start]))
+		writeBits(mv.dir, rec+uint64(mv.aw), widthBits+mv.ow, uint64(w)|pos<<widthBits)
 		rec += uint64(mv.rw)
 		if w == 0 {
 			continue
 		}
-		pos := offs[b]
 		mid := hasMid(w, end-start)
 		for i := start + 1; i < end; i++ {
 			if mid && i-start == monotoneHalf {
 				// Sub-anchor slot: cumulative stored delta from the anchor.
-				writeBits(mv.bits, pos, midWidth(w), vals[i]-vals[start]-strict*monotoneHalf)
+				writeBits(mv.bits, pos, midWidth(w), uint64(vals[i]-vals[start])-strict*monotoneHalf)
 				pos += uint64(midWidth(w))
 				continue
 			}
-			writeBits(mv.bits, pos, w, vals[i]-vals[i-1]-strict)
+			writeBits(mv.bits, pos, w, uint64(vals[i]-vals[i-1])-strict)
 			pos += uint64(w)
 		}
 	}

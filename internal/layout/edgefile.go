@@ -91,12 +91,21 @@ func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, []EdgeRecordIn
 		etype EdgeType
 	}
 	groups := make(map[key][]Edge)
+	// The widest value of each field, and the property bytes in all,
+	// bound the file's size from above.
+	var widest Edge
+	propBytes, widestProps := 0, 0
 	for _, e := range edges {
 		if e.Src < 0 || e.Dst < 0 || e.Type < 0 || e.Timestamp < 0 {
 			return nil, nil, fmt.Errorf("layout: negative ID/type/timestamp in edge %+v", e)
 		}
 		k := key{e.Src, e.Type}
 		groups[k] = append(groups[k], e)
+		widest.Src, widest.Dst = max(widest.Src, e.Src), max(widest.Dst, e.Dst)
+		widest.Type, widest.Timestamp = max(widest.Type, e.Type), max(widest.Timestamp, e.Timestamp)
+		n := schema.PropsEncodedSize(e.Props)
+		propBytes += n
+		widestProps = max(widestProps, n)
 	}
 	keys := make([]key, 0, len(groups))
 	for k := range groups {
@@ -108,7 +117,10 @@ func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, []EdgeRecordIn
 		}
 		return keys[i].etype < keys[j].etype
 	})
-	var flat []byte
+	tLen, dLen := FixedWidth(uint64(widest.Timestamp)), FixedWidth(uint64(widest.Dst))
+	perRecord := len(RecordKey(widest.Src, widest.Type)) + hotFixedWidth + FixedWidth(uint64(widest.Type)) + 2*tLen
+	perEdge := tLen + dLen + FixedWidth(uint64(widestProps))
+	flat := make([]byte, 0, len(keys)*perRecord+len(edges)*perEdge+propBytes)
 	index := make([]EdgeRecordIndex, 0, len(keys))
 	for _, k := range keys {
 		index = append(index, EdgeRecordIndex{Src: k.src, Type: k.etype, Offset: int64(len(flat))})
@@ -134,16 +146,10 @@ func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, sch
 			dLen = w
 		}
 	}
-	// Serialize property lists first to size their length fields.
-	propBlobs := make([][]byte, len(group))
+	// The property lists' sizes fix the width of their length fields.
 	pLenW := 1
-	for i, e := range group {
-		blob, err := schema.SerializeProps(nil, e.Props)
-		if err != nil {
-			return nil, fmt.Errorf("layout: edge %d->%d: %w", e.Src, e.Dst, err)
-		}
-		propBlobs[i] = blob
-		if w := FixedWidth(uint64(len(blob))); w > pLenW {
+	for _, e := range group {
+		if w := FixedWidth(uint64(schema.PropsEncodedSize(e.Props))); w > pLenW {
 			pLenW = w
 		}
 	}
@@ -172,11 +178,14 @@ func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, sch
 	for _, e := range group {
 		flat = AppendFixed(flat, uint64(e.Dst), dLen)
 	}
-	for _, blob := range propBlobs {
-		flat = AppendFixed(flat, uint64(len(blob)), pLenW)
+	for _, e := range group {
+		flat = AppendFixed(flat, uint64(schema.PropsEncodedSize(e.Props)), pLenW)
 	}
-	for _, blob := range propBlobs {
-		flat = append(flat, blob...)
+	for _, e := range group {
+		var err error
+		if flat, err = schema.SerializeProps(flat, e.Props); err != nil {
+			return nil, fmt.Errorf("layout: edge %d->%d: %w", e.Src, e.Dst, err)
+		}
 	}
 	return flat, nil
 }

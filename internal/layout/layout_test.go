@@ -624,3 +624,26 @@ func TestFindEdgesLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildFilesAllocateOnce checks the builders' size bounds: exact for
+// the NodeFile, and for the EdgeFile at least the file and close to it —
+// had the file outgrown the bound, append would have left a quarter of it
+// spare.
+func TestBuildFilesAllocateOnce(t *testing.T) {
+	nodes, nodeSchema := buildNodes(500)
+	flat, _, _, err := BuildNodeFile(nodes, nodeSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(flat) != len(flat) {
+		t.Errorf("NodeFile of %d bytes in a buffer of %d", len(flat), cap(flat))
+	}
+	edges, edgeSchema := buildEdges(5000)
+	flat, _, err = BuildEdgeFile(edges, edgeSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spare := cap(flat) - len(flat); spare > len(flat)/10 {
+		t.Errorf("EdgeFile of %d bytes in a buffer of %d", len(flat), cap(flat))
+	}
+}

@@ -35,6 +35,11 @@ func BuildNodeFile(nodes []Node, schema *PropertySchema) (flat []byte, ids []Nod
 	}
 	ids = make([]NodeID, len(sorted))
 	offsets = make([]int64, len(sorted))
+	size := 0
+	for _, n := range sorted {
+		size += schema.PropsEncodedSize(n.Props)
+	}
+	flat = make([]byte, 0, size)
 	for i, n := range sorted {
 		ids[i] = n.ID
 		offsets[i] = int64(len(flat))
@@ -85,11 +90,7 @@ func (v *NodeFileView) chargeIndexAt(k int) {
 
 // PackOffsets packs a record-offset column (non-decreasing).
 func PackOffsets(offsets []int64) *bitutil.MonotoneVector {
-	vals := make([]uint64, len(offsets))
-	for i, o := range offsets {
-		vals[i] = uint64(o)
-	}
-	return bitutil.NewMonotoneVector(vals)
+	return bitutil.NewMonotoneVector(offsets)
 }
 
 // NumNodes returns the number of nodes in the file.

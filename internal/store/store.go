@@ -180,8 +180,20 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 	s.wc.init(cfg.NumShards)
 	s.events.init(cfg.NumShards, cfg.EventTailLen)
 
+	// Count, then fill: a partition is allocated once, at its size.
+	nodeCount, edgeCount := make([]int, cfg.NumShards), make([]int, cfg.NumShards)
+	for _, n := range nodes {
+		nodeCount[s.partitionOf(n.ID)]++
+	}
+	for _, e := range edges {
+		edgeCount[s.partitionOf(e.Src)]++
+	}
 	partNodes := make([][]layout.Node, cfg.NumShards)
 	partEdges := make([][]layout.Edge, cfg.NumShards)
+	for p := range partNodes {
+		partNodes[p] = make([]layout.Node, 0, nodeCount[p])
+		partEdges[p] = make([]layout.Edge, 0, edgeCount[p])
+	}
 	for _, n := range nodes {
 		p := s.partitionOf(n.ID)
 		partNodes[p] = append(partNodes[p], n)

@@ -88,6 +88,12 @@ type Options struct {
 	Medium *memsim.Medium
 }
 
+// buildYieldRows bounds how many suffix-array rows Build's counting pass
+// handles between yields. Builds run as background work (rollover
+// compression, online compaction) racing foreground queries on the same
+// Ps; at a few nanoseconds a row, 64 Ki rows is well under a millisecond.
+const buildYieldRows = 1 << 16
+
 // Build compresses text. The text may contain any byte values.
 func Build(text []byte, opts Options) *Store {
 	alpha := opts.SamplingRate
@@ -96,86 +102,74 @@ func Build(text []byte, opts Options) *Store {
 	}
 	sa := suffix.Array(text)
 	n := len(sa)
-
-	isa := make([]int32, n)
-	for i, p := range sa {
-		isa[p] = int32(i)
-	}
-
 	s := &Store{n: n, alpha: alpha, med: opts.Medium}
 
-	// Character buckets. The shifted alphabet has the sentinel at 0.
-	present := make([]bool, 257)
-	present[0] = true
+	// Character buckets, from a histogram of the text: the shifted
+	// alphabet has the sentinel at 0, and a bucket starts where the
+	// counts of the smaller characters end. free[c] is the first row of
+	// c's bucket that the pass below has not yet filled.
+	var count, free [257]int32
+	count[0] = 1
 	for _, c := range text {
-		present[int32(c)+1] = true
+		count[int(c)+1]++
 	}
-	for c := int32(0); c < 257; c++ {
-		if present[c] {
-			s.bucketChar = append(s.bucketChar, c)
+	row := int32(0)
+	for c, k := range count {
+		free[c] = row
+		if k > 0 {
+			s.bucketChar = append(s.bucketChar, int32(c))
+			s.bucketStart = append(s.bucketStart, row)
 		}
+		row += k
 	}
-	charOfPos := func(p int32) int32 {
-		if int(p) == n-1 {
-			return 0
-		}
-		return int32(text[p]) + 1
-	}
-	// Row ranges per bucket: suffixes are sorted, so the first row of each
-	// bucket is found by scanning once.
-	s.bucketStart = make([]int32, len(s.bucketChar)+1)
-	{
-		bi := 0
-		for row := 0; row < n; row++ {
-			c := charOfPos(sa[row])
-			for s.bucketChar[bi] != c {
-				bi++
-				s.bucketStart[bi] = int32(row)
-			}
-		}
-		for bi++; bi < len(s.bucketStart); bi++ {
-			s.bucketStart[bi] = int32(n)
-		}
-	}
+	s.bucketStart = append(s.bucketStart, int32(n))
 
-	// Ψ per bucket.
-	s.psi = make([]*bitutil.MonotoneVector, len(s.bucketChar))
-	psiVals := make([]uint64, 0, n)
-	for b := range s.bucketChar {
-		psiVals = psiVals[:0]
-		for row := s.bucketStart[b]; row < s.bucketStart[b+1]; row++ {
-			next := int(sa[row]) + 1
-			if next == n {
-				next = 0
-			}
-			psiVals = append(psiVals, uint64(isa[next]))
-		}
-		s.psi[b] = bitutil.NewMonotoneVector(psiVals)
-		// Builds run as background work (rollover compression, online
-		// compaction) racing foreground queries; yield between buckets so
-		// query latency is bounded by one bucket's encode, not the whole
-		// Ψ region's.
-		runtime.Gosched()
-	}
-
-	// SA samples (by value): the rows whose SA value is a multiple of α,
-	// and those values over α. In row order they are not monotone, so
-	// they are packed at the fixed width of the largest possible one.
+	// Ψ and both sample sets in one pass over the suffix array, with no
+	// inverse array. Row r holds the suffix at p = sa[r], so Ψ of the row
+	// that holds the suffix at p-1 is r. That row lies in the bucket of
+	// text[p-1] (the sentinel's, row 0, when p is 0 and p-1 wraps to the
+	// sentinel), and since Ψ increases along a bucket and r only grows,
+	// it is the first row of that bucket not yet given a value.
+	//
+	// SA is sampled by value — the rows whose value is a multiple of α,
+	// and those values over α; in row order they are not monotone, so
+	// they are packed at the width of the largest — and ISA by position;
+	// a row holding a multiple of α yields a sample of each.
+	psi := make([]int32, n)
 	nsamples := (n + alpha - 1) / alpha
 	sampledRows := make([]int, 0, nsamples)
 	s.saSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(nsamples-1)))
-	for row, p := range sa {
-		if int(p)%alpha == 0 {
-			s.saSamples.Set(len(sampledRows), uint64(int(p)/alpha))
-			sampledRows = append(sampledRows, row)
+	s.isaSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(n-1)))
+	cur, f := 0, free[0] // f stands in for free[cur]: see suffix.induceSubL
+	for lo := 0; lo < n; lo += buildYieldRows {
+		for r := lo; r < min(lo+buildYieldRows, n); r++ {
+			p := int(sa[r])
+			c := 0
+			if p > 0 {
+				c = int(text[p-1]) + 1
+			}
+			if c != cur {
+				free[cur] = f
+				cur, f = c, free[c]
+			}
+			psi[f] = int32(r)
+			f++
+			if q := p / alpha; q*alpha == p {
+				s.saSamples.Set(len(sampledRows), uint64(q))
+				s.isaSamples.Set(q, uint64(r))
+				sampledRows = append(sampledRows, r)
+			}
 		}
+		runtime.Gosched()
 	}
 	s.saMarks = bitutil.NewSparseSet(n, sampledRows)
 
-	// ISA samples (by position).
-	s.isaSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(n-1)))
-	for j := 0; j < nsamples; j++ {
-		s.isaSamples.Set(j, uint64(isa[j*alpha]))
+	// Ψ per bucket, straight from its rows of psi; a yield between
+	// buckets bounds what a query waits by one bucket's encode.
+	s.psi = make([]*bitutil.MonotoneVector, len(s.bucketChar))
+	for b := range s.psi {
+		s.psi[b] = bitutil.NewMonotoneVector(psi[s.bucketStart[b]:s.bucketStart[b+1]])
+		runtime.Gosched()
 	}
 
 	s.finish()
