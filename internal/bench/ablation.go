@@ -82,36 +82,52 @@ func AblationFanned(opts Options) (*Result, error) {
 	writeOps := workloads.GenerateOps(d, workloads.MixConfig{
 		Mix: workloads.LinkBenchMix, AccessSkew: 1.4, Seed: 2101,
 	}, opts.Ops*4)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fanned-updates", false}, {"broadcast", true}} {
-		st, err := store.New(d.Nodes, d.Edges, ns, es, store.Config{
+	var objMix, rangeMix workloads.Frequencies
+	objMix[workloads.OpObjGet] = 1
+	rangeMix[workloads.OpAssocRange] = 1
+	objOps := workloads.GenerateOps(d, workloads.MixConfig{Mix: objMix, Seed: 2102}, opts.Ops)
+	rangeOps := workloads.GenerateOps(d, workloads.MixConfig{Mix: rangeMix, Seed: 2103}, opts.Ops)
+	type mode struct {
+		name         string
+		st           *store.Store
+		sys          *System
+		objT, rangeT float64
+	}
+	modes := []*mode{{name: "fanned-updates"}, {name: "broadcast"}}
+	for _, m := range modes {
+		m.st, err = store.New(d.Nodes, d.Edges, ns, es, store.Config{
 			NumShards:            4,
 			SamplingRate:         32,
 			LogStoreThreshold:    opts.BaseBytes / 16,
-			DisableFannedUpdates: mode.disable,
+			DisableFannedUpdates: m.name == "broadcast",
 		})
 		if err != nil {
 			return nil, err
 		}
-		g := storeAdapter{st}
 		// Fragment the store with the write-heavy mix.
 		for _, op := range writeOps {
-			if _, err := workloads.Execute(g, op); err != nil {
+			if _, err := workloads.Execute(storeAdapter{m.st}, op); err != nil {
 				return nil, err
 			}
 		}
-		sys := &System{Name: mode.name, Store: g, Med: memsim.Unlimited(), Clock: &memsim.Clock{}}
-		var objMix, rangeMix workloads.Frequencies
-		objMix[workloads.OpObjGet] = 1
-		rangeMix[workloads.OpAssocRange] = 1
-		objOps := workloads.GenerateOps(d, workloads.MixConfig{Mix: objMix, Seed: 2102}, opts.Ops)
-		rangeOps := workloads.GenerateOps(d, workloads.MixConfig{Mix: rangeMix, Seed: 2103}, opts.Ops)
-		objT := sys.Throughput(len(objOps), func(i int) { workloads.Execute(g, objOps[i]) })
-		rangeT := sys.Throughput(len(rangeOps), func(i int) { workloads.Execute(g, rangeOps[i]) })
+		m.sys = &System{Name: m.name, Store: storeAdapter{m.st}, Med: memsim.Unlimited(), Clock: &memsim.Clock{}}
+	}
+	// The modes differ by what it costs to consult a fragment that holds
+	// nothing for the node — an index miss per compressed fragment, a map
+	// miss per log — which is a fraction of a read. So the two are
+	// measured as a pair: passes alternate between them, and each keeps
+	// its best, which leaves the host's drift and the noise of any one
+	// pass out of the comparison.
+	for pass := 0; pass < 25; pass++ {
+		for _, m := range modes {
+			g := m.sys.Store
+			m.objT = max(m.objT, m.sys.Throughput(len(objOps), func(i int) { workloads.Execute(g, objOps[i]) }))
+			m.rangeT = max(m.rangeT, m.sys.Throughput(len(rangeOps), func(i int) { workloads.Execute(g, rangeOps[i]) }))
+		}
+	}
+	for _, m := range modes {
 		r.Rows = append(r.Rows, []string{
-			mode.name, fmt.Sprint(st.NumFragments()), kops(objT), kops(rangeT),
+			m.name, fmt.Sprint(m.st.NumFragments()), kops(m.objT), kops(m.rangeT),
 		})
 	}
 	return r, nil

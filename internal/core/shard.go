@@ -100,9 +100,11 @@ func (s *Shard) setEdgeIndex(index []layout.EdgeRecordIndex) {
 	s.edgeIdxOffs = layout.PackOffsets(offs)
 }
 
-// edgeIndexSlice materializes the columnar edge record index back into
-// row form (the whole-file scans that want rows are already O(records)).
-func (s *Shard) edgeIndexSlice() []layout.EdgeRecordIndex {
+// EdgeIndex materializes the columnar edge record index back into row
+// form, in file order — ascending (source, type). The whole-file scans
+// that want rows (edge-property search, compaction) are already
+// O(records).
+func (s *Shard) EdgeIndex() []layout.EdgeRecordIndex {
 	out := make([]layout.EdgeRecordIndex, len(s.edgeIdxSrcs))
 	for i := range out {
 		out[i] = layout.EdgeRecordIndex{Src: s.edgeIdxSrcs[i], Type: s.edgeIdxTypes[i], Offset: int64(s.edgeIdxOffs.Get(i))}
@@ -156,10 +158,20 @@ func (s *Shard) EdgeRecordOffset(src layout.NodeID, etype layout.EdgeType) (int6
 	return 0, false
 }
 
+// EdgeRecord returns the handle of the shard's (src, etype) record:
+// located by EdgeRecordOffset, its header parsed in one walk.
+func (s *Shard) EdgeRecord(src layout.NodeID, etype layout.EdgeType) (layout.EdgeRecordRef, bool) {
+	off, ok := s.EdgeRecordOffset(src, etype)
+	if !ok {
+		return layout.EdgeRecordRef{}, false
+	}
+	return s.edges.GetEdgeRecordAt(off, src, etype)
+}
+
 // FindEdges returns the edges in this shard whose property lists match
 // every pair exactly — the edge-search extension of §3.3.
 func (s *Shard) FindEdges(props map[string]string) []layout.EdgeMatch {
-	return s.edges.FindEdges(s.edgeIndexSlice(), props)
+	return s.edges.FindEdges(s.EdgeIndex(), props)
 }
 
 // CodecReport describes every encoded region of the shard: the two

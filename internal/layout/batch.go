@@ -55,27 +55,6 @@ func (v *NodeFileView) GetPropertiesBatch(ids []NodeID, propertyIDs []string) ([
 	return vals, oks
 }
 
-// decodeFixedArray decodes count fixed-width values from raw.
-func decodeFixedArray(raw []byte, width, count int) []int64 {
-	out := make([]int64, 0, count)
-	for i := 0; i+width <= len(raw); i += width {
-		out = append(out, int64(DecodeFixed(raw[i:i+width])))
-	}
-	return out
-}
-
-// prefixSums decodes count fixed-width lengths and returns their running
-// sums (the propEnds cache format).
-func prefixSums(raw []byte, width, count int) []int {
-	out := make([]int, 0, count)
-	sum := 0
-	for i := 0; i+width <= len(raw); i += width {
-		sum += int(DecodeFixed(raw[i : i+width]))
-		out = append(out, sum)
-	}
-	return out
-}
-
 // EdgeRangeReq asks for the edges [Idx, Idx+Limit) in time order from the
 // record starting at Offset (known from the build index) for (Src, Type).
 type EdgeRangeReq struct {
@@ -151,15 +130,16 @@ func (v *EdgeFileView) rangeFromWalk(w *recWalk, req EdgeRangeReq, sc *recScratc
 	if beg >= end {
 		return nil, nil
 	}
-	return v.rangeBody(w, ref.tsOff, &ref, beg, end, sc)
+	return v.rangeBody(w, &ref, beg, end, sc)
 }
 
 // GetEdgeDataRange returns GetEdgeData(ref, i) for every TimeOrder i in
 // [beg, end) — §2.2's get_edge_data loop of Algorithms 1–3 — in one record
-// walk instead of one per edge: whatever the ref has not cached yet of
-// the timestamp array and the property lengths (both are cached on the
-// way), the destinations of the interval, and its property lists, which
-// are contiguous. An empty interval is nil.
+// walk instead of one per edge, over what the interval needs and no more:
+// the timestamps and property lengths up to end that the ref has not
+// cached yet (both are cached on the way), the destinations of the
+// interval, and its property lists, which are contiguous. An empty
+// interval is nil.
 func (v *EdgeFileView) GetEdgeDataRange(ref *EdgeRecordRef, beg, end int) ([]EdgeData, error) {
 	if beg >= end {
 		return nil, nil
@@ -169,36 +149,28 @@ func (v *EdgeFileView) GetEdgeDataRange(ref *EdgeRecordRef, beg, end int) ([]Edg
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	at := ref.tsOff
-	if ref.ts != nil {
-		at = ref.dstOff + beg*ref.DLen
-	}
-	w := newRecWalk(v.src, at)
-	return v.rangeBody(&w, at, ref, beg, end, sc)
+	return v.rangeBody(&ref.cur, ref, beg, end, sc)
 }
 
-// rangeBody reads edges [beg, end) of ref, 0 <= beg < end <= Count, with
-// w positioned at file offset at, which is at or before the first field
-// still needed. Fields are visited in file order and the gaps between
-// them skipped, so the walker decides per gap between stepping on and
+// rangeBody reads edges [beg, end) of ref, 0 <= beg < end <= Count,
+// through w. Fields are visited in file order and the gaps between them
+// skipped, so the walker decides per gap between stepping on and
 // re-anchoring.
-func (v *EdgeFileView) rangeBody(w *recWalk, at int, ref *EdgeRecordRef, beg, end int, sc *recScratch) ([]EdgeData, error) {
-	read := func(off, n int) []byte {
-		w.skip(off - at)
-		sc.buf = w.appendN(sc.buf[:0], n)
-		at = off + n
-		return sc.buf
-	}
-	if ref.ts == nil {
-		ref.ts = decodeFixedArray(read(ref.tsOff, ref.Count*ref.TLen), ref.TLen, ref.Count)
+func (v *EdgeFileView) rangeBody(w *recWalk, ref *EdgeRecordRef, beg, end int, sc *recScratch) ([]EdgeData, error) {
+	if err := ref.extend(w, sc, false, end); err != nil {
+		return nil, err
 	}
 	out := make([]EdgeData, end-beg)
-	dsts := read(ref.dstOff+beg*ref.DLen, len(out)*ref.DLen)
+	dsts, err := w.readAt(sc.buf, ref.dstOff+beg*ref.DLen, len(out)*ref.DLen)
+	sc.buf = dsts
+	if err != nil {
+		return nil, err
+	}
 	for i := range out {
 		out[i] = EdgeData{Dst: NodeID(DecodeFixed(dsts[i*ref.DLen : (i+1)*ref.DLen])), Timestamp: ref.ts[beg+i]}
 	}
-	if ref.propEnds == nil {
-		ref.propEnds = prefixSums(read(ref.pLenOff, ref.Count*ref.PLenW), ref.PLenW, ref.Count)
+	if err := ref.extend(w, sc, true, end); err != nil {
+		return nil, err
 	}
 	ends := ref.propEnds
 	start := 0
@@ -213,7 +185,10 @@ func (v *EdgeFileView) rangeBody(w *recWalk, at int, ref *EdgeRecordRef, beg, en
 	// before the walk over it.
 	var payload []byte
 	if ends[end-1]-start > len(out)*v.schema.PropsEncodedSize(nil) {
-		payload = read(ref.propOff+start, ends[end-1]-start)
+		if payload, err = w.readAt(sc.buf, ref.propOff+start, ends[end-1]-start); err != nil {
+			return nil, err
+		}
+		sc.buf = payload
 	}
 	cur := start
 	for i := range out {

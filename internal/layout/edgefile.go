@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -192,10 +193,10 @@ func appendEdgeRecord(flat []byte, src NodeID, etype EdgeType, group []Edge, sch
 
 // EdgeRecordRef is a parsed handle to one EdgeRecord inside an EdgeFile:
 // it caches the metadata so that edge data lookups are pure random
-// accesses (§2.2's EdgeRecord). Accessors take the ref by pointer so the
-// first touch of a field window (timestamps, property lengths) can cache
-// its decoded form on the ref — later lookups against the same handle are
-// pure in-memory reads instead of repeated extracts.
+// accesses (§2.2's EdgeRecord). Accessors take the ref by pointer so a
+// read of the timestamps or the property lengths can leave what it
+// decoded on the ref — later lookups against the same handle that stay
+// inside it are pure in-memory reads instead of repeated extracts.
 type EdgeRecordRef struct {
 	Src    NodeID
 	Type   EdgeType
@@ -216,8 +217,70 @@ type EdgeRecordRef struct {
 	pLenOff int
 	propOff int
 
-	ts       []int64 // decoded timestamp array; nil until first use
-	propEnds []int   // prefix sums of property-list lengths; nil until first use
+	// Prefix caches: the first len() entries of the timestamp array and
+	// of the running sums of the property-list lengths (entry i is the
+	// total length of lists 0..i). A read decodes as far as the TimeOrders
+	// it serves and a later, wider one extends the prefix (see extend).
+	ts       []int64
+	propEnds []int
+
+	// cur is the walk that parsed the header, left wherever the last read
+	// through the ref ended: the first field read of a fresh ref continues
+	// it instead of anchoring anew, so a record located and then read is
+	// one front-to-back walk.
+	cur recWalk
+}
+
+// prefixChunk is the least number of entries a prefix cache grows by
+// (short of the record's end), so a caller that walks a record edge by
+// edge pays for one extension per chunk of edges, not one per edge.
+const prefixChunk = 16
+
+// extend grows one of ref's prefix caches — the timestamps, or with lens
+// the property-length sums — to cover TimeOrders [0, n), n <= Count,
+// reading the entries it lacks through w. Every array byte is read at
+// most once per ref.
+func (ref *EdgeRecordRef) extend(w *recWalk, sc *recScratch, lens bool, n int) (err error) {
+	if lens {
+		ref.propEnds, err = extendPrefix(w, sc, ref.propEnds, ref.pLenOff, ref.PLenW, ref.Count, n, true)
+	} else {
+		ref.ts, err = extendPrefix(w, sc, ref.ts, ref.tsOff, ref.TLen, ref.Count, n, false)
+	}
+	return err
+}
+
+// extendPrefix appends entries [len(cache), n) of the count fixed-width
+// values at off — rounded up by prefixChunk — to cache, each added to
+// the one before it when running.
+func extendPrefix[T int | int64](w *recWalk, sc *recScratch, cache []T, off, width, count, n int, running bool) ([]T, error) {
+	k := len(cache)
+	if k >= n {
+		return cache, nil
+	}
+	n = max(n, min(count, k+prefixChunk))
+	raw, err := w.readAt(sc.buf, off+k*width, (n-k)*width)
+	sc.buf = raw
+	cache = slices.Grow(cache, n-k)
+	var sum T
+	if running && k > 0 {
+		sum = cache[k-1]
+	}
+	for i := 0; i+width <= len(raw); i += width { // a short read: the whole entries of it
+		x := T(DecodeFixed(raw[i : i+width]))
+		if running {
+			sum += x
+			x = sum
+		}
+		cache = append(cache, x)
+	}
+	return cache, err
+}
+
+// head extends a prefix cache on its own: one read of the missing entries.
+func (v *EdgeFileView) head(ref *EdgeRecordRef, lens bool, n int) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	return ref.extend(&ref.cur, sc, lens, n)
 }
 
 // HotSpan returns the record's [TsMin, TsMax] timestamp span read from
@@ -270,7 +333,9 @@ func recordKeyLen(src NodeID, etype EdgeType) int {
 func (v *EdgeFileView) parseRecordAt(off int64, keyLen int, src NodeID, etype EdgeType) (EdgeRecordRef, bool) {
 	w := newRecWalk(v.src, int(off)+keyLen)
 	var buf [hotFixedWidth + 3*9]byte
-	return v.parseRecordWalk(&w, off, keyLen, src, etype, buf[:0])
+	ref, ok := v.parseRecordWalk(&w, off, keyLen, src, etype, buf[:0])
+	ref.cur = w
+	return ref, ok
 }
 
 // parseRecordWalk parses a record header with w positioned just past the
@@ -354,30 +419,29 @@ func (v *EdgeFileView) GetEdgeRecords(src NodeID) []EdgeRecordRef {
 }
 
 // Timestamps returns the record's full (sorted) timestamp array,
-// decoding it in one extract on first use and caching it on the ref.
-func (v *EdgeFileView) Timestamps(ref *EdgeRecordRef) []int64 {
-	if ref.ts == nil {
-		raw := v.src.Extract(ref.tsOff, ref.Count*ref.TLen)
-		ts := make([]int64, 0, ref.Count)
-		for i := 0; i+ref.TLen <= len(raw); i += ref.TLen {
-			ts = append(ts, int64(DecodeFixed(raw[i:i+ref.TLen])))
+// decoding what the ref has not cached of it in one extract.
+func (v *EdgeFileView) Timestamps(ref *EdgeRecordRef) ([]int64, error) {
+	if len(ref.ts) < ref.Count {
+		if err := v.head(ref, false, ref.Count); err != nil {
+			return nil, err
 		}
-		ref.ts = ts
 	}
-	return ref.ts
+	return ref.ts, nil
 }
 
-// Timestamp returns the i-th (time-ordered) edge's timestamp.
-func (v *EdgeFileView) Timestamp(ref *EdgeRecordRef, i int) int64 {
-	if ref.ts != nil {
-		return ref.ts[i]
+// Timestamp returns the i-th (time-ordered) edge's timestamp, 0 <= i <
+// Count. The first is in the header; any other extends the timestamp
+// cache to it.
+func (v *EdgeFileView) Timestamp(ref *EdgeRecordRef, i int) (int64, error) {
+	if i == 0 {
+		return ref.TsMin, nil
 	}
-	return int64(DecodeFixed(v.src.Extract(ref.tsOff+i*ref.TLen, ref.TLen)))
-}
-
-// Destination returns the i-th edge's destination node ID.
-func (v *EdgeFileView) Destination(ref *EdgeRecordRef, i int) NodeID {
-	return NodeID(DecodeFixed(v.src.Extract(ref.dstOff+i*ref.DLen, ref.DLen)))
+	if i >= len(ref.ts) {
+		if err := v.head(ref, false, i+1); err != nil {
+			return 0, err
+		}
+	}
+	return ref.ts[i], nil
 }
 
 // Destinations returns all destination IDs of the record in time order,
@@ -392,46 +456,14 @@ func (v *EdgeFileView) Destinations(ref *EdgeRecordRef) []NodeID {
 }
 
 // propEndSums returns prefix sums of the record's property-list lengths:
-// entry i is the total length of lists 0..i. The length array is
-// extracted and summed once per ref, making every later property lookup
-// O(1) — previously each lookup re-summed the array, turning a scan of
-// an n-edge record into Θ(n²) decoding.
+// entry i is the total length of lists 0..i. The length array is summed
+// at most once per ref, making every later property lookup O(1). A
+// length array cut short yields the sums of what is there.
 func (v *EdgeFileView) propEndSums(ref *EdgeRecordRef) []int {
-	if ref.propEnds == nil {
-		raw := v.src.Extract(ref.pLenOff, ref.Count*ref.PLenW)
-		ends := make([]int, 0, ref.Count)
-		sum := 0
-		for i := 0; i+ref.PLenW <= len(raw); i += ref.PLenW {
-			sum += int(DecodeFixed(raw[i : i+ref.PLenW]))
-			ends = append(ends, sum)
-		}
-		ref.propEnds = ends
+	if len(ref.propEnds) < ref.Count {
+		_ = v.head(ref, true, ref.Count)
 	}
 	return ref.propEnds
-}
-
-// PropBlobs returns every edge's serialized property list in time order,
-// sharing one extract of the whole property area (the batched form of
-// per-edge prop reads; blobs alias the extract's backing array).
-func (v *EdgeFileView) PropBlobs(ref *EdgeRecordRef) [][]byte {
-	ends := v.propEndSums(ref)
-	out := make([][]byte, ref.Count)
-	if ref.Count == 0 {
-		return out
-	}
-	raw := v.src.Extract(ref.propOff, ends[len(ends)-1])
-	start := 0
-	for i, end := range ends {
-		if end > len(raw) {
-			end = len(raw)
-		}
-		if start > end {
-			start = end
-		}
-		out[i] = raw[start:end]
-		start = ends[i]
-	}
-	return out
 }
 
 // EdgeData is the triplet stored per edge (§2.2).
@@ -443,10 +475,10 @@ type EdgeData struct {
 
 // GetEdgeData returns the i-th edge's (destination, timestamp,
 // property list) — §2.2's get_edge_data, with i being the TimeOrder: the
-// one-edge case of GetEdgeDataRange. On a cold ref that is one record
-// walk, which also caches the timestamp array and the property prefix
-// sums on the ref; after that, one walk from the destination to the
-// property list.
+// one-edge case of GetEdgeDataRange. One record walk, from whichever of
+// the timestamp and property-length caches does not reach i yet (either
+// then grows by a chunk, so a loop over i extends them once per chunk) or
+// else from the destination, to the property list.
 func (v *EdgeFileView) GetEdgeData(ref *EdgeRecordRef, i int) (EdgeData, error) {
 	out, err := v.GetEdgeDataRange(ref, i, i+1)
 	if err != nil {
@@ -460,23 +492,25 @@ func (v *EdgeFileView) GetEdgeData(ref *EdgeRecordRef, i int) (EdgeData, error) 
 // timestamp array (§3.3's motivation for sorted fixed-width timestamps).
 // The header's timestamp span answers queries that fully cover or fully
 // miss the record without decoding the array at all; otherwise the array
-// is decoded once (one extract) and searched in memory. The
-// short-circuits return exactly what the binary searches would.
-func (v *EdgeFileView) TimeRange(ref *EdgeRecordRef, tLo, tHi int64) (int, int) {
-	if ref.ts == nil && ref.Count > 0 {
+// is decoded (what the ref lacks of it, in one extract) and searched in
+// memory. The short-circuits return exactly what the binary searches
+// would.
+func (v *EdgeFileView) TimeRange(ref *EdgeRecordRef, tLo, tHi int64) (int, int, error) {
+	if ref.Count > 0 {
 		switch {
 		case tLo <= ref.TsMin && tHi > ref.TsMax:
-			return 0, ref.Count
+			return 0, ref.Count, nil
 		case tHi <= ref.TsMin && tLo <= ref.TsMin:
-			return 0, 0
+			return 0, 0, nil
 		case tLo > ref.TsMax && tHi > ref.TsMax:
-			return ref.Count, ref.Count
+			return ref.Count, ref.Count, nil
 		}
 	}
-	ts := v.Timestamps(ref)
-	beg := bitutil.SearchGE(ts, tLo)
-	end := bitutil.SearchGE(ts, tHi)
-	return beg, end
+	ts, err := v.Timestamps(ref)
+	if err != nil {
+		return 0, 0, err
+	}
+	return bitutil.SearchGE(ts, tLo), bitutil.SearchGE(ts, tHi), nil
 }
 
 // FindEdges returns the (record, TimeOrder) locations of edges whose

@@ -444,18 +444,18 @@ func TestEdgeFileTimeRange(t *testing.T) {
 	raw, comp := edgeViews(t, edges, schema)
 	for _, v := range []*EdgeFileView{raw, comp} {
 		ref, _ := v.GetEdgeRecord(7, 0)
-		beg, end := v.TimeRange(&ref, 100, 200)
-		if beg != 10 || end != 20 {
+		beg, end, err := v.TimeRange(&ref, 100, 200)
+		if err != nil || beg != 10 || end != 20 {
 			t.Fatalf("TimeRange[100,200) = [%d,%d), want [10,20)", beg, end)
 		}
 		// Inclusive lower, exclusive upper.
-		beg, end = v.TimeRange(&ref, 0, 1)
-		if beg != 0 || end != 1 {
+		beg, end, err = v.TimeRange(&ref, 0, 1)
+		if err != nil || beg != 0 || end != 1 {
 			t.Fatalf("TimeRange[0,1) = [%d,%d)", beg, end)
 		}
 		// Out of range.
-		beg, end = v.TimeRange(&ref, 10_000, 20_000)
-		if beg != end {
+		beg, end, err = v.TimeRange(&ref, 10_000, 20_000)
+		if err != nil || beg != end {
 			t.Fatalf("empty range not empty: [%d,%d)", beg, end)
 		}
 	}
@@ -474,7 +474,7 @@ func TestEdgeFileTimeRange(t *testing.T) {
 			wantEnd := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= tHi })
 			for _, v := range []*EdgeFileView{raw, comp} {
 				ref, _ := v.GetEdgeRecord(k[0], k[1])
-				if beg, end := v.TimeRange(&ref, tLo, tHi); beg != wantBeg || end != wantEnd {
+				if beg, end, err := v.TimeRange(&ref, tLo, tHi); err != nil || beg != wantBeg || end != wantEnd {
 					t.Fatalf("record (%d,%d) TimeRange(%d,%d) = [%d,%d), want [%d,%d)", k[0], k[1], tLo, tHi, beg, end, wantBeg, wantEnd)
 				}
 			}
@@ -489,8 +489,8 @@ func TestEdgeFileTimestampsSorted(t *testing.T) {
 		ref, _ := comp.GetEdgeRecord(k[0], k[1])
 		var prev int64 = -1
 		for i := 0; i < ref.Count; i++ {
-			ts := comp.Timestamp(&ref, i)
-			if ts < prev {
+			ts, err := comp.Timestamp(&ref, i)
+			if err != nil || ts < prev {
 				t.Fatalf("timestamps unsorted in (%d,%d) at %d", k[0], k[1], i)
 			}
 			prev = ts

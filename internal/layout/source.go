@@ -11,6 +11,7 @@ package layout
 
 import (
 	"bytes"
+	"fmt"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -60,8 +61,8 @@ func extractAppend(src ByteSource, dst []byte, off, n int) []byte {
 // Over a succinct store it wraps a Walker, so parsing a record's header,
 // skipping to a field and reading the field is a single suffix-array walk
 // (one ISA anchor) instead of one anchor per Extract call; over raw bytes
-// it is plain offset arithmetic. A recWalk is a stack value — never
-// retain one.
+// it is plain offset arithmetic. A recWalk is a value: keep it on the
+// stack, or with the one reader whose cursor it is (EdgeRecordRef.cur).
 type recWalk struct {
 	sw  succinct.Walker // valid iff ss != nil
 	ss  *succinct.Store
@@ -96,6 +97,23 @@ func (r *recWalk) skip(n int) {
 		return
 	}
 	r.off += n
+}
+
+// readAt moves to file offset off and reads exactly n bytes into buf[:0].
+// Forward the move is a skip, which steps on or re-anchors, whichever is
+// cheaper; backward it is an anchor. A source that ends before n bytes is
+// an error: a field array a record's header promised is not there.
+func (r *recWalk) readAt(buf []byte, off, n int) ([]byte, error) {
+	if r.ss != nil {
+		r.sw.SeekTo(off)
+	} else {
+		r.off = off
+	}
+	buf = r.appendN(buf[:0], n)
+	if len(buf) < n {
+		return buf, fmt.Errorf("layout: short read at offset %d: %d of %d bytes", off, len(buf), n)
+	}
+	return buf, nil
 }
 
 // RawSource is an uncompressed ByteSource over a plain byte slice,

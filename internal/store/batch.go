@@ -249,27 +249,12 @@ func (s *Store) AssocRangeBatch(reqs []AssocRangeReq) ([][]layout.EdgeData, erro
 	return out, nil
 }
 
-// assocRangeScalar is the overlay-merging fallback: the exact scalar
-// loop the batch path must agree with.
+// assocRangeScalar is the overlay-merging fallback: what the scalar loop
+// the batch path must agree with returns, as one range read.
 func (s *Store) assocRangeScalar(req AssocRangeReq) ([]layout.EdgeData, error) {
 	rec, ok := s.GetEdgeRecord(req.ID, req.Type)
 	if !ok {
 		return nil, nil
 	}
-	end := req.Idx + req.Limit
-	if end > rec.Count() {
-		end = rec.Count()
-	}
-	var out []layout.EdgeData
-	for i := req.Idx; i < end; i++ {
-		if i < 0 {
-			continue
-		}
-		d, err := rec.GetEdgeData(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	return rec.GetEdgeDataRange(max(req.Idx, 0), min(req.Idx+req.Limit, rec.Count()))
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 
@@ -238,11 +239,10 @@ func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) 
 	// rebuild was baking into the fresh primaries; re-apply them there
 	// as lazy marks. (Data appended after the seal lives in newer
 	// fragments, which the delete already handled directly — replay
-	// touches only the fresh shards, so it cannot kill a re-append.)
+	// touches only the fresh shard of the source's partition, so it
+	// cannot kill a re-append.)
 	for _, t := range s.replayEdgeDels {
-		for _, sh := range fresh {
-			s.markShardEdgesLocked(sh, t)
-		}
+		s.markShardEdgesLocked(fresh[s.partitionOf(t.src)], t)
 	}
 	s.replaying = false
 	s.replayEdgeDels = nil
@@ -251,9 +251,12 @@ func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) 
 }
 
 // markShardEdgesLocked lazily deletes every (src, etype, dst) edge
-// held by one compressed shard. Callers hold s.mu.
+// held by one compressed shard and returns how many it newly marked.
+// The record is located in the shard's build index, so what runs under
+// the lock is a header parse and one extract of the destinations.
+// Callers hold s.mu.
 func (s *Store) markShardEdgesLocked(sh *core.Shard, t edgeTriple) int {
-	ref, ok := sh.Edges().GetEdgeRecord(t.src, t.etype)
+	ref, ok := sh.EdgeRecord(t.src, t.etype)
 	if !ok {
 		return 0
 	}
@@ -373,31 +376,38 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 		nodes = append(nodes, layout.Node{ID: id, Props: props})
 	}
 
-	// Edges: walk every (src, etype) record in every fragment, honoring
-	// physical deletion marks and raw-generation tombstones.
+	// Edges: every (src, etype) record of every fragment, each read whole
+	// in one record walk, honoring physical deletion marks and
+	// raw-generation tombstones. A shard's records go in file order, a
+	// batch at a time through one shared walker.
 	var edges []layout.Edge
 	appendFromShard := func(sh *core.Shard) error {
-		for si, src := range sh.EdgeSources() {
-			if si&63 == 63 {
-				runtime.Gosched() // see the node loop above
+		index := sh.EdgeIndex()
+		const batch = 64
+		reqs := make([]layout.EdgeRangeReq, 0, batch)
+		for len(index) > 0 {
+			runtime.Gosched() // see the node loop above
+			n := min(batch, len(index))
+			reqs = reqs[:0]
+			for _, rec := range index[:n] {
+				if !c.deletedNodes[rec.Src] {
+					reqs = append(reqs, layout.EdgeRangeReq{Src: rec.Src, Type: rec.Type, Offset: rec.Offset, Limit: math.MaxInt32})
+				}
 			}
-			if c.deletedNodes[src] {
-				continue
+			index = index[n:]
+			data, err := sh.Edges().GetEdgeRangeBatch(reqs)
+			if err != nil {
+				return fmt.Errorf("store: compact: %w", err)
 			}
-			for _, ref := range sh.Edges().GetEdgeRecords(src) {
-				deleted := c.deletedPhys[shardEdgeRef{sh, src, ref.Type}]
-				for i := 0; i < ref.Count; i++ {
-					if deleted[i] {
-						continue
+			for k, req := range reqs {
+				deleted := c.deletedPhys[shardEdgeRef{sh, req.Src, req.Type}]
+				for i, d := range data[k] {
+					if !deleted[i] {
+						edges = append(edges, layout.Edge{
+							Src: req.Src, Dst: d.Dst, Type: req.Type,
+							Timestamp: d.Timestamp, Props: d.Props,
+						})
 					}
-					d, err := sh.Edges().GetEdgeData(&ref, i)
-					if err != nil {
-						return fmt.Errorf("store: compact: edge (%d,%d)[%d]: %w", src, ref.Type, i, err)
-					}
-					edges = append(edges, layout.Edge{
-						Src: src, Dst: d.Dst, Type: ref.Type,
-						Timestamp: d.Timestamp, Props: d.Props,
-					})
 				}
 			}
 		}

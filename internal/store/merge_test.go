@@ -1,0 +1,410 @@
+package store
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"zipg/internal/layout"
+	"zipg/internal/telemetry"
+)
+
+// The lazy merge against a model. mergeModel holds every edge in the
+// order it entered the store and applies deletes as they happen; the
+// TimeOrder of a record is then a stable sort of its live edges by
+// timestamp — pieces are in generation order and each is a stable sort of
+// what it was given, so that is "earlier piece, then lower physical
+// index" without knowing where the pieces lie.
+type mergeModel struct {
+	edges map[[2]int64][]*modelEdge
+}
+
+type modelEdge struct {
+	e     layout.Edge
+	piece int
+	dead  bool
+}
+
+func (m *mergeModel) add(e layout.Edge, piece int) {
+	k := [2]int64{e.Src, e.Type}
+	m.edges[k] = append(m.edges[k], &modelEdge{e: e, piece: piece})
+}
+
+// ends returns the record's live edges in the given piece with the least
+// and the greatest timestamp.
+func (m *mergeModel) ends(src, etype int64, piece int) (head, tail *modelEdge) {
+	for _, me := range m.edges[[2]int64{src, etype}] {
+		if me.dead || me.piece != piece {
+			continue
+		}
+		if head == nil || me.e.Timestamp < head.e.Timestamp {
+			head = me
+		}
+		if tail == nil || me.e.Timestamp >= tail.e.Timestamp {
+			tail = me
+		}
+	}
+	return head, tail
+}
+
+func (m *mergeModel) want(src, etype int64) []layout.EdgeData {
+	var out []layout.EdgeData
+	for _, me := range m.edges[[2]int64{src, etype}] {
+		if !me.dead {
+			out = append(out, layout.EdgeData{Dst: me.e.Dst, Timestamp: me.e.Timestamp, Props: me.e.Props})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp < out[j].Timestamp })
+	return out
+}
+
+// freezeLog seals the live log into a raw generation, as a background-mode
+// rollover does, and with compress builds its shard, as the worker then
+// does.
+func freezeLog(t testing.TB, s *Store, compress bool) {
+	t.Helper()
+	s.mu.Lock()
+	s.sealLogLocked()
+	s.mu.Unlock()
+	if compress && !s.compressOnePending() {
+		t.Fatal("nothing to compress")
+	}
+}
+
+// The records of a piece store: small (a few edges a piece, every
+// interval is checked), big (240 edges in the primary) and sparse (in
+// the odd pieces only, so its first piece is not the primary).
+var (
+	mergeSmall  = [2]int64{1, 0}
+	mergeBig    = [2]int64{2, 0}
+	mergeSparse = [2]int64{3, 1}
+)
+
+// buildPieceStore builds a store whose records lie over the given number
+// of pieces, in generation order: the primary, compressed generations,
+// then — from three pieces — one sealed raw generation and — from two —
+// the live log. With ties, timestamps repeat within and across pieces;
+// without, they are distinct within a record. Edges at the heads and
+// tails of pieces of every kind are then deleted.
+func buildPieceStore(t testing.TB, alpha, pieces int, ties bool) (*Store, *mergeModel) {
+	t.Helper()
+	ns, es := testSchemas(t)
+	rng := rand.New(rand.NewSource(int64(100*pieces + alpha)))
+	m := &mergeModel{edges: map[[2]int64][]*modelEdge{}}
+	serial := map[[2]int64]int{}
+	distinct := map[[2]int64][]int{}
+	next := func(k [2]int64, piece, span int) layout.Edge {
+		if distinct[k] == nil {
+			distinct[k] = rng.Perm(1000)
+		}
+		ts := int64(rng.Intn(span))
+		if !ties {
+			ts = int64(10 + 3*distinct[k][serial[k]])
+		}
+		e := layout.Edge{Src: k[0], Type: k[1], Dst: int64(1000 + serial[k]), Timestamp: ts,
+			Props: map[string]string{"weight": fmt.Sprint(serial[k] % 10), "note": fmt.Sprintf("piece %d, edge %d of the record", piece, serial[k])}}
+		serial[k]++
+		m.add(e, piece)
+		return e
+	}
+	pieceEdges := func(piece int) []layout.Edge {
+		var out []layout.Edge
+		for i := 0; i < 3; i++ {
+			out = append(out, next(mergeSmall, piece, 12))
+		}
+		big := 3
+		if piece == 0 {
+			big = 240
+		}
+		for i := 0; i < big; i++ {
+			out = append(out, next(mergeBig, piece, 60))
+		}
+		for i := 0; i < 2 && piece%2 == 1; i++ {
+			out = append(out, next(mergeSparse, piece, 12))
+		}
+		return out
+	}
+	var nodes []layout.Node
+	for id := int64(0); id < 10; id++ {
+		nodes = append(nodes, layout.Node{ID: id, Props: map[string]string{"name": fmt.Sprint("n", id)}})
+	}
+	for id := int64(1000); id < 1300; id++ {
+		nodes = append(nodes, layout.Node{ID: id})
+	}
+	s, err := New(nodes, pieceEdges(0), ns, es, Config{NumShards: 2, SamplingRate: alpha, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for piece := 1; piece < pieces; piece++ {
+		for _, e := range pieceEdges(piece) {
+			if err := s.AppendEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if piece < pieces-1 { // the last piece stays in the live log, the one before it raw
+			freezeLog(t, s, piece < pieces-2)
+		}
+	}
+	// Deletes at piece heads and tails, in every kind of piece: lazy marks
+	// on compressed pieces, tombstones on the raw one, removals from the
+	// log.
+	for piece := 0; piece < pieces; piece++ {
+		for _, k := range [][2]int64{mergeSmall, mergeBig, mergeSparse} {
+			head, tail := m.ends(k[0], k[1], piece)
+			var dels []*modelEdge
+			switch {
+			case head == nil:
+			case piece == 0:
+				dels = []*modelEdge{head, tail}
+			case piece%3 == 1:
+				dels = []*modelEdge{head}
+			case piece%3 == 2:
+				dels = []*modelEdge{tail}
+			}
+			for _, me := range dels {
+				if me.dead {
+					continue
+				}
+				me.dead = true
+				if n := s.DeleteEdges(me.e.Src, me.e.Type, me.e.Dst); n != 1 {
+					t.Fatalf("delete of %+v removed %d edges", me.e, n)
+				}
+			}
+		}
+	}
+	return s, m
+}
+
+// checkMergedRecord compares every read of one record with the model.
+// exhaustive checks every interval and every pair of bounds; otherwise
+// seeded random ones.
+func checkMergedRecord(t testing.TB, s *Store, m *mergeModel, k [2]int64, exhaustive bool, rng *rand.Rand) {
+	t.Helper()
+	want := m.want(k[0], k[1])
+	n := len(want)
+	open := func() *EdgeRecord {
+		rec, ok := s.GetEdgeRecord(k[0], k[1])
+		if ok != (n > 0) || (ok && rec.Count() != n) {
+			t.Fatalf("record %v: ok=%v count=%v, want %d edges", k, ok, rec, n)
+		}
+		return rec
+	}
+	if n == 0 {
+		open()
+		return
+	}
+	dsts := make([]layout.NodeID, n)
+	for i, d := range want {
+		dsts[i] = d.Dst
+	}
+	if got := open().Destinations(); !reflect.DeepEqual(got, dsts) {
+		t.Fatalf("record %v: Destinations = %v, want %v", k, got, dsts)
+	}
+	rangeOn := func(rec *EdgeRecord, b, e int) {
+		got, err := rec.GetEdgeDataRange(b, e)
+		if err != nil || len(got) != e-b || (b < e && !reflect.DeepEqual(got, want[b:e])) {
+			t.Fatalf("record %v over %d pieces: [%d,%d) = %v, %v; want %v", k, len(rec.pieces), b, e, got, err, want[b:e])
+		}
+	}
+	var intervals [][2]int
+	if exhaustive {
+		for b := 0; b <= n; b++ {
+			for e := b; e <= n; e++ {
+				intervals = append(intervals, [2]int{b, e})
+			}
+		}
+	} else {
+		intervals = [][2]int{{0, n}, {n - 1, n}, {0, 1}}
+		for i := 0; i < 40; i++ {
+			b := rng.Intn(n)
+			if i%2 == 0 { // what assoc_range asks for
+				b = rng.Intn(min(8, n))
+			}
+			intervals = append(intervals, [2]int{b, min(n, b+1+rng.Intn(32))})
+		}
+	}
+	for _, r := range intervals {
+		rangeOn(open(), r[0], r[1]) // a fresh record: nothing merged or cached yet
+	}
+	// One record through a run of reads: the merge and the pieces' caches
+	// extend, or are already there.
+	rec := open()
+	for i := 0; i < 12; i++ {
+		r := intervals[rng.Intn(len(intervals))]
+		rangeOn(rec, r[0], r[1])
+	}
+	// Edge by edge, forward on one record and backward on another.
+	fwd, bwd := open(), open()
+	for i := 0; i < n; i++ {
+		for _, c := range []struct {
+			rec *EdgeRecord
+			i   int
+		}{{fwd, i}, {bwd, n - 1 - i}} {
+			if got, err := c.rec.GetEdgeData(c.i); err != nil || !reflect.DeepEqual(got, want[c.i]) {
+				t.Fatalf("record %v: GetEdgeData(%d) = %v, %v; want %v", k, c.i, got, err, want[c.i])
+			}
+		}
+	}
+	bounds := []int64{0, math.MaxInt64}
+	for _, d := range want {
+		bounds = append(bounds, d.Timestamp, d.Timestamp+1)
+	}
+	boundsOn := func(rec *EdgeRecord, lo, hi int64) {
+		wantBeg := sort.Search(n, func(i int) bool { return want[i].Timestamp >= lo })
+		wantEnd := sort.Search(n, func(i int) bool { return want[i].Timestamp >= hi })
+		if beg, end := rec.GetEdgeRange(lo, hi); beg != wantBeg || end != wantEnd {
+			t.Fatalf("record %v: GetEdgeRange(%d,%d) = [%d,%d), want [%d,%d)", k, lo, hi, beg, end, wantBeg, wantEnd)
+		}
+	}
+	if exhaustive {
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				boundsOn(open(), lo, hi)
+				boundsOn(fwd, lo, hi) // merged in full, every cache warm
+			}
+		}
+	} else {
+		for i := 0; i < 60; i++ {
+			boundsOn(open(), bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))])
+		}
+	}
+}
+
+// TestLazyMergeDifferential: every read of an EdgeRecord — GetEdgeData,
+// GetEdgeDataRange, GetEdgeRange, Destinations — against the model, on
+// stores whose records lie over 1 to 12 pieces of every kind, with lazily
+// deleted edges at piece heads and tails and timestamps that repeat
+// within and across pieces: every interval and pair of bounds of the
+// small records, seeded random ones of the 240-edge one.
+func TestLazyMergeDifferential(t *testing.T) {
+	for pieces := 1; pieces <= 12; pieces++ {
+		alpha := []int{4, 32, 8}[pieces%3]
+		s, m := buildPieceStore(t, alpha, pieces, true)
+		rng := rand.New(rand.NewSource(int64(pieces)))
+		checkMergedRecord(t, s, m, mergeSmall, true, rng)
+		checkMergedRecord(t, s, m, mergeSparse, true, rng)
+		checkMergedRecord(t, s, m, mergeBig, false, rng)
+		rec, _ := s.GetEdgeRecord(mergeBig[0], mergeBig[1])
+		if len(rec.pieces) != pieces {
+			t.Fatalf("the big record lies over %d pieces, want %d", len(rec.pieces), pieces)
+		}
+	}
+}
+
+// TestLazyMergeDifferentialRacingCompaction: a reader keeps checking
+// every record against the model while an online compaction seals,
+// rebuilds and swaps the twelve pieces under it. Timestamps are distinct,
+// so the TimeOrder is the same before and after (a compaction orders
+// equal timestamps by destination).
+func TestLazyMergeDifferentialRacingCompaction(t *testing.T) {
+	s, m := buildPieceStore(t, 8, 12, false)
+	done := make(chan error, 1)
+	go func() { done <- s.Compact() }()
+	rng := rand.New(rand.NewSource(12))
+	for rounds, compacted := 0, false; !compacted || rounds < 2; rounds++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted = true
+		default:
+		}
+		for _, k := range [][2]int64{mergeSmall, mergeSparse, mergeBig} {
+			checkMergedRecord(t, s, m, k, false, rng)
+		}
+	}
+	if rec, _ := s.GetEdgeRecord(mergeBig[0], mergeBig[1]); len(rec.pieces) != 1 {
+		t.Fatalf("after the compaction the big record lies over %d pieces", len(rec.pieces))
+	}
+}
+
+// succinctWork runs fn with telemetry on and returns the bytes it
+// extracted from compressed stores and the Ψ steps it took.
+func succinctWork(fn func()) (bytes, steps float64) {
+	prev := telemetry.SetEnabled(true)
+	before := telemetry.TakeSnapshot()
+	fn()
+	d := telemetry.Delta(before, telemetry.TakeSnapshot())
+	telemetry.SetEnabled(prev)
+	return d["zipg_succinct_extract_bytes_total"], d["zipg_succinct_psi_steps_total"]
+}
+
+// TestRangeReadCost: a range read costs what it returns. On a clean
+// 240-edge record, the intervals assoc_range asks for (idx < 8, limit <=
+// 32) extract at most 0.6 of the bytes a read that decodes the whole
+// timestamp and property-length arrays does. And a piece that gives a
+// read nothing costs it its header: as 60-edge generations of later
+// timestamps are added behind the primary, the Ψ steps of a read grow by
+// a constant per piece, not by the pieces' edge counts.
+func TestRangeReadCost(t *testing.T) {
+	ns, es := testSchemas(t)
+	var edges []layout.Edge
+	for i := 0; i < 240; i++ {
+		edges = append(edges, layout.Edge{Src: 5, Dst: int64(i), Type: 0, Timestamp: int64(7 * i),
+			Props: map[string]string{"weight": "1", "note": fmt.Sprintf("the note of edge %d, some forty bytes", i)}})
+	}
+	s, err := New(nil, edges, ns, es, Config{NumShards: 1, SamplingRate: 32, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sliced, whole float64
+	for idx := 0; idx < 8; idx++ {
+		for limit := 1; limit <= 32; limit++ {
+			for _, warm := range []bool{false, true} {
+				rec, _ := s.GetEdgeRecord(5, 0)
+				p, clean := rec.singleCleanPiece()
+				if !clean || rec.Count() != 240 {
+					t.Fatalf("the record: %d edges, clean %v", rec.Count(), clean)
+				}
+				bytes, _ := succinctWork(func() {
+					if warm { // the arrays in full, as every read once decoded them
+						p.shard.Edges().Timestamps(&p.ref)
+						p.shard.Edges().RecordEnd(&p.ref)
+					}
+					if _, err := rec.GetEdgeDataRange(idx, idx+limit); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if warm {
+					whole += bytes
+				} else {
+					sliced += bytes
+				}
+			}
+		}
+	}
+	if sliced > 0.6*whole {
+		t.Errorf("assoc_range intervals of a 240-edge record extract %.0f bytes, %.2f of the %.0f with whole field arrays; want at most 0.6",
+			sliced, sliced/whole, whole)
+	}
+
+	read := func() float64 {
+		_, steps := succinctWork(func() {
+			rec, _ := s.GetEdgeRecord(5, 0)
+			if got, err := rec.GetEdgeDataRange(0, 16); err != nil || len(got) != 16 || got[15].Dst != 15 {
+				t.Fatalf("[0,16) = %v, %v", got, err)
+			}
+		})
+		return steps
+	}
+	base := read()
+	const perPiece = 64 // an anchor (below α = 32 steps) and a header of some 25 bytes
+	for piece := 1; piece <= 11; piece++ {
+		for i := 0; i < 60; i++ {
+			if err := s.AppendEdge(layout.Edge{Src: 5, Dst: int64(1000*piece + i), Type: 0, Timestamp: int64(10000*piece + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		freezeLog(t, s, true)
+		if steps := read(); steps > base+float64(piece*perPiece) {
+			t.Errorf("%d pieces of 60 edges behind the primary: a read of [0,16) takes %.0f Ψ steps, %.0f with none; want at most %d more per piece",
+				piece, steps, base, perPiece)
+		} else if piece == 11 {
+			t.Logf("[0,16) of a 240-edge primary: %.0f Ψ steps alone, %.0f with 11 pieces of 60 edges behind it", base, steps)
+		}
+	}
+}

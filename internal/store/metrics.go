@@ -27,11 +27,13 @@ var (
 	mLatFindNodes    = telemetry.NewHistogramL("zipg_store_latency_ns", `op="get_node_ids"`, helpStoreLatency)
 	mLatFindEdges    = telemetry.NewHistogramL("zipg_store_latency_ns", `op="find_edges"`, helpStoreLatency)
 
-	// mFragmentsPerRead is the paper's fanned-updates quantity: how many
-	// fragments (primary + frozen generations + LogStore) one node-prop
-	// read consulted (§3.5, Figures 10-11).
+	// mFragmentsPerRead is the paper's fanned-updates quantity (§3.5,
+	// Figures 10-11): how many fragments (primary + frozen generations +
+	// LogStore) a read faced — the ones a node-property read consulted
+	// before it hit (span-sampled reads), and the pieces of every
+	// EdgeRecord handed out.
 	mFragmentsPerRead = telemetry.NewHistogram("zipg_store_fragments_per_read",
-		"Fragments consulted per node-property read (fanned updates).")
+		"Fragments consulted per node-property read, and pieces per edge-record read (fanned updates).")
 
 	// mSuccinctBytes counts property/edge bytes materialized out of
 	// Succinct-compressed shards (not LogStore hits).

@@ -14,14 +14,14 @@ import (
 // handle to all live edges of one EdgeType incident on a node, possibly
 // fragmented across the primary shard, frozen generations and the live
 // LogStore. TimeOrder indexes the live edges across all fragments in
-// global timestamp order.
+// global timestamp order, ties going to the earlier fragment.
 type EdgeRecord struct {
 	Src  layout.NodeID
 	Type layout.EdgeType
 
 	pieces []recordPiece
 	count  int
-	merged []mergedEntry // built lazily; nil until needed
+	merged []mergedEntry // TimeOrders [0, len(merged)); mergeTo extends it
 }
 
 // recordPiece is one fragment's contribution to an EdgeRecord.
@@ -30,6 +30,7 @@ type recordPiece struct {
 	ref     layout.EdgeRecordRef // valid when shard != nil
 	deleted map[int]bool         // physical deletion marks (snapshot)
 	edges   []layout.Edge        // LogStore entries, ts-sorted
+	next    int                  // physical index of the first entry not merged yet
 }
 
 func (p *recordPiece) liveCount() int {
@@ -39,10 +40,31 @@ func (p *recordPiece) liveCount() int {
 	return p.ref.Count - len(p.deleted)
 }
 
+// head returns the timestamp of the piece's first live entry not merged
+// yet, moving next to it; ok is false once the piece is spent. A
+// compressed piece's first timestamp is in its header, so a piece that
+// gives a read nothing costs it no more than that.
+func (p *recordPiece) head() (ts int64, ok bool, err error) {
+	for p.deleted[p.next] {
+		p.next++
+	}
+	if p.shard == nil {
+		if p.next >= len(p.edges) {
+			return 0, false, nil
+		}
+		return p.edges[p.next].Timestamp, true, nil
+	}
+	if p.next >= p.ref.Count {
+		return 0, false, nil
+	}
+	ts, err = p.shard.Edges().Timestamp(&p.ref, p.next)
+	return ts, true, err
+}
+
+// mergedEntry places one TimeOrder: a piece and the physical index in it.
 type mergedEntry struct {
 	piece int
-	idx   int // physical index within the piece
-	ts    int64
+	idx   int
 }
 
 // Count returns the number of live edges (TAO's assoc_count). For the
@@ -72,7 +94,7 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 			continue
 		}
 		sh := f.shard
-		if ref, ok := sh.Edges().GetEdgeRecord(src, etype); ok {
+		if ref, ok := sh.EdgeRecord(src, etype); ok {
 			r.pieces = append(r.pieces, recordPiece{
 				shard:   sh,
 				ref:     ref,
@@ -90,6 +112,9 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 	}
 	if r.count == 0 {
 		return nil, false
+	}
+	if telemetry.Enabled() {
+		mFragmentsPerRead.Observe(int64(len(r.pieces)))
 	}
 	return r, true
 }
@@ -177,31 +202,45 @@ func copyDeleted(m map[int]bool) map[int]bool {
 	return cp
 }
 
-// ensureMerged builds the global TimeOrder index across pieces.
-func (r *EdgeRecord) ensureMerged() {
-	if r.merged != nil {
-		return
+// mergeTo extends the global TimeOrder index to its first end entries,
+// end <= count: a k-way merge over the pieces' timestamp-sorted heads, so
+// what it reads of a piece is what the piece gives to [0, end) and one
+// entry more. Equal timestamps go to the earlier piece, then the lower
+// physical index — the order a stable sort of the pieces laid end to end
+// gives, of which any merge is a prefix.
+func (r *EdgeRecord) mergeTo(end int) error {
+	if len(r.merged) >= end {
+		return nil
 	}
-	merged := make([]mergedEntry, 0, r.count)
-	for pi := range r.pieces {
-		p := &r.pieces[pi]
-		if p.shard == nil {
-			for i, e := range p.edges {
-				merged = append(merged, mergedEntry{pi, i, e.Timestamp})
-			}
-			continue
-		}
-		// One extract of the whole timestamp array instead of one per edge.
-		ts := p.shard.Edges().Timestamps(&p.ref)
-		for i := 0; i < p.ref.Count; i++ {
-			if p.deleted[i] {
-				continue
-			}
-			merged = append(merged, mergedEntry{pi, i, ts[i]})
-		}
+	type pieceHead struct {
+		ts    int64
+		ok    bool
+		fresh bool // ts, ok describe the piece's current next
 	}
-	sort.SliceStable(merged, func(a, b int) bool { return merged[a].ts < merged[b].ts })
-	r.merged = merged
+	heads := make([]pieceHead, len(r.pieces))
+	for len(r.merged) < end {
+		best := -1
+		for pi := range heads {
+			h := &heads[pi]
+			if !h.fresh {
+				var err error
+				if h.ts, h.ok, err = r.pieces[pi].head(); err != nil {
+					return err
+				}
+				h.fresh = true
+			}
+			if h.ok && (best < 0 || h.ts < heads[best].ts) {
+				best = pi
+			}
+		}
+		if best < 0 {
+			return fmt.Errorf("store: edge record (%d,%d) holds %d live edges, not %d", r.Src, r.Type, len(r.merged), r.count)
+		}
+		r.merged = append(r.merged, mergedEntry{best, r.pieces[best].next})
+		r.pieces[best].next++
+		heads[best].fresh = false
+	}
+	return nil
 }
 
 // singleCleanPiece reports whether the record is a single compressed
@@ -219,40 +258,26 @@ func (r *EdgeRecord) singleCleanPiece() (*recordPiece, bool) {
 }
 
 // GetEdgeData returns the (destination, timestamp, property list) of the
-// edge at the given TimeOrder (§2.2's get_edge_data).
+// edge at the given TimeOrder (§2.2's get_edge_data): the one-edge case
+// of GetEdgeDataRange.
 func (r *EdgeRecord) GetEdgeData(timeOrder int) (layout.EdgeData, error) {
 	if timeOrder < 0 || timeOrder >= r.count {
 		return layout.EdgeData{}, fmt.Errorf("store: time order %d out of range [0,%d)", timeOrder, r.count)
 	}
-	if p, ok := r.singleCleanPiece(); ok {
-		d, err := p.shard.Edges().GetEdgeData(&p.ref, timeOrder)
-		recordSuccinctEdgeData(d, err)
-		return d, err
+	out, err := r.GetEdgeDataRange(timeOrder, timeOrder+1)
+	if err != nil {
+		return layout.EdgeData{}, err
 	}
-	r.ensureMerged()
-	m := r.merged[timeOrder]
-	p := &r.pieces[m.piece]
-	if p.shard == nil {
-		e := p.edges[m.idx]
-		props := make(map[string]string, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		if len(props) == 0 {
-			props = nil
-		}
-		return layout.EdgeData{Dst: e.Dst, Timestamp: e.Timestamp, Props: props}, nil
-	}
-	d, err := p.shard.Edges().GetEdgeData(&p.ref, m.idx)
-	recordSuccinctEdgeData(d, err)
-	return d, err
+	return out[0], nil
 }
 
 // GetEdgeDataRange returns GetEdgeData(i) for every TimeOrder i in
 // [beg, end), in order — the get_edge_data loop of Algorithms 1–3 as one
 // call. An empty interval is nil; it fails where GetEdgeData(i) would. A
-// single clean compressed piece is read in one record walk; a fragmented
-// record goes edge by edge through the merged index.
+// single clean compressed piece is read in one record walk. A fragmented
+// record is merged as far as end, and what [beg, end) takes from a
+// compressed piece — consecutive live entries of it — is read in one
+// record walk over that physical run.
 func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
 	if beg >= end {
 		return nil, nil
@@ -267,13 +292,41 @@ func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
 		}
 		return out, err
 	}
-	out := make([]layout.EdgeData, 0, end-beg)
-	for i := beg; i < end; i++ {
-		d, err := r.GetEdgeData(i)
-		if err != nil {
+	if err := r.mergeTo(end); err != nil {
+		return nil, err
+	}
+	type run struct {
+		lo, hi int // physical indices [lo, hi) of the piece; hi is 0 if it gives nothing
+		data   []layout.EdgeData
+	}
+	runs := make([]run, len(r.pieces))
+	for _, m := range r.merged[beg:end] {
+		rn := &runs[m.piece]
+		if rn.hi == 0 {
+			rn.lo = m.idx
+		}
+		rn.hi = m.idx + 1
+	}
+	for pi := range runs {
+		rn, p := &runs[pi], &r.pieces[pi]
+		if p.shard == nil || rn.hi == 0 {
+			continue
+		}
+		var err error
+		if rn.data, err = p.shard.Edges().GetEdgeDataRange(&p.ref, rn.lo, rn.hi); err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+	}
+	out := make([]layout.EdgeData, 0, end-beg)
+	for _, m := range r.merged[beg:end] {
+		if p := &r.pieces[m.piece]; p.shard == nil {
+			e := p.edges[m.idx]
+			out = append(out, layout.EdgeData{Dst: e.Dst, Timestamp: e.Timestamp, Props: copyProps(e.Props)})
+		} else {
+			d := runs[m.piece].data[m.idx-runs[m.piece].lo]
+			recordSuccinctEdgeData(d, nil)
+			out = append(out, d)
+		}
 	}
 	return out, nil
 }
@@ -294,82 +347,60 @@ func recordSuccinctEdgeData(d layout.EdgeData, err error) {
 
 // GetEdgeRange returns the TimeOrder range [beg, end) of live edges with
 // timestamps in [tLo, tHi) (§2.2's get_edge_range). Wildcard bounds are
-// expressed as tLo=0, tHi=math.MaxInt64 by callers.
-func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (int, int) {
-	if p, ok := r.singleCleanPiece(); ok {
-		return p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
-	}
-	// Fragmented records: when every piece carries a timestamp span
-	// (hot-header for compressed pieces, first/last entry for log
-	// pieces), a window that misses or covers the whole record is
-	// answered from metadata — no timestamp arrays are decoded and no
-	// merge index is built. The spans are conservative over deletions
-	// (live entries are a subset), so the three answers stay exact.
-	if r.merged == nil {
-		if lo, hi, ok := r.span(); ok {
-			switch {
-			case tHi <= lo:
-				return 0, 0
-			case tLo > hi:
-				return r.count, r.count
-			case tLo <= lo && tHi > hi:
-				return 0, r.count
+// expressed as tLo=0, tHi=math.MaxInt64 by callers. The TimeOrder of the
+// first edge at or after a bound is the number of live edges before the
+// bound, piece by piece, so nothing is merged: a compressed piece answers
+// from its header's span when the window covers or misses it and from a
+// search of its timestamps otherwise, less its deletion marks. A piece
+// whose timestamps cannot be read makes the range empty.
+func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (beg, end int) {
+	for pi := range r.pieces {
+		p := &r.pieces[pi]
+		if p.shard == nil {
+			b, e := edgeSliceWindow(p.edges, tLo, tHi)
+			beg, end = beg+b, end+e
+			continue
+		}
+		b, e, err := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
+		if err != nil {
+			return 0, 0
+		}
+		beg, end = beg+b, end+e
+		for i := range p.deleted {
+			if i < b {
+				beg--
+			}
+			if i < e {
+				end--
 			}
 		}
 	}
-	r.ensureMerged()
-	beg := sort.Search(len(r.merged), func(i int) bool { return r.merged[i].ts >= tLo })
-	end := sort.Search(len(r.merged), func(i int) bool { return r.merged[i].ts >= tHi })
 	return beg, end
 }
 
-// span returns the record's overall [min, max] timestamp bounds when
-// every piece can report one cheaply: compressed pieces via the
-// hot-field header, log pieces via their (timestamp-sorted) first and
-// last entries. ok is false if any piece lacks a span (legacy-format
-// shards), in which case callers fall back to the merged index.
-func (r *EdgeRecord) span() (lo, hi int64, ok bool) {
-	first := true
-	for pi := range r.pieces {
-		p := &r.pieces[pi]
-		var plo, phi int64
-		if p.shard == nil {
-			if len(p.edges) == 0 {
-				continue
-			}
-			plo = p.edges[0].Timestamp
-			phi = p.edges[len(p.edges)-1].Timestamp
-		} else {
-			var hot bool
-			if plo, phi, hot = p.ref.HotSpan(); !hot {
-				return 0, 0, false
-			}
-		}
-		if first || plo < lo {
-			lo = plo
-		}
-		if first || phi > hi {
-			hi = phi
-		}
-		first = false
-	}
-	return lo, hi, !first
-}
-
 // Destinations returns the destination IDs of all live edges in
-// TimeOrder.
+// TimeOrder: each compressed piece's destinations in one extract, laid
+// out by the full merge.
 func (r *EdgeRecord) Destinations() []layout.NodeID {
 	if p, ok := r.singleCleanPiece(); ok {
 		return p.shard.Edges().Destinations(&p.ref)
 	}
-	r.ensureMerged()
-	out := make([]layout.NodeID, 0, len(r.merged))
+	if r.mergeTo(r.count) != nil {
+		return nil
+	}
+	dsts := make([][]layout.NodeID, len(r.pieces))
+	out := make([]layout.NodeID, 0, r.count)
 	for _, m := range r.merged {
 		p := &r.pieces[m.piece]
 		if p.shard == nil {
 			out = append(out, p.edges[m.idx].Dst)
-		} else {
-			out = append(out, p.shard.Edges().Destination(&p.ref, m.idx))
+			continue
+		}
+		if dsts[m.piece] == nil {
+			dsts[m.piece] = p.shard.Edges().Destinations(&p.ref)
+		}
+		if m.idx < len(dsts[m.piece]) {
+			out = append(out, dsts[m.piece][m.idx])
 		}
 	}
 	return out

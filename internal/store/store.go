@@ -352,23 +352,7 @@ func (s *Store) DeleteEdges(src layout.NodeID, etype layout.EdgeType, dst layout
 			removed += s.tombstoneRawLocked(f.raw, src, etype, dst)
 			continue
 		}
-		sh := f.shard
-		ref, ok := sh.Edges().GetEdgeRecord(src, etype)
-		if !ok {
-			continue
-		}
-		key := shardEdgeRef{sh, src, etype}
-		dsts := sh.Edges().Destinations(&ref)
-		for i, d := range dsts {
-			if d != dst || s.deletedPhys[key][i] {
-				continue
-			}
-			if s.deletedPhys[key] == nil {
-				s.deletedPhys[key] = make(map[int]bool)
-			}
-			s.deletedPhys[key][i] = true
-			removed++
-		}
+		removed += s.markShardEdgesLocked(f.shard, edgeTriple{src, etype, dst})
 	}
 	if s.replaying {
 		// A rebuild is running against an older snapshot; record the
@@ -872,9 +856,8 @@ func (s *Store) FindEdges(props map[string]string) []layout.Edge {
 		}
 		sh := frags[i].shard
 		var hits []edgeHit
-		// Matches cluster by (src, type); locating a record is itself a
-		// compressed search, so resolve each record once and share the
-		// ref (and its cached field windows) across its matches.
+		// Matches cluster by (src, type): resolve each record once and
+		// share the ref (and its cached field prefixes) across its matches.
 		type srcType struct {
 			src layout.NodeID
 			t   layout.EdgeType
@@ -884,7 +867,7 @@ func (s *Store) FindEdges(props map[string]string) []layout.Edge {
 			k := srcType{m.Src, m.Type}
 			ref, seen := refs[k]
 			if !seen {
-				if r, ok := sh.Edges().GetEdgeRecord(m.Src, m.Type); ok {
+				if r, ok := sh.EdgeRecord(m.Src, m.Type); ok {
 					ref = &r
 				}
 				refs[k] = ref

@@ -89,17 +89,19 @@ func (s *Store) EdgesInWindow(src layout.NodeID, etype layout.EdgeType, tLo, tHi
 			stats.Pruned++
 			continue
 		}
-		beg, end := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
+		beg, end, err := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
+		if err != nil {
+			continue
+		}
 		stats.Scanned += end - beg
-		for i := beg; i < end; i++ {
-			if p.deleted[i] {
+		// One record walk over the piece's in-window run; a piece that
+		// cannot be read gives the scan nothing.
+		data, _ := p.shard.Edges().GetEdgeDataRange(&p.ref, beg, end)
+		for i, d := range data {
+			if p.deleted[beg+i] {
 				continue
 			}
-			d, err := p.shard.Edges().GetEdgeData(&p.ref, i)
-			recordSuccinctEdgeData(d, err)
-			if err != nil {
-				continue
-			}
+			recordSuccinctEdgeData(d, nil)
 			out = append(out, d)
 		}
 	}
@@ -137,7 +139,10 @@ func (s *Store) CountInWindow(src layout.NodeID, etype layout.EdgeType, tLo, tHi
 			stats.Pruned++
 			continue
 		}
-		beg, end := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
+		beg, end, err := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
+		if err != nil {
+			continue
+		}
 		n := end - beg
 		for i := range p.deleted {
 			if i >= beg && i < end {
