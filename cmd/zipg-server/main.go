@@ -32,9 +32,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated addresses of all servers, in ID order")
 	shards := flag.Int("shards", 4, "shards per server (paper default: one per core)")
 	alpha := flag.Int("alpha", 32, "succinct sampling rate")
-	autoTune := flag.Bool("autotune-alpha", false, "let compactions retune per-shard alpha from read heat")
-	compactInterval := flag.Duration("compact-interval", 0, "run a full online compaction every interval (0 to disable; enables the background worker)")
-	compactRollovers := flag.Int("compact-rollovers", 0, "run a full online compaction after this many log rollovers (0 to disable; enables the background worker)")
+	compactRollovers := flag.Int("compact-rollovers", 0, "run a full online compaction after this many log rollovers (0 to disable)")
 	admin := flag.String("admin", "127.0.0.1:0",
 		"admin HTTP address serving /metrics, /healthz, /debug/vars, /debug/traces, /debug/trace/{id}, /debug/slow and /debug/pprof (empty to disable)")
 	noTelemetry := flag.Bool("no-telemetry", false, "disable telemetry recording (admin endpoints stay up)")
@@ -79,8 +77,7 @@ func main() {
 		NumServers:            g.NumServers,
 		ShardsPerServer:       *shards,
 		SamplingRate:          *alpha,
-		AutoTuneAlpha:         *autoTune,
-		CompactInterval:       *compactInterval,
+		BackgroundCompaction:  true,
 		CompactAfterRollovers: *compactRollovers,
 	})
 	if err != nil {

@@ -5,18 +5,15 @@ import (
 
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
-	"zipg/internal/memsim"
 )
 
 // LaunchConfig parameterizes an in-process cluster (what the benchmark
 // harness and tests use; cmd/zipg-server runs the same Server as a
 // standalone binary).
 type LaunchConfig struct {
-	NumServers      int
-	ShardsPerServer int
-	SamplingRate    int
-	// MediumFor, if set, supplies each server's simulated storage.
-	MediumFor         func(serverID int) *memsim.Medium
+	NumServers        int
+	ShardsPerServer   int
+	SamplingRate      int
 	LogStoreThreshold int64
 }
 
@@ -56,16 +53,11 @@ func LaunchWithReplicas(nodes []layout.Node, edges []layout.Edge, nodeSchema, ed
 	}
 	for p := 0; p < cfg.NumServers; p++ {
 		for r := 0; r < replicas; r++ {
-			var med *memsim.Medium
-			if cfg.MediumFor != nil {
-				med = cfg.MediumFor(p)
-			}
 			srv, err := NewServer(partNodes[p], partEdges[p], nodeSchema, edgeSchema, ServerConfig{
 				ID:                p,
 				NumServers:        cfg.NumServers,
 				ShardsPerServer:   cfg.ShardsPerServer,
 				SamplingRate:      cfg.SamplingRate,
-				Medium:            med,
 				LogStoreThreshold: cfg.LogStoreThreshold,
 			})
 			if err != nil {

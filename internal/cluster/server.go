@@ -21,7 +21,6 @@ import (
 
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
-	"zipg/internal/memsim"
 	"zipg/internal/rpc"
 	"zipg/internal/store"
 	"zipg/internal/telemetry"
@@ -154,20 +153,12 @@ type ServerConfig struct {
 	ShardsPerServer int
 	// SamplingRate is Succinct's α.
 	SamplingRate int
-	// Medium simulates this server's storage (nil = unlimited).
-	Medium *memsim.Medium
 	// LogStoreThreshold triggers local LogStore rollover.
 	LogStoreThreshold int64
-	// AutoTuneAlpha lets local compactions retune per-shard α from
-	// accumulated read counts.
-	AutoTuneAlpha bool
-	// BackgroundCompaction moves rollover compression off the write
-	// path onto this server's background worker. Implied by
-	// CompactInterval or CompactAfterRollovers.
+	// BackgroundCompaction has this server's background worker, not
+	// the writer that crossed the threshold, compress a rolled-over
+	// LogStore. Implied by CompactAfterRollovers.
 	BackgroundCompaction bool
-	// CompactInterval, when positive, runs a full online compaction of
-	// this server's store every interval.
-	CompactInterval time.Duration
 	// CompactAfterRollovers, when positive, runs a full online
 	// compaction once that many local rollovers have accumulated.
 	CompactAfterRollovers int
@@ -197,11 +188,8 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 	st, err := store.New(nodes, edges, nodeSchema, edgeSchema, store.Config{
 		NumShards:             cfg.ShardsPerServer,
 		SamplingRate:          cfg.SamplingRate,
-		Medium:                cfg.Medium,
 		LogStoreThreshold:     cfg.LogStoreThreshold,
-		AutoTuneAlpha:         cfg.AutoTuneAlpha,
 		BackgroundCompaction:  cfg.BackgroundCompaction,
-		CompactInterval:       cfg.CompactInterval,
 		CompactAfterRollovers: cfg.CompactAfterRollovers,
 	})
 	if err != nil {

@@ -63,6 +63,18 @@ func TestShardQueries(t *testing.T) {
 	}
 }
 
+// edgeSources lists the distinct sources of the shard's edge records,
+// ascending (the record index is in (source, type) order).
+func edgeSources(s *Shard) []layout.NodeID {
+	var out []layout.NodeID
+	for _, rec := range s.EdgeIndex() {
+		if len(out) == 0 || out[len(out)-1] != rec.Src {
+			out = append(out, rec.Src)
+		}
+	}
+	return out
+}
+
 // checkShardsAgree asserts both shards answer node-property and edge
 // queries identically.
 func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
@@ -74,7 +86,8 @@ func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
 			t.Fatalf("node %d: %v/%v vs %v/%v", n.ID, pa, oka, pb, okb)
 		}
 	}
-	for _, src := range a.EdgeSources() {
+	srcs := edgeSources(a)
+	for _, src := range srcs {
 		for etype := int64(0); etype < 2; etype++ {
 			ra, oka := a.Edges().GetEdgeRecord(src, etype)
 			rb, okb := b.Edges().GetEdgeRecord(src, etype)
@@ -99,8 +112,8 @@ func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
 			}
 		}
 	}
-	offA, okA := a.EdgeRecordOffset(a.EdgeSources()[0], 0)
-	offB, okB := b.EdgeRecordOffset(a.EdgeSources()[0], 0)
+	offA, okA := a.EdgeRecordOffset(srcs[0], 0)
+	offB, okB := b.EdgeRecordOffset(srcs[0], 0)
 	if okA != okB || offA != offB {
 		t.Fatalf("EdgeRecordOffset diverged: %d/%v vs %d/%v", offA, okA, offB, okB)
 	}
@@ -172,7 +185,7 @@ type taggedShardWire struct {
 
 func tagged(w shardWire) taggedShardWire {
 	return taggedShardWire{
-		NodeStore: w.NodeStore, EdgeStore: w.EdgeStore, NodeIDs: w.NodeIDs, EdgeSrcs: w.EdgeSrcs,
+		NodeStore: w.NodeStore, EdgeStore: w.EdgeStore, NodeIDs: w.NodeIDs,
 		NodeSchema: w.NodeSchema, EdgeSchema: w.EdgeSchema, RawNodeBytes: w.RawNodeBytes, RawEdgeBytes: w.RawEdgeBytes,
 		EdgeFormat: w.EdgeFormat, EdgeIdxSrcs: w.EdgeIdxSrcs, EdgeIdxTypes: w.EdgeIdxTypes,
 		NodeOffsetsEnc: append([]byte{1}, w.NodeOffsets...), EdgeIdxOffsEnc: append([]byte{1}, w.EdgeIdxOffs...),

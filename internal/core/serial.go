@@ -19,7 +19,6 @@ type shardWire struct {
 	NodeStore    []byte
 	EdgeStore    []byte
 	NodeIDs      []int64
-	EdgeSrcs     []int64
 	NodeSchema   layout.SchemaSpec
 	EdgeSchema   layout.SchemaSpec
 	RawNodeBytes int
@@ -47,7 +46,6 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 		NodeStore:    s.nodeStore.MarshalBinary(),
 		EdgeStore:    s.edgeStore.MarshalBinary(),
 		NodeIDs:      s.nodes.IDs(),
-		EdgeSrcs:     s.edgeSrcs,
 		NodeSchema:   s.nodes.Schema().Spec(),
 		EdgeSchema:   s.edges.Schema().Spec(),
 		RawNodeBytes: s.rawNodeBytes,
@@ -80,7 +78,7 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: edge schema: %w", err)
 	}
-	s := &Shard{rawNodeBytes: w.RawNodeBytes, rawEdgeBytes: w.RawEdgeBytes, edgeSrcs: w.EdgeSrcs}
+	s := &Shard{rawNodeBytes: w.RawNodeBytes, rawEdgeBytes: w.RawEdgeBytes}
 	if s.nodeStore, err = succinct.UnmarshalStore(w.NodeStore, med); err != nil {
 		return nil, fmt.Errorf("core: node store: %w", err)
 	}

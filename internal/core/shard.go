@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/layout"
@@ -34,11 +33,6 @@ type Shard struct {
 	nodeStore *succinct.Store
 	edgeStore *succinct.Store
 
-	// edgeSrcs lists the distinct source IDs with edge records in this
-	// shard (needed to enumerate records, e.g. for compaction: a shard
-	// frozen from a LogStore may hold edges for sources whose node
-	// records live in other fragments).
-	edgeSrcs []layout.NodeID
 	// The edge record index lists every record's key and offset in file
 	// order (used by edge-property search and by batch reads, which
 	// locate records by binary search here instead of compressed
@@ -76,7 +70,6 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 	s := &Shard{
 		nodeStore:    stores[0],
 		edgeStore:    stores[1],
-		edgeSrcs:     distinctSources(edges),
 		rawNodeBytes: len(nodeFlat),
 		rawEdgeBytes: len(edgeFlat),
 	}
@@ -129,10 +122,6 @@ func (s *Shard) CompressedSize() int {
 
 // RawSize returns the size of the uncompressed flat files.
 func (s *Shard) RawSize() int { return s.rawNodeBytes + s.rawEdgeBytes }
-
-// EdgeSources returns the distinct source node IDs that have edge
-// records in this shard, ascending.
-func (s *Shard) EdgeSources() []layout.NodeID { return s.edgeSrcs }
 
 // SamplingRate returns the α the shard's succinct stores were built with.
 func (s *Shard) SamplingRate() int { return s.nodeStore.SamplingRate() }
@@ -190,18 +179,4 @@ func (s *Shard) CodecReport() []succinct.RegionCodec {
 	return append(out,
 		succinct.OffsetsRegion("node/offsets", s.nodes.Offsets()),
 		succinct.OffsetsRegion("edge/index", s.edgeIdxOffs))
-}
-
-// distinctSources extracts the sorted distinct edge sources.
-func distinctSources(edges []layout.Edge) []layout.NodeID {
-	seen := make(map[layout.NodeID]bool, len(edges))
-	var out []layout.NodeID
-	for _, e := range edges {
-		if !seen[e.Src] {
-			seen[e.Src] = true
-			out = append(out, e.Src)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -105,10 +105,10 @@ func (l *LogStore) Size() int64 {
 // Put is one prepared (validated, schema-checked, size-accounted)
 // mutation, ready to be applied to a LogStore without any further
 // fallible work. Exactly one of NodeID/Edge is meaningful; NodeProps
-// is an already-copied map the LogStore may own. Prepared puts are the
-// unit the store's group-committed write path batches: all validation
-// and serialization-size work happens outside any lock, and ApplyPuts
-// publishes a whole batch in one critical section.
+// is an already-copied map the LogStore may own. Prepared puts are what
+// the store's commit publishes: all validation and serialization-size
+// work happens outside any lock, and ApplyPuts publishes a commit's
+// puts in one critical section.
 type Put struct {
 	IsNode    bool
 	NodeID    layout.NodeID

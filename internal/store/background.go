@@ -1,8 +1,6 @@
 package store
 
 import (
-	"time"
-
 	"zipg/internal/core"
 	"zipg/internal/logstore"
 	"zipg/internal/telemetry"
@@ -11,31 +9,28 @@ import (
 // backgroundCompactor is the store's maintenance goroutine. It owns
 // two jobs, both serialized with Compact through buildMu:
 //
-//   - compressing sealed raw generations: a threshold rollover with
-//     background compaction enabled is an O(1) seal under the lock;
-//     the actual suffix-array build happens here, off the write path,
-//     and the compressed shard is swapped in under a brief lock.
-//   - triggering full online compactions, either every CompactInterval
-//     or once CompactAfterRollovers rollovers have accumulated.
+//   - compressing sealed raw generations: a threshold rollover is an
+//     O(1) seal under the lock; the suffix-array build happens here,
+//     off the write path, and the compressed shard is swapped in under
+//     a brief lock.
+//   - triggering a full online compaction once CompactAfterRollovers
+//     rollovers have accumulated.
 //
 // kick() is called (non-blocking) by the write path whenever a seal
-// happens; the interval ticker covers stores that go idle with work
-// pending.
+// happens.
 type backgroundCompactor struct {
-	s        *Store
-	interval time.Duration
-	kickCh   chan struct{}
-	stopCh   chan struct{}
-	doneCh   chan struct{}
+	s      *Store
+	kickCh chan struct{}
+	stopCh chan struct{}
+	doneCh chan struct{}
 }
 
-func startBackground(s *Store, interval time.Duration) *backgroundCompactor {
+func startBackground(s *Store) *backgroundCompactor {
 	b := &backgroundCompactor{
-		s:        s,
-		interval: interval,
-		kickCh:   make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
+		s:      s,
+		kickCh: make(chan struct{}, 1),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
 	}
 	go b.run()
 	return b
@@ -60,27 +55,19 @@ func (b *backgroundCompactor) stop() {
 
 func (b *backgroundCompactor) run() {
 	defer close(b.doneCh)
-	var tick <-chan time.Time
-	if b.interval > 0 {
-		t := time.NewTicker(b.interval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-b.stopCh:
 			return
 		case <-b.kickCh:
-			b.pass(false)
-		case <-tick:
-			b.pass(true)
+			b.pass()
 		}
 	}
 }
 
 // pass drains pending maintenance: compress every sealed raw
-// generation, then run a full compaction if a trigger fires.
-func (b *backgroundCompactor) pass(intervalFired bool) {
+// generation, then run a full compaction if the trigger fires.
+func (b *backgroundCompactor) pass() {
 	for b.s.compressOnePending() {
 		select {
 		case <-b.stopCh:
@@ -88,8 +75,7 @@ func (b *backgroundCompactor) pass(intervalFired bool) {
 		default:
 		}
 	}
-	after := b.s.cfg.CompactAfterRollovers
-	if intervalFired || (after > 0 && b.s.rolloversPending() >= after) {
+	if after := b.s.cfg.CompactAfterRollovers; after > 0 && b.s.rolloversPending() >= after {
 		// Compaction failure leaves the store fully serviceable (the
 		// fragments it would have merged stay live); the next trigger
 		// retries.
@@ -107,9 +93,11 @@ func (s *Store) rolloversPending() int {
 // compressOnePending finds the oldest sealed raw generation, builds
 // its compressed shard outside the store lock, and swaps it in,
 // converting the generation's delete tombstones into lazy per-position
-// marks on the new shard. Returns false when no raw generation
-// remains (or the build failed — the raw generation stays live and
-// readable either way).
+// marks on the new shard. The worker calls it until nothing is
+// pending; in a store without one, so does every writer that sealed a
+// generation. Returns false when no raw generation remains (or the
+// build failed — the raw generation stays live and readable either
+// way).
 func (s *Store) compressOnePending() bool {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()

@@ -62,7 +62,6 @@ func (s *Store) getNodePropsBatch(ids []layout.NodeID, propertyIDs []string) ([]
 			continue
 		}
 		p := s.partitionOf(id)
-		s.noteRead(p)
 		groups[p] = append(groups[p], i)
 	}
 	s.mu.RUnlock()
@@ -191,7 +190,6 @@ func (s *Store) AssocRangeBatch(reqs []AssocRangeReq) ([][]layout.EdgeData, erro
 			continue
 		}
 		p := s.partitionOf(req.ID)
-		s.noteRead(p)
 		sh := primaries[p]
 		if len(s.deletedPhys[shardEdgeRef{sh, req.ID, req.Type}]) > 0 {
 			slow = append(slow, i)

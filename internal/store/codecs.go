@@ -9,17 +9,12 @@ import (
 
 // FragmentCodecs describes one compressed fragment for the admin report
 // (zipg-cli codecs, /debug/codecs): which fragment, the α its succinct
-// stores sample at, the reads its primary partition has drawn since the
-// last compaction, and every encoded region.
+// stores sample at, and every encoded region.
 type FragmentCodecs struct {
 	// Fragment names the shard: "primary/<p>" or "frozen/<gen>".
 	Fragment string
 	// Alpha is the sampling rate the fragment was built with.
 	Alpha int
-	// Reads counts reads attributed to this primary partition since the
-	// last compaction (always 0 for frozen generations, which have no
-	// partition of their own).
-	Reads int64
 	// Regions lists the fragment's encoded regions.
 	Regions []succinct.RegionCodec
 }
@@ -34,7 +29,6 @@ func (s *Store) CodecReport() []FragmentCodecs {
 		out = append(out, FragmentCodecs{
 			Fragment: fmt.Sprintf("primary/%d", p),
 			Alpha:    sh.SamplingRate(),
-			Reads:    s.shardReads[p].Load(),
 			Regions:  sh.CodecReport(),
 		})
 	}
@@ -61,13 +55,12 @@ func (s *Store) CodecReport() []FragmentCodecs {
 // served — and, for a monotone region (Ψ above all), the share of its
 // blocks that are payload-free runs, the share that write a directory
 // record and the directory/payload split of its bytes — grouped under
-// per-fragment headers that carry α and the partition's accumulated
-// reads.
+// per-fragment headers that carry α.
 func FormatCodecReport(report []FragmentCodecs) string {
 	var b strings.Builder
-	b.WriteString("# per-shard region report: fragment (alpha, reads) then one line per encoded region\n")
+	b.WriteString("# per-shard region report: fragment (alpha) then one line per encoded region\n")
 	for _, fc := range report {
-		fmt.Fprintf(&b, "%s  alpha=%d  reads=%d\n", fc.Fragment, fc.Alpha, fc.Reads)
+		fmt.Fprintf(&b, "%s  alpha=%d\n", fc.Fragment, fc.Alpha)
 		for _, rc := range fc.Regions {
 			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row",
 				rc.Region, rc.Encoding, rc.Elems, rc.Bytes, rc.BitsPerRow)
@@ -79,26 +72,4 @@ func FormatCodecReport(report []FragmentCodecs) string {
 		}
 	}
 	return b.String()
-}
-
-// TunedAlphas returns the per-partition α chosen by the last
-// compaction (nil before the first compaction). Auto-tuned stores see
-// the ladder's choices; others see the configured base α everywhere.
-func (s *Store) TunedAlphas() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.tunedAlpha == nil {
-		return nil
-	}
-	return append([]int(nil), s.tunedAlpha...)
-}
-
-// ShardReads returns the per-partition read counts accumulated since
-// the last compaction — the α auto-tuner's input signal.
-func (s *Store) ShardReads() []int64 {
-	out := make([]int64, len(s.shardReads))
-	for p := range s.shardReads {
-		out[p] = s.shardReads[p].Load()
-	}
-	return out
 }

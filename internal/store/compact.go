@@ -10,7 +10,6 @@ import (
 	"zipg/internal/layout"
 	"zipg/internal/logstore"
 	"zipg/internal/parallel"
-	"zipg/internal/succinct"
 	"zipg/internal/telemetry"
 )
 
@@ -44,9 +43,10 @@ import (
 // rebuild is busy baking into the fresh primaries — so they are
 // recorded (s.replay*) and re-applied at swap as lazy deletion marks.
 //
-// buildMu serializes Compact with the background worker's generation
-// compression: at most one rebuild is in flight, which is what lets
-// the replay log attribute its entries to exactly one pending swap.
+// buildMu serializes Compact with the compression of sealed
+// generations (compressOnePending): at most one rebuild is in flight,
+// which is what lets the replay log attribute its entries to exactly
+// one pending swap.
 func (s *Store) Compact() error {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
@@ -59,7 +59,7 @@ func (s *Store) Compact() error {
 	// Phase 1: seal + snapshot under a brief write lock.
 	pause := telemetry.StartTimer()
 	s.mu.Lock()
-	s.sealForCompactLocked()
+	s.sealLogLocked() // not a rollover: bookkeeping internal to this compaction
 	snap := s.snapshotForCompactLocked()
 	s.replaying = true
 	s.replayEdgeDels = nil
@@ -95,21 +95,9 @@ type compactSnapshot struct {
 	primaries    []*core.Shard
 	frozen       []fragment
 	cut          int // == len(frozen): generations the rebuild consumes
-	alphas       []int
 	deletedNodes map[layout.NodeID]bool
 	deletedPhys  map[shardEdgeRef]map[int]bool
 	rawDels      map[*logstore.LogStore]map[edgeTriple]bool
-}
-
-// sealForCompactLocked freezes the live LogStore into a raw generation
-// so the whole pre-compaction state is immutable. Unlike a threshold
-// rollover this is not counted in Rollovers() — it is bookkeeping
-// internal to one compaction, not a capacity event. Callers hold s.mu.
-func (s *Store) sealForCompactLocked() {
-	frozen := make([]fragment, len(s.frozen), len(s.frozen)+1)
-	copy(frozen, s.frozen)
-	s.frozen = append(frozen, fragment{raw: s.log})
-	s.log = logstore.New(s.nodeSchema, s.edgeSchema, s.cfg.Medium, len(s.frozen))
 }
 
 // snapshotForCompactLocked captures the rebuild's input epoch. The
@@ -120,7 +108,6 @@ func (s *Store) snapshotForCompactLocked() *compactSnapshot {
 		primaries:    s.primaries,
 		frozen:       s.frozen,
 		cut:          len(s.frozen),
-		alphas:       s.tuneAlphasLocked(),
 		deletedNodes: make(map[layout.NodeID]bool, len(s.deletedNodes)),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool, len(s.deletedPhys)),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool, len(s.rawDels)),
@@ -160,7 +147,7 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 	}
 	fresh, err := parallel.MapErr("store.compact_shards", s.cfg.NumShards, func(p int) (*core.Shard, error) {
 		sh, err := core.Build(partNodes[p], partEdges[p], s.nodeSchema, s.edgeSchema,
-			core.Options{SamplingRate: c.alphas[p], Medium: s.cfg.Medium})
+			core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 		if err != nil {
 			return nil, fmt.Errorf("store: compact shard %d: %w", p, err)
 		}
@@ -179,10 +166,6 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) {
 	cut := snap.cut
 	s.primaries = fresh
-	s.tunedAlpha = snap.alphas
-	for p := range s.shardReads {
-		s.shardReads[p].Store(0)
-	}
 	// Generations sealed during the rebuild survive, renumbered down by
 	// cut; so does the live log (its generation is implicitly
 	// len(s.frozen) — see curGenLocked).
@@ -273,55 +256,6 @@ func (s *Store) markShardEdgesLocked(sh *core.Shard, t edgeTriple) int {
 		n++
 	}
 	return n
-}
-
-// tuneAlphasLocked picks each partition's sampling rate α for the next
-// shard generation. Without AutoTuneAlpha (or before any reads) every
-// partition keeps the configured base α. With it, partitions are graded
-// against their fair share of the reads accumulated since the last
-// compaction: a partition drawing ≥2× its fair share samples 4× denser
-// (α/4 — random access there is latency-critical), one merely above fair
-// samples 2× denser, and one below half its fair share compresses 2×
-// harder (2α) — trading cold-shard latency nobody observes for space,
-// the α knob of §3.2 turned per shard instead of globally. α is clamped
-// to [4, 128]. Callers hold s.mu.
-func (s *Store) tuneAlphasLocked() []int {
-	base := s.cfg.SamplingRate
-	if base <= 0 {
-		base = succinct.DefaultSamplingRate
-	}
-	alphas := make([]int, s.cfg.NumShards)
-	for p := range alphas {
-		alphas[p] = base
-	}
-	if !s.cfg.AutoTuneAlpha {
-		return alphas
-	}
-	var total int64
-	for p := range s.shardReads {
-		total += s.shardReads[p].Load()
-	}
-	if total == 0 {
-		return alphas
-	}
-	fair := float64(total) / float64(s.cfg.NumShards)
-	for p := range alphas {
-		reads := float64(s.shardReads[p].Load())
-		switch {
-		case reads >= 2*fair:
-			alphas[p] = max(4, base/4)
-			mAlphaDenser.Inc()
-		case reads > fair:
-			alphas[p] = max(4, base/2)
-			mAlphaDenser.Inc()
-		case reads < fair/2:
-			alphas[p] = min(128, base*2)
-			mAlphaSparser.Inc()
-		default:
-			mAlphaBase.Inc()
-		}
-	}
-	return alphas
 }
 
 // materialize reconstructs the snapshot's live logical graph: every

@@ -14,8 +14,8 @@ import (
 // node deletes, edge deletes — is published as an Event carrying a
 // monotone per-partition sequence number. Events are assigned and
 // dispatched inside the same store-lock critical section that makes the
-// mutation visible to readers (the group commit's single s.mu
-// acquisition publishes one event per record in batch order), so the
+// mutation visible to readers (a commit's single s.mu acquisition
+// publishes one event per record, in order), so the
 // event stream per partition is a total order consistent with what any
 // reader can observe: a subscriber that sees Seq n has seen exactly the
 // mutations 1..n of that partition, and gaps are provable by simple
@@ -60,7 +60,7 @@ func (k EventKind) String() string {
 
 // Event is one published change. Seq is monotone and contiguous per
 // partition, starting at 1. At is the publish wall-clock (UnixNano),
-// stamped once per commit batch — subscriber delivery lag is measured
+// stamped once per commit — subscriber delivery lag is measured
 // against it.
 type Event struct {
 	Seq  uint64
@@ -74,9 +74,9 @@ type Event struct {
 	At    int64
 }
 
-// DefaultEventTailLen is the per-partition event-tail capacity when
-// Config.EventTailLen is zero.
-const DefaultEventTailLen = 8192
+// eventTailCap is the per-partition event-tail capacity backing
+// EventsSince.
+const eventTailCap = 8192
 
 // EventObserver receives every published event batch, synchronously,
 // inside the store's commit critical section. Implementations must be
@@ -97,7 +97,6 @@ type eventPartition struct {
 // store's write lock (s.mu); reads take the read lock.
 type eventLog struct {
 	parts []eventPartition
-	cap   int
 	// observers is append-only; guarded by obsMu for registration,
 	// snapshotted under it for dispatch (dispatch itself runs under
 	// s.mu, serializing deliveries).
@@ -105,15 +104,11 @@ type eventLog struct {
 	observers []EventObserver
 }
 
-func (el *eventLog) init(nparts, tailCap int) {
+func (el *eventLog) init(nparts int) {
 	if nparts <= 0 {
 		nparts = 1
 	}
-	if tailCap <= 0 {
-		tailCap = DefaultEventTailLen
-	}
 	el.parts = make([]eventPartition, nparts)
-	el.cap = tailCap
 }
 
 // Observe registers an observer for every future event batch.
@@ -139,14 +134,14 @@ func (s *Store) emitLocked(evs []Event) {
 		p.nextSeq++
 		ev.Seq = p.nextSeq
 		ev.At = now
-		if len(p.ring) < el.cap {
+		if len(p.ring) < eventTailCap {
 			p.ring = append(p.ring, *ev)
 			p.n++
 			continue
 		}
 		// Ring full: overwrite the oldest (drop-oldest retention).
 		p.ring[p.start] = *ev
-		p.start = (p.start + 1) % el.cap
+		p.start = (p.start + 1) % eventTailCap
 	}
 	el.obsMu.RLock()
 	obs := el.observers
@@ -204,7 +199,7 @@ func (s *Store) LastSeq(part int) uint64 {
 	return s.events.parts[part].nextSeq
 }
 
-// eventsForPuts converts one commit batch into events, in batch order.
+// eventsForPuts converts one commit's puts into events, in order.
 func (s *Store) eventsForPuts(puts []logstore.Put) []Event {
 	evs := make([]Event, len(puts))
 	for i := range puts {

@@ -7,9 +7,9 @@ import (
 	"zipg/internal/layout"
 )
 
-// BenchmarkIngestGroupCommit measures concurrent append throughput
-// through the group committer.
-func BenchmarkIngestGroupCommit(b *testing.B) {
+// BenchmarkIngest measures concurrent append throughput through
+// Store.commit.
+func BenchmarkIngest(b *testing.B) {
 	ns, es := testSchemas(b)
 	nodes, edges := testGraph(100, 400, 11)
 	s, err := New(nodes, edges, ns, es, Config{

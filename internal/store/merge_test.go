@@ -61,9 +61,9 @@ func (m *mergeModel) want(src, etype int64) []layout.EdgeData {
 	return out
 }
 
-// freezeLog seals the live log into a raw generation, as a background-mode
-// rollover does, and with compress builds its shard, as the worker then
-// does.
+// freezeLog seals the live log into a raw generation, as a rollover
+// does, and with compress builds its shard, as the worker or the writer
+// that sealed then does.
 func freezeLog(t testing.TB, s *Store, compress bool) {
 	t.Helper()
 	s.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"zipg/internal/core"
 	"zipg/internal/layout"
@@ -170,13 +169,11 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 		deletedNodes: make(map[layout.NodeID]bool, len(wire.DeletedNodes)),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
-		shardReads:   make([]atomic.Int64, wire.NumShards),
 		rollovers:    wire.Rollovers,
 	}
-	s.wc.init(wire.NumShards)
 	// Event sequences are runtime state: a reloaded store starts every
 	// partition's sequence at 0 (subscribers cannot span a restart).
-	s.events.init(wire.NumShards, 0)
+	s.events.init(wire.NumShards)
 	if s.cfg.LogStoreThreshold <= 0 {
 		s.cfg.LogStoreThreshold = DefaultLogStoreThreshold
 	}

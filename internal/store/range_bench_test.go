@@ -93,7 +93,7 @@ func BenchmarkAssocRangeFragmented(b *testing.B) {
 func BenchmarkCompactMaterialize(b *testing.B) {
 	s, _ := fragmentedLinkBench(b, 5)
 	s.mu.Lock()
-	s.sealForCompactLocked()
+	s.sealLogLocked()
 	snap := s.snapshotForCompactLocked()
 	s.mu.Unlock()
 	b.ResetTimer()

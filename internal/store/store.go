@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"zipg/internal/core"
 	"zipg/internal/layout"
@@ -45,31 +43,15 @@ type Config struct {
 	// following update pointers — the strawman §3.5 argues against.
 	// Exists only for the ablation benchmark.
 	DisableFannedUpdates bool
-	// AutoTuneAlpha lets Compact retune each partition's sampling rate α
-	// from its accumulated read counts: hot partitions get denser
-	// samples (faster random access), cold ones compress harder.
-	AutoTuneAlpha bool
-	// BackgroundCompaction moves LogStore rollover compression off the
-	// write path: crossing the threshold seals the log into a raw
-	// frozen generation (O(1) under the lock) and a background worker
-	// compresses it. Implied by CompactInterval/CompactAfterRollovers.
+	// BackgroundCompaction chooses who compresses a sealed LogStore
+	// generation: a background worker, or (false) the writer whose
+	// append crossed the threshold, once it has released the store
+	// lock. Implied by CompactAfterRollovers.
 	BackgroundCompaction bool
-	// CompactInterval, when positive, runs a full online compaction
-	// every interval on the background worker.
-	CompactInterval time.Duration
 	// CompactAfterRollovers, when positive, runs a full online
-	// compaction once that many rollovers have accumulated since the
-	// last one.
+	// compaction on the background worker once that many rollovers
+	// have accumulated since the last one.
 	CompactAfterRollovers int
-	// EventTailLen is the per-partition change-event tail capacity
-	// backing Catchup replay (0 = DefaultEventTailLen). See events.go.
-	EventTailLen int
-}
-
-// backgroundEnabled reports whether the configuration asks for the
-// background compaction worker.
-func (c Config) backgroundEnabled() bool {
-	return c.BackgroundCompaction || c.CompactInterval > 0 || c.CompactAfterRollovers > 0
 }
 
 type shardEdgeRef struct {
@@ -103,8 +85,8 @@ type Store struct {
 	nodeSchema *layout.PropertySchema
 	edgeSchema *layout.PropertySchema
 
-	// buildMu serializes heavyweight rebuilds: background compression
-	// of sealed generations and online compactions. At most one build
+	// buildMu serializes heavyweight rebuilds: compression of sealed
+	// generations and online compactions. At most one build
 	// is in flight, which is what lets the delete-replay log attribute
 	// its entries to exactly one pending swap.
 	buildMu sync.Mutex
@@ -133,15 +115,6 @@ type Store struct {
 	replayEdgeDels []edgeTriple
 	replayNodeDels map[layout.NodeID]bool
 
-	// shardReads counts reads routed to each primary partition since
-	// the last compaction — the per-shard heat signal Compact's α
-	// auto-tuner consumes (and then resets). Atomic so the lock-free
-	// read paths can bump them.
-	shardReads []atomic.Int64
-	// tunedAlpha records the per-partition α the last compaction chose
-	// (nil until an auto-tuned compaction has run).
-	tunedAlpha []int
-
 	rollovers int
 	// rolloversSinceCompact drives the background compaction trigger.
 	rolloversSinceCompact int
@@ -151,8 +124,6 @@ type Store struct {
 	// s.mu so event order matches mutation visibility order.
 	events eventLog
 
-	// wc is the group-commit coordinator for the append path.
-	wc writeCoordinator
 	// bg is the background compaction worker (nil unless enabled).
 	bg        *backgroundCompactor
 	closeOnce sync.Once
@@ -175,10 +146,8 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		deletedNodes: make(map[layout.NodeID]bool),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
-		shardReads:   make([]atomic.Int64, cfg.NumShards),
 	}
-	s.wc.init(cfg.NumShards)
-	s.events.init(cfg.NumShards, cfg.EventTailLen)
+	s.events.init(cfg.NumShards)
 
 	// Count, then fill: a partition is allocated once, at its size.
 	nodeCount, edgeCount := make([]int, cfg.NumShards), make([]int, cfg.NumShards)
@@ -218,8 +187,8 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 	}
 	s.primaries = shards
 	s.log = logstore.New(nodeSchema, edgeSchema, cfg.Medium, 0)
-	if cfg.backgroundEnabled() {
-		s.bg = startBackground(s, cfg.CompactInterval)
+	if cfg.BackgroundCompaction || cfg.CompactAfterRollovers > 0 {
+		s.bg = startBackground(s)
 	}
 	return s, nil
 }
@@ -245,11 +214,6 @@ func (s *Store) partitionOf(id layout.NodeID) int {
 	return int(layout.IDHash(id) % uint32(s.cfg.NumShards))
 }
 
-// noteRead attributes one read to a node's primary partition. The
-// counters feed Compact's α auto-tuner; one atomic add keeps the read
-// paths lock-free.
-func (s *Store) noteRead(p int) { s.shardReads[p].Add(1) }
-
 // NodeSchema returns the node property schema.
 func (s *Store) NodeSchema() *layout.PropertySchema { return s.nodeSchema }
 
@@ -273,44 +237,92 @@ func (s *Store) addPtrLocked(id layout.NodeID, gen int) {
 // AppendNode inserts a new node or replaces an existing node's property
 // list (Table 1's append(nodeID, PropertyList); updates are
 // delete-followed-by-append per §3.5, which this implements atomically).
-//
-// Validation and serialization-size accounting run outside any lock;
-// publication rides the group committer: the writer enqueues a
-// prepared put on its partition's queue and either leads one commit
-// (draining every queue into the LogStore in a single short critical
-// section) or waits for a concurrent leader to publish it. The
-// LogStore append and the update-pointer write still land under the
-// same store-lock acquisition: a rollover sneaking between them would
-// freeze the data into generation g while the pointer records g+1,
-// losing the write.
+// Validation and serialization-size accounting run outside any lock.
 func (s *Store) AppendNode(id layout.NodeID, props map[string]string) error {
 	mOpAppendNode.Inc()
 	put, err := logstore.PrepareNodePut(s.nodeSchema, id, props)
 	if err != nil {
 		return err
 	}
-	return s.submitWrite(s.partitionOf(id), put)
+	s.commit([]logstore.Put{put})
+	return nil
 }
 
 // AppendEdge appends one edge (Table 1's append(nodeID, edgeType,
 // edgeRecord)). Endpoints that have no node record yet get an empty one
 // — the shared semantics across every system in this repository (Neo4j
-// and Titan both auto-create endpoints). See AppendNode for the locking
-// discipline.
+// and Titan both auto-create endpoints) — published ahead of the edge
+// in the same commit.
 func (s *Store) AppendEdge(e layout.Edge) error {
 	mOpAppendEdge.Inc()
-	put, err := logstore.PrepareEdgePut(s.edgeSchema, e)
+	edge, err := logstore.PrepareEdgePut(s.edgeSchema, e)
 	if err != nil {
 		return err
 	}
-	for _, id := range []layout.NodeID{e.Src, e.Dst} {
-		if !s.HasNode(id) {
-			if err := s.AppendNode(id, nil); err != nil {
-				return err
-			}
+	ends := []layout.NodeID{e.Src, e.Dst}
+	if e.Dst == e.Src {
+		ends = ends[:1]
+	}
+	puts := make([]logstore.Put, 0, 3)
+	for _, id := range ends {
+		if s.HasNode(id) {
+			continue
+		}
+		node, err := logstore.PrepareNodePut(s.nodeSchema, id, nil)
+		if err != nil {
+			return err
+		}
+		puts = append(puts, node)
+	}
+	s.commit(append(puts, edge))
+	return nil
+}
+
+// commit publishes prepared puts in order under one acquisition of the
+// store lock. The LogStore append and the update-pointer write must
+// share it: a rollover sneaking between them would freeze the data into
+// generation g while the pointer records g+1, losing the write. It
+// cannot fail — every fallible step ran in logstore.Prepare*Put.
+func (s *Store) commit(puts []logstore.Put) {
+	stall := telemetry.StartTimer()
+	s.mu.Lock()
+	s.log.ApplyPuts(puts)
+	gen := s.curGenLocked()
+	for i := range puts {
+		p := &puts[i]
+		if p.IsNode {
+			delete(s.deletedNodes, p.NodeID)
+			s.addPtrLocked(p.NodeID, gen)
+		} else {
+			s.addPtrLocked(p.Edge.Src, gen)
 		}
 	}
-	return s.submitWrite(s.partitionOf(e.Src), put)
+	// One event per record, inside the critical section that made the
+	// records visible: subscribers see them contiguously and in order.
+	s.emitLocked(s.eventsForPuts(puts))
+	sealed := s.log.Size() >= s.cfg.LogStoreThreshold
+	if sealed {
+		s.sealLogLocked()
+		s.rollovers++
+		s.rolloversSinceCompact++
+		mRollovers.Inc()
+	}
+	s.mu.Unlock()
+	stall.ObserveInto(mWriteStallNs)
+	mCommits.Inc()
+	mCommitRecords.Add(int64(len(puts)))
+	if !sealed {
+		return
+	}
+	// The rollover's build runs with the store lock released — on the
+	// worker if there is one, else here: this writer pays for the shard
+	// its append completed and nobody else waits for it.
+	if s.bg != nil {
+		s.bg.kick()
+		return
+	}
+	for s.compressOnePending() {
+	}
 }
 
 // DeleteNode lazily deletes a node: reads of its properties and edges
@@ -390,9 +402,7 @@ func (s *Store) tombstoneRawLocked(raw *logstore.LogStore, src layout.NodeID, et
 // pointers name (or, with fanned updates disabled, every frozen
 // fragment). Callers hold s.mu.
 func (s *Store) fragmentsOfLocked(id layout.NodeID) []fragment {
-	p := s.partitionOf(id)
-	s.noteRead(p)
-	out := []fragment{{shard: s.primaries[p]}}
+	out := []fragment{{shard: s.primaries[s.partitionOf(id)]}}
 	if s.cfg.DisableFannedUpdates {
 		return append(out, s.frozen...)
 	}
@@ -404,51 +414,17 @@ func (s *Store) fragmentsOfLocked(id layout.NodeID) []fragment {
 	return out
 }
 
-// maybeRolloverLocked freezes the LogStore into a new frozen generation
-// when it crosses the threshold. With background compaction enabled the
-// freeze is O(1): the live log is sealed as an immutable raw fragment
-// and the worker compresses it later, off the write path. Otherwise the
-// compressed shard is built synchronously under the lock (the seed
-// behavior). Callers hold s.mu.
-func (s *Store) maybeRolloverLocked() error {
-	if s.log.Size() < s.cfg.LogStoreThreshold {
-		return nil
-	}
-	if s.bg != nil {
-		s.sealLogLocked()
-		s.bg.kick()
-		return nil
-	}
-	tm := telemetry.StartTimer()
-	nodes, edges := s.log.Contents()
-	sh, err := core.Build(nodes, edges, s.nodeSchema, s.edgeSchema,
-		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
-	if err != nil {
-		return fmt.Errorf("store: rollover: %w", err)
-	}
-	frozen := make([]fragment, len(s.frozen), len(s.frozen)+1)
-	copy(frozen, s.frozen)
-	s.frozen = append(frozen, fragment{shard: sh})
-	s.log = logstore.New(s.nodeSchema, s.edgeSchema, s.cfg.Medium, len(s.frozen))
-	s.rollovers++
-	s.rolloversSinceCompact++
-	mRollovers.Inc()
-	tm.ObserveInto(mRolloverNs)
-	return nil
-}
-
 // sealLogLocked freezes the live LogStore into an immutable raw frozen
-// generation and starts a fresh live log. The sealed generation keeps
-// its generation number (update pointers stay valid: the slot it lands
-// in is exactly the gen the live log had). Callers hold s.mu.
+// generation, O(1), and starts a fresh live log. The sealed generation
+// keeps its generation number (update pointers stay valid: the slot it
+// lands in is exactly the gen the live log had); compressOnePending or
+// a compaction turns it into a compressed shard later, with the store
+// lock released. Callers hold s.mu.
 func (s *Store) sealLogLocked() {
 	frozen := make([]fragment, len(s.frozen), len(s.frozen)+1)
 	copy(frozen, s.frozen)
 	s.frozen = append(frozen, fragment{raw: s.log})
 	s.log = logstore.New(s.nodeSchema, s.edgeSchema, s.cfg.Medium, len(s.frozen))
-	s.rollovers++
-	s.rolloversSinceCompact++
-	mRollovers.Inc()
 }
 
 // Rollovers returns how many LogStore freezes have happened.
@@ -570,7 +546,6 @@ func (s *Store) GetNodePropsCtx(ctx context.Context, id layout.NodeID, propertyI
 }
 
 func (s *Store) getNodeProps(id layout.NodeID, propertyIDs []string, sp *telemetry.Span) ([]string, bool) {
-	s.noteRead(s.partitionOf(id))
 	s.mu.RLock()
 	if s.deletedNodes[id] {
 		s.mu.RUnlock()
@@ -791,16 +766,25 @@ func (s *Store) FindNodes(props map[string]string) []layout.NodeID {
 	return out
 }
 
-// HasNode reports whether a live property record exists for id.
+// HasNode reports whether a live property record exists for id: the
+// same fragments GetNodeProps would consult, asked through their
+// in-memory indexes only — no record is decoded.
 func (s *Store) HasNode(id layout.NodeID) bool {
-	_, ok := s.GetNodeProps(id, []string{})
-	return ok
-}
-
-// HasNodeCtx is HasNode under a trace context (see GetNodePropsCtx).
-func (s *Store) HasNodeCtx(ctx context.Context, id layout.NodeID) bool {
-	_, ok := s.GetNodePropsCtx(ctx, id, []string{})
-	return ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.deletedNodes[id] {
+		return false
+	}
+	for _, f := range s.fragmentsOfLocked(id) {
+		if f.raw != nil {
+			if f.raw.HasNode(id) {
+				return true
+			}
+		} else if f.shard.Nodes().Contains(id) {
+			return true
+		}
+	}
+	return s.hasLogPtrLocked(id) && s.log.HasNode(id)
 }
 
 // edgeHit is one fragment-local edge-search match: the decoded edge

@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +16,8 @@ import (
 	"zipg/internal/telemetry"
 )
 
-// TestGroupCommitConcurrentWriters hammers the group committer from
-// many goroutines and verifies nothing is lost or misattributed.
+// TestGroupCommitConcurrentWriters hammers commit from many goroutines
+// and verifies nothing is lost or misattributed.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	ns, es := testSchemas(t)
 	nodes, edges := testGraph(20, 40, 3)
@@ -131,7 +134,7 @@ func TestSealedRawGeneration(t *testing.T) {
 	if err := s.AppendNode(7, map[string]string{"name": "sealed-era", "age": "99"}); err != nil {
 		t.Fatal(err)
 	}
-	// Seal the live log by hand (what a background-mode rollover does).
+	// Seal the live log by hand (what a rollover does).
 	s.mu.Lock()
 	s.sealLogLocked()
 	s.mu.Unlock()
@@ -365,15 +368,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	// any pending compaction trigger.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s.mu.RLock()
-		raw := 0
-		for _, f := range s.frozen {
-			if f.raw != nil {
-				raw++
-			}
-		}
-		pending := s.rolloversSinceCompact
-		s.mu.RUnlock()
+		raw, pending := rawGenerations(s), s.rolloversPending()
 		if raw == 0 && pending < 2 {
 			break
 		}
@@ -404,8 +399,8 @@ func TestWritePathMetricNames(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
 	// Touch the series so histograms register non-trivially.
-	mGroupBatches.Inc()
-	mGroupRecords.Add(2)
+	mCommits.Inc()
+	mCommitRecords.Add(2)
 	mWriteStallNs.Observe(1)
 	mCompactionPauseNs.Observe(1)
 	expo := telemetry.Default.Expose()
@@ -418,5 +413,203 @@ func TestWritePathMetricNames(t *testing.T) {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %s", want)
 		}
+	}
+}
+
+// rawGenerations counts the sealed generations still awaiting their
+// compressed shard.
+func rawGenerations(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, f := range s.frozen {
+		if f.raw != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRolloverBuildsOffTheStoreLock: in a store without the worker the
+// writer whose append crosses the threshold builds the shard itself,
+// but with the store lock released — a reader keeps reading through
+// the whole build. The count starts inside the commit's critical
+// section (observers run there), where at most one read — snapshotted
+// before the writer took the lock — can still be in flight; a second
+// one completing before the append returns started during the build.
+func TestRolloverBuildsOffTheStoreLock(t *testing.T) {
+	ns, es := testSchemas(t)
+	nodes, edges := testGraph(50, 200, 13)
+	s, err := New(nodes, edges, ns, es, Config{NumShards: 2, SamplingRate: 8, LogStoreThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := int64(0); ; id = (id + 1) % 50 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, ok := s.GetNodeProps(id, []string{"name"}); !ok {
+				t.Errorf("node %d missing", id)
+				return
+			}
+			reads.Add(1)
+			runtime.Gosched() // on one CPU, do not sit out a time slice per yield of the build
+		}
+	}()
+	var atCommit int64 // written under s.mu by the appending goroutine's own commit
+	s.Observe(func([]Event) { atCommit = reads.Load() })
+	note := strings.Repeat("n", 90)
+	during := int64(-1)
+	for i := 0; during < 0; i++ {
+		if i > 20000 {
+			t.Fatal("no rollover after 20000 appends")
+		}
+		e := layout.Edge{Src: int64(i % 40), Dst: int64(1000 + i), Type: 1, Timestamp: int64(i + 1), Props: map[string]string{"note": note}}
+		if err := s.AppendEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		if s.Rollovers() == 1 {
+			during = reads.Load() - atCommit
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("%d reads completed while the rollover's append ran", during)
+	if during < 2 {
+		t.Fatalf("%d reads completed while the rollover's append ran; the reader was locked out of the build", during)
+	}
+	if n := rawGenerations(s); n != 0 {
+		t.Fatalf("%d raw generations left after the sealing writer returned", n)
+	}
+}
+
+// rolloverScript is a seeded single-writer op script that rolls a
+// 2 KiB log over many times: node rewrites, edge appends (some to
+// endpoints that do not exist yet, one a self-loop), edge and node
+// deletes, and a deleted node appended again.
+func rolloverScript(t *testing.T, s *Store, edges []layout.Edge) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 400; i++ {
+		var err error
+		switch k := rng.Intn(10); {
+		case k < 6:
+			err = s.AppendEdge(layout.Edge{
+				Src: int64(rng.Intn(70)), Dst: int64(rng.Intn(70)), Type: int64(rng.Intn(3)), Timestamp: int64(20000 + i),
+				Props: map[string]string{"weight": fmt.Sprint(rng.Intn(5))},
+			})
+		case k < 8:
+			id := int64(rng.Intn(70))
+			err = s.AppendNode(id, map[string]string{"location": "Madison", "name": fmt.Sprintf("upd%d-%d", id, i)})
+		case k == 8:
+			e := edges[rng.Intn(len(edges))]
+			s.DeleteEdges(e.Src, e.Type, e.Dst)
+		default:
+			s.DeleteNode(int64(rng.Intn(60)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AppendEdge(layout.Edge{Src: 65, Dst: 65, Type: 0, Timestamp: 30000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRolloverModesAgree: BackgroundCompaction chooses who compresses
+// a sealed generation and nothing else. One op script run with and
+// without the worker rolls over the same number of times, leaves no
+// generation raw once the work is done, and answers the query battery
+// identically.
+func TestRolloverModesAgree(t *testing.T) {
+	run := func(worker bool) (storeAnswers, int) {
+		ns, es := testSchemas(t)
+		nodes, edges := testGraph(60, 240, 3)
+		s, err := New(nodes, edges, ns, es, Config{
+			NumShards: 3, SamplingRate: 8, LogStoreThreshold: 2 << 10, BackgroundCompaction: worker,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (s.bg != nil) != worker {
+			t.Fatalf("worker running = %v, want %v", s.bg != nil, worker)
+		}
+		rolloverScript(t, s, edges)
+		if worker {
+			// The writers have stopped; the worker still owes the
+			// generations sealed last.
+			for deadline := time.Now().Add(10 * time.Second); rawGenerations(s) > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("worker left %d generations raw", rawGenerations(s))
+				}
+			}
+		}
+		s.Close()
+		if n := rawGenerations(s); n != 0 {
+			t.Fatalf("worker=%v: %d raw generations left", worker, n)
+		}
+		return queryBattery(t, s), s.Rollovers()
+	}
+	inline, inlineRollovers := run(false)
+	bg, bgRollovers := run(true)
+	if inlineRollovers < 5 || inlineRollovers != bgRollovers {
+		t.Fatalf("rollovers: %d by the writer, %d with the worker; want equal and at least 5", inlineRollovers, bgRollovers)
+	}
+	if !reflect.DeepEqual(inline, bg) {
+		t.Fatal("answers differ between a writer-compressed and a worker-compressed store")
+	}
+}
+
+// TestHasNodeExtractsNothing: existence is an index question. On a
+// fragmented store HasNode agrees with the definition it replaces — a
+// property read that asks for no property — for present, absent,
+// deleted, re-appended and endpoint-created nodes, and 1,000 calls
+// extract no byte from a compressed store.
+func TestHasNodeExtractsNothing(t *testing.T) {
+	s := buildFragmentedStore(t, 8)
+	if err := s.AppendNode(8, map[string]string{"name": "back"}); err != nil { // deleted by the fixture
+		t.Fatal(err)
+	}
+	if err := s.AppendEdge(layout.Edge{Src: 3, Dst: 77, Type: 0, Timestamp: 1}); err != nil { // creates 77
+		t.Fatal(err)
+	}
+	s.DeleteNode(77)
+	if err := s.AppendEdge(layout.Edge{Src: 78, Dst: 4, Type: 0, Timestamp: 2}); err != nil { // creates 78
+		t.Fatal(err)
+	}
+	freezeLog(t, s, false) // a raw generation, and an empty live log
+	if err := s.AppendNode(79, nil); err != nil {
+		t.Fatal(err)
+	}
+	var present, absent int
+	for id := int64(0); id < 100; id++ {
+		_, want := s.GetNodeProps(id, []string{})
+		if want {
+			present++
+		} else {
+			absent++
+		}
+		if got := s.HasNode(id); got != want {
+			t.Errorf("HasNode(%d) = %v, a property read says %v", id, got, want)
+		}
+	}
+	if present < 50 || absent < 20 || !s.HasNode(8) || s.HasNode(1) || s.HasNode(77) || !s.HasNode(78) || !s.HasNode(79) {
+		t.Fatalf("fixture: %d present, %d absent; 8:%v 1:%v 77:%v 78:%v 79:%v", present, absent,
+			s.HasNode(8), s.HasNode(1), s.HasNode(77), s.HasNode(78), s.HasNode(79))
+	}
+	extracted, _ := succinctWork(func() {
+		for i := 0; i < 1000; i++ {
+			s.HasNode(int64(i % 100))
+		}
+	})
+	if extracted != 0 {
+		t.Fatalf("1000 HasNode calls extracted %v bytes from compressed stores", extracted)
 	}
 }

@@ -27,7 +27,7 @@ func buildSubGraph(t testing.TB, nNodes, shards int) *zipg.Graph {
 	return g
 }
 
-// TestSubscriptionGapFree hammers the group-committed write path from
+// TestSubscriptionGapFree hammers the write path from
 // 16 concurrent writers (appends, deletes, node rewrites) while a
 // firehose subscriber drains, and asserts the delivered events carry
 // gap-free, monotone per-partition sequence numbers covering every

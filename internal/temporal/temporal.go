@@ -13,7 +13,7 @@
 //     min/max span, fragment merge with tombstone filtering.
 //   - Live subscriptions (Subscribe/Catchup): per-subscriber bounded
 //     rings with drop-oldest backpressure, fed synchronously from the
-//     store's group-commit batches; Catchup replays the store's event
+//     store's commits; Catchup replays the store's event
 //     tail so a lagging subscriber re-converges on the live stream.
 //   - Temporal reachability (PathInWindow): bounded-hop BFS that only
 //     traverses edges whose timestamps fall in the window, fanned

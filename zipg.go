@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
@@ -77,21 +76,15 @@ type Options struct {
 	// Medium, if set, places the store on a simulated storage hierarchy
 	// (used by the benchmark harness to model memory pressure).
 	Medium *memsim.Medium
-	// AutoTuneAlpha lets Compact retune each shard's sampling rate α
-	// from the reads it drew since the last compaction: hot shards get
-	// denser samples, cold shards compress harder.
-	AutoTuneAlpha bool
-	// BackgroundCompaction moves write-log rollover compression off the
-	// write path: crossing the threshold seals the log O(1) and a
-	// background worker compresses it. Implied by CompactInterval or
-	// CompactAfterRollovers.
+	// BackgroundCompaction chooses who compresses a rolled-over write
+	// log. Crossing the threshold always seals the log in O(1); the
+	// shard is then built, with no store lock held, by a background
+	// worker (true) or by the writer whose append crossed the threshold
+	// (false). Implied by CompactAfterRollovers.
 	BackgroundCompaction bool
-	// CompactInterval, when positive, runs a full online compaction
-	// every interval on the background worker.
-	CompactInterval time.Duration
 	// CompactAfterRollovers, when positive, runs a full online
-	// compaction once that many log rollovers have accumulated since
-	// the last one.
+	// compaction on the background worker once that many log rollovers
+	// have accumulated since the last one.
 	CompactAfterRollovers int
 }
 
@@ -168,9 +161,7 @@ func CompressWithSchemas(data GraphData, nodeSchema, edgeSchema *layout.Property
 		SamplingRate:          opts.SamplingRate,
 		Medium:                opts.Medium,
 		LogStoreThreshold:     opts.LogStoreThreshold,
-		AutoTuneAlpha:         opts.AutoTuneAlpha,
 		BackgroundCompaction:  opts.BackgroundCompaction,
-		CompactInterval:       opts.CompactInterval,
 		CompactAfterRollovers: opts.CompactAfterRollovers,
 	})
 	if err != nil {
