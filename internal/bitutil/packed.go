@@ -67,9 +67,6 @@ func WidthFor(v uint64) uint {
 // Len returns the number of elements.
 func (pv *PackedVector) Len() int { return pv.n }
 
-// Width returns the per-element bit width.
-func (pv *PackedVector) Width() uint { return pv.width }
-
 // SizeBytes returns the in-memory footprint of the payload.
 func (pv *PackedVector) SizeBytes() int { return len(pv.words) * 8 }
 

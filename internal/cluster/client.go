@@ -257,11 +257,14 @@ func (r *remoteRecord) Range(tLo, tHi int64) (int, int) {
 }
 
 func (r *remoteRecord) Data(timeOrder int) (graphapi.EdgeData, error) {
-	var reply edgeDataReply
-	if err := r.call("RecData", recDataArgs{ID: r.id, EType: r.etype, Order: timeOrder}, &reply); err != nil {
+	edges, err := r.DataRange(timeOrder, timeOrder+1)
+	if err != nil {
 		return graphapi.EdgeData{}, err
 	}
-	return graphapi.EdgeData{Dst: reply.Dst, Timestamp: reply.Ts, Props: reply.Props}, nil
+	if len(edges) != 1 {
+		return graphapi.EdgeData{}, fmt.Errorf("cluster: record (%d,%d): %d edges at time order %d", r.id, r.etype, len(edges), timeOrder)
+	}
+	return edges[0], nil
 }
 
 // DataRange implements graphapi.RangeDataRecord: one round trip for the

@@ -55,7 +55,7 @@ var (
 	mBatchDedup = telemetry.NewCounter("zipg_batch_dedup_total",
 		"Duplicate candidate IDs eliminated before MatchBatch fan-out.")
 	mBatchRequestsCluster = telemetry.NewCounterL("zipg_batch_requests_total", `layer="cluster"`,
-		"Items requested through batch kernels, by layer.")
+		"Items requested through batch reads, by layer.")
 )
 
 // --- wire types ---
@@ -110,18 +110,6 @@ type recRangeArgs struct {
 
 type rangeReply struct {
 	Beg, End int
-}
-
-type recDataArgs struct {
-	ID    graphapi.NodeID
-	EType graphapi.EdgeType
-	Order int
-}
-
-type edgeDataReply struct {
-	Dst   graphapi.NodeID
-	Ts    int64
-	Props map[string]string
 }
 
 type edgesReply struct {
@@ -275,11 +263,9 @@ func (s *Server) registerHandlers() {
 		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
 			return nil, err
 		}
-		// A shipped batch checks many independent nodes; the store's
-		// vectorized matcher resolves the whole batch in one
-		// locality-sorted pass over the compressed shards (per-shard
-		// groups still fan out on the shared pool inside). The whole
-		// batch is one succinct_walk phase on the serve span.
+		// A shipped batch checks many independent nodes, which the
+		// store fans out on the shared pool. The whole batch is one
+		// succinct_walk phase on the serve span.
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
 		if telemetry.Enabled() {
 			mBatchRequestsCluster.Add(int64(len(a.IDs)))
@@ -340,24 +326,8 @@ func (s *Server) registerHandlers() {
 		beg, end := rec.GetEdgeRange(a.Lo, a.Hi)
 		return rangeReply{Beg: beg, End: end}, nil
 	})
-	s.rpc.Handle("RecData", func(ctx context.Context, blob []byte) (any, error) {
-		var a recDataArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
-		if !ok {
-			return nil, fmt.Errorf("cluster: no record (%d,%d)", a.ID, a.EType)
-		}
-		d, err := rec.GetEdgeData(a.Order)
-		if err != nil {
-			return nil, err
-		}
-		return edgeDataReply{Dst: d.Dst, Ts: d.Timestamp, Props: d.Props}, nil
-	})
-	// RecDataRange is RecData for a whole TimeOrder interval: the record
-	// is located once and the edges leave in one reply.
+	// RecDataRange is the get_edge_data loop over a TimeOrder interval:
+	// the record is located once and the edges leave in one reply.
 	s.rpc.Handle("RecDataRange", func(ctx context.Context, blob []byte) (any, error) {
 		var a recRangeArgs
 		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
@@ -527,8 +497,7 @@ func (s *Server) neighborsCtx(ctx context.Context, id graphapi.NodeID, etype gra
 		}(owner, ids)
 	}
 	if local := perOwner[s.cfg.ID]; len(local) > 0 {
-		// One phase for the whole local batch, which the store's
-		// vectorized matcher resolves in a single locality-sorted pass.
+		// One phase for the whole local batch.
 		endLocal := sp.Phase("succinct_walk")
 		if telemetry.Enabled() {
 			mBatchRequestsCluster.Add(int64(len(local)))

@@ -31,10 +31,6 @@ type windowArgs struct {
 	Limit  int
 }
 
-type windowEdgesReply struct {
-	Edges []edgeDataReply
-}
-
 type windowCountReply struct {
 	N int
 }
@@ -72,12 +68,7 @@ func (s *Server) registerTemporal() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		edges := s.temp.AssocTimeRange(a.ID, a.EType, a.Lo, a.Hi, a.Limit)
-		reply := windowEdgesReply{Edges: make([]edgeDataReply, len(edges))}
-		for i, e := range edges {
-			reply.Edges[i] = edgeDataReply{Dst: e.Dst, Ts: e.Timestamp, Props: e.Props}
-		}
-		return reply, nil
+		return edgesReply{Edges: s.temp.AssocTimeRange(a.ID, a.EType, a.Lo, a.Hi, a.Limit)}, nil
 	})
 	s.rpc.Handle("TemporalCount", func(ctx context.Context, blob []byte) (any, error) {
 		var a windowArgs
@@ -95,8 +86,7 @@ func (s *Server) registerTemporal() {
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
 		reply := windowNbrsReply{Nbrs: make([][]graphapi.NodeID, len(a.IDs))}
 		for i, id := range a.IDs {
-			nbrs, _ := s.store.NeighborsInWindow(id, a.Lo, a.Hi)
-			reply.Nbrs[i] = nbrs
+			reply.Nbrs[i] = s.store.NeighborsInWindow(id, a.Lo, a.Hi)
 		}
 		return reply, nil
 	})
@@ -204,8 +194,7 @@ func (s *Server) expandWindowHop(ctx context.Context, frontier []layout.NodeID, 
 		}(owner, idxs)
 	}
 	for _, fi := range perOwner[s.cfg.ID] {
-		nbrs, _ := s.store.NeighborsInWindow(frontier[fi], tLo, tHi)
-		out[fi] = nbrs
+		out[fi] = s.store.NeighborsInWindow(frontier[fi], tLo, tHi)
 	}
 	wg.Wait()
 	select {
@@ -228,19 +217,12 @@ func (c *Client) AssocTimeRange(src graphapi.NodeID, etype graphapi.EdgeType, tL
 func (c *Client) AssocTimeRangeCtx(ctx context.Context, src graphapi.NodeID, etype graphapi.EdgeType, tLo, tHi int64, limit int) []layout.EdgeData {
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.assoc_time_range")
 	defer sp.End()
-	var reply windowEdgesReply
+	var reply edgesReply
 	if err := c.callRead(ctx, c.ownerOf(src), "TemporalRange", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi, Limit: limit}, &reply); err != nil {
 		sp.SetError(err)
 		return nil
 	}
-	if len(reply.Edges) == 0 {
-		return nil
-	}
-	out := make([]layout.EdgeData, len(reply.Edges))
-	for i, e := range reply.Edges {
-		out[i] = layout.EdgeData{Dst: e.Dst, Timestamp: e.Ts, Props: e.Props}
-	}
-	return out
+	return reply.Edges
 }
 
 // AssocCountInWindow counts the in-window edges of (src, etype) at the

@@ -97,27 +97,13 @@ type Store interface {
 	DeleteEdges(src NodeID, etype EdgeType, dst NodeID) (int, error)
 }
 
-// AssocRangeReq names one assoc_range read for AssocRangeBatch: up to
-// Limit edges of (ID, Type) in time order starting at TimeOrder Idx.
+// AssocRangeReq names one assoc_range read of a batch: up to Limit edges
+// of (ID, Type) in time order starting at TimeOrder Idx.
 type AssocRangeReq struct {
 	ID    NodeID
 	Type  EdgeType
 	Idx   int
 	Limit int
-}
-
-// BatchStore is the optional vectorized extension of Store. A store that
-// implements it answers many point reads in one locality-sorted pass;
-// results are positional and identical to a scalar loop over the same
-// requests (workload drivers fall back to that loop when the store does
-// not implement this interface).
-type BatchStore interface {
-	// ObjGetBatch returns GetNodeProperty(id, nil) for every id.
-	ObjGetBatch(ids []NodeID) ([][]string, []bool)
-	// AssocRangeBatch returns, per request, the edges at TimeOrder
-	// [Idx, min(Idx+Limit, count)) of (ID, Type); nil where the record
-	// does not exist.
-	AssocRangeBatch(reqs []AssocRangeReq) ([][]EdgeData, error)
 }
 
 // TimeBounds normalizes wildcard time bounds to a concrete interval.

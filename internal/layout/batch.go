@@ -1,59 +1,6 @@
 package layout
 
-import (
-	"fmt"
-
-	"zipg/internal/succinct"
-)
-
-// This file holds the vectorized record read paths. Both views accept a
-// batch of record requests, hand the record offsets to the succinct
-// WalkBatch kernel (which sorts them and moves ONE shared walker
-// through the file), and decode each record with a single front-to-back
-// walk. Over a non-compressed source the same per-record decode runs in
-// a plain loop — the code path is identical, only the walker sharing is
-// succinct-specific.
-
-// GetPropertiesBatch answers GetProperties(id, propertyIDs) for every id
-// in one locality-sorted sweep. Results are positional: vals[i]/oks[i]
-// correspond to ids[i], duplicates included; missing IDs yield
-// (nil, false) exactly like the scalar call.
-func (v *NodeFileView) GetPropertiesBatch(ids []NodeID, propertyIDs []string) ([][]string, []bool) {
-	vals := make([][]string, len(ids))
-	oks := make([]bool, len(ids))
-	if len(ids) == 0 {
-		return vals, oks
-	}
-	s, _ := v.src.(*succinct.Store)
-	if s == nil || len(ids) == 1 {
-		for i, id := range ids {
-			vals[i], oks[i] = v.GetProperties(id, propertyIDs)
-		}
-		return vals, oks
-	}
-	// Resolve IDs to record offsets up front (in-memory binary searches);
-	// absent IDs simply don't join the walk.
-	offs := make([]int, 0, len(ids))
-	back := make([]int, 0, len(ids))
-	for i, id := range ids {
-		if k := v.indexOf(id); k >= 0 {
-			offs = append(offs, int(v.offs.Get(k)))
-			back = append(back, i)
-		}
-	}
-	if len(offs) == 0 {
-		return vals, oks
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	s.WalkBatch(offs, func(j int, w *succinct.Walker) {
-		rw := recWalk{ss: s, sw: *w}
-		i := back[j]
-		vals[i], oks[i] = v.propsFromWalk(&rw, propertyIDs, sc)
-		*w = rw.sw // carry the walk position into the next record
-	})
-	return vals, oks
-}
+import "fmt"
 
 // EdgeRangeReq asks for the edges [Idx, Idx+Limit) in time order from the
 // record starting at Offset (known from the build index) for (Src, Type).
@@ -65,11 +12,14 @@ type EdgeRangeReq struct {
 	Limit  int
 }
 
-// GetEdgeRangeBatch reads every requested record slice in one
-// locality-sorted sweep. Results are positional and match what a scalar
-// loop of GetEdgeRecordAt + GetEdgeData over [Idx, min(Idx+Limit, Count))
-// would produce (negative indices skipped, like TAO assoc_range). The
-// first decode error aborts, mirroring the scalar loop.
+// GetEdgeRangeBatch reads every requested record slice through one walk
+// that seeks from each record to the next, so requests in file order —
+// the compactor's, which reads a shard's records whole, one after the
+// other — step on from record to record instead of anchoring at each.
+// Results are positional and match what a scalar loop of GetEdgeRecordAt
+// + GetEdgeData over [Idx, min(Idx+Limit, Count)) would produce (negative
+// indices skipped, like TAO assoc_range). The first decode error aborts,
+// mirroring the scalar loop.
 func (v *EdgeFileView) GetEdgeRangeBatch(reqs []EdgeRangeReq) ([][]EdgeData, error) {
 	out := make([][]EdgeData, len(reqs))
 	if len(reqs) == 0 {
@@ -77,46 +27,21 @@ func (v *EdgeFileView) GetEdgeRangeBatch(reqs []EdgeRangeReq) ([][]EdgeData, err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	s, _ := v.src.(*succinct.Store)
-	if s == nil || len(reqs) == 1 {
-		for i, req := range reqs {
-			w := newRecWalk(v.src, int(req.Offset))
-			data, err := v.rangeFromWalk(&w, req, sc)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = data
-		}
-		return out, nil
-	}
-	offs := make([]int, len(reqs))
+	w := newRecWalk(v.src, int(reqs[0].Offset))
 	for i, req := range reqs {
-		offs[i] = int(req.Offset)
-	}
-	var firstErr error
-	s.WalkBatch(offs, func(i int, w *succinct.Walker) {
-		if firstErr != nil {
-			return
-		}
-		rw := recWalk{ss: s, sw: *w}
-		data, err := v.rangeFromWalk(&rw, reqs[i], sc)
-		*w = rw.sw
+		w.seek(int(req.Offset))
+		data, err := v.rangeFromWalk(&w, req, sc)
 		if err != nil {
-			firstErr = err
-			return
+			return nil, err
 		}
 		out[i] = data
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }
 
 // rangeFromWalk decodes one record slice with a single front-to-back
-// walk: the header, then the fields rangeBody reads — where the scalar
-// path pays one extract (ISA anchor) per field per edge, this pays one
-// walk per record.
+// walk from w at the record's start: the header, then the fields
+// rangeBody reads.
 func (v *EdgeFileView) rangeFromWalk(w *recWalk, req EdgeRangeReq, sc *recScratch) ([]EdgeData, error) {
 	keyLen := recordKeyLen(req.Src, req.Type)
 	w.skip(keyLen)

@@ -11,59 +11,9 @@ import (
 	"zipg/internal/telemetry"
 )
 
-// Differential tests for the vectorized layout readers: every batch
-// accessor must return byte-identical results to a scalar loop over the
-// same requests, on raw and compressed sources, at several sampling
-// rates.
-
-func TestGetPropertiesBatchAgainstScalar(t *testing.T) {
-	nodes, schema := buildNodes(80)
-	flat, ids, offs, err := BuildNodeFile(nodes, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := []*NodeFileView{
-		NewNodeFileView(NewRawSource(flat, nil), schema, ids, PackOffsets(offs), nil),
-	}
-	for _, alpha := range []int{4, 8, 32} {
-		st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
-		views = append(views, NewNodeFileView(st, schema, ids, PackOffsets(offs), nil))
-	}
-	rng := rand.New(rand.NewSource(7))
-	pidSets := [][]string{nil, {"age"}, {"location", "age"}, {"nickname", "status", "age"}}
-	for vi, v := range views {
-		for trial := 0; trial < 20; trial++ {
-			n := rng.Intn(60)
-			batch := make([]NodeID, n)
-			for i := range batch {
-				switch rng.Intn(10) {
-				case 0:
-					batch[i] = 999_999 // missing
-				case 1:
-					if i > 0 {
-						batch[i] = batch[rng.Intn(i)] // duplicate
-					}
-				default:
-					batch[i] = nodes[rng.Intn(len(nodes))].ID
-				}
-			}
-			pids := pidSets[trial%len(pidSets)]
-			gotVals, gotOKs := v.GetPropertiesBatch(batch, pids)
-			for i, id := range batch {
-				wantVals, wantOK := v.GetProperties(id, pids)
-				if gotOKs[i] != wantOK || !reflect.DeepEqual(gotVals[i], wantVals) {
-					t.Fatalf("view %d trial %d: batch[%d]=%d pids=%v: got %v,%v want %v,%v",
-						vi, trial, i, id, pids, gotVals[i], gotOKs[i], wantVals, wantOK)
-				}
-			}
-		}
-		// Empty batch.
-		vals, oks := v.GetPropertiesBatch(nil, nil)
-		if len(vals) != 0 || len(oks) != 0 {
-			t.Fatalf("empty batch: %v %v", vals, oks)
-		}
-	}
-}
+// Differential tests for the range readers: a batch or range accessor
+// must return byte-identical results to a scalar loop over the same
+// requests, on raw and compressed sources, at several sampling rates.
 
 // edgeViewsAlpha builds raw and compressed views of edges and their
 // record index.

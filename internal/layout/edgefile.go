@@ -283,17 +283,6 @@ func (v *EdgeFileView) head(ref *EdgeRecordRef, lens bool, n int) error {
 	return ref.extend(&ref.cur, sc, lens, n)
 }
 
-// HotSpan returns the record's [TsMin, TsMax] timestamp span read from
-// the hot-field header, for callers that prune whole records against a
-// time window without touching the timestamp array. ok is false on
-// empty records, which have no span.
-func (r *EdgeRecordRef) HotSpan() (tsMin, tsMax int64, ok bool) {
-	if r.Count == 0 {
-		return 0, 0, false
-	}
-	return r.TsMin, r.TsMax, true
-}
-
 // EdgeFileView executes edge queries over a serialized EdgeFile. As with
 // NodeFileView it is agnostic to whether the source is compressed.
 type EdgeFileView struct {
@@ -340,9 +329,7 @@ func (v *EdgeFileView) parseRecordAt(off int64, keyLen int, src NodeID, etype Ed
 
 // parseRecordWalk parses a record header with w positioned just past the
 // record key (at off+keyLen), leaving w at the start of the timestamp
-// array. buf is scratch for the header bytes. The batch read paths call
-// it with a shared walker so header, field arrays and property payload
-// ride one suffix-array walk.
+// array. buf is scratch for the header bytes.
 func (v *EdgeFileView) parseRecordWalk(w *recWalk, off int64, keyLen int, src NodeID, etype EdgeType, buf []byte) (EdgeRecordRef, bool) {
 	ref := EdgeRecordRef{Src: src, Type: etype, Offset: off}
 	buf = w.appendN(buf[:0], hotFixedWidth)

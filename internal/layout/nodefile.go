@@ -164,13 +164,6 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	sc := getScratch()
 	defer putScratch(sc)
 	w := newRecWalk(v.src, int(v.offs.Get(k)))
-	return v.propsFromWalk(&w, propertyIDs, sc)
-}
-
-// propsFromWalk is the body of GetProperties over an already-positioned
-// record walk (w at the record's first header byte). The batch read path
-// calls it with a shared walker; GetProperties with a fresh one.
-func (v *NodeFileView) propsFromWalk(w *recWalk, propertyIDs []string, sc *recScratch) ([]string, bool) {
 	if len(propertyIDs) == 0 {
 		propertyIDs = v.schema.IDs()
 	}

@@ -99,16 +99,21 @@ func (r *recWalk) skip(n int) {
 	r.off += n
 }
 
-// readAt moves to file offset off and reads exactly n bytes into buf[:0].
-// Forward the move is a skip, which steps on or re-anchors, whichever is
-// cheaper; backward it is an anchor. A source that ends before n bytes is
-// an error: a field array a record's header promised is not there.
-func (r *recWalk) readAt(buf []byte, off, n int) ([]byte, error) {
+// seek moves to file offset off. Forward the move is a skip, which steps
+// on or re-anchors, whichever is cheaper; backward it is an anchor.
+func (r *recWalk) seek(off int) {
 	if r.ss != nil {
 		r.sw.SeekTo(off)
 	} else {
 		r.off = off
 	}
+}
+
+// readAt seeks to file offset off and reads exactly n bytes into buf[:0].
+// A source that ends before n bytes is an error: a field array a record's
+// header promised is not there.
+func (r *recWalk) readAt(buf []byte, off, n int) ([]byte, error) {
+	r.seek(off)
 	buf = r.appendN(buf[:0], n)
 	if len(buf) < n {
 		return buf, fmt.Errorf("layout: short read at offset %d: %d of %d bytes", off, len(buf), n)

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"zipg/internal/graphapi"
 	"zipg/internal/layout"
+	"zipg/internal/parallel"
 )
 
 // newFragmentedStore builds a store whose data is deliberately spread
@@ -58,7 +60,21 @@ func newFragmentedStore(t testing.TB, alpha int) (*Store, []layout.NodeID) {
 	return s, ids
 }
 
+// atPoolSizes runs f with the shared pool at 4 workers — a batch fans out
+// whatever the host's core count — and at 1, the sequential path.
+func atPoolSizes(t *testing.T, f func(t *testing.T)) {
+	for _, n := range []int{4, 1} {
+		prev := parallel.SetWorkers(n)
+		t.Run(fmt.Sprintf("workers=%d", n), f)
+		parallel.SetWorkers(prev)
+	}
+}
+
 func TestObjGetBatchAgainstScalar(t *testing.T) {
+	atPoolSizes(t, testObjGetBatchAgainstScalar)
+}
+
+func testObjGetBatchAgainstScalar(t *testing.T) {
 	for _, alpha := range []int{4, 8, 32} {
 		s, universe := newFragmentedStore(t, alpha)
 		rng := rand.New(rand.NewSource(int64(alpha)))
@@ -89,6 +105,10 @@ func TestObjGetBatchAgainstScalar(t *testing.T) {
 }
 
 func TestNodeMatchesBatchAgainstScalar(t *testing.T) {
+	atPoolSizes(t, testNodeMatchesBatchAgainstScalar)
+}
+
+func testNodeMatchesBatchAgainstScalar(t *testing.T) {
 	s, universe := newFragmentedStore(t, 8)
 	filters := []map[string]string{
 		nil,
@@ -109,14 +129,18 @@ func TestNodeMatchesBatchAgainstScalar(t *testing.T) {
 }
 
 func TestAssocRangeBatchAgainstScalar(t *testing.T) {
+	atPoolSizes(t, testAssocRangeBatchAgainstScalar)
+}
+
+func testAssocRangeBatchAgainstScalar(t *testing.T) {
 	for _, alpha := range []int{4, 8, 32} {
 		s, _ := newFragmentedStore(t, alpha)
 		rng := rand.New(rand.NewSource(int64(alpha) * 7))
 		for trial := 0; trial < 15; trial++ {
 			n := rng.Intn(60)
-			reqs := make([]AssocRangeReq, n)
+			reqs := make([]graphapi.AssocRangeReq, n)
 			for i := range reqs {
-				reqs[i] = AssocRangeReq{
+				reqs[i] = graphapi.AssocRangeReq{
 					ID:    layout.NodeID(rng.Intn(70)), // includes edge-less and deleted nodes
 					Type:  int64(rng.Intn(4)),          // includes absent type 3
 					Idx:   rng.Intn(12) - 2,            // negative indices too
@@ -148,9 +172,13 @@ func TestAssocRangeBatchAgainstScalar(t *testing.T) {
 }
 
 // TestBatchConcurrentReadWrite runs batch readers against concurrent
-// writers; under -race this proves the batch paths take the same
-// snapshot discipline as the scalar ones.
+// writers; under -race this proves a fanned batch's tasks keep the
+// scalar reads' snapshot discipline.
 func TestBatchConcurrentReadWrite(t *testing.T) {
+	atPoolSizes(t, testBatchConcurrentReadWrite)
+}
+
+func testBatchConcurrentReadWrite(t *testing.T) {
 	s, universe := newFragmentedStore(t, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -194,9 +222,9 @@ func TestBatchConcurrentReadWrite(t *testing.T) {
 					}
 					s.NodeMatchesBatch(batch, map[string]string{"location": "Ithaca"})
 				default: // edge batch reader
-					reqs := make([]AssocRangeReq, 20)
+					reqs := make([]graphapi.AssocRangeReq, 20)
 					for i := range reqs {
-						reqs[i] = AssocRangeReq{
+						reqs[i] = graphapi.AssocRangeReq{
 							ID: universe[rng.Intn(len(universe))], Type: int64(rng.Intn(3)),
 							Idx: 0, Limit: 10,
 						}

@@ -313,7 +313,7 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 	// Edges: every (src, etype) record of every fragment, each read whole
 	// in one record walk, honoring physical deletion marks and
 	// raw-generation tombstones. A shard's records go in file order, a
-	// batch at a time through one shared walker.
+	// batch at a time through one walk that steps on from each to the next.
 	var edges []layout.Edge
 	appendFromShard := func(sh *core.Shard) error {
 		index := sh.EdgeIndex()

@@ -252,12 +252,26 @@ func checkMergedRecord(t testing.TB, s *Store, m *mergeModel, k [2]int64, exhaus
 	for _, d := range want {
 		bounds = append(bounds, d.Timestamp, d.Timestamp+1)
 	}
-	boundsOn := func(rec *EdgeRecord, lo, hi int64) {
+	boundsOn := func(rec *EdgeRecord, lo, hi int64) (beg, end int) {
 		wantBeg := sort.Search(n, func(i int) bool { return want[i].Timestamp >= lo })
 		wantEnd := sort.Search(n, func(i int) bool { return want[i].Timestamp >= hi })
-		if beg, end := rec.GetEdgeRange(lo, hi); beg != wantBeg || end != wantEnd {
+		if beg, end = rec.GetEdgeRange(lo, hi); beg != wantBeg || end != wantEnd {
 			t.Fatalf("record %v: GetEdgeRange(%d,%d) = [%d,%d), want [%d,%d)", k, lo, hi, beg, end, wantBeg, wantEnd)
 		}
+		return beg, end
+	}
+	// A window found and then read, as assoc_get and assoc_time_range do:
+	// GetEdgeRange places the merge at the window's lower bound. Then a
+	// read below it, which starts the merge over, and the window again; the
+	// next window may lie above, inside or below what is merged by then.
+	rec = open()
+	for i := 0; i < 8; i++ {
+		lo := want[rng.Intn(n)].Timestamp
+		b, e := boundsOn(rec, lo, lo+1+int64(rng.Intn(20)))
+		rangeOn(rec, b, e)
+		below := rng.Intn(b + 1)
+		rangeOn(rec, below, min(n, below+1+rng.Intn(8)))
+		rangeOn(rec, b, e)
 	}
 	if exhaustive {
 		for _, lo := range bounds {
@@ -274,7 +288,8 @@ func checkMergedRecord(t testing.TB, s *Store, m *mergeModel, k [2]int64, exhaus
 }
 
 // TestLazyMergeDifferential: every read of an EdgeRecord — GetEdgeData,
-// GetEdgeDataRange, GetEdgeRange, Destinations — against the model, on
+// GetEdgeDataRange, GetEdgeRange (alone, and followed by reads of the
+// window it found and below it), Destinations — against the model, on
 // stores whose records lie over 1 to 12 pieces of every kind, with lazily
 // deleted edges at piece heads and tails and timestamps that repeat
 // within and across pieces: every interval and pair of bounds of the
@@ -406,5 +421,95 @@ func TestRangeReadCost(t *testing.T) {
 		} else if piece == 11 {
 			t.Logf("[0,16) of a 240-edge primary: %.0f Ψ steps alone, %.0f with 11 pieces of 60 edges behind it", base, steps)
 		}
+	}
+}
+
+// TestTimeWindowCostsItsWindow: a time window is read for what it holds,
+// wherever in the record it lies. A record appended in time order lies
+// over ten compressed pieces of 60 edges; GetEdgeRange + GetEdgeDataRange
+// over the last 1/32 of its span take at most a quarter of the Ψ steps of
+// reading the record whole (merged from TimeOrder 0 the window alone would
+// cost every timestamp before it), a window no piece overlaps takes none
+// once the record is open, and a read below a placed merge starts it over.
+func TestTimeWindowCostsItsWindow(t *testing.T) {
+	ns, es := testSchemas(t)
+	const pieces, perPiece, tsBase, tsStep = 10, 60, 1_500_000_000, 1000
+	var want []layout.EdgeData
+	edge := func(i int) layout.Edge {
+		e := layout.Edge{Src: 5, Dst: int64(i), Type: 0, Timestamp: int64(tsBase + i*tsStep)}
+		want = append(want, layout.EdgeData{Dst: e.Dst, Timestamp: e.Timestamp})
+		return e
+	}
+	var primary []layout.Edge
+	for i := 0; i < perPiece; i++ {
+		primary = append(primary, edge(i))
+	}
+	s, err := New(nil, primary, ns, es, Config{NumShards: 1, SamplingRate: 32, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := perPiece; i < pieces*perPiece; i++ {
+		if err := s.AppendEdge(edge(i)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%perPiece == 0 {
+			freezeLog(t, s, true)
+		}
+	}
+	open := func() *EdgeRecord {
+		rec, ok := s.GetEdgeRecord(5, 0)
+		if !ok || rec.Count() != len(want) || len(rec.pieces) != pieces {
+			t.Fatalf("the record: %v, want %d edges over %d pieces", rec, len(want), pieces)
+		}
+		return rec
+	}
+	same := func(what string, got []layout.EdgeData, err error, want []layout.EdgeData) {
+		t.Helper()
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%s: %d edges, %v; want %d", what, len(got), err, len(want))
+		}
+		for i := range want {
+			if got[i].Dst != want[i].Dst || got[i].Timestamp != want[i].Timestamp {
+				t.Fatalf("%s: edge %d is %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	_, whole := succinctWork(func() {
+		rec := open()
+		got, err := rec.GetEdgeDataRange(0, rec.Count())
+		same("the whole record", got, err, want)
+	})
+	tsEnd := int64(tsBase + len(want)*tsStep)
+	lo := tsEnd - (tsEnd-tsBase)/32
+	inWindow := len(want) - len(want)/32
+	var rec *EdgeRecord
+	_, window := succinctWork(func() {
+		rec = open()
+		beg, end := rec.GetEdgeRange(lo, tsEnd)
+		if beg != inWindow || end != len(want) {
+			t.Fatalf("GetEdgeRange(last 1/32) = [%d,%d), want [%d,%d)", beg, end, inWindow, len(want))
+		}
+		got, err := rec.GetEdgeDataRange(beg, end)
+		same("the last 1/32", got, err, want[inWindow:])
+	})
+	t.Logf("%d edges over %d pieces: %.0f Ψ steps whole, %.0f for the last 1/32 of the span", len(want), pieces, whole, window)
+	if window > whole/4 {
+		t.Errorf("the last 1/32 of the span takes %.0f Ψ steps, the whole record %.0f; want at most a quarter", window, whole)
+	}
+	got, err := rec.GetEdgeDataRange(3, 9) // below the placed merge
+	same("[3,9) after the window", got, err, want[3:9])
+
+	rec = open()
+	_, missed := succinctWork(func() {
+		for _, w := range [][2]int64{{tsEnd, tsEnd + 5000}, {0, tsBase}, {tsBase + 59*tsStep + 1, tsBase + 60*tsStep}} {
+			beg, end := rec.GetEdgeRange(w[0], w[1])
+			if got, err := rec.GetEdgeDataRange(beg, end); beg != end || got != nil || err != nil {
+				t.Fatalf("window [%d,%d) holds no edge: [%d,%d) = %v, %v", w[0], w[1], beg, end, got, err)
+			}
+		}
+	})
+	if missed != 0 {
+		t.Errorf("windows that miss every piece took %.0f Ψ steps of an open record, want none", missed)
 	}
 }

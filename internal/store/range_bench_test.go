@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zipg/internal/gen"
+	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/workloads"
 )
@@ -15,9 +16,36 @@ import (
 // many pieces. It returns the assoc_range reads of the same generated op
 // sequence — node, type, idx and limit drawn as workloads.GenerateOps
 // draws them.
-func fragmentedLinkBench(b *testing.B, pieces int) (*Store, []AssocRangeReq) {
+func fragmentedLinkBench(b *testing.B, pieces int) (*Store, []graphapi.AssocRangeReq) {
 	b.Helper()
 	d := gen.DatasetSpec{Name: "lb-small", Kind: gen.LinkBench, TargetBytes: 1 << 20, AvgDegree: 5, NumEdgeTypes: 5, ZipfS: 1.5, Seed: 1}.Generate()
+	s := datasetStore(b, d, Config{NumShards: 2, SamplingRate: 32, LogStoreThreshold: 1 << 30})
+	ops := workloads.GenerateOps(d, workloads.MixConfig{Mix: workloads.LinkBenchMix, AccessSkew: 1.4, Seed: 1}, 6000)
+	var reads []graphapi.AssocRangeReq
+	var writes []layout.Edge
+	for _, o := range ops {
+		switch o.Kind {
+		case workloads.OpAssocRange:
+			reads = append(reads, graphapi.AssocRangeReq{ID: o.ID, Type: o.AType, Idx: o.Idx, Limit: o.Limit})
+		case workloads.OpAssocAdd:
+			writes = append(writes, o.Edge)
+		}
+	}
+	for g := 0; g < pieces-1; g++ {
+		for _, e := range writes[g*len(writes)/(pieces-1) : (g+1)*len(writes)/(pieces-1)] {
+			if err := s.AppendEdge(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		freezeLog(b, s, true)
+	}
+	return s, reads
+}
+
+// datasetStore builds a store over a generated dataset, the schemas taken
+// from the property IDs and widest values it holds.
+func datasetStore(b *testing.B, d *gen.Dataset, cfg Config) *Store {
+	b.Helper()
 	ids := func(props func(i int) map[string]string, n int) (out []string, widest int) {
 		seen := map[string]bool{}
 		for i := 0; i < n; i++ {
@@ -41,30 +69,11 @@ func fragmentedLinkBench(b *testing.B, pieces int) (*Store, []AssocRangeReq) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(d.Nodes, d.Edges, ns, es, Config{NumShards: 2, SamplingRate: 32, LogStoreThreshold: 1 << 30})
+	s, err := New(d.Nodes, d.Edges, ns, es, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ops := workloads.GenerateOps(d, workloads.MixConfig{Mix: workloads.LinkBenchMix, AccessSkew: 1.4, Seed: 1}, 6000)
-	var reads []AssocRangeReq
-	var writes []layout.Edge
-	for _, o := range ops {
-		switch o.Kind {
-		case workloads.OpAssocRange:
-			reads = append(reads, AssocRangeReq{ID: o.ID, Type: o.AType, Idx: o.Idx, Limit: o.Limit})
-		case workloads.OpAssocAdd:
-			writes = append(writes, o.Edge)
-		}
-	}
-	for g := 0; g < pieces-1; g++ {
-		for _, e := range writes[g*len(writes)/(pieces-1) : (g+1)*len(writes)/(pieces-1)] {
-			if err := s.AppendEdge(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		freezeLog(b, s, true)
-	}
-	return s, reads
+	return s
 }
 
 // BenchmarkAssocRangeFragmented is LinkBench's assoc_range on records

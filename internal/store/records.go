@@ -21,7 +21,11 @@ type EdgeRecord struct {
 
 	pieces []recordPiece
 	count  int
-	merged []mergedEntry // TimeOrders [0, len(merged)); mergeTo extends it
+	// merged places TimeOrders [base, base+len(merged)). mergeTo extends
+	// it upward; GetEdgeRange moves base to the window it found, so a read
+	// of that window merges nothing below it.
+	merged []mergedEntry
+	base   int
 }
 
 // recordPiece is one fragment's contribution to an EdgeRecord.
@@ -202,13 +206,18 @@ func copyDeleted(m map[int]bool) map[int]bool {
 	return cp
 }
 
-// mergeTo extends the global TimeOrder index to its first end entries,
-// end <= count: a k-way merge over the pieces' timestamp-sorted heads, so
-// what it reads of a piece is what the piece gives to [0, end) and one
-// entry more. Equal timestamps go to the earlier piece, then the lower
-// physical index — the order a stable sort of the pieces laid end to end
-// gives, of which any merge is a prefix.
-func (r *EdgeRecord) mergeTo(end int) error {
+// mergeTo makes the global TimeOrder index cover [beg, end), end <= count:
+// a k-way merge over the pieces' timestamp-sorted heads from base up, so
+// what it reads of a piece is what the piece gives to [base, end) and one
+// entry more. A read below base starts the merge over from TimeOrder 0.
+// Equal timestamps go to the earlier piece, then the lower physical index
+// — the order a stable sort of the pieces laid end to end gives, of which
+// any merge is a run.
+func (r *EdgeRecord) mergeTo(beg, end int) error {
+	if beg < r.base {
+		r.seed(0, make([]int, len(r.pieces)))
+	}
+	end -= r.base
 	if len(r.merged) >= end {
 		return nil
 	}
@@ -234,13 +243,23 @@ func (r *EdgeRecord) mergeTo(end int) error {
 			}
 		}
 		if best < 0 {
-			return fmt.Errorf("store: edge record (%d,%d) holds %d live edges, not %d", r.Src, r.Type, len(r.merged), r.count)
+			return fmt.Errorf("store: edge record (%d,%d) holds %d live edges, not %d", r.Src, r.Type, r.base+len(r.merged), r.count)
 		}
 		r.merged = append(r.merged, mergedEntry{best, r.pieces[best].next})
 		r.pieces[best].next++
 		heads[best].fresh = false
 	}
 	return nil
+}
+
+// seed drops what is merged and places the merge at TimeOrder base, piece
+// i resuming at physical index next[i]. Exactly base live edges must sort
+// before those indices.
+func (r *EdgeRecord) seed(base int, next []int) {
+	r.base, r.merged = base, r.merged[:0]
+	for pi := range r.pieces {
+		r.pieces[pi].next = next[pi]
+	}
 }
 
 // singleCleanPiece reports whether the record is a single compressed
@@ -275,9 +294,10 @@ func (r *EdgeRecord) GetEdgeData(timeOrder int) (layout.EdgeData, error) {
 // [beg, end), in order — the get_edge_data loop of Algorithms 1–3 as one
 // call. An empty interval is nil; it fails where GetEdgeData(i) would. A
 // single clean compressed piece is read in one record walk. A fragmented
-// record is merged as far as end, and what [beg, end) takes from a
-// compressed piece — consecutive live entries of it — is read in one
-// record walk over that physical run.
+// record is merged up to end — from TimeOrder 0, or from where
+// GetEdgeRange placed the merge when beg is not below that — and what
+// [beg, end) takes from a compressed piece, consecutive live entries of
+// it, is read in one record walk over that physical run.
 func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
 	if beg >= end {
 		return nil, nil
@@ -292,15 +312,16 @@ func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
 		}
 		return out, err
 	}
-	if err := r.mergeTo(end); err != nil {
+	if err := r.mergeTo(beg, end); err != nil {
 		return nil, err
 	}
+	window := r.merged[beg-r.base : end-r.base]
 	type run struct {
 		lo, hi int // physical indices [lo, hi) of the piece; hi is 0 if it gives nothing
 		data   []layout.EdgeData
 	}
 	runs := make([]run, len(r.pieces))
-	for _, m := range r.merged[beg:end] {
+	for _, m := range window {
 		rn := &runs[m.piece]
 		if rn.hi == 0 {
 			rn.lo = m.idx
@@ -318,7 +339,7 @@ func (r *EdgeRecord) GetEdgeDataRange(beg, end int) ([]layout.EdgeData, error) {
 		}
 	}
 	out := make([]layout.EdgeData, 0, end-beg)
-	for _, m := range r.merged[beg:end] {
+	for _, m := range window {
 		if p := &r.pieces[m.piece]; p.shard == nil {
 			e := p.edges[m.idx]
 			out = append(out, layout.EdgeData{Dst: e.Dst, Timestamp: e.Timestamp, Props: copyProps(e.Props)})
@@ -353,12 +374,20 @@ func recordSuccinctEdgeData(d layout.EdgeData, err error) {
 // from its header's span when the window covers or misses it and from a
 // search of its timestamps otherwise, less its deletion marks. A piece
 // whose timestamps cannot be read makes the range empty.
+//
+// Each piece's count below tLo is also where the piece joins a merge that
+// starts at beg, so unless what is merged already reaches beg the merge
+// is placed there: GetEdgeDataRange over the window then reads of each
+// piece what the window takes from it, whatever lies before.
 func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (beg, end int) {
+	var buf [8]int
+	lows := buf[:0] // per piece, the physical index of its first edge at or after tLo
 	for pi := range r.pieces {
 		p := &r.pieces[pi]
 		if p.shard == nil {
 			b, e := edgeSliceWindow(p.edges, tLo, tHi)
 			beg, end = beg+b, end+e
+			lows = append(lows, b)
 			continue
 		}
 		b, e, err := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
@@ -366,6 +395,7 @@ func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (beg, end int) {
 			return 0, 0
 		}
 		beg, end = beg+b, end+e
+		lows = append(lows, b)
 		for i := range p.deleted {
 			if i < b {
 				beg--
@@ -375,7 +405,31 @@ func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (beg, end int) {
 			}
 		}
 	}
+	if beg < r.base || beg > r.base+len(r.merged) {
+		r.seed(beg, lows)
+	}
 	return beg, end
+}
+
+// edgeSliceWindow binary-searches a timestamp-sorted edge slice for the
+// half-open index range with timestamps in [tLo, tHi).
+func edgeSliceWindow(es []layout.Edge, tLo, tHi int64) (int, int) {
+	beg := sort.Search(len(es), func(i int) bool { return es[i].Timestamp >= tLo })
+	end := sort.Search(len(es), func(i int) bool { return es[i].Timestamp >= tHi })
+	return beg, end
+}
+
+// copyProps defensively copies an edge property map out of the live
+// log's entry (compressed pieces decode fresh maps already).
+func copyProps(m map[string]string) map[string]string {
+	if len(m) == 0 {
+		return nil
+	}
+	cp := make(map[string]string, len(m))
+	for k, v := range m {
+		cp[k] = v
+	}
+	return cp
 }
 
 // Destinations returns the destination IDs of all live edges in
@@ -385,7 +439,7 @@ func (r *EdgeRecord) Destinations() []layout.NodeID {
 	if p, ok := r.singleCleanPiece(); ok {
 		return p.shard.Edges().Destinations(&p.ref)
 	}
-	if r.mergeTo(r.count) != nil {
+	if r.mergeTo(0, r.count) != nil {
 		return nil
 	}
 	dsts := make([][]layout.NodeID, len(r.pieces))
@@ -451,4 +505,37 @@ func (s *Store) NeighborIDs(src layout.NodeID, etype layout.EdgeType, propFilter
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// NeighborsInWindow returns the live neighbors reachable from src along
+// any edge type through edges with timestamps in [tLo, tHi), sorted by
+// ID: GetEdgeRange and GetEdgeDataRange on each of src's records. Deleted
+// destinations are excluded (the NeighborIDs semantics); destination
+// liveness it cannot resolve locally — remote nodes in a cluster — is the
+// caller's concern. A record that cannot be read gives nothing.
+func (s *Store) NeighborsInWindow(src layout.NodeID, tLo, tHi int64) []layout.NodeID {
+	seen := make(map[layout.NodeID]bool)
+	var out []layout.NodeID
+	for _, r := range s.GetEdgeRecords(src) {
+		edges, _ := r.GetEdgeDataRange(r.GetEdgeRange(tLo, tHi))
+		for _, d := range edges {
+			if !seen[d.Dst] {
+				seen[d.Dst] = true
+				out = append(out, d.Dst)
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	s.mu.RLock()
+	kept := out[:0]
+	for _, id := range out {
+		if !s.deletedNodes[id] {
+			kept = append(kept, id)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
+	return kept
 }

@@ -451,18 +451,6 @@ func (s *Store) FragmentsOf(id layout.NodeID) int {
 	return 1 + len(s.ptrs[id])
 }
 
-// UpdatePointerStats returns the per-node fragment counts for every node
-// that has at least one update pointer.
-func (s *Store) UpdatePointerStats() map[layout.NodeID]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[layout.NodeID]int, len(s.ptrs))
-	for id, gens := range s.ptrs {
-		out[id] = 1 + len(gens)
-	}
-	return out
-}
-
 // CompressedFootprint returns the total compressed bytes across all
 // shards plus the live LogStore's accounted size.
 func (s *Store) CompressedFootprint() int64 {

@@ -111,6 +111,29 @@ func TestWalkerAgainstReference(t *testing.T) {
 	}
 }
 
+// TestWalkerSeekTo moves one walker to random offsets — forward by
+// stepping on or re-anchoring, backward by an anchor — and checks that
+// what it reads there is what Extract reads.
+func TestWalkerSeekTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	text := diffTexts()["words"]
+	for _, alpha := range []int{4, 8, 32} {
+		s := Build(text, Options{SamplingRate: alpha})
+		w := s.Walk(0)
+		for step := 0; step < 80; step++ {
+			target := rng.Intn(len(text))
+			w.SeekTo(target)
+			if w.Offset() != target {
+				t.Fatalf("α=%d: SeekTo(%d) left offset %d", alpha, target, w.Offset())
+			}
+			m := 1 + rng.Intn(16)
+			if got, want := w.Append(nil, m), s.Extract(target, m); !bytes.Equal(got, want) {
+				t.Fatalf("α=%d: after SeekTo(%d) read %q, Extract gives %q", alpha, target, got, want)
+			}
+		}
+	}
+}
+
 // TestSearchAgainstNaiveAllAlphas re-runs the search differential across
 // the sampling rates the access kernels special-case, with patterns drawn
 // from the text (guaranteed hits) and random patterns (mostly misses).

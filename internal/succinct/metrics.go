@@ -24,8 +24,4 @@ var (
 	// representation by Extract/ExtractAppend/Walker reads.
 	mExtractBytes = telemetry.NewCounter("zipg_succinct_extract_bytes_total",
 		"Bytes decoded out of compressed stores by extract kernels.")
-
-	// mBatchRequests counts items that rode WalkBatch.
-	mBatchRequests = telemetry.NewCounterL("zipg_batch_requests_total", `layer="succinct"`,
-		"Items requested through batch kernels, by layer.")
 )

@@ -124,8 +124,8 @@ func (w *Walker) Skip(n int) {
 
 // SeekTo repositions the walker at absolute text offset off (clamped to
 // the text). A forward seek reuses Skip's walk-vs-anchor choice; a
-// backward seek must re-anchor. Batch kernels use this to move one
-// shared walker between sorted requests.
+// backward seek must re-anchor. A record walk moves between a record's
+// fields with it, and the compactor's from one record to the next.
 func (w *Walker) SeekTo(off int) {
 	s := w.s
 	if off < 0 {

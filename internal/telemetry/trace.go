@@ -239,23 +239,6 @@ func startRemoteChild(tc TraceContext, op string, server int) *Span {
 	}
 }
 
-// UntracedContext returns a context under which StartSpanCtx starts no
-// spans: the active span is cleared and an unsampled trace decision is
-// installed (keeping the current trace's identity when there is one).
-// Batch handlers use this for per-item work that is already covered by
-// a phase on the batch's own span — without it, sampling-eligible
-// per-item reads would each mint a fresh root trace and flood the
-// trace table.
-func UntracedContext(ctx context.Context) context.Context {
-	tc, _ := TraceFromContext(ctx)
-	if sp := SpanFromContext(ctx); sp != nil {
-		tc = TraceContext{Trace: sp.Trace, SpanID: sp.SpanID}
-	}
-	tc.Sampled = false
-	ctx = context.WithValue(ctx, spanKey, (*Span)(nil))
-	return ContextWithRemoteTrace(ctx, tc)
-}
-
 // OutgoingTrace derives the wire trace header for an RPC issued under
 // ctx with sp as the caller-side span (nil when untraced). The deadline
 // comes from the context; the trace identity from the span, falling

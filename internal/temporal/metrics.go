@@ -2,10 +2,8 @@ package temporal
 
 import "zipg/internal/telemetry"
 
-// Telemetry series for the temporal engine. Pruning and scan-volume
-// counters (zipg_temporal_{pieces,shards_pruned,edges_scanned}_total)
-// live in the store, where the windowed scans run; this file covers the
-// query taxonomy and the subscription delivery path.
+// Telemetry series for the temporal engine: the query taxonomy and the
+// subscription delivery path.
 const (
 	helpTemporalQueries = "Temporal queries executed, by query class."
 )
@@ -13,7 +11,6 @@ const (
 var (
 	mQueryRange = telemetry.NewCounterL("zipg_temporal_queries_total", `op="assoc_time_range"`, helpTemporalQueries)
 	mQueryCount = telemetry.NewCounterL("zipg_temporal_queries_total", `op="assoc_count_in_window"`, helpTemporalQueries)
-	mQueryBatch = telemetry.NewCounterL("zipg_temporal_queries_total", `op="assoc_time_range_batch"`, helpTemporalQueries)
 	mQueryPath  = telemetry.NewCounterL("zipg_temporal_queries_total", `op="path_in_window"`, helpTemporalQueries)
 
 	// mSubEvents counts events enqueued onto subscriber rings (one per

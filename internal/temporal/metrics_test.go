@@ -6,7 +6,6 @@ import (
 
 	"zipg"
 	"zipg/internal/telemetry"
-	"zipg/internal/temporal"
 )
 
 // TestTemporalMetricNames locks the temporal-layer metric names into
@@ -29,16 +28,12 @@ func TestTemporalMetricNames(t *testing.T) {
 	}
 	eng.AssocTimeRange(0, 1, 0, 100, 0)
 	eng.AssocCountInWindow(0, 1, 0, 100)
-	eng.AssocTimeRangeBatch([]temporal.WindowReq{{Src: 1, Type: 1, TLo: 0, THi: 100}})
 	eng.PathInWindow(0, 5, 0, 100, 3)
 	sub.Poll(0)
 
 	expo := telemetry.Default.Expose()
 	for _, want := range []string{
 		"zipg_temporal_queries_total",
-		"zipg_temporal_pieces_total",
-		"zipg_temporal_shards_pruned_total",
-		"zipg_temporal_edges_scanned_total",
 		"zipg_sub_events_total",
 		"zipg_sub_dropped_total",
 		"zipg_sub_lag_ns_total",
@@ -48,7 +43,7 @@ func TestTemporalMetricNames(t *testing.T) {
 		}
 	}
 	// The query counter is labeled per op; lock the op labels too.
-	for _, op := range []string{"assoc_time_range", "assoc_count_in_window", "assoc_time_range_batch", "path_in_window"} {
+	for _, op := range []string{"assoc_time_range", "assoc_count_in_window", "path_in_window"} {
 		if !strings.Contains(expo, `op="`+op+`"`) {
 			t.Errorf("exposition missing zipg_temporal_queries_total op=%q label", op)
 		}

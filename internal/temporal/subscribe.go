@@ -218,13 +218,6 @@ func (s *Subscription) Dropped() uint64 {
 	return s.dropped
 }
 
-// Pending returns how many events are queued for delivery.
-func (s *Subscription) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Close deregisters the subscription. Pending events remain pollable;
 // blocked Next calls return.
 func (s *Subscription) Close() {

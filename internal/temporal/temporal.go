@@ -2,15 +2,14 @@
 // live change subscriptions and bounded temporal reachability, all
 // served over the existing compressed + LogStore substrate.
 //
-// The layout already stores per-record timestamp spans in the hot-field
-// edge header and keeps every fragment's edges timestamp-sorted; the
-// store already publishes every mutation as a sequence-numbered change
-// event from inside its commit critical section. This package composes
-// those pieces into three query classes:
+// Every fragment keeps a record's edges timestamp-sorted with the span in
+// its header, so a time window is a TimeOrder range of the store's
+// EdgeRecord; the store already publishes every mutation as a
+// sequence-numbered change event from inside its commit critical section.
+// This package composes those pieces into three query classes:
 //
-//   - Windowed analytics (AssocTimeRange, AssocCountInWindow and the
-//     batch variant): per-fragment window pruning via the hot-header
-//     min/max span, fragment merge with tombstone filtering.
+//   - Windowed analytics (AssocTimeRange, AssocCountInWindow):
+//     get_edge_range, then the get_edge_data loop over the range.
 //   - Live subscriptions (Subscribe/Catchup): per-subscriber bounded
 //     rings with drop-oldest backpressure, fed synchronously from the
 //     store's commits; Catchup replays the store's event
@@ -54,56 +53,35 @@ func (e *Engine) Store() *store.Store { return e.st }
 
 // AssocTimeRange returns the live edges of (src, etype) with timestamps
 // in [tLo, tHi), timestamp-sorted, at most limit entries (limit <= 0:
-// unbounded). Wildcard bounds follow graphapi.TimeBounds.
+// unbounded): Algorithm 3, get_edge_range then the get_edge_data loop
+// over what limit leaves of the range. Wildcard bounds follow
+// graphapi.TimeBounds. A record that cannot be read yields nil.
 func (e *Engine) AssocTimeRange(src layout.NodeID, etype layout.EdgeType, tLo, tHi int64, limit int) []layout.EdgeData {
 	mQueryRange.Inc()
-	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
-	out, _ := e.st.EdgesInWindow(src, etype, tLo, tHi)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	rec, ok := e.st.GetEdgeRecord(src, etype)
+	if !ok {
+		return nil
 	}
+	beg, end := rec.GetEdgeRange(graphapi.TimeBounds(tLo, tHi))
+	if limit > 0 {
+		end = min(end, beg+limit)
+	}
+	out, _ := rec.GetEdgeDataRange(beg, end)
 	return out
 }
 
 // AssocCountInWindow returns how many live edges of (src, etype) carry
-// timestamps in [tLo, tHi). Fragments the window misses are answered
-// from the hot-header span; clean fully-covered fragments from record
-// metadata — no edge data is materialized.
+// timestamps in [tLo, tHi): the width of get_edge_range. A fragment the
+// window covers or misses answers from its header; no edge data is
+// materialized.
 func (e *Engine) AssocCountInWindow(src layout.NodeID, etype layout.EdgeType, tLo, tHi int64) int {
 	mQueryCount.Inc()
-	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
-	n, _ := e.st.CountInWindow(src, etype, tLo, tHi)
-	return n
-}
-
-// WindowReq names one windowed range read for the batch variant.
-type WindowReq struct {
-	Src  layout.NodeID
-	Type layout.EdgeType
-	TLo  int64
-	THi  int64
-}
-
-// AssocTimeRangeBatch answers AssocTimeRange for every request in one
-// vectorized pass: each request's window is resolved to a TimeOrder
-// index range through the span-short-circuited GetEdgeRange, and the
-// edge data for all requests is decoded by the store's locality-sorted
-// batch kernel (the PR 5 vectorized path). Results are positional and
-// identical to a scalar AssocTimeRange loop with no limit.
-func (e *Engine) AssocTimeRangeBatch(reqs []WindowReq) ([][]layout.EdgeData, error) {
-	mQueryBatch.Inc()
-	rngs := make([]store.AssocRangeReq, len(reqs))
-	for i, rq := range reqs {
-		tLo, tHi := graphapi.TimeBounds(rq.TLo, rq.THi)
-		rngs[i] = store.AssocRangeReq{ID: rq.Src, Type: rq.Type}
-		rec, ok := e.st.GetEdgeRecord(rq.Src, rq.Type)
-		if !ok || tLo >= tHi {
-			continue // Limit 0: yields nil, matching the scalar miss
-		}
-		beg, end := rec.GetEdgeRange(tLo, tHi)
-		rngs[i].Idx, rngs[i].Limit = beg, end-beg
+	rec, ok := e.st.GetEdgeRecord(src, etype)
+	if !ok {
+		return 0
 	}
-	return e.st.AssocRangeBatch(rngs)
+	beg, end := rec.GetEdgeRange(graphapi.TimeBounds(tLo, tHi))
+	return max(end-beg, 0)
 }
 
 // PathResult is one PathInWindow answer. When Found, Path holds the
@@ -131,8 +109,7 @@ func (e *Engine) PathInWindow(src, dst layout.NodeID, tLo, tHi int64, maxHops in
 	}
 	expand := func(frontier []layout.NodeID) [][]layout.NodeID {
 		return parallelNeighbors(frontier, func(id layout.NodeID) []layout.NodeID {
-			nbrs, _ := e.st.NeighborsInWindow(id, tLo, tHi)
-			return nbrs
+			return e.st.NeighborsInWindow(id, tLo, tHi)
 		})
 	}
 	return BFSInWindow(src, dst, maxHops, expand)

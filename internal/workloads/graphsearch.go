@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"math/rand"
-	"sort"
 
 	"zipg/internal/gen"
 	"zipg/internal/graphapi"
@@ -192,9 +191,4 @@ func FilterGSKind(ops []GSOp, kind GSKind) []GSOp {
 		}
 	}
 	return out
-}
-
-// SortIDs sorts a node-ID slice ascending (helper shared by drivers).
-func SortIDs(ids []graphapi.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

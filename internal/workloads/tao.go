@@ -96,39 +96,6 @@ func (t TAO) ObjGet(id graphapi.NodeID) ([]string, bool) {
 	return t.S.GetNodeProperty(id, nil)
 }
 
-// ObjGetBatch answers ObjGet for every id in one pass. Stores that
-// implement graphapi.BatchStore serve the whole batch through their
-// vectorized read path; others get a scalar loop with identical results.
-func (t TAO) ObjGetBatch(ids []graphapi.NodeID) ([][]string, []bool) {
-	if bs, ok := t.S.(graphapi.BatchStore); ok {
-		return bs.ObjGetBatch(ids)
-	}
-	vals := make([][]string, len(ids))
-	oks := make([]bool, len(ids))
-	for i, id := range ids {
-		vals[i], oks[i] = t.S.GetNodeProperty(id, nil)
-	}
-	return vals, oks
-}
-
-// AssocRangeBatch answers AssocRange for every request in one pass,
-// through graphapi.BatchStore when the store provides it and a scalar
-// loop otherwise.
-func (t TAO) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]graphapi.EdgeData, error) {
-	if bs, ok := t.S.(graphapi.BatchStore); ok {
-		return bs.AssocRangeBatch(reqs)
-	}
-	out := make([][]graphapi.EdgeData, len(reqs))
-	for i, req := range reqs {
-		data, err := t.AssocRange(req.ID, req.Type, req.Idx, req.Limit)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
-	}
-	return out, nil
-}
-
 // ObjAdd creates an object.
 func (t TAO) ObjAdd(id graphapi.NodeID, props map[string]string) error {
 	return t.S.AppendNode(id, props)

@@ -42,8 +42,8 @@ func (g *Graph) Temporal() *temporal.Engine {
 
 // AssocTimeRange returns the live edges of (src, etype) with timestamps
 // in [tLo, tHi) (WildcardTime leaves a bound open), timestamp-sorted,
-// at most limit entries (limit <= 0: unbounded). Fragments whose
-// hot-header span misses the window are skipped without decompression.
+// at most limit entries (limit <= 0: unbounded): get_edge_range, then
+// the get_edge_data loop over what limit leaves of the range.
 func (g *Graph) AssocTimeRange(src NodeID, etype EdgeType, tLo, tHi int64, limit int) []EdgeData {
 	return g.Temporal().AssocTimeRange(src, etype, tLo, tHi, limit)
 }

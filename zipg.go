@@ -193,10 +193,10 @@ func (g *Graph) GetNodeProperty(id NodeID, propertyIDs []string) ([]string, bool
 	return g.s.GetNodeProps(id, propertyIDs)
 }
 
-// ObjGetBatch answers GetNodeProperty(id, nil) for every id in one
-// vectorized pass over the compressed shards (one locality-sorted
-// succinct walk per shard). Results are positional and identical to a
-// scalar loop: absent or deleted nodes yield (nil, false).
+// ObjGetBatch answers GetNodeProperty(id, nil) for every id: the scalar
+// read of each, fanned out over the cores that are idle. Results are
+// positional and identical to a scalar loop: absent or deleted nodes
+// yield (nil, false).
 func (g *Graph) ObjGetBatch(ids []NodeID) ([][]string, []bool) {
 	vals, oks := g.s.ObjGetBatch(ids)
 	for i, ok := range oks {
@@ -218,15 +218,11 @@ func (g *Graph) ObjGetBatch(ids []NodeID) ([][]string, []bool) {
 }
 
 // AssocRangeBatch answers, per request, the edges of (ID, Type) at
-// TimeOrder [Idx, min(Idx+Limit, count)) in one vectorized pass;
-// missing records yield nil. Identical to a scalar GetEdgeRecord +
-// Data loop over the same requests.
+// TimeOrder [Idx, min(Idx+Limit, count)); missing records yield nil.
+// Identical to a scalar GetEdgeRecord + Data loop over the same requests,
+// which it fans out over the cores that are idle.
 func (g *Graph) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]EdgeData, error) {
-	sreqs := make([]store.AssocRangeReq, len(reqs))
-	for i, r := range reqs {
-		sreqs[i] = store.AssocRangeReq{ID: r.ID, Type: r.Type, Idx: r.Idx, Limit: r.Limit}
-	}
-	return g.s.AssocRangeBatch(sreqs)
+	return g.s.AssocRangeBatch(reqs)
 }
 
 // GetNodeProperties returns the node's full property map.
@@ -364,8 +360,5 @@ func (g *Graph) Close() { g.s.Close() }
 func (g *Graph) Store() *store.Store { return g.s }
 
 // Compile-time check: Graph implements the shared store interface used
-// by all workload drivers, plus its vectorized batch extension.
-var (
-	_ graphapi.Store      = (*Graph)(nil)
-	_ graphapi.BatchStore = (*Graph)(nil)
-)
+// by all workload drivers.
+var _ graphapi.Store = (*Graph)(nil)
