@@ -341,21 +341,6 @@ func (l *LogStore) EdgeEntries(src layout.NodeID, etype layout.EdgeType) []layou
 	return cp
 }
 
-// CountEdges returns how many (src, etype, dst) entries this fragment
-// holds — what a delete against a sealed (immutable) generation needs
-// to size its tombstone.
-func (l *LogStore) CountEdges(src layout.NodeID, etype layout.EdgeType, dst layout.NodeID) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	n := 0
-	for _, e := range l.edges[edgeKey{src, etype}] {
-		if e.Dst == dst {
-			n++
-		}
-	}
-	return n
-}
-
 // EdgeTypes returns the distinct edge types with entries for src.
 func (l *LogStore) EdgeTypes(src layout.NodeID) []layout.EdgeType {
 	l.mu.RLock()

@@ -213,27 +213,6 @@ func TestPreparedPuts(t *testing.T) {
 	}
 }
 
-func TestCountEdges(t *testing.T) {
-	l := testLog(t)
-	for i := 0; i < 3; i++ {
-		if err := l.AddEdge(layout.Edge{Src: 4, Dst: 8, Type: 2, Timestamp: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.AddEdge(layout.Edge{Src: 4, Dst: 9, Type: 2, Timestamp: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if n := l.CountEdges(4, 8, 8); n != 0 {
-		t.Fatalf("CountEdges wrong type = %d", n)
-	}
-	if n := l.CountEdges(4, 2, 8); n != 3 {
-		t.Fatalf("CountEdges = %d, want 3", n)
-	}
-	if n := l.CountEdges(4, 2, 9); n != 1 {
-		t.Fatalf("CountEdges = %d, want 1", n)
-	}
-}
-
 // TestContentsDeterministic locks Contents' ordering contract: nodes
 // ascend by ID and edges group by (src, type) ascending — the property
 // compaction's byte-identical rebuilds stand on.

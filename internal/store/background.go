@@ -1,15 +1,16 @@
 package store
 
 import (
+	"slices"
+
 	"zipg/internal/core"
-	"zipg/internal/logstore"
 	"zipg/internal/telemetry"
 )
 
 // backgroundCompactor is the store's maintenance goroutine. It owns
 // two jobs, both serialized with Compact through buildMu:
 //
-//   - compressing sealed raw generations: a threshold rollover is an
+//   - compressing sealed LogStores: a threshold rollover is an
 //     O(1) seal under the lock; the suffix-array build happens here,
 //     off the write path, and the compressed shard is swapped in under
 //     a brief lock.
@@ -47,7 +48,7 @@ func (b *backgroundCompactor) kick() {
 
 // stop shuts the worker down and waits for it to exit. Work already
 // inside a buildMu critical section finishes; queued work is dropped
-// (a later Compact, or Save, handles leftover raw generations).
+// (a later Compact, or Save, handles leftover sealed logs).
 func (b *backgroundCompactor) stop() {
 	close(b.stopCh)
 	<-b.doneCh
@@ -65,8 +66,8 @@ func (b *backgroundCompactor) run() {
 	}
 }
 
-// pass drains pending maintenance: compress every sealed raw
-// generation, then run a full compaction if the trigger fires.
+// pass drains pending maintenance: compress every sealed log, then run
+// a full compaction if the trigger fires.
 func (b *backgroundCompactor) pass() {
 	for b.s.compressOnePending() {
 		select {
@@ -90,57 +91,54 @@ func (s *Store) rolloversPending() int {
 	return s.rolloversSinceCompact
 }
 
-// compressOnePending finds the oldest sealed raw generation, builds
-// its compressed shard outside the store lock, and swaps it in,
-// converting the generation's delete tombstones into lazy per-position
-// marks on the new shard. The worker calls it until nothing is
-// pending; in a store without one, so does every writer that sealed a
-// generation. Returns false when no raw generation remains (or the
-// build failed — the raw generation stays live and readable either
-// way).
+// compressOnePending finds the oldest sealed LogStore, builds its
+// compressed shard outside the store lock, and swaps it in. Deletes
+// keep reaching the sealed log while it builds: one that lands before
+// the build reads the log's contents is already gone from them, and one
+// after is recorded by the replay Compact uses and marked on the new
+// shard at swap; a sealed log takes no appends. The worker calls it
+// until nothing is pending; in a store without one, so does every
+// writer that sealed a generation. Returns false when no sealed log
+// remains (or the build failed — the log stays live and readable
+// either way).
 func (s *Store) compressOnePending() bool {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
 
-	s.mu.RLock()
-	g := -1
-	var raw *logstore.LogStore
-	for i, f := range s.frozen {
-		if f.raw != nil {
-			g, raw = i, f.raw
-			break
-		}
-	}
-	s.mu.RUnlock()
+	s.mu.Lock()
+	g := slices.IndexFunc(s.gens[:s.curGenLocked()], func(f fragment) bool { return f.log != nil })
 	if g < 0 {
+		s.mu.Unlock()
 		return false
 	}
+	sealed := s.gens[g].log
+	s.startReplayLocked()
+	s.mu.Unlock()
 
-	// The sealed log is immutable (only its tombstones in s.rawDels
-	// move, and those are re-read at swap), so no replay machinery is
-	// needed: build from the full contents, then carry the current
-	// tombstone set over as deletion marks.
 	tm := telemetry.StartTimer()
-	nodes, edges := raw.Contents()
+	nodes, edges := sealed.Contents()
 	sh, err := core.Build(nodes, edges, s.nodeSchema, s.edgeSchema,
 		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 	if err != nil {
+		s.mu.Lock()
+		s.stopReplayLocked()
+		s.mu.Unlock()
 		return false
 	}
 	tm.ObserveInto(mRolloverNs)
 
 	pause := telemetry.StartTimer()
 	s.mu.Lock()
-	// Index g is still valid: rollovers only append to s.frozen, and
-	// buildMu excludes the only operations that drop or reorder
+	// Index g is still valid: rollovers only append to s.gens, and
+	// buildMu excludes the only operation that drops or reorders
 	// generations (Compact).
-	frozen := append([]fragment(nil), s.frozen...)
-	frozen[g] = fragment{shard: sh}
-	s.frozen = frozen
-	for t := range s.rawDels[raw] {
+	gens := slices.Clone(s.gens)
+	gens[g] = fragment{shard: sh}
+	s.gens = gens
+	dels, _ := s.stopReplayLocked()
+	for _, t := range dels {
 		s.markShardEdgesLocked(sh, t)
 	}
-	delete(s.rawDels, raw)
 	s.mu.Unlock()
 	pause.ObserveInto(mCompactionPauseNs)
 	return true

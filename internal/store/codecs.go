@@ -24,7 +24,7 @@ type FragmentCodecs struct {
 func (s *Store) CodecReport() []FragmentCodecs {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]FragmentCodecs, 0, len(s.primaries)+len(s.frozen))
+	out := make([]FragmentCodecs, 0, len(s.primaries)+len(s.gens))
 	for p, sh := range s.primaries {
 		out = append(out, FragmentCodecs{
 			Fragment: fmt.Sprintf("primary/%d", p),
@@ -32,8 +32,8 @@ func (s *Store) CodecReport() []FragmentCodecs {
 			Regions:  sh.CodecReport(),
 		})
 	}
-	for g, f := range s.frozen {
-		if f.raw != nil {
+	for g, f := range s.gens[:s.curGenLocked()] {
+		if f.log != nil {
 			// Sealed but not yet compressed: no regions to report.
 			out = append(out, FragmentCodecs{
 				Fragment: fmt.Sprintf("frozen/%d (raw, awaiting compression)", g),

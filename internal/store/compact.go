@@ -2,13 +2,13 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
 
 	"zipg/internal/core"
 	"zipg/internal/layout"
-	"zipg/internal/logstore"
 	"zipg/internal/parallel"
 	"zipg/internal/telemetry"
 )
@@ -23,11 +23,11 @@ import (
 // Compaction is online: the store's write lock is held only for two
 // brief windows (both observed into zipg_compaction_pause_ns) —
 //
-//	Phase 1 (seal + snapshot): seal the live LogStore into an immutable
-//	  raw generation, snapshot the fragment set and the deletion state,
-//	  and turn on delete-replay recording.
+//	Phase 1 (seal + snapshot): seal the live LogStore, snapshot the
+//	  fragment set and the deletion state, and start delete-replay
+//	  recording.
 //	Phase 2 (rebuild, NO store lock): materialize the live graph from
-//	  the immutable snapshot and build fresh primary shards on the
+//	  the snapshot and build fresh primary shards on the
 //	  shared worker pool. Queries and writes proceed concurrently; the
 //	  paper runs GC "in the background on dedicated capacity" — this is
 //	  that, minus the dedicated capacity.
@@ -41,12 +41,12 @@ import (
 // which is by construction newer than every generation the rebuild
 // consumed. Deletes do — a delete during the rebuild targets data the
 // rebuild is busy baking into the fresh primaries — so they are
-// recorded (s.replay*) and re-applied at swap as lazy deletion marks.
+// recorded and re-applied at swap as lazy deletion marks.
 //
 // buildMu serializes Compact with the compression of sealed
-// generations (compressOnePending): at most one rebuild is in flight,
-// which is what lets the replay log attribute its entries to exactly
-// one pending swap.
+// generations (compressOnePending): at most one build is in flight,
+// which is what lets the one replay log attribute its entries to
+// exactly one pending swap.
 func (s *Store) Compact() error {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
@@ -61,9 +61,7 @@ func (s *Store) Compact() error {
 	s.mu.Lock()
 	s.sealLogLocked() // not a rollover: bookkeeping internal to this compaction
 	snap := s.snapshotForCompactLocked()
-	s.replaying = true
-	s.replayEdgeDels = nil
-	s.replayNodeDels = make(map[layout.NodeID]bool)
+	s.startReplayLocked()
 	s.mu.Unlock()
 	pause.ObserveInto(mCompactionPauseNs)
 
@@ -71,9 +69,7 @@ func (s *Store) Compact() error {
 	fresh, err := snap.build(s)
 	if err != nil {
 		s.mu.Lock()
-		s.replaying = false
-		s.replayEdgeDels = nil
-		s.replayNodeDels = nil
+		s.stopReplayLocked()
 		s.mu.Unlock()
 		return err
 	}
@@ -87,45 +83,45 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// compactSnapshot is the immutable fragment-epoch a rebuild runs
-// against: the fragment set as of the seal, with the deletion state
-// deep-copied so concurrent deletes (which mutate the live maps) can't
-// leak into the materialized graph mid-pass.
-type compactSnapshot struct {
-	primaries    []*core.Shard
-	frozen       []fragment
-	cut          int // == len(frozen): generations the rebuild consumes
-	deletedNodes map[layout.NodeID]bool
-	deletedPhys  map[shardEdgeRef]map[int]bool
-	rawDels      map[*logstore.LogStore]map[edgeTriple]bool
+// startReplayLocked starts recording the deletes that land while a
+// build reads its input off the store lock. Callers hold s.mu and
+// buildMu.
+func (s *Store) startReplayLocked() {
+	s.replaying = true
+	s.replayEdgeDels = nil
+	s.replayNodeDels = make(map[layout.NodeID]bool)
 }
 
-// snapshotForCompactLocked captures the rebuild's input epoch. The
-// shard and fragment slices are copy-on-write (safe to hold as-is);
-// the deletion maps are mutable and get deep-copied. Callers hold s.mu.
+// stopReplayLocked stops the recording and returns what it recorded.
+// Callers hold s.mu and buildMu.
+func (s *Store) stopReplayLocked() ([]edgeTriple, map[layout.NodeID]bool) {
+	edges, nodes := s.replayEdgeDels, s.replayNodeDels
+	s.replaying, s.replayEdgeDels, s.replayNodeDels = false, nil, nil
+	return edges, nodes
+}
+
+// compactSnapshot is the fragment-epoch a rebuild runs against: the
+// fragment set as of the seal, with the deletion state copied so
+// concurrent deletes can't leak into the materialized graph mid-pass.
+// (Deletes that reach a sealed log of it mid-pass are replayed.)
+type compactSnapshot struct {
+	primaries    []*core.Shard
+	gens         []fragment // the generations the rebuild consumes
+	deletedNodes map[layout.NodeID]bool
+	deletedPhys  map[shardEdgeRef]map[int]bool
+}
+
+// snapshotForCompactLocked captures the rebuild's input epoch: every
+// generation but the live log. The shard and fragment slices and each
+// mark set are copy-on-write (safe to hold as-is); the deletion maps
+// themselves are copied. Callers hold s.mu.
 func (s *Store) snapshotForCompactLocked() *compactSnapshot {
-	snap := &compactSnapshot{
+	return &compactSnapshot{
 		primaries:    s.primaries,
-		frozen:       s.frozen,
-		cut:          len(s.frozen),
-		deletedNodes: make(map[layout.NodeID]bool, len(s.deletedNodes)),
-		deletedPhys:  make(map[shardEdgeRef]map[int]bool, len(s.deletedPhys)),
-		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool, len(s.rawDels)),
+		gens:         s.gens[:s.curGenLocked()],
+		deletedNodes: maps.Clone(s.deletedNodes),
+		deletedPhys:  maps.Clone(s.deletedPhys),
 	}
-	for id := range s.deletedNodes {
-		snap.deletedNodes[id] = true
-	}
-	for k, m := range s.deletedPhys {
-		snap.deletedPhys[k] = copyDeleted(m)
-	}
-	for raw, m := range s.rawDels {
-		cp := make(map[edgeTriple]bool, len(m))
-		for t := range m {
-			cp[t] = true
-		}
-		snap.rawDels[raw] = cp
-	}
-	return snap
 }
 
 // build materializes the snapshot's live graph and compresses it into
@@ -164,12 +160,11 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 // and replay the deletes recorded during the rebuild. Callers hold
 // s.mu.
 func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) {
-	cut := snap.cut
+	cut := len(snap.gens)
 	s.primaries = fresh
 	// Generations sealed during the rebuild survive, renumbered down by
-	// cut; so does the live log (its generation is implicitly
-	// len(s.frozen) — see curGenLocked).
-	s.frozen = append([]fragment(nil), s.frozen[cut:]...)
+	// cut, and so does the live log.
+	s.gens = append([]fragment(nil), s.gens[cut:]...)
 	for id, gens := range s.ptrs {
 		var ng []int
 		for _, g := range gens {
@@ -186,36 +181,25 @@ func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) 
 	// Deletion state: everything the rebuild consumed was filtered
 	// during materialize, so only marks shadowing *post-snapshot* data
 	// survive — node deletes recorded during the rebuild (if still in
-	// force), physical marks on shards still referenced, tombstones on
-	// raw generations still referenced.
+	// force) and physical marks on shards still referenced.
+	edgeDels, nodeDels := s.stopReplayLocked()
 	deletedNodes := make(map[layout.NodeID]bool)
-	for id := range s.replayNodeDels {
+	for id := range nodeDels {
 		if s.deletedNodes[id] {
 			deletedNodes[id] = true
 		}
 	}
 	s.deletedNodes = deletedNodes
-	liveShards := make(map[*core.Shard]bool, len(fresh)+len(s.frozen))
+	liveShards := make(map[*core.Shard]bool, len(fresh)+len(s.gens))
 	for _, sh := range fresh {
 		liveShards[sh] = true
 	}
-	liveRaws := make(map[*logstore.LogStore]bool, len(s.frozen))
-	for _, f := range s.frozen {
-		if f.shard != nil {
-			liveShards[f.shard] = true
-		}
-		if f.raw != nil {
-			liveRaws[f.raw] = true
-		}
+	for _, f := range s.gens {
+		liveShards[f.shard] = true
 	}
 	for key := range s.deletedPhys {
 		if !liveShards[key.shard] {
 			delete(s.deletedPhys, key)
-		}
-	}
-	for raw := range s.rawDels {
-		if !liveRaws[raw] {
-			delete(s.rawDels, raw)
 		}
 	}
 	// Replay: deletes that arrived during the rebuild targeted data the
@@ -224,38 +208,41 @@ func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) 
 	// fragments, which the delete already handled directly — replay
 	// touches only the fresh shard of the source's partition, so it
 	// cannot kill a re-append.)
-	for _, t := range s.replayEdgeDels {
+	for _, t := range edgeDels {
 		s.markShardEdgesLocked(fresh[s.partitionOf(t.src)], t)
 	}
-	s.replaying = false
-	s.replayEdgeDels = nil
-	s.replayNodeDels = nil
 	s.rolloversSinceCompact = 0
 }
 
 // markShardEdgesLocked lazily deletes every (src, etype, dst) edge
 // held by one compressed shard and returns how many it newly marked.
 // The record is located in the shard's build index, so what runs under
-// the lock is a header parse and one extract of the destinations.
-// Callers hold s.mu.
+// the lock is a header parse and one extract of the destinations. The
+// record's mark set is replaced, not added to: readers and a running
+// build may hold the old one. Callers hold s.mu.
 func (s *Store) markShardEdgesLocked(sh *core.Shard, t edgeTriple) int {
 	ref, ok := sh.EdgeRecord(t.src, t.etype)
 	if !ok {
 		return 0
 	}
 	key := shardEdgeRef{sh, t.src, t.etype}
-	n := 0
+	old := s.deletedPhys[key]
+	var marks map[int]bool
 	for i, d := range sh.Edges().Destinations(&ref) {
-		if d != t.dst || s.deletedPhys[key][i] {
+		if d != t.dst || old[i] {
 			continue
 		}
-		if s.deletedPhys[key] == nil {
-			s.deletedPhys[key] = make(map[int]bool)
+		if marks == nil {
+			marks = make(map[int]bool, len(old)+1)
+			maps.Copy(marks, old)
 		}
-		s.deletedPhys[key][i] = true
-		n++
+		marks[i] = true
 	}
-	return n
+	if marks == nil {
+		return 0
+	}
+	s.deletedPhys[key] = marks
+	return len(marks) - len(old)
 }
 
 // materialize reconstructs the snapshot's live logical graph: every
@@ -272,10 +259,10 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 			ids[id] = true
 		}
 	}
-	for _, f := range c.frozen {
-		if f.raw != nil {
-			rawNodes, _ := f.raw.Contents()
-			for _, n := range rawNodes {
+	for _, f := range c.gens {
+		if f.log != nil {
+			logNodes, _ := f.log.Contents()
+			for _, n := range logNodes {
 				ids[n.ID] = true
 			}
 			continue
@@ -311,8 +298,8 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 	}
 
 	// Edges: every (src, etype) record of every fragment, each read whole
-	// in one record walk, honoring physical deletion marks and
-	// raw-generation tombstones. A shard's records go in file order, a
+	// in one record walk, honoring physical deletion marks (a sealed log
+	// holds only live edges). A shard's records go in file order, a
 	// batch at a time through one walk that steps on from each to the next.
 	var edges []layout.Edge
 	appendFromShard := func(sh *core.Shard) error {
@@ -352,15 +339,13 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 			return nil, nil, err
 		}
 	}
-	for _, f := range c.frozen {
-		if f.raw != nil {
-			dels := c.rawDels[f.raw]
-			_, rawEdges := f.raw.Contents()
-			for _, e := range rawEdges {
-				if c.deletedNodes[e.Src] || dels[edgeTriple{e.Src, e.Type, e.Dst}] {
-					continue
+	for _, f := range c.gens {
+		if f.log != nil {
+			_, logEdges := f.log.Contents()
+			for _, e := range logEdges {
+				if !c.deletedNodes[e.Src] {
+					edges = append(edges, e)
 				}
-				edges = append(edges, e)
 			}
 			continue
 		}
@@ -385,17 +370,17 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 
 // resolveNode returns the newest live property map for id within the
 // snapshot. Update pointers are not needed: generations are walked
-// newest-first (every frozen generation is newer than the primaries),
-// so the first record found is the current version.
+// newest-first (every generation is newer than the primaries), so the
+// first record found is the current version.
 func (c *compactSnapshot) resolveNode(s *Store, id layout.NodeID) (map[string]string, bool) {
-	for g := len(c.frozen) - 1; g >= 0; g-- {
-		if raw := c.frozen[g].raw; raw != nil {
-			if props, ok := raw.NodeProps(id); ok {
+	for g := len(c.gens) - 1; g >= 0; g-- {
+		if log := c.gens[g].log; log != nil {
+			if props, ok := log.NodeProps(id); ok {
 				return props, true
 			}
 			continue
 		}
-		if props, ok := c.frozen[g].shard.Nodes().GetAllProps(id); ok {
+		if props, ok := c.gens[g].shard.Nodes().GetAllProps(id); ok {
 			return props, true
 		}
 	}

@@ -149,8 +149,7 @@ func buildPieceStore(t testing.TB, alpha, pieces int, ties bool) (*Store, *merge
 		}
 	}
 	// Deletes at piece heads and tails, in every kind of piece: lazy marks
-	// on compressed pieces, tombstones on the raw one, removals from the
-	// log.
+	// on compressed pieces, removals from the sealed and the live log.
 	for piece := 0; piece < pieces; piece++ {
 		for _, k := range [][2]int64{mergeSmall, mergeBig, mergeSparse} {
 			head, tail := m.ends(k[0], k[1], piece)

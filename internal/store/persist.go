@@ -56,9 +56,8 @@ type deletedPhysWire struct {
 	Indexes  []int
 }
 
-// rawGenWire is one sealed-but-uncompressed generation. Its delete
-// tombstones are applied at save time, so the persisted contents are
-// already clean.
+// rawGenWire is one sealed-but-uncompressed generation: the live
+// entries of its LogStore (deletes remove entries in place).
 type rawGenWire struct {
 	Gen   int
 	Nodes []layout.Node
@@ -89,30 +88,24 @@ func (s *Store) Save(w io.Writer) error {
 		wire.Primaries = append(wire.Primaries, blob)
 		fragIndex[sh] = i
 	}
-	for g, f := range s.frozen {
-		if f.raw != nil {
-			rn, re := f.raw.Contents()
-			if dels := s.rawDels[f.raw]; len(dels) > 0 {
-				kept := re[:0]
-				for _, e := range re {
-					if !dels[edgeTriple{e.Src, e.Type, e.Dst}] {
-						kept = append(kept, e)
-					}
-				}
-				re = kept
-			}
+	cur := s.curGenLocked()
+	for g, f := range s.gens {
+		switch {
+		case g == cur:
+			wire.LogNodes, wire.LogEdges = f.log.Contents()
+		case f.log != nil:
+			rn, re := f.log.Contents()
 			wire.Frozen = append(wire.Frozen, nil)
 			wire.RawGens = append(wire.RawGens, rawGenWire{Gen: g, Nodes: rn, Edges: re})
-			continue
+		default:
+			blob, err := f.shard.MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("store: save frozen %d: %w", g, err)
+			}
+			wire.Frozen = append(wire.Frozen, blob)
+			fragIndex[f.shard] = s.cfg.NumShards + g
 		}
-		blob, err := f.shard.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("store: save frozen %d: %w", g, err)
-		}
-		wire.Frozen = append(wire.Frozen, blob)
-		fragIndex[f.shard] = s.cfg.NumShards + g
 	}
-	wire.LogNodes, wire.LogEdges = s.log.Contents()
 	for id := range s.deletedNodes {
 		wire.DeletedNodes = append(wire.DeletedNodes, id)
 	}
@@ -148,6 +141,17 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("store: load: %w", err)
 	}
+	// The archive chose these numbers; reads index by them unchecked.
+	if wire.NumShards < 1 || wire.NumShards != len(wire.Primaries) {
+		return nil, fmt.Errorf("store: load: NumShards %d with %d Primaries", wire.NumShards, len(wire.Primaries))
+	}
+	for id, gens := range wire.Ptrs {
+		for _, g := range gens {
+			if g < 0 || g > len(wire.Frozen) {
+				return nil, fmt.Errorf("store: load: Ptrs of node %d name generation %d, outside [0,%d]", id, g, len(wire.Frozen))
+			}
+		}
+	}
 	nodeSchema, err := wire.NodeSchema.Build()
 	if err != nil {
 		return nil, err
@@ -168,7 +172,6 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 		ptrs:         wire.Ptrs,
 		deletedNodes: make(map[layout.NodeID]bool, len(wire.DeletedNodes)),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
-		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
 		rollovers:    wire.Rollovers,
 	}
 	// Event sequences are runtime state: a reloaded store starts every
@@ -205,43 +208,34 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 		return nil, err
 	}
 	s.primaries = frags[:nPrim:nPrim]
-	rawByGen := make(map[int]rawGenWire, len(wire.RawGens))
+	logByGen := make(map[int]rawGenWire, len(wire.RawGens)+1)
 	for _, rg := range wire.RawGens {
-		rawByGen[rg.Gen] = rg
+		logByGen[rg.Gen] = rg
 	}
-	s.frozen = make([]fragment, len(wire.Frozen))
-	for g := range wire.Frozen {
-		if sh := frags[nPrim+g]; sh != nil {
-			s.frozen[g] = fragment{shard: sh}
+	live := len(wire.Frozen) // the live log is the last generation
+	logByGen[live] = rawGenWire{Nodes: wire.LogNodes, Edges: wire.LogEdges}
+	s.gens = make([]fragment, live+1)
+	for g := range s.gens {
+		if g < live && frags[nPrim+g] != nil {
+			s.gens[g] = fragment{shard: frags[nPrim+g]}
 			continue
 		}
-		rg, ok := rawByGen[g]
+		rg, ok := logByGen[g]
 		if !ok {
 			return nil, fmt.Errorf("store: load: raw generation %d missing", g)
 		}
-		raw := logstore.New(nodeSchema, edgeSchema, med, g)
+		log := logstore.New(nodeSchema, edgeSchema, med, g)
 		for _, n := range rg.Nodes {
-			if err := raw.AddNode(n.ID, n.Props); err != nil {
-				return nil, fmt.Errorf("store: load raw gen %d node %d: %w", g, n.ID, err)
+			if err := log.AddNode(n.ID, n.Props); err != nil {
+				return nil, fmt.Errorf("store: load gen %d node %d: %w", g, n.ID, err)
 			}
 		}
 		for _, e := range rg.Edges {
-			if err := raw.AddEdge(e); err != nil {
-				return nil, fmt.Errorf("store: load raw gen %d edge: %w", g, err)
+			if err := log.AddEdge(e); err != nil {
+				return nil, fmt.Errorf("store: load gen %d edge: %w", g, err)
 			}
 		}
-		s.frozen[g] = fragment{raw: raw}
-	}
-	s.log = logstore.New(nodeSchema, edgeSchema, med, len(s.frozen))
-	for _, n := range wire.LogNodes {
-		if err := s.log.AddNode(n.ID, n.Props); err != nil {
-			return nil, fmt.Errorf("store: load log node %d: %w", n.ID, err)
-		}
-	}
-	for _, e := range wire.LogEdges {
-		if err := s.log.AddEdge(e); err != nil {
-			return nil, fmt.Errorf("store: load log edge: %w", err)
-		}
+		s.gens[g] = fragment{log: log}
 	}
 	for _, id := range wire.DeletedNodes {
 		s.deletedNodes[id] = true

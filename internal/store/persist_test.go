@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"reflect"
 	"strings"
@@ -157,6 +158,49 @@ func TestLoadErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), old[:5]) {
 			t.Errorf("archive with %q stores: err = %v, want unsupported format version naming it", old, err)
 		}
+	}
+}
+
+// TestLoadRejectsInconsistentArchive: an archive whose storeWire
+// disagrees with itself is an error naming the field, not a store that
+// panics on its first read. Each case decodes a mutatedStore archive,
+// changes one field and encodes it again.
+func TestLoadRejectsInconsistentArchive(t *testing.T) {
+	blob, err := mutatedStore(t).SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(mutate func(w *storeWire)) *bytes.Buffer {
+		t.Helper()
+		var w storeWire
+		if err := gob.NewDecoder(bytes.NewReader(blob[len(persistMagic):])).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&w)
+		buf := bytes.NewBufferString(persistMagic)
+		if err := gob.NewEncoder(buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	if _, err := Load(reencode(func(*storeWire) {}), nil); err != nil {
+		t.Fatalf("unchanged archive: %v", err)
+	}
+	for _, tc := range []struct {
+		name, field string
+		mutate      func(w *storeWire)
+	}{
+		{"no shards", "NumShards", func(w *storeWire) { w.NumShards = 0 }},
+		{"more shards than primaries", "NumShards", func(w *storeWire) { w.NumShards = len(w.Primaries) + 1 }},
+		{"pointer at generation -1", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], -1) }},
+		{"pointer past the live log", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], len(w.Frozen)+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(reencode(tc.mutate), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.field)
+			}
+		})
 	}
 }
 

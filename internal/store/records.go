@@ -6,7 +6,6 @@ import (
 
 	"zipg/internal/core"
 	"zipg/internal/layout"
-	"zipg/internal/logstore"
 	"zipg/internal/telemetry"
 )
 
@@ -32,7 +31,7 @@ type EdgeRecord struct {
 type recordPiece struct {
 	shard   *core.Shard          // nil for a LogStore piece
 	ref     layout.EdgeRecordRef // valid when shard != nil
-	deleted map[int]bool         // physical deletion marks (snapshot)
+	deleted map[int]bool         // physical deletion marks (never mutated)
 	edges   []layout.Edge        // LogStore entries, ts-sorted
 	next    int                  // physical index of the first entry not merged yet
 }
@@ -91,8 +90,8 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 	}
 	r := &EdgeRecord{Src: src, Type: etype}
 	for _, f := range s.fragmentsOfLocked(src) {
-		if f.raw != nil {
-			if es := s.rawEdgeEntriesLocked(f.raw, src, etype); len(es) > 0 {
+		if f.log != nil {
+			if es := f.log.EdgeEntries(src, etype); len(es) > 0 {
 				r.pieces = append(r.pieces, recordPiece{edges: es})
 			}
 			continue
@@ -102,13 +101,8 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 			r.pieces = append(r.pieces, recordPiece{
 				shard:   sh,
 				ref:     ref,
-				deleted: copyDeleted(s.deletedPhys[shardEdgeRef{sh, src, etype}]),
+				deleted: s.deletedPhys[shardEdgeRef{sh, src, etype}],
 			})
-		}
-	}
-	if s.hasLogPtrLocked(src) {
-		if es := s.log.EdgeEntries(src, etype); len(es) > 0 {
-			r.pieces = append(r.pieces, recordPiece{edges: es})
 		}
 	}
 	for i := range r.pieces {
@@ -133,19 +127,14 @@ func (s *Store) GetEdgeRecords(src layout.NodeID) []*EdgeRecord {
 	}
 	types := make(map[layout.EdgeType]bool)
 	for _, f := range s.fragmentsOfLocked(src) {
-		if f.raw != nil {
-			for _, t := range f.raw.EdgeTypes(src) {
+		if f.log != nil {
+			for _, t := range f.log.EdgeTypes(src) {
 				types[t] = true
 			}
 			continue
 		}
 		for _, ref := range f.shard.Edges().GetEdgeRecords(src) {
 			types[ref.Type] = true
-		}
-	}
-	if s.hasLogPtrLocked(src) {
-		for _, t := range s.log.EdgeTypes(src) {
-			types[t] = true
 		}
 	}
 	sorted := make([]layout.EdgeType, 0, len(types))
@@ -160,50 +149,6 @@ func (s *Store) GetEdgeRecords(src layout.NodeID) []*EdgeRecord {
 		}
 	}
 	return out
-}
-
-// rawEdgeEntriesLocked returns one sealed raw generation's (src, etype)
-// edges with tombstoned triples filtered out, timestamp-sorted. Callers
-// hold s.mu.
-func (s *Store) rawEdgeEntriesLocked(raw *logstore.LogStore, src layout.NodeID, etype layout.EdgeType) []layout.Edge {
-	es := raw.EdgeEntries(src, etype)
-	dels := s.rawDels[raw]
-	if len(dels) == 0 {
-		return es
-	}
-	kept := es[:0]
-	for _, e := range es {
-		if !dels[edgeTriple{e.Src, e.Type, e.Dst}] {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
-// hasLogPtrLocked reports whether src has an update pointer into the
-// live LogStore. Callers hold s.mu.
-func (s *Store) hasLogPtrLocked(src layout.NodeID) bool {
-	if s.cfg.DisableFannedUpdates {
-		return true
-	}
-	cur := s.curGenLocked()
-	for _, g := range s.ptrs[src] {
-		if g == cur {
-			return true
-		}
-	}
-	return false
-}
-
-func copyDeleted(m map[int]bool) map[int]bool {
-	if len(m) == 0 {
-		return nil
-	}
-	cp := make(map[int]bool, len(m))
-	for k := range m {
-		cp[k] = true
-	}
-	return cp
 }
 
 // mergeTo makes the global TimeOrder index cover [beg, end), end <= count:

@@ -3,8 +3,8 @@
 // writes, fanned update pointers that route queries to exactly the
 // fragments holding a node's data (§3.5), and lazy deletes.
 //
-// Mutable state (update pointers, deletion marks, the LogStore) is
-// guarded by one RWMutex; compressed shards are immutable and read
+// Mutable state (update pointers, deletion marks, the generations list)
+// is guarded by one RWMutex; compressed shards are immutable and read
 // lock-free — matching the paper's concurrency-control design (§4.1).
 package store
 
@@ -61,22 +61,22 @@ type shardEdgeRef struct {
 }
 
 // edgeTriple names one logical delete target: every (src, etype, dst)
-// edge. It keys the tombstones laid over sealed raw generations and
-// the replay log an online compaction applies at swap.
+// edge. It keys the replay log a build applies at swap.
 type edgeTriple struct {
 	src   layout.NodeID
 	etype layout.EdgeType
 	dst   layout.NodeID
 }
 
-// fragment is one frozen generation: either a compressed shard or a
-// sealed raw LogStore awaiting background compression. Exactly one
-// field is non-nil. Fragments are immutable values — every change to
-// s.frozen replaces the whole slice (copy-on-write), so readers may
+// fragment is one piece of the store: a compressed shard or a LogStore
+// — the live one, or a sealed one awaiting compression. Exactly one
+// field is non-nil. A shard never changes; a LogStore takes deletes in
+// place under its own lock, and the live one appends too. Every change
+// to s.gens replaces the whole slice (copy-on-write), so readers may
 // snapshot the slice header under RLock and keep using it lock-free.
 type fragment struct {
 	shard *core.Shard
-	raw   *logstore.LogStore
+	log   *logstore.LogStore
 }
 
 // Store is a complete single-machine ZipG instance.
@@ -95,22 +95,21 @@ type Store struct {
 	// primaries are the current hash partitions. The slice is replaced
 	// wholesale (never mutated in place) so read paths may snapshot it
 	// under RLock and use it lock-free.
-	primaries    []*core.Shard
-	frozen       []fragment // rolled-over LogStores, generation order; COW
-	log          *logstore.LogStore
+	primaries []*core.Shard
+	// gens are the generations in order, COW: rolled-over LogStores
+	// (sealed, or since compressed into shards), the live LogStore last.
+	gens         []fragment
 	ptrs         map[layout.NodeID][]int // update pointers: node -> generations
 	deletedNodes map[layout.NodeID]bool
-	deletedPhys  map[shardEdgeRef]map[int]bool // lazily deleted edges in shards
-	// rawDels tombstones deletes against sealed raw generations (which
-	// are immutable, so their entries cannot be removed in place).
-	// Keyed by the sealed LogStore pointer: stable across the
-	// generation renumbering a compaction swap performs.
-	rawDels map[*logstore.LogStore]map[edgeTriple]bool
+	// deletedPhys holds lazily deleted edge positions in shards. A mark
+	// set is replaced, never added to, so readers may hold one lock-free.
+	deletedPhys map[shardEdgeRef]map[int]bool
 
-	// Delete-replay state for the single in-flight build (see buildMu):
-	// deletes that land while a rebuild runs against an older snapshot
-	// are recorded here and re-applied to the freshly built fragments
-	// at swap, so a rebuild never resurrects deleted data.
+	// Delete-replay state for the single in-flight build (see buildMu),
+	// set and cleared only by startReplayLocked/stopReplayLocked:
+	// deletes that land while a build reads an older snapshot are
+	// recorded here and re-applied to the freshly built shards at swap,
+	// so a build never resurrects deleted data.
 	replaying      bool
 	replayEdgeDels []edgeTriple
 	replayNodeDels map[layout.NodeID]bool
@@ -145,7 +144,6 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		ptrs:         make(map[layout.NodeID][]int),
 		deletedNodes: make(map[layout.NodeID]bool),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
-		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
 	}
 	s.events.init(cfg.NumShards)
 
@@ -186,7 +184,7 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		return nil, err
 	}
 	s.primaries = shards
-	s.log = logstore.New(nodeSchema, edgeSchema, cfg.Medium, 0)
+	s.gens = []fragment{{log: logstore.New(nodeSchema, edgeSchema, cfg.Medium, 0)}}
 	if cfg.BackgroundCompaction || cfg.CompactAfterRollovers > 0 {
 		s.bg = startBackground(s)
 	}
@@ -220,8 +218,8 @@ func (s *Store) NodeSchema() *layout.PropertySchema { return s.nodeSchema }
 // EdgeSchema returns the edge property schema.
 func (s *Store) EdgeSchema() *layout.PropertySchema { return s.edgeSchema }
 
-// curGen returns the current LogStore generation. Callers hold s.mu.
-func (s *Store) curGenLocked() int { return len(s.frozen) }
+// curGenLocked returns the live LogStore's generation. Callers hold s.mu.
+func (s *Store) curGenLocked() int { return len(s.gens) - 1 }
 
 // addPtrLocked records that gen holds data for node id.
 func (s *Store) addPtrLocked(id layout.NodeID, gen int) {
@@ -286,8 +284,9 @@ func (s *Store) AppendEdge(e layout.Edge) error {
 func (s *Store) commit(puts []logstore.Put) {
 	stall := telemetry.StartTimer()
 	s.mu.Lock()
-	s.log.ApplyPuts(puts)
 	gen := s.curGenLocked()
+	live := s.gens[gen].log
+	live.ApplyPuts(puts)
 	for i := range puts {
 		p := &puts[i]
 		if p.IsNode {
@@ -300,7 +299,7 @@ func (s *Store) commit(puts []logstore.Put) {
 	// One event per record, inside the critical section that made the
 	// records visible: subscribers see them contiguously and in order.
 	s.emitLocked(s.eventsForPuts(puts))
-	sealed := s.log.Size() >= s.cfg.LogStoreThreshold
+	sealed := live.Size() >= s.cfg.LogStoreThreshold
 	if sealed {
 		s.sealLogLocked()
 		s.rollovers++
@@ -332,14 +331,12 @@ func (s *Store) DeleteNode(id layout.NodeID) {
 	mOpDeleteNode.Inc()
 	s.mu.Lock()
 	s.deletedNodes[id] = true
-	// Under the store lock: a rollover swaps s.log, so reading it
-	// outside would race (and could drop the removal into a log that
-	// was just frozen).
-	s.log.RemoveNode(id)
-	if s.replaying {
-		if s.replayNodeDels == nil {
-			s.replayNodeDels = make(map[layout.NodeID]bool)
+	for _, f := range s.fragmentsOfLocked(id) {
+		if f.log != nil {
+			f.log.RemoveNode(id)
 		}
+	}
+	if s.replaying {
 		s.replayNodeDels[id] = true
 	}
 	// Tombstone event under the same lock that made the delete visible:
@@ -350,26 +347,26 @@ func (s *Store) DeleteNode(id layout.NodeID) {
 }
 
 // DeleteEdges deletes all (src, etype, dst) edges (Table 1's
-// delete(nodeID, edgeType, destinationID)): LogStore entries are removed
-// directly; compressed fragments get lazy per-position deletion marks;
-// sealed raw generations (immutable) get triple-level tombstones.
+// delete(nodeID, edgeType, destinationID)): LogStore entries, sealed or
+// live, are removed in place; compressed fragments get lazy per-position
+// deletion marks.
 func (s *Store) DeleteEdges(src layout.NodeID, etype layout.EdgeType, dst layout.NodeID) int {
 	mOpDeleteEdges.Inc()
+	t := edgeTriple{src, etype, dst}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// s.log is only stable under the store lock (rollover swaps it).
-	removed := s.log.RemoveEdges(src, etype, dst)
+	removed := 0
 	for _, f := range s.fragmentsOfLocked(src) {
-		if f.raw != nil {
-			removed += s.tombstoneRawLocked(f.raw, src, etype, dst)
-			continue
+		if f.log != nil {
+			removed += f.log.RemoveEdges(src, etype, dst)
+		} else {
+			removed += s.markShardEdgesLocked(f.shard, t)
 		}
-		removed += s.markShardEdgesLocked(f.shard, edgeTriple{src, etype, dst})
 	}
 	if s.replaying {
-		// A rebuild is running against an older snapshot; record the
-		// delete so the swap re-applies it to the fresh fragments.
-		s.replayEdgeDels = append(s.replayEdgeDels, edgeTriple{src, etype, dst})
+		// A build is reading an older snapshot; record the delete so the
+		// swap re-applies it to the fresh shards.
+		s.replayEdgeDels = append(s.replayEdgeDels, t)
 	}
 	s.emitLocked([]Event{{
 		Part: s.partitionOf(src), Kind: EvEdgeDel, Node: src,
@@ -378,53 +375,41 @@ func (s *Store) DeleteEdges(src layout.NodeID, etype layout.EdgeType, dst layout
 	return removed
 }
 
-// tombstoneRawLocked records a delete against one sealed raw generation
-// and returns how many live edge entries it newly shadows. Callers hold
-// s.mu.
-func (s *Store) tombstoneRawLocked(raw *logstore.LogStore, src layout.NodeID, etype layout.EdgeType, dst layout.NodeID) int {
-	t := edgeTriple{src, etype, dst}
-	if s.rawDels[raw][t] {
-		return 0
-	}
-	n := raw.CountEdges(src, etype, dst)
-	if n == 0 {
-		return 0
-	}
-	if s.rawDels[raw] == nil {
-		s.rawDels[raw] = make(map[edgeTriple]bool)
-	}
-	s.rawDels[raw][t] = true
-	return n
-}
-
-// fragmentsOfLocked returns the frozen fragments that may hold data for
-// a node: its primary shard plus every frozen generation its update
-// pointers name (or, with fanned updates disabled, every frozen
-// fragment). Callers hold s.mu.
+// fragmentsOfLocked returns the fragments that may hold data for a
+// node, oldest first: its primary shard, then every generation its
+// update pointers name (or, with fanned updates disabled, every
+// generation), the live log last. Callers hold s.mu.
 func (s *Store) fragmentsOfLocked(id layout.NodeID) []fragment {
-	out := []fragment{{shard: s.primaries[s.partitionOf(id)]}}
+	primary := fragment{shard: s.primaries[s.partitionOf(id)]}
 	if s.cfg.DisableFannedUpdates {
-		return append(out, s.frozen...)
+		return append([]fragment{primary}, s.gens...)
 	}
+	out := append(make([]fragment, 0, 1+len(s.ptrs[id])), primary)
 	for _, g := range s.ptrs[id] {
-		if g < len(s.frozen) {
-			out = append(out, s.frozen[g])
-		}
+		out = append(out, s.gens[g])
 	}
 	return out
 }
 
-// sealLogLocked freezes the live LogStore into an immutable raw frozen
-// generation, O(1), and starts a fresh live log. The sealed generation
-// keeps its generation number (update pointers stay valid: the slot it
-// lands in is exactly the gen the live log had); compressOnePending or
-// a compaction turns it into a compressed shard later, with the store
-// lock released. Callers hold s.mu.
+// allFragmentsLocked returns every fragment in piece order: the
+// primaries, then the generations, the live log last. Callers hold s.mu.
+func (s *Store) allFragmentsLocked() []fragment {
+	out := make([]fragment, 0, len(s.primaries)+len(s.gens))
+	for _, sh := range s.primaries {
+		out = append(out, fragment{shard: sh})
+	}
+	return append(out, s.gens...)
+}
+
+// sealLogLocked seals the live LogStore where it stands, O(1), and
+// appends a fresh live log: the sealed log keeps its generation number,
+// so update pointers stay valid. compressOnePending or a compaction
+// turns it into a compressed shard later, with the store lock released;
+// until then it takes no appends, only deletes. Callers hold s.mu.
 func (s *Store) sealLogLocked() {
-	frozen := make([]fragment, len(s.frozen), len(s.frozen)+1)
-	copy(frozen, s.frozen)
-	s.frozen = append(frozen, fragment{raw: s.log})
-	s.log = logstore.New(s.nodeSchema, s.edgeSchema, s.cfg.Medium, len(s.frozen))
+	gens := make([]fragment, len(s.gens), len(s.gens)+1)
+	copy(gens, s.gens)
+	s.gens = append(gens, fragment{log: logstore.New(s.nodeSchema, s.edgeSchema, s.cfg.Medium, len(gens))})
 }
 
 // Rollovers returns how many LogStore freezes have happened.
@@ -435,11 +420,11 @@ func (s *Store) Rollovers() int {
 }
 
 // NumFragments returns the total number of fragments (primary shards +
-// frozen generations + the live LogStore).
+// generations, the live LogStore among them).
 func (s *Store) NumFragments() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.primaries) + len(s.frozen) + 1
+	return len(s.primaries) + len(s.gens)
 }
 
 // FragmentsOf returns how many fragments hold data for node id (1 for
@@ -452,22 +437,19 @@ func (s *Store) FragmentsOf(id layout.NodeID) int {
 }
 
 // CompressedFootprint returns the total compressed bytes across all
-// shards plus the live LogStore's accounted size.
+// shards plus the LogStores' accounted sizes.
 func (s *Store) CompressedFootprint() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var total int64
-	for _, sh := range s.primaries {
-		total += int64(sh.CompressedSize())
-	}
-	for _, f := range s.frozen {
-		if f.raw != nil {
-			total += f.raw.Size()
-			continue
+	for _, f := range s.allFragmentsLocked() {
+		if f.log != nil {
+			total += f.log.Size()
+		} else {
+			total += int64(f.shard.CompressedSize())
 		}
-		total += int64(f.shard.CompressedSize())
 	}
-	return total + s.log.Size()
+	return total
 }
 
 // RawSize returns the uncompressed flat-file bytes of the initial shards
@@ -478,22 +460,6 @@ func (s *Store) RawSize() int64 {
 		total += int64(sh.RawSize())
 	}
 	return total
-}
-
-// nodeGensLocked returns the fragments to consult for node id's property
-// record, newest first: LogStore (if pointed at), frozen generations
-// descending, then the primary (nil sentinel). Callers hold s.mu.
-func (s *Store) nodeGensLocked(id layout.NodeID) []int {
-	if s.cfg.DisableFannedUpdates {
-		gens := make([]int, len(s.frozen)+1)
-		for i := range gens {
-			gens[i] = len(s.frozen) - i // current LogStore first, then frozen
-		}
-		return gens
-	}
-	gens := append([]int(nil), s.ptrs[id]...)
-	sort.Sort(sort.Reverse(sort.IntSlice(gens)))
-	return gens
 }
 
 // GetNodeProps returns the values of the given properties for node id
@@ -533,69 +499,47 @@ func (s *Store) GetNodePropsCtx(ctx context.Context, id layout.NodeID, propertyI
 	return vals, ok
 }
 
+// getNodeProps walks the node's fragments newest first and answers from
+// the first that holds its record. A span lists the primary's partition
+// among its shards when the primary answers.
 func (s *Store) getNodeProps(id layout.NodeID, propertyIDs []string, sp *telemetry.Span) ([]string, bool) {
 	s.mu.RLock()
 	if s.deletedNodes[id] {
 		s.mu.RUnlock()
 		return nil, false
 	}
-	gens := s.nodeGensLocked(id)
-	log := s.log
-	frozen := s.frozen
-	primaries := s.primaries
+	frags := s.fragmentsOfLocked(id)
 	s.mu.RUnlock()
 
-	consulted := 0
-	for _, g := range gens {
-		if g == len(frozen) {
-			consulted++
+	for i := len(frags) - 1; ; i-- { // frags[0], the primary, always returns
+		var vals []string
+		var ok bool
+		if log := frags[i].log; log != nil {
 			endLog := sp.Phase("logstore")
-			props, ok := log.NodeProps(id)
+			var props map[string]string
+			props, ok = log.NodeProps(id)
 			endLog()
 			if ok {
 				sp.MarkLogStore()
-				observeFragments(sp, consulted)
-				return propsToValues(props, propertyIDs, s.nodeSchema), true
+				vals = propsToValues(props, propertyIDs, s.nodeSchema)
 			}
-			continue
-		}
-		if g > len(frozen) {
-			continue
-		}
-		consulted++
-		if raw := frozen[g].raw; raw != nil {
-			endLog := sp.Phase("logstore")
-			props, ok := raw.NodeProps(id)
-			endLog()
+		} else {
+			endWalk := sp.Phase("succinct_walk")
+			vals, ok = frags[i].shard.Nodes().GetProperties(id, propertyIDs)
+			endWalk()
 			if ok {
-				sp.MarkLogStore()
-				observeFragments(sp, consulted)
-				return propsToValues(props, propertyIDs, s.nodeSchema), true
+				sp.MarkNodeFile()
+				if i == 0 {
+					sp.AddShard(s.partitionOf(id))
+				}
+				recordSuccinctRead(sp, vals)
 			}
-			continue
 		}
-		endWalk := sp.Phase("succinct_walk")
-		vals, ok := frozen[g].shard.Nodes().GetProperties(id, propertyIDs)
-		endWalk()
-		if ok {
-			sp.MarkNodeFile()
-			sp.AddShard(g)
-			recordSuccinctRead(sp, vals)
-			observeFragments(sp, consulted)
-			return vals, true
+		if ok || i == 0 {
+			observeFragments(sp, len(frags)-i)
+			return vals, ok
 		}
 	}
-	p := s.partitionOf(id)
-	endWalk := sp.Phase("succinct_walk")
-	vals, ok := primaries[p].Nodes().GetProperties(id, propertyIDs)
-	endWalk()
-	if ok {
-		sp.MarkNodeFile()
-		sp.AddShard(p)
-		recordSuccinctRead(sp, vals)
-	}
-	observeFragments(sp, consulted+1)
-	return vals, ok
 }
 
 // observeFragments records the fragments-per-read distribution on
@@ -702,27 +646,16 @@ func (s *Store) FindNodes(props map[string]string) []layout.NodeID {
 	tm := telemetry.StartTimer()
 	defer tm.ObserveInto(mLatFindNodes)
 	s.mu.RLock()
-	primaries := s.primaries
-	frozen := s.frozen
-	log := s.log
+	frags := s.allFragmentsLocked()
 	s.mu.RUnlock()
 
 	// One task per fragment; each collects hits into its own local
 	// slice so the dedup below is a single merge pass.
-	nFrags := len(primaries) + len(frozen) + 1
-	perFrag := parallel.Map("store.find_nodes", nFrags, func(i int) []layout.NodeID {
-		switch {
-		case i < len(primaries):
-			return primaries[i].Nodes().FindNodes(props)
-		case i < len(primaries)+len(frozen):
-			f := frozen[i-len(primaries)]
-			if f.raw != nil {
-				return f.raw.FindNodes(props)
-			}
-			return f.shard.Nodes().FindNodes(props)
-		default:
+	perFrag := parallel.Map("store.find_nodes", len(frags), func(i int) []layout.NodeID {
+		if log := frags[i].log; log != nil {
 			return log.FindNodes(props)
 		}
+		return frags[i].shard.Nodes().FindNodes(props)
 	})
 	seen := make(map[layout.NodeID]bool)
 	var cands []layout.NodeID
@@ -764,23 +697,17 @@ func (s *Store) HasNode(id layout.NodeID) bool {
 		return false
 	}
 	for _, f := range s.fragmentsOfLocked(id) {
-		if f.raw != nil {
-			if f.raw.HasNode(id) {
-				return true
-			}
-		} else if f.shard.Nodes().Contains(id) {
+		if f.log != nil && f.log.HasNode(id) || f.shard != nil && f.shard.Nodes().Contains(id) {
 			return true
 		}
 	}
-	return s.hasLogPtrLocked(id) && s.log.HasNode(id)
+	return false
 }
 
 // edgeHit is one fragment-local edge-search match: the decoded edge
-// plus the coordinates needed to check its lazy-deletion mark (shard
-// hits) or raw-generation tombstone (sealed-log hits).
+// plus, for a shard hit, the coordinates of its lazy-deletion mark.
 type edgeHit struct {
-	sh        *core.Shard        // non-nil for a compressed-shard hit
-	raw       *logstore.LogStore // non-nil for a sealed raw-generation hit
+	sh        *core.Shard // nil for a LogStore hit
 	timeOrder int
 	e         layout.Edge
 }
@@ -801,28 +728,15 @@ func (s *Store) FindEdges(props map[string]string) []layout.Edge {
 	tm := telemetry.StartTimer()
 	defer tm.ObserveInto(mLatFindEdges)
 	s.mu.RLock()
-	frags := make([]fragment, 0, len(s.primaries)+len(s.frozen))
-	for _, sh := range s.primaries {
-		frags = append(frags, fragment{shard: sh})
-	}
-	frags = append(frags, s.frozen...)
-	log := s.log
+	frags := s.allFragmentsLocked()
 	s.mu.RUnlock()
 
-	perFrag := parallel.Map("store.find_edges", len(frags)+1, func(i int) []edgeHit {
-		if i == len(frags) {
+	perFrag := parallel.Map("store.find_edges", len(frags), func(i int) []edgeHit {
+		if log := frags[i].log; log != nil {
 			es := log.FindEdges(props)
 			hits := make([]edgeHit, 0, len(es))
 			for _, e := range es {
 				hits = append(hits, edgeHit{e: e})
-			}
-			return hits
-		}
-		if raw := frags[i].raw; raw != nil {
-			es := raw.FindEdges(props)
-			hits := make([]edgeHit, 0, len(es))
-			for _, e := range es {
-				hits = append(hits, edgeHit{raw: raw, e: e})
 			}
 			return hits
 		}
@@ -867,9 +781,6 @@ func (s *Store) FindEdges(props map[string]string) []layout.Edge {
 				continue
 			}
 			if h.sh != nil && s.deletedPhys[shardEdgeRef{h.sh, h.e.Src, h.e.Type}][h.timeOrder] {
-				continue
-			}
-			if h.raw != nil && s.rawDels[h.raw][edgeTriple{h.e.Src, h.e.Type, h.e.Dst}] {
 				continue
 			}
 			out = append(out, h.e)

@@ -170,13 +170,22 @@ func TestSealedRawGeneration(t *testing.T) {
 	}
 	check("raw")
 
-	// Deletes against the sealed generation tombstone, not mutate.
+	// A delete against the sealed generation removes the edge from the
+	// sealed log itself.
 	if n := s.DeleteEdges(3, 1, 503); n != 1 {
 		t.Fatalf("delete against sealed gen removed %d, want 1", n)
 	}
+	s.mu.RLock()
+	sealed := s.gens[0].log
+	s.mu.RUnlock()
+	for _, e := range sealed.EdgeEntries(3, 1) {
+		if e.Dst == 503 {
+			t.Fatalf("sealed log still holds deleted edge %+v", e)
+		}
+	}
 	recAfterDel, ok := s.GetEdgeRecord(3, 1)
 	if !ok {
-		t.Fatal("edge record (3,1) missing after tombstone")
+		t.Fatal("edge record (3,1) missing after delete")
 	}
 	delCount := recAfterDel.Count()
 
@@ -193,21 +202,65 @@ func TestSealedRawGeneration(t *testing.T) {
 		t.Fatalf("loaded store edge count (3,1) = %v, want %d", rec, delCount)
 	}
 
-	// Background compression must preserve answers and carry the
-	// tombstone over as a deletion mark.
+	// Background compression must preserve answers, the delete included.
 	if !s.compressOnePending() {
 		t.Fatal("compressOnePending found nothing to compress")
 	}
-	s.mu.RLock()
-	for g, f := range s.frozen {
-		if f.raw != nil {
-			t.Fatalf("generation %d still raw after compression", g)
-		}
+	if n := rawGenerations(s); n != 0 {
+		t.Fatalf("%d generations still raw after compression", n)
 	}
-	s.mu.RUnlock()
 	check("compressed")
 	if rec, ok := s.GetEdgeRecord(3, 1); !ok || rec.Count() != delCount {
 		t.Fatalf("post-compression edge count (3,1) = %v, want %d", rec, delCount)
+	}
+}
+
+// TestDeleteDuringSealedLogBuild: deletes keep reaching a sealed log
+// while its shard builds. One that lands before the build reads the log
+// is gone from what it reads; one after is replayed onto the new shard
+// at swap. Either way no deleted edge comes back.
+func TestDeleteDuringSealedLogBuild(t *testing.T) {
+	ns, es := testSchemas(t)
+	s, err := New(nil, nil, ns, es, Config{NumShards: 2, SamplingRate: 8, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := s.AppendEdge(layout.Edge{Src: 1, Dst: int64(10 + i), Type: 0, Timestamp: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freezeLog(t, s, false)
+	done := make(chan struct{})
+	var compressed bool
+	go func() {
+		compressed = s.compressOnePending()
+		close(done)
+	}()
+	building := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	deleted := 0
+	for i := 0; i < n && building(); i++ {
+		deleted += s.DeleteEdges(1, 0, int64(10+i))
+	}
+	<-done
+	if !compressed || rawGenerations(s) != 0 {
+		t.Fatalf("compressed = %v, %d generations raw", compressed, rawGenerations(s))
+	}
+	got := 0
+	if rec, ok := s.GetEdgeRecord(1, 0); ok {
+		got = rec.Count()
+	}
+	t.Logf("%d deletes before the swap", deleted)
+	if got != n-deleted {
+		t.Fatalf("Count() = %d after %d of %d edges were deleted, want %d", got, deleted, n, n-deleted)
 	}
 }
 
@@ -422,8 +475,8 @@ func rawGenerations(s *Store) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, f := range s.frozen {
-		if f.raw != nil {
+	for _, f := range s.gens[:s.curGenLocked()] {
+		if f.log != nil {
 			n++
 		}
 	}
