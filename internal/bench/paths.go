@@ -186,13 +186,18 @@ func Fig14(opts Options) (*Result, error) {
 		allOps := workloads.GenerateGSOps(d, 1401, opts.Ops)
 		for _, kind := range []workloads.GSKind{workloads.KindGS2, workloads.KindGS3} {
 			ops := workloads.FilterGSKind(allOps, kind)
-			noJoin := sys.Throughput(len(ops), func(i int) {
-				workloads.ExecuteGS(sys.Store, ops[i], false)
-			})
-			withJoin := sys.Throughput(len(ops), func(i int) {
-				workloads.ExecuteGS(sys.Store, ops[i], true)
-			})
-			r.Rows = append(r.Rows, []string{dsName, kind.String(), kops(noJoin), kops(withJoin)})
+			// The two plans are measured as a pair: passes alternate
+			// between them and each keeps its best, so host noise during
+			// one pass does not land on one plan alone.
+			var best [2]float64 // no joins, with joins
+			for pass := 0; pass < 5; pass++ {
+				for j, withJoins := range []bool{false, true} {
+					best[j] = max(best[j], sys.Throughput(len(ops), func(i int) {
+						workloads.ExecuteGS(sys.Store, ops[i], withJoins)
+					}))
+				}
+			}
+			r.Rows = append(r.Rows, []string{dsName, kind.String(), kops(best[0]), kops(best[1])})
 		}
 	}
 	return r, nil

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"zipg/internal/graphapi"
-	"zipg/internal/layout"
 	"zipg/internal/rpc"
 	"zipg/internal/telemetry"
 )
@@ -156,7 +155,7 @@ func (c *Client) GetNodePropertyCtx(ctx context.Context, id graphapi.NodeID, pro
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.get_node_property")
 	defer sp.End()
 	var reply nodePropsReply
-	if err := c.callRead(ctx, c.ownerOf(id), "NodeProps", nodePropsArgs{ID: id, PIDs: propertyIDs}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(id), "NodeProps", &nodePropsArgs{ID: id, PIDs: propertyIDs}, &reply); err != nil {
 		sp.SetError(err)
 		return nil, false
 	}
@@ -197,7 +196,7 @@ func (c *Client) GetNodeIDsCtx(ctx context.Context, props map[string]string) []g
 		go func(p int) {
 			defer wg.Done()
 			var reply idsReply
-			if err := c.callRead(ctx, p, "FindNodes", propsArgs{Props: props}, &reply); err != nil {
+			if err := c.callRead(ctx, p, "FindNodes", &propsArgs{Props: props}, &reply); err != nil {
 				return
 			}
 			mu.Lock()
@@ -224,7 +223,7 @@ func (c *Client) GetNeighborIDsCtx(ctx context.Context, id graphapi.NodeID, etyp
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.get_neighbor_ids")
 	defer sp.End()
 	var reply idsReply
-	if err := c.callRead(ctx, c.ownerOf(id), "Neighbors", neighborsArgs{ID: id, EType: etype, Props: props}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(id), "Neighbors", &neighborsArgs{ID: id, EType: etype, Props: props}, &reply); err != nil {
 		sp.SetError(err)
 		return nil
 	}
@@ -250,7 +249,7 @@ func (r *remoteRecord) Count() int { return r.count }
 func (r *remoteRecord) Range(tLo, tHi int64) (int, int) {
 	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
 	var reply rangeReply
-	if err := r.call("RecRange", recRangeArgs{ID: r.id, EType: r.etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
+	if err := r.call("RecRange", &recRangeArgs{ID: r.id, EType: r.etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
 		return 0, 0
 	}
 	return reply.Beg, reply.End
@@ -274,7 +273,7 @@ func (r *remoteRecord) DataRange(beg, end int) ([]graphapi.EdgeData, error) {
 		return nil, nil
 	}
 	var reply edgesReply
-	if err := r.call("RecDataRange", recRangeArgs{ID: r.id, EType: r.etype, Lo: int64(beg), Hi: int64(end)}, &reply); err != nil {
+	if err := r.call("RecDataRange", &recRangeArgs{ID: r.id, EType: r.etype, Lo: int64(beg), Hi: int64(end)}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Edges, nil
@@ -282,7 +281,7 @@ func (r *remoteRecord) DataRange(beg, end int) ([]graphapi.EdgeData, error) {
 
 func (r *remoteRecord) Destinations() []graphapi.NodeID {
 	var reply idsReply
-	if err := r.call("RecDsts", recArgs{ID: r.id, EType: r.etype}, &reply); err != nil {
+	if err := r.call("RecDsts", &recArgs{ID: r.id, EType: r.etype}, &reply); err != nil {
 		return nil
 	}
 	return reply.IDs
@@ -291,7 +290,7 @@ func (r *remoteRecord) Destinations() []graphapi.NodeID {
 // GetEdgeRecord implements graphapi.Store.
 func (c *Client) GetEdgeRecord(id graphapi.NodeID, etype graphapi.EdgeType) (graphapi.EdgeRecord, bool) {
 	var reply recMetaReply
-	if err := c.callRead(context.Background(), c.ownerOf(id), "RecMeta", recArgs{ID: id, EType: etype}, &reply); err != nil || !reply.OK {
+	if err := c.callRead(context.Background(), c.ownerOf(id), "RecMeta", &recArgs{ID: id, EType: etype}, &reply); err != nil || !reply.OK {
 		return nil, false
 	}
 	return &remoteRecord{c: c, id: id, etype: etype, count: reply.Count}, true
@@ -300,7 +299,7 @@ func (c *Client) GetEdgeRecord(id graphapi.NodeID, etype graphapi.EdgeType) (gra
 // GetEdgeRecords implements graphapi.Store.
 func (c *Client) GetEdgeRecords(id graphapi.NodeID) []graphapi.EdgeRecord {
 	var reply recsMetaReply
-	if err := c.callRead(context.Background(), c.ownerOf(id), "RecsMeta", recArgs{ID: id}, &reply); err != nil {
+	if err := c.callRead(context.Background(), c.ownerOf(id), "RecsMeta", &recArgs{ID: id}, &reply); err != nil {
 		return nil
 	}
 	out := make([]graphapi.EdgeRecord, len(reply.Types))
@@ -312,23 +311,23 @@ func (c *Client) GetEdgeRecords(id graphapi.NodeID) []graphapi.EdgeRecord {
 
 // AppendNode implements graphapi.Store.
 func (c *Client) AppendNode(id graphapi.NodeID, props map[string]string) error {
-	return c.callWrite(c.ownerOf(id), "AppendNode", appendNodeArgs{ID: id, Props: props}, nil)
+	return c.callWrite(c.ownerOf(id), "AppendNode", &appendNodeArgs{ID: id, Props: props}, nil)
 }
 
 // AppendEdge implements graphapi.Store (routed to the source's owner:
 // all of a node's edge data is co-located with it, §4.1).
 func (c *Client) AppendEdge(e graphapi.Edge) error {
-	return c.callWrite(c.ownerOf(e.Src), "AppendEdge", layout.Edge(e), nil)
+	return c.callWrite(c.ownerOf(e.Src), "AppendEdge", (*edgeArgs)(&e), nil)
 }
 
 // DeleteNode implements graphapi.Store.
 func (c *Client) DeleteNode(id graphapi.NodeID) error {
-	return c.callWrite(c.ownerOf(id), "DeleteNode", id, nil)
+	return c.callWrite(c.ownerOf(id), "DeleteNode", &recArgs{ID: id}, nil)
 }
 
 // DeleteEdges implements graphapi.Store.
 func (c *Client) DeleteEdges(src graphapi.NodeID, etype graphapi.EdgeType, dst graphapi.NodeID) (int, error) {
-	var n int
-	err := c.callWrite(c.ownerOf(src), "DeleteEdges", deleteEdgesArgs{Src: src, Type: etype, Dst: dst}, &n)
-	return n, err
+	var reply countReply
+	err := c.callWrite(c.ownerOf(src), "DeleteEdges", &deleteEdgesArgs{Src: src, Type: etype, Dst: dst}, &reply)
+	return reply.N, err
 }

@@ -48,7 +48,7 @@ func (s *Server) registerMultiLevel() {
 			}
 		}
 		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		return idsReply{IDs: frontier}, nil
+		return &idsReply{IDs: frontier}, nil
 	})
 }
 
@@ -76,7 +76,7 @@ func (c *Client) TwoHopNeighbors(id graphapi.NodeID, etype graphapi.EdgeType, pr
 		go func(owner int, ids []graphapi.NodeID) {
 			defer wg.Done()
 			var reply idsReply
-			if err := c.callRead(context.Background(), owner, "NeighborsBatch", twoHopArgs{IDs: ids, EType: etype, Props: props}, &reply); err != nil {
+			if err := c.callRead(context.Background(), owner, "NeighborsBatch", &twoHopArgs{IDs: ids, EType: etype, Props: props}, &reply); err != nil {
 				return
 			}
 			mu.Lock()

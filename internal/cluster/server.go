@@ -75,6 +75,11 @@ type matchBatchArgs struct {
 	Props map[string]string
 }
 
+// matchesReply is index-aligned with the request's IDs.
+type matchesReply struct {
+	Matches []bool
+}
+
 type propsArgs struct {
 	Props map[string]string
 }
@@ -121,6 +126,10 @@ type appendNodeArgs struct {
 	Props map[string]string
 }
 
+// edgeArgs is layout.Edge as a type of this package, which can have a
+// Wire method.
+type edgeArgs layout.Edge
+
 type deleteEdgesArgs struct {
 	Src  graphapi.NodeID
 	Type graphapi.EdgeType
@@ -129,6 +138,10 @@ type deleteEdgesArgs struct {
 
 type idsReply struct {
 	IDs []graphapi.NodeID
+}
+
+type countReply struct {
+	N int
 }
 
 // ServerConfig parameterizes one cluster server.
@@ -256,7 +269,7 @@ func (s *Server) registerHandlers() {
 		// The store read becomes a child span with its own fine-grained
 		// logstore/succinct_walk phase split.
 		vals, ok := s.store.GetNodePropsCtx(ctx, a.ID, a.PIDs)
-		return nodePropsReply{Vals: vals, OK: ok}, nil
+		return &nodePropsReply{Vals: vals, OK: ok}, nil
 	})
 	s.rpc.Handle("MatchBatch", func(ctx context.Context, blob []byte) (any, error) {
 		var a matchBatchArgs
@@ -270,7 +283,7 @@ func (s *Server) registerHandlers() {
 		if telemetry.Enabled() {
 			mBatchRequestsCluster.Add(int64(len(a.IDs)))
 		}
-		return s.store.NodeMatchesBatch(a.IDs, a.Props), nil
+		return &matchesReply{Matches: s.store.NodeMatchesBatch(a.IDs, a.Props)}, nil
 	})
 	s.rpc.Handle("FindNodes", func(ctx context.Context, blob []byte) (any, error) {
 		var a propsArgs
@@ -278,7 +291,7 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		return idsReply{IDs: s.store.FindNodes(a.Props)}, nil
+		return &idsReply{IDs: s.store.FindNodes(a.Props)}, nil
 	})
 	s.rpc.Handle("Neighbors", func(ctx context.Context, blob []byte) (any, error) {
 		var a neighborsArgs
@@ -286,7 +299,7 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		ids, err := s.neighborsCtx(ctx, a.ID, a.EType, a.Props)
-		return idsReply{IDs: ids}, err
+		return &idsReply{IDs: ids}, err
 	})
 	s.rpc.Handle("RecMeta", func(ctx context.Context, blob []byte) (any, error) {
 		var a recArgs
@@ -296,9 +309,9 @@ func (s *Server) registerHandlers() {
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
 		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
 		if !ok {
-			return recMetaReply{}, nil
+			return &recMetaReply{}, nil
 		}
-		return recMetaReply{Count: rec.Count(), OK: true}, nil
+		return &recMetaReply{Count: rec.Count(), OK: true}, nil
 	})
 	s.rpc.Handle("RecsMeta", func(ctx context.Context, blob []byte) (any, error) {
 		var a recArgs
@@ -306,7 +319,7 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		var reply recsMetaReply
+		reply := &recsMetaReply{}
 		for _, rec := range s.store.GetEdgeRecords(a.ID) {
 			reply.Types = append(reply.Types, rec.Type)
 			reply.Counts = append(reply.Counts, rec.Count())
@@ -321,10 +334,10 @@ func (s *Server) registerHandlers() {
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
 		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
 		if !ok {
-			return rangeReply{}, nil
+			return &rangeReply{}, nil
 		}
 		beg, end := rec.GetEdgeRange(a.Lo, a.Hi)
-		return rangeReply{Beg: beg, End: end}, nil
+		return &rangeReply{Beg: beg, End: end}, nil
 	})
 	// RecDataRange is the get_edge_data loop over a TimeOrder interval:
 	// the record is located once and the edges leave in one reply.
@@ -342,7 +355,7 @@ func (s *Server) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		return edgesReply{Edges: edges}, nil
+		return &edgesReply{Edges: edges}, nil
 	})
 	s.rpc.Handle("RecDsts", func(ctx context.Context, blob []byte) (any, error) {
 		var a recArgs
@@ -352,9 +365,9 @@ func (s *Server) registerHandlers() {
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
 		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
 		if !ok {
-			return idsReply{}, nil
+			return &idsReply{}, nil
 		}
-		return idsReply{IDs: rec.Destinations()}, nil
+		return &idsReply{IDs: rec.Destinations()}, nil
 	})
 	s.rpc.Handle("AppendNode", func(ctx context.Context, blob []byte) (any, error) {
 		var a appendNodeArgs
@@ -362,24 +375,24 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "logstore")()
-		return true, s.store.AppendNode(a.ID, a.Props)
+		return nil, s.store.AppendNode(a.ID, a.Props)
 	})
 	s.rpc.Handle("AppendEdge", func(ctx context.Context, blob []byte) (any, error) {
-		var e layout.Edge
+		var e edgeArgs
 		if err := rpc.DecodeArgsCtx(ctx, blob, &e); err != nil {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "logstore")()
-		return true, s.store.AppendEdge(e)
+		return nil, s.store.AppendEdge(layout.Edge(e))
 	})
 	s.rpc.Handle("DeleteNode", func(ctx context.Context, blob []byte) (any, error) {
-		var id graphapi.NodeID
-		if err := rpc.DecodeArgsCtx(ctx, blob, &id); err != nil {
+		var a recArgs
+		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "logstore")()
-		s.store.DeleteNode(id)
-		return true, nil
+		s.store.DeleteNode(a.ID)
+		return nil, nil
 	})
 	s.rpc.Handle("DeleteEdges", func(ctx context.Context, blob []byte) (any, error) {
 		var a deleteEdgesArgs
@@ -387,7 +400,7 @@ func (s *Server) registerHandlers() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "logstore")()
-		return s.store.DeleteEdges(a.Src, a.Type, a.Dst), nil
+		return &countReply{N: s.store.DeleteEdges(a.Src, a.Type, a.Dst)}, nil
 	})
 }
 
@@ -482,13 +495,13 @@ func (s *Server) neighborsCtx(ctx context.Context, id graphapi.NodeID, etype gra
 			// CallCtx gives each shipped batch its own rpc.call child
 			// span (safe concurrently — phases land on the child, never
 			// on the shared parent) and re-propagates the deadline.
-			var matches []bool
-			if err := peer.CallCtx(ctx, "MatchBatch", matchBatchArgs{IDs: ids, Props: props}, &matches); err != nil {
+			var reply matchesReply
+			if err := peer.CallCtx(ctx, "MatchBatch", &matchBatchArgs{IDs: ids, Props: props}, &reply); err != nil {
 				errCh <- err
 				return
 			}
 			mu.Lock()
-			for i, ok := range matches {
+			for i, ok := range reply.Matches {
 				if ok {
 					out = append(out, ids[i])
 				}

@@ -31,10 +31,6 @@ type windowArgs struct {
 	Limit  int
 }
 
-type windowCountReply struct {
-	N int
-}
-
 type windowNbrsArgs struct {
 	IDs    []graphapi.NodeID
 	Lo, Hi int64
@@ -68,7 +64,7 @@ func (s *Server) registerTemporal() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		return edgesReply{Edges: s.temp.AssocTimeRange(a.ID, a.EType, a.Lo, a.Hi, a.Limit)}, nil
+		return &edgesReply{Edges: s.temp.AssocTimeRange(a.ID, a.EType, a.Lo, a.Hi, a.Limit)}, nil
 	})
 	s.rpc.Handle("TemporalCount", func(ctx context.Context, blob []byte) (any, error) {
 		var a windowArgs
@@ -76,7 +72,7 @@ func (s *Server) registerTemporal() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		return windowCountReply{N: s.temp.AssocCountInWindow(a.ID, a.EType, a.Lo, a.Hi)}, nil
+		return &countReply{N: s.temp.AssocCountInWindow(a.ID, a.EType, a.Lo, a.Hi)}, nil
 	})
 	s.rpc.Handle("WindowNbrs", func(ctx context.Context, blob []byte) (any, error) {
 		var a windowNbrsArgs
@@ -84,7 +80,7 @@ func (s *Server) registerTemporal() {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		reply := windowNbrsReply{Nbrs: make([][]graphapi.NodeID, len(a.IDs))}
+		reply := &windowNbrsReply{Nbrs: make([][]graphapi.NodeID, len(a.IDs))}
 		for i, id := range a.IDs {
 			reply.Nbrs[i] = s.store.NeighborsInWindow(id, a.Lo, a.Hi)
 		}
@@ -99,7 +95,7 @@ func (s *Server) registerTemporal() {
 		if err != nil {
 			return nil, err
 		}
-		return pathReply{Found: res.Found, Hops: res.Hops, Path: res.Path}, nil
+		return &pathReply{Found: res.Found, Hops: res.Hops, Path: res.Path}, nil
 	})
 }
 
@@ -149,7 +145,7 @@ func (s *Server) hasNodeAt(ctx context.Context, id graphapi.NodeID) (bool, error
 		return false, err
 	}
 	var reply nodePropsReply
-	if err := peer.CallCtx(ctx, "NodeProps", nodePropsArgs{ID: id}, &reply); err != nil {
+	if err := peer.CallCtx(ctx, "NodeProps", &nodePropsArgs{ID: id}, &reply); err != nil {
 		return false, err
 	}
 	return reply.OK, nil
@@ -184,7 +180,7 @@ func (s *Server) expandWindowHop(ctx context.Context, frontier []layout.NodeID, 
 				ids[j] = frontier[fi]
 			}
 			var reply windowNbrsReply
-			if err := peer.CallCtx(ctx, "WindowNbrs", windowNbrsArgs{IDs: ids, Lo: tLo, Hi: tHi}, &reply); err != nil {
+			if err := peer.CallCtx(ctx, "WindowNbrs", &windowNbrsArgs{IDs: ids, Lo: tLo, Hi: tHi}, &reply); err != nil {
 				errCh <- err
 				return
 			}
@@ -218,7 +214,7 @@ func (c *Client) AssocTimeRangeCtx(ctx context.Context, src graphapi.NodeID, ety
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.assoc_time_range")
 	defer sp.End()
 	var reply edgesReply
-	if err := c.callRead(ctx, c.ownerOf(src), "TemporalRange", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi, Limit: limit}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(src), "TemporalRange", &windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi, Limit: limit}, &reply); err != nil {
 		sp.SetError(err)
 		return nil
 	}
@@ -230,8 +226,8 @@ func (c *Client) AssocTimeRangeCtx(ctx context.Context, src graphapi.NodeID, ety
 func (c *Client) AssocCountInWindow(src graphapi.NodeID, etype graphapi.EdgeType, tLo, tHi int64) int {
 	sp, ctx := telemetry.StartSpanCtx(context.Background(), "client.assoc_count_in_window")
 	defer sp.End()
-	var reply windowCountReply
-	if err := c.callRead(ctx, c.ownerOf(src), "TemporalCount", windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
+	var reply countReply
+	if err := c.callRead(ctx, c.ownerOf(src), "TemporalCount", &windowArgs{ID: src, EType: etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
 		sp.SetError(err)
 		return 0
 	}
@@ -244,7 +240,7 @@ func (c *Client) PathInWindow(src, dst graphapi.NodeID, tLo, tHi int64, maxHops 
 	sp, ctx := telemetry.StartSpanCtx(context.Background(), "client.path_in_window")
 	defer sp.End()
 	var reply pathReply
-	if err := c.callRead(ctx, c.ownerOf(src), "PathInWindow", pathArgs{Src: src, Dst: dst, Lo: tLo, Hi: tHi, MaxHops: maxHops}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(src), "PathInWindow", &pathArgs{Src: src, Dst: dst, Lo: tLo, Hi: tHi, MaxHops: maxHops}, &reply); err != nil {
 		sp.SetError(err)
 		return temporal.PathResult{}
 	}

@@ -1,106 +1,102 @@
 package cluster
 
 import (
-	"encoding/binary"
-
 	"zipg/internal/graphapi"
 	"zipg/internal/rpc"
 )
 
-// Hand-written wire forms (rpc.WireAppender / rpc.WireDecoder) of the
-// argument and reply types on the TAO read path, where a gob stream per
-// value — type descriptors re-sent and re-compiled every call — cost
-// more than the store read it carried. Every other type in this package
-// still travels as gob. Integers are signed varints, strings and
-// sequences carry a uvarint length; empty slices and maps decode as nil.
+// The wire forms (rpc.Wirer) of every argument and reply type the
+// cluster's methods exchange. Each Wire method lists its type's fields
+// in wire order; the rpc Codec encodes and decodes through the same
+// list. A write's reply is no payload at all.
 
-func (a nodePropsArgs) AppendWire(b []byte) []byte {
-	return rpc.AppendStrings(binary.AppendVarint(b, a.ID), a.PIDs)
+func (a *nodePropsArgs) Wire(c *rpc.Codec)   { c.Varint(&a.ID); c.Strings(&a.PIDs) }
+func (p *nodePropsReply) Wire(c *rpc.Codec)  { c.Bool(&p.OK); c.Strings(&p.Vals) }
+func (a *matchBatchArgs) Wire(c *rpc.Codec)  { c.Varints(&a.IDs); c.StringMap(&a.Props) }
+func (p *matchesReply) Wire(c *rpc.Codec)    { rpc.Seq(c, &p.Matches, 1, (*rpc.Codec).Bool) }
+func (a *propsArgs) Wire(c *rpc.Codec)       { c.StringMap(&a.Props) }
+func (a *recArgs) Wire(c *rpc.Codec)         { c.Varint(&a.ID); c.Varint(&a.EType) }
+func (p *recMetaReply) Wire(c *rpc.Codec)    { c.Bool(&p.OK); c.Int(&p.Count) }
+func (p *rangeReply) Wire(c *rpc.Codec)      { c.Int(&p.Beg); c.Int(&p.End) }
+func (p *edgesReply) Wire(c *rpc.Codec)      { rpc.Seq(c, &p.Edges, 3, wireEdgeData) }
+func (p *idsReply) Wire(c *rpc.Codec)        { c.Varints(&p.IDs) }
+func (p *countReply) Wire(c *rpc.Codec)      { c.Int(&p.N) }
+func (p *windowNbrsReply) Wire(c *rpc.Codec) { rpc.Seq(c, &p.Nbrs, 1, (*rpc.Codec).Varints) }
+
+func (a *neighborsArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.ID)
+	c.Varint(&a.EType)
+	c.StringMap(&a.Props)
 }
 
-func (a *nodePropsArgs) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	a.ID, a.PIDs = r.Varint(), r.Strings()
-	return r.Done()
+func (p *recsMetaReply) Wire(c *rpc.Codec) {
+	c.Varints(&p.Types)
+	rpc.Seq(c, &p.Counts, 1, (*rpc.Codec).Int)
 }
 
-func (p nodePropsReply) AppendWire(b []byte) []byte {
-	return rpc.AppendStrings(rpc.AppendBool(b, p.OK), p.Vals)
+func (a *recRangeArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.ID)
+	c.Varint(&a.EType)
+	c.Varint(&a.Lo)
+	c.Varint(&a.Hi)
 }
 
-func (p *nodePropsReply) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	p.OK, p.Vals = r.Bool(), r.Strings()
-	return r.Done()
+// wireEdgeData codes one edge of an edgesReply: at least three bytes.
+func wireEdgeData(c *rpc.Codec, e *graphapi.EdgeData) {
+	c.Varint(&e.Dst)
+	c.Varint(&e.Timestamp)
+	c.StringMap(&e.Props)
 }
 
-func (a recArgs) AppendWire(b []byte) []byte {
-	return binary.AppendVarint(binary.AppendVarint(b, a.ID), a.EType)
+func (a *appendNodeArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.ID)
+	c.StringMap(&a.Props)
 }
 
-func (a *recArgs) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	a.ID, a.EType = r.Varint(), r.Varint()
-	return r.Done()
+func (e *edgeArgs) Wire(c *rpc.Codec) {
+	c.Varint(&e.Src)
+	c.Varint(&e.Dst)
+	c.Varint(&e.Type)
+	c.Varint(&e.Timestamp)
+	c.StringMap(&e.Props)
 }
 
-func (p recMetaReply) AppendWire(b []byte) []byte {
-	return binary.AppendVarint(rpc.AppendBool(b, p.OK), int64(p.Count))
+func (a *deleteEdgesArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.Src)
+	c.Varint(&a.Type)
+	c.Varint(&a.Dst)
 }
 
-func (p *recMetaReply) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	p.OK, p.Count = r.Bool(), int(r.Varint())
-	return r.Done()
+func (a *twoHopArgs) Wire(c *rpc.Codec) {
+	c.Varints(&a.IDs)
+	c.Varint(&a.EType)
+	c.StringMap(&a.Props)
 }
 
-func (a recRangeArgs) AppendWire(b []byte) []byte {
-	b = binary.AppendVarint(binary.AppendVarint(b, a.ID), a.EType)
-	return binary.AppendVarint(binary.AppendVarint(b, a.Lo), a.Hi)
+func (a *windowArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.ID)
+	c.Varint(&a.EType)
+	c.Varint(&a.Lo)
+	c.Varint(&a.Hi)
+	c.Int(&a.Limit)
 }
 
-func (a *recRangeArgs) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	a.ID, a.EType, a.Lo, a.Hi = r.Varint(), r.Varint(), r.Varint(), r.Varint()
-	return r.Done()
+func (a *windowNbrsArgs) Wire(c *rpc.Codec) {
+	c.Varints(&a.IDs)
+	c.Varint(&a.Lo)
+	c.Varint(&a.Hi)
 }
 
-func (p rangeReply) AppendWire(b []byte) []byte {
-	return binary.AppendVarint(binary.AppendVarint(b, int64(p.Beg)), int64(p.End))
+func (a *pathArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.Src)
+	c.Varint(&a.Dst)
+	c.Varint(&a.Lo)
+	c.Varint(&a.Hi)
+	c.Int(&a.MaxHops)
 }
 
-func (p *rangeReply) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	p.Beg, p.End = int(r.Varint()), int(r.Varint())
-	return r.Done()
-}
-
-func (p edgesReply) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p.Edges)))
-	for i := range p.Edges {
-		e := &p.Edges[i]
-		b = binary.AppendVarint(binary.AppendVarint(b, e.Dst), e.Timestamp)
-		b = rpc.AppendStringMap(b, e.Props)
-	}
-	return b
-}
-
-func (p *edgesReply) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	p.Edges = nil
-	if n := r.Count(3); n > 0 { // an edge is at least dst, timestamp, prop count
-		p.Edges = make([]graphapi.EdgeData, n)
-		for i := range p.Edges {
-			p.Edges[i] = graphapi.EdgeData{Dst: r.Varint(), Timestamp: r.Varint(), Props: r.StringMap()}
-		}
-	}
-	return r.Done()
-}
-
-func (p idsReply) AppendWire(b []byte) []byte { return rpc.AppendVarints(b, p.IDs) }
-
-func (p *idsReply) DecodeWire(b []byte) error {
-	r := rpc.NewWireReader(b)
-	p.IDs = r.Varints()
-	return r.Done()
+func (p *pathReply) Wire(c *rpc.Codec) {
+	c.Bool(&p.Found)
+	c.Int(&p.Hops)
+	c.Varints(&p.Path)
 }

@@ -23,7 +23,7 @@ func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha in
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewEdgeFileView(NewRawSource(flat, nil), schema)
+	raw = NewEdgeFileView(NewRawSource(flat), schema)
 	st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
 	comp = NewEdgeFileView(st, schema)
 	return raw, comp, index
@@ -244,7 +244,7 @@ func TestEdgeRefPrefixCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := func() (*EdgeFileView, *touchSource, *EdgeRecordRef) {
-		src := &touchSource{RawSource: NewRawSource(flat, nil), hits: make([]int, len(flat))}
+		src := &touchSource{RawSource: NewRawSource(flat), hits: make([]int, len(flat))}
 		v := NewEdgeFileView(src, schema)
 		ref, ok := v.GetEdgeRecordAt(index[0].Offset, 4, 2)
 		if !ok || ref.Count != n {
@@ -326,7 +326,7 @@ func TestEdgeRecordCutShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, ok := NewEdgeFileView(NewRawSource(flat, nil), schema).GetEdgeRecordAt(index[0].Offset, 6, 1)
+	whole, ok := NewEdgeFileView(NewRawSource(flat), schema).GetEdgeRecordAt(index[0].Offset, 6, 1)
 	if !ok {
 		t.Fatal("record missing")
 	}
@@ -342,7 +342,7 @@ func TestEdgeRecordCutShort(t *testing.T) {
 	for ai, a := range arrays {
 		for _, cut := range []int{a.off, (a.off + a.end) / 2, a.end - 1} {
 			sources := map[string]ByteSource{
-				"raw":        NewRawSource(flat[:cut], nil),
+				"raw":        NewRawSource(flat[:cut]),
 				"compressed": succinct.Build(flat[:cut], succinct.Options{SamplingRate: 8}),
 			}
 			for kind, src := range sources {

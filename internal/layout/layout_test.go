@@ -190,7 +190,7 @@ func nodeViews(t testing.TB, nodes []Node, schema *PropertySchema) (raw, compres
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewNodeFileView(NewRawSource(flat, nil), schema, ids, PackOffsets(offs), nil)
+	raw = NewNodeFileView(NewRawSource(flat), schema, ids, PackOffsets(offs), nil)
 	st := succinct.Build(flat, succinct.Options{SamplingRate: 8})
 	compressed = NewNodeFileView(st, schema, ids, PackOffsets(offs), nil)
 	return raw, compressed
@@ -326,7 +326,7 @@ func edgeViews(t testing.TB, edges []Edge, schema *PropertySchema) (raw, comp *E
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewEdgeFileView(NewRawSource(flat, nil), schema)
+	raw = NewEdgeFileView(NewRawSource(flat), schema)
 	st := succinct.Build(flat, succinct.Options{SamplingRate: 8})
 	comp = NewEdgeFileView(st, schema)
 	return raw, comp
@@ -522,7 +522,7 @@ func TestEdgeFileQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v := NewEdgeFileView(NewRawSource(flat, nil), schema)
+		v := NewEdgeFileView(NewRawSource(flat), schema)
 		groups := groupEdges(edges)
 		for k, want := range groups {
 			ref, ok := v.GetEdgeRecord(k[0], k[1])
@@ -572,7 +572,7 @@ func TestRecordEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewEdgeFileView(NewRawSource(flat, nil), schema)
+	v := NewEdgeFileView(NewRawSource(flat), schema)
 	r1, _ := v.GetEdgeRecord(1, 0)
 	r2, _ := v.GetEdgeRecord(2, 0)
 	if v.RecordEnd(&r1) != r2.Offset {
@@ -598,7 +598,7 @@ func TestFindEdgesLayout(t *testing.T) {
 	if len(index) != 3 { // (1,0), (2,1), (5,0)
 		t.Fatalf("index = %+v", index)
 	}
-	for _, src := range []ByteSource{NewRawSource(flat, nil), succinct.Build(flat, succinct.Options{SamplingRate: 4})} {
+	for _, src := range []ByteSource{NewRawSource(flat), succinct.Build(flat, succinct.Options{SamplingRate: 4})} {
 		v := NewEdgeFileView(src, schema)
 		got := v.FindEdges(index, map[string]string{"note": "alpha"})
 		want := []EdgeMatch{{Src: 1, Type: 0, TimeOrder: 0}, {Src: 2, Type: 1, TimeOrder: 0}}

@@ -3,10 +3,10 @@
 // scheme for property IDs, and the fixed-width numeric encodings that
 // trade uncompressed size for random access into the compressed form.
 //
-// Layout views are written against a ByteSource abstraction so the exact
-// same query code runs over a compressed succinct store (immutable
-// shards) and over raw append-only bytes (the query-optimized LogStore of
-// §3.5).
+// Layout views are written against a ByteSource abstraction: the store
+// runs them over the compressed succinct store of each immutable shard,
+// and the tests run the same query code over RawSource, plain bytes, as
+// the uncompressed reference.
 package layout
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"zipg/internal/bitutil"
-	"zipg/internal/memsim"
 	"zipg/internal/succinct"
 )
 
@@ -121,54 +120,21 @@ func (r *recWalk) readAt(buf []byte, off, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// RawSource is an uncompressed ByteSource over a plain byte slice,
-// charging a simulated medium, if it has one, for every touch. Only
+// RawSource is an uncompressed ByteSource over a plain byte slice. Only
 // tests use it: it is their ground truth against the compressed path.
 type RawSource struct {
 	data []byte
-	med  *memsim.Medium
-	reg  uint32
 }
 
-// NewRawSource places data on med; nil means plain memory, with no
-// access accounting at all.
-func NewRawSource(data []byte, med *memsim.Medium) *RawSource {
-	r := &RawSource{data: data, med: med}
-	if med != nil {
-		r.reg = med.Register(int64(len(data)))
-	}
-	return r
-}
-
-// chargeAt bills a touch of n bytes at off.
-func (r *RawSource) chargeAt(off, n int) {
-	if r.med != nil {
-		r.med.Access(r.reg, int64(off), int64(n))
-	}
-}
-
-// Append adds bytes to the source and returns the offset at which they
-// were written.
-func (r *RawSource) Append(b []byte) int64 {
-	off := int64(len(r.data))
-	r.data = append(r.data, b...)
-	if r.med != nil {
-		r.med.Grow(int64(len(b)))
-	}
-	return off
-}
+// NewRawSource serves data.
+func NewRawSource(data []byte) *RawSource { return &RawSource{data: data} }
 
 // Extract implements ByteSource.
 func (r *RawSource) Extract(off, n int) []byte {
 	if off < 0 || off >= len(r.data) || n <= 0 {
 		return nil
 	}
-	end := off + n
-	if end > len(r.data) {
-		end = len(r.data)
-	}
-	r.chargeAt(off, end-off)
-	return r.data[off:end]
+	return r.data[off:min(off+n, len(r.data))]
 }
 
 // ExtractAppend appends up to n bytes starting at off to dst.
@@ -176,15 +142,11 @@ func (r *RawSource) ExtractAppend(dst []byte, off, n int) []byte {
 	return append(dst, r.Extract(off, n)...)
 }
 
-// Search implements ByteSource by linear scan. The scan charges the
-// medium for the full pass — this is exactly the cost profile the paper
-// ascribes to scanning uncompressed logs, and why the LogStore keeps
-// explicit offset pointers to avoid calling this.
+// Search implements ByteSource by linear scan.
 func (r *RawSource) Search(pattern []byte) []int64 {
 	if len(pattern) == 0 {
 		return nil
 	}
-	r.chargeAt(0, len(r.data))
 	var out []int64
 	for i := 0; ; {
 		k := bytes.Index(r.data[i:], pattern)
@@ -202,10 +164,6 @@ func (r *RawSource) Count(pattern []byte) int { return len(r.Search(pattern)) }
 
 // InputLen implements ByteSource.
 func (r *RawSource) InputLen() int { return len(r.data) }
-
-// Bytes exposes the raw backing slice (used when freezing a LogStore
-// into a compressed shard).
-func (r *RawSource) Bytes() []byte { return r.data }
 
 // offsetToIndex translates a flat-file offset to the index of the record
 // containing it, given the sorted record start offsets: the greatest i

@@ -1,9 +1,7 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +13,7 @@ import (
 )
 
 // This file is the frame: the envelope, the payload field that rides in
-// it and the shipped spans, all decoded through the WireReader of wire.go.
+// it and the shipped spans, all coded through the Codec of wire.go.
 //
 // A frame is a 4-byte big-endian length followed by that many bytes:
 //
@@ -26,8 +24,8 @@ import (
 //	trace    24  trace ID hi, lo, caller span ID     (flagTrace)
 //	deadline 8   absolute, Unix nanoseconds          (flagDeadline)
 //	error    uvarint length + bytes                  (flagErr)
-//	payload  4-byte big-endian length + bytes (kind byte first; 0 = none)
-//	spans    uvarint count + spans (appendSpan)      (flagSpans)
+//	payload  4-byte big-endian length + bytes (payloadWire first; length 0 = none)
+//	spans    uvarint count + spans (wireSpan)        (flagSpans)
 //
 // Requests and responses share the layout; a request never sets flagErr
 // or flagSpans and a response never sets the trace or deadline flags.
@@ -51,11 +49,9 @@ const (
 // prefix included.
 const flagsAt = 5
 
-// Payload kinds: the first payload byte says how the rest is encoded.
-const (
-	payloadGob  = 0 // one gob stream (any type without a wire form)
-	payloadWire = 1 // the type's own AppendWire/DecodeWire form
-)
+// payloadWire is the first byte of every non-empty payload: the value's
+// Wire form follows. It is the one payload kind; any other is refused.
+const payloadWire = 1
 
 // frame is the decoded envelope of one request or response.
 type frame struct {
@@ -83,10 +79,11 @@ func putBuf(b *[]byte) {
 	}
 }
 
-// beginFrame starts a frame at b[0]: the length prefix (patched by
-// endFrame) and the envelope up to, not including, the payload. f's
-// payload and spans are not read; appendPayload and endFrame add them.
-func beginFrame(b []byte, f *frame) []byte {
+// envelope codes f's fields up to, not including, the payload, and
+// returns the flags byte. Encoding, the flags are derived from f;
+// decoding, they say which fields follow, and a version other than
+// frameVersion fails the decode.
+func (f *frame) envelope(c *Codec) byte {
 	var flags byte
 	if !f.trace.Trace.IsZero() {
 		flags |= flagTrace
@@ -100,40 +97,53 @@ func beginFrame(b []byte, f *frame) []byte {
 	if f.err != "" {
 		flags |= flagErr
 	}
-	b = append(b[:0], 0, 0, 0, 0, frameVersion, flags)
-	b = binary.BigEndian.AppendUint64(b, f.id)
-	b = AppendString(b, f.method)
-	if flags&flagTrace != 0 {
-		b = binary.BigEndian.AppendUint64(b, f.trace.Trace.Hi)
-		b = binary.BigEndian.AppendUint64(b, f.trace.Trace.Lo)
-		b = binary.BigEndian.AppendUint64(b, f.trace.SpanID)
+	version := byte(frameVersion)
+	c.Byte(&version)
+	if version != frameVersion {
+		c.fail(fmt.Errorf("unsupported frame version %d (this build speaks %d)", version, frameVersion))
 	}
+	c.Byte(&flags)
+	c.Uint64(&f.id)
+	c.String(&f.method)
+	if flags&flagTrace != 0 {
+		c.Uint64(&f.trace.Trace.Hi)
+		c.Uint64(&f.trace.Trace.Lo)
+		c.Uint64(&f.trace.SpanID)
+	}
+	f.trace.Sampled = flags&flagSampled != 0
 	if flags&flagDeadline != 0 {
-		b = binary.BigEndian.AppendUint64(b, uint64(f.trace.Deadline))
+		deadline := uint64(f.trace.Deadline)
+		c.Uint64(&deadline)
+		f.trace.Deadline = int64(deadline)
 	}
 	if flags&flagErr != 0 {
-		b = AppendString(b, f.err)
+		c.String(&f.err)
 	}
-	return b
+	return flags
+}
+
+// beginFrame starts a frame at b[0]: the length prefix (patched by
+// endFrame) and the envelope. f's payload and spans are not read;
+// appendPayload and endFrame add them.
+func beginFrame(b []byte, f *frame) []byte {
+	c := Codec{b: append(b[:0], 0, 0, 0, 0)}
+	f.envelope(&c)
+	return c.b
 }
 
 // appendPayload appends the payload field for v to the frame begun at
-// b[0]: its own wire form when it has one, one gob stream otherwise,
-// nothing for nil. If v does not encode, or the frame so far outgrows
-// maxFrame, b is returned as it came.
+// b[0]: nothing for nil, else payloadWire and v's wire form. If v has no
+// wire form, or the frame so far outgrows maxFrame, b is returned as it
+// came.
 func appendPayload(b []byte, v any) ([]byte, error) {
 	at := len(b)
 	b = append(b, 0, 0, 0, 0)
-	switch w := v.(type) {
-	case nil:
-	case WireAppender:
-		b = w.AppendWire(append(b, payloadWire))
-	default:
-		buf := bytes.NewBuffer(append(b, payloadGob))
-		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	if v != nil {
+		c := Codec{b: append(b, payloadWire)}
+		if err := c.value(v); err != nil {
 			return b[:at], err
 		}
-		b = buf.Bytes()
+		b = c.b
 	}
 	if n := uint64(len(b) - 4); n > maxFrame {
 		return b[:at], &FrameTooLargeError{Size: uint32(min(n, math.MaxUint32)), Limit: maxFrame}
@@ -149,11 +159,9 @@ func appendPayload(b []byte, v any) ([]byte, error) {
 func endFrame(b []byte, spans []telemetry.Span) []byte {
 	if len(spans) > 0 {
 		at := len(b)
-		b = binary.AppendUvarint(b, uint64(len(spans)))
-		for i := range spans {
-			b = appendSpan(b, &spans[i])
-		}
-		if len(b)-4 > maxFrame {
+		c := Codec{b: b}
+		Seq(&c, &spans, minSpanWire, wireSpan)
+		if b = c.b; len(b)-4 > maxFrame {
 			b = b[:at]
 		} else {
 			b[flagsAt] |= flagSpans
@@ -168,36 +176,16 @@ var errBadFrame = errors.New("rpc: bad frame")
 
 // decodeFrame parses a frame body (the bytes after the length prefix).
 func decodeFrame(body []byte) (frame, error) {
-	r := WireReader{buf: body}
-	if v := r.Byte(); r.err == nil && v != frameVersion {
-		return frame{}, fmt.Errorf("%w: unsupported frame version %d (this build speaks %d)", errBadFrame, v, frameVersion)
-	}
-	flags := r.Byte()
 	var f frame
-	f.id = r.Uint64()
-	f.method = r.String()
-	if flags&flagTrace != 0 {
-		f.trace.Trace.Hi = r.Uint64()
-		f.trace.Trace.Lo = r.Uint64()
-		f.trace.SpanID = r.Uint64()
+	c := Codec{b: body, dec: true}
+	flags := f.envelope(&c)
+	if n := c.take(4); n != nil {
+		f.payload = c.take(uint64(binary.BigEndian.Uint32(n)))
 	}
-	f.trace.Sampled = flags&flagSampled != 0
-	if flags&flagDeadline != 0 {
-		f.trace.Deadline = int64(r.Uint64())
-	}
-	if flags&flagErr != 0 {
-		f.err = r.String()
-	}
-	f.payload = r.take(uint64(r.Uint32()))
 	if flags&flagSpans != 0 {
-		if n := r.Count(minSpanWire); n > 0 {
-			f.spans = make([]telemetry.Span, n)
-			for i := range f.spans {
-				readSpan(&r, &f.spans[i])
-			}
-		}
+		Seq(&c, &f.spans, minSpanWire, wireSpan)
 	}
-	if err := r.Done(); err != nil {
+	if err := c.done(); err != nil {
 		return frame{}, fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	return f, nil
@@ -234,20 +222,24 @@ func readFrame(r io.Reader) (frame, error) {
 	return decodeFrame(body)
 }
 
-// decodePayload decodes a payload into v (a pointer). The payload kind
-// must be the one v's type would have been sent with.
+// decodePayload decodes a payload into v, a pointer: a Wirer, *bool or
+// *[]byte.
 func decodePayload(p []byte, v any) error {
-	if len(p) == 0 {
-		return errors.New("rpc: empty payload")
-	}
-	d, wire := v.(WireDecoder)
 	switch {
-	case p[0] == payloadWire && wire:
-		return d.DecodeWire(p[1:])
-	case p[0] == payloadGob && !wire:
-		return gob.NewDecoder(bytes.NewReader(p[1:])).Decode(v)
+	case len(p) == 0:
+		return errors.New("rpc: empty payload")
+	case p[0] != payloadWire:
+		return fmt.Errorf("rpc: unknown payload kind %d", p[0])
 	}
-	return fmt.Errorf("rpc: payload kind %d does not match %T", p[0], v)
+	switch v.(type) {
+	case bool, []byte:
+		return fmt.Errorf("rpc: cannot decode into a %T, only through a pointer", v)
+	}
+	c := Codec{b: p[1:], dec: true}
+	if err := c.value(v); err != nil {
+		return err
+	}
+	return c.done()
 }
 
 // minSpanWire is the least a span occupies on the wire: the five fixed
@@ -256,71 +248,38 @@ func decodePayload(p []byte, v any) error {
 // actually has.
 const minSpanWire = 5*8 + 1 + 10
 
-// appendSpan appends one shipped span. Only exported fields travel.
-func appendSpan(b []byte, sp *telemetry.Span) []byte {
-	b = binary.BigEndian.AppendUint64(b, sp.Trace.Hi)
-	b = binary.BigEndian.AppendUint64(b, sp.Trace.Lo)
-	b = binary.BigEndian.AppendUint64(b, sp.SpanID)
-	b = binary.BigEndian.AppendUint64(b, sp.ParentID)
-	b = binary.BigEndian.AppendUint64(b, uint64(sp.Start.UnixNano()))
-	var marks byte
-	if sp.LogStore {
-		marks |= 1
+// wireSpan codes one shipped span. Only exported fields travel.
+func wireSpan(c *Codec, sp *telemetry.Span) {
+	start, marks, dur := uint64(sp.Start.UnixNano()), byte(0), int64(sp.Duration)
+	for i, set := range [...]bool{sp.LogStore, sp.NodeFile, sp.EdgeFile} {
+		if set {
+			marks |= 1 << i
+		}
 	}
-	if sp.NodeFile {
-		marks |= 2
+	c.Uint64(&sp.Trace.Hi)
+	c.Uint64(&sp.Trace.Lo)
+	c.Uint64(&sp.SpanID)
+	c.Uint64(&sp.ParentID)
+	c.Uint64(&start)
+	c.Byte(&marks)
+	c.String(&sp.Op)
+	c.String(&sp.Err)
+	c.Int(&sp.Server)
+	c.Varint(&dur)
+	c.Int(&sp.Fanout)
+	c.Int(&sp.Local)
+	c.Int(&sp.Remote)
+	c.Varint(&sp.Bytes)
+	Seq(c, &sp.Phases, 2, wirePhase)
+	Seq(c, &sp.Shards, 1, (*Codec).Int)
+	if c.dec {
+		sp.Start, sp.Duration = time.Unix(0, int64(start)), time.Duration(dur)
+		sp.LogStore, sp.NodeFile, sp.EdgeFile = marks&1 != 0, marks&2 != 0, marks&4 != 0
 	}
-	if sp.EdgeFile {
-		marks |= 4
-	}
-	b = append(b, marks)
-	b = AppendString(b, sp.Op)
-	b = AppendString(b, sp.Err)
-	b = binary.AppendVarint(b, int64(sp.Server))
-	b = binary.AppendVarint(b, int64(sp.Duration))
-	b = binary.AppendVarint(b, int64(sp.Fanout))
-	b = binary.AppendVarint(b, int64(sp.Local))
-	b = binary.AppendVarint(b, int64(sp.Remote))
-	b = binary.AppendVarint(b, sp.Bytes)
-	b = binary.AppendUvarint(b, uint64(len(sp.Phases)))
-	for _, ph := range sp.Phases {
-		b = AppendString(b, ph.Name)
-		b = binary.AppendVarint(b, ph.Ns)
-	}
-	b = binary.AppendUvarint(b, uint64(len(sp.Shards)))
-	for _, s := range sp.Shards {
-		b = binary.AppendVarint(b, int64(s))
-	}
-	return b
 }
 
-// readSpan is appendSpan's inverse.
-func readSpan(r *WireReader, sp *telemetry.Span) {
-	sp.Trace.Hi = r.Uint64()
-	sp.Trace.Lo = r.Uint64()
-	sp.SpanID = r.Uint64()
-	sp.ParentID = r.Uint64()
-	sp.Start = time.Unix(0, int64(r.Uint64()))
-	marks := r.Byte()
-	sp.LogStore, sp.NodeFile, sp.EdgeFile = marks&1 != 0, marks&2 != 0, marks&4 != 0
-	sp.Op = r.String()
-	sp.Err = r.String()
-	sp.Server = int(r.Varint())
-	sp.Duration = time.Duration(r.Varint())
-	sp.Fanout = int(r.Varint())
-	sp.Local = int(r.Varint())
-	sp.Remote = int(r.Varint())
-	sp.Bytes = r.Varint()
-	if n := r.Count(2); n > 0 {
-		sp.Phases = make([]telemetry.Phase, n)
-		for i := range sp.Phases {
-			sp.Phases[i] = telemetry.Phase{Name: r.String(), Ns: r.Varint()}
-		}
-	}
-	if n := r.Count(1); n > 0 {
-		sp.Shards = make([]int, n)
-		for i := range sp.Shards {
-			sp.Shards[i] = int(r.Varint())
-		}
-	}
+// wirePhase codes one phase of a shipped span.
+func wirePhase(c *Codec, ph *telemetry.Phase) {
+	c.String(&ph.Name)
+	c.Varint(&ph.Ns)
 }

@@ -8,9 +8,11 @@
 // The request envelope carries an optional trace header (trace ID,
 // caller span ID, absolute deadline, sampling decision) and responses
 // ship the callee's finished spans back, so a cluster query assembles
-// into one distributed span tree on the aggregator. Arguments and
-// results that implement WireAppender/WireDecoder travel in their own
-// binary form; any other value is one gob stream.
+// into one distributed span tree on the aggregator. Every argument and
+// result travels in one encoding: its type's Wire method (wire.go),
+// which names the fields once for both directions. A bool and a []byte
+// have built-in forms; a value of any other type without a Wire method
+// is refused, by type name.
 package rpc
 
 import (
@@ -389,9 +391,10 @@ func (c *Client) readLoop() {
 	}
 }
 
-// Call invokes method with args, decoding the result into reply (which
-// must be a pointer, or nil to discard). Untraced unless the process's
-// local sampling period elects the call as a fresh trace root.
+// Call invokes method with args (a Wirer, a bool or a []byte), decoding
+// the result into reply (a Wirer, *bool or *[]byte, or nil to discard).
+// Untraced unless the process's local sampling period elects the call as
+// a fresh trace root.
 func (c *Client) Call(method string, args any, reply any) error {
 	return c.CallCtx(context.Background(), method, args, reply)
 }
@@ -518,8 +521,18 @@ func (c *Client) forget(id uint64, cl *call) bool {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // DecodeArgs is a helper for handlers: it decodes a request's payload
-// into v, by v's wire form if it has one and by gob otherwise.
+// into v, a Wirer, *bool or *[]byte.
 func DecodeArgs(blob []byte, v any) error { return decodePayload(blob, v) }
+
+// Encode returns the payload a call or a reply carries for v, which
+// DecodeArgs reads back.
+func Encode(v any) ([]byte, error) {
+	b, err := appendPayload(nil, v)
+	if err != nil {
+		return nil, err
+	}
+	return b[4:], nil
+}
 
 // DecodeArgsCtx decodes handler args while attributing the time to the
 // active span's decode phase.

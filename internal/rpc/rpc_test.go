@@ -21,6 +21,11 @@ type echoArgs struct {
 	N   int
 }
 
+func (a *echoArgs) Wire(c *Codec) {
+	c.String(&a.Msg)
+	c.Int(&a.N)
+}
+
 func startEcho(t testing.TB) (*Server, string) {
 	t.Helper()
 	s := NewServer()
@@ -29,7 +34,7 @@ func startEcho(t testing.TB) (*Server, string) {
 		if err := DecodeArgsCtx(ctx, blob, &a); err != nil {
 			return nil, err
 		}
-		return fmt.Sprintf("%s/%d", a.Msg, a.N), nil
+		return &echoArgs{Msg: fmt.Sprintf("%s/%d", a.Msg, a.N)}, nil
 	})
 	s.Handle("fail", func(ctx context.Context, blob []byte) (any, error) {
 		return nil, errors.New("deliberate failure")
@@ -49,12 +54,12 @@ func TestCallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var reply string
-	if err := c.Call("echo", echoArgs{"hello", 7}, &reply); err != nil {
+	var reply echoArgs
+	if err := c.Call("echo", &echoArgs{"hello", 7}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if reply != "hello/7" {
-		t.Fatalf("reply = %q", reply)
+	if reply.Msg != "hello/7" {
+		t.Fatalf("reply = %q", reply.Msg)
 	}
 }
 
@@ -65,16 +70,16 @@ func TestCallErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("fail", echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
+	if err := c.Call("fail", &echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.Call("nope", echoArgs{}, nil); err == nil {
+	if err := c.Call("nope", &echoArgs{}, nil); err == nil {
 		t.Fatal("unknown method should error")
 	}
 	// The connection survives handler errors.
-	var reply string
-	if err := c.Call("echo", echoArgs{"still", 1}, &reply); err != nil || reply != "still/1" {
-		t.Fatalf("connection broken after error: %v %q", err, reply)
+	var reply echoArgs
+	if err := c.Call("echo", &echoArgs{"still", 1}, &reply); err != nil || reply.Msg != "still/1" {
+		t.Fatalf("connection broken after error: %v %q", err, reply.Msg)
 	}
 }
 
@@ -91,13 +96,13 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				var reply string
-				if err := c.Call("echo", echoArgs{"m", g*1000 + i}, &reply); err != nil {
+				var reply echoArgs
+				if err := c.Call("echo", &echoArgs{"m", g*1000 + i}, &reply); err != nil {
 					t.Errorf("call: %v", err)
 					return
 				}
-				if reply != fmt.Sprintf("m/%d", g*1000+i) {
-					t.Errorf("cross-wired reply %q", reply)
+				if reply.Msg != fmt.Sprintf("m/%d", g*1000+i) {
+					t.Errorf("cross-wired reply %q", reply.Msg)
 					return
 				}
 			}
@@ -190,7 +195,7 @@ func TestFrameTooLargeClientPath(t *testing.T) {
 	waitFor(t, "client frame_too_large counter", func() bool {
 		return mErrors.With("frame_too_large_client").Value() > before
 	})
-	if err := c.Call("echo", echoArgs{}, nil); err == nil {
+	if err := c.Call("echo", &echoArgs{}, nil); err == nil {
 		t.Error("Call on poisoned connection should fail")
 	}
 }
@@ -229,7 +234,7 @@ func TestUntracedClientStillSampledServerSide(t *testing.T) {
 	}
 	defer conn.Close()
 
-	resp := rawCall(t, conn, &frame{id: 1, method: "echo"}, echoArgs{"untraced", 9})
+	resp := rawCall(t, conn, &frame{id: 1, method: "echo"}, &echoArgs{"untraced", 9})
 	if resp.err != "" {
 		t.Fatalf("unexpected error %q", resp.err)
 	}
@@ -264,7 +269,7 @@ func TestDeadlineRejectedOnArrival(t *testing.T) {
 	before := mDeadlineExceeded.With("server").Value()
 	req := frame{id: 7, method: "echo"}
 	req.trace.Deadline = time.Now().Add(-time.Second).UnixNano()
-	resp := rawCall(t, conn, &req, echoArgs{"late", 1})
+	resp := rawCall(t, conn, &req, &echoArgs{"late", 1})
 	if resp.id != 7 || resp.err != deadlineErrMsg {
 		t.Fatalf("resp = %+v, want deadline rejection of call 7", resp)
 	}
@@ -288,7 +293,7 @@ func TestDeadlineRejectedBeforeSend(t *testing.T) {
 	before := mDeadlineExceeded.With("client").Value()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	err = c.CallCtx(ctx, "echo", echoArgs{"never", 0}, nil)
+	err = c.CallCtx(ctx, "echo", &echoArgs{"never", 0}, nil)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -320,8 +325,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if root == nil {
 		t.Fatal("sampling=1 must trace the root")
 	}
-	var reply string
-	if err := c.CallCtx(ctx, "echo", echoArgs{"traced", 9}, &reply); err != nil {
+	var reply echoArgs
+	if err := c.CallCtx(ctx, "echo", &echoArgs{"traced", 9}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -382,12 +387,12 @@ func TestConnectionLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var reply string
-	if err := c.Call("echo", echoArgs{"x", 1}, &reply); err != nil {
+	var reply echoArgs
+	if err := c.Call("echo", &echoArgs{"x", 1}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := c.Call("echo", echoArgs{"y", 2}, &reply); err == nil {
+	if err := c.Call("echo", &echoArgs{"y", 2}, &reply); err == nil {
 		t.Fatal("call on closed server should fail")
 	}
 }
@@ -421,7 +426,7 @@ func TestHungPeerCostsItsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	err = c.CallCtx(ctx, "echo", echoArgs{"anyone?", 1}, nil)
+	err = c.CallCtx(ctx, "echo", &echoArgs{"anyone?", 1}, nil)
 	took := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -470,7 +475,7 @@ func TestLateReplyIsHarmless(t *testing.T) {
 			id  uint64
 			msg string
 		}{{first.id, "late"}, {second.id, "fresh"}} {
-			conn.Write(buildFrame(t, &frame{id: reply.id}, reply.msg))
+			conn.Write(buildFrame(t, &frame{id: reply.id}, &echoArgs{Msg: reply.msg}))
 		}
 	}()
 	c, err := Dial(ln.Addr().String())
@@ -480,13 +485,13 @@ func TestLateReplyIsHarmless(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := c.CallCtx(ctx, "echo", echoArgs{"one", 1}, nil); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := c.CallCtx(ctx, "echo", &echoArgs{"one", 1}, nil); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("first call: err = %v, want ErrDeadlineExceeded", err)
 	}
 	close(release)
-	var got string
-	if err := c.Call("echo", echoArgs{"two", 2}, &got); err != nil || got != "fresh" {
-		t.Fatalf("second call = %q, %v; want its own reply", got, err)
+	var got echoArgs
+	if err := c.Call("echo", &echoArgs{"two", 2}, &got); err != nil || got.Msg != "fresh" {
+		t.Fatalf("second call = %q, %v; want its own reply", got.Msg, err)
 	}
 }
 
@@ -529,8 +534,8 @@ func TestFrameBytesCountedBeforeReturn(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		read, written := mFrameBytesRead.Value(), mFrameBytesWritten.Value()
 		for i := 0; i < 50; i++ {
-			var reply string
-			if err := c.Call("echo", echoArgs{"count", i}, &reply); err != nil {
+			var reply echoArgs
+			if err := c.Call("echo", &echoArgs{"count", i}, &reply); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -590,13 +595,14 @@ func TestUnsupportedFrameVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("echo", echoArgs{}, nil); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
+	if err := c.Call("echo", &echoArgs{}, nil); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
 		t.Fatalf("Call = %v, want an unsupported-version error", err)
 	}
 }
 
-// TestUnencodableResultBecomesError: a handler result gob cannot encode
-// must reach the caller as an error, not hang it or drop the connection.
+// TestUnencodableResultBecomesError: a handler result with no wire form
+// must reach the caller as an error naming its type, not hang it or drop
+// the connection.
 func TestUnencodableResultBecomesError(t *testing.T) {
 	s, addr := startEcho(t)
 	s.Handle("chan", func(context.Context, []byte) (any, error) { return make(chan int), nil })
@@ -605,11 +611,11 @@ func TestUnencodableResultBecomesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("chan", true, nil); err == nil || !strings.Contains(err.Error(), "encode result") {
-		t.Fatalf("err = %v, want an encode-result error", err)
+	if err := c.Call("chan", true, nil); err == nil || !strings.Contains(err.Error(), "encode result: rpc: chan int has no wire form") {
+		t.Fatalf("err = %v, want an encode-result error naming the type", err)
 	}
-	var reply string
-	if err := c.Call("echo", echoArgs{"after", 1}, &reply); err != nil || reply != "after/1" {
-		t.Fatalf("connection broken after encode failure: %v %q", err, reply)
+	var reply echoArgs
+	if err := c.Call("echo", &echoArgs{"after", 1}, &reply); err != nil || reply.Msg != "after/1" {
+		t.Fatalf("connection broken after encode failure: %v %q", err, reply.Msg)
 	}
 }

@@ -3,203 +3,228 @@ package rpc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 )
 
-// This file is what a hand-written wire form is made of: the two
-// interfaces a payload type implements to travel without gob, the
-// append helpers that write one, and the bounds-checked reader that
-// decodes one (and the frame envelope) from bytes a peer chose.
+// This file is the one wire encoding. A payload type names its fields
+// once, in order, in its Wire method; the same method encodes it and
+// decodes it, so the two directions cannot disagree. Integers are signed
+// varints, strings and sequences carry a uvarint length, and an empty
+// slice or map decodes as nil.
 
-// WireAppender is implemented by argument and reply types that carry a
-// hand-written wire form; rpc uses it instead of gob when the value
-// passed to Call (or returned by a Handler) implements it. The decoding
-// side must then be a WireDecoder of the same layout.
-type WireAppender interface {
-	AppendWire(b []byte) []byte
+// Wirer is implemented by every argument and reply type. Wire passes a
+// pointer to each field, in order, to c's methods. It must not branch on
+// the values it codes, except on a count or flag it coded first.
+type Wirer interface {
+	Wire(c *Codec)
 }
 
-// WireDecoder is the decoding half of WireAppender. DecodeWire must
-// treat b as hostile: read it through a WireReader.
-type WireDecoder interface {
-	DecodeWire(b []byte) error
-}
-
-// AppendString appends s as a uvarint length and its bytes.
-func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// errShort is the WireReader's one failure: the bytes ran out, or a
-// length or count claimed more than the bytes that are left.
+// errShort is a decode's usual failure: the bytes ran out, or a length
+// or count claimed more than the bytes that are left.
 var errShort = errors.New("truncated or overlong field")
 
-// WireReader reads a hand-written wire form from untrusted bytes. Every
+// Codec codes one value in one direction. Encoding, each method appends
+// the field its argument points to and never writes through the
+// pointer, so one value may be encoded by many goroutines at once.
+// Decoding, each method fills the field from untrusted bytes: every
 // length and count is checked against the bytes that remain before
-// anything is sliced or allocated. The first failure sticks: later
-// reads return zero values and Done reports it, so a decoder reads its
-// fields straight through and checks once.
-type WireReader struct {
-	buf []byte
+// anything is sliced or allocated, and the first failure sticks — later
+// fields read nothing and the caller checks once, at the end.
+type Codec struct {
+	b   []byte // encoding: the bytes so far; decoding: the bytes left
+	dec bool
 	err error
 }
 
-// NewWireReader reads from b.
-func NewWireReader(b []byte) *WireReader { return &WireReader{buf: b} }
-
-// Done returns the first failure, or an error if bytes are left over
-// after the last field, or nil.
-func (r *WireReader) Done() error {
-	if r.err == nil && len(r.buf) > 0 {
-		return errors.New("bytes after the last field")
+// value codes v: a Wirer, or one of the two built-in forms, a bool and a
+// []byte (a uvarint length and the bytes). Anything else is refused by
+// name.
+func (c *Codec) value(v any) error {
+	switch x := v.(type) {
+	case Wirer:
+		x.Wire(c)
+	case *bool:
+		c.Bool(x)
+	case *[]byte:
+		c.bytes(x)
+	case bool:
+		c.Bool(&x)
+	case []byte:
+		c.bytes(&x)
+	default:
+		return fmt.Errorf("rpc: %T has no wire form", v)
 	}
-	return r.err
+	return nil
 }
 
-// take returns the next n bytes, or nil after a failure.
-func (r *WireReader) take(n uint64) []byte {
-	if r.err != nil || n > uint64(len(r.buf)) {
-		r.err = errShort
+// fail records err unless an earlier failure is already recorded.
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// done returns a decode's first failure, or an error if bytes are left
+// over after the last field, or nil.
+func (c *Codec) done() error {
+	if c.err == nil && len(c.b) > 0 {
+		return errors.New("bytes after the last field")
+	}
+	return c.err
+}
+
+// take returns the next n bytes read, or nil after a failure.
+func (c *Codec) take(n uint64) []byte {
+	if c.err != nil || n > uint64(len(c.b)) {
+		c.fail(errShort)
 		return nil
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := c.b[:n]
+	c.b = c.b[n:]
 	return b
 }
 
-// Byte reads one byte.
-func (r *WireReader) Byte() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
+// uvarint codes an unsigned varint: it writes n, or reads and returns one.
+func (c *Codec) uvarint(n uint64) uint64 {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, n)
+		return n
 	}
-	return 0
-}
-
-// Bool reads one byte as a boolean.
-func (r *WireReader) Bool() bool { return r.Byte() != 0 }
-
-// Uint32 reads a fixed 4-byte big-endian value.
-func (r *WireReader) Uint32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.BigEndian.Uint32(b)
-	}
-	return 0
-}
-
-// Uint64 reads a fixed 8-byte big-endian value.
-func (r *WireReader) Uint64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
-}
-
-// Uvarint reads an unsigned varint.
-func (r *WireReader) Uvarint() uint64 {
-	if r.err != nil {
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = errShort
+	v, k := binary.Uvarint(c.b)
+	if k <= 0 {
+		c.fail(errShort)
 		return 0
 	}
-	r.buf = r.buf[n:]
+	c.b = c.b[k:]
 	return v
 }
 
-// Varint reads a signed (zig-zag) varint.
-func (r *WireReader) Varint() int64 {
-	u := r.Uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// String reads a uvarint length and that many bytes.
-func (r *WireReader) String() string { return string(r.take(r.Uvarint())) }
-
-// Count reads an element count for a sequence whose elements occupy at
-// least minBytes each, and fails if the remaining bytes cannot hold
-// that many — so the caller may allocate Count elements up front.
-func (r *WireReader) Count(minBytes int) int {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(len(r.buf)/minBytes) {
-		r.err = errShort
+// count codes the length n of a sequence whose elements occupy at least
+// minBytes each. Decoding, it fails if the bytes left cannot hold that
+// many, so the caller may allocate the elements up front.
+func (c *Codec) count(n, minBytes int) int {
+	u := c.uvarint(uint64(n))
+	if c.dec && u > uint64(len(c.b)/minBytes) {
+		c.fail(errShort)
+	}
+	if c.err != nil {
 		return 0
 	}
-	return int(n)
+	return int(u)
 }
 
-// Strings reads a sequence written by AppendStrings; empty reads as nil.
-func (r *WireReader) Strings() []string {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
+// Byte codes one byte.
+func (c *Codec) Byte(v *byte) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.String()
-	}
-	return out
 }
 
-// StringMap reads a map written by AppendStringMap; empty reads as nil.
-func (r *WireReader) StringMap() map[string]string {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
+// Bool codes a boolean as one byte.
+func (c *Codec) Bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
 	}
-	out := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := r.String()
-		out[k] = r.String()
+	c.Byte(&b)
+	if c.dec {
+		*v = b != 0
 	}
-	return out
 }
 
-// Varints reads a sequence written by AppendVarints; empty reads as nil.
-func (r *WireReader) Varints() []int64 {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
+// Uint64 codes a fixed 8-byte big-endian value.
+func (c *Codec) Uint64(v *uint64) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.Varint()
-	}
-	return out
 }
 
-// AppendStrings appends a count and each string.
-func AppendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = AppendString(b, s)
+// Varint codes a signed (zig-zag) varint.
+func (c *Codec) Varint(v *int64) {
+	u := c.uvarint(uint64(*v<<1) ^ uint64(*v>>63))
+	if c.dec {
+		*v = int64(u>>1) ^ -int64(u&1)
 	}
-	return b
 }
 
-// AppendStringMap appends a count and each key and value, in map order.
-func AppendStringMap(b []byte, m map[string]string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(m)))
-	for k, v := range m {
-		b = AppendString(AppendString(b, k), v)
+// Int codes an int as a signed varint.
+func (c *Codec) Int(v *int) {
+	x := int64(*v)
+	c.Varint(&x)
+	if c.dec {
+		*v = int(x)
 	}
-	return b
 }
 
-// AppendVarints appends a count and each value as a signed varint.
-func AppendVarints(b []byte, vs []int64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendVarint(b, v)
+// String codes a uvarint length and the string's bytes.
+func (c *Codec) String(v *string) {
+	n := c.uvarint(uint64(len(*v)))
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else {
+		*v = string(c.take(n))
 	}
-	return b
 }
 
-// AppendBool appends one byte.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// bytes codes a uvarint length and the bytes; decoding reuses v's
+// capacity.
+func (c *Codec) bytes(v *[]byte) {
+	n := c.uvarint(uint64(len(*v)))
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else {
+		*v = append((*v)[:0], c.take(n)...)
 	}
-	return append(b, 0)
+}
+
+// Strings codes a count and each string.
+func (c *Codec) Strings(v *[]string) { Seq(c, v, 1, (*Codec).String) }
+
+// Varints codes a count and each value as a signed varint.
+func (c *Codec) Varints(v *[]int64) { Seq(c, v, 1, (*Codec).Varint) }
+
+// StringMap codes a count and each key and value, in map order.
+func (c *Codec) StringMap(v *map[string]string) {
+	n := c.count(len(*v), 2)
+	if !c.dec {
+		for k, s := range *v {
+			c.String(&k)
+			c.String(&s)
+		}
+		return
+	}
+	*v = nil
+	if n > 0 {
+		*v = make(map[string]string, n)
+	}
+	for range n {
+		var k, s string
+		c.String(&k)
+		c.String(&s)
+		(*v)[k] = s
+	}
+}
+
+// Seq codes a count and each element of a sequence by elem, whose every
+// element occupies at least minBytes on the wire. Pass a method
+// expression or a plain function, such as (*Codec).String, so no closure
+// is allocated.
+func Seq[T any](c *Codec, v *[]T, minBytes int, elem func(*Codec, *T)) {
+	n := c.count(len(*v), minBytes)
+	if c.dec {
+		*v = nil
+		if n > 0 {
+			*v = make([]T, n)
+		}
+	}
+	for i := range n {
+		elem(c, &(*v)[i])
+	}
 }

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,8 +15,8 @@ import (
 	"zipg/internal/telemetry"
 )
 
-// wirePair is a payload type with its own wire form, for the tests: one
-// field per WireReader primitive.
+// wirePair is a payload type for the tests: one field per kind of
+// Codec method.
 type wirePair struct {
 	OK   bool
 	N    int64
@@ -23,16 +25,26 @@ type wirePair struct {
 	KV   map[string]string
 }
 
-func (p wirePair) AppendWire(b []byte) []byte {
-	b = binary.AppendVarint(AppendBool(b, p.OK), p.N)
-	return AppendStringMap(AppendVarints(AppendStrings(b, p.Tags), p.IDs), p.KV)
+func (p *wirePair) Wire(c *Codec) {
+	c.Bool(&p.OK)
+	c.Varint(&p.N)
+	c.Strings(&p.Tags)
+	c.Varints(&p.IDs)
+	c.StringMap(&p.KV)
 }
 
-func (p *wirePair) DecodeWire(b []byte) error {
-	r := NewWireReader(b)
-	p.OK, p.N = r.Bool(), r.Varint()
-	p.Tags, p.IDs, p.KV = r.Strings(), r.Varints(), r.StringMap()
-	return r.Done()
+// wireForm is p's wire form, without the payload kind byte.
+func wireForm(p *wirePair) []byte {
+	c := Codec{}
+	p.Wire(&c)
+	return c.b
+}
+
+// decodeForm decodes a wire form without the payload kind byte.
+func decodeForm(b []byte, p *wirePair) error {
+	c := Codec{b: b, dec: true}
+	p.Wire(&c)
+	return c.done()
 }
 
 func randString(rng *rand.Rand) string {
@@ -102,7 +114,7 @@ func buildFrame(t testing.TB, f *frame, v any) []byte {
 // TestFrameRoundTrip: encode → decode gives back every envelope field,
 // for requests with and without a trace header and for responses with
 // and without an error and shipped spans, and the payload decodes to
-// what was sent, by wire form and by gob.
+// what was sent: a Wirer, and each of the two built-in forms.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 500; i++ {
@@ -126,8 +138,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 		sent, want := randPair(rng)
-		var asGob any = struct{ A, B string }{randString(rng), "x"}
-		for _, payload := range []any{sent, asGob, nil} {
+		raw := []byte(randString(rng))
+		for _, payload := range []any{&sent, rng.Intn(2) == 0, raw, nil} {
 			b := buildFrame(t, &f, payload)
 			got, err := readFrame(bytes.NewReader(b))
 			if err != nil {
@@ -139,25 +151,24 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, f)
 			}
 			switch payload := payload.(type) {
-			case wirePair:
+			case *wirePair:
 				var p wirePair
 				if err := decodePayload(gotPayload, &p); err != nil || !reflect.DeepEqual(p, want) {
 					t.Fatalf("frame %d: wire payload = %+v, %v; want %+v", i, p, err, want)
 				}
-				if err := decodePayload(gotPayload, new(struct{ A string })); err == nil {
-					t.Fatalf("frame %d: a wire payload decoded as gob", i)
+			case bool:
+				var b bool
+				if err := decodePayload(gotPayload, &b); err != nil || b != payload {
+					t.Fatalf("frame %d: bool payload = %v, %v; want %v", i, b, err, payload)
+				}
+			case []byte:
+				var b []byte
+				if err := decodePayload(gotPayload, &b); err != nil || !bytes.Equal(b, payload) {
+					t.Fatalf("frame %d: []byte payload = %x, %v; want %x", i, b, err, payload)
 				}
 			case nil:
-				if len(gotPayload) != 0 || decodePayload(gotPayload, new(string)) == nil {
+				if len(gotPayload) != 0 || decodePayload(gotPayload, new(bool)) == nil {
 					t.Fatalf("frame %d: nil payload travelled as %x", i, gotPayload)
-				}
-			default:
-				p := reflect.New(reflect.TypeOf(payload))
-				if err := decodePayload(gotPayload, p.Interface()); err != nil || !reflect.DeepEqual(p.Elem().Interface(), payload) {
-					t.Fatalf("frame %d: gob payload = %+v, %v; want %+v", i, p.Elem(), err, payload)
-				}
-				if err := decodePayload(gotPayload, new(wirePair)); err == nil {
-					t.Fatalf("frame %d: a gob payload decoded by wire form", i)
 				}
 			}
 		}
@@ -169,8 +180,9 @@ func TestFrameRoundTrip(t *testing.T) {
 // carrying nothing but such spans passes the decoder's count check.
 func TestMinimalSpansRoundTrip(t *testing.T) {
 	least := telemetry.Span{Start: time.Unix(0, 0)}
-	if n := len(appendSpan(nil, &least)); n != minSpanWire {
-		t.Fatalf("the smallest span is %d bytes on the wire, minSpanWire = %d", n, minSpanWire)
+	c := Codec{}
+	if wireSpan(&c, &least); len(c.b) != minSpanWire {
+		t.Fatalf("the smallest span is %d bytes on the wire, minSpanWire = %d", len(c.b), minSpanWire)
 	}
 	short := least
 	short.Op = "get"
@@ -208,7 +220,7 @@ func TestTracedResponseShipsSpans(t *testing.T) {
 	req.trace.Trace = telemetry.TraceID{Hi: 7, Lo: 11}
 	req.trace.SpanID = 13
 	req.trace.Sampled = true
-	resp := rawCall(t, conn, &req, echoArgs{"traced", 1})
+	resp := rawCall(t, conn, &req, &echoArgs{"traced", 1})
 	if resp.err != "" || len(resp.spans) != 1 {
 		t.Fatalf("response = %+v, want one shipped span", resp)
 	}
@@ -244,7 +256,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	request.trace = telemetry.TraceContext{Trace: telemetry.TraceID{Hi: 1, Lo: 2}, SpanID: 3, Deadline: 4, Sampled: true}
 	response := frame{id: 1, err: "boom", spans: []telemetry.Span{randSpan(rng), randSpan(rng)}}
 	for _, fr := range []*frame{{id: 7, method: "Nop"}, &request, {id: 2}, &response} {
-		f.Add(buildFrame(f, fr, wirePair{N: 5, Tags: []string{"a"}})[4:])
+		f.Add(buildFrame(f, fr, &wirePair{N: 5, Tags: []string{"a"}})[4:])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
@@ -263,22 +275,97 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzWireReader drives every WireReader primitive over arbitrary bytes
-// through the test payload type.
-func FuzzWireReader(f *testing.F) {
-	f.Add(wirePair{}.AppendWire(nil))
-	f.Add(wirePair{OK: true, N: -9, Tags: []string{"", "x"}, IDs: []int64{-1, 1 << 40}, KV: map[string]string{"k": "v"}}.AppendWire(nil))
+// FuzzCodec drives every Codec method over arbitrary bytes through the
+// test payload type.
+func FuzzCodec(f *testing.F) {
+	f.Add(wireForm(&wirePair{}))
+	f.Add(wireForm(&wirePair{OK: true, N: -9, Tags: []string{"", "x"}, IDs: []int64{-1, 1 << 40}, KV: map[string]string{"k": "v"}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var p wirePair
-		if err := p.DecodeWire(b); err != nil {
+		if err := decodeForm(b, &p); err != nil {
 			return
 		}
 		if len(p.Tags)+len(p.IDs)+2*len(p.KV) > len(b) {
 			t.Fatalf("decoded %d+%d+%d elements from %d bytes", len(p.Tags), len(p.IDs), len(p.KV), len(b))
 		}
 		var again wirePair
-		if err := again.DecodeWire(p.AppendWire(nil)); err != nil || !reflect.DeepEqual(again, p) {
+		if err := decodeForm(wireForm(&p), &again); err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("round trip = %+v, %v; want %+v", again, err, p)
 		}
 	})
+}
+
+// TestNoWireFormRefused: a value of a type with no wire form is refused
+// by name, as an argument to encode and as a target to decode into (a
+// handler's result: TestUnencodableResultBecomesError); so is decoding
+// into a built-in form's value rather than through a pointer.
+func TestNoWireFormRefused(t *testing.T) {
+	_, addr := startEcho(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Call("echo", struct{ A int }{1}, nil); err == nil || !strings.Contains(err.Error(), "struct { A int } has no wire form") {
+		t.Fatalf("encoding a struct: err = %v, want it refused by type", err)
+	}
+	p, err := Encode(&echoArgs{Msg: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeArgs(p, new(string)); err == nil || !strings.Contains(err.Error(), "*string has no wire form") {
+		t.Fatalf("decoding into a *string: err = %v, want it refused by type", err)
+	}
+	if err := DecodeArgs([]byte{payloadWire, 1}, false); err == nil {
+		t.Fatal("decoded into a bool value")
+	}
+}
+
+// TestLadderCalls: the two calls the benchmark's RPC rungs make — a bool
+// to a handler that returns one, and a []byte echoed back — round-trip
+// over TCP through the built-in forms.
+func TestLadderCalls(t *testing.T) {
+	s := NewServer()
+	s.Handle("Nop", func(context.Context, []byte) (any, error) { return true, nil })
+	s.Handle("Echo", func(_ context.Context, args []byte) (any, error) {
+		var payload []byte
+		err := DecodeArgs(args, &payload)
+		return payload, err
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var ok bool
+	if err := c.Call("Nop", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call("Nop", true, &ok); err != nil || !ok {
+		t.Fatalf("Nop = %v, %v; want true", ok, err)
+	}
+	payload, reply := make([]byte, 1024), []byte(nil)
+	rand.New(rand.NewSource(3)).Read(payload)
+	for i := 0; i < 3; i++ {
+		if err := c.Call("Echo", payload, &reply); err != nil || !bytes.Equal(reply, payload) {
+			t.Fatalf("Echo = %d bytes, %v; want the 1024 sent", len(reply), err)
+		}
+	}
+}
+
+// TestBuiltinFormBytes fixes the two built-in forms' payloads.
+func TestBuiltinFormBytes(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{{true, "0101"}, {false, "0100"}, {[]byte("ab"), "01026162"}, {[]byte{}, "0100"}} {
+		if p, err := Encode(c.v); err != nil || hex.EncodeToString(p) != c.want {
+			t.Errorf("Encode(%#v) = %x, %v; want %s", c.v, p, err, c.want)
+		}
+	}
 }

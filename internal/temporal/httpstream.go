@@ -11,8 +11,8 @@ import (
 )
 
 // HTTP change feed: the subscription API exposed over the admin
-// listener as a chunked NDJSON stream (the gob RPC fabric is strictly
-// request/reply, so streaming rides HTTP). One JSON object per line,
+// listener as a chunked NDJSON stream (the cluster's RPC layer is
+// strictly request/reply, so streaming rides HTTP). One JSON object per line,
 // flushed per delivered batch.
 
 // WireEvent is the JSON shape of one streamed event.
