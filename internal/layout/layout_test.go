@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -238,6 +239,46 @@ func TestNodeFileGetPropertiesWildcard(t *testing.T) {
 		vals, _ := comp.GetProperties(n.ID, []string{"location", "definitely-absent"})
 		if vals[0] != n.Props["location"] || vals[1] != "" {
 			t.Fatalf("GetProperties(%d) = %v", n.ID, vals)
+		}
+	}
+}
+
+// TestNodeRecordCutShort: a source that ends inside a value the record's
+// length header promised — what a damaged archive amounts to — makes
+// every read that needs the value miss, over raw and compressed sources,
+// while the whole values before the cut still read.
+func TestNodeRecordCutShort(t *testing.T) {
+	nodes, schema := buildNodes(60)
+	flat, ids, offs, err := BuildNodeFile(nodes, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := nodes[len(nodes)-1] // the highest ID: its record ends the file
+	nick := last.Props["nickname"]
+	at := int(offs[len(offs)-1]) + bytes.Index(flat[offs[len(offs)-1]:], []byte(nick))
+	for _, cut := range []int{at, at + len(nick)/2, at + len(nick) - 1} {
+		sources := map[string]ByteSource{
+			"raw":        NewRawSource(flat[:cut]),
+			"compressed": succinct.Build(flat[:cut], succinct.Options{SamplingRate: 4}),
+		}
+		for kind, src := range sources {
+			v := NewNodeFileView(src, schema, ids, PackOffsets(offs), nil)
+			where := fmt.Sprintf("%s source cut at %d, inside %q", kind, cut, nick)
+			if got, ok := v.GetProperty(last.ID, "nickname"); ok || got != "" {
+				t.Errorf("%s: GetProperty(nickname) = %q, %v", where, got, ok)
+			}
+			if got, ok := v.GetProperties(last.ID, nil); ok || got != nil {
+				t.Errorf("%s: GetProperties(all) = %q, %v", where, got, ok)
+			}
+			if got, ok := v.GetAllProps(last.ID); ok || got != nil {
+				t.Errorf("%s: GetAllProps = %v, %v", where, got, ok)
+			}
+			if got, ok := v.GetProperty(last.ID, "location"); !ok || got != last.Props["location"] {
+				t.Errorf("%s: GetProperty(location) before the cut = %q, %v", where, got, ok)
+			}
+			if got, ok := v.GetProperties(last.ID, []string{"age", "location"}); !ok || got[0] != last.Props["age"] || got[1] != last.Props["location"] {
+				t.Errorf("%s: GetProperties(age, location) before the cut = %q, %v", where, got, ok)
+			}
 		}
 	}
 }

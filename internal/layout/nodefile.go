@@ -149,6 +149,9 @@ func (v *NodeFileView) GetProperty(id NodeID, propertyID string) (string, bool) 
 	off, n := v.schema.valueLocation(lengths, order)
 	w.skip(off - hs)
 	sc.buf = w.appendN(sc.buf[:0], n)
+	if len(sc.buf) < n {
+		return "", false // the source ends inside the value the header promised
+	}
 	return string(sc.buf), true
 }
 
@@ -198,6 +201,9 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 			continue
 		}
 		sc.buf = w.appendN(sc.buf[:0], n)
+		if len(sc.buf) < n {
+			return nil, false // the source ends inside the value the header promised
+		}
 		val := string(sc.buf)
 		for i, ro := range ords {
 			if ro == o {
@@ -210,11 +216,10 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 
 // GetAllProps returns the node's full property map.
 func (v *NodeFileView) GetAllProps(id NodeID) (map[string]string, bool) {
-	k := v.indexOf(id)
-	if k < 0 {
+	vals, ok := v.GetProperties(id, nil)
+	if !ok {
 		return nil, false
 	}
-	vals, _ := v.GetProperties(id, nil)
 	props := make(map[string]string)
 	for i, pid := range v.schema.IDs() {
 		if vals[i] != "" {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"zipg/internal/telemetry"
 )
 
 // diffTexts returns the corpora the kernel differential tests run over:
@@ -21,33 +23,46 @@ func diffTexts() map[string][]byte {
 	}
 }
 
-// TestExtractKernelsAgainstReference checks Extract, ExtractAppend and
-// CharAt byte-for-byte against the original text at every sampling rate,
-// on random windows including boundary-straddling and past-EOF reads.
+// TestExtractKernelsAgainstReference checks Extract and ExtractAppend
+// byte-for-byte against the original text at every sampling rate: on
+// random windows, and on every length 0…6α from offsets on, just before
+// and just after a multiple of α — so a read is one chain, or several
+// that start on ISA samples — and from offsets near the text's end, so
+// the last chain is cut short by it.
 func TestExtractKernelsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, text := range diffTexts() {
 		for _, alpha := range []int{4, 8, 32} {
 			s := Build(text, Options{SamplingRate: alpha})
-			for trial := 0; trial < 200; trial++ {
-				off := rng.Intn(len(text))
-				n := 1 + rng.Intn(96)
+			check := func(off, n int) {
+				t.Helper()
 				want := text[off:min(off+n, len(text))]
 				if got := s.Extract(off, n); !bytes.Equal(got, want) {
 					t.Fatalf("%s/α=%d: Extract(%d,%d)=%q want %q", name, alpha, off, n, got, want)
 				}
-				got := s.ExtractAppend(nil, off, n)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s/α=%d: ExtractAppend(%d,%d)=%q want %q", name, alpha, off, n, got, want)
-				}
 				// Appending must preserve the prefix.
 				pre := []byte("pre")
-				got = s.ExtractAppend(pre, off, n)
+				got := s.ExtractAppend(pre, off, n)
 				if !bytes.Equal(got[:3], pre) || !bytes.Equal(got[3:], want) {
-					t.Fatalf("%s/α=%d: ExtractAppend with prefix = %q", name, alpha, got)
+					t.Fatalf("%s/α=%d: ExtractAppend(%d,%d) with prefix = %q, want pre%q", name, alpha, off, n, got, want)
 				}
-				if c := s.CharAt(off); c != text[off] {
-					t.Fatalf("%s/α=%d: CharAt(%d)=%q want %q", name, alpha, off, c, text[off])
+			}
+			for trial := 0; trial < 200; trial++ {
+				check(rng.Intn(len(text)), 1+rng.Intn(96))
+			}
+			var offs []int
+			for _, m := range []int{0, alpha, 3 * alpha, len(text) / alpha / 2 * alpha} {
+				offs = append(offs, m-1, m, m+1)
+			}
+			for back := 1; back <= 2*alpha+1; back += alpha / 2 {
+				offs = append(offs, len(text)-back)
+			}
+			for _, off := range offs {
+				if off < 0 || off >= len(text) {
+					continue
+				}
+				for n := 0; n <= 6*alpha; n++ {
+					check(off, n)
 				}
 			}
 			// Whole-text extraction.
@@ -59,8 +74,8 @@ func TestExtractKernelsAgainstReference(t *testing.T) {
 }
 
 // TestWalkerAgainstReference drives a Walker through random mixes of
-// Append, AppendUntil and Skip calls and checks every materialized byte
-// and every cursor offset against the original text.
+// Append and Skip calls and checks every materialized byte and every
+// cursor offset against the original text.
 func TestWalkerAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for name, text := range diffTexts() {
@@ -75,7 +90,7 @@ func TestWalkerAgainstReference(t *testing.T) {
 				}
 				var buf []byte
 				for step := 0; step < 12 && pos < len(text); step++ {
-					switch rng.Intn(3) {
+					switch rng.Intn(2) {
 					case 0: // Append n bytes
 						n := 1 + rng.Intn(40)
 						want := text[pos:min(pos+n, len(text))]
@@ -84,20 +99,7 @@ func TestWalkerAgainstReference(t *testing.T) {
 							t.Fatalf("%s/α=%d: Append(%d) at %d = %q want %q", name, alpha, n, pos, buf, want)
 						}
 						pos += len(want)
-					case 1: // AppendUntil a delimiter that occurs in the text
-						delim := text[rng.Intn(len(text))]
-						maxN := 1 + rng.Intn(40)
-						end := pos
-						for end < len(text) && end-pos < maxN && text[end] != delim {
-							end++
-						}
-						want := text[pos:end]
-						buf = w.AppendUntil(buf[:0], delim, maxN)
-						if !bytes.Equal(buf, want) {
-							t.Fatalf("%s/α=%d: AppendUntil(%q,%d) at %d = %q want %q", name, alpha, delim, maxN, pos, buf, want)
-						}
-						pos = end
-					case 2: // Skip — exercises both walk-forward and re-anchor
+					case 1: // Skip — exercises both walk-forward and re-anchor
 						n := 1 + rng.Intn(3*alpha)
 						w.Skip(n)
 						pos = min(pos+n, len(text)) // clamps at EOF (the sentinel)
@@ -112,26 +114,114 @@ func TestWalkerAgainstReference(t *testing.T) {
 }
 
 // TestWalkerSeekTo moves one walker to random offsets — forward by
-// stepping on or re-anchoring, backward by an anchor — and checks that
-// what it reads there is what Extract reads.
+// stepping on or re-anchoring, backward by an anchor, some near the
+// text's end — reads 0…6α bytes there (one chain or several), and then
+// carries on from the row that read left it: a second read, a skip and a
+// read, or straight to the next seek. Every byte and every offset is
+// checked against the text.
 func TestWalkerSeekTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	text := diffTexts()["words"]
 	for _, alpha := range []int{4, 8, 32} {
 		s := Build(text, Options{SamplingRate: alpha})
-		w := s.Walk(0)
-		for step := 0; step < 80; step++ {
-			target := rng.Intn(len(text))
-			w.SeekTo(target)
-			if w.Offset() != target {
-				t.Fatalf("α=%d: SeekTo(%d) left offset %d", alpha, target, w.Offset())
+		w, pos := s.Walk(0), 0
+		read := func(n int) {
+			t.Helper()
+			want := text[pos:min(pos+n, len(text))]
+			if got := w.Append(nil, n); !bytes.Equal(got, want) {
+				t.Fatalf("α=%d: Append(%d) at %d read %q, want %q", alpha, n, pos, got, want)
 			}
-			m := 1 + rng.Intn(16)
-			if got, want := w.Append(nil, m), s.Extract(target, m); !bytes.Equal(got, want) {
-				t.Fatalf("α=%d: after SeekTo(%d) read %q, Extract gives %q", alpha, target, got, want)
+			pos += len(want)
+			if w.Offset() != pos {
+				t.Fatalf("α=%d: offset %d after a read, want %d", alpha, w.Offset(), pos)
+			}
+		}
+		for step := 0; step < 120; step++ {
+			pos = rng.Intn(len(text))
+			if step%8 == 7 {
+				pos = len(text) - 1 - rng.Intn(2*alpha)
+			}
+			w.SeekTo(pos)
+			if w.Offset() != pos {
+				t.Fatalf("α=%d: SeekTo(%d) left offset %d", alpha, pos, w.Offset())
+			}
+			read(rng.Intn(6*alpha + 1))
+			switch rng.Intn(3) {
+			case 0:
+				read(1 + rng.Intn(6*alpha))
+			case 1:
+				n := 1 + rng.Intn(2*alpha)
+				w.Skip(n)
+				pos = min(pos+n, len(text))
+				read(1 + rng.Intn(2*alpha))
 			}
 		}
 	}
+}
+
+// TestExtractCountsItsSteps: Extract(off, n) over many α-blocks costs
+// off%α Ψ steps to anchor and one a byte, however many chains read it,
+// and one ISA lookup — the chains that start on ISA samples walk no Ψ
+// step to get there and are not lookups.
+func TestExtractCountsItsSteps(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+	text := diffTexts()["words"]
+	for _, alpha := range []int{4, 8, 32} {
+		s := Build(text, Options{SamplingRate: alpha})
+		for _, off := range []int{0, alpha - 1, 5*alpha + 3} {
+			n := 20*alpha + 7
+			steps, lookups, extracted := mPsiSteps.Value(), mISALookups.Value(), mExtractBytes.Value()
+			s.Extract(off, n)
+			if d := mPsiSteps.Value() - steps; d != int64(off%alpha+n) {
+				t.Errorf("α=%d: Extract(%d,%d) took %d Ψ steps, want %d", alpha, off, n, d, off%alpha+n)
+			}
+			if d := mISALookups.Value() - lookups; d != 1 {
+				t.Errorf("α=%d: Extract(%d,%d) counted %d ISA lookups, want 1", alpha, off, n, d)
+			}
+			if d := mExtractBytes.Value() - extracted; d != int64(n) {
+				t.Errorf("α=%d: Extract(%d,%d) counted %d bytes, want %d", alpha, off, n, d, n)
+			}
+		}
+	}
+}
+
+// FuzzWalkerAppend runs an op script against a walker over any text at
+// any α. An op is two bytes, a verb and an argument: Append 4·arg bytes,
+// Skip arg bytes, or SeekTo the offset arg/255 of the way into the text.
+// Every byte read and every offset is checked against the text.
+func FuzzWalkerAppend(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), []byte{0, 9, 1, 3, 0, 2, 2, 200, 0, 40})
+	f.Add(bytes.Repeat([]byte("ab"), 100), uint8(0), []byte{0, 255, 2, 0, 0, 17})
+	f.Add(benchText(300, 5), uint8(31), []byte{2, 128, 0, 70, 1, 31, 0, 70, 2, 1, 0, 3})
+	f.Fuzz(func(t *testing.T, text []byte, a uint8, script []byte) {
+		if len(text) == 0 || len(text) > 4096 || len(script) > 256 {
+			return
+		}
+		alpha := 1 + int(a)%64
+		s := Build(text, Options{SamplingRate: alpha})
+		w, pos := s.Walk(0), 0
+		for ; len(script) >= 2; script = script[2:] {
+			arg := int(script[1])
+			switch script[0] % 3 {
+			case 0:
+				want := text[pos:min(pos+4*arg, len(text))]
+				if got := w.Append(nil, 4*arg); !bytes.Equal(got, want) {
+					t.Fatalf("α=%d: Append(%d) at %d read %q, want %q", alpha, 4*arg, pos, got, want)
+				}
+				pos += len(want)
+			case 1:
+				w.Skip(arg)
+				pos = min(pos+arg, len(text))
+			case 2:
+				pos = arg * len(text) / 255
+				w.SeekTo(pos)
+			}
+			if w.Offset() != pos {
+				t.Fatalf("α=%d: walker at offset %d, want %d", alpha, w.Offset(), pos)
+			}
+		}
+	})
 }
 
 // TestSearchAgainstNaiveAllAlphas re-runs the search differential across

@@ -26,24 +26,6 @@ func (s *Store) ExtractAppend(dst []byte, off, length int) []byte {
 	return w.Append(dst, length)
 }
 
-// ExtractUntil returns the bytes starting at off up to (not including)
-// the first occurrence of the delimiter byte, stopping after max bytes if
-// the delimiter is not seen earlier.
-func (s *Store) ExtractUntil(off int, delim byte, max int) []byte {
-	if off < 0 || off >= s.n-1 || max <= 0 {
-		return nil
-	}
-	w := s.Walk(off)
-	return w.AppendUntil(make([]byte, 0, 16), delim, max)
-}
-
-// CharAt returns the byte at text offset off.
-func (s *Store) CharAt(off int) byte {
-	row := s.LookupISA(off)
-	b := s.bucketOfRow(row)
-	return byte(s.bucketChar[b] - 1)
-}
-
 // searchRange returns the suffix-array row range [lo, hi) of suffixes
 // that begin with pattern, via Ψ-based backward search: the range for
 // pattern[k:] is refined into the range for pattern[k-1:] with two binary
@@ -98,29 +80,4 @@ func (s *Store) Search(pattern []byte) []int64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// SearchFirst returns the smallest text offset of an occurrence of
-// pattern, or -1 if there is none. Unlike Search it still must locate
-// every matching row (rows are in suffix order, not text order), so its
-// advantage over Search is only allocation.
-func (s *Store) SearchFirst(pattern []byte) int64 {
-	lo, hi := s.searchRange(pattern)
-	if lo >= hi {
-		return -1
-	}
-	best := int64(-1)
-	for row := lo; row < hi; row++ {
-		off := int64(s.LookupSA(row))
-		if best < 0 || off < best {
-			best = off
-		}
-	}
-	return best
-}
-
-// Contains reports whether pattern occurs in the text.
-func (s *Store) Contains(pattern []byte) bool {
-	lo, hi := s.searchRange(pattern)
-	return hi > lo
 }

@@ -70,33 +70,6 @@ func TestExtractPastEnd(t *testing.T) {
 	}
 }
 
-func TestExtractUntil(t *testing.T) {
-	text := []byte("alpha|beta|gamma")
-	s := Build(text, Options{SamplingRate: 2})
-	if got := s.ExtractUntil(0, '|', 100); string(got) != "alpha" {
-		t.Fatalf("ExtractUntil = %q, want alpha", got)
-	}
-	if got := s.ExtractUntil(6, '|', 100); string(got) != "beta" {
-		t.Fatalf("ExtractUntil = %q, want beta", got)
-	}
-	if got := s.ExtractUntil(11, '|', 100); string(got) != "gamma" {
-		t.Fatalf("ExtractUntil at tail = %q, want gamma (sentinel-terminated)", got)
-	}
-	if got := s.ExtractUntil(0, '|', 3); string(got) != "alp" {
-		t.Fatalf("ExtractUntil max = %q, want alp", got)
-	}
-}
-
-func TestCharAt(t *testing.T) {
-	text := []byte("abcdef")
-	s := Build(text, Options{SamplingRate: 2})
-	for i, c := range text {
-		if got := s.CharAt(i); got != c {
-			t.Fatalf("CharAt(%d) = %c, want %c", i, got, c)
-		}
-	}
-}
-
 func TestSearchAgainstNaive(t *testing.T) {
 	text := buildText(3, 3000, 3)
 	s := Build(text, Options{SamplingRate: 8})
@@ -148,15 +121,6 @@ func TestSearchEdgeCases(t *testing.T) {
 	// Suffix of the text.
 	if got := s.Search([]byte("bra")); len(got) != 2 || got[0] != 1 || got[1] != 8 {
 		t.Errorf("Search(bra) = %v, want [1 8]", got)
-	}
-	if !s.Contains([]byte("cad")) || s.Contains([]byte("dac")) {
-		t.Errorf("Contains wrong")
-	}
-	if got := s.SearchFirst([]byte("bra")); got != 1 {
-		t.Errorf("SearchFirst(bra) = %d, want 1", got)
-	}
-	if got := s.SearchFirst([]byte("xyz")); got != -1 {
-		t.Errorf("SearchFirst(xyz) = %d, want -1", got)
 	}
 }
 
