@@ -62,7 +62,6 @@ type LogStore struct {
 	nodeSchema *layout.PropertySchema
 	edgeSchema *layout.PropertySchema
 	med        *memsim.Medium // nil outside budgeted experiments: no accounting
-	gen        int
 
 	mu    sync.RWMutex
 	nodes map[layout.NodeID]map[string]string
@@ -70,15 +69,16 @@ type LogStore struct {
 	size  int64 // serialized-equivalent bytes absorbed so far
 }
 
-// New creates an empty LogStore with the given generation number (its
-// position in the store's fragment chain). Growth is charged to med;
-// nil means plain memory, with no accounting at all.
-func New(nodeSchema, edgeSchema *layout.PropertySchema, med *memsim.Medium, gen int) *LogStore {
+// New creates an empty LogStore. Growth is charged to med; nil means
+// plain memory, with no accounting at all. A trailing argument is
+// ignored: it was a generation number, which only the store can keep
+// (its merges renumber generations), and the benchmark's ladder still
+// passes one.
+func New(nodeSchema, edgeSchema *layout.PropertySchema, med *memsim.Medium, _ ...int) *LogStore {
 	return &LogStore{
 		nodeSchema: nodeSchema,
 		edgeSchema: edgeSchema,
 		med:        med,
-		gen:        gen,
 		nodes:      make(map[layout.NodeID]map[string]string),
 		edges:      make(map[edgeKey][]layout.Edge),
 	}
@@ -90,9 +90,6 @@ func (l *LogStore) chargeGrowth(n int64) {
 		l.med.Grow(n)
 	}
 }
-
-// Gen returns the LogStore's generation number.
-func (l *LogStore) Gen() int { return l.gen }
 
 // Size returns the serialized-equivalent bytes absorbed so far (what the
 // rollover threshold is compared against).

@@ -19,14 +19,11 @@ func testLog(t testing.TB) *LogStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ns, es, nil, 3)
+	return New(ns, es, nil)
 }
 
 func TestNodeLifecycle(t *testing.T) {
 	l := testLog(t)
-	if l.Gen() != 3 {
-		t.Fatalf("gen = %d", l.Gen())
-	}
 	if err := l.AddNode(7, map[string]string{"a": "x"}); err != nil {
 		t.Fatal(err)
 	}

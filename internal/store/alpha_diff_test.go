@@ -59,6 +59,7 @@ type storeAnswers struct {
 	props     [][]string
 	oks       []bool
 	neighbors [][]layout.NodeID
+	ranges    [][]layout.EdgeData // each record of types 0–2, whole, in TimeOrder
 	finds     [][]layout.NodeID
 	edges     []int
 }
@@ -71,6 +72,16 @@ func queryBattery(t *testing.T, s *Store) storeAnswers {
 		a.props = append(a.props, vals)
 		a.oks = append(a.oks, ok)
 		a.neighbors = append(a.neighbors, s.NeighborIDs(id, graphapi.WildcardType, nil))
+		for etype := int64(0); etype < 3; etype++ {
+			var data []layout.EdgeData
+			if rec, ok := s.GetEdgeRecord(id, etype); ok {
+				var err error
+				if data, err = rec.GetEdgeDataRange(0, rec.Count()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.ranges = append(a.ranges, data)
+		}
 	}
 	for _, city := range []string{"Ithaca", "Berkeley", "Madison", "nowhere"} {
 		a.finds = append(a.finds, s.FindNodes(map[string]string{"location": city}))

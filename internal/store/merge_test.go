@@ -310,11 +310,10 @@ func TestLazyMergeDifferential(t *testing.T) {
 
 // TestLazyMergeDifferentialRacingCompaction: a reader keeps checking
 // every record against the model while an online compaction seals,
-// rebuilds and swaps the twelve pieces under it. Timestamps are distinct,
-// so the TimeOrder is the same before and after (a compaction orders
-// equal timestamps by destination).
+// rebuilds and swaps the twelve pieces under it. Timestamps repeat within
+// and across pieces: a compaction keeps their order.
 func TestLazyMergeDifferentialRacingCompaction(t *testing.T) {
-	s, m := buildPieceStore(t, 8, 12, false)
+	s, m := buildPieceStore(t, 8, 12, true)
 	done := make(chan error, 1)
 	go func() { done <- s.Compact() }()
 	rng := rand.New(rand.NewSource(12))
@@ -334,6 +333,87 @@ func TestLazyMergeDifferentialRacingCompaction(t *testing.T) {
 	if rec, _ := s.GetEdgeRecord(mergeBig[0], mergeBig[1]); len(rec.pieces) != 1 {
 		t.Fatalf("after the compaction the big record lies over %d pieces", len(rec.pieces))
 	}
+}
+
+// TestTierMergeDifferential: a tier merge changes no answer. On the
+// twelve-piece store (timestamps repeating within and across pieces,
+// lazy marks at piece heads and tails) the nine compressed generations
+// merge three at a time — the first merge with deletes racing its
+// build — into three of tier 1, then one of tier 2, and every read of
+// every record matches the model after each merge. A store fragmented
+// by rollovers, rewrites and node and edge deletes answers the α
+// suite's battery (node properties, neighbors, every record's range,
+// FindNodes, FindEdges) as its unmerged twin does, before and after
+// deleted nodes are appended again.
+func TestTierMergeDifferential(t *testing.T) {
+	s, m := buildPieceStore(t, 8, 12, true)
+	s.cfg.CompactAfterRollovers = 3 // the fan-in; no worker runs, the test merges
+	done := make(chan bool)
+	go func() { done <- s.mergeTier() }()
+	for _, k := range [][2]int64{mergeSmall, mergeBig, mergeSparse} {
+		for _, me := range m.edges[k] {
+			if me.dead || me.piece < 1 || me.piece > 3 { // the oldest run holds pieces 1–3
+				continue
+			}
+			me.dead = true
+			if n := s.DeleteEdges(me.e.Src, me.e.Type, me.e.Dst); n != 1 {
+				t.Errorf("delete of %+v removed %d edges", me.e, n)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(28))
+	merges := 0
+	for ok := <-done; ok; ok = s.mergeTier() {
+		merges++
+		for _, k := range [][2]int64{mergeSmall, mergeSparse, mergeBig} {
+			checkMergedRecord(t, s, m, k, k != mergeBig, rng)
+		}
+	}
+	rec, _ := s.GetEdgeRecord(mergeBig[0], mergeBig[1])
+	if merges != 4 || len(rec.pieces) != 4 || s.gens[0].tier != 2 {
+		t.Fatalf("%d merges leave the big record over %d pieces and the oldest generation at tier %d; want 4, 4 (primary, tier 2, sealed, live), 2",
+			merges, len(rec.pieces), s.gens[0].tier)
+	}
+
+	_, edges := testGraph(60, 240, 3)
+	build := func() *Store {
+		s := buildFragmentedStore(t, 8)
+		rolloverScript(t, s, edges)
+		s.cfg.CompactAfterRollovers = 2
+		return s
+	}
+	merged, twin := build(), build()
+	for merges = 0; merged.mergeTier(); merges++ {
+	}
+	if merges == 0 {
+		t.Fatal("the fragmented store has no tier run")
+	}
+	same := func(phase string) {
+		t.Helper()
+		if !reflect.DeepEqual(queryBattery(t, merged), queryBattery(t, twin)) {
+			t.Fatalf("%s: the tier-merged store answers differently from its twin", phase)
+		}
+	}
+	same("merged")
+	var gone []layout.NodeID
+	for id := layout.NodeID(0); id < 60; id++ {
+		if !twin.HasNode(id) {
+			gone = append(gone, id)
+		}
+	}
+	if len(gone) < 3 {
+		t.Fatalf("%d deleted nodes, want 3", len(gone))
+	}
+	for _, s := range []*Store{merged, twin} {
+		// Back by a node append, as an edge's source and as its destination.
+		if err := s.AppendNode(gone[0], map[string]string{"name": "back"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendEdge(layout.Edge{Src: gone[1], Dst: gone[2], Type: 1, Timestamp: 30001}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("deleted nodes appended again")
 }
 
 // succinctWork runs fn with telemetry on and returns the bytes it

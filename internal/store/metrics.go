@@ -51,19 +51,22 @@ var (
 	// store lock plus the critical section.
 	mWriteStallNs = telemetry.NewHistogram("zipg_write_stall_ns",
 		"Per-commit stall from lock request to visibility, in nanoseconds.")
-	// mCompactionPauseNs is the time an online compaction held the store
-	// write lock (the seal snapshot plus the swap) — the only windows
-	// where queries and writes actually stall. The rebuild itself runs
-	// outside the lock and does not count.
+	// mCompactionPauseNs is the time a build held the store write lock —
+	// a tier merge's or compaction's snapshot, and every build's swap —
+	// the only windows where queries and writes actually stall. The
+	// build, and the marking of deletes recorded during it, run outside
+	// the lock and do not count.
 	mCompactionPauseNs = telemetry.NewHistogram("zipg_compaction_pause_ns",
-		"Store-lock hold time of online compaction's seal and swap phases, in nanoseconds.")
+		"Store-lock hold time of a build's snapshot and swap, in nanoseconds.")
 
 	mRollovers = telemetry.NewCounter("zipg_store_rollovers_total",
 		"LogStore freezes into compressed shards.")
 	mRolloverNs = telemetry.NewHistogram("zipg_store_rollover_ns",
 		"LogStore freeze (compress) duration in nanoseconds.")
+	// mCompactions counts merges of generations: tier merges and full
+	// compactions alike.
 	mCompactions = telemetry.NewCounter("zipg_store_compactions_total",
-		"Full store compactions (garbage collections).")
+		"Generation merges: tier merges and full store compactions.")
 	mCompactionNs = telemetry.NewHistogram("zipg_store_compaction_ns",
-		"Full compaction duration in nanoseconds.")
+		"Tier merge or full compaction duration in nanoseconds.")
 )

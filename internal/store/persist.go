@@ -224,7 +224,7 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 		if !ok {
 			return nil, fmt.Errorf("store: load: raw generation %d missing", g)
 		}
-		log := logstore.New(nodeSchema, edgeSchema, med, g)
+		log := logstore.New(nodeSchema, edgeSchema, med)
 		for _, n := range rg.Nodes {
 			if err := log.AddNode(n.ID, n.Props); err != nil {
 				return nil, fmt.Errorf("store: load gen %d node %d: %w", g, n.ID, err)
