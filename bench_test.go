@@ -1,14 +1,14 @@
 package zipg_test
 
-// Benchmark harness entry points: one testing.B benchmark per table and
-// figure of the paper's evaluation, each delegating to the experiment
-// runners in internal/bench at a benchmark-friendly scale. Run the full
+// Benchmark harness entry points: BenchmarkFigures runs every table and
+// figure of the paper's evaluation, one sub-benchmark per entry of
+// internal/bench's Figures, at a benchmark-friendly scale. Run the full
 // suite with:
 //
 //	go test -bench=. -benchmem
 //
 // For paper-scale tables (bigger datasets, more operations, the full
-// printed output) use the standalone harness:
+// printed output and its claims) use the standalone harness:
 //
 //	go run ./cmd/zipg-bench -experiment all -base 1048576 -ops 4000
 
@@ -24,74 +24,23 @@ import (
 	"zipg/internal/workloads"
 )
 
-// benchOpts keeps each experiment's end-to-end runtime in the seconds
-// range; shapes are scale-free (see internal/bench).
-var benchOpts = bench.Options{BaseBytes: 64 << 10, Ops: 400}
-
-func runExperiment(b *testing.B, name string, opts bench.Options) {
-	b.Helper()
-	fn, ok := bench.Experiments[name]
-	if !ok {
-		b.Fatalf("unknown experiment %q", name)
+// BenchmarkFigures regenerates every figure. Each run keeps its
+// end-to-end time in the seconds range; TestPaperClaims in
+// internal/bench checks the claims at the scales where they hold.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range bench.Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := f.Run(bench.Options{BaseBytes: 64 << 10, Ops: 400})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && testing.Verbose() {
+					b.Logf("\n%s", r.Format())
+				}
+			}
+		})
 	}
-	for i := 0; i < b.N; i++ {
-		r, err := fn(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			b.Logf("\n%s", r.Format())
-		}
-	}
-}
-
-// BenchmarkTable4Datasets regenerates Table 4 (dataset statistics).
-func BenchmarkTable4Datasets(b *testing.B) { runExperiment(b, "table4", benchOpts) }
-
-// BenchmarkFig5StorageFootprint regenerates Figure 5 (storage footprint
-// ratios for all six datasets across the five systems).
-func BenchmarkFig5StorageFootprint(b *testing.B) { runExperiment(b, "fig5", benchOpts) }
-
-// BenchmarkTable5MemoryFit regenerates Table 5 (which datasets fit each
-// system's memory budget).
-func BenchmarkTable5MemoryFit(b *testing.B) { runExperiment(b, "table5", benchOpts) }
-
-// BenchmarkFig6TAO regenerates Figure 6 (single-server TAO throughput,
-// overall mix plus the top five component queries).
-func BenchmarkFig6TAO(b *testing.B) { runExperiment(b, "fig6", benchOpts) }
-
-// BenchmarkFig7LinkBench regenerates Figure 7 (single-server LinkBench
-// throughput, write-heavy mix).
-func BenchmarkFig7LinkBench(b *testing.B) { runExperiment(b, "fig7", benchOpts) }
-
-// BenchmarkFig8GraphSearch regenerates Figure 8 (single-server Graph
-// Search throughput, GS1-GS5).
-func BenchmarkFig8GraphSearch(b *testing.B) { runExperiment(b, "fig8", benchOpts) }
-
-// BenchmarkFig9Distributed regenerates Figure 9 (10-server cluster
-// throughput for TAO, LinkBench and Graph Search; ZipG vs Titan).
-func BenchmarkFig9Distributed(b *testing.B) { runExperiment(b, "fig9", benchOpts) }
-
-// BenchmarkFig10Fragmentation regenerates Figure 10 (CDF of per-node
-// fragmentation under the LinkBench write mix).
-func BenchmarkFig10Fragmentation(b *testing.B) { runExperiment(b, "fig10", benchOpts) }
-
-// BenchmarkFig11FragmentationGrowth regenerates Figure 11 (average and
-// maximum fragmentation versus executed queries).
-func BenchmarkFig11FragmentationGrowth(b *testing.B) { runExperiment(b, "fig11", benchOpts) }
-
-// BenchmarkFig12RegularPathQueries regenerates Figure 12 (latency of the
-// 50 gMark-style path queries, ZipG vs Neo4j-Tuned).
-func BenchmarkFig12RegularPathQueries(b *testing.B) { runExperiment(b, "fig12", benchOpts) }
-
-// BenchmarkFig13BFS regenerates Figure 13 (breadth-first traversal
-// latency at depth 5).
-func BenchmarkFig13BFS(b *testing.B) { runExperiment(b, "fig13", benchOpts) }
-
-// BenchmarkFig14Joins regenerates Figure 14 (ZipG's GS2/GS3 with and
-// without joins).
-func BenchmarkFig14Joins(b *testing.B) {
-	runExperiment(b, "fig14", bench.Options{BaseBytes: 128 << 10, Ops: 200})
 }
 
 // --- micro-benchmarks of the public API on a realistic graph ---

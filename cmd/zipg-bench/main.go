@@ -1,7 +1,8 @@
 // Command zipg-bench regenerates the paper's tables and figures. Each
-// experiment builds the systems under test over generated datasets and
-// prints the corresponding table; EXPERIMENTS.md records how the shapes
-// compare with the paper.
+// experiment builds the systems under test over generated datasets,
+// prints the corresponding table and, under it, ✔ or ✘ for each of the
+// paper's claims about it; EXPERIMENTS.md records how the shapes compare
+// with the paper.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,34 +30,38 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
+	var names []string
+	for _, f := range bench.Figures {
+		names = append(names, f.Name)
+	}
 	if *list {
-		fmt.Println("experiments:", strings.Join(bench.ExperimentNames(), " "))
+		fmt.Println("experiments:", strings.Join(names, " "))
 		return
 	}
 	if *experiment == "" {
 		fmt.Fprintln(os.Stderr, "usage: zipg-bench -experiment <id|all> [-base N] [-ops N] [-v]")
-		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(bench.ExperimentNames(), " "))
+		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(names, " "))
 		os.Exit(2)
 	}
 
 	opts := bench.Options{BaseBytes: *base, Ops: *ops, Verbose: *verbose}
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = bench.ExperimentNames()
-	}
-	for _, name := range names {
-		fn, ok := bench.Experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n", name, strings.Join(bench.ExperimentNames(), " "))
+	figures := bench.Figures
+	if *experiment != "all" {
+		i := slices.Index(names, *experiment)
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n", *experiment, strings.Join(names, " "))
 			os.Exit(2)
 		}
+		figures = figures[i : i+1]
+	}
+	for _, f := range figures {
 		start := time.Now()
-		r, err := fn(opts)
+		r, err := f.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		fmt.Print(r.Format())
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("(%s in %.1fs)\n\n", f.Name, time.Since(start).Seconds())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"zipg/internal/graphapi"
 	"zipg/internal/memsim"
@@ -29,10 +28,6 @@ type Config struct {
 //	i<key>\x00<val> -> node-ID postings for the global property index
 type Store struct {
 	lsm *lsm
-
-	// knownNodes mirrors Titan's id assignment; guarded by mu.
-	mu         sync.RWMutex
-	knownNodes map[graphapi.NodeID]bool
 }
 
 // Compile-time check: the KV store serves the shared workload API.
@@ -46,15 +41,22 @@ func New(nodes []graphapi.Node, edges []graphapi.Edge, cfg Config) (*Store, erro
 			compress:      cfg.Compress,
 			memtableBytes: cfg.MemtableBytes,
 		}),
-		knownNodes: make(map[graphapi.NodeID]bool, len(nodes)),
 	}
+	// Endpoints are checked against the input's node set: a lookup in
+	// the LSM would read (and, compressed, gunzip) a block per edge.
+	known := make(map[graphapi.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		if err := s.AppendNode(n.ID, n.Props); err != nil {
 			return nil, err
 		}
+		known[n.ID] = true
 	}
 	for _, e := range edges {
-		if err := s.AppendEdge(e); err != nil {
+		if err := s.appendEdge(e, func(id graphapi.NodeID) bool {
+			ok := known[id]
+			known[id] = true
+			return ok
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -397,9 +399,6 @@ func (s *Store) AppendNode(id graphapi.NodeID, props map[string]string) error {
 		return fmt.Errorf("kvstore: negative node ID %d", id)
 	}
 	s.lsm.put(nodeKey(id), encodeProps(props))
-	s.mu.Lock()
-	s.knownNodes[id] = true
-	s.mu.Unlock()
 	var ibuf []byte
 	for k, v := range props {
 		s.lsm.merge(idxKey(k, v), binary.AppendVarint(ibuf[:0], id))
@@ -407,15 +406,16 @@ func (s *Store) AppendNode(id graphapi.NodeID, props map[string]string) error {
 	return nil
 }
 
-// AppendEdge implements graphapi.Store. Endpoints are auto-created, like
-// Titan.
-func (s *Store) AppendEdge(e graphapi.Edge) error {
+// AppendEdge implements graphapi.Store. Endpoints whose rows are missing
+// or tombstoned are auto-created, like Titan.
+func (s *Store) AppendEdge(e graphapi.Edge) error { return s.appendEdge(e, s.nodeExists) }
+
+func (s *Store) appendEdge(e graphapi.Edge, exists func(graphapi.NodeID) bool) error {
 	if e.Src < 0 || e.Dst < 0 || e.Type < 0 || e.Timestamp < 0 {
 		return fmt.Errorf("kvstore: negative field in edge %+v", e)
 	}
-	// Auto-create endpoints whose rows are missing or tombstoned.
 	for _, id := range []graphapi.NodeID{e.Src, e.Dst} {
-		if !s.nodeExists(id) {
+		if !exists(id) {
 			if err := s.AppendNode(id, nil); err != nil {
 				return err
 			}
@@ -449,10 +449,6 @@ func (s *Store) DeleteEdges(src graphapi.NodeID, etype graphapi.EdgeType, dst gr
 	}
 	return n, nil
 }
-
-// Flush forces the memtable into SSTables (tests and footprint
-// measurements).
-func (s *Store) Flush() { s.lsm.flush() }
 
 // Footprint returns the store's total bytes.
 func (s *Store) Footprint() int64 { return s.lsm.cfg.med.Footprint() }

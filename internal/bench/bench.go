@@ -1,9 +1,11 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§5 and the appendices). Each experiment builds the systems
-// under test over generated datasets (package gen), routes their storage
-// through simulated media (package memsim), executes the pre-generated
-// workloads (package workloads), and reports throughput against
-// wall-clock time plus simulated I/O stall time.
+// evaluation (§5 and the appendices). Each figure is a spec in the
+// ordered list Figures: the datasets it runs over (package gen), the
+// systems it compares, the memory budget they run under (package
+// memsim), how one row is measured (the workloads of package
+// workloads), and the claims of the paper its table must bear out.
+// Throughput is reported against wall-clock time plus simulated I/O
+// stall time.
 //
 // # The memory model
 //
@@ -17,13 +19,13 @@
 // Reported numbers are KOps/s against (wall + simulated stall) time.
 // Absolute values are not comparable with the paper's EC2 hardware; the
 // shapes — who wins, by what factor, where the crossover happens — are
-// what EXPERIMENTS.md tracks.
+// what the claims check and EXPERIMENTS.md tracks.
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"zipg"
@@ -32,6 +34,8 @@ import (
 	"zipg/internal/gen"
 	"zipg/internal/graphapi"
 	"zipg/internal/memsim"
+	"zipg/internal/store"
+	"zipg/internal/workloads"
 )
 
 // MemoryRatio is the server-RAM to base-dataset ratio (244 GB / 20 GB).
@@ -68,11 +72,13 @@ type System struct {
 	Store graphapi.Store
 	Med   *memsim.Medium
 	Clock *memsim.Clock
+	err   error // the first error an op measured on the system returned
 }
 
-// BuildSystem constructs one system over a dataset with the given memory
-// budget (bytes; <0 unlimited).
-func BuildSystem(name string, d *gen.Dataset, budget int64) (*System, error) {
+// BuildSystem constructs one of SystemNames over a dataset on a medium
+// with the given DRAM budget (bytes; <0 unlimited). zo sets zipg's shard
+// count and α (zero: 4 and 32); the baselines ignore it.
+func BuildSystem(name string, d *gen.Dataset, budget int64, zo zipg.Options) (*System, error) {
 	clock := &memsim.Clock{}
 	med := memsim.NewMedium(clock, memsim.Config{Budget: budget})
 	sys := &System{Name: name, Med: med, Clock: clock}
@@ -80,8 +86,8 @@ func BuildSystem(name string, d *gen.Dataset, budget int64) (*System, error) {
 	switch name {
 	case "zipg":
 		sys.Store, err = zipg.Compress(zipg.GraphData{Nodes: d.Nodes, Edges: d.Edges}, zipg.Options{
-			NumShards:    4,
-			SamplingRate: 32,
+			NumShards:    cmp.Or(zo.NumShards, 4),
+			SamplingRate: cmp.Or(zo.SamplingRate, 32),
 			Medium:       med,
 		})
 	case "neo4j":
@@ -91,10 +97,7 @@ func BuildSystem(name string, d *gen.Dataset, budget int64) (*System, error) {
 		// fraction of the budget (~1 KiB per cached node record set).
 		cacheNodes := 10000
 		if budget >= 0 {
-			cacheNodes = int(budget / 4096)
-			if cacheNodes < 16 {
-				cacheNodes = 16
-			}
+			cacheNodes = max(int(budget/4096), 16)
 		}
 		sys.Store, err = pointerstore.New(d.Nodes, d.Edges, pointerstore.Config{
 			Medium: med, Tuned: true, CacheNodes: cacheNodes,
@@ -112,158 +115,148 @@ func BuildSystem(name string, d *gen.Dataset, budget int64) (*System, error) {
 	return sys, nil
 }
 
-// Throughput measures ops/sec for fn over n operations: wall time plus
-// the medium's simulated stall time. A warm-up pass (the paper warms
-// caches for 15 minutes) runs first.
-func (s *System) Throughput(n int, fn func(i int)) float64 {
-	return s.ThroughputUnderPressure(n, fn, nil)
+// writeSystem builds the ZipG store the write-path figures drive: the
+// store itself rather than the Graph, for its fragment counts and the
+// broadcast switch of §3.5's strawman, with the given LogStore
+// threshold and no simulated medium.
+func (c *cell) writeSystem(threshold int64, broadcast bool) (*System, storeAdapter, error) {
+	ns, es, err := zipg.DeriveSchemas(zipg.GraphData{Nodes: c.d.Nodes, Edges: c.d.Edges})
+	if err != nil {
+		return nil, storeAdapter{}, err
+	}
+	st, err := store.New(c.d.Nodes, c.d.Edges, ns, es, store.Config{
+		NumShards:            4,
+		SamplingRate:         32,
+		LogStoreThreshold:    threshold,
+		DisableFannedUpdates: broadcast,
+	})
+	sys := &System{Name: "zipg", Store: storeAdapter{st}, Med: memsim.Unlimited(), Clock: &memsim.Clock{}}
+	c.built = append(c.built, sys)
+	return sys, storeAdapter{st}, err
 }
 
-// ThroughputUnderPressure is Throughput with background cache pressure:
-// before each timed operation, pressure(i) runs with the medium in
-// silent mode (its accesses load and evict pages but cost nothing).
+// measure is the one timing loop of every figure. The first warm ops
+// run untimed (the paper warms caches for 15 minutes); then the medium's
+// statistics and virtual clock are reset and ops 0..n-1 are timed one by
+// one. It returns each op's wall time; the run's simulated I/O stall is
+// s.Clock.Elapsed() when it returns. An op's error is kept for the
+// figure to report (s.err).
 //
-// This is how per-component throughputs (Figures 6–8's right-hand
-// panels) are measured: a component benchmarked in a vacuum would let
-// the LRU specialize to that component's structures and nothing would
-// ever spill, whereas the paper measured components on servers whose
-// caches held the whole production working set.
-func (s *System) ThroughputUnderPressure(n int, fn func(i int), pressure func(i int)) float64 {
-	apply := func(i int) {
+// pressure, if set, runs before every op with the medium silent: its
+// accesses load and evict pages but cost nothing, and its CPU time is
+// not the op's. This is how per-component throughputs (Figures 6–8's
+// right-hand panels) are measured: a component benchmarked in a vacuum
+// would let the LRU specialize to that component's structures and
+// nothing would ever spill, whereas the paper measured components on
+// servers whose caches held the whole production working set.
+func (s *System) measure(n, warm int, op func(i int) error, pressure func(i int)) []time.Duration {
+	run := func(i int) time.Duration {
 		if pressure != nil {
 			s.Med.SetSilent(true)
-			pressure(2 * i)
-			pressure(2*i + 1)
+			pressure(i)
 			s.Med.SetSilent(false)
 		}
-		fn(i)
-	}
-	// Warm-up: one pass over a prefix.
-	warm := n / 4
-	if warm > 500 {
-		warm = 500
+		start := time.Now()
+		err := op(i)
+		d := time.Since(start)
+		if s.err == nil {
+			s.err = err
+		}
+		return d
 	}
 	for i := 0; i < warm; i++ {
-		apply(i)
+		run(i)
 	}
 	s.Med.ResetStats()
 	s.Clock.Reset()
-	var wall time.Duration
-	for i := 0; i < n; i++ {
-		if pressure != nil {
-			// Pressure CPU time is not part of the measured operation.
-			s.Med.SetSilent(true)
-			pressure(2 * i)
-			pressure(2*i + 1)
-			s.Med.SetSilent(false)
-		}
-		opStart := time.Now()
-		fn(i)
-		wall += time.Since(opStart)
+	durs := make([]time.Duration, n)
+	for i := range durs {
+		durs[i] = run(i)
 	}
-	elapsed := wall + s.Clock.Elapsed()
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64(n) / elapsed.Seconds()
+	return durs
 }
 
-// Result is one experiment's printable output.
-type Result struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
+// warmup is the default warm-up: a quarter of the ops, at most 500.
+func warmup(n int) int { return min(n/4, 500) }
+
+// throughput is ops per second over the ops' wall time plus the
+// simulated stall.
+func (s *System) throughput(durs []time.Duration) float64 {
+	total := s.Clock.Elapsed()
+	for _, d := range durs {
+		total += d
+	}
+	return float64(len(durs)) / max(total, time.Nanosecond).Seconds()
 }
 
-// Format renders the result as an aligned text table.
-func (r *Result) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "=== %s ===\n", r.Title)
-	widths := make([]int, len(r.Headers))
-	for i, h := range r.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range r.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	printRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteByte('\n')
-	}
-	printRow(r.Headers)
-	for i := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", widths[i]))
-	}
-	sb.WriteByte('\n')
-	for _, row := range r.Rows {
-		printRow(row)
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	return sb.String()
+// rate is the throughput of n ops measured with the default warm-up.
+func (s *System) rate(n int, op func(i int) error, pressure func(i int)) float64 {
+	return s.throughput(s.measure(n, warmup(n), op, pressure))
 }
 
-// kops formats a throughput as thousands of operations per second.
-func kops(v float64) string { return fmt.Sprintf("%.2f", v/1000) }
+// busiest is Figure 9's distributed throughput: ops per second at the
+// pace of the busiest of numDistServers servers, where op i's wall time
+// goes to server owner(i) (-1: all servers, 1/k of it each, for a scan
+// of every partition in parallel) and the simulated I/O stall — the
+// medium is shared in this model — is spread evenly.
+func (s *System) busiest(durs []time.Duration, owner func(i int) int) float64 {
+	var busy [numDistServers]time.Duration
+	for i, d := range durs {
+		if o := owner(i); o >= 0 {
+			busy[o] += d
+			continue
+		}
+		for j := range busy {
+			busy[j] += d / numDistServers
+		}
+	}
+	total := slices.Max(busy[:]) + s.Clock.Elapsed()/numDistServers
+	return float64(len(durs)) / max(total, time.Nanosecond).Seconds()
+}
 
-// ratio formats a footprint ratio.
-func ratioStr(num, den int64) string { return fmt.Sprintf("%.2f", float64(num)/float64(den)) }
+// execOps runs ops[i mod len(ops)] as op i.
+func execOps(s graphapi.Store, ops []workloads.Op) func(i int) error {
+	return func(i int) error {
+		_, err := workloads.Execute(s, ops[i%len(ops)])
+		return err
+	}
+}
 
-// datasetByName generates one of the six standard datasets.
+// execGS runs the Graph Search op ops[i mod len(ops)] as op i. It never
+// fails.
+func execGS(s graphapi.Store, ops []workloads.GSOp, withJoins bool) func(i int) error {
+	return func(i int) error {
+		workloads.ExecuteGS(s, ops[i%len(ops)], withJoins)
+		return nil
+	}
+}
+
+// twice is the background pressure of a throughput measurement: two ops
+// of the read mix before each measured op. Their errors are not the
+// measured op's.
+func twice(op func(i int) error) func(i int) {
+	return func(i int) {
+		_ = op(2 * i)
+		_ = op(2*i + 1)
+	}
+}
+
+// kindOps generates n operations of one kind.
+func kindOps(d *gen.Dataset, kind workloads.OpKind, skew float64, seed int64, n int) []workloads.Op {
+	var mix workloads.Frequencies
+	mix[kind] = 1
+	return workloads.GenerateOps(d, workloads.MixConfig{Mix: mix, AccessSkew: skew, Seed: seed}, n)
+}
+
+// datasetByName generates one of the six standard datasets, or gmark,
+// Figure 12's graph: the paper's gMark graphs have no large property
+// payloads, so it is a light LinkBench-like graph with 5 labels.
 func datasetByName(name string, base int64) (*gen.Dataset, error) {
-	for _, spec := range gen.StandardSpecs(base) {
+	gmark := gen.DatasetSpec{Name: "gmark", Kind: gen.LinkBench, TargetBytes: base, AvgDegree: 6, NumEdgeTypes: 5, Seed: 1201}
+	for _, spec := range append(gen.StandardSpecs(base), gmark) {
 		if spec.Name == name {
 			return spec.Generate(), nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown dataset %q", name)
-}
-
-// footprintOf returns a system's accounted storage footprint.
-func footprintOf(s *System) int64 { return s.Med.Footprint() }
-
-// Experiments maps experiment IDs to runners, for cmd/zipg-bench.
-var Experiments = map[string]func(Options) (*Result, error){
-	"table4": Table4,
-	"fig5":   Fig5,
-	"table5": Table5,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"fig11":  Fig11,
-	"fig12":  Fig12,
-	"fig13":  Fig13,
-	"fig14":  Fig14,
-	// Ablations of the design choices DESIGN.md calls out (no paper
-	// figure; §3.1/§3.5/§4.1 state the trade-offs).
-	"ablation-alpha":    AblationAlpha,
-	"ablation-fanned":   AblationFanned,
-	"ablation-logstore": AblationLogStore,
-	"ablation-shards":   AblationShards,
-}
-
-// ExperimentNames returns the runnable experiment IDs, sorted.
-func ExperimentNames() []string {
-	out := make([]string, 0, len(Experiments))
-	for k := range Experiments {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -10,10 +10,10 @@ import (
 // Every benchmark run doubles as a paper-figure validation: the harness
 // snapshots the telemetry registry before and after each measured
 // workload and reports the deltas (store op counts, fanned-update
-// fragment counts, LogStore hit rate, Succinct bytes extracted, RPC
-// fan-out) next to the throughput numbers, so e.g. Figure 10's
-// fragments-per-read and §4.1's fan-out analysis can be read straight
-// off a bench run.
+// fragment counts, LogStore hit rate, Succinct bytes extracted) next to
+// the throughput numbers, so e.g. Figure 10's fragments-per-read can be
+// read straight off a bench run. No figure runs the cluster, so there
+// are no RPC series to report.
 
 // telemetryCapture brackets one measured workload.
 type telemetryCapture struct {
@@ -52,8 +52,7 @@ func sumPrefix(d telemetry.Snapshot, prefix string) float64 {
 // telemetryNotes renders one workload's telemetry delta as note lines.
 func telemetryNotes(label string, d telemetry.Snapshot) []string {
 	storeOps := sumPrefix(d, "zipg_store_ops_total")
-	rpcCalls := sumPrefix(d, "zipg_rpc_calls_total{")
-	if storeOps == 0 && rpcCalls == 0 {
+	if storeOps == 0 {
 		return nil
 	}
 	var parts []string
@@ -74,22 +73,6 @@ func telemetryNotes(label string, d telemetry.Snapshot) []string {
 	}
 	if r := d["zipg_store_rollovers_total"]; r > 0 {
 		add("rollovers=%.0f", r)
-	}
-	if rpcCalls > 0 {
-		add("rpc_calls=%.0f", rpcCalls)
-		if kb := sumPrefix(d, "zipg_rpc_frame_bytes_total"); kb > 0 {
-			add("rpc_frame_KB=%.1f", kb/1024)
-		}
-	}
-	if nq := d["zipg_cluster_neighbor_queries_total"]; nq > 0 {
-		if m, ok := d["zipg_cluster_fanout.mean"]; ok {
-			add("avg_rpc_fanout=%.2f", m)
-		}
-		local := d[`zipg_cluster_subqueries_total{locality="local"}`]
-		remote := d[`zipg_cluster_subqueries_total{locality="remote"}`]
-		if local+remote > 0 {
-			add("remote_subquery_share=%.2f", remote/(local+remote))
-		}
 	}
 	return []string{fmt.Sprintf("telemetry[%s]: %s", label, strings.Join(parts, " "))}
 }
