@@ -154,6 +154,20 @@ func TestDeleteSemantics(t *testing.T) {
 	if n, _ = s.DeleteEdges(6, 0, 9); n != 0 {
 		t.Fatal("double delete")
 	}
+	// A deleted node's edges can be deleted, and stay deleted when the
+	// node comes back: (5,0,8) exists for i=5 and i=45, (5,1,8) for i=25.
+	if n, _ = s.DeleteEdges(5, 0, 8); n != 2 {
+		t.Fatalf("removed %d of the deleted node's edges, want 2", n)
+	}
+	if err := s.AppendNode(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetEdgeRecord(5, 0); ok {
+		t.Fatal("deleted edges came back with their node")
+	}
+	if rec, ok := s.GetEdgeRecord(5, 1); !ok || rec.Count() != 1 {
+		t.Fatal("the recreated node lost its other edges")
+	}
 }
 
 func TestDynamicStoreChargedOnRead(t *testing.T) {

@@ -254,8 +254,10 @@ func (s *Store) DeleteNode(id graphapi.NodeID) error {
 func (s *Store) DeleteEdges(src graphapi.NodeID, etype graphapi.EdgeType, dst graphapi.NodeID) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A deleted node's edges are deleted too, as in every other store:
+	// they would come back with the node.
 	ni, ok := s.nodeIdx[src]
-	if !ok || !s.nodes[ni].inUse {
+	if !ok {
 		return 0, nil
 	}
 	removed := 0

@@ -256,7 +256,7 @@ func (r *remoteRecord) Range(tLo, tHi int64) (int, int) {
 }
 
 func (r *remoteRecord) Data(timeOrder int) (graphapi.EdgeData, error) {
-	edges, err := r.DataRange(timeOrder, timeOrder+1)
+	edges, err := r.c.ReadEdges(r.id, r.etype, graphapi.ByOrder(timeOrder, 1))
 	if err != nil {
 		return graphapi.EdgeData{}, err
 	}
@@ -264,19 +264,6 @@ func (r *remoteRecord) Data(timeOrder int) (graphapi.EdgeData, error) {
 		return graphapi.EdgeData{}, fmt.Errorf("cluster: record (%d,%d): %d edges at time order %d", r.id, r.etype, len(edges), timeOrder)
 	}
 	return edges[0], nil
-}
-
-// DataRange implements graphapi.RangeDataRecord: one round trip for the
-// whole interval instead of one per edge, and none for an empty one.
-func (r *remoteRecord) DataRange(beg, end int) ([]graphapi.EdgeData, error) {
-	if beg >= end {
-		return nil, nil
-	}
-	var reply edgesReply
-	if err := r.call("RecDataRange", &recRangeArgs{ID: r.id, EType: r.etype, Lo: int64(beg), Hi: int64(end)}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Edges, nil
 }
 
 func (r *remoteRecord) Destinations() []graphapi.NodeID {
@@ -294,6 +281,16 @@ func (c *Client) GetEdgeRecord(id graphapi.NodeID, etype graphapi.EdgeType) (gra
 		return nil, false
 	}
 	return &remoteRecord{c: c, id: id, etype: etype, count: reply.Count}, true
+}
+
+// ReadEdges implements graphapi.EdgeReader: one round trip to a replica
+// of the owner, which locates the record and reads q's interval of it.
+func (c *Client) ReadEdges(id graphapi.NodeID, etype graphapi.EdgeType, q graphapi.EdgeQuery) ([]graphapi.EdgeData, error) {
+	var reply edgesReply
+	if err := c.callRead(context.Background(), c.ownerOf(id), "ReadEdges", &readEdgesArgs{ID: id, EType: etype, Query: q}, &reply); err != nil {
+		return nil, err
+	}
+	return reply.Edges, nil
 }
 
 // GetEdgeRecords implements graphapi.Store.

@@ -16,7 +16,7 @@ import (
 
 func TestReplicatedClusterReadsAndWrites(t *testing.T) {
 	nodes, edges, ns, es := testGraph(t, 24, 100)
-	_, client := launchTestReplicas(t, nodes, edges, ns, es, LaunchConfig{NumServers: 2, ShardsPerServer: 2, SamplingRate: 8}, 3)
+	c, client := launchTestReplicas(t, nodes, edges, ns, es, LaunchConfig{NumServers: 2, ShardsPerServer: 2, SamplingRate: 8}, 3)
 	ref := refgraph.New(nodes, edges)
 
 	// Reads agree with the reference regardless of which replica serves
@@ -62,6 +62,17 @@ func TestReplicatedClusterReadsAndWrites(t *testing.T) {
 	if n, err := client.DeleteEdges(500, 0, 1); err != nil || n != 1 {
 		t.Fatalf("delete: %d %v", n, err)
 	}
+
+	// The shipped record read is the Data loop on every replica: a
+	// client of replica r alone, for each r.
+	for r := 0; r < 3; r++ {
+		one, err := newClient([][]string{c.addrs[0][r : r+1], c.addrs[1][r : r+1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReadEdgesIsDataLoop(t, one, 24)
+		one.Close()
+	}
 }
 
 func TestReplicatedFailover(t *testing.T) {
@@ -98,22 +109,9 @@ func TestReplicatedFailover(t *testing.T) {
 	}
 
 	// Everything the one client offers answers through the survivors:
-	// the one-round-trip range read, the temporal queries, two-hop.
+	// the one-round-trip record read, the temporal queries, two-hop.
+	checkReadEdgesIsDataLoop(t, client, 12)
 	for id := int64(0); id < 12; id++ {
-		for _, rec := range client.GetEdgeRecords(id) {
-			var want []graphapi.EdgeData
-			for i := 0; i < rec.Count(); i++ {
-				d, err := rec.Data(i)
-				if err != nil {
-					t.Fatalf("Data(%d) of node %d: %v", i, id, err)
-				}
-				want = append(want, d)
-			}
-			got, err := rec.(graphapi.RangeDataRecord).DataRange(0, rec.Count())
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("DataRange of node %d = %v, %v; the Data loop says %v", id, got, err, want)
-			}
-		}
 		for etype := int64(0); etype < 3; etype++ {
 			local := c.Servers[OwnerOf(id, 2)].Temporal()
 			want := local.AssocTimeRange(id, etype, 100, 900, 0)
@@ -139,6 +137,43 @@ func TestReplicatedFailover(t *testing.T) {
 	}
 
 	checkHungSoleReplicaCostsOneDeadline(t, c)
+
+	// With every replica of partition 0 down, its record reads are
+	// errors, not empty answers.
+	c.StopReplica(0, 0)
+	var id int64
+	for OwnerOf(id, 2) != 0 || ref.GetEdgeRecords(id) == nil {
+		id++
+	}
+	if got, err := client.ReadEdges(id, 0, graphapi.ByOrder(0, 10)); err == nil {
+		t.Fatalf("ReadEdges of node %d with its partition down = %v and no error", id, got)
+	}
+	if got, err := client.ReadEdges(id, 0, graphapi.InWindow(graphapi.WildcardTime, graphapi.WildcardTime, 10)); err == nil {
+		t.Fatalf("ReadEdges of node %d's window with its partition down = %v and no error", id, got)
+	}
+}
+
+// checkReadEdgesIsDataLoop holds ReadEdges, over each of nodes 0..n-1's
+// records whole, to the Data loop on the same client.
+func checkReadEdgesIsDataLoop(t *testing.T, client *Client, n int64) {
+	t.Helper()
+	for id := int64(0); id < n; id++ {
+		for _, rec := range client.GetEdgeRecords(id) {
+			var want []graphapi.EdgeData
+			for i := 0; i < rec.Count(); i++ {
+				d, err := rec.Data(i)
+				if err != nil {
+					t.Fatalf("Data(%d) of node %d: %v", i, id, err)
+				}
+				want = append(want, d)
+			}
+			etype := rec.(*remoteRecord).etype
+			got, err := client.ReadEdges(id, etype, graphapi.ByOrder(0, rec.Count()))
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("ReadEdges of node %d type %d = %v, %v; the Data loop says %v", id, etype, got, err, want)
+			}
+		}
+	}
 }
 
 // checkHungSoleReplicaCostsOneDeadline reads through a client whose
@@ -176,8 +211,8 @@ func checkHungSoleReplicaCostsOneDeadline(t *testing.T, c *Cluster) {
 	}
 	const deadline = 200 * time.Millisecond
 	for trial := 0; trial < 4; trial++ { // both round-robin starts, twice
+		start := time.Now() // before the deadline is set: took cannot fall short of it
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		start := time.Now()
 		_, ok := client.GetNodePropertyCtx(ctx, id, nil)
 		took := time.Since(start)
 		cancel()

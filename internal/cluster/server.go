@@ -105,12 +105,18 @@ type recsMetaReply struct {
 	Counts []int
 }
 
-// recRangeArgs names a record and an interval of it: timestamps
-// [Lo, Hi) for RecRange, TimeOrders [Lo, Hi) for RecDataRange.
+// recRangeArgs names a record and a timestamp interval [Lo, Hi) of it.
 type recRangeArgs struct {
 	ID     graphapi.NodeID
 	EType  graphapi.EdgeType
 	Lo, Hi int64
+}
+
+// readEdgesArgs is one record read of Algorithms 1–3.
+type readEdgesArgs struct {
+	ID    graphapi.NodeID
+	EType graphapi.EdgeType
+	Query graphapi.EdgeQuery
 }
 
 type rangeReply struct {
@@ -341,19 +347,15 @@ func (s *Server) registerHandlers() {
 		beg, end := rec.GetEdgeRange(a.Lo, a.Hi)
 		return &rangeReply{Beg: beg, End: end}, nil
 	})
-	// RecDataRange is the get_edge_data loop over a TimeOrder interval:
-	// the record is located once and the edges leave in one reply.
-	s.rpc.Handle("RecDataRange", func(ctx context.Context, blob []byte) (any, error) {
-		var a recRangeArgs
+	// ReadEdges is the record read of Algorithms 1–3 shipped whole: the
+	// record is located once and the query's edges leave in one reply.
+	s.rpc.Handle("ReadEdges", func(ctx context.Context, blob []byte) (any, error) {
+		var a readEdgesArgs
 		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
 			return nil, err
 		}
 		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
-		if !ok {
-			return nil, fmt.Errorf("cluster: no record (%d,%d)", a.ID, a.EType)
-		}
-		edges, err := rec.GetEdgeDataRange(int(a.Lo), int(a.Hi))
+		edges, err := s.store.ReadEdges(a.ID, a.EType, a.Query)
 		if err != nil {
 			return nil, err
 		}

@@ -41,6 +41,15 @@ func (a *recRangeArgs) Wire(c *rpc.Codec) {
 	c.Varint(&a.Hi)
 }
 
+func (a *readEdgesArgs) Wire(c *rpc.Codec) {
+	c.Varint(&a.ID)
+	c.Varint(&a.EType)
+	c.Bool(&a.Query.ByTime)
+	c.Varint(&a.Query.Lo)
+	c.Varint(&a.Query.Hi)
+	c.Int(&a.Query.Limit)
+}
+
 // wireEdgeData codes one edge of an edgesReply: at least three bytes.
 func wireEdgeData(c *rpc.Codec, e *graphapi.EdgeData) {
 	c.Varint(&e.Dst)

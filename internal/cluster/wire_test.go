@@ -141,6 +141,13 @@ var wireTypes = []wireType{
 	{"pathReply", func() rpc.Wirer { return new(pathReply) }, func(rng *rand.Rand) rpc.Wirer {
 		return &pathReply{Found: rng.Intn(2) == 0, Hops: rng.Intn(8), Path: randIDs(rng)}
 	}},
+	{"readEdgesArgs", func() rpc.Wirer { return new(readEdgesArgs) }, func(rng *rand.Rand) rpc.Wirer {
+		q := graphapi.ByOrder(rng.Intn(40)-4, rng.Intn(40)-4)
+		if rng.Intn(2) == 0 {
+			q = graphapi.InWindow(rng.Int63n(1000)-1, rng.Int63()-1, []int{rng.Intn(40), graphapi.NoLimit}[rng.Intn(2)])
+		}
+		return &readEdgesArgs{ID: rng.Int63() - rng.Int63(), EType: int64(rng.Intn(5)), Query: q}
+	}},
 }
 
 // encode is v's payload, as a call or reply carries it.
@@ -181,8 +188,8 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireGolden fixes the payloads of the TAO read path's methods, both
-// directions, to the bytes they had before every payload was coded by a
-// Wire method.
+// directions: the bytes they had before every payload was coded by a
+// Wire method, and ReadEdges's as it was introduced.
 func TestWireGolden(t *testing.T) {
 	for _, g := range []struct {
 		name string
@@ -195,8 +202,9 @@ func TestWireGolden(t *testing.T) {
 		{"RecMeta reply", &recMetaReply{Count: 300, OK: true}, "0101d804"},
 		{"RecRange args", &recRangeArgs{ID: 42, EType: 1, Lo: 100, Hi: math.MaxInt64}, "015402c801feffffffffffffffff01"},
 		{"RecRange reply", &rangeReply{Beg: 2, End: 17}, "010422"},
-		{"RecDataRange args", &recRangeArgs{ID: 42, EType: 1, Lo: 2, Hi: 4}, "0154020408"},
-		{"RecDataRange reply", &edgesReply{Edges: []graphapi.EdgeData{{Dst: 9, Timestamp: 1000, Props: map[string]string{"w": "5"}}, {Dst: -3, Timestamp: 1001}}}, "010212d00f010177013505d20f00"},
+		{"ReadEdges args, by order", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.ByOrder(2, 10)}, "01540200041814"},
+		{"ReadEdges args, by time", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.InWindow(100, graphapi.WildcardTime, graphapi.NoLimit)}, "01540201c80101feffffffffffffffff01"},
+		{"ReadEdges reply", &edgesReply{Edges: []graphapi.EdgeData{{Dst: 9, Timestamp: 1000, Props: map[string]string{"w": "5"}}, {Dst: -3, Timestamp: 1001}}}, "010212d00f010177013505d20f00"},
 		{"RecDsts args", &recArgs{ID: 42}, "015400"},
 		{"RecDsts reply", &idsReply{IDs: []graphapi.NodeID{9, -3, 1 << 40}}, "01031205808080808040"},
 	} {

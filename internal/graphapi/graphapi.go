@@ -44,23 +44,63 @@ type EdgeRecord interface {
 	Destinations() []NodeID
 }
 
-// RangeDataRecord is the optional batched extension of EdgeRecord: the
-// get_edge_data loop of Algorithms 1–3 as one call. A record whose Data
-// is a round trip implements it to fetch a range in one; DataRange
-// falls back to the Data loop for every other record.
-type RangeDataRecord interface {
-	// DataRange returns Data(i) for every TimeOrder i in [beg, end), in
-	// order; an empty interval is nil. It fails if Data(i) would.
-	DataRange(beg, end int) ([]EdgeData, error)
+// EdgeQuery selects what Algorithms 1–3 read of one edge record: the
+// TimeOrders [Lo, Hi) clamped to [0, Count), or with ByTime the edges
+// with timestamps in [Lo, Hi) as Range takes them, wildcards included;
+// either way at most Limit edges from the interval's start.
+type EdgeQuery struct {
+	ByTime bool
+	Lo, Hi int64
+	Limit  int
 }
 
-// DataRange returns rec's edge data at TimeOrders [beg, end) through
-// RangeDataRecord when rec implements it, and by the equivalent Data
-// loop otherwise.
-func DataRange(rec EdgeRecord, beg, end int) ([]EdgeData, error) {
-	if rr, ok := rec.(RangeDataRecord); ok {
-		return rr.DataRange(beg, end)
+// NoLimit leaves an EdgeQuery uncapped.
+const NoLimit = int(^uint(0) >> 1) // MaxInt
+
+// ByOrder is Algorithm 1's query: at most limit edges from TimeOrder idx.
+func ByOrder(idx, limit int) EdgeQuery {
+	return EdgeQuery{Lo: int64(idx), Hi: int64(idx) + int64(limit), Limit: limit}
+}
+
+// InWindow is the query of Algorithms 2 and 3: the edges with
+// timestamps in [lo, hi), at most limit of them.
+func InWindow(lo, hi int64, limit int) EdgeQuery {
+	return EdgeQuery{ByTime: true, Lo: lo, Hi: hi, Limit: limit}
+}
+
+// Interval is the TimeOrders [beg, end) q reads (none if end <= beg) of
+// a record of count edges whose Range, wildcards resolved, is timeRange.
+func (q EdgeQuery) Interval(count int, timeRange func(tLo, tHi int64) (int, int)) (beg, end int) {
+	if q.ByTime {
+		beg, end = timeRange(TimeBounds(q.Lo, q.Hi))
+	} else {
+		beg, end = int(max(q.Lo, 0)), int(min(q.Hi, int64(count)))
 	}
+	if q.Limit < end-beg {
+		end = beg + q.Limit
+	}
+	return beg, end
+}
+
+// EdgeReader is the optional query-level extension of Store: a store
+// answers an EdgeQuery where the record lives, in one call.
+type EdgeReader interface {
+	// ReadEdges returns the edges q selects of (id, etype)'s record in
+	// TimeOrder; an absent record or an empty interval is nil.
+	ReadEdges(id NodeID, etype EdgeType, q EdgeQuery) ([]EdgeData, error)
+}
+
+// ReadEdges answers q through EdgeReader when s implements it, else by
+// GetEdgeRecord, Range and the Data loop over the interval.
+func ReadEdges(s Store, id NodeID, etype EdgeType, q EdgeQuery) ([]EdgeData, error) {
+	if r, ok := s.(EdgeReader); ok {
+		return r.ReadEdges(id, etype, q)
+	}
+	rec, ok := s.GetEdgeRecord(id, etype)
+	if !ok {
+		return nil, nil
+	}
+	beg, end := q.Interval(rec.Count(), rec.Range)
 	var out []EdgeData
 	for i := beg; i < end; i++ {
 		e, err := rec.Data(i)

@@ -193,6 +193,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// nameSpan names a recorded span prefix+method. The name is a heap
+// string, so it is built for the spans that are recorded (and the error
+// spans) and not on every call.
+func nameSpan(sp *telemetry.Span, prefix, method string) {
+	if sp != nil {
+		sp.Op = prefix + method
+	}
+}
+
 // countFrameError counts a read-loop failure that the peer caused by
 // what it sent, by kind and side.
 func countFrameError(err error, side string) {
@@ -211,7 +220,6 @@ func countFrameError(err error, side string) {
 func (s *Server) serveRequest(req *frame, received time.Time, b []byte) []byte {
 	resp := frame{id: req.id}
 	tc := req.trace
-	op := "rpc.serve:" + req.method
 
 	// Propagated-deadline admission: work whose budget is already spent
 	// on arrival is rejected before the handler runs — the first
@@ -220,12 +228,13 @@ func (s *Server) serveRequest(req *frame, received time.Time, b []byte) []byte {
 		mDeadlineExceeded.With("server").Inc()
 		mErrors.With("deadline").Inc()
 		resp.err = deadlineErrMsg
-		sp := telemetry.StartRemoteSpan(tc, op, int(s.serverID.Load()))
+		sp := telemetry.StartRemoteSpan(tc, "", int(s.serverID.Load()))
+		nameSpan(sp, "rpc.serve:", req.method)
 		if sp != nil {
 			sp.Start = received
 			sp.SetError(ErrDeadlineExceeded)
 		} else {
-			telemetry.RecordErrorSpan(op, received, ErrDeadlineExceeded)
+			telemetry.RecordErrorSpan("rpc.serve:"+req.method, received, ErrDeadlineExceeded)
 		}
 		return finishResponse(b, &resp, nil, sp)
 	}
@@ -240,11 +249,12 @@ func (s *Server) serveRequest(req *frame, received time.Time, b []byte) []byte {
 	ctx := context.Background()
 	var sp *telemetry.Span
 	if tc.Trace.IsZero() {
-		sp = telemetry.StartServerRootSpan(op, int(s.serverID.Load()))
+		sp = telemetry.StartServerRootSpan("", int(s.serverID.Load()))
 	} else {
 		ctx = telemetry.ContextWithRemoteTrace(ctx, tc)
-		sp = telemetry.StartRemoteSpan(tc, op, int(s.serverID.Load()))
+		sp = telemetry.StartRemoteSpan(tc, "", int(s.serverID.Load()))
 	}
+	nameSpan(sp, "rpc.serve:", req.method)
 	if tc.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, tc.Deadline))
@@ -273,7 +283,7 @@ func (s *Server) serveRequest(req *frame, received time.Time, b []byte) []byte {
 		mErrors.With("handler").Inc()
 		sp.SetError(err)
 		if sp == nil {
-			telemetry.RecordErrorSpan(op, received, err)
+			telemetry.RecordErrorSpan("rpc.serve:"+req.method, received, err)
 		}
 	} else {
 		result = res
@@ -409,7 +419,6 @@ func (c *Client) Call(method string, args any, reply any) error {
 // caller its deadline and no more.
 func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any) (err error) {
 	mClientCalls.With(method).Inc()
-	op := "rpc.call:" + method
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -420,16 +429,17 @@ func (c *Client) CallCtx(ctx context.Context, method string, args any, reply any
 	if dl, ok := ctx.Deadline(); ok && !start.Before(dl) {
 		mDeadlineExceeded.With("client").Inc()
 		err := fmt.Errorf("%w (before send of %s)", ErrDeadlineExceeded, method)
-		telemetry.RecordErrorSpan(op, start, err)
+		telemetry.RecordErrorSpan("rpc.call:"+method, start, err)
 		return err
 	}
 
-	sp, ctx := telemetry.StartSpanCtx(ctx, op)
+	sp, ctx := telemetry.StartSpanCtx(ctx, "")
+	nameSpan(sp, "rpc.call:", method)
 	defer func() {
 		if err != nil {
 			sp.SetError(err)
 			if sp == nil {
-				telemetry.RecordErrorSpan(op, start, err)
+				telemetry.RecordErrorSpan("rpc.call:"+method, start, err)
 			}
 		}
 		sp.End()

@@ -423,9 +423,9 @@ func TestHungPeerCostsItsDeadline(t *testing.T) {
 
 	before := mDeadlineExceeded.With("client").Value()
 	const deadline = 50 * time.Millisecond
+	start := time.Now() // before the deadline is set: took cannot fall short of it
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	start := time.Now()
 	err = c.CallCtx(ctx, "echo", &echoArgs{"anyone?", 1}, nil)
 	took := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {

@@ -97,9 +97,8 @@ func (s *Store) NodeMatchesBatch(ids []layout.NodeID, props map[string]string) [
 }
 
 // AssocRangeBatch answers TAO assoc_range for every request: per request
-// GetEdgeRecord + GetEdgeDataRange over [max(Idx, 0), min(Idx+Limit,
-// Count)), nil where the record does not exist. The error reported is
-// the lowest-index one.
+// ReadEdges by its TimeOrder query, nil where the record does not
+// exist. The error reported is the lowest-index one.
 func (s *Store) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]layout.EdgeData, error) {
 	out := make([][]layout.EdgeData, len(reqs))
 	errs := make([]error, len(reqs))
@@ -125,9 +124,5 @@ func (s *Store) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]layout.EdgeD
 
 // assocRangeScalar is one assoc_range read (Algorithm 1).
 func (s *Store) assocRangeScalar(req graphapi.AssocRangeReq) ([]layout.EdgeData, error) {
-	rec, ok := s.GetEdgeRecord(req.ID, req.Type)
-	if !ok {
-		return nil, nil
-	}
-	return rec.GetEdgeDataRange(max(req.Idx, 0), min(req.Idx+req.Limit, rec.Count()))
+	return s.ReadEdges(req.ID, req.Type, graphapi.ByOrder(req.Idx, req.Limit))
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"zipg/internal/core"
+	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/telemetry"
 )
@@ -115,6 +116,17 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 		mFragmentsPerRead.Observe(int64(len(r.pieces)))
 	}
 	return r, true
+}
+
+// ReadEdges is the record read of Algorithms 1–3: (src, etype)'s record
+// is located once and q's interval of it read by one GetEdgeDataRange.
+// An absent record reads as nil.
+func (s *Store) ReadEdges(src layout.NodeID, etype layout.EdgeType, q graphapi.EdgeQuery) ([]layout.EdgeData, error) {
+	rec, ok := s.GetEdgeRecord(src, etype)
+	if !ok {
+		return nil, nil
+	}
+	return rec.GetEdgeDataRange(q.Interval(rec.Count(), rec.GetEdgeRange))
 }
 
 // GetEdgeRecords returns the merged EdgeRecords of every EdgeType

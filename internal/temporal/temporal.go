@@ -53,20 +53,14 @@ func (e *Engine) Store() *store.Store { return e.st }
 
 // AssocTimeRange returns the live edges of (src, etype) with timestamps
 // in [tLo, tHi), timestamp-sorted, at most limit entries (limit <= 0:
-// unbounded): Algorithm 3, get_edge_range then the get_edge_data loop
-// over what limit leaves of the range. Wildcard bounds follow
+// unbounded): Algorithm 3, the store's ReadEdges. Wildcard bounds follow
 // graphapi.TimeBounds. A record that cannot be read yields nil.
 func (e *Engine) AssocTimeRange(src layout.NodeID, etype layout.EdgeType, tLo, tHi int64, limit int) []layout.EdgeData {
 	mQueryRange.Inc()
-	rec, ok := e.st.GetEdgeRecord(src, etype)
-	if !ok {
-		return nil
+	if limit <= 0 {
+		limit = graphapi.NoLimit
 	}
-	beg, end := rec.GetEdgeRange(graphapi.TimeBounds(tLo, tHi))
-	if limit > 0 {
-		end = min(end, beg+limit)
-	}
-	out, _ := rec.GetEdgeDataRange(beg, end)
+	out, _ := e.st.ReadEdges(src, etype, graphapi.InWindow(tLo, tHi, limit))
 	return out
 }
 

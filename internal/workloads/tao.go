@@ -20,22 +20,11 @@ type TAO struct {
 
 // AssocRange is Algorithm 1: at most limit edges with source id and type
 // atype, ordered by timestamp, starting at TimeOrder idx. Here and in
-// Algorithms 2 and 3 the get_edge_data loop is graphapi.DataRange: one
-// call on records that batch it (one round trip through the cluster),
-// the loop itself on all others.
+// Algorithms 2 and 3 the record is read by one graphapi.ReadEdges: one
+// round trip through the cluster, the get_edge_data loop on stores
+// that do not ship the query.
 func (t TAO) AssocRange(id graphapi.NodeID, atype graphapi.EdgeType, idx, limit int) ([]graphapi.EdgeData, error) {
-	rec, ok := t.S.GetEdgeRecord(id, atype)
-	if !ok {
-		return nil, nil
-	}
-	end := idx + limit
-	if end > rec.Count() {
-		end = rec.Count()
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	results, err := graphapi.DataRange(rec, idx, end)
+	results, err := graphapi.ReadEdges(t.S, id, atype, graphapi.ByOrder(idx, limit))
 	if err != nil {
 		return nil, fmt.Errorf("assoc_range(%d,%d): %w", id, atype, err)
 	}
@@ -43,14 +32,11 @@ func (t TAO) AssocRange(id graphapi.NodeID, atype graphapi.EdgeType, idx, limit 
 }
 
 // AssocGet is Algorithm 2: all edges with source id1, type atype,
-// timestamp in [lo, hi), and destination in id2set.
+// timestamp in [lo, hi), and destination in id2set. The set is applied
+// here, not shipped: it is a few IDs that almost always empty the
+// window's answer.
 func (t TAO) AssocGet(id1 graphapi.NodeID, atype graphapi.EdgeType, id2set map[graphapi.NodeID]bool, lo, hi int64) ([]graphapi.EdgeData, error) {
-	rec, ok := t.S.GetEdgeRecord(id1, atype)
-	if !ok {
-		return nil, nil
-	}
-	beg, end := rec.Range(lo, hi)
-	edges, err := graphapi.DataRange(rec, beg, end)
+	edges, err := graphapi.ReadEdges(t.S, id1, atype, graphapi.InWindow(lo, hi, graphapi.NoLimit))
 	if err != nil {
 		return nil, fmt.Errorf("assoc_get(%d,%d): %w", id1, atype, err)
 	}
@@ -76,15 +62,7 @@ func (t TAO) AssocCount(id graphapi.NodeID, atype graphapi.EdgeType) int {
 // AssocTimeRange is Algorithm 3: at most limit edges with source id,
 // type atype and timestamps in [lo, hi).
 func (t TAO) AssocTimeRange(id graphapi.NodeID, atype graphapi.EdgeType, lo, hi int64, limit int) ([]graphapi.EdgeData, error) {
-	rec, ok := t.S.GetEdgeRecord(id, atype)
-	if !ok {
-		return nil, nil
-	}
-	beg, end := rec.Range(lo, hi)
-	if beg+limit < end {
-		end = beg + limit
-	}
-	results, err := graphapi.DataRange(rec, beg, end)
+	results, err := graphapi.ReadEdges(t.S, id, atype, graphapi.InWindow(lo, hi, limit))
 	if err != nil {
 		return nil, fmt.Errorf("assoc_time_range(%d,%d): %w", id, atype, err)
 	}

@@ -48,6 +48,9 @@ type (
 	EdgeData = graphapi.EdgeData
 	// EdgeRecord references all edges of one EdgeType incident on a node.
 	EdgeRecord = graphapi.EdgeRecord
+	// EdgeQuery selects an interval of one EdgeRecord, by TimeOrder or
+	// by timestamp, capped at a number of edges.
+	EdgeQuery = graphapi.EdgeQuery
 )
 
 // WildcardType selects every EdgeType in queries accepting a type.
@@ -267,6 +270,13 @@ func (g *Graph) GetEdgeRecords(id NodeID) []EdgeRecord {
 	return out
 }
 
+// ReadEdges returns the edges q selects of (id, etype)'s record, in
+// TimeOrder: the read of the TAO algorithms, with the record located
+// once (graphapi.EdgeReader).
+func (g *Graph) ReadEdges(id NodeID, etype EdgeType, q EdgeQuery) ([]EdgeData, error) {
+	return g.s.ReadEdges(id, etype, q)
+}
+
 // recordAdapter lifts the store's EdgeRecord to the shared interface.
 type recordAdapter struct{ r *store.EdgeRecord }
 
@@ -278,11 +288,6 @@ func (a recordAdapter) Range(tLo, tHi int64) (int, int) {
 }
 
 func (a recordAdapter) Data(timeOrder int) (EdgeData, error) { return a.r.GetEdgeData(timeOrder) }
-
-// DataRange implements graphapi.RangeDataRecord.
-func (a recordAdapter) DataRange(beg, end int) ([]EdgeData, error) {
-	return a.r.GetEdgeDataRange(beg, end)
-}
 
 func (a recordAdapter) Destinations() []NodeID { return a.r.Destinations() }
 
