@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,11 +14,12 @@ import (
 
 // FuzzMonotoneDeltaPatterns drives the monotone encoder with explicit
 // delta streams (varint-decoded from the input), hunting for carry and
-// anchor bugs in the per-block delta layout. Each stream is encoded four
+// anchor bugs in the per-block delta layout. Each stream is encoded eight
 // ways — as given (any zero delta turns strict mode off) and with every
 // delta raised by one (strict), from base 0 and from a base that makes
-// the directory record wider than a word — and every accessor of the
-// MonotoneVector must agree with the naive slice.
+// the directory record wider than a word, as one group and grouped by
+// the values' top bits — and every accessor of the MonotoneVector must
+// agree with the naive slice.
 func FuzzMonotoneDeltaPatterns(f *testing.F) {
 	seed := make([]byte, 0, 64)
 	for i := 0; i < 20; i++ {
@@ -61,9 +63,21 @@ func FuzzMonotoneDeltaPatterns(f *testing.F) {
 					vals[i] = sum
 				}
 				checkMonotoneAgainstNaive(t, NewMonotoneVector(vals), vals)
+				checkMonotoneAgainstNaive(t, groupedVector(vals), vals)
 			}
 		}
 	})
+}
+
+// groupedVector encodes vals, which must be non-decreasing, grouped by
+// their top eight bits: up to 256 groups, so that a group's first record
+// often lies blocks past the last one's, and some groups hold no record.
+func groupedVector(vals []uint64) *MonotoneVector {
+	var shift uint
+	if n := len(vals); n > 0 {
+		shift = uint(max(bits.Len64(vals[n-1]), 8) - 8)
+	}
+	return NewGroupedVector(len(vals), shift, func(start int, out []uint64) { copy(out, vals[start:]) })
 }
 
 // checkMonotoneAgainstNaive asserts Get ≡ DecodeAll ≡ vals and SearchGE
@@ -199,6 +213,15 @@ func hostileMonotoneSeeds() map[string][]byte {
 	zeroWidth[9] = 0
 	wideOffset := append([]byte(nil), good...)
 	wideOffset[10] = maxOffsetWidth + 1
+	// Group shifts the vector was not encoded with: past a word; every
+	// anchor its own group, past maxGroups; and 12, which puts the last
+	// payload record alone in group 1, whose derived base then counts
+	// the payload before it a second time.
+	withGroupShift := func(shift byte) []byte {
+		bad := append([]byte(nil), good...)
+		bad[11] = shift
+		return bad
+	}
 	return map[string][]byte{
 		"truncated_directory": good[:monotoneHeader+8+9],
 		"truncated_payload":   good[:len(good)-8],
@@ -208,6 +231,9 @@ func hostileMonotoneSeeds() map[string][]byte {
 		"n_wraps":             wrapN,
 		"anchor_width_0":      zeroWidth,
 		"offset_width_58":     wideOffset,
+		"group_shift_65":      withGroupShift(65),
+		"groups_past_max":     withGroupShift(0),
+		"group_base_past_end": withGroupShift(12),
 		"no_first_mark":       withMarks(0b1110),
 		"mark_past_end":       withMarks(0b1111 | 1<<7),
 		"mark_count_off":      withMarks(0b1111 | 1<<32),

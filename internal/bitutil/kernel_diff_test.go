@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -259,28 +260,30 @@ func TestMonotoneShapesEncodeAsIntended(t *testing.T) {
 }
 
 // TestMonotoneGetAgainstReference checks Get and DecodeAll against the
-// raw sequence on every adversarial pattern, and round-trips through
-// serialization to prove the directory records and the sub-anchor slots
-// survive encode/decode.
+// raw sequence on every adversarial pattern, as one group and grouped,
+// and round-trips through serialization to prove the directory records,
+// the group bases and the sub-anchor slots survive encode/decode.
 func TestMonotoneGetAgainstReference(t *testing.T) {
-	for name, vals := range adversarialSequences() {
-		mv := NewMonotoneVector(vals)
-		buf := mv.AppendBinary(nil)
-		dec, k, err := DecodeMonotoneVector(buf)
-		if err != nil || k != len(buf) {
-			t.Fatalf("%s: decode: %v, consumed %d of %d", name, err, k, len(buf))
-		}
-		if dec.Stats() != mv.Stats() || dec.SizeBytes() != mv.SizeBytes() {
-			t.Fatalf("%s: stats %+v after reload, built %+v", name, dec.Stats(), mv.Stats())
-		}
-		for _, v := range []*MonotoneVector{mv, dec} {
-			for i, want := range vals {
-				if got := v.Get(i); got != want {
-					t.Fatalf("%s: Get(%d)=%d want %d", name, i, got, want)
-				}
+	for key, vals := range adversarialSequences() {
+		for g, mv := range []*MonotoneVector{NewMonotoneVector(vals), groupedVector(vals)} {
+			name := fmt.Sprintf("%s/grouped=%v", key, g == 1)
+			buf := mv.AppendBinary(nil)
+			dec, k, err := DecodeMonotoneVector(buf)
+			if err != nil || k != len(buf) {
+				t.Fatalf("%s: decode: %v, consumed %d of %d", name, err, k, len(buf))
 			}
-			if all := v.DecodeAll(nil); len(all) != len(vals) || (len(vals) > 0 && !reflect.DeepEqual(all, vals)) {
-				t.Fatalf("%s: DecodeAll=%v want %v", name, all, vals)
+			if dec.Stats() != mv.Stats() || dec.SizeBytes() != mv.SizeBytes() || !slices.Equal(dec.gbase, mv.gbase) {
+				t.Fatalf("%s: stats %+v, bases %v after reload, built %+v, %v", name, dec.Stats(), dec.gbase, mv.Stats(), mv.gbase)
+			}
+			for _, v := range []*MonotoneVector{mv, dec} {
+				for i, want := range vals {
+					if got := v.Get(i); got != want {
+						t.Fatalf("%s: Get(%d)=%d want %d", name, i, got, want)
+					}
+				}
+				if all := v.DecodeAll(nil); len(all) != len(vals) || (len(vals) > 0 && !reflect.DeepEqual(all, vals)) {
+					t.Fatalf("%s: DecodeAll=%v want %v", name, all, vals)
+				}
 			}
 		}
 	}

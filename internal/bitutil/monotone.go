@@ -36,10 +36,10 @@ func hasMid(w uint, cnt int) bool {
 
 // MonotoneVector stores a non-decreasing sequence of integers as
 // bit-packed directory records plus bit-packed per-block deltas, where
-// each block chooses its own delta width. Within each character bucket
-// the succinct store's Ψ array is strictly increasing and — for
-// compressible text — dominated by +1 runs, so per-block widths are where
-// the compression of the whole structure comes from.
+// each block chooses its own delta width. The succinct store's Ψ, with
+// each row's character bucket in the high bits, is strictly increasing
+// and — for compressible text — dominated by +1 runs, so per-block
+// widths are where the compression of the whole structure comes from.
 //
 // A directory record is
 //
@@ -47,10 +47,13 @@ func hasMid(w uint, cnt int) bool {
 //
 // with aw and ow chosen per vector: everything a random access needs to
 // know about a block arrives in one windowed load (two when a record is
-// wider than 64 bits). When the whole sequence is strictly increasing
-// (strict = 1) every delta is stored minus one, so a +1 run has width 0
-// and no payload at all: Get is anchor + j from the record alone. A
-// sequence with a repeated value stores plain deltas (strict = 0).
+// wider than 64 bits). The offset counts from gbase[anchor >> gshift],
+// the first payload bit of the record's group: the bases follow from the
+// records' widths and block counts, so they are derived, not stored.
+// When the whole sequence is strictly increasing (strict = 1) every
+// delta is stored minus one, so a +1 run has width 0 and no payload at
+// all: Get is anchor + j from the record alone. A sequence with a
+// repeated value stores plain deltas (strict = 0).
 //
 // The directory holds one record per run, not per block: a width-0 block
 // that continues the width-0 block before it (its anchor is that block's
@@ -72,6 +75,8 @@ type MonotoneVector struct {
 	rw     uint   // record width: aw + widthBits + ow
 	amask  uint64
 	omask  uint64
+	gshift uint     // a record's group is its anchor >> gshift
+	gbase  []uint64 // each group's first payload bit
 	marks  []uint64 // one word per spanBlocks blocks
 	dir    []uint64 // records, plus one pad word for window
 	bits   []uint64 // concatenated delta payload (with sub-anchor slots)
@@ -88,6 +93,9 @@ const (
 	widthMask = 1<<widthBits - 1
 	// maxOffsetWidth keeps width and offset inside one window.
 	maxOffsetWidth = 64 - widthBits
+	// maxGroups bounds a vector's groups, and so its table of bases: Ψ's
+	// are its at most 257 character buckets.
+	maxGroups = 1 << 9
 )
 
 // midWidth returns the bit width of a block's sub-anchor slot: the
@@ -120,89 +128,114 @@ func blockCount(n, b int) int {
 }
 
 // NewMonotoneVector compresses vals, which must be non-decreasing and
-// not negative. It reads vals in place, whatever the element type — a Ψ
-// bucket arrives as a slice of the builder's int32 rows — and beyond the
-// vector allocates one byte per block.
+// not negative, as one group.
 func NewMonotoneVector[T int32 | int64 | uint64](vals []T) *MonotoneVector {
-	n := len(vals)
-	nblocks := (n + monotoneBlock - 1) / monotoneBlock
-	if n > 0 && vals[0] < 0 {
+	if len(vals) > 0 && vals[0] < 0 {
 		panic(fmt.Sprintf("bitutil: negative value %d in a monotone sequence", vals[0]))
 	}
-
-	// Whether any value repeats decides how every delta is stored, so it
-	// is settled first; a sequence with a repeat says so early.
-	strict := uint64(1)
-	for i := 1; i < n; i++ {
-		if vals[i] == vals[i-1] {
-			strict = 0
-			break
+	return NewGroupedVector(len(vals), 64, func(start int, out []uint64) {
+		for k := range out {
+			out[k] = uint64(vals[start+k])
 		}
-	}
+	})
+}
 
-	// Per-block delta width, from the largest delta inside the block.
-	mv := &MonotoneVector{n: n, strict: strict}
+// NewGroupedVector compresses the n-element non-decreasing sequence that
+// fill writes, a block at a time: fill(start, out) stores elements
+// start… into out. A record's group is its anchor >> gshift, and its
+// payload offset counts from the first payload bit of its group, so the
+// offset field is as wide as one group's payload needs (gshift 64 is one
+// group). fill is asked for every block twice, once more if a value
+// repeats, and for its first value once more; beyond the vector the
+// encoder allocates one byte per block.
+func NewGroupedVector(n int, gshift uint, fill func(start int, out []uint64)) *MonotoneVector {
+	nblocks := (n + monotoneBlock - 1) / monotoneBlock
+	var blk [monotoneBlock]uint64
+
+	// Per-block delta width, from the largest delta inside the block. A
+	// strict sequence stores every delta minus one; a repeated value
+	// turns that off, and the widths are taken again.
+	mv := &MonotoneVector{n: n, strict: 1, gshift: gshift}
 	widths := make([]uint8, nblocks)
-	for i := 1; i < n; i++ {
-		if vals[i] < vals[i-1] {
-			panic(fmt.Sprintf("bitutil: sequence not monotone at %d: %d < %d", i, vals[i], vals[i-1]))
-		}
-		if i%monotoneBlock == 0 {
-			continue
-		}
-		if w := uint8(bits.Len64(uint64(vals[i]-vals[i-1]) - strict)); w > widths[i/monotoneBlock] {
-			widths[i/monotoneBlock] = w
+	for again := true; again; {
+		again = false
+		var prev uint64
+		for b := range widths {
+			widths[b] = 0
+			fill(b*monotoneBlock, blk[:blockCount(n, b)])
+			for k, v := range blk[:blockCount(n, b)] {
+				if i := b*monotoneBlock + k; i > 0 && v <= prev {
+					if v < prev {
+						panic(fmt.Sprintf("bitutil: sequence not monotone at %d: %d < %d", i, v, prev))
+					}
+					again = again || mv.strict == 1
+					mv.strict = 0
+				}
+				if k > 0 {
+					widths[b] = max(widths[b], uint8(bits.Len64(v-prev-mv.strict)))
+				}
+				prev = v
+			}
 		}
 	}
 
-	// Lay out the bit stream, and mark the blocks that write a record:
-	// all but those continuing the width-0 run of the block before.
+	// The blocks that write a record — all but those continuing the
+	// width-0 run of the block before — and where each record's payload
+	// starts in its group's. This needs only each block's first value.
 	mv.marks = make([]uint64, (nblocks+spanBlocks-1)/spanBlocks)
-	var totalBits uint64
-	for b, w := range widths {
-		if w == 0 {
+	var pos, maxOff, anchor uint64
+	for b := range widths {
+		fill(b*monotoneBlock, blk[:1])
+		w, prevAnchor := widths[b], anchor
+		if anchor = blk[0]; w == 0 {
 			mv.emptyBlocks++
 		}
-		totalBits += blockPayloadBits(uint(w), blockCount(n, b))
 		if b%spanBlocks == 0 {
 			mv.marks[b/spanBlocks] = uint64(mv.records) << 32
-		} else if w == 0 && widths[b-1] == 0 &&
-			uint64(vals[b*monotoneBlock]) == uint64(vals[(b-1)*monotoneBlock])+strict*monotoneBlock {
+		} else if w == 0 && widths[b-1] == 0 && anchor == prevAnchor+mv.strict*monotoneBlock {
 			continue
 		}
 		mv.marks[b/spanBlocks] |= 1 << (b % spanBlocks)
 		mv.records++
+		g := anchor >> gshift
+		if g >= maxGroups {
+			panic(fmt.Sprintf("bitutil: value %d is in group %d, past the %d a vector holds", anchor, g, maxGroups))
+		}
+		for uint64(len(mv.gbase)) <= g {
+			mv.gbase = append(mv.gbase, pos)
+		}
+		maxOff = max(maxOff, pos-mv.gbase[g])
+		pos += blockPayloadBits(uint(w), blockCount(n, b))
 	}
-	mv.bits = make([]uint64, (totalBits+63)/64)
-	var lastAnchor uint64
-	if nblocks > 0 {
-		lastAnchor = uint64(vals[(nblocks-1)*monotoneBlock])
-	}
-	mv.setFieldWidths(WidthFor(lastAnchor), WidthFor(totalBits))
+	mv.bits = make([]uint64, (pos+63)/64)
+	mv.setFieldWidths(WidthFor(anchor), WidthFor(maxOff))
 	mv.dir = make([]uint64, dirWords(mv.records, mv.rw))
-	var rec, pos uint64 // next record's bit in dir, next block's in bits
+	var rec uint64 // next record's bit in dir
+	pos = 0        // next block's bit in bits
 	for b := 0; b < nblocks; b++ {
 		if mv.marks[b/spanBlocks]>>(b%spanBlocks)&1 == 0 {
 			continue // continues a width-0 run: no record, no payload
 		}
-		start := b * monotoneBlock
-		end := start + blockCount(n, b)
-		w := uint(widths[b])
-		writeBits(mv.dir, rec, mv.aw, uint64(vals[start]))
-		writeBits(mv.dir, rec+uint64(mv.aw), widthBits+mv.ow, uint64(w)|pos<<widthBits)
+		w, vals := uint(widths[b]), blk[:1]
+		if w > 0 {
+			vals = blk[:blockCount(n, b)]
+		}
+		fill(b*monotoneBlock, vals)
+		writeBits(mv.dir, rec, mv.aw, vals[0])
+		writeBits(mv.dir, rec+uint64(mv.aw), widthBits+mv.ow, uint64(w)|(pos-mv.gbase[vals[0]>>gshift])<<widthBits)
 		rec += uint64(mv.rw)
 		if w == 0 {
 			continue
 		}
-		mid := hasMid(w, end-start)
-		for i := start + 1; i < end; i++ {
-			if mid && i-start == monotoneHalf {
+		mid := hasMid(w, len(vals))
+		for k := 1; k < len(vals); k++ {
+			if mid && k == monotoneHalf {
 				// Sub-anchor slot: cumulative stored delta from the anchor.
-				writeBits(mv.bits, pos, midWidth(w), uint64(vals[i]-vals[start])-strict*monotoneHalf)
+				writeBits(mv.bits, pos, midWidth(w), vals[k]-vals[0]-mv.strict*monotoneHalf)
 				pos += uint64(midWidth(w))
 				continue
 			}
-			writeBits(mv.bits, pos, w, uint64(vals[i]-vals[i-1])-strict)
+			writeBits(mv.bits, pos, w, vals[k]-vals[k-1]-mv.strict)
 			pos += uint64(w)
 		}
 	}
@@ -260,13 +293,13 @@ func (mv *MonotoneVector) recordAnchor(rec uint64) uint64 {
 	return window(mv.dir, rec*uint64(mv.rw)) & mv.amask
 }
 
-// record returns block b's anchor, delta width and payload bit offset. A
-// block past its record's own continues a width-0 run, so it has the
+// record returns block b's anchor, delta width and payload bit position.
+// A block past its record's own continues a width-0 run, so it has the
 // record's width and an anchor strict·monotoneBlock further per block.
-func (mv *MonotoneVector) record(b uint) (anchor uint64, w uint, off uint64) {
+func (mv *MonotoneVector) record(b uint) (anchor uint64, w uint, pos uint64) {
 	rec, past := mv.locate(b)
-	anchor, w, off = mv.recordAt(rec)
-	return anchor + mv.strict*monotoneBlock*uint64(past), w, off
+	anchor, w, off := mv.recordAt(rec)
+	return anchor + mv.strict*monotoneBlock*uint64(past), w, mv.gbase[anchor>>mv.gshift] + off
 }
 
 // anchor returns block b's first value.
@@ -283,12 +316,12 @@ func (mv *MonotoneVector) Len() int { return mv.n }
 func (mv *MonotoneVector) Get(i int) uint64 {
 	j := uint(i) % monotoneBlock
 	rec, past := mv.locate(uint(i) / monotoneBlock)
-	anchor, w, base := mv.recordAt(rec)
+	anchor, w, off := mv.recordAt(rec)
 	v := anchor + mv.strict*uint64(past*monotoneBlock+j)
 	if w == 0 || j == 0 {
 		return v
 	}
-	return v + mv.deltaSum(w, base, j)
+	return v + mv.deltaSum(w, mv.gbase[anchor>>mv.gshift]+off, j)
 }
 
 // deltaSum returns the sum of the first j stored deltas (1 <= j <
@@ -412,24 +445,13 @@ func (mv *MonotoneVector) SearchGE(lo, hi int, target uint64) int {
 	return hi
 }
 
-// Below reports whether every element is less than limit. It looks at
-// every block, not at the last element: a vector decoded from untrusted
-// bytes is well-formed but need not be monotone.
-func (mv *MonotoneVector) Below(limit uint64) bool {
+// Each calls f on every element in order, one decoded block at a time,
+// until f returns false, and reports whether f always returned true.
+func (mv *MonotoneVector) Each(f func(i int, v uint64) bool) bool {
 	var vals [monotoneBlock]uint64
 	for b := 0; b*monotoneBlock < mv.n; b++ {
-		cnt := blockCount(mv.n, b)
-		anchor, w, _ := mv.record(uint(b))
-		if w == 0 {
-			// Of limit and not of the last value, so the sum cannot wrap.
-			if anchor >= limit || mv.strict*uint64(cnt-1) >= limit-anchor {
-				return false
-			}
-			continue
-		}
-		mv.decodeBlock(b, &vals)
-		for _, v := range vals[:cnt] {
-			if v >= limit {
+		for k, v := range vals[:mv.decodeBlock(b, &vals)] {
+			if !f(b*monotoneBlock+k, v) {
 				return false
 			}
 		}
@@ -437,15 +459,21 @@ func (mv *MonotoneVector) Below(limit uint64) bool {
 	return true
 }
 
+// DecodeAll appends every element to dst and returns it.
+func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {
+	mv.Each(func(_ int, v uint64) bool { dst = append(dst, v); return true })
+	return dst
+}
+
 // SizeBytes returns the in-memory footprint of the payload.
 func (mv *MonotoneVector) SizeBytes() int {
-	return (len(mv.marks) + len(mv.dir) + len(mv.bits)) * 8
+	return (len(mv.gbase) + len(mv.marks) + len(mv.dir) + len(mv.bits)) * 8
 }
 
 // MonotoneStats says where a vector's bytes go: how many of its blocks
 // need no delta payload, how many of them still write a directory
-// record, and how the footprint splits between directory (marks and
-// records) and delta payload.
+// record, and how the footprint splits between directory (group bases,
+// marks and records) and delta payload.
 type MonotoneStats struct {
 	Blocks       int
 	EmptyBlocks  int // width 0: +1 runs when strict, constant runs otherwise
@@ -461,20 +489,21 @@ func (mv *MonotoneVector) Stats() MonotoneStats {
 		Blocks:       (mv.n + monotoneBlock - 1) / monotoneBlock,
 		EmptyBlocks:  mv.emptyBlocks,
 		Records:      mv.records,
-		DirBytes:     (len(mv.marks) + len(mv.dir)) * 8,
+		DirBytes:     (len(mv.gbase) + len(mv.marks) + len(mv.dir)) * 8,
 		PayloadBytes: len(mv.bits) * 8,
 	}
 }
 
 // monotoneHeader is the fixed part of the serial form: n, then one byte
-// each for strict, aw and ow, then the payload word count.
-const monotoneHeader = 8 + 3 + 8
+// each for strict, aw, ow and gshift, then the payload word count.
+const monotoneHeader = 8 + 4 + 8
 
 // AppendBinary serializes the vector: the header, the marks, the
-// directory records (without the pad word) and the payload words.
+// directory records (without the pad word) and the payload words. The
+// group bases are not written: the decoder derives them.
 func (mv *MonotoneVector) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(mv.n))
-	buf = append(buf, byte(mv.strict), byte(mv.aw), byte(mv.ow))
+	buf = append(buf, byte(mv.strict), byte(mv.aw), byte(mv.ow), byte(mv.gshift))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(mv.bits)))
 	for _, words := range [][]uint64{mv.marks, mv.dir[:len(mv.dir)-1], mv.bits} {
 		for _, w := range words {
@@ -486,21 +515,22 @@ func (mv *MonotoneVector) AppendBinary(buf []byte) []byte {
 
 // DecodeMonotoneVector reads a vector serialized with AppendBinary and
 // returns it with the number of bytes consumed. The input is untrusted:
-// the field widths, the marks, the directory and payload lengths and
-// every block's width and payload extent are checked here, so no accessor
-// of the returned vector can index out of range.
+// the field widths and group shift, the marks, the directory and payload
+// lengths, every block's width, every record's group and its payload
+// extent from its group's base are checked here, so no accessor of the
+// returned vector can index out of range.
 func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	if len(buf) < monotoneHeader {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone vector header")
 	}
 	n64 := binary.LittleEndian.Uint64(buf)
-	strict, aw, ow := buf[8], uint(buf[9]), uint(buf[10])
-	nbits := binary.LittleEndian.Uint64(buf[11:])
+	strict, aw, ow, gshift := buf[8], uint(buf[9]), uint(buf[10]), uint(buf[11])
+	nbits := binary.LittleEndian.Uint64(buf[12:])
 	if strict > 1 {
 		return nil, 0, fmt.Errorf("bitutil: invalid monotone strict flag %d", strict)
 	}
-	if aw < 1 || aw > 64 || ow < 1 || ow > maxOffsetWidth {
-		return nil, 0, fmt.Errorf("bitutil: invalid monotone field widths (anchor %d, offset %d)", aw, ow)
+	if aw < 1 || aw > 64 || ow < 1 || ow > maxOffsetWidth || gshift > 64 {
+		return nil, 0, fmt.Errorf("bitutil: invalid monotone field widths (anchor %d, offset %d, group shift %d)", aw, ow, gshift)
 	}
 	// However long its runs, a vector spends one marks word per span, so
 	// more spans than words is corrupt; checking first keeps the sums and
@@ -514,7 +544,7 @@ func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	if nbits > words-nspans {
 		return nil, 0, fmt.Errorf("bitutil: monotone vector of %d spans, %d payload words exceeds its %d bytes", nspans, nbits, len(buf))
 	}
-	mv := &MonotoneVector{n: int(n64), strict: uint64(strict)}
+	mv := &MonotoneVector{n: int(n64), strict: uint64(strict), gshift: gshift}
 	mv.setFieldWidths(aw, ow)
 	pos := monotoneHeader
 	readWords := func(n int) []uint64 {
@@ -541,33 +571,38 @@ func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	}
 	mv.dir = append(readWords(ndir-1), 0)
 	mv.bits = readWords(int(nbits))
+	// The payload is laid out in record order, so a group's base is the
+	// sum of the payload sizes of the records before its first one.
+	var sum uint64
 	for b := 0; b < int(nblocks); b++ {
 		rec, past := mv.locate(uint(b))
-		_, w, off := mv.recordAt(rec)
+		anchor, w, off := mv.recordAt(rec)
 		if w > 64 {
 			return nil, 0, fmt.Errorf("bitutil: monotone block %d: delta width %d", b, w)
 		}
 		if w == 0 {
 			mv.emptyBlocks++
-		} else if past > 0 {
-			return nil, 0, fmt.Errorf("bitutil: monotone block %d continues a record of delta width %d", b, w)
 		}
-		if end := off + blockPayloadBits(w, blockCount(mv.n, b)); end > nbits*64 {
-			return nil, 0, fmt.Errorf("bitutil: monotone block %d: payload bits [%d,%d) past the %d stored", b, off, end, nbits*64)
+		if past > 0 {
+			if w != 0 {
+				return nil, 0, fmt.Errorf("bitutil: monotone block %d continues a record of delta width %d", b, w)
+			}
+			continue
 		}
+		g := anchor >> gshift
+		if g >= maxGroups || g+1 < uint64(len(mv.gbase)) {
+			return nil, 0, fmt.Errorf("bitutil: monotone block %d: group %d after %d groups (at most %d)", b, g, len(mv.gbase), maxGroups)
+		}
+		for uint64(len(mv.gbase)) <= g {
+			mv.gbase = append(mv.gbase, sum)
+		}
+		size := blockPayloadBits(w, blockCount(mv.n, b))
+		if start := mv.gbase[g] + off; start+size > nbits*64 {
+			return nil, 0, fmt.Errorf("bitutil: monotone block %d: payload bits [%d,%d) past the %d stored", b, start, start+size, nbits*64)
+		}
+		sum += size
 	}
 	return mv, pos, nil
-}
-
-// DecodeAll appends every element to dst and returns it.
-func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {
-	var blk [monotoneBlock]uint64
-	nblocks := (mv.n + monotoneBlock - 1) / monotoneBlock
-	for b := 0; b < nblocks; b++ {
-		cnt := mv.decodeBlock(b, &blk)
-		dst = append(dst, blk[:cnt]...)
-	}
-	return dst
 }
 
 // writeBits stores the low w bits of v at bit position pos.

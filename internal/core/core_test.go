@@ -193,17 +193,21 @@ func tagged(w shardWire) taggedShardWire {
 }
 
 // TestOldShardRefusedByVersion: a shard from an earlier build — ZSUC1
-// stores and no offset columns at all, or ZSUC4 stores and codec-tagged
-// columns — is refused by the version of its stores, which UnmarshalShard
-// checks first: the error names the format found, not a missing column
-// or a vector that failed to decode.
+// stores and no offset columns at all, ZSUC4 stores and codec-tagged
+// columns, or ZSUC5 stores with one Ψ vector per bucket — is refused by
+// the version of its stores, which UnmarshalShard checks first: the
+// error names the format found, not a missing column or a vector that
+// failed to decode.
 func TestOldShardRefusedByVersion(t *testing.T) {
-	for _, magic := range []string{"ZSUC1", "ZSUC4"} {
+	for _, magic := range []string{"ZSUC1", "ZSUC4", "ZSUC5"} {
 		w := currentWire(t)
 		copy(w.NodeStore, magic)
 		copy(w.EdgeStore, magic)
 		var old any = tagged(w)
-		if magic == "ZSUC1" {
+		switch magic {
+		case "ZSUC5":
+			old = w
+		case "ZSUC1":
 			w.NodeOffsets, w.EdgeIdxOffs = nil, nil
 			old = w
 		}

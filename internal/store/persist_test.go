@@ -59,9 +59,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadArchiveWithEdgeSrcs: a ZIPGSTORE1 archive of mutatedStore
-// written before shards stopped carrying their distinct-sources column
-// (testdata, saved by the build of PR 22) loads — gob skips the field
-// this build no longer declares — and answers like a fresh one.
+// whose shards carry the distinct-sources column EdgeSrcs that shards
+// had before they stopped storing it (testdata: this format's archive,
+// each shard re-encoded by a struct that still declares the column)
+// loads — gob skips the field this build no longer declares — and
+// answers like a fresh one.
 func TestLoadArchiveWithEdgeSrcs(t *testing.T) {
 	blob, err := os.ReadFile("testdata/store_pr22_edgesrcs.zipg")
 	if err != nil {
@@ -150,11 +152,11 @@ func TestLoadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(blob, []byte("ZSUC5\x00")) {
-		t.Fatal("saved store carries no ZSUC5 succinct store")
+	if !bytes.Contains(blob, []byte("ZSUC6\x00")) {
+		t.Fatal("saved store carries no ZSUC6 succinct store")
 	}
-	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00"} {
-		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC5\x00"), []byte(old))), nil)
+	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00"} {
+		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC6\x00"), []byte(old))), nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), old[:5]) {
 			t.Errorf("archive with %q stores: err = %v, want unsupported format version naming it", old, err)
 		}

@@ -470,6 +470,8 @@ func (s *Store) CompressedFootprint() int64 {
 // RawSize returns the uncompressed flat-file bytes of the initial shards
 // (the denominator of Figure 5's footprint ratio).
 func (s *Store) RawSize() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var total int64
 	for _, sh := range s.primaries {
 		total += int64(sh.RawSize())

@@ -344,6 +344,44 @@ func TestWritesRacingCompaction(t *testing.T) {
 	})
 }
 
+// TestRawSizeDuringCompaction: RawSize reads the primaries while
+// Compact swaps fresh ones in, and the answer is the same before, during
+// and after, since a compaction with no writes rebuilds the same flat
+// files. Under -race it fails unless RawSize takes the store lock.
+func TestRawSizeDuringCompaction(t *testing.T) {
+	ns, es := testSchemas(t)
+	nodes, edges := testGraph(30, 100, 6)
+	s, err := New(nodes, edges, ns, es, Config{NumShards: 2, SamplingRate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.RawSize()
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; i < 4 && err == nil; i++ {
+			err = s.Compact()
+		}
+		done <- err
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.RawSize(); got != want {
+				t.Fatalf("RawSize %d after compaction, %d before", got, want)
+			}
+			return
+		default:
+		}
+		if got := s.RawSize(); got != want {
+			t.Fatalf("RawSize %d during compaction, %d before", got, want)
+		}
+	}
+}
+
 func writesRacing(t *testing.T, merge func(*Store) (bool, error)) {
 	ns, es := testSchemas(t)
 	nodes, edges := testGraph(30, 100, 6)

@@ -10,16 +10,62 @@ import (
 
 // diffTexts returns the corpora the kernel differential tests run over:
 // compressible word salad, high-entropy bytes, a tiny alphabet with long
-// runs, and a short text smaller than one sampling interval.
+// runs, a short text smaller than one sampling interval, and the edges
+// of Ψ's one sequence, whose values carry the row's bucket above
+// psiShift = bits.Len(n) bits: one character bucket, all 256 byte values,
+// buckets of one to three rows — so a 16-row block spans several bucket
+// boundaries and its deltas carry more than one into the bucket bits —
+// and n one below, at and one past a power of two.
 func diffTexts() map[string][]byte {
 	long := benchText(4096, 3)
 	random := buildText(5, 2048, 26)
 	runs := bytes.Repeat([]byte("aaaabbbbccccaaaa"), 128)
+	rng := rand.New(rand.NewSource(31))
+	var allBytes, tinyBuckets []byte
+	for round := 0; round < 3; round++ {
+		for _, c := range rng.Perm(256) {
+			allBytes = append(allBytes, byte(c))
+			if c < 200 && c%3 >= round {
+				tinyBuckets = append(tinyBuckets, byte(c))
+			}
+		}
+	}
 	return map[string][]byte{
-		"words":  long,
-		"random": random,
-		"runs":   runs,
-		"tiny":   []byte("ab"),
+		"words":        long,
+		"random":       random,
+		"runs":         runs,
+		"tiny":         []byte("ab"),
+		"one-bucket":   bytes.Repeat([]byte("a"), 700),
+		"all-bytes":    allBytes,
+		"tiny-buckets": tinyBuckets,
+		"n=2^10-1":     buildText(7, 1<<10-2, 4),
+		"n=2^10":       buildText(8, 1<<10-1, 4),
+		"n=2^10+1":     buildText(9, 1<<10, 4),
+	}
+}
+
+// TestDiffTextsReachPsiEdges pins what the edge corpora are for: their
+// bucket counts, a 16-row block of Ψ whose last value is at least two
+// buckets past its first, and psiShift on either side of a power of two.
+func TestDiffTextsReachPsiEdges(t *testing.T) {
+	texts := diffTexts()
+	for name, want := range map[string]int{"one-bucket": 2, "all-bytes": 257} {
+		if nb := len(Build(texts[name], Options{}).bucketChar); nb != want {
+			t.Errorf("%s: %d buckets with the sentinel's, want %d", name, nb, want)
+		}
+	}
+	s := Build(texts["tiny-buckets"], Options{})
+	vals, carry := s.psi.DecodeAll(nil), uint64(0)
+	for start := 0; start+16 <= len(vals); start += 16 {
+		carry = max(carry, vals[start+15]>>s.psiShift-vals[start]>>s.psiShift)
+	}
+	if carry < 2 {
+		t.Errorf("tiny-buckets: a block spans at most %d bucket boundaries, want 2 or more", carry)
+	}
+	for name, want := range map[string]uint{"n=2^10-1": 10, "n=2^10": 11, "n=2^10+1": 11} {
+		if got := Build(texts[name], Options{}).psiShift; got != want {
+			t.Errorf("%s: psiShift %d, want %d", name, got, want)
+		}
 	}
 }
 

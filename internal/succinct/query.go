@@ -28,9 +28,9 @@ func (s *Store) ExtractAppend(dst []byte, off, length int) []byte {
 
 // searchRange returns the suffix-array row range [lo, hi) of suffixes
 // that begin with pattern, via Ψ-based backward search: the range for
-// pattern[k:] is refined into the range for pattern[k-1:] with two binary
-// searches inside the bucket of pattern[k-1], exploiting the monotonicity
-// of Ψ within a bucket.
+// pattern[k:] is refined into the range for pattern[k-1:] with two
+// searches inside the rows of the bucket of pattern[k-1], whose values
+// are the bucket's prefix above Ψ, increasing.
 func (s *Store) searchRange(pattern []byte) (int, int) {
 	if len(pattern) == 0 {
 		return 0, 0
@@ -49,14 +49,13 @@ func (s *Store) searchRange(pattern []byte) (int, int) {
 			return 0, 0
 		}
 		bStart, bEnd := int(s.bucketStart[b]), int(s.bucketStart[b+1])
-		size := bEnd - bStart
 		// Rows i in the bucket with Ψ(i) in [lo, hi).
 		if s.med != nil {
 			s.med.Access(s.regPsi, int64(float64(bStart)*s.psiBytesPerRow), 64)
 		}
-		newLo := s.psi[b].SearchGE(0, size, uint64(lo))
-		newHi := s.psi[b].SearchGE(newLo, size, uint64(hi))
-		lo, hi = bStart+newLo, bStart+newHi
+		prefix := uint64(b) << s.psiShift
+		lo = s.psi.SearchGE(bStart, bEnd, prefix|uint64(lo))
+		hi = s.psi.SearchGE(lo, bEnd, prefix|uint64(hi))
 	}
 	return lo, hi
 }

@@ -45,21 +45,10 @@ func region(name, encoding string, elems, bytes, rows int) RegionCodec {
 	}
 }
 
-// monotoneRegion summarizes vecs, which together serve rows rows, under
-// name.
-func monotoneRegion(name string, rows int, vecs ...*bitutil.MonotoneVector) RegionCodec {
-	var st bitutil.MonotoneStats
-	elems := 0
-	for _, mv := range vecs {
-		elems += mv.Len()
-		v := mv.Stats()
-		st.Blocks += v.Blocks
-		st.EmptyBlocks += v.EmptyBlocks
-		st.Records += v.Records
-		st.DirBytes += v.DirBytes
-		st.PayloadBytes += v.PayloadBytes
-	}
-	rc := region(name, "monotone", elems, st.DirBytes+st.PayloadBytes, rows)
+// monotoneRegion summarizes mv, which serves rows rows, under name.
+func monotoneRegion(name string, rows int, mv *bitutil.MonotoneVector) RegionCodec {
+	st := mv.Stats()
+	rc := region(name, "monotone", mv.Len(), st.DirBytes+st.PayloadBytes, rows)
 	if st.Blocks > 0 {
 		rc.RunBlockShare = float64(st.EmptyBlocks) / float64(st.Blocks)
 		rc.RecordShare = float64(st.Records) / float64(st.Blocks)
@@ -69,11 +58,11 @@ func monotoneRegion(name string, rows int, vecs ...*bitutil.MonotoneVector) Regi
 }
 
 // RegionCodecs reports the encoding and size of each region (Ψ, the
-// sampled rows, SA samples, ISA samples). With the bucket tables and the
-// row directory their bytes are CompressedSize.
+// sampled rows, SA samples, ISA samples). With the bucket tables their
+// bytes are CompressedSize.
 func (s *Store) RegionCodecs() []RegionCodec {
 	return []RegionCodec{
-		monotoneRegion("psi", s.n, s.psi...),
+		monotoneRegion("psi", s.n, s.psi),
 		region("marks", "sparse", s.saMarks.Len(), s.saMarks.SizeBytes(), s.n),
 		region("sa", "packed", s.saSamples.Len(), s.saSamples.SizeBytes(), s.n),
 		region("isa", "packed", s.isaSamples.Len(), s.isaSamples.SizeBytes(), s.n),

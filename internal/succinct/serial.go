@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -12,9 +13,10 @@ import (
 // serialMagic identifies a serialized Store and its format version.
 // There is one version: ZSUC1 and ZSUC2 (Ψ buckets in the four-array
 // monotone vector form), ZSUC3 (a directory record per block, the
-// sampled rows as a bitmap) and ZSUC4 (a codec tag byte ahead of each
-// sample array) are refused by name, like any other magic.
-const serialMagic = "ZSUC5\x00"
+// sampled rows as a bitmap), ZSUC4 (a codec tag byte ahead of each
+// sample array) and ZSUC5 (one Ψ vector per bucket) are refused by name,
+// like any other magic.
+const serialMagic = "ZSUC6\x00"
 
 // MarshalBinary serializes the store into a flat byte slice. The format
 // is what cmd/zipg-load writes and what servers load at startup; it
@@ -30,9 +32,7 @@ func (s *Store) MarshalBinary() []byte {
 	for _, st := range s.bucketStart {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(st))
 	}
-	for _, p := range s.psi {
-		buf = p.AppendBinary(buf)
-	}
+	buf = s.psi.AppendBinary(buf)
 	buf = s.saMarks.AppendBinary(buf)
 	buf = s.saSamples.AppendBinary(buf)
 	buf = s.isaSamples.AppendBinary(buf)
@@ -75,9 +75,9 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	// The decoders below make each structure safe to read on its own; the
 	// checks here make them safe to read through one another, so that no
 	// row, rank or position one of them yields is out of range for the
-	// next: the buckets tile [0, n) in character order, every bucket's Ψ
-	// has its rows and points at rows, and the samples are one per α
-	// positions and in range.
+	// next: the buckets tile [0, n) in character order, Ψ has a value for
+	// every row, holding the row's bucket above a row, and the samples
+	// are one per α positions and in range.
 	if s.bucketStart[0] != 0 || int(s.bucketStart[nb]) != s.n {
 		return nil, fmt.Errorf("succinct: buckets span rows [%d,%d) of %d", s.bucketStart[0], s.bucketStart[nb], s.n)
 	}
@@ -87,17 +87,24 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 		}
 	}
 
+	s.psiShift = uint(bits.Len(uint(s.n)))
 	var err error
 	var k int
-	s.psi = make([]*bitutil.MonotoneVector, nb)
-	for i := range s.psi {
-		if s.psi[i], k, err = bitutil.DecodeMonotoneVector(buf[pos:]); err != nil {
-			return nil, fmt.Errorf("succinct: psi bucket %d: %w", i, err)
+	if s.psi, k, err = bitutil.DecodeMonotoneVector(buf[pos:]); err != nil {
+		return nil, fmt.Errorf("succinct: psi: %w", err)
+	}
+	pos += k
+	if s.psi.Len() != s.n {
+		return nil, fmt.Errorf("succinct: psi: %d values for %d rows", s.psi.Len(), s.n)
+	}
+	b := 0
+	if !s.psi.Each(func(row int, v uint64) bool {
+		for int(s.bucketStart[b+1]) <= row {
+			b++
 		}
-		pos += k
-		if rows := int(s.bucketStart[i+1] - s.bucketStart[i]); s.psi[i].Len() != rows || !s.psi[i].Below(uint64(s.n)) {
-			return nil, fmt.Errorf("succinct: psi bucket %d: %d values for %d rows, or one past row %d", i, s.psi[i].Len(), rows, s.n)
-		}
+		return v>>s.psiShift == uint64(b) && v&(1<<s.psiShift-1) < uint64(s.n)
+	}) {
+		return nil, fmt.Errorf("succinct: psi: a row of bucket %d holds another bucket or a row past %d", b, s.n)
 	}
 	if s.saMarks, k, err = bitutil.DecodeSparseSet(buf[pos:]); err != nil {
 		return nil, fmt.Errorf("succinct: sampled rows: %w", err)

@@ -2,6 +2,7 @@ package succinct
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"strings"
@@ -41,13 +42,13 @@ func TestLookupSAAgainstSuffixArray(t *testing.T) {
 	}
 }
 
-// TestRegionsSumToCompressedSize: the regions RegionCodecs lists, the
-// bucket tables and the row directory are the whole footprint — nothing
-// is reported twice and nothing is left out of the report.
+// TestRegionsSumToCompressedSize: the regions RegionCodecs lists and the
+// bucket tables are the whole footprint — nothing is reported twice and
+// nothing is left out of the report.
 func TestRegionsSumToCompressedSize(t *testing.T) {
 	for name, text := range diffTexts() {
 		s := Build(text, Options{SamplingRate: 8})
-		sum := (len(s.bucketChar) + len(s.bucketStart) + len(s.rowDir)) * 4
+		sum := (len(s.bucketChar) + len(s.bucketStart)) * 4
 		var names []string
 		for _, rc := range s.RegionCodecs() {
 			sum += rc.Bytes
@@ -63,13 +64,13 @@ func TestRegionsSumToCompressedSize(t *testing.T) {
 }
 
 // TestSerialOneVersion: a store marshals under the one magic, reloads
-// and answers identically; every other magic — the retired ZSUC1–ZSUC4
+// and answers identically; every other magic — the retired ZSUC1–ZSUC5
 // included — is refused with an error that names what was found.
 func TestSerialOneVersion(t *testing.T) {
 	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
 	built := Build(text, Options{SamplingRate: 8})
 	blob := built.MarshalBinary()
-	if !bytes.HasPrefix(blob, []byte("ZSUC5\x00")) {
+	if !bytes.HasPrefix(blob, []byte("ZSUC6\x00")) {
 		t.Fatalf("marshaled with magic %q", blob[:6])
 	}
 	got, err := UnmarshalStore(blob, nil)
@@ -86,7 +87,7 @@ func TestSerialOneVersion(t *testing.T) {
 		t.Fatalf("reloaded CompressedSize = %d, want %d", g, w)
 	}
 
-	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC9\x00", "nope"} {
+	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00", "ZSUC9\x00", "nope"} {
 		bad := append([]byte(magic), blob[6:]...)
 		_, err := UnmarshalStore(bad, nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") ||
@@ -109,10 +110,32 @@ func corruptStores(t testing.TB) map[string][]byte {
 		s := *good
 		s.bucketStart = append([]int32(nil), good.bucketStart...)
 		s.bucketChar = append([]int32(nil), good.bucketChar...)
-		s.psi = append([]*bitutil.MonotoneVector(nil), good.psi...)
 		change(&s)
 		return s.MarshalBinary()
 	}
+	// psiWith re-encodes Ψ, grouped by bucket as Build does, after
+	// change has edited its values.
+	psiWith := func(change func(vals []uint64) []uint64) *bitutil.MonotoneVector {
+		vals := change(good.psi.DecodeAll(nil))
+		return bitutil.NewGroupedVector(len(vals), good.psiShift, func(start int, out []uint64) { copy(out, vals[start:]) })
+	}
+	// Ψ's payload one word short: the header of the vector after the
+	// bucket tables counts one payload word fewer, and its last word is
+	// cut out, so the last block's payload runs past the end.
+	nb := len(good.bucketChar)
+	blob := good.MarshalBinary()
+	at := len(serialMagic) + 24 + nb*4 + (nb+1)*4
+	_, k, err := bitutil.DecodeMonotoneVector(blob[at:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nbitsAt = 12 // n, then strict, aw, ow and gshift
+	nbits := binary.LittleEndian.Uint64(blob[at+nbitsAt:])
+	if nbits == 0 {
+		t.Fatal("Ψ of the corrupted store has no payload to cut")
+	}
+	shortPayload := append(append([]byte(nil), blob[:at+k-8]...), blob[at+k:]...)
+	binary.LittleEndian.PutUint64(shortPayload[at+nbitsAt:], nbits-1)
 	unpack := func(pv *bitutil.PackedVector) []uint64 {
 		vals := make([]uint64, pv.Len())
 		for i := range vals {
@@ -139,12 +162,24 @@ func corruptStores(t testing.TB) map[string][]byte {
 		"buckets_decreasing":   with(func(s *Store) { s.bucketStart[2], s.bucketStart[3] = s.bucketStart[3], s.bucketStart[2] }),
 		"bucket_chars_repeat":  with(func(s *Store) { s.bucketChar[2] = s.bucketChar[1] }),
 		"bucket_char_past_256": with(func(s *Store) { s.bucketChar[len(s.bucketChar)-1] = 300 }),
-		"psi_bucket_too_short": with(func(s *Store) { s.psi[1] = bitutil.NewMonotoneVector(s.psi[1].DecodeAll(nil)[1:]) }),
+		"psi_too_short":        with(func(s *Store) { s.psi = psiWith(func(vals []uint64) []uint64 { return vals[1:] }) }),
 		"psi_value_past_n": with(func(s *Store) {
-			vals := s.psi[1].DecodeAll(nil)
-			vals[len(vals)-1] = uint64(n)
-			s.psi[1] = bitutil.NewMonotoneVector(vals)
+			s.psi = psiWith(func(vals []uint64) []uint64 {
+				vals[n-1] = uint64(nb-1)<<s.psiShift | uint64(n)
+				return vals
+			})
 		}),
+		// The last row of bucket 1 takes the value of the first row of
+		// bucket 2: still non-decreasing, but a step from it would read
+		// the wrong character.
+		"psi_wrong_bucket_prefix": with(func(s *Store) {
+			s.psi = psiWith(func(vals []uint64) []uint64 {
+				end := s.bucketStart[2]
+				vals[end-1] = vals[end]
+				return vals
+			})
+		}),
+		"psi_payload_past_end":  shortPayload,
 		"one_sampled_row_short": with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n, rows[1:]) }),
 		"sampled_rows_past_n":   with(func(s *Store) { s.saMarks = bitutil.NewSparseSet(n+1, rows) }),
 		"one_sa_sample_short":   with(func(s *Store) { s.saSamples = bitutil.PackSlice(unpack(s.saSamples)[1:]) }),

@@ -15,15 +15,17 @@
 //	Ψ[i] = ISA[(SA[i]+1) mod n].
 //
 // Ψ is strictly increasing within each character bucket of the suffix
-// array, so it is stored as per-bucket block-compressed monotone
-// sequences — this is where the compression comes from, and it shrinks
-// with the compressibility of the input. Unsampled SA/ISA values are
-// recovered by walking Ψ at most α steps, giving the paper's space/latency
-// knob: space ≈ 2n·log(n)/α for the samples, latency ∝ α.
+// array, so with each row's bucket added above its value it is one
+// strictly increasing sequence, stored block-compressed — this is where
+// the compression comes from, and it shrinks with the compressibility of
+// the input. Unsampled SA/ISA values are recovered by walking Ψ at most
+// α steps, giving the paper's space/latency knob: space ≈ 2n·log(n)/α
+// for the samples, latency ∝ α.
 package succinct
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"zipg/internal/bitutil"
@@ -49,16 +51,13 @@ type Store struct {
 	bucketChar  []int32
 	bucketStart []int32
 
-	// rowDir is the sampled row→bucket directory: rowDir[r>>rowDirShift]
-	// is the bucket containing row r<<rowDirShift, making bucketOfRow —
-	// executed once per Ψ step — O(1) amortized instead of a binary
-	// search. Derived from bucketStart; a few KB, charged to the medium.
-	rowDir []int32
-
-	// Ψ, stored per bucket. Within a bucket Ψ is strictly increasing, so
-	// every bucket is a strict bitutil.MonotoneVector and its +1 runs are
-	// payload-free blocks.
-	psi []*bitutil.MonotoneVector
+	// Ψ, one strict bitutil.MonotoneVector: row r holds
+	// bucket(r)<<psiShift | Ψ[r], so a Ψ step reads the row's character
+	// and its successor from one value, and the vector's groups are the
+	// buckets. Within a bucket Ψ is strictly increasing, so its +1 runs
+	// are payload-free blocks.
+	psi      *bitutil.MonotoneVector
+	psiShift uint // bits.Len(n): every row, and n itself, fits below it
 
 	// Value-sampled SA: saMarks holds the rows whose SA value is a
 	// multiple of α; saSamples holds those values, divided by α, in row
@@ -164,68 +163,45 @@ func Build(text []byte, opts Options) *Store {
 	}
 	s.saMarks = bitutil.NewSparseSet(n, sampledRows)
 
-	// Ψ per bucket, straight from its rows of psi; a yield between
-	// buckets bounds what a query waits by one bucket's encode.
-	s.psi = make([]*bitutil.MonotoneVector, len(s.bucketChar))
-	for b := range s.psi {
-		s.psi[b] = bitutil.NewMonotoneVector(psi[s.bucketStart[b]:s.bucketStart[b+1]])
-		runtime.Gosched()
-	}
+	// Ψ with the bucket prefix ORed in as the encoder reads its rows; a
+	// yield every buildYieldRows rows of each of the encoder's passes
+	// bounds what a query waits.
+	s.psiShift = uint(bits.Len(uint(n)))
+	shift, starts, b := s.psiShift, s.bucketStart, 0
+	s.psi = bitutil.NewGroupedVector(n, shift, func(start int, out []uint64) {
+		if start%buildYieldRows == 0 {
+			runtime.Gosched()
+		}
+		if int(starts[b]) > start {
+			b = 0 // the encoder's next pass
+		}
+		for k, r := range psi[start : start+len(out)] {
+			for int(starts[b+1]) <= start+k {
+				b++
+			}
+			out[k] = uint64(b)<<shift | uint64(r)
+		}
+	})
 
 	s.finish()
 	return s
 }
 
-// rowDirShift fixes the row→bucket directory's sampling stride at
-// 1<<rowDirShift rows: one int32 per 256 rows is n/64 bytes — small
-// against Ψ's ~2 bytes/row — and a stride can span at most 256 bucket
-// boundaries in total across the whole directory, so the linear advance
-// in bucketOfRow is O(1) amortized.
-const rowDirShift = 8
-
-// buildRowDir derives the sampled row→bucket directory from the bucket
-// boundary table (never serialized; rebuilt at load).
-func (s *Store) buildRowDir() {
-	stride := 1 << rowDirShift
-	dir := make([]int32, (s.n+stride-1)/stride)
-	b := 0
-	for si := range dir {
-		row := int32(si << rowDirShift)
-		for s.bucketStart[b+1] <= row {
-			b++
-		}
-		dir[si] = int32(b)
-	}
-	s.rowDir = dir
-}
-
-// psiSizeBytes sums the Ψ buckets' footprints.
-func (s *Store) psiSizeBytes() int {
-	total := 0
-	for _, p := range s.psi {
-		total += p.SizeBytes()
-	}
-	return total
-}
-
-// finish derives the row→bucket directory and, when there is a
-// simulated medium, places the store's regions on it.
+// finish places the store's regions on the simulated medium, if any.
 func (s *Store) finish() {
-	s.buildRowDir()
 	if s.med == nil {
 		return
 	}
-	psiBytes := s.psiSizeBytes()
+	psiBytes := s.psi.SizeBytes()
 	s.psiBytesPerRow = float64(psiBytes) / float64(s.n)
 	s.regPsi = s.med.Register(int64(psiBytes))
 	saBytes := s.saMarks.SizeBytes() + s.saSamples.SizeBytes()
 	s.saBytesPerSample = float64(saBytes) / float64(s.saSamples.Len())
 	s.regSA = s.med.Register(int64(saBytes))
 	s.regISA = s.med.Register(int64(s.isaSamples.SizeBytes()))
-	// Bucket boundary tables and the row→bucket directory are a few KB
-	// and always hot; account for them in the footprint without charging
-	// accesses.
-	s.med.Grow(int64(len(s.bucketChar)*4 + len(s.bucketStart)*4 + len(s.rowDir)*4))
+	// The bucket boundary tables are a few KB and always hot; account for
+	// them in the footprint without charging accesses.
+	s.med.Grow(int64(len(s.bucketChar)*4 + len(s.bucketStart)*4))
 }
 
 // InputLen returns the length of the original (uncompressed) text.
@@ -236,20 +212,8 @@ func (s *Store) SamplingRate() int { return s.alpha }
 
 // CompressedSize returns the total in-memory footprint in bytes.
 func (s *Store) CompressedSize() int {
-	return len(s.bucketChar)*4 + len(s.bucketStart)*4 + len(s.rowDir)*4 + s.psiSizeBytes() +
+	return len(s.bucketChar)*4 + len(s.bucketStart)*4 + s.psi.SizeBytes() +
 		s.saMarks.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
-}
-
-// bucketOfRow returns the bucket index containing row: the directory
-// entry for the row's stride, advanced past any bucket boundaries inside
-// the stride. O(1) amortized — this runs once per Ψ step, so it is the
-// single hottest lookup in the store.
-func (s *Store) bucketOfRow(row int) int {
-	b := int(s.rowDir[row>>rowDirShift])
-	for int(s.bucketStart[b+1]) <= row {
-		b++
-	}
-	return b
 }
 
 // bucketOfChar returns the bucket index for shifted char c, or -1.
@@ -262,16 +226,10 @@ func (s *Store) bucketOfChar(c int32) int {
 }
 
 // stepRow returns the (shifted) first character of the suffix at row and
-// Ψ[row] in one bucket lookup.
+// Ψ[row], both from the row's one value. This runs once per Ψ step.
 func (s *Store) stepRow(row int) (c int32, next int) {
-	b := s.bucketOfRow(row)
-	return s.bucketChar[b], int(s.psi[b].Get(row - int(s.bucketStart[b])))
-}
-
-// psiAt evaluates Ψ[row].
-func (s *Store) psiAt(row int) int {
-	_, next := s.stepRow(row)
-	return next
+	v := s.psi.Get(row)
+	return s.bucketChar[v>>s.psiShift], int(v & (1<<s.psiShift - 1))
 }
 
 // LookupSA returns SA[row]: the text offset of the suffix at the given
@@ -292,7 +250,7 @@ func (s *Store) LookupSA(row int) int {
 		if steps%8 == 0 {
 			s.chargePsiAt(row)
 		}
-		row = s.psiAt(row)
+		_, row = s.stepRow(row)
 		steps++
 		rank, sampled = s.saMarks.Rank(row)
 	}
@@ -331,7 +289,7 @@ func (s *Store) lookupISA(pos int, charge bool) int {
 		if charge {
 			s.chargePsiAt(row)
 		}
-		row = s.psiAt(row)
+		_, row = s.stepRow(row)
 	}
 	if telemetry.Enabled() {
 		mISALookups.Inc()

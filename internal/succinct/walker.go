@@ -29,9 +29,9 @@ type Walker struct {
 	since int // Ψ steps since the last medium charge (see extractChargeStride)
 }
 
-// walkLanes is how many chains Append steps in lockstep: the count past
-// which BenchmarkWalkerLanes stops improving on a store that leaves the
-// cache (DESIGN.md, "Access kernels"). maxWalkLanes sizes the lane array,
+// walkLanes is how many chains Append steps in lockstep: a count on the
+// plateau BenchmarkWalkerLanes reaches, from two lanes on, on a store
+// that leaves the cache (DESIGN.md, "Access kernels"). maxWalkLanes sizes the lane array,
 // which lives on the stack, and bounds the benchmark's sweep.
 const (
 	walkLanes    = 8
@@ -100,6 +100,7 @@ func (w *Walker) appendLanes(dst []byte, n, k int) []byte {
 		first, last := next/s.alpha, (end-1)/s.alpha
 		s.med.Access(s.regISA, int64(first)*8, int64(last-first+1)*8)
 	}
+	psi, shift, chars := s.psi, s.psiShift, s.bucketChar
 	var lanes [maxWalkLanes]chain
 	lanes[0] = chain{w.row, start, min(next, end)}
 	live := 1
@@ -115,7 +116,8 @@ func (w *Walker) appendLanes(dst []byte, n, k int) []byte {
 		}
 		for i := 0; i < live; i++ {
 			l := &lanes[i]
-			c, r := s.stepRow(l.row)
+			v := psi.Get(l.row) // stepRow, with the fields in locals
+			c, r := chars[v>>shift], int(v&(1<<shift-1))
 			if c == 0 && l.off < stop {
 				// The sentinel's row before the end: a damaged archive.
 				// The read ends there, as one walk would have ended it.
