@@ -28,8 +28,13 @@ type Client struct {
 	conns [][]*rpc.Client // mirrors addrs; nil until dialed, and after a drop
 }
 
-// Compile-time check: the cluster client serves the shared workload API.
-var _ graphapi.Store = (*Client)(nil)
+// Compile-time check: the cluster client serves the shared workload API
+// and ships both the record read and the hop.
+var (
+	_ graphapi.Store      = (*Client)(nil)
+	_ graphapi.EdgeReader = (*Client)(nil)
+	_ graphapi.Expander   = (*Client)(nil)
+)
 
 // NewClient connects to a cluster of one server per partition, given
 // every server's address in server-ID order.
@@ -223,11 +228,69 @@ func (c *Client) GetNeighborIDsCtx(ctx context.Context, id graphapi.NodeID, etyp
 	sp, ctx := telemetry.StartSpanCtx(ctx, "client.get_neighbor_ids")
 	defer sp.End()
 	var reply idsReply
-	if err := c.callRead(ctx, c.ownerOf(id), "Neighbors", &neighborsArgs{ID: id, EType: etype, Props: props}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(id), "Neighbors", &neighborsArgs{IDs: []graphapi.NodeID{id}, EType: etype, Props: props}, &reply); err != nil {
 		sp.SetError(err)
 		return nil
 	}
 	return reply.IDs
+}
+
+// TwoHopNeighbors returns the distinct nodes exactly reachable within
+// two hops of id along etype (WildcardType for any), with props
+// filtering the second hop. It is multi-level function shipping (§4.1:
+// "a subquery may be further decomposed into sub-subqueries and
+// forwarded to respective servers"): the first hop is expanded at id's
+// owner; the second is one Neighbors call to each owner of first-hop
+// nodes, each of which ships the property checks to the neighbors'
+// owners in one MatchBatch per owner — three levels of servers cooperate
+// on one query (Figure 4, one level deeper).
+func (c *Client) TwoHopNeighbors(id graphapi.NodeID, etype graphapi.EdgeType, props map[string]string) []graphapi.NodeID {
+	first := c.GetNeighborIDs(id, etype, nil)
+	var mu sync.Mutex
+	union := make(map[graphapi.NodeID]bool)
+	// A share whose owner fails adds nothing.
+	_ = fanOut(byOwner(first, len(c.addrs)), -1, func(owner int, idx []int) error {
+		var reply idsReply
+		if err := c.callRead(context.Background(), owner, "Neighbors", &neighborsArgs{IDs: pick(first, idx), EType: etype, Props: props}, &reply); err != nil {
+			return err
+		}
+		mu.Lock()
+		for _, n := range reply.IDs {
+			union[n] = true
+		}
+		mu.Unlock()
+		return nil
+	})
+	var out []graphapi.NodeID
+	for n := range union {
+		out = append(out, n)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Expand implements graphapi.Expander: the frontier is split by owning
+// partition, and each share is one concurrent Expand call to a replica
+// of its owner.
+func (c *Client) Expand(frontier []graphapi.NodeID, etype graphapi.EdgeType, q graphapi.EdgeQuery, withData bool) ([][]graphapi.EdgeData, error) {
+	out := make([][]graphapi.EdgeData, len(frontier))
+	err := fanOut(byOwner(frontier, len(c.addrs)), -1, func(owner int, idx []int) error {
+		var reply expandReply
+		if err := c.callRead(context.Background(), owner, "Expand", &expandArgs{IDs: pick(frontier, idx), EType: etype, Query: q, WithData: withData}, &reply); err != nil {
+			return err
+		}
+		if len(reply.Edges) != len(idx) {
+			return fmt.Errorf("cluster: Expand of %d nodes answered %d", len(idx), len(reply.Edges))
+		}
+		for j, edges := range reply.Edges {
+			out[idx[j]] = edges
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // remoteRecord is the client-side EdgeRecord handle; data accesses are
@@ -239,17 +302,12 @@ type remoteRecord struct {
 	count int
 }
 
-// call reads from the record's owning partition.
-func (r *remoteRecord) call(method string, args, reply any) error {
-	return r.c.callRead(context.Background(), r.c.ownerOf(r.id), method, args, reply)
-}
-
 func (r *remoteRecord) Count() int { return r.count }
 
 func (r *remoteRecord) Range(tLo, tHi int64) (int, int) {
 	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
 	var reply rangeReply
-	if err := r.call("RecRange", &recRangeArgs{ID: r.id, EType: r.etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
+	if err := r.c.callRead(context.Background(), r.c.ownerOf(r.id), "RecRange", &recRangeArgs{ID: r.id, EType: r.etype, Lo: tLo, Hi: tHi}, &reply); err != nil {
 		return 0, 0
 	}
 	return reply.Beg, reply.End
@@ -267,11 +325,15 @@ func (r *remoteRecord) Data(timeOrder int) (graphapi.EdgeData, error) {
 }
 
 func (r *remoteRecord) Destinations() []graphapi.NodeID {
-	var reply idsReply
-	if err := r.call("RecDsts", &recArgs{ID: r.id, EType: r.etype}, &reply); err != nil {
+	hop, err := r.c.Expand([]graphapi.NodeID{r.id}, r.etype, graphapi.ByOrder(0, graphapi.NoLimit), false)
+	if err != nil || len(hop[0]) == 0 {
 		return nil
 	}
-	return reply.IDs
+	out := make([]graphapi.NodeID, len(hop[0]))
+	for i, e := range hop[0] {
+		out[i] = e.Dst
+	}
+	return out
 }
 
 // GetEdgeRecord implements graphapi.Store.
@@ -286,8 +348,12 @@ func (c *Client) GetEdgeRecord(id graphapi.NodeID, etype graphapi.EdgeType) (gra
 // ReadEdges implements graphapi.EdgeReader: one round trip to a replica
 // of the owner, which locates the record and reads q's interval of it.
 func (c *Client) ReadEdges(id graphapi.NodeID, etype graphapi.EdgeType, q graphapi.EdgeQuery) ([]graphapi.EdgeData, error) {
+	return c.readEdgesCtx(context.Background(), id, etype, q)
+}
+
+func (c *Client) readEdgesCtx(ctx context.Context, id graphapi.NodeID, etype graphapi.EdgeType, q graphapi.EdgeQuery) ([]graphapi.EdgeData, error) {
 	var reply edgesReply
-	if err := c.callRead(context.Background(), c.ownerOf(id), "ReadEdges", &readEdgesArgs{ID: id, EType: etype, Query: q}, &reply); err != nil {
+	if err := c.callRead(ctx, c.ownerOf(id), "ReadEdges", &readEdgesArgs{ID: id, EType: etype, Query: q}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Edges, nil
@@ -296,7 +362,7 @@ func (c *Client) ReadEdges(id graphapi.NodeID, etype graphapi.EdgeType, q grapha
 // GetEdgeRecords implements graphapi.Store.
 func (c *Client) GetEdgeRecords(id graphapi.NodeID) []graphapi.EdgeRecord {
 	var reply recsMetaReply
-	if err := c.callRead(context.Background(), c.ownerOf(id), "RecsMeta", &recArgs{ID: id}, &reply); err != nil {
+	if err := c.callRead(context.Background(), c.ownerOf(id), "RecsMeta", &recArgs{ID: id}, &reply); err != nil || len(reply.Counts) != len(reply.Types) {
 		return nil
 	}
 	out := make([]graphapi.EdgeRecord, len(reply.Types))

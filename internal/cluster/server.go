@@ -6,6 +6,10 @@
 // filters ship batched property checks to the neighbors' owners;
 // get_node_ids fans out to every server.
 //
+// Every hop of a traversal is one Expand per owner: the client splits a
+// frontier by owning server, and an aggregator ships its remote share
+// the same way.
+//
 // Servers speak the framed RPC of package rpc over TCP; the benchmark
 // harness launches them in-process on loopback, which preserves the
 // communication structure (round trips and fan-out counts) the paper's
@@ -38,6 +42,64 @@ import (
 // buffer per call.
 func OwnerOf(id graphapi.NodeID, numServers int) int {
 	return int((layout.IDHash(id) >> 16) % uint32(numServers))
+}
+
+// byOwner groups the indexes of ids by owning server, each group in
+// ids' order.
+func byOwner(ids []graphapi.NodeID, numServers int) map[int][]int {
+	groups := make(map[int][]int)
+	for i, id := range ids {
+		o := OwnerOf(id, numServers)
+		groups[o] = append(groups[o], i)
+	}
+	return groups
+}
+
+// pick returns ids[i] for every i of idx.
+func pick(ids []graphapi.NodeID, idx []int) []graphapi.NodeID {
+	out := make([]graphapi.NodeID, len(idx))
+	for j, i := range idx {
+		out[j] = ids[i]
+	}
+	return out
+}
+
+// fanOut runs call once per owner group: on a goroutine each, but the
+// group of owner here (with none, any one group), which runs on the
+// caller's goroutine while the others are in flight. Each call writes
+// only its own indexes. It returns the first error.
+func fanOut(groups map[int][]int, here int, call func(owner int, idx []int) error) error {
+	if _, ok := groups[here]; !ok {
+		for here = range groups {
+			break
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(groups))
+	for owner, idx := range groups {
+		if owner == here {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := call(owner, idx); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	if idx, ok := groups[here]; ok {
+		if err := call(here, idx); err != nil {
+			errs <- err
+		}
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
 }
 
 // Telemetry series for the aggregator's function shipping (§4.1,
@@ -84,10 +146,26 @@ type propsArgs struct {
 	Props map[string]string
 }
 
+// neighborsArgs asks for the union of a frontier's neighbors along
+// EType whose properties match Props.
 type neighborsArgs struct {
-	ID    graphapi.NodeID
+	IDs   []graphapi.NodeID
 	EType graphapi.EdgeType
 	Props map[string]string
+}
+
+// expandArgs is one hop of a traversal over the callee's share of a
+// frontier (graphapi.Expander).
+type expandArgs struct {
+	IDs      []graphapi.NodeID
+	EType    graphapi.EdgeType
+	Query    graphapi.EdgeQuery
+	WithData bool
+}
+
+// expandReply is index-aligned with the request's IDs.
+type expandReply struct {
+	Edges [][]graphapi.EdgeData
 }
 
 type recArgs struct {
@@ -207,8 +285,6 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 	s := &Server{cfg: cfg, store: st, temp: temporal.NewEngine(st), rpc: rpc.NewServer()}
 	s.rpc.SetServerID(cfg.ID) // serve spans report which server they ran on
 	s.registerHandlers()
-	s.registerMultiLevel()
-	s.registerTemporal()
 	// The admin mux serves this store's region/α state at /debug/codecs
 	// until the server closes (or a later server's report replaces it).
 	s.unregisterReport = telemetry.RegisterAdminReport("codecs", func() string {
@@ -268,65 +344,56 @@ func (s *Server) Close() {
 // Store exposes the underlying partition store (for tests and stats).
 func (s *Server) Store() *store.Store { return s.store }
 
-func (s *Server) registerHandlers() {
-	s.rpc.Handle("NodeProps", func(ctx context.Context, blob []byte) (any, error) {
-		var a nodePropsArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
+// handle registers method: the call's args decode into a fresh A, h
+// runs as the serve span's phase (none for ""), and its reply goes back
+// encoded.
+func handle[A any, PA interface {
+	*A
+	rpc.Wirer
+}](s *Server, method, phase string, h func(ctx context.Context, a PA) (any, error)) {
+	s.rpc.Handle(method, func(ctx context.Context, blob []byte) (any, error) {
+		a := PA(new(A))
+		if err := rpc.DecodeArgsCtx(ctx, blob, a); err != nil {
 			return nil, err
 		}
-		// The store read becomes a child span with its own fine-grained
-		// logstore/succinct_walk phase split.
+		if phase != "" {
+			defer telemetry.PhaseFromContext(ctx, phase)()
+		}
+		return h(ctx, a)
+	})
+}
+
+func (s *Server) registerHandlers() {
+	// The store read becomes a child span with its own fine-grained
+	// logstore/succinct_walk phase split.
+	handle(s, "NodeProps", "", func(ctx context.Context, a *nodePropsArgs) (any, error) {
 		vals, ok := s.store.GetNodePropsCtx(ctx, a.ID, a.PIDs)
 		return &nodePropsReply{Vals: vals, OK: ok}, nil
 	})
-	s.rpc.Handle("MatchBatch", func(ctx context.Context, blob []byte) (any, error) {
-		var a matchBatchArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		// A shipped batch checks many independent nodes, which the
-		// store fans out on the shared pool. The whole batch is one
-		// succinct_walk phase on the serve span.
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	// A shipped batch checks many independent nodes, which the store
+	// fans out on the shared pool. The whole batch is one succinct_walk
+	// phase on the serve span.
+	handle(s, "MatchBatch", "succinct_walk", func(_ context.Context, a *matchBatchArgs) (any, error) {
 		if telemetry.Enabled() {
 			mBatchRequestsCluster.Add(int64(len(a.IDs)))
 		}
 		return &matchesReply{Matches: s.store.NodeMatchesBatch(a.IDs, a.Props)}, nil
 	})
-	s.rpc.Handle("FindNodes", func(ctx context.Context, blob []byte) (any, error) {
-		var a propsArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	handle(s, "FindNodes", "succinct_walk", func(_ context.Context, a *propsArgs) (any, error) {
 		return &idsReply{IDs: s.store.FindNodes(a.Props)}, nil
 	})
-	s.rpc.Handle("Neighbors", func(ctx context.Context, blob []byte) (any, error) {
-		var a neighborsArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		ids, err := s.neighborsCtx(ctx, a.ID, a.EType, a.Props)
+	handle(s, "Neighbors", "", func(ctx context.Context, a *neighborsArgs) (any, error) {
+		ids, err := s.neighborsCtx(ctx, a.IDs, a.EType, a.Props)
 		return &idsReply{IDs: ids}, err
 	})
-	s.rpc.Handle("RecMeta", func(ctx context.Context, blob []byte) (any, error) {
-		var a recArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	handle(s, "RecMeta", "succinct_walk", func(_ context.Context, a *recArgs) (any, error) {
 		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
 		if !ok {
 			return &recMetaReply{}, nil
 		}
 		return &recMetaReply{Count: rec.Count(), OK: true}, nil
 	})
-	s.rpc.Handle("RecsMeta", func(ctx context.Context, blob []byte) (any, error) {
-		var a recArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	handle(s, "RecsMeta", "succinct_walk", func(_ context.Context, a *recArgs) (any, error) {
 		reply := &recsMetaReply{}
 		for _, rec := range s.store.GetEdgeRecords(a.ID) {
 			reply.Types = append(reply.Types, rec.Type)
@@ -334,12 +401,7 @@ func (s *Server) registerHandlers() {
 		}
 		return reply, nil
 	})
-	s.rpc.Handle("RecRange", func(ctx context.Context, blob []byte) (any, error) {
-		var a recRangeArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	handle(s, "RecRange", "succinct_walk", func(_ context.Context, a *recRangeArgs) (any, error) {
 		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
 		if !ok {
 			return &rangeReply{}, nil
@@ -349,72 +411,61 @@ func (s *Server) registerHandlers() {
 	})
 	// ReadEdges is the record read of Algorithms 1–3 shipped whole: the
 	// record is located once and the query's edges leave in one reply.
-	s.rpc.Handle("ReadEdges", func(ctx context.Context, blob []byte) (any, error) {
-		var a readEdgesArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
+	handle(s, "ReadEdges", "succinct_walk", func(_ context.Context, a *readEdgesArgs) (any, error) {
 		edges, err := s.store.ReadEdges(a.ID, a.EType, a.Query)
-		if err != nil {
-			return nil, err
-		}
-		return &edgesReply{Edges: edges}, nil
+		return &edgesReply{Edges: edges}, err
 	})
-	s.rpc.Handle("RecDsts", func(ctx context.Context, blob []byte) (any, error) {
-		var a recArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "succinct_walk")()
-		rec, ok := s.store.GetEdgeRecord(a.ID, a.EType)
-		if !ok {
-			return &idsReply{}, nil
-		}
-		return &idsReply{IDs: rec.Destinations()}, nil
+	// Expand is one hop of a traversal over this server's share of a
+	// frontier.
+	handle(s, "Expand", "succinct_walk", func(_ context.Context, a *expandArgs) (any, error) {
+		edges, err := s.store.Expand(a.IDs, a.EType, a.Query, a.WithData)
+		return &expandReply{Edges: edges}, err
 	})
-	s.rpc.Handle("AppendNode", func(ctx context.Context, blob []byte) (any, error) {
-		var a appendNodeArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "logstore")()
+	handle(s, "PathInWindow", "", func(ctx context.Context, a *pathArgs) (any, error) {
+		res, err := s.pathInWindowCtx(ctx, *a)
+		return &pathReply{Found: res.Found, Hops: res.Hops, Path: res.Path}, err
+	})
+	handle(s, "AppendNode", "logstore", func(_ context.Context, a *appendNodeArgs) (any, error) {
 		return nil, s.store.AppendNode(a.ID, a.Props)
 	})
-	s.rpc.Handle("AppendEdge", func(ctx context.Context, blob []byte) (any, error) {
-		var e edgeArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &e); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "logstore")()
-		return nil, s.store.AppendEdge(layout.Edge(e))
+	handle(s, "AppendEdge", "logstore", func(_ context.Context, e *edgeArgs) (any, error) {
+		return nil, s.store.AppendEdge(layout.Edge(*e))
 	})
-	s.rpc.Handle("DeleteNode", func(ctx context.Context, blob []byte) (any, error) {
-		var a recArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "logstore")()
+	handle(s, "DeleteNode", "logstore", func(_ context.Context, a *recArgs) (any, error) {
 		s.store.DeleteNode(a.ID)
 		return nil, nil
 	})
-	s.rpc.Handle("DeleteEdges", func(ctx context.Context, blob []byte) (any, error) {
-		var a deleteEdgesArgs
-		if err := rpc.DecodeArgsCtx(ctx, blob, &a); err != nil {
-			return nil, err
-		}
-		defer telemetry.PhaseFromContext(ctx, "logstore")()
+	handle(s, "DeleteEdges", "logstore", func(_ context.Context, a *deleteEdgesArgs) (any, error) {
 		return &countReply{N: s.store.DeleteEdges(a.Src, a.Type, a.Dst)}, nil
 	})
 }
 
-// neighborsCtx executes get_neighbor_ids at the owner: destinations
-// come from the local edge records; property/liveness checks for remote
-// neighbors are shipped in one batch per owning server (Figure 4's
-// "Carol & Dan's cities?" fan-out). ctx carries the caller's trace (the
-// serve span when the query arrived over RPC), so the fan-out's
-// MatchBatch calls become traced children on the remote servers.
-func (s *Server) neighborsCtx(ctx context.Context, id graphapi.NodeID, etype graphapi.EdgeType, props map[string]string) (_ []graphapi.NodeID, retErr error) {
+// ship runs one subquery per owner group of a frontier (byOwner): local
+// with this server's share, on the caller's goroutine, and remote with a
+// connection to each other owner, every RPC in flight while the local
+// share runs — the aggregator overlap of §4.1. It returns the first
+// error.
+func (s *Server) ship(groups map[int][]int, local func(idx []int) error, remote func(peer *rpc.Client, idx []int) error) error {
+	return fanOut(groups, s.cfg.ID, func(owner int, idx []int) error {
+		if owner == s.cfg.ID {
+			return local(idx)
+		}
+		peer, err := s.peer(owner)
+		if err != nil {
+			return err
+		}
+		return remote(peer, idx)
+	})
+}
+
+// neighborsCtx executes get_neighbor_ids for a frontier at its owner:
+// destinations come from one local Expand; property/liveness checks are
+// shipped in one MatchBatch per owning server for the whole frontier
+// (Figure 4's "Carol & Dan's cities?" fan-out). ctx carries the caller's
+// trace (the serve span when the query arrived over RPC), so the
+// fan-out's MatchBatch calls become traced children on the remote
+// servers.
+func (s *Server) neighborsCtx(ctx context.Context, frontier []graphapi.NodeID, etype graphapi.EdgeType, props map[string]string) (_ []graphapi.NodeID, retErr error) {
 	mNeighborQueries.Inc()
 	sp, ctx := telemetry.StartSpanCtx(ctx, "cluster.neighbors")
 	sp.SetServer(s.cfg.ID)
@@ -427,49 +478,45 @@ func (s *Server) neighborsCtx(ctx context.Context, id graphapi.NodeID, etype gra
 		}
 		sp.End()
 	}()
-	// Reading the edge records and their destination lists is the local
-	// Ψ-walk part of the query.
+	// Reading the destinations is the local Ψ-walk part of the query.
 	endWalk := sp.Phase("succinct_walk")
-	var records []*store.EdgeRecord
-	if etype < 0 {
-		records = s.store.GetEdgeRecords(id)
-	} else if rec, ok := s.store.GetEdgeRecord(id, etype); ok {
-		records = []*store.EdgeRecord{rec}
-	}
-	if len(records) == 0 {
+	hop, err := s.store.Expand(frontier, etype, graphapi.ByOrder(0, graphapi.NoLimit), false)
+	if err != nil {
 		endWalk()
-		return nil, nil
+		return nil, err
 	}
 	seen := make(map[graphapi.NodeID]bool)
-	perOwner := make(map[int][]graphapi.NodeID)
+	var cands []graphapi.NodeID
 	var dups int64
-	for _, rec := range records {
-		for _, dst := range rec.Destinations() {
-			if seen[dst] {
+	for _, edges := range hop {
+		for _, e := range edges {
+			if seen[e.Dst] {
 				dups++
 				continue
 			}
-			seen[dst] = true
-			perOwner[OwnerOf(dst, s.cfg.NumServers)] = append(perOwner[OwnerOf(dst, s.cfg.NumServers)], dst)
+			seen[e.Dst] = true
+			cands = append(cands, e.Dst)
 		}
 	}
-	// Sort each owner's candidates: sorted IDs group co-located shard
-	// records into runs, which the batch executor turns into one
-	// locality-ordered sweep per shard — and shipped batches become
-	// deterministic on the wire.
-	for _, ids := range perOwner {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
+	// Sorted candidates make every owner's share sorted: sorted IDs group
+	// co-located shard records into runs, which the batch executor turns
+	// into one locality-ordered sweep per shard — and shipped batches
+	// become deterministic on the wire.
+	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	endWalk()
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	groups := byOwner(cands, s.cfg.NumServers)
 	if telemetry.Enabled() {
 		mBatchDedup.Add(dups)
 		localIDs, remoteIDs, remoteOwners := 0, 0, 0
-		for owner, ids := range perOwner {
+		for owner, idx := range groups {
 			if owner == s.cfg.ID {
-				localIDs += len(ids)
+				localIDs += len(idx)
 				mSubqLocal.Inc()
 			} else {
-				remoteIDs += len(ids)
+				remoteIDs += len(idx)
 				remoteOwners++
 				mSubqRemote.Inc()
 			}
@@ -477,64 +524,41 @@ func (s *Server) neighborsCtx(ctx context.Context, id graphapi.NodeID, etype gra
 		mFanout.Observe(int64(remoteOwners))
 		sp.SetFanout(remoteOwners, localIDs, remoteIDs)
 	}
-	// Ship every remote batch first so RPC round trips are in flight
-	// while the local subquery runs on the shared pool — the aggregator
-	// overlap of §4.1 (remote owners work in parallel with this server).
-	var out []graphapi.NodeID
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(perOwner))
-	for owner, ids := range perOwner {
-		if owner == s.cfg.ID {
-			continue
-		}
-		wg.Add(1)
-		go func(owner int, ids []graphapi.NodeID) {
-			defer wg.Done()
-			peer, err := s.peer(owner)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			// CallCtx gives each shipped batch its own rpc.call child
-			// span (safe concurrently — phases land on the child, never
-			// on the shared parent) and re-propagates the deadline.
-			var reply matchesReply
-			if err := peer.CallCtx(ctx, "MatchBatch", &matchBatchArgs{IDs: ids, Props: props}, &reply); err != nil {
-				errCh <- err
-				return
-			}
-			mu.Lock()
-			for i, ok := range reply.Matches {
-				if ok {
-					out = append(out, ids[i])
-				}
-			}
-			mu.Unlock()
-		}(owner, ids)
-	}
-	if local := perOwner[s.cfg.ID]; len(local) > 0 {
+	keep := make([]bool, len(cands))
+	err = s.ship(groups, func(idx []int) error {
 		// One phase for the whole local batch.
-		endLocal := sp.Phase("succinct_walk")
+		defer sp.Phase("succinct_walk")()
 		if telemetry.Enabled() {
-			mBatchRequestsCluster.Add(int64(len(local)))
+			mBatchRequestsCluster.Add(int64(len(idx)))
 		}
-		matches := s.store.NodeMatchesBatch(local, props)
-		endLocal()
-		mu.Lock()
-		for i, ok := range matches {
-			if ok {
-				out = append(out, local[i])
-			}
+		for j, ok := range s.store.NodeMatchesBatch(pick(cands, idx), props) {
+			keep[idx[j]] = ok
 		}
-		mu.Unlock()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+		return nil
+	}, func(peer *rpc.Client, idx []int) error {
+		// CallCtx gives each shipped batch its own rpc.call child span
+		// (safe concurrently — phases land on the child, never on the
+		// shared parent) and re-propagates the deadline.
+		var reply matchesReply
+		if err := peer.CallCtx(ctx, "MatchBatch", &matchBatchArgs{IDs: pick(cands, idx), Props: props}, &reply); err != nil {
+			return err
+		}
+		if len(reply.Matches) != len(idx) {
+			return fmt.Errorf("cluster: MatchBatch of %d nodes answered %d", len(idx), len(reply.Matches))
+		}
+		for j, ok := range reply.Matches {
+			keep[idx[j]] = ok
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []graphapi.NodeID
+	for i, ok := range keep {
+		if ok {
+			out = append(out, cands[i])
+		}
+	}
 	return out, nil
 }

@@ -97,7 +97,7 @@ var wireTypes = []wireType{
 		return &propsArgs{Props: randProps(rng)}
 	}},
 	{"neighborsArgs", func() rpc.Wirer { return new(neighborsArgs) }, func(rng *rand.Rand) rpc.Wirer {
-		return &neighborsArgs{ID: rng.Int63(), EType: int64(rng.Intn(5)) - 1, Props: randProps(rng)}
+		return &neighborsArgs{IDs: randIDs(rng), EType: int64(rng.Intn(5)) - 1, Props: randProps(rng)}
 	}},
 	{"recsMetaReply", func() rpc.Wirer { return new(recsMetaReply) }, func(rng *rand.Rand) rpc.Wirer {
 		var p recsMetaReply
@@ -119,22 +119,6 @@ var wireTypes = []wireType{
 	{"countReply", func() rpc.Wirer { return new(countReply) }, func(rng *rand.Rand) rpc.Wirer {
 		return &countReply{N: rng.Intn(1 << 20)}
 	}},
-	{"twoHopArgs", func() rpc.Wirer { return new(twoHopArgs) }, func(rng *rand.Rand) rpc.Wirer {
-		return &twoHopArgs{IDs: randIDs(rng), EType: int64(rng.Intn(5)) - 1, Props: randProps(rng)}
-	}},
-	{"windowArgs", func() rpc.Wirer { return new(windowArgs) }, func(rng *rand.Rand) rpc.Wirer {
-		return &windowArgs{ID: rng.Int63(), EType: int64(rng.Intn(5)), Lo: -rng.Int63(), Hi: rng.Int63(), Limit: rng.Intn(100)}
-	}},
-	{"windowNbrsArgs", func() rpc.Wirer { return new(windowNbrsArgs) }, func(rng *rand.Rand) rpc.Wirer {
-		return &windowNbrsArgs{IDs: randIDs(rng), Lo: rng.Int63(), Hi: math.MaxInt64}
-	}},
-	{"windowNbrsReply", func() rpc.Wirer { return new(windowNbrsReply) }, func(rng *rand.Rand) rpc.Wirer {
-		var p windowNbrsReply
-		for i := rng.Intn(4); i > 0; i-- {
-			p.Nbrs = append(p.Nbrs, randIDs(rng))
-		}
-		return &p
-	}},
 	{"pathArgs", func() rpc.Wirer { return new(pathArgs) }, func(rng *rand.Rand) rpc.Wirer {
 		return &pathArgs{Src: rng.Int63(), Dst: rng.Int63(), Lo: rng.Int63n(1000), Hi: rng.Int63(), MaxHops: rng.Intn(8)}
 	}},
@@ -142,12 +126,25 @@ var wireTypes = []wireType{
 		return &pathReply{Found: rng.Intn(2) == 0, Hops: rng.Intn(8), Path: randIDs(rng)}
 	}},
 	{"readEdgesArgs", func() rpc.Wirer { return new(readEdgesArgs) }, func(rng *rand.Rand) rpc.Wirer {
-		q := graphapi.ByOrder(rng.Intn(40)-4, rng.Intn(40)-4)
-		if rng.Intn(2) == 0 {
-			q = graphapi.InWindow(rng.Int63n(1000)-1, rng.Int63()-1, []int{rng.Intn(40), graphapi.NoLimit}[rng.Intn(2)])
-		}
-		return &readEdgesArgs{ID: rng.Int63() - rng.Int63(), EType: int64(rng.Intn(5)), Query: q}
+		return &readEdgesArgs{ID: rng.Int63() - rng.Int63(), EType: int64(rng.Intn(5)), Query: randQuery(rng)}
 	}},
+	{"expandArgs", func() rpc.Wirer { return new(expandArgs) }, func(rng *rand.Rand) rpc.Wirer {
+		return &expandArgs{IDs: randIDs(rng), EType: int64(rng.Intn(5)) - 1, Query: randQuery(rng), WithData: rng.Intn(2) == 0}
+	}},
+	{"expandReply", func() rpc.Wirer { return new(expandReply) }, func(rng *rand.Rand) rpc.Wirer {
+		var p expandReply
+		for i := rng.Intn(4); i > 0; i-- {
+			p.Edges = append(p.Edges, randEdges(rng))
+		}
+		return &p
+	}},
+}
+
+func randQuery(rng *rand.Rand) graphapi.EdgeQuery {
+	if rng.Intn(2) == 0 {
+		return graphapi.InWindow(rng.Int63n(1000)-1, rng.Int63()-1, []int{rng.Intn(40), graphapi.NoLimit}[rng.Intn(2)])
+	}
+	return graphapi.ByOrder(rng.Intn(40)-4, rng.Intn(40)-4)
 }
 
 // encode is v's payload, as a call or reply carries it.
@@ -187,27 +184,33 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireGolden fixes the payloads of the TAO read path's methods, both
+// wireGolden fixes the payloads of the TAO read path's methods, both
 // directions: the bytes they had before every payload was coded by a
-// Wire method, and ReadEdges's as it was introduced.
+// Wire method, and ReadEdges's as it was introduced; and those of the
+// hop, Expand, and of the frontier Neighbors query.
+var wireGolden = []struct {
+	name string
+	v    rpc.Wirer
+	hex  string
+}{
+	{"NodeProps args", &nodePropsArgs{ID: 42, PIDs: []string{"city", "name"}}, "0154020463697479046e616d65"},
+	{"NodeProps reply", &nodePropsReply{Vals: []string{"Ithaca", ""}, OK: true}, "0101020649746861636100"},
+	{"RecMeta args", &recArgs{ID: -7, EType: 3}, "010d06"},
+	{"RecMeta reply", &recMetaReply{Count: 300, OK: true}, "0101d804"},
+	{"RecRange args", &recRangeArgs{ID: 42, EType: 1, Lo: 100, Hi: math.MaxInt64}, "015402c801feffffffffffffffff01"},
+	{"RecRange reply", &rangeReply{Beg: 2, End: 17}, "010422"},
+	{"ReadEdges args, by order", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.ByOrder(2, 10)}, "01540200041814"},
+	{"ReadEdges args, by time", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.InWindow(100, graphapi.WildcardTime, graphapi.NoLimit)}, "01540201c80101feffffffffffffffff01"},
+	{"ReadEdges reply", &edgesReply{Edges: []graphapi.EdgeData{{Dst: 9, Timestamp: 1000, Props: map[string]string{"w": "5"}}, {Dst: -3, Timestamp: 1001}}}, "010212d00f010177013505d20f00"},
+	{"RecsMeta args", &recArgs{ID: 42}, "015400"},
+	{"Neighbors args", &neighborsArgs{IDs: []graphapi.NodeID{42, 7}, EType: graphapi.WildcardType, Props: map[string]string{"city": "Ithaca"}}, "0102540e0101046369747906497468616361"},
+	{"Neighbors reply", &idsReply{IDs: []graphapi.NodeID{9, -3, 1 << 40}}, "01031205808080808040"},
+	{"Expand args", &expandArgs{IDs: []graphapi.NodeID{42, -7}, EType: graphapi.WildcardType, Query: graphapi.ByOrder(0, graphapi.NoLimit), WithData: true}, "0102540d010000feffffffffffffffff01feffffffffffffffff0101"},
+	{"Expand reply", &expandReply{Edges: [][]graphapi.EdgeData{{{Dst: 9, Timestamp: 1000, Props: map[string]string{"w": "5"}}}, nil, {{Dst: -3}}}}, "01030112d00f01017701350001050000"},
+}
+
 func TestWireGolden(t *testing.T) {
-	for _, g := range []struct {
-		name string
-		v    rpc.Wirer
-		hex  string
-	}{
-		{"NodeProps args", &nodePropsArgs{ID: 42, PIDs: []string{"city", "name"}}, "0154020463697479046e616d65"},
-		{"NodeProps reply", &nodePropsReply{Vals: []string{"Ithaca", ""}, OK: true}, "0101020649746861636100"},
-		{"RecMeta args", &recArgs{ID: -7, EType: 3}, "010d06"},
-		{"RecMeta reply", &recMetaReply{Count: 300, OK: true}, "0101d804"},
-		{"RecRange args", &recRangeArgs{ID: 42, EType: 1, Lo: 100, Hi: math.MaxInt64}, "015402c801feffffffffffffffff01"},
-		{"RecRange reply", &rangeReply{Beg: 2, End: 17}, "010422"},
-		{"ReadEdges args, by order", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.ByOrder(2, 10)}, "01540200041814"},
-		{"ReadEdges args, by time", &readEdgesArgs{ID: 42, EType: 1, Query: graphapi.InWindow(100, graphapi.WildcardTime, graphapi.NoLimit)}, "01540201c80101feffffffffffffffff01"},
-		{"ReadEdges reply", &edgesReply{Edges: []graphapi.EdgeData{{Dst: 9, Timestamp: 1000, Props: map[string]string{"w": "5"}}, {Dst: -3, Timestamp: 1001}}}, "010212d00f010177013505d20f00"},
-		{"RecDsts args", &recArgs{ID: 42}, "015400"},
-		{"RecDsts reply", &idsReply{IDs: []graphapi.NodeID{9, -3, 1 << 40}}, "01031205808080808040"},
-	} {
+	for _, g := range wireGolden {
 		if got := hex.EncodeToString(encode(t, g.v)); got != g.hex {
 			t.Errorf("%s: payload %s, want %s", g.name, got, g.hex)
 		}
@@ -251,6 +254,14 @@ func FuzzDecodeWire(f *testing.F) {
 			f.Add(uint8(kind), encode(f, wt.rand(rng)))
 		}
 	}
+	// The golden payloads too: well-formed hot-path bytes to mutate.
+	for _, g := range wireGolden {
+		for kind, wt := range wireTypes {
+			if reflect.TypeOf(wt.new()) == reflect.TypeOf(g.v) {
+				f.Add(uint8(kind), encode(f, g.v))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, b []byte) {
 		wt := wireTypes[int(kind)%len(wireTypes)]
 		v := wt.new()
@@ -266,9 +277,13 @@ func FuzzDecodeWire(f *testing.F) {
 			if len(v.IDs) > len(b) {
 				t.Fatalf("%d ids from %d bytes", len(v.IDs), len(b))
 			}
-		case *windowNbrsReply:
-			if len(v.Nbrs) > len(b) {
-				t.Fatalf("%d neighbor lists from %d bytes", len(v.Nbrs), len(b))
+		case *expandReply:
+			n := len(v.Edges)
+			for _, es := range v.Edges {
+				n += 3 * len(es)
+			}
+			if n > len(b) {
+				t.Fatalf("%d edge lists of %d bytes' worth from %d bytes", len(v.Edges), n, len(b))
 			}
 		}
 		again := wt.new()

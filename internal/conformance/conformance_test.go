@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +21,9 @@ import (
 	"zipg/internal/cluster"
 	"zipg/internal/graphapi"
 	"zipg/internal/refgraph"
+	"zipg/internal/rpq"
 	"zipg/internal/store"
+	"zipg/internal/traversal"
 	"zipg/internal/workloads"
 )
 
@@ -529,6 +533,72 @@ func TestTAOAlgorithmsAgree(t *testing.T) {
 	for i, st := range stores {
 		if st.Rollovers() == 0 {
 			t.Errorf("store %d never rolled over: its records are not fragmented", i)
+		}
+	}
+}
+
+// TestTraversalsAgree holds the generic traversals — BFS and regular
+// path queries, written once against graphapi — to the reference on
+// every store, before and after mutation rounds that roll every log
+// over. ZipG in process reads each hop record by record; through the
+// cluster each hop is one Expand per owner.
+func TestTraversalsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const nNodes = 24
+	nodes, edges := randomGraph(rng, nNodes, 120)
+	ref := refgraph.New(nodes, edges)
+	sys := systems(t, nodes, edges)
+	for _, name := range []string{"cluster", "cluster-2x2"} {
+		if _, ok := sys[name].(graphapi.Expander); !ok {
+			t.Fatalf("[%s] does not ship the hop: graphapi.Expand would read record by record", name)
+		}
+	}
+	queries := rpq.GenerateQueries(24, 5, 3)
+	checkTraversals(t, ref, sys, nNodes, rng, queries, "static")
+	for round := 0; round < 3; round++ {
+		mutate(t, ref, sys, nNodes, rng, 100)
+		checkTraversals(t, ref, sys, nNodes, rng, queries, fmt.Sprintf("round%d", round))
+	}
+}
+
+// checkTraversals compares every system's BFS visited sets, at depths 1
+// to 3, and the pairs of every query with the reference's, from
+// taoSample nodes below nNodes drawn afresh and an absent one.
+func checkTraversals(t *testing.T, ref graphapi.Store, sys map[string]graphapi.Store, nNodes int, rng *rand.Rand, queries []rpq.Query, tag string) {
+	t.Helper()
+	starts := []int64{int64(nNodes) + 10}
+	for _, id := range rng.Perm(nNodes)[:taoSample] {
+		starts = append(starts, int64(id))
+	}
+	bfs := func(s graphapi.Store, start int64, depth int) []int64 {
+		visited := traversal.BFS(s, start, depth)
+		slices.Sort(visited)
+		return visited
+	}
+	eval := func(s graphapi.Store, q rpq.Query) []rpq.Pair {
+		pairs := q.Expr.Eval(s, starts, rpq.Limits{})
+		sort.Slice(pairs, func(i, j int) bool {
+			a, b := pairs[i], pairs[j]
+			return a.Start < b.Start || a.Start == b.Start && a.End < b.End
+		})
+		return pairs
+	}
+	for _, start := range starts {
+		for depth := 1; depth <= 3; depth++ {
+			want := bfs(ref, start, depth)
+			for name, s := range sys {
+				if got := bfs(s, start, depth); !reflect.DeepEqual(got, want) {
+					t.Fatalf("[%s/%s] depth-%d BFS from %d visited %v, want %v", tag, name, depth, start, got, want)
+				}
+			}
+		}
+	}
+	for _, q := range queries {
+		want := eval(ref, q)
+		for name, s := range sys {
+			if got := eval(s, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("[%s/%s] query %q = %v, want %v", tag, name, q.Expr.Text, got, want)
+			}
 		}
 	}
 }

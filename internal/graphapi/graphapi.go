@@ -11,7 +11,11 @@
 // Neo4j/Titan had to serve the same queries in the paper's evaluation.
 package graphapi
 
-import "zipg/internal/layout"
+import (
+	"fmt"
+
+	"zipg/internal/layout"
+)
 
 // NodeID, EdgeType, Node, Edge and EdgeData are the shared data-model
 // types (§2.1).
@@ -100,14 +104,69 @@ func ReadEdges(s Store, id NodeID, etype EdgeType, q EdgeQuery) ([]EdgeData, err
 	if !ok {
 		return nil, nil
 	}
+	return readRecord(rec, q, true)
+}
+
+// Expander is the optional hop-level extension of Store: a store answers
+// one hop of a traversal, a whole frontier's reads, in one call.
+type Expander interface {
+	// Expand returns, in frontier order, the edges q selects of each
+	// node's record of etype — of every record, in ascending type order,
+	// when etype is WildcardType — each record's in TimeOrder. Without
+	// withData only Dst is read. Destination liveness is the caller's.
+	Expand(frontier []NodeID, etype EdgeType, q EdgeQuery, withData bool) ([][]EdgeData, error)
+}
+
+// Expand answers one hop through Expander when s implements it, else
+// node by node: GetEdgeRecords or GetEdgeRecord, and each record read
+// over q's interval by the Data loop, or without withData from
+// Destinations.
+func Expand(s Store, frontier []NodeID, etype EdgeType, q EdgeQuery, withData bool) ([][]EdgeData, error) {
+	if x, ok := s.(Expander); ok {
+		return x.Expand(frontier, etype, q, withData)
+	}
+	out := make([][]EdgeData, len(frontier))
+	for i, id := range frontier {
+		var recs []EdgeRecord
+		if etype == WildcardType {
+			recs = s.GetEdgeRecords(id)
+		} else if rec, ok := s.GetEdgeRecord(id, etype); ok {
+			recs = []EdgeRecord{rec}
+		}
+		for _, rec := range recs {
+			edges, err := readRecord(rec, q, withData)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = append(out[i], edges...)
+		}
+	}
+	return out, nil
+}
+
+// readRecord is q's interval of rec: the Data loop, or without withData
+// that interval of Destinations, Dst alone.
+func readRecord(rec EdgeRecord, q EdgeQuery, withData bool) ([]EdgeData, error) {
 	beg, end := q.Interval(rec.Count(), rec.Range)
-	var out []EdgeData
-	for i := beg; i < end; i++ {
-		e, err := rec.Data(i)
-		if err != nil {
+	if beg >= end {
+		return nil, nil
+	}
+	out := make([]EdgeData, end-beg)
+	if !withData {
+		dsts := rec.Destinations()
+		if len(dsts) < end {
+			return nil, fmt.Errorf("graphapi: %d destinations, want %d", len(dsts), end)
+		}
+		for i := range out {
+			out[i].Dst = dsts[beg+i]
+		}
+		return out, nil
+	}
+	for i := range out {
+		var err error
+		if out[i], err = rec.Data(beg + i); err != nil {
 			return nil, err
 		}
-		out = append(out, e)
 	}
 	return out, nil
 }

@@ -100,17 +100,10 @@ func (s *Store) NodeMatchesBatch(ids []layout.NodeID, props map[string]string) [
 // ReadEdges by its TimeOrder query, nil where the record does not
 // exist. The error reported is the lowest-index one.
 func (s *Store) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]layout.EdgeData, error) {
-	out := make([][]layout.EdgeData, len(reqs))
-	errs := make([]error, len(reqs))
-	fanBatch("store.assoc_range_batch", len(reqs), func(i int) {
-		out[i], errs[i] = s.assocRangeScalar(reqs[i])
+	out, err := fanReads("store.assoc_range_batch", len(reqs), func(i int) ([]layout.EdgeData, error) {
+		return s.assocRangeScalar(reqs[i])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if telemetry.Enabled() {
+	if err == nil && telemetry.Enabled() {
 		var found int64
 		for _, data := range out {
 			if data != nil {
@@ -118,6 +111,20 @@ func (s *Store) AssocRangeBatch(reqs []graphapi.AssocRangeReq) ([][]layout.EdgeD
 			}
 		}
 		mBatchRecords.Add(found)
+	}
+	return out, err
+}
+
+// fanReads runs read(0) … read(n-1) by fanBatch and returns their edges,
+// positional, or the lowest-index error.
+func fanReads(layer string, n int, read func(i int) ([]layout.EdgeData, error)) ([][]layout.EdgeData, error) {
+	out := make([][]layout.EdgeData, n)
+	errs := make([]error, n)
+	fanBatch(layer, n, func(i int) { out[i], errs[i] = read(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -126,7 +126,57 @@ func (s *Store) ReadEdges(src layout.NodeID, etype layout.EdgeType, q graphapi.E
 	if !ok {
 		return nil, nil
 	}
-	return rec.GetEdgeDataRange(q.Interval(rec.Count(), rec.GetEdgeRange))
+	return rec.read(q, true)
+}
+
+// Expand is one hop of a traversal (graphapi.Expander): for every
+// frontier node, the edges q selects of its record of etype — of every
+// record, in ascending type order, for graphapi.WildcardType — each
+// record read as ReadEdges reads it, or without withData from its
+// Destinations, Dst alone. The nodes fan out on the shared pool; results
+// are positional. Destination liveness is the caller's concern.
+func (s *Store) Expand(frontier []layout.NodeID, etype layout.EdgeType, q graphapi.EdgeQuery, withData bool) ([][]layout.EdgeData, error) {
+	return fanReads("store.expand", len(frontier), func(i int) ([]layout.EdgeData, error) {
+		var out []layout.EdgeData
+		for _, rec := range s.edgeRecords(frontier[i], etype) {
+			edges, err := rec.read(q, withData)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, edges...)
+		}
+		return out, nil
+	})
+}
+
+// edgeRecords is src's record of etype, or all of src's records for a
+// negative (wildcard) etype.
+func (s *Store) edgeRecords(src layout.NodeID, etype layout.EdgeType) []*EdgeRecord {
+	if etype < 0 {
+		return s.GetEdgeRecords(src)
+	}
+	if r, ok := s.GetEdgeRecord(src, etype); ok {
+		return []*EdgeRecord{r}
+	}
+	return nil
+}
+
+// read is q's interval of the record: GetEdgeDataRange, or without
+// withData that interval of Destinations, Dst alone.
+func (r *EdgeRecord) read(q graphapi.EdgeQuery, withData bool) ([]layout.EdgeData, error) {
+	beg, end := q.Interval(r.count, r.GetEdgeRange)
+	if withData || beg >= end {
+		return r.GetEdgeDataRange(beg, end)
+	}
+	dsts := r.Destinations()
+	if len(dsts) < end {
+		return nil, fmt.Errorf("store: record (%d,%d) read %d of %d destinations", r.Src, r.Type, len(dsts), end)
+	}
+	out := make([]layout.EdgeData, end-beg)
+	for i := range out {
+		out[i].Dst = dsts[beg+i]
+	}
+	return out, nil
 }
 
 // GetEdgeRecords returns the merged EdgeRecords of every EdgeType
@@ -434,15 +484,9 @@ func (s *Store) NeighborIDs(src layout.NodeID, etype layout.EdgeType, propFilter
 			}()
 		}
 	}
-	var records []*EdgeRecord
-	if etype < 0 {
-		records = s.GetEdgeRecords(src)
-	} else if r, ok := s.GetEdgeRecord(src, etype); ok {
-		records = []*EdgeRecord{r}
-	}
 	seen := make(map[layout.NodeID]bool)
 	var out []layout.NodeID
-	for _, r := range records {
+	for _, r := range s.edgeRecords(src, etype) {
 		for _, dst := range r.Destinations() {
 			if seen[dst] {
 				continue
@@ -462,37 +506,4 @@ func (s *Store) NeighborIDs(src layout.NodeID, etype layout.EdgeType, propFilter
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// NeighborsInWindow returns the live neighbors reachable from src along
-// any edge type through edges with timestamps in [tLo, tHi), sorted by
-// ID: GetEdgeRange and GetEdgeDataRange on each of src's records. Deleted
-// destinations are excluded (the NeighborIDs semantics); destination
-// liveness it cannot resolve locally — remote nodes in a cluster — is the
-// caller's concern. A record that cannot be read gives nothing.
-func (s *Store) NeighborsInWindow(src layout.NodeID, tLo, tHi int64) []layout.NodeID {
-	seen := make(map[layout.NodeID]bool)
-	var out []layout.NodeID
-	for _, r := range s.GetEdgeRecords(src) {
-		edges, _ := r.GetEdgeDataRange(r.GetEdgeRange(tLo, tHi))
-		for _, d := range edges {
-			if !seen[d.Dst] {
-				seen[d.Dst] = true
-				out = append(out, d.Dst)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	s.mu.RLock()
-	kept := out[:0]
-	for _, id := range out {
-		if !s.deletedNodes[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
-	return kept
 }

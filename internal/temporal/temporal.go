@@ -15,8 +15,8 @@
 //     store's commits; Catchup replays the store's event
 //     tail so a lagging subscriber re-converges on the live stream.
 //   - Temporal reachability (PathInWindow): bounded-hop BFS that only
-//     traverses edges whose timestamps fall in the window, fanned
-//     per-hop over the shared worker pool.
+//     traverses edges whose timestamps fall in the window, each hop
+//     one store Expand of the frontier.
 package temporal
 
 import (
@@ -25,7 +25,6 @@ import (
 
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
-	"zipg/internal/parallel"
 	"zipg/internal/store"
 )
 
@@ -88,10 +87,10 @@ type PathResult struct {
 
 // PathInWindow searches for a path from src to dst of at most maxHops
 // edges, every edge's timestamp in [tLo, tHi), traversing only live
-// nodes. BFS per hop; each frontier's expansions fan out over the
-// shared worker pool, and the answer is deterministic (lowest-ID parent
-// wins ties, so the returned path is the lexicographically-least among
-// minimal-hop paths).
+// nodes. BFS per hop; each hop is one store Expand, whose frontier fans
+// out over the shared worker pool, and the answer is deterministic
+// (lowest-ID parent wins ties, so the returned path is the
+// lexicographically-least among minimal-hop paths).
 func (e *Engine) PathInWindow(src, dst layout.NodeID, tLo, tHi int64, maxHops int) PathResult {
 	mQueryPath.Inc()
 	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
@@ -101,41 +100,41 @@ func (e *Engine) PathInWindow(src, dst layout.NodeID, tLo, tHi int64, maxHops in
 	if src == dst {
 		return PathResult{Found: true, Hops: 0, Path: []layout.NodeID{src}}
 	}
-	expand := func(frontier []layout.NodeID) [][]layout.NodeID {
-		return parallelNeighbors(frontier, func(id layout.NodeID) []layout.NodeID {
-			return e.st.NeighborsInWindow(id, tLo, tHi)
-		})
-	}
-	return BFSInWindow(src, dst, maxHops, expand)
-}
-
-// parallelNeighbors expands every frontier node concurrently on the
-// shared worker pool, results index-aligned with the frontier.
-func parallelNeighbors(frontier []layout.NodeID, nbrs func(layout.NodeID) []layout.NodeID) [][]layout.NodeID {
-	return parallel.Map("temporal.expand_hop", len(frontier), func(i int) []layout.NodeID {
-		return nbrs(frontier[i])
+	hop := graphapi.InWindow(tLo, tHi, graphapi.NoLimit)
+	// A hop the store cannot read leaves the path unfound, as a record
+	// that cannot be read reads as no edges elsewhere in this engine.
+	res, _ := BFSInWindow(src, dst, maxHops, func(frontier []layout.NodeID) ([][]layout.EdgeData, error) {
+		return e.st.Expand(frontier, graphapi.WildcardType, hop, false)
 	})
+	return res
 }
 
 // BFSInWindow is the shared BFS skeleton: expand is handed each sorted
-// frontier and returns, per frontier node, its in-window neighbors.
-// The cluster aggregator reuses it with a function-shipping expand.
-func BFSInWindow(src, dst layout.NodeID, maxHops int, expand func([]layout.NodeID) [][]layout.NodeID) PathResult {
+// frontier and returns, per frontier node, its in-window edges. A node
+// deleted since an edge to it was written has no records, so it expands
+// to nothing: as long as dst is live, a path never runs through one. An
+// expand that fails ends the search with its error. The cluster
+// aggregator reuses it with a function-shipping expand.
+func BFSInWindow(src, dst layout.NodeID, maxHops int, expand func([]layout.NodeID) ([][]layout.EdgeData, error)) (PathResult, error) {
 	visited := map[layout.NodeID]bool{src: true}
 	parent := make(map[layout.NodeID]layout.NodeID)
 	frontier := []layout.NodeID{src}
 	for hop := 1; hop <= maxHops && len(frontier) > 0; hop++ {
-		perNode := expand(frontier)
+		perNode, err := expand(frontier)
+		if err != nil {
+			return PathResult{}, err
+		}
 		var next []layout.NodeID
-		for fi, nbrs := range perNode {
-			for _, n := range nbrs {
+		for fi, edges := range perNode {
+			for _, e := range edges {
+				n := e.Dst
 				if visited[n] {
 					continue
 				}
 				visited[n] = true
 				parent[n] = frontier[fi]
 				if n == dst {
-					return PathResult{Found: true, Hops: hop, Path: rebuildPath(parent, src, dst)}
+					return PathResult{Found: true, Hops: hop, Path: rebuildPath(parent, src, dst)}, nil
 				}
 				next = append(next, n)
 			}
@@ -143,7 +142,7 @@ func BFSInWindow(src, dst layout.NodeID, maxHops int, expand func([]layout.NodeI
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 		frontier = next
 	}
-	return PathResult{}
+	return PathResult{}, nil
 }
 
 // rebuildPath walks the parent links dst -> src and reverses.

@@ -1,7 +1,7 @@
 // Package traversal implements graph traversal queries (Appendix B.2):
 // breadth-first search over any graph store, expressed as the recursive
-// neighbor expansion the paper describes (§4.2) — each step is a round
-// of get_neighbor_ids calls on the frontier.
+// neighbor expansion the paper describes (§4.2) — each step expands the
+// whole frontier one hop.
 package traversal
 
 import "zipg/internal/graphapi"
@@ -13,47 +13,29 @@ import "zipg/internal/graphapi"
 // expanded edge's full data (destination, timestamp, properties) is
 // retrieved, exactly as the paper's traversal workload does — which is
 // what makes edge property storage part of a traversal's working set.
+// A step is one graphapi.Expand of the frontier, so a store that ships
+// the hop (the cluster) reads it in one call per owner; a hop that
+// cannot be read ends the search.
 func BFS(s graphapi.Store, start graphapi.NodeID, maxDepth int) []graphapi.NodeID {
 	visited := map[graphapi.NodeID]bool{start: true}
 	order := []graphapi.NodeID{start}
 	frontier := []graphapi.NodeID{start}
 	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
+		hop, err := graphapi.Expand(s, frontier, graphapi.WildcardType, graphapi.ByOrder(0, graphapi.NoLimit), true)
+		if err != nil {
+			break
+		}
 		var next []graphapi.NodeID
-		for _, u := range frontier {
-			for _, rec := range s.GetEdgeRecords(u) {
-				for i := 0; i < rec.Count(); i++ {
-					d, err := rec.Data(i)
-					if err != nil {
-						continue
-					}
-					if !visited[d.Dst] {
-						visited[d.Dst] = true
-						order = append(order, d.Dst)
-						next = append(next, d.Dst)
-					}
+		for _, edges := range hop {
+			for _, d := range edges {
+				if !visited[d.Dst] {
+					visited[d.Dst] = true
+					order = append(order, d.Dst)
+					next = append(next, d.Dst)
 				}
 			}
 		}
 		frontier = next
 	}
 	return order
-}
-
-// BFSDepths returns, for each visited node, its hop distance from start.
-func BFSDepths(s graphapi.Store, start graphapi.NodeID, maxDepth int) map[graphapi.NodeID]int {
-	dist := map[graphapi.NodeID]int{start: 0}
-	frontier := []graphapi.NodeID{start}
-	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
-		var next []graphapi.NodeID
-		for _, u := range frontier {
-			for _, v := range s.GetNeighborIDs(u, graphapi.WildcardType, nil) {
-				if _, ok := dist[v]; !ok {
-					dist[v] = depth + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
 }

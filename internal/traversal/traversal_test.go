@@ -2,6 +2,7 @@ package traversal
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"zipg"
@@ -37,8 +38,14 @@ func TestBFSOrderAndDepths(t *testing.T) {
 	if !reflect.DeepEqual(order, []graphapi.NodeID{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("BFS order = %v", order)
 	}
-	depths := BFSDepths(g, 0, 5)
+	// A node's depth is the first bound that reaches it.
 	want := map[graphapi.NodeID]int{0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+	depths := map[graphapi.NodeID]int{}
+	for d := 2; d >= 0; d-- {
+		for _, id := range BFS(g, 0, d) {
+			depths[id] = d
+		}
+	}
 	if !reflect.DeepEqual(depths, want) {
 		t.Fatalf("depths = %v", depths)
 	}
@@ -88,10 +95,14 @@ func TestBFSAgreesWithReference(t *testing.T) {
 	}
 	ref := refgraph.New(nodes, edges)
 	for start := int64(0); start < 10; start++ {
-		a := BFSDepths(g, start, 5)
-		b := BFSDepths(ref, start, 5)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("BFS from %d differs: %v vs %v", start, a, b)
+		for depth := 0; depth <= 5; depth++ {
+			a := BFS(g, start, depth)
+			b := BFS(ref, start, depth)
+			slices.Sort(a)
+			slices.Sort(b)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("depth-%d BFS from %d differs: %v vs %v", depth, start, a, b)
+			}
 		}
 	}
 }
