@@ -113,7 +113,7 @@ func main() {
 					fmt.Println("error:", err)
 				}
 			case fields[0] == "window" || fields[0] == "wcount" || fields[0] == "path":
-				if err := temporalCmd(store, local, fields); err != nil {
+				if err := temporalCmd(store, fields); err != nil {
 					fmt.Println("error:", err)
 				}
 			case fields[0] == "subscribe":
@@ -248,11 +248,11 @@ func printSpanTree(n *telemetry.TraceNode, depth int) {
 }
 
 // temporalCmd runs the windowed analytics / temporal reachability
-// commands: on the local engine directly, or through the cluster
-// client's routed temporal calls.
-func temporalCmd(s graphapi.Store, local *zipg.Graph, args []string) error {
-	cl, _ := s.(*cluster.Client)
-	if local == nil && cl == nil {
+// commands through zipg.Windowed: the local graph's engine, or the
+// cluster client's routed temporal calls.
+func temporalCmd(s graphapi.Store, args []string) error {
+	w, ok := s.(zipg.Windowed)
+	if !ok {
 		return fmt.Errorf("temporal commands need local mode or a cluster connection")
 	}
 	switch args[0] {
@@ -270,19 +270,10 @@ func temporalCmd(s graphapi.Store, local *zipg.Graph, args []string) error {
 		}
 		id, etype, tLo, tHi := vals[0], vals[1], vals[2], vals[3]
 		if args[0] == "wcount" {
-			if local != nil {
-				fmt.Println(local.AssocCountInWindow(id, etype, tLo, tHi))
-			} else {
-				fmt.Println(cl.AssocCountInWindow(id, etype, tLo, tHi))
-			}
+			fmt.Println(w.AssocCountInWindow(id, etype, tLo, tHi))
 			return nil
 		}
-		var edges []graphapi.EdgeData
-		if local != nil {
-			edges = local.AssocTimeRange(id, etype, tLo, tHi, 0)
-		} else {
-			edges = cl.AssocTimeRange(id, etype, tLo, tHi, 0)
-		}
+		edges := w.AssocTimeRange(id, etype, tLo, tHi, 0)
 		fmt.Printf("count=%d\n", len(edges))
 		for i, d := range edges {
 			fmt.Printf("  [%d] dst=%d ts=%d props=%v\n", i, d.Dst, d.Timestamp, d.Props)
@@ -299,12 +290,7 @@ func temporalCmd(s graphapi.Store, local *zipg.Graph, args []string) error {
 			}
 			vals[i] = v
 		}
-		var res zipg.PathResult
-		if local != nil {
-			res = local.PathInWindow(vals[0], vals[1], vals[2], vals[3], int(vals[4]))
-		} else {
-			res = cl.PathInWindow(vals[0], vals[1], vals[2], vals[3], int(vals[4]))
-		}
+		res := w.PathInWindow(vals[0], vals[1], vals[2], vals[3], int(vals[4]))
 		if !res.Found {
 			fmt.Println("no path")
 			return nil

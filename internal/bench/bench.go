@@ -34,7 +34,6 @@ import (
 	"zipg/internal/gen"
 	"zipg/internal/graphapi"
 	"zipg/internal/memsim"
-	"zipg/internal/store"
 	"zipg/internal/workloads"
 )
 
@@ -115,24 +114,23 @@ func BuildSystem(name string, d *gen.Dataset, budget int64, zo zipg.Options) (*S
 	return sys, nil
 }
 
-// writeSystem builds the ZipG store the write-path figures drive: the
-// store itself rather than the Graph, for its fragment counts and the
-// broadcast switch of §3.5's strawman, with the given LogStore
-// threshold and no simulated medium.
-func (c *cell) writeSystem(threshold int64, broadcast bool) (*System, storeAdapter, error) {
-	ns, es, err := zipg.DeriveSchemas(zipg.GraphData{Nodes: c.d.Nodes, Edges: c.d.Edges})
-	if err != nil {
-		return nil, storeAdapter{}, err
-	}
-	st, err := store.New(c.d.Nodes, c.d.Edges, ns, es, store.Config{
+// writeSystem builds the ZipG graph the write-path figures drive: with
+// the given LogStore threshold, fanned updates off for §3.5's broadcast
+// strawman, and no simulated medium. Their fragment and rollover counts
+// are read from its store.
+func (c *cell) writeSystem(threshold int64, broadcast bool) (*System, *zipg.Graph, error) {
+	g, err := zipg.Compress(zipg.GraphData{Nodes: c.d.Nodes, Edges: c.d.Edges}, zipg.Options{
 		NumShards:            4,
 		SamplingRate:         32,
 		LogStoreThreshold:    threshold,
 		DisableFannedUpdates: broadcast,
 	})
-	sys := &System{Name: "zipg", Store: storeAdapter{st}, Med: memsim.Unlimited(), Clock: &memsim.Clock{}}
+	if err != nil {
+		return nil, nil, err
+	}
+	sys := &System{Name: "zipg", Store: g, Med: memsim.Unlimited(), Clock: &memsim.Clock{}}
 	c.built = append(c.built, sys)
-	return sys, storeAdapter{st}, err
+	return sys, g, nil
 }
 
 // measure is the one timing loop of every figure. The first warm ops

@@ -216,7 +216,7 @@ var Figures = []*Figure{
 			for i, counts := range snaps {
 				sort.Ints(counts)
 				pct := func(p float64) int { return counts[int(p*float64(len(counts)-1))] }
-				c.add(i+1, (i+1)*c.opts.Ops, pct(0.50), pct(0.90), pct(0.99), pct(0.999), counts[len(counts)-1], st.NumFragments())
+				c.add(i+1, (i+1)*c.opts.Ops, pct(0.50), pct(0.90), pct(0.99), pct(0.999), counts[len(counts)-1], st.Store().NumFragments())
 			}
 			return err
 		},
@@ -366,7 +366,7 @@ var Figures = []*Figure{
 				}
 				writeT := sys.throughput(sys.measure(len(writeOps), 0, execOps(sys.Store, writeOps), nil))
 				readT := sys.rate(len(readOps), execOps(sys.Store, readOps), nil)
-				c.add(c.opts.BaseBytes/div, st.Rollovers(), st.NumFragments(), kops(writeT), kops(readT))
+				c.add(c.opts.BaseBytes/div, st.Store().Rollovers(), st.Store().NumFragments(), kops(writeT), kops(readT))
 			}
 			return nil
 		},
@@ -618,7 +618,7 @@ func fig9Row(c *cell) error {
 // store with a small LogStore threshold (the paper used an 8 GB
 // threshold over 40 shards; scaled here) and snapshots every node's
 // fragment count after each of snapshots equal chunks (Appendix A).
-func fragmentation(c *cell, snapshots int) ([][]int, storeAdapter, error) {
+func fragmentation(c *cell, snapshots int) ([][]int, *zipg.Graph, error) {
 	sys, st, err := c.writeSystem(c.opts.BaseBytes/16, false)
 	if err != nil {
 		return nil, st, err
@@ -735,7 +735,7 @@ func fannedRows(c *cell) error {
 			return err
 		}
 		sys.measure(0, len(writeOps), execOps(sys.Store, writeOps), nil) // fragment it, untimed
-		syss[i], frags[i] = sys, st.NumFragments()
+		syss[i], frags[i] = sys, st.Store().NumFragments()
 	}
 	// The modes differ by what it costs to consult a fragment that holds
 	// nothing for the node — an index miss per compressed fragment, a map

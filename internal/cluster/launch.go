@@ -9,13 +9,9 @@ import (
 
 // LaunchConfig parameterizes an in-process cluster (what the benchmark
 // harness and tests use; cmd/zipg-server runs the same Server as a
-// standalone binary).
-type LaunchConfig struct {
-	NumServers        int
-	ShardsPerServer   int
-	SamplingRate      int
-	LogStoreThreshold int64
-}
+// standalone binary). It is one server's config: every server gets it,
+// with ID set to its partition.
+type LaunchConfig = ServerConfig
 
 // Cluster is a set of in-process servers plus their addresses.
 type Cluster struct {
@@ -53,13 +49,8 @@ func LaunchWithReplicas(nodes []layout.Node, edges []layout.Edge, nodeSchema, ed
 	}
 	for p := 0; p < cfg.NumServers; p++ {
 		for r := 0; r < replicas; r++ {
-			srv, err := NewServer(partNodes[p], partEdges[p], nodeSchema, edgeSchema, ServerConfig{
-				ID:                p,
-				NumServers:        cfg.NumServers,
-				ShardsPerServer:   cfg.ShardsPerServer,
-				SamplingRate:      cfg.SamplingRate,
-				LogStoreThreshold: cfg.LogStoreThreshold,
-			})
+			cfg.ID = p
+			srv, err := NewServer(partNodes[p], partEdges[p], nodeSchema, edgeSchema, cfg)
 			if err != nil {
 				c.Close()
 				return nil, err

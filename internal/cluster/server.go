@@ -228,7 +228,11 @@ type countReply struct {
 	N int
 }
 
-// ServerConfig parameterizes one cluster server.
+// ServerConfig parameterizes one cluster server: its place in the
+// cluster, and the settings of its partition store, which NewServer
+// copies to a store.Config (zipg.Options, where each is documented
+// with its default), ShardsPerServer as the store's NumShards.
+// LaunchConfig is this type.
 type ServerConfig struct {
 	// ID is this server's index in [0, NumServers).
 	ID int
@@ -245,7 +249,7 @@ type ServerConfig struct {
 	// LogStore. Implied by CompactAfterRollovers.
 	BackgroundCompaction bool
 	// CompactAfterRollovers, when positive, is the tier fan-in of the
-	// background worker's generation merges (see zipg.Options); the
+	// background worker's generation merges (see store.Config); the
 	// primaries are rebuilt only once the generations and the deletes
 	// on them add up to as much.
 	CompactAfterRollovers int

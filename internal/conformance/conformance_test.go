@@ -54,8 +54,8 @@ func systems(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl := launchCluster(t, nodes, edges, 1)
-	_, clr := launchCluster(t, nodes, edges, 2)
+	_, cl := launchCluster(t, nodes, edges, 1, false)
+	_, clr := launchCluster(t, nodes, edges, 2, true)
 	return map[string]graphapi.Store{
 		"zipg":        g,
 		"cluster":     cl,
@@ -72,19 +72,25 @@ func systems(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge) map[str
 // every query and write of the suites below also crosses the wire
 // format, the owner routing, the aggregator's function shipping and,
 // with more replicas, the client's read spreading and write fan-out.
-// The log threshold is small enough that the mutation rounds roll over.
-func launchCluster(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge, replicas int) (*cluster.Cluster, clusterStore) {
+// The log threshold is small enough that the mutation rounds roll over;
+// with background set, each server's worker compresses the sealed logs
+// and merges every two same-tier generations while the suites read.
+func launchCluster(t testing.TB, nodes []graphapi.Node, edges []graphapi.Edge, replicas int, background bool) (*cluster.Cluster, clusterStore) {
 	t.Helper()
 	nodeSchema, edgeSchema, err := zipg.DeriveSchemas(zipg.GraphData{Nodes: nodes, Edges: edges})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.LaunchWithReplicas(nodes, edges, nodeSchema, edgeSchema, cluster.LaunchConfig{
+	cfg := cluster.LaunchConfig{
 		NumServers:        2,
 		ShardsPerServer:   2,
 		SamplingRate:      8,
 		LogStoreThreshold: 2 << 10,
-	}, replicas)
+	}
+	if background {
+		cfg.BackgroundCompaction, cfg.CompactAfterRollovers = true, 2
+	}
+	c, err := cluster.LaunchWithReplicas(nodes, edges, nodeSchema, edgeSchema, cfg, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func TestQuickOpScriptsAgree(t *testing.T) {
 		}
 		// Closed per script, ahead of the test's own cleanup: quick runs
 		// 25 of these.
-		c, cl := launchCluster(t, nodes, edges, 1)
+		c, cl := launchCluster(t, nodes, edges, 1, false)
 		defer c.Close()
 		defer cl.Close()
 		ref := refgraph.New(nodes, edges)
@@ -599,6 +605,175 @@ func checkTraversals(t *testing.T, ref graphapi.Store, sys map[string]graphapi.S
 			if got := eval(s, q); !reflect.DeepEqual(got, want) {
 				t.Fatalf("[%s/%s] query %q = %v, want %v", tag, name, q.Expr.Text, got, want)
 			}
+		}
+	}
+}
+
+// TestWindowedQueriesAgree holds the temporal queries of zipg.Windowed
+// — AssocTimeRange, AssocCountInWindow and PathInWindow — on ZipG in
+// process and through the cluster at one replica and at two to answers
+// computed from the reference: a record's in-window edges in TimeOrder,
+// their number, and a BFS over in-window edges between live nodes. It
+// checks the initial graph and again after each of three mutation
+// rounds that roll every log over.
+func TestWindowedQueriesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const nNodes = 24
+	nodes, edges := randomGraph(rng, nNodes, 150)
+	ref := refgraph.New(nodes, edges)
+	all := systems(t, nodes, edges)
+	sys := map[string]graphapi.Store{}
+	for _, name := range []string{"zipg", "cluster", "cluster-2x2"} {
+		if _, ok := all[name].(zipg.Windowed); !ok {
+			t.Fatalf("[%s] does not serve zipg.Windowed", name)
+		}
+		sys[name] = all[name]
+	}
+	checkWindowed(t, ref, sys, nNodes, rng, "static")
+	for round := 0; round < 3; round++ {
+		mutate(t, ref, sys, nNodes, rng, 150)
+		checkWindowed(t, ref, sys, nNodes, rng, fmt.Sprintf("round%d", round))
+	}
+}
+
+// checkWindowed compares every system's windowed reads of edge types
+// 0–3, and its paths to three destinations at most one and three hops
+// long, with the reference's, for taoSample nodes below nNodes drawn
+// afresh and an absent one, in wildcard, open, empty and inverted
+// windows.
+func checkWindowed(t *testing.T, ref graphapi.Store, sys map[string]graphapi.Store, nNodes int, rng *rand.Rand, tag string) {
+	t.Helper()
+	const W = graphapi.WildcardTime
+	lo := int64(rng.Intn(1000))
+	hi := lo + int64(rng.Intn(500))
+	windows := [][2]int64{{W, W}, {lo, hi}, {lo, W}, {W, hi}, {lo, lo}, {hi, lo}}
+	ids := []int64{int64(nNodes) + 10}
+	for _, id := range rng.Perm(nNodes)[:taoSample] {
+		ids = append(ids, int64(id))
+	}
+	for _, id := range ids {
+		dsts := []int64{id, int64(rng.Intn(nNodes)), int64(nNodes) + 11}
+		for _, win := range windows {
+			for etype := int64(0); etype < 4; etype++ {
+				var all, want []graphapi.EdgeData
+				if rec, ok := ref.GetEdgeRecord(id, etype); ok {
+					all = recordEdges(t, rec, W, W)
+					want = recordEdges(t, rec, win[0], win[1])
+				}
+				for name, s := range sys {
+					w := s.(zipg.Windowed)
+					where := fmt.Sprintf("[%s/%s] (%d,%d) in [%d,%d)", tag, name, id, etype, win[0], win[1])
+					if g := w.AssocCountInWindow(id, etype, win[0], win[1]); g != len(want) {
+						t.Fatalf("%s AssocCountInWindow = %d, want %d", where, g, len(want))
+					}
+					for _, limit := range []int{0, 2} {
+						wl := want
+						if limit > 0 && len(wl) > limit {
+							wl = wl[:limit]
+						}
+						if g := w.AssocTimeRange(id, etype, win[0], win[1], limit); !sameEdges(g, wl, all) {
+							t.Fatalf("%s AssocTimeRange limit %d = %v, want %v", where, limit, g, wl)
+						}
+					}
+				}
+			}
+			for _, dst := range dsts {
+				for _, maxHops := range []int{1, 3} {
+					want := refPathHops(t, ref, id, dst, win[0], win[1], maxHops)
+					for name, s := range sys {
+						got := s.(zipg.Windowed).PathInWindow(id, dst, win[0], win[1], maxHops)
+						where := fmt.Sprintf("[%s/%s] PathInWindow(%d→%d, [%d,%d), %d)", tag, name, id, dst, win[0], win[1], maxHops)
+						if got.Found != (want >= 0) || got.Found && (got.Hops != want || len(got.Path) != want+1) {
+							t.Fatalf("%s = %+v, want %d hops (-1: none)", where, got, want)
+						}
+						if got.Found {
+							checkPath(t, ref, got.Path, id, dst, win[0], win[1], where)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// recordEdges is the reference's answer to a windowed read: the edges
+// of rec with timestamps in [tLo, tHi) (WildcardTime leaves a bound
+// open), in TimeOrder.
+func recordEdges(t *testing.T, rec graphapi.EdgeRecord, tLo, tHi int64) []graphapi.EdgeData {
+	t.Helper()
+	tLo, tHi = graphapi.TimeBounds(tLo, tHi)
+	var out []graphapi.EdgeData
+	for i := 0; i < rec.Count(); i++ {
+		e, err := rec.Data(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Timestamp >= tLo && e.Timestamp < tHi {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// windowNbrs is the set of nodes one in-window edge away from id, over
+// every edge type; a deleted node has none.
+func windowNbrs(t *testing.T, ref graphapi.Store, id, tLo, tHi int64) map[int64]bool {
+	t.Helper()
+	out := map[int64]bool{}
+	for _, rec := range ref.GetEdgeRecords(id) {
+		for _, e := range recordEdges(t, rec, tLo, tHi) {
+			out[e.Dst] = true
+		}
+	}
+	return out
+}
+
+// refPathHops is the fewest hops, at most maxHops, of a path from src
+// to dst over in-window edges between live nodes; -1 if there is none.
+func refPathHops(t *testing.T, ref graphapi.Store, src, dst, tLo, tHi int64, maxHops int) int {
+	t.Helper()
+	if _, ok := ref.GetNodeProperty(src, nil); !ok {
+		return -1
+	}
+	if _, ok := ref.GetNodeProperty(dst, nil); !ok {
+		return -1
+	}
+	seen := map[int64]bool{src: true}
+	frontier := []int64{src}
+	for hops := 0; len(frontier) > 0; hops++ {
+		if seen[dst] {
+			return hops
+		}
+		if hops == maxHops {
+			break
+		}
+		var next []int64
+		for _, n := range frontier {
+			for m := range windowNbrs(t, ref, n, tLo, tHi) {
+				if !seen[m] {
+					seen[m] = true
+					next = append(next, m)
+				}
+			}
+		}
+		frontier = next
+	}
+	return -1
+}
+
+// checkPath fails unless path runs from src to dst over in-window edges
+// of the reference between live nodes.
+func checkPath(t *testing.T, ref graphapi.Store, path []int64, src, dst, tLo, tHi int64, where string) {
+	t.Helper()
+	if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
+		t.Fatalf("%s path %v does not run from %d to %d", where, path, src, dst)
+	}
+	for i, n := range path {
+		if _, ok := ref.GetNodeProperty(n, nil); !ok {
+			t.Fatalf("%s path %v runs through deleted node %d", where, path, n)
+		}
+		if i > 0 && !windowNbrs(t, ref, path[i-1], tLo, tHi)[n] {
+			t.Fatalf("%s path %v: no in-window edge %d→%d", where, path, path[i-1], n)
 		}
 	}
 }

@@ -10,19 +10,14 @@ import (
 
 	"zipg/internal/bitutil"
 	"zipg/internal/layout"
-	"zipg/internal/memsim"
 	"zipg/internal/parallel"
 	"zipg/internal/succinct"
 )
 
-// Options configures shard construction.
-type Options struct {
-	// SamplingRate is Succinct's α (0 = default).
-	SamplingRate int
-	// Medium is the simulated storage for this shard's structures
-	// (nil = unlimited).
-	Medium *memsim.Medium
-}
+// Options configures shard construction: both of the shard's succinct
+// stores are built with it, and its Medium also holds the NodeFile's
+// offset index.
+type Options = succinct.Options
 
 // Shard is one immutable graph partition in ZipG layout over compressed
 // storage.
@@ -58,14 +53,13 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 	if err != nil {
 		return nil, fmt.Errorf("core: edge file: %w", err)
 	}
-	succOpts := succinct.Options{SamplingRate: opts.SamplingRate, Medium: opts.Medium}
 	// The NodeFile and EdgeFile suffix arrays are independent; build them
 	// concurrently on the shared pool (each Build stays sequential inside).
 	stores := parallel.Map("core.build_succinct", 2, func(i int) *succinct.Store {
 		if i == 0 {
-			return succinct.Build(nodeFlat, succOpts)
+			return succinct.Build(nodeFlat, opts)
 		}
-		return succinct.Build(edgeFlat, succOpts)
+		return succinct.Build(edgeFlat, opts)
 	})
 	s := &Shard{
 		nodeStore:    stores[0],

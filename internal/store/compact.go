@@ -16,11 +16,13 @@ import (
 
 // Compact is the periodic garbage collection of §4.1: it merges every
 // fragment — the primary shards, all frozen generations and the live
-// LogStore — into fresh primary shards, physically dropping
-// lazily-deleted nodes and edges and resetting every update pointer,
-// so each node's data is whole again (FragmentsOf returns 1). The
-// worker runs it only once writes and deletes have paid for it
-// (fullCompactionDue); tier merges (mergeTier) bound the pieces until then.
+// LogStore — into fresh primary shards, physically dropping deleted
+// edges and deleted nodes' records and resetting every update pointer,
+// so each node's data is whole again (FragmentsOf returns 1). A deleted
+// node's edges stay, shadowed by deletedNodes, for a re-append to
+// find. The worker runs it only once writes and deletes have paid for
+// it (fullCompactionDue); tier merges (mergeTier) bound the pieces
+// until then.
 //
 // Compaction is online: under a brief lock, seal the live log, snapshot
 // the fragments and deletion state and start the delete replay; with no
@@ -45,7 +47,7 @@ func (s *Store) Compact() error {
 	s.mu.Unlock()
 	pause.ObserveInto(mCompactionPauseNs)
 
-	fresh, nEdges, err := snap.build(s)
+	fresh, nEdges, shadowed, err := snap.build(s)
 	if err != nil {
 		s.abortReplay()
 		return err
@@ -53,14 +55,11 @@ func (s *Store) Compact() error {
 	s.swapReplayed(func(src layout.NodeID) *core.Shard { return fresh[s.partitionOf(src)] }, func(nodeDels map[layout.NodeID]bool) {
 		s.primaries, s.primaryEdges = fresh, nEdges
 		s.spliceGensLocked(0, len(snap.gens), nil)
-		// Only node deletes recorded since the snapshot shadow anything.
-		deletedNodes := make(map[layout.NodeID]bool)
-		for id := range nodeDels {
-			if s.deletedNodes[id] {
-				deletedNodes[id] = true
-			}
-		}
-		s.deletedNodes = deletedNodes
+		// A node deleted in the snapshot has no record left, only the
+		// edges it shadows; one deleted since may still have its record.
+		maps.DeleteFunc(s.deletedNodes, func(id layout.NodeID, _ bool) bool {
+			return !shadowed[id] && !nodeDels[id]
+		})
 	})
 	return nil
 }
@@ -129,10 +128,11 @@ func (s *Store) tierRunLocked(fanIn int) int {
 
 // fullCompactionDue reports whether a full rebuild has been paid for:
 // the generations' raw bytes as a share of the primaries', plus the
-// share of the primaries' nodes and edges deleted (deletedNodes and the
-// position marks only a rebuild clears), reach one. A rebuild rewrites
-// no more than was written or deleted since the last, and the marks
-// every delete copies and every read filters stay a bounded share.
+// share of the primaries' nodes and edges deleted (the deleted nodes
+// whose record a primary holds, and the position marks only a rebuild
+// clears), reach one. A rebuild rewrites no more than was written or
+// deleted since the last, and the marks every delete copies and every
+// read filters stay a bounded share.
 func (s *Store) fullCompactionDue() bool {
 	if s.cfg.CompactAfterRollovers <= 0 {
 		return false
@@ -149,7 +149,12 @@ func (s *Store) fullCompactionDue() bool {
 		prim += sh.RawSize()
 		entries += sh.NumNodes()
 	}
-	dead := len(s.deletedNodes)
+	dead := 0
+	for id := range s.deletedNodes {
+		if s.primaries[s.partitionOf(id)].Nodes().Contains(id) {
+			dead++
+		}
+	}
 	for key, set := range s.deletedPhys {
 		if slices.Contains(s.primaries, key.shard) {
 			dead += len(set)
@@ -280,12 +285,13 @@ func (s *Store) snapshotForCompactLocked() *compactSnapshot {
 }
 
 // build materializes the snapshot's live graph and compresses it into
-// fresh primary shards on the shared pool, and says how many edges they
-// hold. No store lock is held.
-func (c *compactSnapshot) build(s *Store) ([]*core.Shard, int, error) {
+// fresh primary shards on the shared pool. It says how many edges they
+// hold, and which deleted nodes' edges are among them. No store lock is
+// held.
+func (c *compactSnapshot) build(s *Store) ([]*core.Shard, int, map[layout.NodeID]bool, error) {
 	nodes, edges, err := c.materialize(s)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	partNodes := make([][]layout.Node, s.cfg.NumShards)
 	partEdges := make([][]layout.Edge, s.cfg.NumShards)
@@ -293,9 +299,13 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, int, error) {
 		p := s.partitionOf(n.ID)
 		partNodes[p] = append(partNodes[p], n)
 	}
+	shadowed := make(map[layout.NodeID]bool)
 	for _, e := range edges {
 		p := s.partitionOf(e.Src)
 		partEdges[p] = append(partEdges[p], e)
+		if c.deletedNodes[e.Src] {
+			shadowed[e.Src] = true
+		}
 	}
 	fresh, err := parallel.MapErr("store.compact_shards", s.cfg.NumShards, func(p int) (*core.Shard, error) {
 		sh, err := s.buildShard(partNodes[p], partEdges[p])
@@ -304,7 +314,7 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, int, error) {
 		}
 		return sh, nil
 	})
-	return fresh, len(edges), err
+	return fresh, len(edges), shadowed, err
 }
 
 // markShardEdges lazily deletes, in marks, every (src, etype, dst) edge
@@ -337,12 +347,14 @@ func markShardEdges(marks map[shardEdgeRef]map[int]bool, sh *core.Shard, t edgeT
 	return len(set) - len(old)
 }
 
-// materialize reconstructs the snapshot's live logical graph: every
-// live node's current property list and every live edge, off the store
-// lock. Its output is deterministic: nodes ascend by ID, and edges are
-// collected oldest piece first in physical order and sorted stably by
-// (src, type, timestamp), so equal timestamps keep the lazy merge's
-// order (the earlier piece, then the lower index).
+// materialize reconstructs the snapshot's logical graph off the store
+// lock: every live node's current property list, and every edge not
+// deleted by position — a deleted node's too, as deletedNodes hides
+// them only until the node is appended again. Its output is
+// deterministic: nodes ascend by ID, and edges are collected oldest
+// piece first in physical order and sorted stably by (src, type,
+// timestamp), so equal timestamps keep the lazy merge's order (the
+// earlier piece, then the lower index).
 func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, error) {
 	ids := make(map[layout.NodeID]bool)
 	for _, sh := range c.primaries {
@@ -398,9 +410,7 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 			n := min(batch, len(index))
 			reqs = reqs[:0]
 			for _, rec := range index[:n] {
-				if !c.deletedNodes[rec.Src] {
-					reqs = append(reqs, layout.EdgeRangeReq{Src: rec.Src, Type: rec.Type, Offset: rec.Offset, Limit: math.MaxInt32})
-				}
+				reqs = append(reqs, layout.EdgeRangeReq{Src: rec.Src, Type: rec.Type, Offset: rec.Offset, Limit: math.MaxInt32})
 			}
 			index = index[n:]
 			data, err := sh.Edges().GetEdgeRangeBatch(reqs)
@@ -429,11 +439,7 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 	for _, f := range c.gens {
 		if f.log != nil {
 			_, logEdges := f.log.Contents()
-			for _, e := range logEdges {
-				if !c.deletedNodes[e.Src] {
-					edges = append(edges, e)
-				}
-			}
+			edges = append(edges, logEdges...)
 			continue
 		}
 		if err := appendFromShard(f.shard); err != nil {

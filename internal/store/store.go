@@ -11,6 +11,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,33 +28,42 @@ import (
 // default here is scaled to this repository's MB-scale datasets.
 const DefaultLogStoreThreshold = 4 << 20
 
-// Config parameterizes a Store.
+// Config parameterizes a Store. It is the one declaration of ZipG's
+// settings: zipg.Options is this type, and cluster.ServerConfig
+// carries the same fields for one cluster server. The zero value is
+// the default of every field.
 type Config struct {
 	// NumShards is the number of initial hash partitions (the paper's
 	// default is one per core). 0 means 1.
 	NumShards int
-	// SamplingRate is Succinct's α for compressed shards (0 = default).
+	// SamplingRate is Succinct's α for compressed shards: larger is
+	// smaller but slower (0 = succinct.DefaultSamplingRate, 32).
 	SamplingRate int
-	// Medium simulates the storage the store's data lives on
-	// (nil = unlimited).
+	// Medium places the store on a simulated storage hierarchy, which
+	// the paper figures (internal/bench) use to model memory pressure
+	// (nil = plain memory, no access accounting).
 	Medium *memsim.Medium
-	// LogStoreThreshold triggers rollover (0 = DefaultLogStoreThreshold).
+	// LogStoreThreshold is the write-log size that seals the log for
+	// compression into a new immutable shard (0 =
+	// DefaultLogStoreThreshold, 4 MiB).
 	LogStoreThreshold int64
 	// DisableFannedUpdates makes reads consult every fragment instead of
 	// following update pointers — the strawman §3.5 argues against.
-	// Exists only for the ablation benchmark.
+	// Exists only for the ablation figure.
 	DisableFannedUpdates bool
 	// BackgroundCompaction chooses who compresses a sealed LogStore
-	// generation: a background worker, or (false) the writer whose
-	// append crossed the threshold, once it has released the store
-	// lock. Implied by CompactAfterRollovers.
+	// generation. Sealing is always O(1); the shard is then built, with
+	// no store lock held, by a background worker (true) or by the
+	// writer whose append crossed the threshold (false). Implied by
+	// CompactAfterRollovers.
 	BackgroundCompaction bool
 	// CompactAfterRollovers, when positive, is the tier fan-in of the
 	// background worker's merges: once that many compressed generations
 	// of one tier stand next to each other they become one generation
-	// of the next tier (1 counts as 2). The primaries are rebuilt
-	// (Compact) only once the generations' bytes and the deletes on the
-	// primaries add up to them (fullCompactionDue).
+	// of the next tier (1 counts as 2), so a node's data lies in a
+	// logarithmic number of pieces. The primaries are rebuilt (Compact)
+	// only once the generations' bytes and the deletes on the primaries
+	// add up to them (fullCompactionDue).
 	CompactAfterRollovers int
 }
 
@@ -258,7 +268,7 @@ func (s *Store) AppendNode(id layout.NodeID, props map[string]string) error {
 	if err != nil {
 		return err
 	}
-	s.commit([]logstore.Put{put})
+	s.commit([]logstore.Put{put}, 0)
 	return nil
 }
 
@@ -266,7 +276,8 @@ func (s *Store) AppendNode(id layout.NodeID, props map[string]string) error {
 // edgeRecord)). Endpoints that have no node record yet get an empty one
 // — the shared semantics across every system in this repository (Neo4j
 // and Titan both auto-create endpoints) — published ahead of the edge
-// in the same commit.
+// in the same commit. The lookup here runs without the store lock; an
+// endpoint it finds absent is looked up again under it (commit).
 func (s *Store) AppendEdge(e layout.Edge) error {
 	mOpAppendEdge.Inc()
 	edge, err := logstore.PrepareEdgePut(s.edgeSchema, e)
@@ -288,7 +299,7 @@ func (s *Store) AppendEdge(e layout.Edge) error {
 		}
 		puts = append(puts, node)
 	}
-	s.commit(append(puts, edge))
+	s.commit(append(puts, edge), len(puts))
 	return nil
 }
 
@@ -297,9 +308,19 @@ func (s *Store) AppendEdge(e layout.Edge) error {
 // share it: a rollover sneaking between them would freeze the data into
 // generation g while the pointer records g+1, losing the write. It
 // cannot fail — every fallible step ran in logstore.Prepare*Put.
-func (s *Store) commit(puts []logstore.Put) {
+//
+// The first ends puts are the empty endpoint records AppendEdge
+// prepared for nodes it found absent without the lock. Each is dropped
+// if its node has a record by now: a node appended in between keeps its
+// properties, as if it had been appended before the edge.
+func (s *Store) commit(puts []logstore.Put, ends int) {
 	stall := telemetry.StartTimer()
 	s.mu.Lock()
+	for i := ends - 1; i >= 0; i-- {
+		if s.hasNodeLocked(puts[i].NodeID) {
+			puts = slices.Delete(puts, i, i+1)
+		}
+	}
 	gen := s.curGenLocked()
 	live := s.gens[gen].log
 	live.ApplyPuts(puts)
@@ -710,6 +731,11 @@ func (s *Store) FindNodes(props map[string]string) []layout.NodeID {
 func (s *Store) HasNode(id layout.NodeID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.hasNodeLocked(id)
+}
+
+// hasNodeLocked is HasNode for callers that hold s.mu.
+func (s *Store) hasNodeLocked(id layout.NodeID) bool {
 	if s.deletedNodes[id] {
 		return false
 	}

@@ -60,6 +60,52 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestAppendEdgeRacingAppendNode races AppendEdge(0 → fresh) against
+// AppendNode(fresh, props), a fresh node each round. Every serial order
+// leaves the node its props: appended first, the node is an endpoint
+// the edge finds; appended second, its put replaces the empty endpoint
+// the edge created. An empty endpoint prepared before the node's commit
+// and applied after it would erase them.
+func TestAppendEdgeRacingAppendNode(t *testing.T) {
+	ns, es := testSchemas(t)
+	nodes, edges := testGraph(20, 40, 3)
+	s, err := New(nodes, edges, ns, es, Config{NumShards: 4, SamplingRate: 8, LogStoreThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4000
+	lost := 0
+	for r := 0; r < rounds; r++ {
+		fresh := int64(10000 + r)
+		name := fmt.Sprintf("fresh%d", r)
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[0] = s.AppendEdge(layout.Edge{Src: 0, Dst: fresh, Type: 1, Timestamp: int64(r)})
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[1] = s.AppendNode(fresh, map[string]string{"name": name})
+		}()
+		close(start)
+		wg.Wait()
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatal(errs)
+		}
+		if vals, ok := s.GetNodeProps(fresh, []string{"name"}); !ok || vals[0] != name {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d fresh nodes lost their props to a racing AppendEdge", lost, rounds)
+	}
+}
+
 // mutateForCompact applies a fixed mutation sequence that fragments the
 // store across several generations.
 func mutateForCompact(t *testing.T, s *Store, edges []layout.Edge) {
@@ -160,6 +206,58 @@ func TestCompactKeepsEqualTimestampOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	order("after Compact", 5, 3, 4)
+}
+
+// TestCompactKeepsDeletedNodesEdges: a deleted node's edges are hidden,
+// not gone — re-appending the node, or an edge that recreates it as an
+// endpoint, finds them as they were — and a full compaction, which
+// drops the deleted nodes' records, leaves them so. Node 1's edges lie
+// in the primary and in a compressed generation.
+func TestCompactKeepsDeletedNodesEdges(t *testing.T) {
+	ns, es := testSchemas(t)
+	s, err := New(nil, []layout.Edge{
+		{Src: 1, Dst: 5, Type: 0, Timestamp: 10},
+		{Src: 1, Dst: 6, Type: 0, Timestamp: 11},
+		{Src: 2, Dst: 5, Type: 0, Timestamp: 12},
+	}, ns, es, Config{NumShards: 2, SamplingRate: 8, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEdge(layout.Edge{Src: 1, Dst: 7, Type: 0, Timestamp: 13}); err != nil {
+		t.Fatal(err)
+	}
+	freezeLog(t, s, true)
+	s.DeleteNode(1)
+	s.DeleteNode(2)
+	s.DeleteNode(5)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	count := func(id layout.NodeID) int {
+		rec, ok := s.GetEdgeRecord(id, 0)
+		if !ok {
+			return 0
+		}
+		return rec.Count()
+	}
+	if s.HasNode(1) || s.HasNode(2) || s.HasNode(5) || count(1) != 0 || count(2) != 0 {
+		t.Fatal("a deleted node or its edges reads after Compact")
+	}
+	if err := s.AppendNode(1, map[string]string{"name": "back"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEdge(layout.Edge{Src: 6, Dst: 2, Type: 1, Timestamp: 14}); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(1); got != 3 {
+		t.Errorf("re-appended node 1 has %d edges, want its 3", got)
+	}
+	if got := count(2); got != 1 {
+		t.Errorf("node 2, recreated as an endpoint, has %d edges, want its 1", got)
+	}
+	if s.HasNode(5) {
+		t.Error("node 5, deleted with no edges of its own, reads after Compact")
+	}
 }
 
 // TestSealedRawGeneration exercises every read path against a sealed

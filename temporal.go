@@ -33,6 +33,17 @@ type Subscription = temporal.Subscription
 // PathResult is a PathInWindow answer.
 type PathResult = temporal.PathResult
 
+// Windowed is the temporal query surface a Graph and the cluster client
+// share: windowed analytics and bounded temporal reachability, with the
+// Graph methods' semantics below.
+type Windowed interface {
+	AssocTimeRange(src NodeID, etype EdgeType, tLo, tHi int64, limit int) []EdgeData
+	AssocCountInWindow(src NodeID, etype EdgeType, tLo, tHi int64) int
+	PathInWindow(src, dst NodeID, tLo, tHi int64, maxHops int) PathResult
+}
+
+var _ Windowed = (*Graph)(nil)
+
 // Temporal returns the graph's temporal query engine, building it (and
 // tapping the store's event stream) on first call.
 func (g *Graph) Temporal() *temporal.Engine {

@@ -65,35 +65,12 @@ type GraphData struct {
 	Edges []Edge
 }
 
-// Options configures Compress.
-type Options struct {
-	// NumShards is the number of hash partitions (default 1; the paper
-	// defaults to one per core).
-	NumShards int
-	// SamplingRate is the succinct store's α: larger is smaller but
-	// slower (default 32).
-	SamplingRate int
-	// LogStoreThreshold is the write-log size that triggers compression
-	// into a new immutable shard (default 4 MiB).
-	LogStoreThreshold int64
-	// Medium, if set, places the store on a simulated storage hierarchy
-	// (used by the benchmark harness to model memory pressure).
-	Medium *memsim.Medium
-	// BackgroundCompaction chooses who compresses a rolled-over write
-	// log. Crossing the threshold always seals the log in O(1); the
-	// shard is then built, with no store lock held, by a background
-	// worker (true) or by the writer whose append crossed the threshold
-	// (false). Implied by CompactAfterRollovers.
-	BackgroundCompaction bool
-	// CompactAfterRollovers, when positive, is the tier fan-in of the
-	// background worker's merges: once that many compressed write-log
-	// generations of one tier stand next to each other they are merged
-	// into one of the next tier (1 counts as 2), so a node's data lies in
-	// a logarithmic number of pieces. The primary shards are rebuilt (a
-	// full Compact) only once the generations, together with what was
-	// deleted from the primary shards, have grown as large.
-	CompactAfterRollovers int
-}
+// Options configures Compress: the store's shard count, Succinct's α
+// (§3.1), the LogStore threshold and fanned updates (§3.5), the
+// background compaction worker and the simulated medium. Each setting
+// is declared, with its default, on store.Config; cluster.ServerConfig
+// holds the same settings for one cluster server.
+type Options = store.Config
 
 // Graph is a single-machine ZipG store. It is safe for concurrent use;
 // reads on compressed data are lock-free.
@@ -163,14 +140,7 @@ func keys(m map[string]bool) []string {
 // when several stores — e.g. cluster servers — must agree on delimiters,
 // or when properties not present in the initial data will be appended).
 func CompressWithSchemas(data GraphData, nodeSchema, edgeSchema *layout.PropertySchema, opts Options) (*Graph, error) {
-	s, err := store.New(data.Nodes, data.Edges, nodeSchema, edgeSchema, store.Config{
-		NumShards:             opts.NumShards,
-		SamplingRate:          opts.SamplingRate,
-		Medium:                opts.Medium,
-		LogStoreThreshold:     opts.LogStoreThreshold,
-		BackgroundCompaction:  opts.BackgroundCompaction,
-		CompactAfterRollovers: opts.CompactAfterRollovers,
-	})
+	s, err := store.New(data.Nodes, data.Edges, nodeSchema, edgeSchema, opts)
 	if err != nil {
 		return nil, err
 	}
