@@ -67,9 +67,9 @@ func TestShardQueries(t *testing.T) {
 // ascending (the record index is in (source, type) order).
 func edgeSources(s *Shard) []layout.NodeID {
 	var out []layout.NodeID
-	for _, rec := range s.EdgeIndex() {
-		if len(out) == 0 || out[len(out)-1] != rec.Src {
-			out = append(out, rec.Src)
+	for _, src := range s.Edges().Columns().Srcs {
+		if len(out) == 0 || out[len(out)-1] != src {
+			out = append(out, src)
 		}
 	}
 	return out
@@ -112,10 +112,9 @@ func checkShardsAgree(t *testing.T, a, b *Shard, nodes []layout.Node) {
 			}
 		}
 	}
-	offA, okA := a.EdgeRecordOffset(srcs[0], 0)
-	offB, okB := b.EdgeRecordOffset(srcs[0], 0)
-	if okA != okB || offA != offB {
-		t.Fatalf("EdgeRecordOffset diverged: %d/%v vs %d/%v", offA, okA, offB, okB)
+	q := map[string]string{"w": "7"}
+	if fa, fb := a.Edges().FindEdges(q), b.Edges().FindEdges(q); len(fa) != 1 || !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("FindEdges(%v): %v vs %v", q, fa, fb)
 	}
 }
 
@@ -141,7 +140,7 @@ func TestShardSerializationRoundTrip(t *testing.T) {
 }
 
 // encodeWire gob-encodes a (possibly doctored) wire struct.
-func encodeWire(t *testing.T, w any) []byte {
+func encodeWire(t testing.TB, w any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -151,7 +150,7 @@ func encodeWire(t *testing.T, w any) []byte {
 }
 
 // currentWire decodes a freshly built shard's wire form for doctoring.
-func currentWire(t *testing.T) shardWire {
+func currentWire(t testing.TB) shardWire {
 	t.Helper()
 	sh, _, _ := buildTestShard(t)
 	blob, err := sh.MarshalBinary()
@@ -188,7 +187,7 @@ func tagged(w shardWire) taggedShardWire {
 		NodeStore: w.NodeStore, EdgeStore: w.EdgeStore, NodeIDs: w.NodeIDs,
 		NodeSchema: w.NodeSchema, EdgeSchema: w.EdgeSchema, RawNodeBytes: w.RawNodeBytes, RawEdgeBytes: w.RawEdgeBytes,
 		EdgeFormat: w.EdgeFormat, EdgeIdxSrcs: w.EdgeIdxSrcs, EdgeIdxTypes: w.EdgeIdxTypes,
-		NodeOffsetsEnc: append([]byte{1}, w.NodeOffsets...), EdgeIdxOffsEnc: append([]byte{1}, w.EdgeIdxOffs...),
+		NodeOffsetsEnc: append([]byte{1}, w.NodeOffsets...), EdgeIdxOffsEnc: append([]byte{1}, w.EdgeStarts...),
 	}
 }
 
@@ -208,7 +207,7 @@ func TestOldShardRefusedByVersion(t *testing.T) {
 		case "ZSUC5":
 			old = w
 		case "ZSUC1":
-			w.NodeOffsets, w.EdgeIdxOffs = nil, nil
+			w.NodeOffsets, w.EdgeStarts = nil, nil
 			old = w
 		}
 		_, err := UnmarshalShard(encodeWire(t, old), nil)
@@ -226,18 +225,68 @@ func TestOldShardRefusedByVersion(t *testing.T) {
 func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 	for name, doctor := range map[string]func(w shardWire) any{
 		"node offsets":   func(w shardWire) any { w.NodeOffsets = nil; return w },
-		"edge index":     func(w shardWire) any { w.EdgeIdxOffs = nil; return w },
+		"edge starts":    func(w shardWire) any { w.EdgeStarts = nil; return w },
 		"tagged columns": func(w shardWire) any { return tagged(w) },
 	} {
 		if _, err := UnmarshalShard(encodeWire(t, doctor(currentWire(t))), nil); err == nil || !strings.Contains(err.Error(), "unsupported shard format") {
 			t.Errorf("without %s: err = %v, want unsupported shard format", name, err)
 		}
 	}
-	w := currentWire(t)
-	w.EdgeFormat = 0
-	if _, err := UnmarshalShard(encodeWire(t, w), nil); err == nil || !strings.Contains(err.Error(), "unsupported edge record format 0") {
-		t.Errorf("edge format 0: err = %v, want unsupported edge record format 0", err)
+	for format, name := range map[int]string{0: "Figure 2 text", 1: "hot-header text", 7: "unknown"} {
+		w := currentWire(t)
+		w.EdgeFormat = format
+		want := fmt.Sprintf("unsupported edge record format %d (%s;", format, name)
+		if _, err := UnmarshalShard(encodeWire(t, w), nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("edge format %d: err = %v, want one containing %q", format, err, want)
+		}
 	}
+}
+
+// FuzzUnmarshalShard feeds UnmarshalShard arbitrary bytes, seeded with a
+// valid shard and that shard with one byte of each column changed. The
+// only acceptable outcomes are an error or a shard whose every edge read
+// returns without a panic.
+func FuzzUnmarshalShard(f *testing.F) {
+	ns, _ := layout.NewPropertySchema([]string{"n"}, 8)
+	es, _ := layout.NewPropertySchema([]string{"w"}, 8)
+	edges := []layout.Edge{
+		{Src: 1, Dst: 2, Timestamp: 5, Props: map[string]string{"w": "7"}},
+		{Src: 1, Dst: 3, Timestamp: 9},
+		{Src: 2, Dst: 1, Type: 1, Timestamp: 6, Props: map[string]string{"w": "8"}},
+	}
+	sh, err := Build([]layout.Node{{ID: 1, Props: map[string]string{"n": "a"}}}, edges, ns, es, Options{SamplingRate: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var w shardWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	for _, col := range [][]byte{w.EdgeStarts, w.EdgeProps, w.EdgeTs, w.EdgeDsts} {
+		col[len(col)-1] ^= 0x5a
+		f.Add(encodeWire(f, w))
+		col[len(col)-1] ^= 0x5a
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sh, err := UnmarshalShard(data, nil)
+		if err != nil {
+			return
+		}
+		v := sh.Edges()
+		for r := 0; r < v.NumRecords(); r++ {
+			refs, _, _ := v.ReadRecords(r, r+1)
+			ref := refs[0]
+			v.TimeRange(&ref, 0, 1<<40)
+			v.Destinations(&ref)
+			v.GetEdgeDataRange(&ref, 0, ref.Count)
+		}
+		v.FindEdges(map[string]string{"w": "7"})
+	})
 }
 
 func TestUnmarshalShardErrors(t *testing.T) {

@@ -23,25 +23,32 @@ type shardWire struct {
 	EdgeSchema   layout.SchemaSpec
 	RawNodeBytes int
 	RawEdgeBytes int
-	// EdgeFormat versions the EdgeFile record layout: always
-	// edgeFormatHot.
+	// EdgeFormat versions the EdgeFile layout: always edgeFormatColumns.
 	EdgeFormat int
-	// The offset columns travel as serialized monotone vectors; the edge
-	// record index's key columns stay raw. (A shard from a build with
-	// codec-tagged columns carried them under other field names, so here
-	// it has none.)
+	// The NodeFile offsets and the EdgeFile's columns travel as
+	// serialized vectors; the record keys stay raw. (A shard from a
+	// build with codec-tagged columns carried them under other field
+	// names, so here it has none.)
 	NodeOffsets  []byte
 	EdgeIdxSrcs  []int64
 	EdgeIdxTypes []int64
-	EdgeIdxOffs  []byte
+	EdgeStarts   []byte
+	EdgeProps    []byte
+	EdgeTsMin    int64
+	EdgeTs       []byte
+	EdgeDsts     []byte
 }
 
-// edgeFormatHot is the wire value of the one EdgeFile record layout, the
-// hot-field header (0 was Figure 2 without it).
-const edgeFormatHot = 1
+// edgeFormatColumns is the wire value of the one EdgeFile layout this
+// build reads: the numbers in columns beside the text. The formats
+// before it kept them in the text, as edgeFormats names.
+const edgeFormatColumns = 2
+
+var edgeFormats = []string{"Figure 2 text", "hot-header text", "packed columns"}
 
 // MarshalBinary serializes the shard.
 func (s *Shard) MarshalBinary() ([]byte, error) {
+	cols := s.edges.Columns()
 	w := shardWire{
 		NodeStore:    s.nodeStore.MarshalBinary(),
 		EdgeStore:    s.edgeStore.MarshalBinary(),
@@ -50,11 +57,15 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 		EdgeSchema:   s.edges.Schema().Spec(),
 		RawNodeBytes: s.rawNodeBytes,
 		RawEdgeBytes: s.rawEdgeBytes,
-		EdgeFormat:   edgeFormatHot,
+		EdgeFormat:   edgeFormatColumns,
 		NodeOffsets:  s.nodes.Offsets().AppendBinary(nil),
-		EdgeIdxSrcs:  s.edgeIdxSrcs,
-		EdgeIdxTypes: s.edgeIdxTypes,
-		EdgeIdxOffs:  s.edgeIdxOffs.AppendBinary(nil),
+		EdgeIdxSrcs:  cols.Srcs,
+		EdgeIdxTypes: cols.Types,
+		EdgeStarts:   cols.Starts.AppendBinary(nil),
+		EdgeProps:    cols.Props.AppendBinary(nil),
+		EdgeTsMin:    cols.TsMin,
+		EdgeTs:       cols.Ts.AppendBinary(nil),
+		EdgeDsts:     cols.Dsts.AppendBinary(nil),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -64,7 +75,8 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalShard reconstructs a shard serialized by MarshalBinary,
-// placing it on med (nil = unlimited).
+// placing it on med (nil = unlimited). The input is untrusted: every
+// column is checked before a view is built over it.
 func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	var w shardWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -85,26 +97,51 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
 		return nil, fmt.Errorf("core: edge store: %w", err)
 	}
-	if w.EdgeFormat != edgeFormatHot {
-		return nil, fmt.Errorf("core: unsupported edge record format %d (this build reads %d)", w.EdgeFormat, edgeFormatHot)
+	if w.EdgeFormat != edgeFormatColumns {
+		name := "unknown"
+		if w.EdgeFormat >= 0 && w.EdgeFormat < len(edgeFormats) {
+			name = edgeFormats[w.EdgeFormat]
+		}
+		return nil, fmt.Errorf("core: unsupported edge record format %d (%s; this build reads %d, %s)",
+			w.EdgeFormat, name, edgeFormatColumns, edgeFormats[edgeFormatColumns])
 	}
-	if len(w.NodeOffsets) == 0 || len(w.EdgeIdxOffs) == 0 {
+	if len(w.NodeOffsets) == 0 || len(w.EdgeStarts) == 0 {
 		return nil, fmt.Errorf("core: unsupported shard format: no offset columns (written with codec-tagged ones or before them, or cut short)")
 	}
 	nodeOffs, _, err := bitutil.DecodeMonotoneVector(w.NodeOffsets)
 	if err != nil {
 		return nil, fmt.Errorf("core: node offsets: %w", err)
 	}
-	s.edgeIdxSrcs = w.EdgeIdxSrcs
-	s.edgeIdxTypes = w.EdgeIdxTypes
-	if s.edgeIdxOffs, _, err = bitutil.DecodeMonotoneVector(w.EdgeIdxOffs); err != nil {
-		return nil, fmt.Errorf("core: edge index offsets: %w", err)
+	if nodeOffs.Len() != len(w.NodeIDs) {
+		return nil, fmt.Errorf("core: node index columns disagree in length (%d IDs, %d offsets)", len(w.NodeIDs), nodeOffs.Len())
 	}
-	if nodeOffs.Len() != len(w.NodeIDs) || s.edgeIdxOffs.Len() != len(s.edgeIdxSrcs) || len(s.edgeIdxTypes) != len(s.edgeIdxSrcs) {
-		return nil, fmt.Errorf("core: index columns disagree in length (%d node IDs/%d offsets, %d/%d/%d edge index)",
-			len(w.NodeIDs), nodeOffs.Len(), len(s.edgeIdxSrcs), len(s.edgeIdxTypes), s.edgeIdxOffs.Len())
+	cols, err := decodeEdgeColumns(&w)
+	if err != nil {
+		return nil, err
+	}
+	if err := cols.Check(s.edgeStore.InputLen()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, w.NodeIDs, nodeOffs, med)
-	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema)
+	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema, cols, med)
 	return s, nil
+}
+
+// decodeEdgeColumns decodes the EdgeFile's columns.
+func decodeEdgeColumns(w *shardWire) (*layout.EdgeColumns, error) {
+	c := &layout.EdgeColumns{Srcs: w.EdgeIdxSrcs, Types: w.EdgeIdxTypes, TsMin: w.EdgeTsMin, RawBytes: w.RawEdgeBytes}
+	var err error
+	if c.Starts, _, err = bitutil.DecodeMonotoneVector(w.EdgeStarts); err != nil {
+		return nil, fmt.Errorf("core: edge record starts: %w", err)
+	}
+	if c.Props, _, err = bitutil.DecodeMonotoneVector(w.EdgeProps); err != nil {
+		return nil, fmt.Errorf("core: edge property offsets: %w", err)
+	}
+	if c.Ts, _, err = bitutil.DecodePackedVector(w.EdgeTs); err != nil {
+		return nil, fmt.Errorf("core: edge timestamps: %w", err)
+	}
+	if c.Dsts, _, err = bitutil.DecodePackedVector(w.EdgeDsts); err != nil {
+		return nil, fmt.Errorf("core: edge destinations: %w", err)
+	}
+	return c, nil
 }

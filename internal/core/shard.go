@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/layout"
 	"zipg/internal/parallel"
 	"zipg/internal/succinct"
@@ -16,7 +15,7 @@ import (
 
 // Options configures shard construction: both of the shard's succinct
 // stores are built with it, and its Medium also holds the NodeFile's
-// offset index.
+// offset index and the EdgeFile's columns.
 type Options = succinct.Options
 
 // Shard is one immutable graph partition in ZipG layout over compressed
@@ -27,16 +26,6 @@ type Shard struct {
 
 	nodeStore *succinct.Store
 	edgeStore *succinct.Store
-
-	// The edge record index lists every record's key and offset in file
-	// order (used by edge-property search and by batch reads, which
-	// locate records by binary search here instead of compressed
-	// search). Stored as columns: the key columns stay raw for the
-	// binary search, while the offset column — strictly increasing — is
-	// packed like the NodeFile offsets.
-	edgeIdxSrcs  []layout.NodeID
-	edgeIdxTypes []layout.EdgeType
-	edgeIdxOffs  *bitutil.MonotoneVector
 
 	rawNodeBytes int
 	rawEdgeBytes int
@@ -49,7 +38,7 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 	if err != nil {
 		return nil, fmt.Errorf("core: node file: %w", err)
 	}
-	edgeFlat, edgeIndex, err := layout.BuildEdgeFile(edges, edgeSchema)
+	edgeFlat, edgeCols, err := layout.BuildEdgeFile(edges, edgeSchema)
 	if err != nil {
 		return nil, fmt.Errorf("core: edge file: %w", err)
 	}
@@ -65,38 +54,11 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 		nodeStore:    stores[0],
 		edgeStore:    stores[1],
 		rawNodeBytes: len(nodeFlat),
-		rawEdgeBytes: len(edgeFlat),
+		rawEdgeBytes: edgeCols.RawBytes,
 	}
-	s.setEdgeIndex(edgeIndex)
 	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, ids, layout.PackOffsets(offs), opts.Medium)
-	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema)
+	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema, edgeCols, opts.Medium)
 	return s, nil
-}
-
-// setEdgeIndex splits the build-time edge record index into its key
-// columns and the packed offset column.
-func (s *Shard) setEdgeIndex(index []layout.EdgeRecordIndex) {
-	s.edgeIdxSrcs = make([]layout.NodeID, len(index))
-	s.edgeIdxTypes = make([]layout.EdgeType, len(index))
-	offs := make([]int64, len(index))
-	for i, r := range index {
-		s.edgeIdxSrcs[i] = r.Src
-		s.edgeIdxTypes[i] = r.Type
-		offs[i] = r.Offset
-	}
-	s.edgeIdxOffs = layout.PackOffsets(offs)
-}
-
-// EdgeIndex materializes the columnar edge record index back into row
-// form, in file order — ascending (source, type). The whole-file scans
-// that want rows (edge-property search, compaction) are already
-// O(records).
-func (s *Shard) EdgeIndex() []layout.EdgeRecordIndex {
-	out := make([]layout.EdgeRecordIndex, len(s.edgeIdxSrcs))
-	for i := range out {
-		out[i] = layout.EdgeRecordIndex{Src: s.edgeIdxSrcs[i], Type: s.edgeIdxTypes[i], Offset: int64(s.edgeIdxOffs.Get(i))}
-	}
-	return out
 }
 
 // Nodes returns the shard's NodeFile view.
@@ -108,58 +70,23 @@ func (s *Shard) Edges() *layout.EdgeFileView { return s.edges }
 // NumNodes returns how many node records the shard holds.
 func (s *Shard) NumNodes() int { return s.nodes.NumNodes() }
 
-// CompressedSize returns the shard's compressed footprint in bytes
-// (excluding the node offset index, which is uncompressed by design).
+// CompressedSize returns the shard's compressed footprint in bytes: the
+// two succinct stores and the EdgeFile's columns (not the node and edge
+// record keys, nor the node offset column, the in-memory indexes).
 func (s *Shard) CompressedSize() int {
-	return s.nodeStore.CompressedSize() + s.edgeStore.CompressedSize()
+	return s.nodeStore.CompressedSize() + s.edgeStore.CompressedSize() + s.edges.Columns().SizeBytes()
 }
 
-// RawSize returns the size of the uncompressed flat files.
+// RawSize returns the size of the uncompressed flat files, the EdgeFile
+// in Figure 2's all-text layout.
 func (s *Shard) RawSize() int { return s.rawNodeBytes + s.rawEdgeBytes }
 
 // SamplingRate returns the α the shard's succinct stores were built with.
 func (s *Shard) SamplingRate() int { return s.nodeStore.SamplingRate() }
 
-// EdgeRecordOffset locates the (src, etype) record's start offset via
-// binary search over the in-memory build index — O(log records) with no
-// compressed-store work, where GetEdgeRecord pays a full backward
-// search. The batch read paths use this to turn record location into
-// pure arithmetic before the sorted sweep.
-func (s *Shard) EdgeRecordOffset(src layout.NodeID, etype layout.EdgeType) (int64, bool) {
-	lo, hi := 0, len(s.edgeIdxSrcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.edgeIdxSrcs[mid] < src || (s.edgeIdxSrcs[mid] == src && s.edgeIdxTypes[mid] < etype) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.edgeIdxSrcs) && s.edgeIdxSrcs[lo] == src && s.edgeIdxTypes[lo] == etype {
-		return int64(s.edgeIdxOffs.Get(lo)), true
-	}
-	return 0, false
-}
-
-// EdgeRecord returns the handle of the shard's (src, etype) record:
-// located by EdgeRecordOffset, its header parsed in one walk.
-func (s *Shard) EdgeRecord(src layout.NodeID, etype layout.EdgeType) (layout.EdgeRecordRef, bool) {
-	off, ok := s.EdgeRecordOffset(src, etype)
-	if !ok {
-		return layout.EdgeRecordRef{}, false
-	}
-	return s.edges.GetEdgeRecordAt(off, src, etype)
-}
-
-// FindEdges returns the edges in this shard whose property lists match
-// every pair exactly — the edge-search extension of §3.3.
-func (s *Shard) FindEdges(props map[string]string) []layout.EdgeMatch {
-	return s.edges.FindEdges(s.EdgeIndex(), props)
-}
-
 // CodecReport describes every encoded region of the shard: the two
-// succinct stores' Ψ/marks/SA/ISA regions plus the NodeFile and EdgeFile
-// offset columns, with per-region encoding and size.
+// succinct stores' Ψ/marks/SA/ISA regions plus the NodeFile offset
+// column and the EdgeFile's columns, with per-region encoding and size.
 func (s *Shard) CodecReport() []succinct.RegionCodec {
 	var out []succinct.RegionCodec
 	for _, rc := range s.nodeStore.RegionCodecs() {
@@ -170,7 +97,11 @@ func (s *Shard) CodecReport() []succinct.RegionCodec {
 		rc.Region = "edge/" + rc.Region
 		out = append(out, rc)
 	}
+	cols := s.edges.Columns()
 	return append(out,
 		succinct.OffsetsRegion("node/offsets", s.nodes.Offsets()),
-		succinct.OffsetsRegion("edge/index", s.edgeIdxOffs))
+		succinct.OffsetsRegion("edge/starts", cols.Starts),
+		succinct.OffsetsRegion("edge/props", cols.Props),
+		succinct.PackedRegion("edge/ts", cols.Ts),
+		succinct.PackedRegion("edge/dsts", cols.Dsts))
 }

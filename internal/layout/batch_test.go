@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"zipg/internal/succinct"
@@ -15,48 +16,53 @@ import (
 // must return byte-identical results to a scalar loop over the same
 // requests, on raw and compressed sources, at several sampling rates.
 
-// edgeViewsAlpha builds raw and compressed views of edges and their
-// record index.
-func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha int) (raw, comp *EdgeFileView, index []EdgeRecordIndex) {
+// edgeViewsAlpha builds raw and compressed views of edges.
+func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha int) (raw, comp *EdgeFileView) {
 	t.Helper()
-	flat, index, err := BuildEdgeFile(edges, schema)
+	flat, cols, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = NewEdgeFileView(NewRawSource(flat), schema)
-	st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
-	comp = NewEdgeFileView(st, schema)
-	return raw, comp, index
+	raw = NewEdgeFileView(NewRawSource(flat), schema, cols, nil)
+	comp = NewEdgeFileView(succinct.Build(flat, succinct.Options{SamplingRate: alpha}), schema, cols, nil)
+	return raw, comp
 }
 
-func TestGetEdgeRangeBatchAgainstScalar(t *testing.T) {
+// TestReadRecordsAgainstScalar: ReadRecords(lo, hi) is each record's
+// handle and its GetEdgeData loop, for runs of records anywhere in the
+// file.
+func TestReadRecordsAgainstScalar(t *testing.T) {
 	edges, schema := buildEdges(400)
+	for i := range edges {
+		if i%5 == 0 {
+			edges[i].Props = nil
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	for _, alpha := range []int{4, 8, 32} {
-		raw, comp, index := edgeViewsAlpha(t, edges, schema, alpha)
+		raw, comp := edgeViewsAlpha(t, edges, schema, alpha)
+		n := raw.NumRecords()
 		for _, v := range []*EdgeFileView{raw, comp} {
 			for trial := 0; trial < 10; trial++ {
-				n := rng.Intn(40)
-				reqs := make([]EdgeRangeReq, n)
-				for i := range reqs {
-					rec := index[rng.Intn(len(index))]
-					reqs[i] = EdgeRangeReq{
-						Src: rec.Src, Type: rec.Type, Offset: rec.Offset,
-						Idx:   rng.Intn(12) - 2, // negative indices too
-						Limit: rng.Intn(20),
-					}
-					if rng.Intn(8) == 0 && i > 0 {
-						reqs[i] = reqs[rng.Intn(i)] // duplicate
-					}
+				lo := rng.Intn(n)
+				hi := lo + rng.Intn(n-lo+1)
+				if trial == 0 {
+					lo, hi = 0, n
 				}
-				got, err := v.GetEdgeRangeBatch(reqs)
-				if err != nil {
-					t.Fatal(err)
+				refs, data, err := v.ReadRecords(lo, hi)
+				if err != nil || len(refs) != hi-lo || len(data) != hi-lo {
+					t.Fatalf("α=%d ReadRecords(%d,%d): %d refs, %d records, %v", alpha, lo, hi, len(refs), len(data), err)
 				}
-				for i, req := range reqs {
-					want := scalarEdgeRange(t, v, req)
-					if !reflect.DeepEqual(got[i], want) {
-						t.Fatalf("α=%d req %+v: got %v want %v", alpha, req, got[i], want)
+				for k, ref := range refs {
+					want := v.record(lo + k)
+					if ref != want {
+						t.Fatalf("α=%d record %d: %+v, want %+v", alpha, lo+k, ref, want)
+					}
+					for i := 0; i < ref.Count; i++ {
+						d, err := v.GetEdgeData(&ref, i)
+						if err != nil || !reflect.DeepEqual(data[k][i], d) {
+							t.Fatalf("α=%d record %d edge %d: %+v, want %+v, %v", alpha, lo+k, i, data[k][i], d, err)
+						}
 					}
 				}
 			}
@@ -64,38 +70,9 @@ func TestGetEdgeRangeBatchAgainstScalar(t *testing.T) {
 	}
 }
 
-// scalarEdgeRange is the reference loop the batch reader must agree
-// with: parse the record, read [max(Idx,0), min(Idx+Limit, count)).
-func scalarEdgeRange(t *testing.T, v *EdgeFileView, req EdgeRangeReq) []EdgeData {
-	t.Helper()
-	ref, ok := v.GetEdgeRecordAt(req.Offset, req.Src, req.Type)
-	if !ok {
-		t.Fatalf("record (%d,%d) at %d missing", req.Src, req.Type, req.Offset)
-	}
-	end := req.Idx + req.Limit
-	if end > ref.Count {
-		end = ref.Count
-	}
-	var out []EdgeData
-	for i := req.Idx; i < end; i++ {
-		if i < 0 {
-			continue
-		}
-		d, err := v.GetEdgeData(&ref, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // TestGetEdgeDataRangeAgainstLoop: GetEdgeDataRange(ref, b, e) is the
 // GetEdgeData(ref, i) loop over [b, e) — over raw and compressed sources,
-// α ∈ {4, 8, 32}, and every state the ref's caches
-// can be in when the range arrives — and leaves both caches holding the
-// record's first e entries at least (TestEdgeRefPrefixCaches has the rest
-// of that contract).
+// α ∈ {4, 8, 32} — and an interval out of range is an error.
 func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 	edges, schema := buildEdges(400)
 	for i := range edges {
@@ -108,17 +85,11 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	sawBare := false
-	warm := map[string]func(v *EdgeFileView, ref *EdgeRecordRef){
-		"cold":     func(*EdgeFileView, *EdgeRecordRef) {},
-		"ts":       func(v *EdgeFileView, ref *EdgeRecordRef) { v.Timestamps(ref) },
-		"propEnds": func(v *EdgeFileView, ref *EdgeRecordRef) { v.RecordEnd(ref) },
-		"both":     func(v *EdgeFileView, ref *EdgeRecordRef) { v.Timestamps(ref); v.RecordEnd(ref) },
-	}
 	for _, alpha := range []int{4, 8, 32} {
-		raw, comp, index := edgeViewsAlpha(t, edges, schema, alpha)
-		for _, rec := range index {
+		raw, comp := edgeViewsAlpha(t, edges, schema, alpha)
+		for r := 0; r < raw.NumRecords(); r++ {
 			// The reference: one edge at a time off the raw bytes.
-			rref, _ := raw.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
+			rref := raw.record(r)
 			want := make([]EdgeData, rref.Count)
 			for i := range want {
 				var err error
@@ -130,27 +101,16 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 			if !slices.ContainsFunc(want, func(e EdgeData) bool { return len(e.Props) > 0 }) {
 				sawBare = true
 			}
-			for state, warmUp := range warm {
-				for _, v := range []*EdgeFileView{raw, comp} {
-					b := rng.Intn(n + 1)
-					for _, r := range [][2]int{{0, n}, {b, b + rng.Intn(n-b+1)}, {n - 1, n}} {
-						ref, ok := v.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-						if !ok {
-							t.Fatalf("record (%d,%d) missing", rec.Src, rec.Type)
-						}
-						warmUp(v, &ref)
-						got, err := v.GetEdgeDataRange(&ref, r[0], r[1])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(got) != r[1]-r[0] || (len(got) > 0 && !reflect.DeepEqual(got, want[r[0]:r[1]])) {
-							t.Fatalf("α=%d (%d,%d) %s [%d,%d): got %v want %v",
-								alpha, rec.Src, rec.Type, state, r[0], r[1], got, want[r[0]:r[1]])
-						}
-						if r[0] < r[1] && (len(ref.ts) < r[1] || len(ref.propEnds) < r[1]) {
-							t.Fatalf("%s: [%d,%d) left the caches at %d timestamps, %d length sums",
-								state, r[0], r[1], len(ref.ts), len(ref.propEnds))
-						}
+			for _, v := range []*EdgeFileView{raw, comp} {
+				b := rng.Intn(n + 1)
+				for _, iv := range [][2]int{{0, n}, {b, b + rng.Intn(n-b+1)}, {n - 1, n}} {
+					ref := v.record(r)
+					got, err := v.GetEdgeDataRange(&ref, iv[0], iv[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != iv[1]-iv[0] || (len(got) > 0 && !reflect.DeepEqual(got, want[iv[0]:iv[1]])) {
+						t.Fatalf("α=%d (%d,%d) [%d,%d): got %v want %v", alpha, ref.Src, ref.Type, iv[0], iv[1], got, want[iv[0]:iv[1]])
 					}
 				}
 			}
@@ -160,40 +120,22 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 		t.Error("no record without properties was read")
 	}
 	// Intervals: empty and inverted are nil, out of range is an error.
-	_, comp, index := edgeViewsAlpha(t, edges, schema, 8)
-	ref, _ := comp.GetEdgeRecordAt(index[0].Offset, index[0].Src, index[0].Type)
+	_, comp := edgeViewsAlpha(t, edges, schema, 8)
+	ref := comp.record(0)
 	n := ref.Count
-	// A ref the range read has warmed answers the timestamp accessors
-	// from its caches: no extract, so no allocation.
-	if _, err := comp.GetEdgeDataRange(&ref, 0, 1); err != nil {
-		t.Fatal(err)
-	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		comp.Timestamp(&ref, 0)
 		comp.TimeRange(&ref, 10, 50000)
 	}); allocs != 0 {
-		t.Errorf("Timestamp/TimeRange on a warmed ref allocated %v per run, want 0", allocs)
+		t.Errorf("Timestamp/TimeRange allocated %v per run, want 0", allocs)
 	}
-	// The record without properties: on a warmed ref a range read is the
-	// anchor walk to its first destination and the destinations, and it
-	// stops there — the property area is empty, so it is not sought.
-	for _, rec := range index {
-		if rec.Src != 3 || rec.Type != 1 {
-			continue
-		}
-		bare, _ := comp.GetEdgeRecordAt(rec.Offset, rec.Src, rec.Type)
-		comp.Timestamps(&bare)
-		comp.RecordEnd(&bare)
-		prev := telemetry.SetEnabled(true)
-		before := telemetry.TakeSnapshot()
-		got, err := comp.GetEdgeDataRange(&bare, 1, bare.Count)
-		steps := telemetry.Delta(before, telemetry.TakeSnapshot())["zipg_succinct_psi_steps_total"]
-		telemetry.SetEnabled(prev)
-		from := bare.dstOff + bare.DLen
-		if want := from%8 + (bare.Count-1)*bare.DLen; err != nil || len(got) != bare.Count-1 || int(steps) != want {
-			t.Errorf("property-less record: %d edges, %v, in %v psi steps; want %d in %d (anchor at %d, α=8, and %d bytes)",
-				len(got), err, steps, bare.Count-1, want, from, (bare.Count-1)*bare.DLen)
-		}
+	// The record without properties: a range read of it is its columns
+	// alone — its property lists are empty, so they are not read.
+	bare, _ := comp.GetEdgeRecord(3, 1)
+	if got, err := comp.GetEdgeDataRange(&bare, 1, bare.Count); err != nil || len(got) != bare.Count-1 {
+		t.Errorf("property-less record: %d edges, %v; want %d", len(got), err, bare.Count-1)
+	} else if steps := psiSteps(func() { comp.GetEdgeDataRange(&bare, 1, bare.Count) }); steps != 0 {
+		t.Errorf("property-less record: %v Ψ steps, want none", steps)
 	}
 	for _, r := range [][2]int{{0, 0}, {n, n}, {n, 0}, {-3, -1}, {n + 1, n + 4}, {-1, n}, {0, n + 1}} {
 		got, err := comp.GetEdgeDataRange(&ref, r[0], r[1])
@@ -202,6 +144,16 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 			t.Errorf("GetEdgeDataRange(%d,%d) of %d = %v, %v; want error %v", r[0], r[1], n, got, err, wantErr)
 		}
 	}
+}
+
+// psiSteps runs fn with telemetry on and returns the Ψ steps it took.
+func psiSteps(fn func()) float64 {
+	prev := telemetry.SetEnabled(true)
+	before := telemetry.TakeSnapshot()
+	fn()
+	d := telemetry.Delta(before, telemetry.TakeSnapshot())
+	telemetry.SetEnabled(prev)
+	return d["zipg_succinct_psi_steps_total"]
 }
 
 // touchSource is a RawSource that counts how often each byte was read.
@@ -224,152 +176,207 @@ func (s *touchSource) ExtractAppend(dst []byte, off, n int) []byte {
 	return append(dst, s.Extract(off, n)...)
 }
 
-// TestEdgeRefPrefixCaches is the contract of the ref's two caches. After
-// a read of [b, e) the ref answers Timestamp(i), i < e, without touching
-// the source, and a wider read extends the caches by what they lack: it
-// reads no array byte a second time. Nor does an edge-by-edge loop over a
-// whole record, which extends them a chunk at a time: every byte of the
-// timestamp and property-length arrays exactly once, in far fewer reads
-// than edges. And a short read of a long record leaves the arrays' tails
-// unread.
-func TestEdgeRefPrefixCaches(t *testing.T) {
+// TestEdgeRangeReadsItsLists: a range read is one read of the text, and
+// what it reads is the interval's property lists, each byte once.
+func TestEdgeRangeReadsItsLists(t *testing.T) {
 	schema := mustSchema(t, []string{"weight"}, 20)
 	const n = 100
 	edges := make([]Edge, n)
 	for i := range edges {
-		edges[i] = Edge{Src: 4, Dst: int64(1000 + i), Type: 2, Timestamp: int64(50 + 3*i), Props: map[string]string{"weight": "7"}}
+		edges[i] = Edge{Src: 4, Dst: int64(1000 + i), Type: 2, Timestamp: int64(50 + 3*i), Props: map[string]string{"weight": fmt.Sprint(i)}}
 	}
-	flat, index, err := BuildEdgeFile(edges, schema)
+	edges = append(edges, Edge{Src: 5, Dst: 1, Type: 0, Timestamp: 1, Props: map[string]string{"weight": "x"}})
+	flat, cols, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func() (*EdgeFileView, *touchSource, *EdgeRecordRef) {
+	for _, r := range [][2]int{{2, 9}, {0, 5}, {7, 40}, {30, 31}, {0, n}, {n - 1, n}} {
 		src := &touchSource{RawSource: NewRawSource(flat), hits: make([]int, len(flat))}
-		v := NewEdgeFileView(src, schema)
-		ref, ok := v.GetEdgeRecordAt(index[0].Offset, 4, 2)
-		if !ok || ref.Count != n {
-			t.Fatalf("record: %+v, %v", ref, ok)
+		v := NewEdgeFileView(src, schema, cols, nil)
+		ref, _ := v.GetEdgeRecord(4, 2)
+		got, err := v.GetEdgeDataRange(&ref, r[0], r[1])
+		if err != nil || len(got) != r[1]-r[0] || got[0].Props["weight"] != fmt.Sprint(r[0]) {
+			t.Fatalf("[%d,%d): %v, %v", r[0], r[1], got, err)
 		}
-		return v, src, &ref
-	}
-	// arrays calls check on every byte of the two cached arrays.
-	arrays := func(ref *EdgeRecordRef, src *touchSource, check func(what string, i, hits int)) {
-		for off := ref.tsOff; off < ref.dstOff; off++ {
-			check("timestamp", (off-ref.tsOff)/ref.TLen, src.hits[off])
+		from, to := int(cols.Props.Get(r[0])), int(cols.Props.Get(r[1]))
+		if r[1] == n {
+			to -= len(RecordKey(5, 0))
 		}
-		for off := ref.pLenOff; off < ref.propOff; off++ {
-			check("property length", (off-ref.pLenOff)/ref.PLenW, src.hits[off])
-		}
-	}
-
-	v, src, ref := open()
-	for _, r := range [][2]int{{2, 9}, {0, 5}, {7, 40}, {30, 31}, {0, n}} {
-		if _, err := v.GetEdgeDataRange(ref, r[0], r[1]); err != nil {
-			t.Fatal(err)
-		}
-		reads := src.reads
-		for i := 0; i < r[1]; i++ {
-			if ts, err := v.Timestamp(ref, i); err != nil || ts != edges[i].Timestamp {
-				t.Fatalf("after [%d,%d): Timestamp(%d) = %d, %v; want %d", r[0], r[1], i, ts, err, edges[i].Timestamp)
+		for off, hits := range src.hits {
+			if want := off >= from && off < to; (hits == 1) != want || hits > 1 {
+				t.Fatalf("[%d,%d): byte %d read %d times (the lists are [%d,%d))", r[0], r[1], off, hits, from, to)
 			}
 		}
-		if src.reads != reads {
-			t.Fatalf("after [%d,%d): Timestamp(i), i < %d, read the source %d times", r[0], r[1], r[1], src.reads-reads)
+		if src.reads != 1 {
+			t.Errorf("[%d,%d): %d reads, want 1", r[0], r[1], src.reads)
 		}
-		arrays(ref, src, func(what string, i, hits int) {
-			if hits > 1 || (i < r[1] && hits == 0) {
-				t.Fatalf("after [%d,%d): %s %d was read %d times", r[0], r[1], what, i, hits)
-			}
-		})
-	}
-
-	v, src, ref = open()
-	if _, err := v.GetEdgeDataRange(ref, 3, 20); err != nil {
-		t.Fatal(err)
-	}
-	arrays(ref, src, func(what string, i, hits int) {
-		if want := i < 20; (hits == 1) != want {
-			t.Fatalf("[3,20) of %d edges read %s %d %d times", n, what, i, hits)
-		}
-	})
-
-	v, src, ref = open()
-	for i := 0; i < n; i++ {
-		d, err := v.GetEdgeData(ref, i)
-		if err != nil || d.Dst != edges[i].Dst || d.Timestamp != edges[i].Timestamp {
-			t.Fatalf("GetEdgeData(%d) = %+v, %v", i, d, err)
-		}
-	}
-	arrays(ref, src, func(what string, i, hits int) {
-		if hits != 1 {
-			t.Fatalf("the edge-by-edge loop read %s %d %d times", what, i, hits)
-		}
-	})
-	// Two reads of the header; per edge one of the destination and one of
-	// the property list; per chunk one more of each array.
-	if most := 2 + 2*n + 2*((n+prefixChunk-1)/prefixChunk); src.reads > most {
-		t.Errorf("the edge-by-edge loop over %d edges made %d reads, want at most %d", n, src.reads, most)
 	}
 }
 
-// TestEdgeRecordCutShort: a source that ends inside any of a record's
-// four field arrays — what a hostile or damaged archive amounts to — is an
-// error from every read that needs the missing bytes, over raw and
-// compressed sources, and a panic from none.
+// TestEdgeColumnsRawAgainstCompressed holds a view over the compressed
+// text to one over the raw text and both to the input: every record
+// (and its key where Search finds it), every TimeOrder interval,
+// TimeRange at every timestamp boundary, and FindEdges on every
+// property value.
+func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
+	edges, schema := buildEdges(300)
+	for i := range edges {
+		edges[i].Timestamp %= 50 // equal timestamps in a record
+		if i%9 == 0 {
+			edges[i].Props = nil
+		}
+	}
+	groups := groupEdges(edges)
+	raw, comp := edgeViewsAlpha(t, edges, schema, 8)
+	if raw.NumRecords() != len(groups) {
+		t.Fatalf("%d records, want %d", raw.NumRecords(), len(groups))
+	}
+	for r := 0; r < raw.NumRecords(); r++ {
+		rref, cref := raw.record(r), comp.record(r)
+		want := groups[[2]int64{rref.Src, rref.Type}]
+		if rref != cref || rref.Count != len(want) {
+			t.Fatalf("record %d: raw %+v, compressed %+v, want %d edges", r, rref, cref, len(want))
+		}
+		key := RecordKey(rref.Src, rref.Type)
+		keyAt := int64(raw.Columns().Props.Get(rref.first)) - int64(len(key))
+		for _, v := range []*EdgeFileView{raw, comp} {
+			if got := v.src.Search(key); len(got) != 1 || got[0] != keyAt {
+				t.Fatalf("record (%d,%d): Search(key) = %v, want [%d]", rref.Src, rref.Type, got, keyAt)
+			}
+		}
+		for beg := 0; beg <= len(want); beg++ {
+			for end := beg; end <= len(want); end++ {
+				a, errA := raw.GetEdgeDataRange(&rref, beg, end)
+				b, errB := comp.GetEdgeDataRange(&cref, beg, end)
+				if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+					t.Fatalf("record (%d,%d) [%d,%d): raw %v %v, compressed %v %v", rref.Src, rref.Type, beg, end, a, errA, b, errB)
+				}
+				for i, d := range a {
+					e := want[beg+i]
+					if d.Dst != e.Dst || d.Timestamp != e.Timestamp || len(d.Props) != len(e.Props) || len(e.Props) > 0 && !reflect.DeepEqual(d.Props, e.Props) {
+						t.Fatalf("record (%d,%d) edge %d: %+v, want %+v", rref.Src, rref.Type, beg+i, d, e)
+					}
+				}
+			}
+		}
+		for _, e := range want {
+			for _, lo := range []int64{e.Timestamp - 1, e.Timestamp, e.Timestamp + 1} {
+				for _, hi := range []int64{e.Timestamp - 1, e.Timestamp, e.Timestamp + 1, 1 << 62} {
+					wantBeg := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= lo })
+					wantEnd := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= hi })
+					for _, v := range []*EdgeFileView{raw, comp} {
+						ref := v.record(r)
+						if beg, end := v.TimeRange(&ref, lo, hi); beg != wantBeg || end != wantEnd {
+							t.Fatalf("record (%d,%d) TimeRange(%d,%d) = [%d,%d), want [%d,%d)", ref.Src, ref.Type, lo, hi, beg, end, wantBeg, wantEnd)
+						}
+					}
+				}
+			}
+		}
+	}
+	for i, e := range edges {
+		for pid, val := range e.Props {
+			q := map[string]string{pid: val}
+			if i%3 == 0 {
+				q = e.Props
+			}
+			got, other := raw.FindEdges(q), comp.FindEdges(q)
+			var want []EdgeMatch
+			for k, g := range groups {
+				for order, x := range g {
+					if hasAll(x.Props, q) {
+						want = append(want, EdgeMatch{Src: k[0], Type: k[1], TimeOrder: order})
+					}
+				}
+			}
+			sortMatches(want)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(other, want) {
+				t.Fatalf("FindEdges(%v): raw %v, compressed %v, want %v", q, got, other, want)
+			}
+		}
+	}
+}
+
+func hasAll(props, q map[string]string) bool {
+	for k, v := range q {
+		if props[k] != v {
+			return false
+		}
+	}
+	return true
+}
+
+func sortMatches(ms []EdgeMatch) {
+	sort.Slice(ms, func(i, j int) bool {
+		a, b := ms[i], ms[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Type != b.Type {
+			return a.Type < b.Type
+		}
+		return a.TimeOrder < b.TimeOrder
+	})
+}
+
+// TestColumnReadsTakeNoPsiSteps: locating a record, its count, its
+// timestamps, its time windows and its destinations read no compressed
+// byte.
+func TestColumnReadsTakeNoPsiSteps(t *testing.T) {
+	edges, schema := buildEdges(400)
+	_, comp := edgeViewsAlpha(t, edges, schema, 32)
+	steps := psiSteps(func() {
+		for k := range groupEdges(edges) {
+			ref, ok := comp.GetEdgeRecord(k[0], k[1])
+			if !ok || ref.Count == 0 {
+				t.Fatalf("record (%d,%d) missing", k[0], k[1])
+			}
+			comp.TimeRange(&ref, 20000, 60000)
+			comp.Timestamp(&ref, ref.Count-1)
+			comp.Destinations(&ref)
+			comp.GetEdgeRecords(k[0])
+		}
+	})
+	if steps != 0 {
+		t.Errorf("record location, Count, TimeRange, Timestamp, Destinations took %v Ψ steps, want 0", steps)
+	}
+}
+
+// TestEdgeRecordCutShort: a text that ends inside a record's property
+// lists — what a damaged source amounts to — is an error from every read
+// that needs the missing bytes, over raw and compressed sources, and a
+// panic from none; the columns still answer.
 func TestEdgeRecordCutShort(t *testing.T) {
 	schema := mustSchema(t, []string{"weight"}, 20)
 	edges := make([]Edge, 40)
 	for i := range edges {
 		edges[i] = Edge{Src: 6, Dst: int64(200 + i), Type: 1, Timestamp: int64(1000 + 7*i), Props: map[string]string{"weight": "12"}}
 	}
-	flat, index, err := BuildEdgeFile(edges, schema)
+	flat, cols, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, ok := NewEdgeFileView(NewRawSource(flat), schema).GetEdgeRecordAt(index[0].Offset, 6, 1)
-	if !ok {
-		t.Fatal("record missing")
-	}
-	arrays := []struct {
-		name     string
-		off, end int
-	}{
-		{"timestamps", whole.tsOff, whole.dstOff},
-		{"destinations", whole.dstOff, whole.pLenOff},
-		{"property lengths", whole.pLenOff, whole.propOff},
-		{"property lists", whole.propOff, len(flat)},
-	}
-	for ai, a := range arrays {
-		for _, cut := range []int{a.off, (a.off + a.end) / 2, a.end - 1} {
-			sources := map[string]ByteSource{
-				"raw":        NewRawSource(flat[:cut]),
-				"compressed": succinct.Build(flat[:cut], succinct.Options{SamplingRate: 8}),
+	first := int(cols.Props.Get(0))
+	for _, cut := range []int{1, first, (first + len(flat)) / 2, len(flat) - 1} {
+		sources := map[string]ByteSource{
+			"raw":        NewRawSource(flat[:cut]),
+			"compressed": succinct.Build(flat[:cut], succinct.Options{SamplingRate: 8}),
+		}
+		for kind, src := range sources {
+			v := NewEdgeFileView(src, schema, cols, nil)
+			ref, ok := v.GetEdgeRecord(6, 1)
+			if !ok || ref.Count != len(edges) {
+				t.Fatalf("%s cut at %d: record %+v, %v", kind, cut, ref, ok)
 			}
-			for kind, src := range sources {
-				v := NewEdgeFileView(src, schema)
-				open := func() *EdgeRecordRef {
-					ref, ok := v.GetEdgeRecordAt(index[0].Offset, 6, 1)
-					if !ok || ref.Count != len(edges) {
-						t.Fatalf("%s cut at %d: header did not parse", kind, cut)
-					}
-					return &ref
-				}
-				where := fmt.Sprintf("%s source cut at %d, in the %s", kind, cut, a.name)
-				if got, err := v.GetEdgeDataRange(open(), 0, len(edges)); err == nil {
-					t.Errorf("%s: GetEdgeDataRange returned %d edges and no error", where, len(got))
-				}
-				if _, err := v.GetEdgeData(open(), len(edges)-1); err == nil {
-					t.Errorf("%s: GetEdgeData(last) returned no error", where)
-				}
-				ts, err := v.Timestamps(open())
-				if (err != nil) != (ai == 0) || (err == nil && len(ts) != len(edges)) {
-					t.Errorf("%s: Timestamps = %d of %d, %v", where, len(ts), len(edges), err)
-				}
-				// A window the header's span cannot answer.
-				beg, end, err := v.TimeRange(open(), 1100, 1200)
-				if (err != nil) != (ai == 0) || (err == nil && (beg != 15 || end != 29)) {
-					t.Errorf("%s: TimeRange = [%d,%d), %v", where, beg, end, err)
-				}
+			where := fmt.Sprintf("%s source cut at %d", kind, cut)
+			if got, err := v.GetEdgeDataRange(&ref, 0, len(edges)); err == nil {
+				t.Errorf("%s: GetEdgeDataRange returned %d edges and no error", where, len(got))
+			}
+			if _, err := v.GetEdgeData(&ref, len(edges)-1); err == nil {
+				t.Errorf("%s: GetEdgeData(last) returned no error", where)
+			}
+			if beg, end := v.TimeRange(&ref, 1100, 1200); beg != 15 || end != 29 {
+				t.Errorf("%s: TimeRange = [%d,%d)", where, beg, end)
 			}
 		}
 	}

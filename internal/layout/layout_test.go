@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -235,10 +236,16 @@ func TestNodeFileGetPropertiesWildcard(t *testing.T) {
 		if !reflect.DeepEqual(props, want) {
 			t.Fatalf("GetAllProps(%d) = %v, want %v", n.ID, props, want)
 		}
-		// Selected subset, including an absent one.
-		vals, _ := comp.GetProperties(n.ID, []string{"location", "definitely-absent"})
-		if vals[0] != n.Props["location"] || vals[1] != "" {
-			t.Fatalf("GetProperties(%d) = %v", n.ID, vals)
+		// Selected subset, including an absent one, out of schema order
+		// and asked twice.
+		ids := append(slices.Clone(schema.IDs()), "definitely-absent")
+		slices.Reverse(ids)
+		ids = append(ids, "location")
+		vals, _ := comp.GetProperties(n.ID, ids)
+		for i, id := range ids {
+			if vals[i] != n.Props[id] {
+				t.Fatalf("GetProperties(%d, %v) = %v", n.ID, ids, vals)
+			}
 		}
 	}
 }
@@ -363,14 +370,7 @@ func buildEdges(nEdges int) ([]Edge, *PropertySchema) {
 
 func edgeViews(t testing.TB, edges []Edge, schema *PropertySchema) (raw, comp *EdgeFileView) {
 	t.Helper()
-	flat, _, err := BuildEdgeFile(edges, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = NewEdgeFileView(NewRawSource(flat), schema)
-	st := succinct.Build(flat, succinct.Options{SamplingRate: 8})
-	comp = NewEdgeFileView(st, schema)
-	return raw, comp
+	return edgeViewsAlpha(t, edges, schema, 8)
 }
 
 // groupEdges replicates the builder's grouping for verification.
@@ -485,25 +485,24 @@ func TestEdgeFileTimeRange(t *testing.T) {
 	raw, comp := edgeViews(t, edges, schema)
 	for _, v := range []*EdgeFileView{raw, comp} {
 		ref, _ := v.GetEdgeRecord(7, 0)
-		beg, end, err := v.TimeRange(&ref, 100, 200)
-		if err != nil || beg != 10 || end != 20 {
+		beg, end := v.TimeRange(&ref, 100, 200)
+		if beg != 10 || end != 20 {
 			t.Fatalf("TimeRange[100,200) = [%d,%d), want [10,20)", beg, end)
 		}
 		// Inclusive lower, exclusive upper.
-		beg, end, err = v.TimeRange(&ref, 0, 1)
-		if err != nil || beg != 0 || end != 1 {
+		beg, end = v.TimeRange(&ref, 0, 1)
+		if beg != 0 || end != 1 {
 			t.Fatalf("TimeRange[0,1) = [%d,%d)", beg, end)
 		}
 		// Out of range.
-		beg, end, err = v.TimeRange(&ref, 10_000, 20_000)
-		if err != nil || beg != end {
+		beg, end = v.TimeRange(&ref, 10_000, 20_000)
+		if beg != end {
 			t.Fatalf("empty range not empty: [%d,%d)", beg, end)
 		}
 	}
 
-	// On a cold ref the header's span answers a window that covers or
-	// misses the whole record; whatever the bounds — inverted too — the
-	// answer is what binary searches over the input timestamps give.
+	// Whatever the bounds — inverted too — the answer is what binary
+	// searches over the input timestamps give.
 	edges, schema = buildEdges(300)
 	raw, comp = edgeViews(t, edges, schema)
 	rng := rand.New(rand.NewSource(13))
@@ -515,7 +514,7 @@ func TestEdgeFileTimeRange(t *testing.T) {
 			wantEnd := sort.Search(len(want), func(i int) bool { return want[i].Timestamp >= tHi })
 			for _, v := range []*EdgeFileView{raw, comp} {
 				ref, _ := v.GetEdgeRecord(k[0], k[1])
-				if beg, end, err := v.TimeRange(&ref, tLo, tHi); err != nil || beg != wantBeg || end != wantEnd {
+				if beg, end := v.TimeRange(&ref, tLo, tHi); beg != wantBeg || end != wantEnd {
 					t.Fatalf("record (%d,%d) TimeRange(%d,%d) = [%d,%d), want [%d,%d)", k[0], k[1], tLo, tHi, beg, end, wantBeg, wantEnd)
 				}
 			}
@@ -530,8 +529,8 @@ func TestEdgeFileTimestampsSorted(t *testing.T) {
 		ref, _ := comp.GetEdgeRecord(k[0], k[1])
 		var prev int64 = -1
 		for i := 0; i < ref.Count; i++ {
-			ts, err := comp.Timestamp(&ref, i)
-			if err != nil || ts < prev {
+			ts := comp.Timestamp(&ref, i)
+			if ts < prev {
 				t.Fatalf("timestamps unsorted in (%d,%d) at %d", k[0], k[1], i)
 			}
 			prev = ts
@@ -559,11 +558,11 @@ func TestEdgeFileQuickRoundTrip(t *testing.T) {
 				Props: map[string]string{"p": fmt.Sprint(i)},
 			}
 		}
-		flat, _, err := BuildEdgeFile(edges, schema)
+		flat, cols, err := BuildEdgeFile(edges, schema)
 		if err != nil {
 			return false
 		}
-		v := NewEdgeFileView(NewRawSource(flat), schema)
+		v := NewEdgeFileView(NewRawSource(flat), schema, cols, nil)
 		groups := groupEdges(edges)
 		for k, want := range groups {
 			ref, ok := v.GetEdgeRecord(k[0], k[1])
@@ -609,18 +608,18 @@ func TestRecordEnd(t *testing.T) {
 		{Src: 1, Dst: 3, Type: 0, Timestamp: 6},
 		{Src: 2, Dst: 4, Type: 0, Timestamp: 7},
 	}
-	flat, _, err := BuildEdgeFile(edges, schema)
+	flat, cols, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewEdgeFileView(NewRawSource(flat), schema)
+	v := NewEdgeFileView(NewRawSource(flat), schema, cols, nil)
 	r1, _ := v.GetEdgeRecord(1, 0)
 	r2, _ := v.GetEdgeRecord(2, 0)
-	if v.RecordEnd(&r1) != r2.Offset {
-		t.Fatalf("RecordEnd(r1)=%d, next record at %d", v.RecordEnd(&r1), r2.Offset)
+	if next := v.src.Search(RecordKey(2, 0)); len(next) != 1 || int64(v.recordEnd(r1.rec)) != next[0] {
+		t.Fatalf("recordEnd(r1)=%d, next record at %v", v.recordEnd(r1.rec), next)
 	}
-	if v.RecordEnd(&r2) != int64(len(flat)) {
-		t.Fatalf("RecordEnd(last)=%d, file len %d", v.RecordEnd(&r2), len(flat))
+	if v.recordEnd(r2.rec) != len(flat) {
+		t.Fatalf("recordEnd(last)=%d, file len %d", v.recordEnd(r2.rec), len(flat))
 	}
 }
 
@@ -632,34 +631,34 @@ func TestFindEdgesLayout(t *testing.T) {
 		{Src: 2, Dst: 1, Type: 1, Timestamp: 30, Props: map[string]string{"note": "alpha", "weight": "7"}},
 		{Src: 5, Dst: 1, Type: 0, Timestamp: 40, Props: map[string]string{"note": "alphabet"}},
 	}
-	flat, index, err := BuildEdgeFile(edges, schema)
+	flat, cols, err := BuildEdgeFile(edges, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(index) != 3 { // (1,0), (2,1), (5,0)
-		t.Fatalf("index = %+v", index)
+	if len(cols.Srcs) != 3 { // (1,0), (2,1), (5,0)
+		t.Fatalf("records = %v, %v", cols.Srcs, cols.Types)
 	}
 	for _, src := range []ByteSource{NewRawSource(flat), succinct.Build(flat, succinct.Options{SamplingRate: 4})} {
-		v := NewEdgeFileView(src, schema)
-		got := v.FindEdges(index, map[string]string{"note": "alpha"})
+		v := NewEdgeFileView(src, schema, cols, nil)
+		got := v.FindEdges(map[string]string{"note": "alpha"})
 		want := []EdgeMatch{{Src: 1, Type: 0, TimeOrder: 0}, {Src: 2, Type: 1, TimeOrder: 0}}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("FindEdges(alpha) = %+v, want %+v", got, want)
 		}
 		// Conjunction.
-		got = v.FindEdges(index, map[string]string{"note": "alpha", "weight": "7"})
+		got = v.FindEdges(map[string]string{"note": "alpha", "weight": "7"})
 		if !reflect.DeepEqual(got, []EdgeMatch{{Src: 2, Type: 1, TimeOrder: 0}}) {
 			t.Fatalf("FindEdges(conj) = %+v", got)
 		}
 		// Exact match: "alphabet" must not hit "alpha"; unknown ID empty.
-		if got := v.FindEdges(index, map[string]string{"note": "alph"}); got != nil {
+		if got := v.FindEdges(map[string]string{"note": "alph"}); got != nil {
 			t.Fatalf("prefix matched: %+v", got)
 		}
-		if got := v.FindEdges(index, map[string]string{"nope": "x"}); got != nil {
+		if got := v.FindEdges(map[string]string{"nope": "x"}); got != nil {
 			t.Fatalf("unknown property matched: %+v", got)
 		}
 		// TimeOrder resolution within a record.
-		got = v.FindEdges(index, map[string]string{"note": "beta"})
+		got = v.FindEdges(map[string]string{"note": "beta"})
 		if !reflect.DeepEqual(got, []EdgeMatch{{Src: 1, Type: 0, TimeOrder: 1}}) {
 			t.Fatalf("FindEdges(beta) = %+v", got)
 		}

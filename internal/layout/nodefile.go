@@ -157,8 +157,10 @@ func (v *NodeFileView) GetProperty(id NodeID, propertyID string) (string, bool) 
 
 // GetProperties returns the values for the given property IDs; absent
 // properties yield empty strings. A nil or empty propertyIDs slice is the
-// wildcard: all properties in schema order (paper §2.2). The record is
-// read in one front-to-back walk, skipping unrequested values.
+// wildcard: all properties in schema order (paper §2.2), for which the
+// record's body — every value — is read in one go after its length
+// header. Otherwise the record is read in one front-to-back walk,
+// skipping unrequested values.
 func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string, bool) {
 	k := v.indexOf(id)
 	if k < 0 {
@@ -167,9 +169,6 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	sc := getScratch()
 	defer putScratch(sc)
 	w := newRecWalk(v.src, int(v.offs.Get(k)))
-	if len(propertyIDs) == 0 {
-		propertyIDs = v.schema.IDs()
-	}
 	hs := v.schema.headerSize()
 	sc.buf = w.appendN(sc.buf[:0], hs)
 	if len(sc.buf) < hs {
@@ -177,38 +176,54 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	}
 	lengths := sc.lengths(v.schema.NumProperties())
 	v.schema.decodeLengthsInto(lengths, sc.buf)
-	ords := sc.orders(len(propertyIDs))
+	// at[o] is where property o's value starts in sc.buf, or -1 when it
+	// is not wanted.
+	at := sc.orders(len(lengths))
 	last := -1
-	for i, pid := range propertyIDs {
-		ords[i] = v.schema.Order(pid)
-		if ords[i] > last {
-			last = ords[i]
+	all := len(propertyIDs) == 0
+	if all {
+		body := 0
+		for o, n := range lengths {
+			body += len(v.schema.Delimiter(o))
+			at[o] = body
+			body += n
 		}
+		if sc.buf = w.appendN(sc.buf[:0], body); len(sc.buf) < body {
+			return nil, false // the source ends inside the values the header promised
+		}
+		propertyIDs = v.schema.IDs()
+	} else {
+		for o := range at {
+			at[o] = -1
+		}
+		for _, pid := range propertyIDs {
+			if o := v.schema.Order(pid); o >= 0 {
+				at[o], last = 0, max(last, o)
+			}
+		}
+		sc.buf = sc.buf[:0]
 	}
-	out := make([]string, len(propertyIDs))
 	for o := 0; o <= last; o++ {
 		w.skip(len(v.schema.Delimiter(o)))
 		n := lengths[o]
-		wanted := false
-		for _, ro := range ords {
-			if ro == o {
-				wanted = true
-				break
-			}
-		}
-		if !wanted || n == 0 {
+		if at[o] < 0 || n == 0 {
 			w.skip(n)
 			continue
 		}
-		sc.buf = w.appendN(sc.buf[:0], n)
-		if len(sc.buf) < n {
+		at[o] = len(sc.buf)
+		if sc.buf = w.appendN(sc.buf, n); len(sc.buf) < at[o]+n {
 			return nil, false // the source ends inside the value the header promised
 		}
-		val := string(sc.buf)
-		for i, ro := range ords {
-			if ro == o {
-				out[i] = val
-			}
+	}
+	vals := string(sc.buf) // one allocation; each value is a substring
+	out := make([]string, len(propertyIDs))
+	for i, pid := range propertyIDs {
+		o := i
+		if !all {
+			o = v.schema.Order(pid)
+		}
+		if o >= 0 && lengths[o] > 0 {
+			out[i] = vals[at[o] : at[o]+lengths[o]]
 		}
 	}
 	return out, true

@@ -11,9 +11,7 @@ package layout
 
 import (
 	"bytes"
-	"fmt"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/succinct"
 )
 
@@ -61,7 +59,7 @@ func extractAppend(src ByteSource, dst []byte, off, n int) []byte {
 // skipping to a field and reading the field is a single suffix-array walk
 // (one ISA anchor) instead of one anchor per Extract call; over raw bytes
 // it is plain offset arithmetic. A recWalk is a value: keep it on the
-// stack, or with the one reader whose cursor it is (EdgeRecordRef.cur).
+// stack.
 type recWalk struct {
 	sw  succinct.Walker // valid iff ss != nil
 	ss  *succinct.Store
@@ -96,28 +94,6 @@ func (r *recWalk) skip(n int) {
 		return
 	}
 	r.off += n
-}
-
-// seek moves to file offset off. Forward the move is a skip, which steps
-// on or re-anchors, whichever is cheaper; backward it is an anchor.
-func (r *recWalk) seek(off int) {
-	if r.ss != nil {
-		r.sw.SeekTo(off)
-	} else {
-		r.off = off
-	}
-}
-
-// readAt seeks to file offset off and reads exactly n bytes into buf[:0].
-// A source that ends before n bytes is an error: a field array a record's
-// header promised is not there.
-func (r *recWalk) readAt(buf []byte, off, n int) ([]byte, error) {
-	r.seek(off)
-	buf = r.appendN(buf[:0], n)
-	if len(buf) < n {
-		return buf, fmt.Errorf("layout: short read at offset %d: %d of %d bytes", off, len(buf), n)
-	}
-	return buf, nil
 }
 
 // RawSource is an uncompressed ByteSource over a plain byte slice. Only
@@ -164,10 +140,3 @@ func (r *RawSource) Count(pattern []byte) int { return len(r.Search(pattern)) }
 
 // InputLen implements ByteSource.
 func (r *RawSource) InputLen() int { return len(r.data) }
-
-// offsetToIndex translates a flat-file offset to the index of the record
-// containing it, given the sorted record start offsets: the greatest i
-// with starts[i] <= off.
-func offsetToIndex(starts []int64, off int64) int {
-	return bitutil.SearchGT(starts, off) - 1
-}

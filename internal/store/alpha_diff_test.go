@@ -151,7 +151,7 @@ func TestCodecReportFieldNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region := `  (node|edge)/(psi|marks|sa|isa|offsets|index) +(monotone|packed|sparse) +\d+ elems +\d+ bytes +\d+\.\d{3} bits/row`
+	region := `  (node|edge)/(psi|marks|sa|isa|offsets|starts|props|ts|dsts) +(monotone|packed|sparse) +\d+ elems +\d+ bytes +\d+\.\d{3} bits/row`
 	mono := ` +run-blocks=\d+\.\d% records=\d+\.\d% dir=\d+B payload=\d+B`
 	line := regexp.MustCompile(`^` + region + `(` + mono + `)?$`)
 	psi := regexp.MustCompile(`^  (node|edge)/psi +monotone .*bits/row` + mono + `$`)
@@ -172,8 +172,8 @@ func TestCodecReportFieldNames(t *testing.T) {
 			}
 		}
 	}
-	if regions != 2*10 || psis != 2*2 {
-		t.Errorf("report has %d region lines, %d of them psi; want 20 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
+	if regions != 2*13 || psis != 2*2 {
+		t.Errorf("report has %d region lines, %d of them psi; want 26 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
 	}
 	for _, fc := range s.CodecReport() {
 		for _, rc := range fc.Regions {

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"maps"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -319,11 +318,11 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, int, map[layout.NodeID
 
 // markShardEdges lazily deletes, in marks, every (src, etype, dst) edge
 // one compressed shard holds and returns how many it newly marked: a
-// header parse and one extract of the record's destinations. The mark
+// scan of the record's destination column, no compressed read. The mark
 // set is replaced, not added to — readers and a running build may hold
 // the old one. Callers hold s.mu when marks is s.deletedPhys.
 func markShardEdges(marks map[shardEdgeRef]map[int]bool, sh *core.Shard, t edgeTriple) int {
-	ref, ok := sh.EdgeRecord(t.src, t.etype)
+	ref, ok := sh.Edges().GetEdgeRecord(t.src, t.etype)
 	if !ok {
 		return 0
 	}
@@ -398,31 +397,23 @@ func (c *compactSnapshot) materialize(s *Store) ([]layout.Node, []layout.Edge, e
 
 	// Edges: every (src, etype) record of every fragment, read whole and
 	// less its deletion marks (a sealed log holds only live edges). A
-	// shard's records go in file order, a batch at a time through one
-	// walk that steps on from each to the next.
+	// shard's records go in file order, a batch at a time, the text of a
+	// batch in one read.
 	var edges []layout.Edge
 	appendFromShard := func(sh *core.Shard) error {
-		index := sh.EdgeIndex()
 		const batch = 64
-		reqs := make([]layout.EdgeRangeReq, 0, batch)
-		for len(index) > 0 {
+		for lo, n := 0, sh.Edges().NumRecords(); lo < n; lo += batch {
 			runtime.Gosched() // see the node loop above
-			n := min(batch, len(index))
-			reqs = reqs[:0]
-			for _, rec := range index[:n] {
-				reqs = append(reqs, layout.EdgeRangeReq{Src: rec.Src, Type: rec.Type, Offset: rec.Offset, Limit: math.MaxInt32})
-			}
-			index = index[n:]
-			data, err := sh.Edges().GetEdgeRangeBatch(reqs)
+			refs, data, err := sh.Edges().ReadRecords(lo, min(lo+batch, n))
 			if err != nil {
 				return fmt.Errorf("store: compact: %w", err)
 			}
-			for k, req := range reqs {
-				deleted := c.deletedPhys[shardEdgeRef{sh, req.Src, req.Type}]
+			for k, ref := range refs {
+				deleted := c.deletedPhys[shardEdgeRef{sh, ref.Src, ref.Type}]
 				for i, d := range data[k] {
 					if !deleted[i] {
 						edges = append(edges, layout.Edge{
-							Src: req.Src, Dst: d.Dst, Type: req.Type,
+							Src: ref.Src, Dst: d.Dst, Type: ref.Type,
 							Timestamp: d.Timestamp, Props: d.Props,
 						})
 					}

@@ -429,11 +429,10 @@ func succinctWork(fn func()) (bytes, steps float64) {
 
 // TestRangeReadCost: a range read costs what it returns. On a clean
 // 240-edge record, the intervals assoc_range asks for (idx < 8, limit <=
-// 32) extract at most 0.6 of the bytes a read that decodes the whole
-// timestamp and property-length arrays does. And a piece that gives a
-// read nothing costs it its header: as 60-edge generations of later
-// timestamps are added behind the primary, the Ψ steps of a read grow by
-// a constant per piece, not by the pieces' edge counts.
+// 32) extract exactly their edges' property lists: every other field is
+// a column. And a piece that gives a read nothing costs it no Ψ step: as
+// 60-edge generations of later timestamps are added behind the primary,
+// the Ψ steps of a read stay what they were.
 func TestRangeReadCost(t *testing.T) {
 	ns, es := testSchemas(t)
 	var edges []layout.Edge
@@ -445,35 +444,25 @@ func TestRangeReadCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sliced, whole float64
 	for idx := 0; idx < 8; idx++ {
 		for limit := 1; limit <= 32; limit++ {
-			for _, warm := range []bool{false, true} {
-				rec, _ := s.GetEdgeRecord(5, 0)
-				p, clean := rec.singleCleanPiece()
-				if !clean || rec.Count() != 240 {
-					t.Fatalf("the record: %d edges, clean %v", rec.Count(), clean)
+			rec, _ := s.GetEdgeRecord(5, 0)
+			if _, clean := rec.singleCleanPiece(); !clean || rec.Count() != 240 {
+				t.Fatalf("the record: %d edges, clean %v", rec.Count(), clean)
+			}
+			want := 0
+			for _, e := range edges[idx : idx+limit] {
+				want += es.PropsEncodedSize(e.Props)
+			}
+			bytes, _ := succinctWork(func() {
+				if _, err := rec.GetEdgeDataRange(idx, idx+limit); err != nil {
+					t.Fatal(err)
 				}
-				bytes, _ := succinctWork(func() {
-					if warm { // the arrays in full, as every read once decoded them
-						p.shard.Edges().Timestamps(&p.ref)
-						p.shard.Edges().RecordEnd(&p.ref)
-					}
-					if _, err := rec.GetEdgeDataRange(idx, idx+limit); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if warm {
-					whole += bytes
-				} else {
-					sliced += bytes
-				}
+			})
+			if int(bytes) != want {
+				t.Fatalf("[%d,%d) of a 240-edge record extracts %.0f bytes; its property lists are %d", idx, idx+limit, bytes, want)
 			}
 		}
-	}
-	if sliced > 0.6*whole {
-		t.Errorf("assoc_range intervals of a 240-edge record extract %.0f bytes, %.2f of the %.0f with whole field arrays; want at most 0.6",
-			sliced, sliced/whole, whole)
 	}
 
 	read := func() float64 {
@@ -486,7 +475,7 @@ func TestRangeReadCost(t *testing.T) {
 		return steps
 	}
 	base := read()
-	const perPiece = 64 // an anchor (below α = 32 steps) and a header of some 25 bytes
+	const perPiece = 0 // its timestamps are a column
 	for piece := 1; piece <= 11; piece++ {
 		for i := 0; i < 60; i++ {
 			if err := s.AppendEdge(layout.Edge{Src: 5, Dst: int64(1000*piece + i), Type: 0, Timestamp: int64(10000*piece + i)}); err != nil {
@@ -505,17 +494,18 @@ func TestRangeReadCost(t *testing.T) {
 
 // TestTimeWindowCostsItsWindow: a time window is read for what it holds,
 // wherever in the record it lies. A record appended in time order lies
-// over ten compressed pieces of 60 edges; GetEdgeRange + GetEdgeDataRange
-// over the last 1/32 of its span take at most a quarter of the Ψ steps of
-// reading the record whole (merged from TimeOrder 0 the window alone would
-// cost every timestamp before it), a window no piece overlaps takes none
-// once the record is open, and a read below a placed merge starts it over.
+// over ten compressed pieces of 60 edges, each with a property list;
+// GetEdgeRange + GetEdgeDataRange over the last 1/32 of its span take at
+// most a quarter of the Ψ steps of reading the record whole, a window no
+// piece overlaps takes none once the record is open, and a read below a
+// placed merge starts it over.
 func TestTimeWindowCostsItsWindow(t *testing.T) {
 	ns, es := testSchemas(t)
 	const pieces, perPiece, tsBase, tsStep = 10, 60, 1_500_000_000, 1000
 	var want []layout.EdgeData
 	edge := func(i int) layout.Edge {
-		e := layout.Edge{Src: 5, Dst: int64(i), Type: 0, Timestamp: int64(tsBase + i*tsStep)}
+		e := layout.Edge{Src: 5, Dst: int64(i), Type: 0, Timestamp: int64(tsBase + i*tsStep),
+			Props: map[string]string{"note": fmt.Sprintf("edge %d", i)}}
 		want = append(want, layout.EdgeData{Dst: e.Dst, Timestamp: e.Timestamp})
 		return e
 	}
@@ -590,5 +580,38 @@ func TestTimeWindowCostsItsWindow(t *testing.T) {
 	})
 	if missed != 0 {
 		t.Errorf("windows that miss every piece took %.0f Ψ steps of an open record, want none", missed)
+	}
+}
+
+// TestEdgeMetadataTakesNoPsiSteps: on compressed records, locating a
+// record with its count, a time window's TimeOrders and a delete by
+// destination read the EdgeFile's columns and no compressed byte.
+func TestEdgeMetadataTakesNoPsiSteps(t *testing.T) {
+	ns, es := testSchemas(t)
+	_, edges := testGraph(60, 400, 5)
+	s, err := New(nil, edges, ns, es, Config{NumShards: 3, SamplingRate: 32, LogStoreThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := len(edges)
+	_, steps := succinctWork(func() {
+		total := 0
+		for src := int64(0); src < 60; src++ {
+			for ty := int64(0); ty < 3; ty++ {
+				if rec, ok := s.GetEdgeRecord(src, ty); ok {
+					total += rec.Count()
+					rec.GetEdgeRange(100, 5000)
+				}
+			}
+		}
+		if total != live {
+			t.Fatalf("records count %d edges, want %d", total, live)
+		}
+		for _, e := range edges[:40] {
+			live -= s.DeleteEdges(e.Src, e.Type, e.Dst)
+		}
+	})
+	if steps != 0 || live >= len(edges) {
+		t.Errorf("GetEdgeRecord + Count, GetEdgeRange and DeleteEdges took %v Ψ steps (%d of %d edges left), want none", steps, live, len(edges))
 	}
 }

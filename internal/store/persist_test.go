@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"zipg/internal/bitutil"
 	"zipg/internal/layout"
 )
 
@@ -196,6 +197,25 @@ func TestLoadRejectsInconsistentArchive(t *testing.T) {
 		{"more shards than primaries", "NumShards", func(w *storeWire) { w.NumShards = len(w.Primaries) + 1 }},
 		{"pointer at generation -1", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], -1) }},
 		{"pointer past the live log", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], len(w.Frozen)+1) }},
+		// One corrupt EdgeFile column per check UnmarshalShard makes.
+		{"a destination short", "disagree in length", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeDsts = repack(t, c.EdgeDsts, func(v []uint64) []uint64 { return v[:len(v)-1] })
+		})},
+		{"record starts repeat", "record starts", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeStarts = remono(t, c.EdgeStarts, func(v []uint64) { v[1] = v[0] })
+		})},
+		{"record starts short of the edges", "record starts", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeStarts = remono(t, c.EdgeStarts, func(v []uint64) { v[len(v)-1]-- })
+		})},
+		{"property offsets repeat", "property offsets", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeProps = remono(t, c.EdgeProps, func(v []uint64) { v[1] = v[0] })
+		})},
+		{"property offsets past the text", "property offsets", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeProps = remono(t, c.EdgeProps, func(v []uint64) { v[len(v)-1] += 5 })
+		})},
+		{"timestamps 65 bits wide", "timestamps", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeTs[0] = 65
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(reencode(tc.mutate), nil)
@@ -230,4 +250,67 @@ func TestSaveDeterministicQueries(t *testing.T) {
 			t.Fatalf("loads disagree on FindNodes(%v)", props)
 		}
 	}
+}
+
+// edgeColumnsWire is core's shard wire form, declared again so a test
+// can doctor a shard's EdgeFile columns (gob matches fields by name).
+type edgeColumnsWire struct {
+	NodeStore    []byte
+	EdgeStore    []byte
+	NodeIDs      []int64
+	NodeSchema   layout.SchemaSpec
+	EdgeSchema   layout.SchemaSpec
+	RawNodeBytes int
+	RawEdgeBytes int
+	EdgeFormat   int
+	NodeOffsets  []byte
+	EdgeIdxSrcs  []int64
+	EdgeIdxTypes []int64
+	EdgeStarts   []byte
+	EdgeProps    []byte
+	EdgeTsMin    int64
+	EdgeTs       []byte
+	EdgeDsts     []byte
+}
+
+// edgeColumn returns a storeWire mutation that doctors the first
+// primary shard's wire form with mutate.
+func edgeColumn(t *testing.T, mutate func(c *edgeColumnsWire)) func(w *storeWire) {
+	return func(w *storeWire) {
+		var c edgeColumnsWire
+		if err := gob.NewDecoder(bytes.NewReader(w.Primaries[0])).Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&c)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+			t.Fatal(err)
+		}
+		w.Primaries[0] = buf.Bytes()
+	}
+}
+
+// remono re-encodes a serialized monotone vector after edit; the edit
+// may make it non-monotone, which the encoder does not check.
+func remono(t *testing.T, enc []byte, edit func(v []uint64)) []byte {
+	mv, _, err := bitutil.DecodeMonotoneVector(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mv.DecodeAll(nil)
+	edit(v)
+	return bitutil.NewMonotoneVector(v).AppendBinary(nil)
+}
+
+// repack re-encodes a serialized packed vector after edit.
+func repack(t *testing.T, enc []byte, edit func(v []uint64) []uint64) []byte {
+	pv, _, err := bitutil.DecodePackedVector(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]uint64, pv.Len())
+	for i := range v {
+		v[i] = pv.Get(i)
+	}
+	return bitutil.PackSlice(edit(v)).AppendBinary(nil)
 }

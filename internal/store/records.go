@@ -46,23 +46,22 @@ func (p *recordPiece) liveCount() int {
 
 // head returns the timestamp of the piece's first live entry not merged
 // yet, moving next to it; ok is false once the piece is spent. A
-// compressed piece's first timestamp is in its header, so a piece that
-// gives a read nothing costs it no more than that.
-func (p *recordPiece) head() (ts int64, ok bool, err error) {
+// compressed piece's timestamps are a column, so a piece that gives a
+// read nothing costs it no compressed read.
+func (p *recordPiece) head() (ts int64, ok bool) {
 	for p.deleted[p.next] {
 		p.next++
 	}
 	if p.shard == nil {
 		if p.next >= len(p.edges) {
-			return 0, false, nil
+			return 0, false
 		}
-		return p.edges[p.next].Timestamp, true, nil
+		return p.edges[p.next].Timestamp, true
 	}
 	if p.next >= p.ref.Count {
-		return 0, false, nil
+		return 0, false
 	}
-	ts, err = p.shard.Edges().Timestamp(&p.ref, p.next)
-	return ts, true, err
+	return p.shard.Edges().Timestamp(&p.ref, p.next), true
 }
 
 // mergedEntry places one TimeOrder: a piece and the physical index in it.
@@ -98,7 +97,7 @@ func (s *Store) getEdgeRecordLocked(src layout.NodeID, etype layout.EdgeType) (*
 			continue
 		}
 		sh := f.shard
-		if ref, ok := sh.EdgeRecord(src, etype); ok {
+		if ref, ok := sh.Edges().GetEdgeRecord(src, etype); ok {
 			r.pieces = append(r.pieces, recordPiece{
 				shard:   sh,
 				ref:     ref,
@@ -239,10 +238,7 @@ func (r *EdgeRecord) mergeTo(beg, end int) error {
 		for pi := range heads {
 			h := &heads[pi]
 			if !h.fresh {
-				var err error
-				if h.ts, h.ok, err = r.pieces[pi].head(); err != nil {
-					return err
-				}
+				h.ts, h.ok = r.pieces[pi].head()
 				h.fresh = true
 			}
 			if h.ok && (best < 0 || h.ts < heads[best].ts) {
@@ -378,9 +374,7 @@ func recordSuccinctEdgeData(d layout.EdgeData, err error) {
 // expressed as tLo=0, tHi=math.MaxInt64 by callers. The TimeOrder of the
 // first edge at or after a bound is the number of live edges before the
 // bound, piece by piece, so nothing is merged: a compressed piece answers
-// from its header's span when the window covers or misses it and from a
-// search of its timestamps otherwise, less its deletion marks. A piece
-// whose timestamps cannot be read makes the range empty.
+// from a binary search of its timestamp column, less its deletion marks.
 //
 // Each piece's count below tLo is also where the piece joins a merge that
 // starts at beg, so unless what is merged already reaches beg the merge
@@ -397,10 +391,7 @@ func (r *EdgeRecord) GetEdgeRange(tLo, tHi int64) (beg, end int) {
 			lows = append(lows, b)
 			continue
 		}
-		b, e, err := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
-		if err != nil {
-			return 0, 0
-		}
+		b, e := p.shard.Edges().TimeRange(&p.ref, tLo, tHi)
 		beg, end = beg+b, end+e
 		lows = append(lows, b)
 		for i := range p.deleted {
@@ -440,8 +431,8 @@ func copyProps(m map[string]string) map[string]string {
 }
 
 // Destinations returns the destination IDs of all live edges in
-// TimeOrder: each compressed piece's destinations in one extract, laid
-// out by the full merge.
+// TimeOrder: each compressed piece's destination column, laid out by the
+// full merge.
 func (r *EdgeRecord) Destinations() []layout.NodeID {
 	if p, ok := r.singleCleanPiece(); ok {
 		return p.shard.Edges().Destinations(&p.ref)

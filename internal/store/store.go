@@ -785,26 +785,12 @@ func (s *Store) FindEdges(props map[string]string) []layout.Edge {
 		}
 		sh := frags[i].shard
 		var hits []edgeHit
-		// Matches cluster by (src, type): resolve each record once and
-		// share the ref (and its cached field prefixes) across its matches.
-		type srcType struct {
-			src layout.NodeID
-			t   layout.EdgeType
-		}
-		refs := make(map[srcType]*layout.EdgeRecordRef)
-		for _, m := range sh.FindEdges(props) {
-			k := srcType{m.Src, m.Type}
-			ref, seen := refs[k]
-			if !seen {
-				if r, ok := sh.EdgeRecord(m.Src, m.Type); ok {
-					ref = &r
-				}
-				refs[k] = ref
-			}
-			if ref == nil {
+		for _, m := range sh.Edges().FindEdges(props) {
+			ref, ok := sh.Edges().GetEdgeRecord(m.Src, m.Type)
+			if !ok {
 				continue
 			}
-			d, err := sh.Edges().GetEdgeData(ref, m.TimeOrder)
+			d, err := sh.Edges().GetEdgeData(&ref, m.TimeOrder)
 			if err != nil {
 				continue
 			}

@@ -112,7 +112,7 @@ const transientBudget = 9.0
 // with the queries it races, so its transient arrays are a cost of the
 // write path, not only of set-up.
 func TestBuildTransientBytes(t *testing.T) {
-	text := edgeFileText(t, 5<<20)
+	text := edgeFileText(t, 6<<20) // ≈ 4.9 MB of keys and property lists
 	if len(text) < 4<<20 {
 		t.Fatalf("generated EdgeFile is %d bytes, want at least 4 MiB", len(text))
 	}

@@ -159,52 +159,6 @@ func TestWalkerAgainstReference(t *testing.T) {
 	}
 }
 
-// TestWalkerSeekTo moves one walker to random offsets — forward by
-// stepping on or re-anchoring, backward by an anchor, some near the
-// text's end — reads 0…6α bytes there (one chain or several), and then
-// carries on from the row that read left it: a second read, a skip and a
-// read, or straight to the next seek. Every byte and every offset is
-// checked against the text.
-func TestWalkerSeekTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	text := diffTexts()["words"]
-	for _, alpha := range []int{4, 8, 32} {
-		s := Build(text, Options{SamplingRate: alpha})
-		w, pos := s.Walk(0), 0
-		read := func(n int) {
-			t.Helper()
-			want := text[pos:min(pos+n, len(text))]
-			if got := w.Append(nil, n); !bytes.Equal(got, want) {
-				t.Fatalf("α=%d: Append(%d) at %d read %q, want %q", alpha, n, pos, got, want)
-			}
-			pos += len(want)
-			if w.Offset() != pos {
-				t.Fatalf("α=%d: offset %d after a read, want %d", alpha, w.Offset(), pos)
-			}
-		}
-		for step := 0; step < 120; step++ {
-			pos = rng.Intn(len(text))
-			if step%8 == 7 {
-				pos = len(text) - 1 - rng.Intn(2*alpha)
-			}
-			w.SeekTo(pos)
-			if w.Offset() != pos {
-				t.Fatalf("α=%d: SeekTo(%d) left offset %d", alpha, pos, w.Offset())
-			}
-			read(rng.Intn(6*alpha + 1))
-			switch rng.Intn(3) {
-			case 0:
-				read(1 + rng.Intn(6*alpha))
-			case 1:
-				n := 1 + rng.Intn(2*alpha)
-				w.Skip(n)
-				pos = min(pos+n, len(text))
-				read(1 + rng.Intn(2*alpha))
-			}
-		}
-	}
-}
-
 // TestExtractCountsItsSteps: Extract(off, n) over many α-blocks costs
 // off%α Ψ steps to anchor and one a byte, however many chains read it,
 // and one ISA lookup — the chains that start on ISA samples walk no Ψ
@@ -234,8 +188,9 @@ func TestExtractCountsItsSteps(t *testing.T) {
 
 // FuzzWalkerAppend runs an op script against a walker over any text at
 // any α. An op is two bytes, a verb and an argument: Append 4·arg bytes,
-// Skip arg bytes, or SeekTo the offset arg/255 of the way into the text.
-// Every byte read and every offset is checked against the text.
+// Skip arg bytes, or start a walk anew at the offset arg/255 of the way
+// into the text. Every byte read and every offset is checked against
+// the text.
 func FuzzWalkerAppend(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), []byte{0, 9, 1, 3, 0, 2, 2, 200, 0, 40})
 	f.Add(bytes.Repeat([]byte("ab"), 100), uint8(0), []byte{0, 255, 2, 0, 0, 17})
@@ -261,7 +216,7 @@ func FuzzWalkerAppend(f *testing.F) {
 				pos = min(pos+arg, len(text))
 			case 2:
 				pos = arg * len(text) / 255
-				w.SeekTo(pos)
+				w = s.Walk(pos)
 			}
 			if w.Offset() != pos {
 				t.Fatalf("α=%d: walker at offset %d, want %d", alpha, w.Offset(), pos)

@@ -69,9 +69,15 @@ func (s *Store) RegionCodecs() []RegionCodec {
 	}
 }
 
-// OffsetsRegion builds the report entry for one offset column held
-// outside the store (the layout's NodeFile offsets and edge record
-// index); its rows are its own elements.
+// OffsetsRegion builds the report entry for one monotone column held
+// outside the store (the layout's NodeFile offsets and EdgeFile record
+// starts and property offsets); its rows are its own elements.
 func OffsetsRegion(name string, mv *bitutil.MonotoneVector) RegionCodec {
 	return monotoneRegion(name, mv.Len(), mv)
+}
+
+// PackedRegion is OffsetsRegion for a packed column (the EdgeFile's
+// timestamps and destinations).
+func PackedRegion(name string, pv *bitutil.PackedVector) RegionCodec {
+	return region(name, "packed", pv.Len(), pv.SizeBytes(), pv.Len())
 }

@@ -183,25 +183,3 @@ func (w *Walker) Skip(n int) {
 		mPsiSteps.Add(int64(steps))
 	}
 }
-
-// SeekTo repositions the walker at absolute text offset off (clamped to
-// the text). A forward seek reuses Skip's walk-vs-anchor choice; a
-// backward seek must re-anchor. A record walk moves between a record's
-// fields with it, and the compactor's from one record to the next.
-func (w *Walker) SeekTo(off int) {
-	s := w.s
-	if off < 0 {
-		off = 0
-	}
-	if off > s.n-1 {
-		off = s.n - 1
-	}
-	if off >= w.off {
-		w.Skip(off - w.off)
-		return
-	}
-	s.chargeISAAt(off)
-	w.row = s.lookupISA(off, false)
-	w.off = off
-	w.since = 0
-}
