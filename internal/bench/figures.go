@@ -97,7 +97,7 @@ var Figures = []*Figure{
 			}},
 			{Name: "uk and lb-large fit only zipg", holds: func(r *Result) bool {
 				return r.line("uk") == "no no no no yes" && r.line("lb-large") == "no no no no yes"
-			}, Deviation: "deviation 6: zipg's uk store fits, but its lb-large store lands 40% over the budget at -base 262144"},
+			}, Deviation: "deviation 6: zipg's uk store fits, but its lb-large store lands 39% over the budget at -base 262144"},
 		},
 	},
 	mixFigure("fig6", "Figure 6: single-server TAO throughput (overall + top-5 queries)", realWorld,

@@ -221,7 +221,9 @@ func TestOldShardRefusedByVersion(t *testing.T) {
 // column missing — either one, or both because they are the tagged
 // columns of the build before — is named as an unsupported shard format,
 // not reported as a column that failed to decode; so is an EdgeFile
-// record format other than the one this build reads.
+// record format other than the one this build reads, and one whose
+// property lists still carry length digits is named "length-header
+// text".
 func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 	for name, doctor := range map[string]func(w shardWire) any{
 		"node offsets":   func(w shardWire) any { w.NodeOffsets = nil; return w },
@@ -232,7 +234,7 @@ func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 			t.Errorf("without %s: err = %v, want unsupported shard format", name, err)
 		}
 	}
-	for format, name := range map[int]string{0: "Figure 2 text", 1: "hot-header text", 7: "unknown"} {
+	for format, name := range map[int]string{0: "Figure 2 text", 1: "hot-header text", 2: "length-header text", 7: "unknown"} {
 		w := currentWire(t)
 		w.EdgeFormat = format
 		want := fmt.Sprintf("unsupported edge record format %d (%s;", format, name)

@@ -40,11 +40,13 @@ type shardWire struct {
 }
 
 // edgeFormatColumns is the wire value of the one EdgeFile layout this
-// build reads: the numbers in columns beside the text. The formats
-// before it kept them in the text, as edgeFormats names.
-const edgeFormatColumns = 2
+// build reads: every number in a column beside a text of record keys
+// and header-free property lists. The formats before it kept numbers in
+// the text, as edgeFormats names: all of them (0), a hot-field header
+// (1), or each property list's length header (2).
+const edgeFormatColumns = 3
 
-var edgeFormats = []string{"Figure 2 text", "hot-header text", "packed columns"}
+var edgeFormats = []string{"Figure 2 text", "hot-header text", "length-header text", "header-free text"}
 
 // MarshalBinary serializes the shard.
 func (s *Shard) MarshalBinary() ([]byte, error) {

@@ -62,10 +62,10 @@ func (v *EdgeFileView) readEdges(out []EdgeData, g, stop int) error {
 	if stop < start {
 		return fmt.Errorf("layout: edge %d's property lists end at %d, before they start at %d", g, stop, start)
 	}
-	// None is shorter than the empty list — the length header, the
-	// delimiters and the end marker — so an interval whose lists add up
-	// to only that holds no property at all: there is nothing to learn
-	// from reading it.
+	// None is shorter than the empty list — the delimiters and the end
+	// marker — so an interval whose lists add up to only that holds no
+	// property at all: there is nothing to learn from reading it. Read
+	// lists split at their delimiters (ParseProps).
 	if stop-start <= len(out)*v.schema.PropsEncodedSize(nil) {
 		for i := range out {
 			out[i].Props = map[string]string{} // what ParseProps makes of an empty list

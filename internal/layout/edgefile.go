@@ -22,11 +22,11 @@ type Edge struct {
 
 // An EdgeFile is Figure 2 with the numbers taken out of the text. The
 // text keeps what Search looks for: per (src, etype) record, in (src,
-// etype) order, the $src#etype, key and then its edges' property lists
-// in time order. Every number — the record's edge count, each edge's
-// timestamp and destination, where each property list starts — is an
-// entry of a per-file column (EdgeColumns), so reading one is an array
-// access instead of a Ψ step per digit.
+// etype) order, the $src#etype, key and then its edges' header-free
+// property lists in time order. Every number — the record's edge count,
+// each edge's timestamp and destination, where each property list
+// starts — is an entry of a per-file column (EdgeColumns), so reading
+// one is an array access instead of a Ψ step per digit.
 //
 // figure2Fixed is what Figure 2 adds to each record beyond its key, its
 // TLength/DLength-wide fields and its property lists, as this layout
@@ -191,15 +191,15 @@ func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, *EdgeColumns, 
 // figure2Numbers is the text Figure 2 spends on one timestamp-sorted
 // record's numbers: the fixed fields, the timestamp span, and per edge a
 // timestamp, a destination and a property-list length, each at the
-// record's widest.
+// record's widest, and its list's Figure 1 length header.
 func figure2Numbers(etype EdgeType, group []Edge, schema *PropertySchema) int {
-	tLen, dLen, pLenW := 1, 1, 1
+	tLen, dLen, pLenW, hdr := 1, 1, 1, schema.Figure1Header()
 	for _, e := range group {
 		tLen = max(tLen, FixedWidth(uint64(e.Timestamp)))
 		dLen = max(dLen, FixedWidth(uint64(e.Dst)))
-		pLenW = max(pLenW, FixedWidth(uint64(schema.PropsEncodedSize(e.Props))))
+		pLenW = max(pLenW, FixedWidth(uint64(hdr+schema.PropsEncodedSize(e.Props))))
 	}
-	return figure2Fixed + FixedWidth(uint64(etype)) + 2*tLen + len(group)*(tLen+dLen+pLenW)
+	return figure2Fixed + FixedWidth(uint64(etype)) + 2*tLen + len(group)*(tLen+dLen+pLenW+hdr)
 }
 
 // EdgeRecordRef is a handle to one EdgeRecord of an EdgeFile (§2.2's

@@ -24,8 +24,8 @@ func mustSchema(t testing.TB, ids []string, maxLen int) *PropertySchema {
 
 func TestFixedCodecRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 63, 64, 4095, 4096, 1 << 30, 1 << 40} {
-		w := FixedWidth(v)
-		buf := AppendFixed(nil, v, w)
+		buf := make([]byte, FixedWidth(v))
+		EncodeFixed(buf, v)
 		if got := DecodeFixed(buf); got != v {
 			t.Errorf("round trip %d: got %d", v, got)
 		}
@@ -40,9 +40,9 @@ func TestFixedCodecRoundTrip(t *testing.T) {
 
 func TestFixedCodecQuick(t *testing.T) {
 	f := func(v uint64, extra uint8) bool {
-		w := FixedWidth(v) + int(extra%3) // wider-than-needed must also work
-		buf := AppendFixed(nil, v, w)
-		return DecodeFixed(buf) == v && len(buf) == w
+		buf := make([]byte, FixedWidth(v)+int(extra%3)) // wider-than-needed must also work
+		EncodeFixed(buf, v)
+		return DecodeFixed(buf) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -55,7 +55,7 @@ func TestFixedOverflowPanics(t *testing.T) {
 			t.Error("expected panic on overflow")
 		}
 	}()
-	AppendFixed(nil, 64, 1)
+	EncodeFixed(make([]byte, 1), 64)
 }
 
 func TestSchemaDelimiters(t *testing.T) {
@@ -188,12 +188,19 @@ func buildNodes(n int) ([]Node, *PropertySchema) {
 // every test can assert both paths agree.
 func nodeViews(t testing.TB, nodes []Node, schema *PropertySchema) (raw, compressed *NodeFileView) {
 	t.Helper()
+	return nodeViewsAlpha(t, nodes, schema, 8)
+}
+
+// nodeViewsAlpha is nodeViews with the compressed view at sampling rate
+// alpha.
+func nodeViewsAlpha(t testing.TB, nodes []Node, schema *PropertySchema, alpha int) (raw, compressed *NodeFileView) {
+	t.Helper()
 	flat, ids, offs, err := BuildNodeFile(nodes, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw = NewNodeFileView(NewRawSource(flat), schema, ids, PackOffsets(offs), nil)
-	st := succinct.Build(flat, succinct.Options{SamplingRate: 8})
+	st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
 	compressed = NewNodeFileView(st, schema, ids, PackOffsets(offs), nil)
 	return raw, compressed
 }

@@ -37,13 +37,13 @@ func BuildNodeFile(nodes []Node, schema *PropertySchema) (flat []byte, ids []Nod
 	offsets = make([]int64, len(sorted))
 	size := 0
 	for _, n := range sorted {
-		size += schema.PropsEncodedSize(n.Props)
+		size += schema.Figure1Header() + schema.PropsEncodedSize(n.Props)
 	}
 	flat = make([]byte, 0, size)
 	for i, n := range sorted {
 		ids[i] = n.ID
 		offsets[i] = int64(len(flat))
-		if flat, err = schema.SerializeProps(flat, n.Props); err != nil {
+		if flat, err = schema.AppendRecord(flat, n.Props); err != nil {
 			return nil, nil, nil, fmt.Errorf("layout: node %d: %w", n.ID, err)
 		}
 	}
@@ -135,7 +135,7 @@ func (v *NodeFileView) GetProperty(id NodeID, propertyID string) (string, bool) 
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	hs := v.schema.headerSize()
+	hs := v.schema.Figure1Header()
 	w := newRecWalk(v.src, int(v.offs.Get(k)))
 	sc.buf = w.appendN(sc.buf[:0], hs)
 	if len(sc.buf) < hs {
@@ -169,7 +169,7 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	sc := getScratch()
 	defer putScratch(sc)
 	w := newRecWalk(v.src, int(v.offs.Get(k)))
-	hs := v.schema.headerSize()
+	hs := v.schema.Figure1Header()
 	sc.buf = w.appendN(sc.buf[:0], hs)
 	if len(sc.buf) < hs {
 		return nil, false

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -24,10 +25,10 @@ const (
 	EdgeTypeSep     byte = 0x1C
 )
 
-// numAlphabetBase is the radix of the fixed-width numeric encoding used
-// for lengths, timestamps and destination IDs. The digit for value v is
-// numAlphabetStart+v: 64 consecutive printable bytes, disjoint from all
-// delimiters.
+// numAlphabetBase is the radix of Figure 1/2's fixed-width numbers: the
+// NodeFile's value lengths, in its text, and the EdgeFile's, counted by
+// RawBytes only. The digit for value v is numAlphabetStart+v: 64
+// consecutive printable bytes, disjoint from all delimiters.
 const (
 	numAlphabetBase  = 64
 	numAlphabetStart = 0x30 // '0'
@@ -44,16 +45,6 @@ func EncodeFixed(buf []byte, v uint64) {
 	if v != 0 {
 		panic(fmt.Sprintf("layout: value does not fit in width %d", len(buf)))
 	}
-}
-
-// AppendFixed appends v in fixed-width base-64 to buf.
-func AppendFixed(buf []byte, v uint64, width int) []byte {
-	start := len(buf)
-	for i := 0; i < width; i++ {
-		buf = append(buf, 0)
-	}
-	EncodeFixed(buf[start:], v)
-	return buf
 }
 
 // DecodeFixed reads a fixed-width base-64 value.
@@ -87,10 +78,10 @@ func ValidateValue(v string) error {
 }
 
 // PropertySchema is the NodeFile's first data structure (§3.3): the
-// global PropertyID → (order, delimiter) map, plus the global width of
-// the per-value length fields. One schema instance is shared by every
-// shard so that delimiters and orders agree system-wide; nodes and edges
-// each get their own schema.
+// global PropertyID → (order, delimiter) map, plus the global width
+// Figure 1 gives the per-value length fields. One schema instance is
+// shared by every shard so that delimiters and orders agree system-wide;
+// nodes and edges each get their own schema.
 type PropertySchema struct {
 	// IDs in lexicographic order; Order(id) is the index here.
 	ids []string
@@ -99,7 +90,7 @@ type PropertySchema struct {
 	// delims[i] is the delimiter for ids[i] (1 or 2 bytes).
 	delims [][]byte
 	// LenWidth is the global fixed width of each property-value length
-	// field, in base-64 digits.
+	// field (Figure 1), in base-64 digits.
 	LenWidth int
 	// maxValueLen is what the schema was constructed with (kept so the
 	// schema can be serialized and rebuilt identically).
@@ -181,14 +172,17 @@ func (s *PropertySchema) NextDelimiter(order int) []byte {
 	if order+1 < len(s.ids) {
 		return s.delims[order+1]
 	}
-	return []byte{EndOfRecord}
+	return endOfRecord
 }
 
-// SerializeProps encodes a property map into the record layout of
-// Figure 1: LenWidth-digit lengths for every schema property (0 when
-// absent), then delimiter-prefixed values in schema order, then
-// EndOfRecord. Returns an error on unknown property IDs or invalid
-// values.
+var endOfRecord = []byte{EndOfRecord}
+
+// SerializeProps encodes a property list: the delimiter-prefixed
+// values of every schema property in schema order (an absent one is its
+// delimiter alone), then EndOfRecord — an EdgeFile property list, and a
+// NodeFile record behind its length header (AppendRecord). Returns an
+// error on unknown property IDs, invalid values, or a value too long
+// for the LenWidth digits Figure 1 gives its length.
 func (s *PropertySchema) SerializeProps(buf []byte, props map[string]string) ([]byte, error) {
 	for id, v := range props {
 		if s.Order(id) < 0 {
@@ -205,9 +199,6 @@ func (s *PropertySchema) SerializeProps(buf []byte, props map[string]string) ([]
 			return nil, fmt.Errorf("layout: property %q value length %d exceeds schema max %d", id, len(v), maxLen-1)
 		}
 	}
-	for _, id := range s.ids {
-		buf = AppendFixed(buf, uint64(len(props[id])), s.LenWidth)
-	}
 	for i, id := range s.ids {
 		buf = append(buf, s.delims[i]...)
 		buf = append(buf, props[id]...)
@@ -216,21 +207,40 @@ func (s *PropertySchema) SerializeProps(buf []byte, props map[string]string) ([]
 	return buf, nil
 }
 
-// PropsEncodedSize returns the serialized size of props under this
-// schema without serializing.
+// AppendRecord encodes a NodeFile record in Figure 1's layout: a
+// LenWidth-digit length for every schema property (0 when absent), then
+// the property list.
+func (s *PropertySchema) AppendRecord(buf []byte, props map[string]string) ([]byte, error) {
+	at := len(buf)
+	buf, err := s.SerializeProps(append(buf, make([]byte, s.Figure1Header())...), props)
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range s.ids {
+		EncodeFixed(buf[at+i*s.LenWidth:at+(i+1)*s.LenWidth], uint64(len(props[id])))
+	}
+	return buf, nil
+}
+
+// PropsEncodedSize returns the serialized size of a property list under
+// this schema without serializing.
 func (s *PropertySchema) PropsEncodedSize(props map[string]string) int {
-	size := len(s.ids)*s.LenWidth + 1 // lengths + EndOfRecord
+	size := 1 // EndOfRecord
 	for i := range s.ids {
 		size += len(s.delims[i]) + len(props[s.ids[i]])
 	}
 	return size
 }
 
+// Figure1Header returns the size of Figure 1's length header: a NodeFile
+// record's, which the raw-size accounting also counts for edge lists.
+func (s *PropertySchema) Figure1Header() int { return len(s.ids) * s.LenWidth }
+
 // valueLocation returns, for the property with the given order, the
-// byte offset of its value relative to the start of the record and the
-// value length, given the record's length header.
+// byte offset of its value relative to the start of a NodeFile record
+// and the value length, given the record's length header.
 func (s *PropertySchema) valueLocation(lengths []int, order int) (off, n int) {
-	off = len(s.ids) * s.LenWidth
+	off = s.Figure1Header()
 	for i := 0; i < order; i++ {
 		off += len(s.delims[i]) + lengths[i]
 	}
@@ -238,47 +248,37 @@ func (s *PropertySchema) valueLocation(lengths []int, order int) (off, n int) {
 	return off, lengths[order]
 }
 
-// decodeLengths parses the length header of a serialized record.
-func (s *PropertySchema) decodeLengths(hdr []byte) []int {
-	lengths := make([]int, len(s.ids))
-	s.decodeLengthsInto(lengths, hdr)
-	return lengths
-}
-
-// decodeLengthsInto parses the length header into dst, which must hold
-// NumProperties entries (the allocation-free form of decodeLengths).
+// decodeLengthsInto parses a NodeFile record's length header into dst,
+// which must hold NumProperties entries.
 func (s *PropertySchema) decodeLengthsInto(dst []int, hdr []byte) {
 	for i := range dst {
 		dst[i] = int(DecodeFixed(hdr[i*s.LenWidth : (i+1)*s.LenWidth]))
 	}
 }
 
-// headerSize returns the size of the length header in bytes.
-func (s *PropertySchema) headerSize() int { return len(s.ids) * s.LenWidth }
-
-// ParseProps decodes a record serialized by SerializeProps starting at
-// rec[0], returning the property map (absent properties omitted) and the
-// total encoded length.
+// ParseProps decodes a property list serialized by SerializeProps
+// starting at rec[0], returning the property map (absent properties
+// omitted) and the list's length. The list has no length header: values
+// are printable and delimiters are not, so each value ends at the first
+// byte of the delimiter after it.
 func (s *PropertySchema) ParseProps(rec []byte) (map[string]string, int, error) {
-	hs := s.headerSize()
-	if len(rec) < hs {
-		return nil, 0, fmt.Errorf("layout: record shorter than length header")
-	}
-	lengths := s.decodeLengths(rec[:hs])
 	props := make(map[string]string)
-	pos := hs
-	for i, id := range s.ids {
-		d := s.delims[i]
-		if len(rec) < pos+len(d)+lengths[i] {
-			return nil, 0, fmt.Errorf("layout: truncated property %q", id)
+	pos := 0
+	for i, d := range s.delims {
+		if !bytes.HasPrefix(rec[pos:], d) {
+			return nil, 0, fmt.Errorf("layout: no delimiter for property %q at %d", s.ids[i], pos)
 		}
 		pos += len(d)
-		if lengths[i] > 0 {
-			props[id] = string(rec[pos : pos+lengths[i]])
-			pos += lengths[i]
+		n := bytes.IndexByte(rec[pos:], s.NextDelimiter(i)[0])
+		if n < 0 {
+			return nil, 0, fmt.Errorf("layout: property %q runs past the list", s.ids[i])
 		}
+		if n > 0 {
+			props[s.ids[i]] = string(rec[pos : pos+n])
+		}
+		pos += n
 	}
-	if len(rec) <= pos || rec[pos] != EndOfRecord {
+	if pos == len(rec) || rec[pos] != EndOfRecord {
 		return nil, 0, fmt.Errorf("layout: missing end-of-record delimiter")
 	}
 	return props, pos + 1, nil

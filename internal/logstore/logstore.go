@@ -47,8 +47,9 @@ func recordRead(hit bool) {
 }
 
 // QueryOptimizedOverhead approximates the space blow-up of the pointer-
-// rich in-memory representation relative to the serialized layout. It is
-// charged to the medium so footprint comparisons stay honest.
+// rich in-memory representation relative to the serialized layout
+// (Figure 1's, length header included). It is charged to the medium so
+// footprint comparisons stay honest.
 const QueryOptimizedOverhead = 2
 
 type edgeKey struct {
@@ -127,7 +128,7 @@ func PrepareNodePut(schema *layout.PropertySchema, id layout.NodeID, props map[s
 	for k, v := range props {
 		cp[k] = v
 	}
-	grow := int64(schema.PropsEncodedSize(props)) * QueryOptimizedOverhead
+	grow := int64(schema.Figure1Header()+schema.PropsEncodedSize(props)) * QueryOptimizedOverhead
 	return Put{IsNode: true, NodeID: id, NodeProps: cp, grow: grow}, nil
 }
 
@@ -141,7 +142,7 @@ func PrepareEdgePut(schema *layout.PropertySchema, e layout.Edge) (Put, error) {
 	if err != nil {
 		return Put{}, err
 	}
-	grow := int64(len(blob)+24) * QueryOptimizedOverhead
+	grow := int64(schema.Figure1Header()+len(blob)+24) * QueryOptimizedOverhead
 	return Put{Edge: e, grow: grow}, nil
 }
 
