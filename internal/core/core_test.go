@@ -10,6 +10,7 @@ import (
 
 	"zipg/internal/layout"
 	"zipg/internal/memsim"
+	"zipg/internal/succinct"
 )
 
 func buildTestShard(t testing.TB) (*Shard, []layout.Node, []layout.Edge) {
@@ -194,9 +195,9 @@ func tagged(w shardWire) taggedShardWire {
 // TestOldShardRefusedByVersion: a shard from an earlier build — ZSUC1
 // stores and no offset columns at all, ZSUC4 stores and codec-tagged
 // columns, or ZSUC5 stores with one Ψ vector per bucket — is refused by
-// the version of its stores, which UnmarshalShard checks first: the
-// error names the format found, not a missing column or a vector that
-// failed to decode.
+// the version of its stores, which UnmarshalShard checks before any
+// column: the error names the format found, not a missing column or a
+// vector that failed to decode.
 func TestOldShardRefusedByVersion(t *testing.T) {
 	for _, magic := range []string{"ZSUC1", "ZSUC4", "ZSUC5"} {
 		w := currentWire(t)
@@ -223,7 +224,8 @@ func TestOldShardRefusedByVersion(t *testing.T) {
 // not reported as a column that failed to decode; so is an EdgeFile
 // record format other than the one this build reads, and one whose
 // property lists still carry length digits is named "length-header
-// text".
+// text", and one whose text keeps its record keys and whose store is
+// on the α grid "keyed text, α-grid samples".
 func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 	for name, doctor := range map[string]func(w shardWire) any{
 		"node offsets":   func(w shardWire) any { w.NodeOffsets = nil; return w },
@@ -234,12 +236,66 @@ func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 			t.Errorf("without %s: err = %v, want unsupported shard format", name, err)
 		}
 	}
-	for format, name := range map[int]string{0: "Figure 2 text", 1: "hot-header text", 2: "length-header text", 7: "unknown"} {
+	for format, name := range map[int]string{0: "Figure 2 text", 1: "hot-header text", 2: "length-header text", 3: "keyed text, α-grid samples", 7: "unknown"} {
 		w := currentWire(t)
 		w.EdgeFormat = format
 		want := fmt.Sprintf("unsupported edge record format %d (%s;", format, name)
 		if _, err := UnmarshalShard(encodeWire(t, w), nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("edge format %d: err = %v, want one containing %q", format, err, want)
+		}
+	}
+}
+
+// mislaidStores are wire forms of a shard whose stores are each sound
+// but sampled where the shard's reads do not start: the EdgeFile's on
+// the α grid, at a byte other than its lists' first, with no anchor or
+// one fewer than its edges, and the NodeFile's at anchors.
+func mislaidStores(t testing.TB, w shardWire, edges []layout.Edge, nodes []layout.Node) map[string]shardWire {
+	t.Helper()
+	es, err := w.EdgeSchema.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := w.NodeSchema.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _, err := layout.BuildEdgeFile(edges, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeText, _, _, err := layout.BuildNodeFile(nodes, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := es.ListAnchor()
+	fewer := bytes.Clone(text)
+	fewer[bytes.LastIndexByte(fewer, anchor)] = 'x'
+	out := map[string]shardWire{}
+	for name, store := range map[string]*succinct.Store{
+		"edge store on the α grid":     succinct.Build(text, Options{SamplingRate: 4}),
+		"edge store at the end marker": succinct.BuildAnchored(text, layout.EndOfRecord, nil),
+		"edge store without anchors":   succinct.BuildAnchored(bytes.Repeat([]byte("x"), len(text)), anchor, nil),
+		"edge store one anchor short":  succinct.BuildAnchored(fewer, anchor, nil),
+	} {
+		d := w
+		d.EdgeStore = store.MarshalBinary()
+		out[name] = d
+	}
+	d := w
+	d.NodeStore = succinct.BuildAnchored(nodeText, nodeText[0], nil).MarshalBinary()
+	out["node store sampled at anchors"] = d
+	return out
+}
+
+// TestMislaidSamplesRefused: a shard whose stores are sampled where its
+// reads do not start is refused at load, naming the fault.
+func TestMislaidSamplesRefused(t *testing.T) {
+	_, nodes, edges := buildTestShard(t)
+	for name, w := range mislaidStores(t, currentWire(t), edges, nodes) {
+		_, err := UnmarshalShard(encodeWire(t, w), nil)
+		if err == nil || !strings.Contains(err.Error(), "sampled at") && !strings.Contains(err.Error(), "anchors") {
+			t.Errorf("%s: err = %v, want one naming the sampling", name, err)
 		}
 	}
 }
@@ -256,7 +312,8 @@ func FuzzUnmarshalShard(f *testing.F) {
 		{Src: 1, Dst: 3, Timestamp: 9},
 		{Src: 2, Dst: 1, Type: 1, Timestamp: 6, Props: map[string]string{"w": "8"}},
 	}
-	sh, err := Build([]layout.Node{{ID: 1, Props: map[string]string{"n": "a"}}}, edges, ns, es, Options{SamplingRate: 4})
+	nodes := []layout.Node{{ID: 1, Props: map[string]string{"n": "a"}}}
+	sh, err := Build(nodes, edges, ns, es, Options{SamplingRate: 4})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -269,10 +326,13 @@ func FuzzUnmarshalShard(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	for _, col := range [][]byte{w.EdgeStarts, w.EdgeProps, w.EdgeTs, w.EdgeDsts} {
+	for _, col := range [][]byte{w.EdgeStarts, w.EdgeProps, w.EdgeTs, w.EdgeDsts, w.EdgeStore} {
 		col[len(col)-1] ^= 0x5a
 		f.Add(encodeWire(f, w))
 		col[len(col)-1] ^= 0x5a
+	}
+	for _, d := range mislaidStores(f, w, edges, nodes) {
+		f.Add(encodeWire(f, d))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sh, err := UnmarshalShard(data, nil)

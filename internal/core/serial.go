@@ -40,13 +40,15 @@ type shardWire struct {
 }
 
 // edgeFormatColumns is the wire value of the one EdgeFile layout this
-// build reads: every number in a column beside a text of record keys
-// and header-free property lists. The formats before it kept numbers in
-// the text, as edgeFormats names: all of them (0), a hot-field header
-// (1), or each property list's length header (2).
-const edgeFormatColumns = 3
+// build reads: every number and key in a column beside a text of
+// header-free property lists, whose store is sampled at the lists'
+// starts. The formats before it kept numbers in the text, as
+// edgeFormats names: all of them (0), a hot-field header (1), or each
+// property list's length header (2); or kept the record keys in it and
+// its store on the α grid (3).
+const edgeFormatColumns = 4
 
-var edgeFormats = []string{"Figure 2 text", "hot-header text", "length-header text", "header-free text"}
+var edgeFormats = []string{"Figure 2 text", "hot-header text", "length-header text", "keyed text, α-grid samples", "list-anchored text"}
 
 // MarshalBinary serializes the shard.
 func (s *Shard) MarshalBinary() ([]byte, error) {
@@ -92,13 +94,8 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: edge schema: %w", err)
 	}
-	s := &Shard{rawNodeBytes: w.RawNodeBytes, rawEdgeBytes: w.RawEdgeBytes}
-	if s.nodeStore, err = succinct.UnmarshalStore(w.NodeStore, med); err != nil {
-		return nil, fmt.Errorf("core: node store: %w", err)
-	}
-	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
-		return nil, fmt.Errorf("core: edge store: %w", err)
-	}
+	// The layout is checked first, so that an archive of an older one is
+	// refused by the name of its layout, not by its stores' magic.
 	if w.EdgeFormat != edgeFormatColumns {
 		name := "unknown"
 		if w.EdgeFormat >= 0 && w.EdgeFormat < len(edgeFormats) {
@@ -106,6 +103,19 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 		}
 		return nil, fmt.Errorf("core: unsupported edge record format %d (%s; this build reads %d, %s)",
 			w.EdgeFormat, name, edgeFormatColumns, edgeFormats[edgeFormatColumns])
+	}
+	s := &Shard{rawNodeBytes: w.RawNodeBytes, rawEdgeBytes: w.RawEdgeBytes}
+	if s.nodeStore, err = succinct.UnmarshalStore(w.NodeStore, med); err != nil {
+		return nil, fmt.Errorf("core: node store: %w", err)
+	}
+	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
+		return nil, fmt.Errorf("core: edge store: %w", err)
+	}
+	if _, anchored := s.nodeStore.AnchorByte(); anchored {
+		return nil, fmt.Errorf("core: node store is sampled at anchors, not on the α grid")
+	}
+	if a, anchored := s.edgeStore.AnchorByte(); !anchored || a != edgeSchema.ListAnchor() {
+		return nil, fmt.Errorf("core: edge store is not sampled at the property lists' first byte 0x%02x", edgeSchema.ListAnchor())
 	}
 	if len(w.NodeOffsets) == 0 || len(w.EdgeStarts) == 0 {
 		return nil, fmt.Errorf("core: unsupported shard format: no offset columns (written with codec-tagged ones or before them, or cut short)")
@@ -123,6 +133,9 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	}
 	if err := cols.Check(s.edgeStore.InputLen()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if a, edges := s.edgeStore.Anchors(), cols.Dsts.Len(); a != edges {
+		return nil, fmt.Errorf("core: edge store has %d property-list anchors for %d edges", a, edges)
 	}
 	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, w.NodeIDs, nodeOffs, med)
 	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema, cols, med)

@@ -13,9 +13,10 @@ import (
 	"zipg/internal/succinct"
 )
 
-// Options configures shard construction: both of the shard's succinct
-// stores are built with it, and its Medium also holds the NodeFile's
-// offset index and the EdgeFile's columns.
+// Options configures shard construction: the NodeFile's succinct store
+// is built at its SamplingRate (the EdgeFile's is sampled at its
+// property lists' starts, which no α moves), and its Medium holds both
+// stores, the NodeFile's offset index and the EdgeFile's columns.
 type Options = succinct.Options
 
 // Shard is one immutable graph partition in ZipG layout over compressed
@@ -48,7 +49,7 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 		if i == 0 {
 			return succinct.Build(nodeFlat, opts)
 		}
-		return succinct.Build(edgeFlat, opts)
+		return succinct.BuildAnchored(edgeFlat, edgeSchema.ListAnchor(), opts.Medium)
 	})
 	s := &Shard{
 		nodeStore:    stores[0],
@@ -81,7 +82,7 @@ func (s *Shard) CompressedSize() int {
 // in Figure 2's all-text layout.
 func (s *Shard) RawSize() int { return s.rawNodeBytes + s.rawEdgeBytes }
 
-// SamplingRate returns the α the shard's succinct stores were built with.
+// SamplingRate returns the α the shard's NodeFile store was built with.
 func (s *Shard) SamplingRate() int { return s.nodeStore.SamplingRate() }
 
 // CodecReport describes every encoded region of the shard: the two

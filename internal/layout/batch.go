@@ -42,8 +42,7 @@ func (v *EdgeFileView) ReadRecords(lo, hi int) ([]EdgeRecordRef, [][]EdgeData, e
 }
 
 // readEdges fills out with the data of the edges from g on, whose
-// property lists (and the keys of the records they cross into) end at
-// text offset stop.
+// property lists end at text offset stop.
 func (v *EdgeFileView) readEdges(out []EdgeData, g, stop int) error {
 	v.charge(colTs, g, v.cols.Ts.Len())
 	v.charge(colDsts, g, v.cols.Dsts.Len())
@@ -72,7 +71,14 @@ func (v *EdgeFileView) readEdges(out []EdgeData, g, stop int) error {
 		}
 		return nil
 	}
-	sc.buf = extractAppend(v.src, sc.buf[:0], start, stop-start)
+	if s, ok := anchoredStore(v.src); ok {
+		// The read starts on list g's anchor and steps each later list
+		// as a chain of its own.
+		w := s.WalkAnchor(g, start, ends[:len(out)-1])
+		sc.buf = w.Append(sc.buf[:0], stop-start)
+	} else {
+		sc.buf = extractAppend(v.src, sc.buf[:0], start, stop-start)
+	}
 	if len(sc.buf) < stop-start {
 		return fmt.Errorf("layout: short read at offset %d: %d of %d bytes", start, len(sc.buf), stop-start)
 	}

@@ -16,7 +16,9 @@ import (
 // must return byte-identical results to a scalar loop over the same
 // requests, on raw and compressed sources, at several sampling rates.
 
-// edgeViewsAlpha builds raw and compressed views of edges.
+// edgeViewsAlpha builds raw and compressed views of edges: the
+// compressed one over a store sampled at the lists' starts, as a shard
+// builds it, for alpha 0, and on the α grid otherwise.
 func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha int) (raw, comp *EdgeFileView) {
 	t.Helper()
 	flat, cols, err := BuildEdgeFile(edges, schema)
@@ -24,8 +26,17 @@ func edgeViewsAlpha(t testing.TB, edges []Edge, schema *PropertySchema, alpha in
 		t.Fatal(err)
 	}
 	raw = NewEdgeFileView(NewRawSource(flat), schema, cols, nil)
-	comp = NewEdgeFileView(succinct.Build(flat, succinct.Options{SamplingRate: alpha}), schema, cols, nil)
+	comp = NewEdgeFileView(edgeStore(flat, schema, alpha), schema, cols, nil)
 	return raw, comp
+}
+
+// edgeStore compresses an EdgeFile's text: at its lists' starts for
+// alpha 0, on the α grid otherwise.
+func edgeStore(flat []byte, schema *PropertySchema, alpha int) *succinct.Store {
+	if alpha == 0 {
+		return succinct.BuildAnchored(flat, schema.ListAnchor(), nil)
+	}
+	return succinct.Build(flat, succinct.Options{SamplingRate: alpha})
 }
 
 // TestReadRecordsAgainstScalar: ReadRecords(lo, hi) is each record's
@@ -39,7 +50,7 @@ func TestReadRecordsAgainstScalar(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
-	for _, alpha := range []int{4, 8, 32} {
+	for _, alpha := range []int{0, 4, 32} {
 		raw, comp := edgeViewsAlpha(t, edges, schema, alpha)
 		n := raw.NumRecords()
 		for _, v := range []*EdgeFileView{raw, comp} {
@@ -72,7 +83,8 @@ func TestReadRecordsAgainstScalar(t *testing.T) {
 
 // TestGetEdgeDataRangeAgainstLoop: GetEdgeDataRange(ref, b, e) is the
 // GetEdgeData(ref, i) loop over [b, e) — over raw and compressed sources,
-// α ∈ {4, 8, 32} — and an interval out of range is an error.
+// sampled at the lists' starts and at α ∈ {4, 32} — and an interval out
+// of range is an error.
 func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 	edges, schema := buildEdges(400)
 	for i := range edges {
@@ -85,7 +97,7 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	sawBare := false
-	for _, alpha := range []int{4, 8, 32} {
+	for _, alpha := range []int{0, 4, 32} {
 		raw, comp := edgeViewsAlpha(t, edges, schema, alpha)
 		for r := 0; r < raw.NumRecords(); r++ {
 			// The reference: one edge at a time off the raw bytes.
@@ -120,7 +132,7 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 		t.Error("no record without properties was read")
 	}
 	// Intervals: empty and inverted are nil, out of range is an error.
-	_, comp := edgeViewsAlpha(t, edges, schema, 8)
+	_, comp := edgeViewsAlpha(t, edges, schema, 0)
 	ref := comp.record(0)
 	n := ref.Count
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -199,9 +211,6 @@ func TestEdgeRangeReadsItsLists(t *testing.T) {
 			t.Fatalf("[%d,%d): %v, %v", r[0], r[1], got, err)
 		}
 		from, to := int(cols.Props.Get(r[0])), int(cols.Props.Get(r[1]))
-		if r[1] == n {
-			to -= len(RecordKey(5, 0))
-		}
 		for off, hits := range src.hits {
 			if want := off >= from && off < to; (hits == 1) != want || hits > 1 {
 				t.Fatalf("[%d,%d): byte %d read %d times (the lists are [%d,%d))", r[0], r[1], off, hits, from, to)
@@ -214,10 +223,10 @@ func TestEdgeRangeReadsItsLists(t *testing.T) {
 }
 
 // TestEdgeColumnsRawAgainstCompressed holds a view over the compressed
-// text to one over the raw text and both to the input: every record
-// (and its key where Search finds it), every TimeOrder interval,
-// TimeRange at every timestamp boundary, and FindEdges on every
-// property value.
+// text to one over the raw text and both to the input: every record,
+// every TimeOrder interval, TimeRange at every timestamp boundary, and
+// FindEdges on every property value — over the store sampled at the
+// lists' starts and, for FindEdges, on the α grid at α ∈ {4, 8, 32}.
 func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
 	edges, schema := buildEdges(300)
 	for i := range edges {
@@ -227,7 +236,7 @@ func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
 		}
 	}
 	groups := groupEdges(edges)
-	raw, comp := edgeViewsAlpha(t, edges, schema, 8)
+	raw, comp := edgeViewsAlpha(t, edges, schema, 0)
 	if raw.NumRecords() != len(groups) {
 		t.Fatalf("%d records, want %d", raw.NumRecords(), len(groups))
 	}
@@ -236,13 +245,6 @@ func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
 		want := groups[[2]int64{rref.Src, rref.Type}]
 		if rref != cref || rref.Count != len(want) {
 			t.Fatalf("record %d: raw %+v, compressed %+v, want %d edges", r, rref, cref, len(want))
-		}
-		key := RecordKey(rref.Src, rref.Type)
-		keyAt := int64(raw.Columns().Props.Get(rref.first)) - int64(len(key))
-		for _, v := range []*EdgeFileView{raw, comp} {
-			if got := v.src.Search(key); len(got) != 1 || got[0] != keyAt {
-				t.Fatalf("record (%d,%d): Search(key) = %v, want [%d]", rref.Src, rref.Type, got, keyAt)
-			}
 		}
 		for beg := 0; beg <= len(want); beg++ {
 			for end := beg; end <= len(want); end++ {
@@ -274,13 +276,18 @@ func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
 			}
 		}
 	}
+	grids := []*EdgeFileView{comp}
+	for _, alpha := range []int{4, 8, 32} {
+		_, grid := edgeViewsAlpha(t, edges, schema, alpha)
+		grids = append(grids, grid)
+	}
 	for i, e := range edges {
 		for pid, val := range e.Props {
 			q := map[string]string{pid: val}
 			if i%3 == 0 {
 				q = e.Props
 			}
-			got, other := raw.FindEdges(q), comp.FindEdges(q)
+			got := raw.FindEdges(q)
 			var want []EdgeMatch
 			for k, g := range groups {
 				for order, x := range g {
@@ -290,8 +297,13 @@ func TestEdgeColumnsRawAgainstCompressed(t *testing.T) {
 				}
 			}
 			sortMatches(want)
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(other, want) {
-				t.Fatalf("FindEdges(%v): raw %v, compressed %v, want %v", q, got, other, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("FindEdges(%v): raw %v, want %v", q, got, want)
+			}
+			for k, v := range grids {
+				if other := v.FindEdges(q); !reflect.DeepEqual(other, want) {
+					t.Fatalf("FindEdges(%v): compressed (view %d) %v, want %v", q, k, other, want)
+				}
 			}
 		}
 	}
@@ -324,7 +336,7 @@ func sortMatches(ms []EdgeMatch) {
 // byte.
 func TestColumnReadsTakeNoPsiSteps(t *testing.T) {
 	edges, schema := buildEdges(400)
-	_, comp := edgeViewsAlpha(t, edges, schema, 32)
+	_, comp := edgeViewsAlpha(t, edges, schema, 0)
 	steps := psiSteps(func() {
 		for k := range groupEdges(edges) {
 			ref, ok := comp.GetEdgeRecord(k[0], k[1])
@@ -360,7 +372,8 @@ func TestEdgeRecordCutShort(t *testing.T) {
 	for _, cut := range []int{1, first, (first + len(flat)) / 2, len(flat) - 1} {
 		sources := map[string]ByteSource{
 			"raw":        NewRawSource(flat[:cut]),
-			"compressed": succinct.Build(flat[:cut], succinct.Options{SamplingRate: 8}),
+			"compressed": edgeStore(flat[:cut], schema, 0),
+			"α=8":        edgeStore(flat[:cut], schema, 8),
 		}
 		for kind, src := range sources {
 			v := NewEdgeFileView(src, schema, cols, nil)

@@ -20,13 +20,19 @@ type Edge struct {
 	Props     map[string]string
 }
 
-// An EdgeFile is Figure 2 with the numbers taken out of the text. The
-// text keeps what Search looks for: per (src, etype) record, in (src,
-// etype) order, the $src#etype, key and then its edges' header-free
-// property lists in time order. Every number — the record's edge count,
-// each edge's timestamp and destination, where each property list
-// starts — is an entry of a per-file column (EdgeColumns), so reading
-// one is an array access instead of a Ψ step per digit.
+// An EdgeFile is Figure 2 with the numbers and the record keys taken out
+// of the text. The text keeps what Search looks for: per (src, etype)
+// record, in (src, etype) order, its edges' header-free property lists
+// in time order. Every number — the record's edge count, each edge's
+// timestamp and destination, where each property list starts — is an
+// entry of a per-file column (EdgeColumns), so reading one is an array
+// access instead of a Ψ step per digit, and a record is found by a
+// binary search of the key columns, not a search of the text.
+//
+// Each list begins with the schema's ListAnchor byte, and nothing else
+// in the text is that byte, so the compressed store samples its SA and
+// ISA there (succinct.BuildAnchored), where every read starts, and a
+// search hit walks forward to the list after it to learn its edge.
 //
 // figure2Fixed is what Figure 2 adds to each record beyond its key, its
 // TLength/DLength-wide fields and its property lists, as this layout
@@ -36,10 +42,10 @@ type Edge struct {
 // ratio keeps its denominator.
 const figure2Fixed = 1 + 6 + 3 + 1
 
-// RecordKey returns the search key that starts the EdgeRecord for
-// (src, etype): $src#etype, with $ and # being non-printable delimiters.
-// The trailing ',' makes the key prefix-free (etype 5 never matches
-// etype 52).
+// RecordKey returns Figure 2's key for the EdgeRecord of (src, etype):
+// $src#etype, with $ and # being non-printable delimiters and a
+// trailing ',' that makes the key prefix-free (etype 5 never matches
+// etype 52). The text does not hold it; RawBytes counts it.
 func RecordKey(src NodeID, etype EdgeType) []byte {
 	buf := make([]byte, 0, 24)
 	buf = append(buf, EdgeRecordStart)
@@ -69,7 +75,8 @@ type EdgeColumns struct {
 	// Dsts holds each edge's destination.
 	Dsts *bitutil.PackedVector
 	// RawBytes is the records' size in Figure 2's all-text layout: the
-	// text plus the numbers at their per-record fixed widths.
+	// text plus the keys and the numbers at their per-record fixed
+	// widths.
 	RawBytes int
 }
 
@@ -119,8 +126,8 @@ func ascending(mv *bitutil.MonotoneVector) (last uint64, ok bool) {
 
 // BuildEdgeFile serializes edges into the EdgeFile layout: one record per
 // (src, etype), its edges sorted by timestamp (ties in input order), in
-// (src, etype) order; the text holds the keys and property lists, the
-// columns the numbers.
+// (src, etype) order; the text holds the property lists, the columns the
+// keys and the numbers.
 func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, *EdgeColumns, error) {
 	type key struct {
 		src   NodeID
@@ -164,13 +171,12 @@ func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, *EdgeColumns, 
 	}
 	starts := make([]int64, 0, len(keys)+1)
 	props := make([]int64, 0, len(edges)+1)
-	flat := make([]byte, 0, keyBytes+propBytes)
+	flat := make([]byte, 0, propBytes)
 	for r, k := range keys {
 		group := groups[k]
 		sort.SliceStable(group, func(i, j int) bool { return group[i].Timestamp < group[j].Timestamp })
 		c.Srcs[r], c.Types[r] = k.src, k.etype
 		starts = append(starts, int64(len(props)))
-		flat = append(flat, RecordKey(k.src, k.etype)...)
 		for _, e := range group {
 			c.Ts.Set(len(props), uint64(e.Timestamp-tsMin))
 			c.Dsts.Set(len(props), uint64(e.Dst))
@@ -184,7 +190,7 @@ func BuildEdgeFile(edges []Edge, schema *PropertySchema) ([]byte, *EdgeColumns, 
 	}
 	c.Starts = bitutil.NewMonotoneVector(append(starts, int64(len(props))))
 	c.Props = bitutil.NewMonotoneVector(append(props, int64(len(flat))))
-	c.RawBytes += len(flat)
+	c.RawBytes += keyBytes + len(flat)
 	return flat, c, nil
 }
 
@@ -404,7 +410,7 @@ func (v *EdgeFileView) FindEdges(props map[string]string) []EdgeMatch {
 	}
 	var result map[EdgeMatch]int
 	needed := 0
-	edges, records := v.cols.Dsts.Len(), len(v.cols.Srcs)
+	records := len(v.cols.Srcs)
 	for pid, val := range props {
 		order := v.schema.Order(pid)
 		if order < 0 {
@@ -414,13 +420,12 @@ func (v *EdgeFileView) FindEdges(props map[string]string) []EdgeMatch {
 		pattern := append([]byte(nil), v.schema.Delimiter(order)...)
 		pattern = append(pattern, val...)
 		pattern = append(pattern, v.schema.NextDelimiter(order)...)
-		for _, off := range v.src.Search(pattern) {
-			g := v.cols.Props.SearchGE(0, edges, uint64(off)+1) - 1
+		for _, g := range v.searchLists(pattern) {
 			if g < 0 {
 				continue
 			}
 			r := v.cols.Starts.SearchGE(0, records, uint64(g)+1) - 1
-			v.charge(colProps, g, edges)
+			v.charge(colStarts, r, records)
 			m := EdgeMatch{Src: v.cols.Srcs[r], Type: v.cols.Types[r], TimeOrder: g - int(v.cols.Starts.Get(r))}
 			if result == nil {
 				result = make(map[EdgeMatch]int)
@@ -446,6 +451,21 @@ func (v *EdgeFileView) FindEdges(props map[string]string) []EdgeMatch {
 	return out
 }
 
+// searchLists returns, for every occurrence of pattern in the text, the
+// edge whose property list it lies in (-1 before the first): on an
+// anchored store, the list the hit's walk reaches; on any other source,
+// the last list to start at or before the hit's offset.
+func (v *EdgeFileView) searchLists(pattern []byte) []int {
+	if s, ok := anchoredStore(v.src); ok {
+		return s.SearchAnchored(pattern)
+	}
+	var out []int
+	for _, off := range v.src.Search(pattern) {
+		out = append(out, v.cols.Props.SearchGE(0, v.cols.Dsts.Len(), uint64(off)+1)-1)
+	}
+	return out
+}
+
 // EdgeMatch identifies one edge by its record and TimeOrder.
 type EdgeMatch struct {
 	Src       NodeID
@@ -454,11 +474,7 @@ type EdgeMatch struct {
 }
 
 // recordEnd returns the text offset just past record r: where the next
-// record's key starts, or the end of the text.
+// record's first list starts, or the end of the text.
 func (v *EdgeFileView) recordEnd(r int) int {
-	end := int(v.cols.Props.Get(int(v.cols.Starts.Get(r + 1))))
-	if r+1 < len(v.cols.Srcs) {
-		end -= recordKeyLen(v.cols.Srcs[r+1], v.cols.Types[r+1])
-	}
-	return end
+	return int(v.cols.Props.Get(int(v.cols.Starts.Get(r + 1))))
 }

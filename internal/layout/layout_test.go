@@ -377,7 +377,7 @@ func buildEdges(nEdges int) ([]Edge, *PropertySchema) {
 
 func edgeViews(t testing.TB, edges []Edge, schema *PropertySchema) (raw, comp *EdgeFileView) {
 	t.Helper()
-	return edgeViewsAlpha(t, edges, schema, 8)
+	return edgeViewsAlpha(t, edges, schema, 0)
 }
 
 // groupEdges replicates the builder's grouping for verification.
@@ -622,8 +622,8 @@ func TestRecordEnd(t *testing.T) {
 	v := NewEdgeFileView(NewRawSource(flat), schema, cols, nil)
 	r1, _ := v.GetEdgeRecord(1, 0)
 	r2, _ := v.GetEdgeRecord(2, 0)
-	if next := v.src.Search(RecordKey(2, 0)); len(next) != 1 || int64(v.recordEnd(r1.rec)) != next[0] {
-		t.Fatalf("recordEnd(r1)=%d, next record at %v", v.recordEnd(r1.rec), next)
+	if end := v.recordEnd(r1.rec); end != int(cols.Props.Get(2)) || flat[end] != schema.ListAnchor() {
+		t.Fatalf("recordEnd(r1)=%d, want the next record's first list at %d", end, cols.Props.Get(2))
 	}
 	if v.recordEnd(r2.rec) != len(flat) {
 		t.Fatalf("recordEnd(last)=%d, file len %d", v.recordEnd(r2.rec), len(flat))
@@ -645,7 +645,7 @@ func TestFindEdgesLayout(t *testing.T) {
 	if len(cols.Srcs) != 3 { // (1,0), (2,1), (5,0)
 		t.Fatalf("records = %v, %v", cols.Srcs, cols.Types)
 	}
-	for _, src := range []ByteSource{NewRawSource(flat), succinct.Build(flat, succinct.Options{SamplingRate: 4})} {
+	for _, src := range []ByteSource{NewRawSource(flat), edgeStore(flat, schema, 0), edgeStore(flat, schema, 4)} {
 		v := NewEdgeFileView(src, schema, cols, nil)
 		got := v.FindEdges(map[string]string{"note": "alpha"})
 		want := []EdgeMatch{{Src: 1, Type: 0, TimeOrder: 0}, {Src: 2, Type: 1, TimeOrder: 0}}

@@ -170,7 +170,7 @@ func TestEdgeListsSplitAtDelimiters(t *testing.T) {
 	}
 	edges[5].Props = nil
 	groups := groupEdges(edges)
-	raw, comp := edgeViewsAlpha(t, edges, schema, 16)
+	raw, comp := edgeViewsAlpha(t, edges, schema, 0)
 	for r := 0; r < raw.NumRecords(); r++ {
 		rref, cref := raw.record(r), comp.record(r)
 		want := groups[[2]int64{rref.Src, rref.Type}]
@@ -196,13 +196,13 @@ func TestEdgeListsSplitAtDelimiters(t *testing.T) {
 }
 
 // TestEdgeRangeTakesItsListsSteps: over a compressed EdgeFile a range
-// read is its anchor plus exactly its edges' property lists in Ψ steps:
-// no digit is left in the text to walk.
+// read is exactly its edges' property lists in Ψ steps: it starts on its
+// first list's anchor, so there is no walk to get there, and no digit is
+// left in the text to walk.
 func TestEdgeRangeTakesItsListsSteps(t *testing.T) {
-	const alpha = 32
 	edges, schema := buildEdges(400)
 	groups := groupEdges(edges)
-	_, comp := edgeViewsAlpha(t, edges, schema, alpha)
+	_, comp := edgeViewsAlpha(t, edges, schema, 0)
 	for r := 0; r < comp.NumRecords(); r++ {
 		ref := comp.record(r)
 		want := groups[[2]int64{ref.Src, ref.Type}]
@@ -214,15 +214,43 @@ func TestEdgeRangeTakesItsListsSteps(t *testing.T) {
 			if lists == 0 {
 				continue
 			}
-			from := int(comp.Columns().Props.Get(ref.first + iv[0]))
 			steps := psiSteps(func() {
 				if _, err := comp.GetEdgeDataRange(&ref, iv[0], iv[1]); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if int(steps) != from%alpha+lists {
-				t.Fatalf("record %d [%d,%d): %v Ψ steps, want %d + %d", r, iv[0], iv[1], steps, from%alpha, lists)
+			if int(steps) != lists {
+				t.Fatalf("record %d [%d,%d): %v Ψ steps, want its lists' %d", r, iv[0], iv[1], steps, lists)
 			}
 		}
+	}
+}
+
+// TestFindEdgesWalksAtMostItsLists: over a compressed EdgeFile each
+// FindEdges hit is placed by a walk to the next list's anchor, so a
+// one-property query takes at most its matches' property lists in Ψ
+// steps — and reads no offset.
+func TestFindEdgesWalksAtMostItsLists(t *testing.T) {
+	edges, schema := buildEdges(400)
+	groups := groupEdges(edges)
+	_, comp := edgeViewsAlpha(t, edges, schema, 0)
+	queries := 0
+	for _, e := range edges {
+		for pid, val := range e.Props {
+			q := map[string]string{pid: val}
+			var matches []EdgeMatch
+			steps := psiSteps(func() { matches = comp.FindEdges(q) })
+			bound := 0
+			for _, m := range matches {
+				bound += schema.PropsEncodedSize(groups[[2]int64{m.Src, m.Type}][m.TimeOrder].Props)
+			}
+			if len(matches) == 0 || int(steps) > bound {
+				t.Fatalf("FindEdges(%v): %d matches in %v Ψ steps, want at most their lists' %d", q, len(matches), steps, bound)
+			}
+			queries++
+		}
+	}
+	if queries == 0 {
+		t.Fatal("no edge has a property to find")
 	}
 }

@@ -19,8 +19,9 @@ const (
 	lastPropDelim  byte = 0x19
 	// twoByteLead introduces a two-byte property delimiter.
 	twoByteLead byte = 0x1A
-	// EdgeRecordStart and EdgeTypeSep frame EdgeRecord keys:
-	// $sourceID#edgeType, (paper Figure 2).
+	// EdgeRecordStart and EdgeTypeSep frame Figure 2's EdgeRecord keys,
+	// $sourceID#edgeType, — which RawBytes counts, though the EdgeFile's
+	// text no longer holds them.
 	EdgeRecordStart byte = 0x1B
 	EdgeTypeSep     byte = 0x1C
 )
@@ -176,6 +177,18 @@ func (s *PropertySchema) NextDelimiter(order int) []byte {
 }
 
 var endOfRecord = []byte{EndOfRecord}
+
+// ListAnchor returns the byte every serialized property list begins
+// with: the first property's delimiter, or EndOfRecord when the schema
+// has no property. Values are printable, so in an EdgeFile's text, a run
+// of property lists, no other byte is this one: its occurrences are the
+// lists' starts.
+func (s *PropertySchema) ListAnchor() byte {
+	if len(s.ids) == 0 {
+		return EndOfRecord
+	}
+	return s.delims[0][0]
+}
 
 // SerializeProps encodes a property list: the delimiter-prefixed
 // values of every schema property in schema order (an absent one is its

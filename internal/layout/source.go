@@ -54,6 +54,17 @@ func extractAppend(src ByteSource, dst []byte, off, n int) []byte {
 	return append(dst, src.Extract(off, n)...)
 }
 
+// anchoredStore returns src as a succinct store sampled at anchors, if
+// it is one: an EdgeFile's, which is read from its lists' starts.
+func anchoredStore(src ByteSource) (*succinct.Store, bool) {
+	s, ok := src.(*succinct.Store)
+	if !ok {
+		return nil, false
+	}
+	_, anchored := s.AnchorByte()
+	return s, anchored
+}
+
 // recWalk reads one record's bytes front to back over any ByteSource.
 // Over a succinct store it wraps a Walker, so parsing a record's header,
 // skipping to a field and reading the field is a single suffix-array walk

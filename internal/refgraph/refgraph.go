@@ -6,7 +6,9 @@
 package refgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,11 +23,13 @@ type edge struct {
 	props map[string]string
 }
 
-// Graph is the reference implementation.
+// Graph is the reference implementation. Each (src, etype) record's
+// edges are kept in (ts, seq) order as they are inserted, so a read
+// copies a record and sorts nothing.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[graphapi.NodeID]map[string]string
-	edges map[graphapi.NodeID][]edge
+	edges map[graphapi.NodeID]map[graphapi.EdgeType][]edge
 	seq   int
 }
 
@@ -36,7 +40,7 @@ var _ graphapi.Store = (*Graph)(nil)
 func New(nodes []graphapi.Node, edges []graphapi.Edge) *Graph {
 	g := &Graph{
 		nodes: make(map[graphapi.NodeID]map[string]string),
-		edges: make(map[graphapi.NodeID][]edge),
+		edges: make(map[graphapi.NodeID]map[graphapi.EdgeType][]edge),
 	}
 	for _, n := range nodes {
 		g.AppendNode(n.ID, n.Props)
@@ -87,7 +91,17 @@ func (g *Graph) AppendEdge(e graphapi.Edge) error {
 		}
 	}
 	g.seq++
-	g.edges[e.Src] = append(g.edges[e.Src], edge{e.Type, e.Dst, e.Timestamp, g.seq, cp})
+	recs := g.edges[e.Src]
+	if recs == nil {
+		recs = make(map[graphapi.EdgeType][]edge)
+		g.edges[e.Src] = recs
+	}
+	// Every edge already held has a smaller seq, so the new one goes
+	// after all edges with its timestamp or an earlier one.
+	es := recs[e.Type]
+	i := sort.Search(len(es), func(i int) bool { return es[i].ts > e.Timestamp })
+	es = slices.Insert(es, i, edge{e.Type, e.Dst, e.Timestamp, g.seq, cp})
+	recs[e.Type] = es
 	g.mu.Unlock()
 	return nil
 }
@@ -104,18 +118,12 @@ func (g *Graph) DeleteNode(id graphapi.NodeID) error {
 func (g *Graph) DeleteEdges(src graphapi.NodeID, etype graphapi.EdgeType, dst graphapi.NodeID) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	es := g.edges[src]
-	kept := es[:0]
-	removed := 0
-	for _, e := range es {
-		if e.etype == etype && e.dst == dst {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
+	es := g.edges[src][etype]
+	kept := slices.DeleteFunc(es, func(e edge) bool { return e.dst == dst })
+	if len(kept) < len(es) {
+		g.edges[src][etype] = kept
 	}
-	g.edges[src] = kept
-	return removed, nil
+	return len(es) - len(kept), nil
 }
 
 // GetNodeProperty implements graphapi.Store.
@@ -165,60 +173,79 @@ func (g *Graph) GetNodeIDs(props map[string]string) []graphapi.NodeID {
 	return out
 }
 
-// liveEdges returns src's edges of etype (<0 = all) sorted by (ts, seq),
-// only if src is live.
+// liveEdges returns a copy of src's edges of etype (<0 = all) sorted by
+// (ts, seq), only if src is live.
 func (g *Graph) liveEdges(src graphapi.NodeID, etype graphapi.EdgeType) ([]edge, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if _, ok := g.nodes[src]; !ok {
 		return nil, false
 	}
-	var out []edge
-	for _, e := range g.edges[src] {
-		if etype < 0 || e.etype == etype {
-			out = append(out, e)
-		}
+	if etype >= 0 {
+		return slices.Clone(g.edges[src][etype]), true
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ts != out[j].ts {
-			return out[i].ts < out[j].ts
+	var out []edge
+	for _, t := range g.types(src) {
+		out = append(out, g.edges[src][t]...)
+	}
+	slices.SortFunc(out, func(a, b edge) int {
+		if a.ts != b.ts {
+			return cmp.Compare(a.ts, b.ts)
 		}
-		return out[i].seq < out[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	return out, true
 }
 
+// types returns src's edge types with at least one edge, ascending.
+// The caller holds g.mu.
+func (g *Graph) types(src graphapi.NodeID) []graphapi.EdgeType {
+	var out []graphapi.EdgeType
+	for t, es := range g.edges[src] {
+		if len(es) > 0 {
+			out = append(out, t)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // GetNeighborIDs implements graphapi.Store.
 func (g *Graph) GetNeighborIDs(id graphapi.NodeID, etype graphapi.EdgeType, props map[string]string) []graphapi.NodeID {
-	es, ok := g.liveEdges(id, etype)
-	if !ok {
-		return nil
-	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	if _, ok := g.nodes[id]; !ok {
+		return nil
+	}
+	types := []graphapi.EdgeType{etype}
+	if etype < 0 {
+		types = g.types(id)
+	}
 	seen := make(map[graphapi.NodeID]bool)
 	var out []graphapi.NodeID
-	for _, e := range es {
-		if seen[e.dst] {
-			continue
-		}
-		seen[e.dst] = true
-		dp, ok := g.nodes[e.dst]
-		if !ok {
-			continue
-		}
-		match := true
-		for k, v := range props {
-			if dp[k] != v {
-				match = false
-				break
+	for _, t := range types {
+		for _, e := range g.edges[id][t] {
+			if seen[e.dst] {
+				continue
+			}
+			seen[e.dst] = true
+			dp, ok := g.nodes[e.dst]
+			if !ok {
+				continue
+			}
+			match := true
+			for k, v := range props {
+				if dp[k] != v {
+					match = false
+					break
+				}
+			}
+			if match {
+				out = append(out, e.dst)
 			}
 		}
-		if match {
-			out = append(out, e.dst)
-		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -260,22 +287,15 @@ func (g *Graph) GetEdgeRecord(id graphapi.NodeID, etype graphapi.EdgeType) (grap
 
 // GetEdgeRecords implements graphapi.Store.
 func (g *Graph) GetEdgeRecords(id graphapi.NodeID) []graphapi.EdgeRecord {
-	es, ok := g.liveEdges(id, -1)
-	if !ok {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if _, ok := g.nodes[id]; !ok {
 		return nil
 	}
-	byType := make(map[graphapi.EdgeType][]edge)
-	for _, e := range es {
-		byType[e.etype] = append(byType[e.etype], e)
-	}
-	types := make([]graphapi.EdgeType, 0, len(byType))
-	for t := range byType {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+	types := g.types(id)
 	out := make([]graphapi.EdgeRecord, 0, len(types))
 	for _, t := range types {
-		out = append(out, &record{byType[t]})
+		out = append(out, &record{slices.Clone(g.edges[id][t])})
 	}
 	return out
 }

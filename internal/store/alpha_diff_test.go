@@ -172,8 +172,8 @@ func TestCodecReportFieldNames(t *testing.T) {
 			}
 		}
 	}
-	if regions != 2*13 || psis != 2*2 {
-		t.Errorf("report has %d region lines, %d of them psi; want 26 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
+	if regions != 2*12 || psis != 2*2 {
+		t.Errorf("report has %d region lines, %d of them psi; want 24 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
 	}
 	for _, fc := range s.CodecReport() {
 		for _, rc := range fc.Regions {

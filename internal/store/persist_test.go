@@ -10,6 +10,7 @@ import (
 
 	"zipg/internal/bitutil"
 	"zipg/internal/layout"
+	"zipg/internal/succinct"
 )
 
 // mutatedStore builds a store with every kind of state to persist:
@@ -153,11 +154,11 @@ func TestLoadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(blob, []byte("ZSUC6\x00")) {
-		t.Fatal("saved store carries no ZSUC6 succinct store")
+	if !bytes.Contains(blob, []byte("ZSUC7\x00")) {
+		t.Fatal("saved store carries no ZSUC7 succinct store")
 	}
-	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00"} {
-		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC6\x00"), []byte(old))), nil)
+	for _, old := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00", "ZSUC6\x00"} {
+		_, err := Load(bytes.NewReader(bytes.ReplaceAll(blob, []byte("ZSUC7\x00"), []byte(old))), nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), old[:5]) {
 			t.Errorf("archive with %q stores: err = %v, want unsupported format version naming it", old, err)
 		}
@@ -215,6 +216,23 @@ func TestLoadRejectsInconsistentArchive(t *testing.T) {
 		})},
 		{"timestamps 65 bits wide", "timestamps", edgeColumn(t, func(c *edgeColumnsWire) {
 			c.EdgeTs[0] = 65
+		})},
+		// An EdgeFile store that is not sampled at its property lists.
+		{"edge store on the α grid", "property lists' first byte", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeStore = succinct.Build(edgeText(t, c, 'a'), succinct.Options{SamplingRate: 8}).MarshalBinary()
+		})},
+		{"edge store anchored at another byte", "property lists' first byte", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeStore = succinct.BuildAnchored(edgeText(t, c, 'a'), 'a', nil).MarshalBinary()
+		})},
+		{"anchor byte missing from the text", "anchors", edgeColumn(t, func(c *edgeColumnsWire) {
+			c.EdgeStore = succinct.BuildAnchored(edgeText(t, c, 'a'), layout.EndOfRecord+1, nil).MarshalBinary()
+		})},
+		{"one anchor fewer than the edges", "anchors", edgeColumn(t, func(c *edgeColumnsWire) {
+			text := edgeText(t, c, 'a')
+			for i := range text[:count(t, c)-1] {
+				text[i] = layout.EndOfRecord + 1
+			}
+			c.EdgeStore = succinct.BuildAnchored(text, layout.EndOfRecord+1, nil).MarshalBinary()
 		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,6 +306,25 @@ func edgeColumn(t *testing.T, mutate func(c *edgeColumnsWire)) func(w *storeWire
 		}
 		w.Primaries[0] = buf.Bytes()
 	}
+}
+
+// edgeText returns a text as long as the shard's EdgeFile text, filled
+// with fill: a stand-in the columns accept.
+func edgeText(t *testing.T, c *edgeColumnsWire, fill byte) []byte {
+	mv, _, err := bitutil.DecodeMonotoneVector(c.EdgeProps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Repeat([]byte{fill}, int(mv.Get(mv.Len()-1)))
+}
+
+// count returns how many edges the shard's columns hold.
+func count(t *testing.T, c *edgeColumnsWire) int {
+	pv, _, err := bitutil.DecodePackedVector(c.EdgeDsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pv.Len()
 }
 
 // remono re-encodes a serialized monotone vector after edit; the edit

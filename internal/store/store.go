@@ -36,8 +36,9 @@ type Config struct {
 	// NumShards is the number of initial hash partitions (the paper's
 	// default is one per core). 0 means 1.
 	NumShards int
-	// SamplingRate is Succinct's α for compressed shards: larger is
-	// smaller but slower (0 = succinct.DefaultSamplingRate, 32).
+	// SamplingRate is Succinct's α for compressed shards' NodeFiles:
+	// larger is smaller but slower (0 = succinct.DefaultSamplingRate,
+	// 32). An EdgeFile is sampled at its property lists' starts.
 	SamplingRate int
 	// Medium places the store on a simulated storage hierarchy, which
 	// the paper figures (internal/bench) use to model memory pressure

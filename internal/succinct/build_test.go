@@ -79,6 +79,8 @@ func TestBuildArchiveGolden(t *testing.T) {
 			sum := sha256.Sum256(succinct.Build(in.text, succinct.Options{SamplingRate: alpha}).MarshalBinary())
 			fmt.Fprintf(&got, "%s alpha=%d len=%d %x\n", in.name, alpha, len(in.text), sum)
 		}
+		sum := sha256.Sum256(succinct.BuildAnchored(in.text, 0x02, nil).MarshalBinary())
+		fmt.Fprintf(&got, "%s anchor=02 len=%d %x\n", in.name, len(in.text), sum)
 	}
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
@@ -112,20 +114,25 @@ const transientBudget = 9.0
 // with the queries it races, so its transient arrays are a cost of the
 // write path, not only of set-up.
 func TestBuildTransientBytes(t *testing.T) {
-	text := edgeFileText(t, 6<<20) // ≈ 4.9 MB of keys and property lists
+	text := edgeFileText(t, 6<<20) // ≈ 4 MB of property lists
 	if len(text) < 4<<20 {
 		t.Fatalf("generated EdgeFile is %d bytes, want at least 4 MiB", len(text))
 	}
 	text = text[:4<<20]
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	st := succinct.Build(text, succinct.Options{SamplingRate: 32})
-	runtime.ReadMemStats(&after)
-	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(text))
-	t.Logf("Build allocated %.2f bytes per input byte (%d-byte text, %d-byte store)", perByte, len(text), st.CompressedSize())
-	if perByte > transientBudget {
-		t.Errorf("Build allocated %.2f bytes per input byte, budget %.1f", perByte, transientBudget)
+	for name, build := range map[string]func() *succinct.Store{
+		"alpha=32":  func() *succinct.Store { return succinct.Build(text, succinct.Options{SamplingRate: 32}) },
+		"anchor=02": func() *succinct.Store { return succinct.BuildAnchored(text, 0x02, nil) },
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st := build()
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(text))
+		t.Logf("%s: Build allocated %.2f bytes per input byte (%d-byte text, %d-byte store)", name, perByte, len(text), st.CompressedSize())
+		if perByte > transientBudget {
+			t.Errorf("%s: Build allocated %.2f bytes per input byte, budget %.1f", name, perByte, transientBudget)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package succinct
 
-import "slices"
+import (
+	"slices"
+
+	"zipg/internal/telemetry"
+)
 
 // Extract returns up to length bytes of the original text starting at
 // offset off. If off+length runs past the end of the text the result is
@@ -67,15 +71,62 @@ func (s *Store) Count(pattern []byte) int {
 }
 
 // Search returns the text offsets of every occurrence of pattern, in
-// ascending order.
+// ascending order. An anchored store does not know its offsets:
+// SearchAnchored places its hits.
 func (s *Store) Search(pattern []byte) []int64 {
 	lo, hi := s.searchRange(pattern)
-	if lo >= hi {
+	if lo >= hi || s.alpha == 0 {
 		return nil
 	}
 	out := make([]int64, 0, hi-lo)
 	for row := lo; row < hi; row++ {
 		out = append(out, int64(s.LookupSA(row)))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SearchAnchored returns, for every occurrence of pattern in an anchored
+// store, the number of the last anchor at or before it (-1 if none is),
+// in ascending order. Each hit walks Ψ forward to the next anchor — the
+// first row whose character is the anchor, whose number its sample
+// holds — so it costs as many steps as it lies before that anchor.
+// Nothing on an α-sampled store.
+func (s *Store) SearchAnchored(pattern []byte) []int {
+	lo, hi := s.searchRange(pattern)
+	if lo >= hi || s.alpha > 0 {
+		return nil
+	}
+	out := make([]int, 0, hi-lo)
+	steps := 0
+	for hit := lo; hit < hi; hit++ {
+		d, row := 0, hit
+		j := s.Anchors() // the end of the text
+		for ; d < s.n; d++ {
+			c, next := s.stepRow(row)
+			if c == s.anchor {
+				j = int(s.listOf.Get(row - s.anchorBase))
+				if s.med != nil {
+					s.med.Access(s.regSA, int64(float64(row-s.anchorBase)*s.saBytesPerSample), 8)
+				}
+				break
+			}
+			if c == 0 {
+				break
+			}
+			if d%extractChargeStride == 0 {
+				s.chargePsiAt(row)
+			}
+			row = next
+		}
+		steps += d
+		if d > 0 {
+			j-- // the hit lies in the span before anchor j
+		}
+		out = append(out, j)
+	}
+	if telemetry.Enabled() {
+		mPsiSteps.Add(int64(steps))
 	}
 	slices.Sort(out)
 	return out

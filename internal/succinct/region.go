@@ -60,13 +60,17 @@ func monotoneRegion(name string, rows int, mv *bitutil.MonotoneVector) RegionCod
 // RegionCodecs reports the encoding and size of each region (Ψ, the
 // sampled rows, SA samples, ISA samples). With the bucket tables their
 // bytes are CompressedSize.
+// An anchored store has no sampled-row set: its samples are a bucket's
+// rows.
 func (s *Store) RegionCodecs() []RegionCodec {
-	return []RegionCodec{
-		monotoneRegion("psi", s.n, s.psi),
-		region("marks", "sparse", s.saMarks.Len(), s.saMarks.SizeBytes(), s.n),
-		region("sa", "packed", s.saSamples.Len(), s.saSamples.SizeBytes(), s.n),
-		region("isa", "packed", s.isaSamples.Len(), s.isaSamples.SizeBytes(), s.n),
+	out := []RegionCodec{monotoneRegion("psi", s.n, s.psi)}
+	if s.saMarks != nil {
+		out = append(out, region("marks", "sparse", s.saMarks.Len(), s.saMarks.SizeBytes(), s.n))
 	}
+	sa, isa := s.samples()
+	return append(out,
+		region("sa", "packed", sa.Len(), sa.SizeBytes(), s.n),
+		region("isa", "packed", isa.Len(), isa.SizeBytes(), s.n))
 }
 
 // OffsetsRegion builds the report entry for one monotone column held

@@ -14,9 +14,9 @@ import (
 // There is one version: ZSUC1 and ZSUC2 (Ψ buckets in the four-array
 // monotone vector form), ZSUC3 (a directory record per block, the
 // sampled rows as a bitmap), ZSUC4 (a codec tag byte ahead of each
-// sample array) and ZSUC5 (one Ψ vector per bucket) are refused by name,
-// like any other magic.
-const serialMagic = "ZSUC6\x00"
+// sample array), ZSUC5 (one Ψ vector per bucket) and ZSUC6 (every store
+// on the α grid) are refused by name, like any other magic.
+const serialMagic = "ZSUC7\x00"
 
 // MarshalBinary serializes the store into a flat byte slice. The format
 // is what cmd/zipg-load writes and what servers load at startup; it
@@ -26,6 +26,9 @@ func (s *Store) MarshalBinary() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.alpha))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.bucketChar)))
+	if s.alpha == 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.anchor))
+	}
 	for _, c := range s.bucketChar {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
 	}
@@ -33,10 +36,12 @@ func (s *Store) MarshalBinary() []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(st))
 	}
 	buf = s.psi.AppendBinary(buf)
-	buf = s.saMarks.AppendBinary(buf)
-	buf = s.saSamples.AppendBinary(buf)
-	buf = s.isaSamples.AppendBinary(buf)
-	return buf
+	if s.alpha > 0 {
+		buf = s.saMarks.AppendBinary(buf)
+	}
+	sa, isa := s.samples()
+	buf = sa.AppendBinary(buf)
+	return isa.AppendBinary(buf)
 }
 
 // UnmarshalStore reconstructs a Store serialized by MarshalBinary,
@@ -55,8 +60,19 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	s.alpha = int(binary.LittleEndian.Uint64(buf[pos+8:]))
 	nb := int(binary.LittleEndian.Uint64(buf[pos+16:]))
 	pos += 24
-	if s.n <= 0 || s.n > math.MaxInt32 || s.alpha <= 0 || s.alpha > math.MaxInt32 || nb <= 0 || nb > 257 {
+	if s.n <= 0 || s.n > math.MaxInt32 || s.alpha < 0 || s.alpha > math.MaxInt32 || nb <= 0 || nb > 257 {
 		return nil, fmt.Errorf("succinct: corrupt header (n=%d alpha=%d buckets=%d)", s.n, s.alpha, nb)
+	}
+	if s.alpha == 0 { // anchored: the anchor's shifted byte follows
+		if len(buf) < pos+8 {
+			return nil, fmt.Errorf("succinct: truncated header")
+		}
+		a := binary.LittleEndian.Uint64(buf[pos:])
+		if a == 0 || a > 256 {
+			return nil, fmt.Errorf("succinct: corrupt header (anchor %d)", a)
+		}
+		s.anchor = int32(a)
+		pos += 8
 	}
 	need := nb*4 + (nb+1)*4
 	if len(buf) < pos+need {
@@ -106,6 +122,13 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	}) {
 		return nil, fmt.Errorf("succinct: psi: a row of bucket %d holds another bucket or a row past %d", b, s.n)
 	}
+	if s.alpha == 0 {
+		if err := s.decodeAnchors(buf[pos:]); err != nil {
+			return nil, err
+		}
+		s.finish()
+		return s, nil
+	}
 	if s.saMarks, k, err = bitutil.DecodeSparseSet(buf[pos:]); err != nil {
 		return nil, fmt.Errorf("succinct: sampled rows: %w", err)
 	}
@@ -132,4 +155,43 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	}
 	s.finish()
 	return s, nil
+}
+
+// decodeAnchors reads an anchored store's two sample arrays from buf and
+// checks them against its buckets: one entry per row of the anchor's
+// bucket each (none when the text has no anchor), every anchor number
+// and bucket offset below that count, and each array the other's
+// inverse, so a walk started on an anchor's sample is on that anchor's
+// row, and a hit is given the number of the anchor it reached.
+func (s *Store) decodeAnchors(buf []byte) error {
+	count := 0
+	if b := s.bucketOfChar(s.anchor); b >= 0 {
+		s.anchorBase, count = int(s.bucketStart[b]), int(s.bucketStart[b+1]-s.bucketStart[b])
+	}
+	var err error
+	var k int
+	if s.listOf, k, err = bitutil.DecodePackedVector(buf); err != nil {
+		return fmt.Errorf("succinct: anchor numbers: %w", err)
+	}
+	if s.rowOf, _, err = bitutil.DecodePackedVector(buf[k:]); err != nil {
+		return fmt.Errorf("succinct: anchor rows: %w", err)
+	}
+	if s.listOf.Len() != count || s.rowOf.Len() != count {
+		return fmt.Errorf("succinct: %d anchor numbers and %d anchor rows for the %d rows of anchor byte 0x%02x",
+			s.listOf.Len(), s.rowOf.Len(), count, s.anchor-1)
+	}
+	for i := range count {
+		if j := s.listOf.Get(i); j >= uint64(count) {
+			return fmt.Errorf("succinct: anchor number %d, want below %d", j, count)
+		}
+		if r := s.rowOf.Get(i); r >= uint64(count) {
+			return fmt.Errorf("succinct: anchor row %d, want below the bucket's %d", r, count)
+		}
+	}
+	for i := range count {
+		if s.rowOf.Get(int(s.listOf.Get(i))) != uint64(i) {
+			return fmt.Errorf("succinct: anchor samples are not each other's inverse at row %d", i)
+		}
+	}
+	return nil
 }

@@ -64,13 +64,13 @@ func TestRegionsSumToCompressedSize(t *testing.T) {
 }
 
 // TestSerialOneVersion: a store marshals under the one magic, reloads
-// and answers identically; every other magic — the retired ZSUC1–ZSUC5
+// and answers identically; every other magic — the retired ZSUC1–ZSUC6
 // included — is refused with an error that names what was found.
 func TestSerialOneVersion(t *testing.T) {
 	text := bytes.Repeat([]byte("abracadabra$kalamazoo|"), 40)
 	built := Build(text, Options{SamplingRate: 8})
 	blob := built.MarshalBinary()
-	if !bytes.HasPrefix(blob, []byte("ZSUC6\x00")) {
+	if !bytes.HasPrefix(blob, []byte("ZSUC7\x00")) {
 		t.Fatalf("marshaled with magic %q", blob[:6])
 	}
 	got, err := UnmarshalStore(blob, nil)
@@ -87,7 +87,7 @@ func TestSerialOneVersion(t *testing.T) {
 		t.Fatalf("reloaded CompressedSize = %d, want %d", g, w)
 	}
 
-	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00", "ZSUC9\x00", "nope"} {
+	for _, magic := range []string{"ZSUC1\x00", "ZSUC2\x00", "ZSUC3\x00", "ZSUC4\x00", "ZSUC5\x00", "ZSUC6\x00", "ZSUC9\x00", "nope"} {
 		bad := append([]byte(magic), blob[6:]...)
 		_, err := UnmarshalStore(bad, nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version") ||
@@ -156,13 +156,28 @@ func corruptStores(t testing.TB) map[string][]byte {
 			rows = append(rows, row)
 		}
 	}
+	// The anchored store's faults, on spans that each begin with '|'.
+	anchored := BuildAnchored(bytes.Repeat([]byte("|abra|cadabra|kalamazoo"), 40), '|', nil)
+	withAnchors := func(change func(s *Store)) []byte {
+		s := *anchored
+		change(&s)
+		return s.MarshalBinary()
+	}
+	lists := anchored.listOf.Len()
 	return map[string][]byte{
-		"buckets_start_past_0": with(func(s *Store) { s.bucketStart[0] = 1 }),
-		"buckets_end_before_n": with(func(s *Store) { s.bucketStart[len(s.bucketStart)-1]-- }),
-		"buckets_decreasing":   with(func(s *Store) { s.bucketStart[2], s.bucketStart[3] = s.bucketStart[3], s.bucketStart[2] }),
-		"bucket_chars_repeat":  with(func(s *Store) { s.bucketChar[2] = s.bucketChar[1] }),
-		"bucket_char_past_256": with(func(s *Store) { s.bucketChar[len(s.bucketChar)-1] = 300 }),
-		"psi_too_short":        with(func(s *Store) { s.psi = psiWith(func(vals []uint64) []uint64 { return vals[1:] }) }),
+		"anchor_numbers_short":     withAnchors(func(s *Store) { s.listOf = bitutil.PackSlice(unpack(s.listOf)[1:]) }),
+		"anchor_rows_one_more":     withAnchors(func(s *Store) { s.rowOf = bitutil.PackSlice(append(unpack(s.rowOf), 0)) }),
+		"anchor_number_past_count": withAnchors(func(s *Store) { s.listOf = samples(s.listOf, 3, uint64(lists)) }),
+		"anchor_row_past_bucket":   withAnchors(func(s *Store) { s.rowOf = samples(s.rowOf, 3, uint64(lists)) }),
+		"anchor_rows_not_inverse":  withAnchors(func(s *Store) { s.rowOf = samples(s.rowOf, 3, s.rowOf.Get(4)) }),
+		"anchor_byte_missing":      withAnchors(func(s *Store) { s.anchor = 'Z' + 1 }),
+		"anchor_byte_past_255":     withAnchors(func(s *Store) { s.anchor = 300 }),
+		"buckets_start_past_0":     with(func(s *Store) { s.bucketStart[0] = 1 }),
+		"buckets_end_before_n":     with(func(s *Store) { s.bucketStart[len(s.bucketStart)-1]-- }),
+		"buckets_decreasing":       with(func(s *Store) { s.bucketStart[2], s.bucketStart[3] = s.bucketStart[3], s.bucketStart[2] }),
+		"bucket_chars_repeat":      with(func(s *Store) { s.bucketChar[2] = s.bucketChar[1] }),
+		"bucket_char_past_256":     with(func(s *Store) { s.bucketChar[len(s.bucketChar)-1] = 300 }),
+		"psi_too_short":            with(func(s *Store) { s.psi = psiWith(func(vals []uint64) []uint64 { return vals[1:] }) }),
 		"psi_value_past_n": with(func(s *Store) {
 			s.psi = psiWith(func(vals []uint64) []uint64 {
 				vals[n-1] = uint64(nb-1)<<s.psiShift | uint64(n)
@@ -215,6 +230,7 @@ func FuzzUnmarshalStore(f *testing.F) {
 		for _, alpha := range []int{2, 4, 32} {
 			f.Add(Build(text, Options{SamplingRate: alpha}).MarshalBinary())
 		}
+		f.Add(BuildAnchored(text, text[0], nil).MarshalBinary())
 	}
 	for _, blob := range corruptStores(f) {
 		f.Add(blob)
@@ -225,6 +241,10 @@ func FuzzUnmarshalStore(f *testing.F) {
 			return
 		}
 		n := s.InputLen() + 1
+		if s.SamplingRate() == 0 {
+			fuzzAnchored(t, s)
+			return
+		}
 		if n*min(n, s.SamplingRate()) > 1<<21 {
 			t.Skip("a lookup walks up to α rows; every lookup of a store this large takes all the time there is")
 		}
@@ -255,4 +275,28 @@ func FuzzUnmarshalStore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzAnchored is FuzzUnmarshalStore's check of an anchored store: a
+// walk from every anchor reads without panicking, and every search hit
+// is placed at an anchor in range.
+func fuzzAnchored(t *testing.T, s *Store) {
+	n := s.InputLen() + 1
+	if n*n > 1<<21 {
+		t.Skip("a hit walks up to n rows to its anchor")
+	}
+	for j := 0; j < s.Anchors(); j++ {
+		w := s.WalkAnchor(j, 0, []int{n / 2})
+		if got := w.Append(nil, n); len(got) > n-1 {
+			t.Fatalf("a walk from anchor %d read %d bytes of a %d-byte text", j, len(got), n-1)
+		}
+	}
+	a, _ := s.AnchorByte()
+	for _, pat := range [][]byte{{a}, {'a'}, {a, 'a'}} {
+		for _, j := range s.SearchAnchored(pat) {
+			if j < -1 || j >= s.Anchors() {
+				t.Fatalf("SearchAnchored(%q) placed a hit at anchor %d of %d", pat, j, s.Anchors())
+			}
+		}
+	}
 }

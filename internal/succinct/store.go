@@ -21,12 +21,17 @@
 // the input. Unsampled SA/ISA values are recovered by walking Ψ at most
 // α steps, giving the paper's space/latency knob: space ≈ 2n·log(n)/α
 // for the samples, latency ∝ α.
+//
+// A store built with BuildAnchored samples instead at the occurrences of
+// one byte, its anchors: for a text read only from those points (an
+// EdgeFile, read a property list at a time), the samples are spent where
+// the reads start, and the α grid's are not spent at all.
 package succinct
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -68,14 +73,27 @@ type Store struct {
 	// Position-sampled ISA: isaSamples[j] = ISA[j*α].
 	isaSamples *bitutil.PackedVector
 
+	// Anchor sampling, instead of the three above when alpha is 0: the
+	// samples are the rows of one character's bucket, the anchor's (its
+	// shifted value in anchor), which begin at row anchorBase. listOf[i]
+	// is the anchor number — the rank in text order — of the bucket's
+	// i-th row (the SA side); rowOf[j] is anchor j's row less anchorBase
+	// (the ISA side). The anchors' text offsets are the caller's: the
+	// store keeps no copy.
+	anchor     int32
+	anchorBase int
+	listOf     *bitutil.PackedVector
+	rowOf      *bitutil.PackedVector
+
 	// Simulated storage placement; med is nil outside budgeted
 	// experiments, and then nothing below is used.
-	med              *memsim.Medium
-	regPsi           uint32
-	regSA            uint32
-	regISA           uint32
-	psiBytesPerRow   float64
-	saBytesPerSample float64
+	med               *memsim.Medium
+	regPsi            uint32
+	regSA             uint32
+	regISA            uint32
+	psiBytesPerRow    float64
+	saBytesPerSample  float64
+	isaBytesPerSample float64
 }
 
 // Options configures Build.
@@ -93,15 +111,30 @@ type Options struct {
 // Ps; at a few nanoseconds a row, 64 Ki rows is well under a millisecond.
 const buildYieldRows = 1 << 16
 
-// Build compresses text. The text may contain any byte values.
+// Build compresses text, sampling its SA and ISA every α positions. The
+// text may contain any byte values.
 func Build(text []byte, opts Options) *Store {
 	alpha := opts.SamplingRate
 	if alpha <= 0 {
 		alpha = DefaultSamplingRate
 	}
+	return build(text, alpha, 0, opts.Medium)
+}
+
+// BuildAnchored compresses text, sampling its SA and ISA at the
+// occurrences of anchor and nowhere else. Its reads start on an anchor
+// (WalkAnchor), and its search hits are placed by the anchor they follow
+// (SearchAnchored); the anchors' offsets are the caller's to know.
+func BuildAnchored(text []byte, anchor byte, med *memsim.Medium) *Store {
+	return build(text, 0, int32(anchor)+1, med)
+}
+
+// build is Build (alpha > 0) or BuildAnchored (alpha 0, anchor the
+// shifted anchor byte).
+func build(text []byte, alpha int, anchor int32, med *memsim.Medium) *Store {
 	sa := suffix.Array(text)
 	n := len(sa)
-	s := &Store{n: n, alpha: alpha, med: opts.Medium}
+	s := &Store{n: n, alpha: alpha, med: med}
 
 	// Character buckets, from a histogram of the text: the shifted
 	// alphabet has the sentinel at 0, and a bucket starts where the
@@ -135,10 +168,13 @@ func Build(text []byte, opts Options) *Store {
 	// they are packed at the width of the largest — and ISA by position;
 	// a row holding a multiple of α yields a sample of each.
 	psi := make([]int32, n)
-	nsamples := (n + alpha - 1) / alpha
-	sampledRows := make([]int, 0, nsamples)
-	s.saSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(nsamples-1)))
-	s.isaSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(n-1)))
+	var sampledRows []int
+	if alpha > 0 {
+		nsamples := (n + alpha - 1) / alpha
+		sampledRows = make([]int, 0, nsamples)
+		s.saSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(nsamples-1)))
+		s.isaSamples = bitutil.NewPackedVector(nsamples, bitutil.WidthFor(uint64(n-1)))
+	}
 	cur, f := 0, free[0] // f stands in for free[cur]: see suffix.induceSubL
 	for lo := 0; lo < n; lo += buildYieldRows {
 		for r := lo; r < min(lo+buildYieldRows, n); r++ {
@@ -153,6 +189,9 @@ func Build(text []byte, opts Options) *Store {
 			}
 			psi[f] = int32(r)
 			f++
+			if alpha == 0 {
+				continue
+			}
 			if q := p / alpha; q*alpha == p {
 				s.saSamples.Set(len(sampledRows), uint64(q))
 				s.isaSamples.Set(q, uint64(r))
@@ -161,7 +200,11 @@ func Build(text []byte, opts Options) *Store {
 		}
 		runtime.Gosched()
 	}
-	s.saMarks = bitutil.NewSparseSet(n, sampledRows)
+	if alpha > 0 {
+		s.saMarks = bitutil.NewSparseSet(n, sampledRows)
+	} else {
+		s.sampleAnchors(text, sa, anchor, count[anchor])
+	}
 
 	// Ψ with the bucket prefix ORed in as the encoder reads its rows; a
 	// yield every buildYieldRows rows of each of the encoder's passes
@@ -187,6 +230,54 @@ func Build(text []byte, opts Options) *Store {
 	return s
 }
 
+// sampleAnchors fills an anchored store's samples: the rows of the
+// anchor's bucket, which holds k rows, numbered by the anchors' text
+// order. Those rows are where the anchors' suffixes sort, so a row's
+// anchor number is the rank of its text offset among the anchors'.
+func (s *Store) sampleAnchors(text []byte, sa []int32, anchor, k int32) {
+	s.anchor = anchor
+	at := make([]int32, 0, k) // the anchors' offsets, ascending
+	for p, c := range text {
+		if int32(c)+1 == anchor {
+			at = append(at, int32(p))
+		}
+	}
+	w := bitutil.WidthFor(uint64(max(k-1, 0)))
+	s.listOf, s.rowOf = bitutil.NewPackedVector(int(k), w), bitutil.NewPackedVector(int(k), w)
+	if b := s.bucketOfChar(anchor); b >= 0 {
+		s.anchorBase = int(s.bucketStart[b])
+	}
+	for i := range int(k) {
+		j, _ := slices.BinarySearch(at, sa[s.anchorBase+i])
+		s.listOf.Set(i, uint64(j))
+		s.rowOf.Set(j, uint64(i))
+	}
+}
+
+// Anchors returns how many anchors an anchored store samples: 0 for an
+// α-sampled one.
+func (s *Store) Anchors() int {
+	if s.alpha > 0 {
+		return 0
+	}
+	return s.listOf.Len()
+}
+
+// AnchorByte returns the byte an anchored store samples at, and whether
+// the store is anchored.
+func (s *Store) AnchorByte() (byte, bool) {
+	return byte(s.anchor - 1), s.alpha == 0
+}
+
+// samples returns the SA and ISA sample arrays: the α grid's, or the
+// anchors'.
+func (s *Store) samples() (sa, isa *bitutil.PackedVector) {
+	if s.alpha > 0 {
+		return s.saSamples, s.isaSamples
+	}
+	return s.listOf, s.rowOf
+}
+
 // finish places the store's regions on the simulated medium, if any.
 func (s *Store) finish() {
 	if s.med == nil {
@@ -195,10 +286,15 @@ func (s *Store) finish() {
 	psiBytes := s.psi.SizeBytes()
 	s.psiBytesPerRow = float64(psiBytes) / float64(s.n)
 	s.regPsi = s.med.Register(int64(psiBytes))
-	saBytes := s.saMarks.SizeBytes() + s.saSamples.SizeBytes()
-	s.saBytesPerSample = float64(saBytes) / float64(s.saSamples.Len())
+	sa, isa := s.samples()
+	saBytes := sa.SizeBytes()
+	if s.saMarks != nil {
+		saBytes += s.saMarks.SizeBytes()
+	}
+	s.saBytesPerSample = float64(saBytes) / float64(max(sa.Len(), 1))
 	s.regSA = s.med.Register(int64(saBytes))
-	s.regISA = s.med.Register(int64(s.isaSamples.SizeBytes()))
+	s.isaBytesPerSample = float64(isa.SizeBytes()) / float64(max(isa.Len(), 1))
+	s.regISA = s.med.Register(int64(isa.SizeBytes()))
 	// The bucket boundary tables are a few KB and always hot; account for
 	// them in the footprint without charging accesses.
 	s.med.Grow(int64(len(s.bucketChar)*4 + len(s.bucketStart)*4))
@@ -207,13 +303,17 @@ func (s *Store) finish() {
 // InputLen returns the length of the original (uncompressed) text.
 func (s *Store) InputLen() int { return s.n - 1 }
 
-// SamplingRate returns α.
+// SamplingRate returns α: 0 for an anchored store.
 func (s *Store) SamplingRate() int { return s.alpha }
 
 // CompressedSize returns the total in-memory footprint in bytes.
 func (s *Store) CompressedSize() int {
-	return len(s.bucketChar)*4 + len(s.bucketStart)*4 + s.psi.SizeBytes() +
-		s.saMarks.SizeBytes() + s.saSamples.SizeBytes() + s.isaSamples.SizeBytes()
+	sa, isa := s.samples()
+	size := len(s.bucketChar)*4 + len(s.bucketStart)*4 + s.psi.SizeBytes() + sa.SizeBytes() + isa.SizeBytes()
+	if s.saMarks != nil {
+		size += s.saMarks.SizeBytes()
+	}
+	return size
 }
 
 // bucketOfChar returns the bucket index for shifted char c, or -1.
@@ -233,14 +333,16 @@ func (s *Store) stepRow(row int) (c int32, next int) {
 }
 
 // LookupSA returns SA[row]: the text offset of the suffix at the given
-// suffix-array row. Cost: fewer than α Ψ steps — the walk adds one to the
-// SA value per step and stops at a multiple of α, or at 0 past the end.
-// The bound is kept for a store loaded from a damaged archive, whose Ψ
-// and samples may parse and still not belong together: its answer is
-// then wrong, but it is an answer, in range.
+// suffix-array row, or -1 for a row out of range and on an anchored
+// store, which does not know its anchors' offsets. Cost: fewer than α Ψ
+// steps — the walk adds one to the SA value per step and stops at a
+// multiple of α, or at 0 past the end. The bound is kept for a store
+// loaded from a damaged archive, whose Ψ and samples may parse and still
+// not belong together: its answer is then wrong, but it is an answer, in
+// range.
 func (s *Store) LookupSA(row int) int {
-	if row < 0 || row >= s.n {
-		panic(fmt.Sprintf("succinct: row %d out of range [0,%d)", row, s.n))
+	if row < 0 || row >= s.n || s.alpha == 0 {
+		return -1
 	}
 	steps, limit := 0, min(s.alpha, s.n)
 	rank, sampled := s.saMarks.Rank(row)
@@ -268,10 +370,11 @@ func (s *Store) LookupSA(row int) int {
 }
 
 // LookupISA returns ISA[pos]: the suffix-array row of the suffix starting
-// at text offset pos. Cost: at most α Ψ steps.
+// at text offset pos, or -1 for a position out of range and on an
+// anchored store. Cost: at most α Ψ steps.
 func (s *Store) LookupISA(pos int) int {
-	if pos < 0 || pos >= s.n {
-		panic(fmt.Sprintf("succinct: pos %d out of range [0,%d)", pos, s.n))
+	if pos < 0 || pos >= s.n || s.alpha == 0 {
+		return -1
 	}
 	return s.lookupISA(pos, true)
 }
@@ -315,6 +418,20 @@ func (s *Store) chargePsiAt(row int) {
 	if s.med != nil {
 		s.med.Access(s.regPsi, int64(float64(row)*s.psiBytesPerRow), 8)
 	}
+}
+
+// chargeSamples bills n adjacent ISA samples from sample q on: at 8
+// bytes a sample on the α grid, and at an anchored store's entries'
+// place in its region.
+func (s *Store) chargeSamples(q, n int) {
+	if s.med == nil {
+		return
+	}
+	if s.alpha > 0 {
+		s.med.Access(s.regISA, int64(q)*8, int64(n)*8)
+		return
+	}
+	s.med.Access(s.regISA, int64(float64(q)*s.isaBytesPerSample), int64(float64(n)*s.isaBytesPerSample)+1)
 }
 
 // chargeISAAt bills the ISA sample page used for text position pos.
