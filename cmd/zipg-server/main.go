@@ -31,7 +31,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	peers := flag.String("peers", "", "comma-separated addresses of all servers, in ID order")
 	shards := flag.Int("shards", 4, "shards per server (paper default: one per core)")
-	alpha := flag.Int("alpha", 32, "succinct sampling rate of the NodeFile")
+	alpha := flag.Int("alpha", 32, "succinct sampling rate of a NodeFile of more than one property")
 	compactRollovers := flag.Int("compact-rollovers", 0, "tier fan-in of background merges: this many adjacent log generations of one tier merge into one, and the primaries are rebuilt once the generations plus the deletes on them are as large (0 disables both)")
 	admin := flag.String("admin", "127.0.0.1:0",
 		"admin HTTP address serving /metrics, /healthz, /debug/vars, /debug/traces, /debug/trace/{id}, /debug/slow and /debug/pprof (empty to disable)")

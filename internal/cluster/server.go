@@ -240,7 +240,8 @@ type ServerConfig struct {
 	NumServers int
 	// ShardsPerServer is the store's shard count (paper: one per core).
 	ShardsPerServer int
-	// SamplingRate is Succinct's α.
+	// SamplingRate is Succinct's α for NodeFiles of more than one
+	// property (store.Config.SamplingRate).
 	SamplingRate int
 	// LogStoreThreshold triggers local LogStore rollover.
 	LogStoreThreshold int64

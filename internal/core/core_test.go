@@ -15,7 +15,14 @@ import (
 
 func buildTestShard(t testing.TB) (*Shard, []layout.Node, []layout.Edge) {
 	t.Helper()
-	ns, err := layout.NewPropertySchema([]string{"city", "name"}, 64)
+	return buildShardWith(t, "city", "name")
+}
+
+// buildShardWith is buildTestShard with the node properties a subset of
+// city and name.
+func buildShardWith(t testing.TB, nodeProps ...string) (*Shard, []layout.Node, []layout.Edge) {
+	t.Helper()
+	ns, err := layout.NewPropertySchema(nodeProps, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +32,11 @@ func buildTestShard(t testing.TB) (*Shard, []layout.Node, []layout.Edge) {
 	}
 	nodes := make([]layout.Node, 25)
 	for i := range nodes {
-		nodes[i] = layout.Node{ID: int64(i), Props: map[string]string{
-			"city": fmt.Sprintf("c%d", i%4),
-			"name": fmt.Sprintf("n%d", i),
-		}}
+		all := map[string]string{"city": fmt.Sprintf("c%d", i%4), "name": fmt.Sprintf("n%d", i)}
+		nodes[i] = layout.Node{ID: int64(i), Props: map[string]string{}}
+		for _, p := range nodeProps {
+			nodes[i].Props[p] = all[p]
+		}
 	}
 	var edges []layout.Edge
 	for i := 0; i < 80; i++ {
@@ -140,6 +148,52 @@ func TestShardSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOnePropertyNodeFileAnchored: a shard whose nodes have one property
+// samples its NodeFile at the records' delimiter — none of the α grid's
+// marks — and answers every node read and FindNodes like its input,
+// before and after a round trip; one with two stays on the α grid.
+func TestOnePropertyNodeFileAnchored(t *testing.T) {
+	if sh, _, _ := buildTestShard(t); sh.NodeSampling() != "alpha=4" {
+		t.Fatalf("two-property NodeFile sampled %q, want alpha=4", sh.NodeSampling())
+	}
+	sh, nodes, _ := buildShardWith(t, "city")
+	if got := sh.NodeSampling(); got != "anchored 0x02" {
+		t.Fatalf("one-property NodeFile sampled %q, want anchored 0x02", got)
+	}
+	for _, rc := range sh.CodecReport() {
+		if rc.Region == "node/marks" {
+			t.Fatal("an anchored NodeFile reports α-grid marks")
+		}
+	}
+	blob, err := sh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalShard(blob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShardsAgree(t, sh, back, nodes)
+	for _, s := range []*Shard{sh, back} {
+		for _, n := range nodes {
+			if got, ok := s.Nodes().GetAllProps(n.ID); !ok || !reflect.DeepEqual(got, n.Props) {
+				t.Fatalf("node %d: %v, %v, want %v", n.ID, got, ok, n.Props)
+			}
+		}
+		for c := 0; c < 4; c++ {
+			var want []layout.NodeID
+			for _, n := range nodes {
+				if n.Props["city"] == fmt.Sprintf("c%d", c) {
+					want = append(want, n.ID)
+				}
+			}
+			if got := s.Nodes().FindNodes(map[string]string{"city": fmt.Sprintf("c%d", c)}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("FindNodes(city=c%d) = %v, want %v", c, got, want)
+			}
+		}
+	}
+}
+
 // encodeWire gob-encodes a (possibly doctored) wire struct.
 func encodeWire(t testing.TB, w any) []byte {
 	t.Helper()
@@ -154,6 +208,12 @@ func encodeWire(t testing.TB, w any) []byte {
 func currentWire(t testing.TB) shardWire {
 	t.Helper()
 	sh, _, _ := buildTestShard(t)
+	return wireOf(t, sh)
+}
+
+// wireOf decodes sh's wire form.
+func wireOf(t testing.TB, sh *Shard) shardWire {
+	t.Helper()
 	blob, err := sh.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +309,9 @@ func TestShardWithoutOffsetColumnsRefused(t *testing.T) {
 // mislaidStores are wire forms of a shard whose stores are each sound
 // but sampled where the shard's reads do not start: the EdgeFile's on
 // the α grid, at a byte other than its lists' first, with no anchor or
-// one fewer than its edges, and the NodeFile's at anchors.
+// one fewer than its edges; a multi-property NodeFile's at anchors; a
+// one-property NodeFile's on the α grid, at a byte other than its
+// records' delimiter, or one anchor fewer than its nodes.
 func mislaidStores(t testing.TB, w shardWire, edges []layout.Edge, nodes []layout.Node) map[string]shardWire {
 	t.Helper()
 	es, err := w.EdgeSchema.Build()
@@ -282,28 +344,44 @@ func mislaidStores(t testing.TB, w shardWire, edges []layout.Edge, nodes []layou
 		d.EdgeStore = store.MarshalBinary()
 		out[name] = d
 	}
-	d := w
-	d.NodeStore = succinct.BuildAnchored(nodeText, nodeText[0], nil).MarshalBinary()
-	out["node store sampled at anchors"] = d
+	nodeStores := map[string]*succinct.Store{"node store sampled at anchors": succinct.BuildAnchored(nodeText, nodeText[0], nil)}
+	if layout.NodeFileAnchored(ns) {
+		delim := ns.ListAnchor()
+		short := bytes.Clone(nodeText)
+		short[bytes.LastIndexByte(short, delim)] = 'x'
+		nodeStores = map[string]*succinct.Store{
+			"one-property node store on the α grid":     succinct.Build(nodeText, Options{SamplingRate: 4}),
+			"one-property node store at the end marker": succinct.BuildAnchored(nodeText, layout.EndOfRecord, nil),
+			"one-property node store one anchor short":  succinct.BuildAnchored(short, delim, nil),
+		}
+	}
+	for name, store := range nodeStores {
+		d := w
+		d.NodeStore = store.MarshalBinary()
+		out[name] = d
+	}
 	return out
 }
 
 // TestMislaidSamplesRefused: a shard whose stores are sampled where its
-// reads do not start is refused at load, naming the fault.
+// reads do not start is refused at load, naming the fault — for a
+// NodeFile of two properties and of one.
 func TestMislaidSamplesRefused(t *testing.T) {
-	_, nodes, edges := buildTestShard(t)
-	for name, w := range mislaidStores(t, currentWire(t), edges, nodes) {
-		_, err := UnmarshalShard(encodeWire(t, w), nil)
-		if err == nil || !strings.Contains(err.Error(), "sampled at") && !strings.Contains(err.Error(), "anchors") {
-			t.Errorf("%s: err = %v, want one naming the sampling", name, err)
+	for _, props := range [][]string{{"city", "name"}, {"name"}} {
+		sh, nodes, edges := buildShardWith(t, props...)
+		for name, w := range mislaidStores(t, wireOf(t, sh), edges, nodes) {
+			_, err := UnmarshalShard(encodeWire(t, w), nil)
+			if err == nil || !strings.Contains(err.Error(), "sampled") && !strings.Contains(err.Error(), "anchors") {
+				t.Errorf("%v: %s: err = %v, want one naming the sampling", props, name, err)
+			}
 		}
 	}
 }
 
 // FuzzUnmarshalShard feeds UnmarshalShard arbitrary bytes, seeded with a
 // valid shard and that shard with one byte of each column changed. The
-// only acceptable outcomes are an error or a shard whose every edge read
-// returns without a panic.
+// only acceptable outcomes are an error or a shard whose every node and
+// edge read returns without a panic.
 func FuzzUnmarshalShard(f *testing.F) {
 	ns, _ := layout.NewPropertySchema([]string{"n"}, 8)
 	es, _ := layout.NewPropertySchema([]string{"w"}, 8)
@@ -326,7 +404,7 @@ func FuzzUnmarshalShard(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	for _, col := range [][]byte{w.EdgeStarts, w.EdgeProps, w.EdgeTs, w.EdgeDsts, w.EdgeStore} {
+	for _, col := range [][]byte{w.EdgeStarts, w.EdgeProps, w.EdgeTs, w.EdgeDsts, w.EdgeStore, w.NodeStore, w.NodeOffsets} {
 		col[len(col)-1] ^= 0x5a
 		f.Add(encodeWire(f, w))
 		col[len(col)-1] ^= 0x5a
@@ -348,6 +426,13 @@ func FuzzUnmarshalShard(f *testing.F) {
 			v.GetEdgeDataRange(&ref, 0, ref.Count)
 		}
 		v.FindEdges(map[string]string{"w": "7"})
+		nv := sh.Nodes()
+		for _, id := range nv.IDs() {
+			nv.GetAllProps(id)
+			nv.GetProperty(id, "n")
+			nv.GetProperties(id, []string{"n", "x"})
+		}
+		nv.FindNodes(map[string]string{"n": "a"})
 	})
 }
 

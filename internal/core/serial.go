@@ -111,8 +111,8 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
 		return nil, fmt.Errorf("core: edge store: %w", err)
 	}
-	if _, anchored := s.nodeStore.AnchorByte(); anchored {
-		return nil, fmt.Errorf("core: node store is sampled at anchors, not on the α grid")
+	if err := checkNodeSampling(s.nodeStore, nodeSchema, len(w.NodeIDs)); err != nil {
+		return nil, err
 	}
 	if a, anchored := s.edgeStore.AnchorByte(); !anchored || a != edgeSchema.ListAnchor() {
 		return nil, fmt.Errorf("core: edge store is not sampled at the property lists' first byte 0x%02x", edgeSchema.ListAnchor())
@@ -140,6 +140,25 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, w.NodeIDs, nodeOffs, med)
 	s.edges = layout.NewEdgeFileView(s.edgeStore, edgeSchema, cols, med)
 	return s, nil
+}
+
+// checkNodeSampling checks that a NodeFile store of nodes records under
+// schema is sampled where Build samples it: a one-property NodeFile at
+// its records' delimiter, one anchor a record; any other on the α grid.
+func checkNodeSampling(st *succinct.Store, schema *layout.PropertySchema, nodes int) error {
+	a, anchored := st.AnchorByte()
+	want := layout.NodeFileAnchored(schema)
+	switch {
+	case anchored && !want:
+		return fmt.Errorf("core: node store of %d properties is sampled at anchors, not on the α grid", schema.NumProperties())
+	case want && !anchored:
+		return fmt.Errorf("core: one-property node store is sampled on the α grid, not at its records' delimiter 0x%02x", schema.ListAnchor())
+	case want && a != schema.ListAnchor():
+		return fmt.Errorf("core: one-property node store is sampled at anchors 0x%02x, not at its records' delimiter 0x%02x", a, schema.ListAnchor())
+	case want && st.Anchors() != nodes:
+		return fmt.Errorf("core: node store has %d record anchors for %d nodes", st.Anchors(), nodes)
+	}
+	return nil
 }
 
 // decodeEdgeColumns decodes the EdgeFile's columns.

@@ -13,9 +13,10 @@ import (
 	"zipg/internal/succinct"
 )
 
-// Options configures shard construction: the NodeFile's succinct store
-// is built at its SamplingRate (the EdgeFile's is sampled at its
-// property lists' starts, which no α moves), and its Medium holds both
+// Options configures shard construction: a multi-property NodeFile's
+// succinct store is built at its SamplingRate (the EdgeFile's is sampled
+// at its property lists' starts and a one-property NodeFile's at its
+// records' delimiters, which no α moves), and its Medium holds both
 // stores, the NodeFile's offset index and the EdgeFile's columns.
 type Options = succinct.Options
 
@@ -47,7 +48,7 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 	// concurrently on the shared pool (each Build stays sequential inside).
 	stores := parallel.Map("core.build_succinct", 2, func(i int) *succinct.Store {
 		if i == 0 {
-			return succinct.Build(nodeFlat, opts)
+			return layout.CompressNodeFile(nodeFlat, nodeSchema, opts)
 		}
 		return succinct.BuildAnchored(edgeFlat, edgeSchema.ListAnchor(), opts.Medium)
 	})
@@ -82,8 +83,14 @@ func (s *Shard) CompressedSize() int {
 // in Figure 2's all-text layout.
 func (s *Shard) RawSize() int { return s.rawNodeBytes + s.rawEdgeBytes }
 
-// SamplingRate returns the α the shard's NodeFile store was built with.
-func (s *Shard) SamplingRate() int { return s.nodeStore.SamplingRate() }
+// NodeSampling describes where the shard's NodeFile store is sampled:
+// "anchored 0x02" (at its records' delimiter byte) or "alpha=32".
+func (s *Shard) NodeSampling() string {
+	if a, anchored := s.nodeStore.AnchorByte(); anchored {
+		return fmt.Sprintf("anchored 0x%02x", a)
+	}
+	return fmt.Sprintf("alpha=%d", s.nodeStore.SamplingRate())
+}
 
 // CodecReport describes every encoded region of the shard: the two
 // succinct stores' Ψ/marks/SA/ISA regions plus the NodeFile offset

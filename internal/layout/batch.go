@@ -71,14 +71,9 @@ func (v *EdgeFileView) readEdges(out []EdgeData, g, stop int) error {
 		}
 		return nil
 	}
-	if s, ok := anchoredStore(v.src); ok {
-		// The read starts on list g's anchor and steps each later list
-		// as a chain of its own.
-		w := s.WalkAnchor(g, start, ends[:len(out)-1])
-		sc.buf = w.Append(sc.buf[:0], stop-start)
-	} else {
-		sc.buf = extractAppend(v.src, sc.buf[:0], start, stop-start)
-	}
+	// On an anchored store the read starts on list g's anchor and steps
+	// each later list as a chain of its own.
+	sc.buf = readSpan(v.src, sc.buf[:0], g, start, stop-start, ends[:len(out)-1])
 	if len(sc.buf) < stop-start {
 		return fmt.Errorf("layout: short read at offset %d: %d of %d bytes", start, len(sc.buf), stop-start)
 	}

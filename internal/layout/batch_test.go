@@ -160,12 +160,18 @@ func TestGetEdgeDataRangeAgainstLoop(t *testing.T) {
 
 // psiSteps runs fn with telemetry on and returns the Ψ steps it took.
 func psiSteps(fn func()) float64 {
+	steps, _ := walkCounts(fn)
+	return steps
+}
+
+// walkCounts returns the Ψ steps and the ISA lookups fn takes.
+func walkCounts(fn func()) (steps, lookups float64) {
 	prev := telemetry.SetEnabled(true)
 	before := telemetry.TakeSnapshot()
 	fn()
 	d := telemetry.Delta(before, telemetry.TakeSnapshot())
 	telemetry.SetEnabled(prev)
-	return d["zipg_succinct_psi_steps_total"]
+	return d["zipg_succinct_psi_steps_total"], d["zipg_succinct_isa_lookups_total"]
 }
 
 // touchSource is a RawSource that counts how often each byte was read.

@@ -420,7 +420,7 @@ func (v *EdgeFileView) FindEdges(props map[string]string) []EdgeMatch {
 		pattern := append([]byte(nil), v.schema.Delimiter(order)...)
 		pattern = append(pattern, val...)
 		pattern = append(pattern, v.schema.NextDelimiter(order)...)
-		for _, g := range v.searchLists(pattern) {
+		for _, g := range searchStarts(v.src, pattern, v.cols.Props, v.cols.Dsts.Len()) {
 			if g < 0 {
 				continue
 			}
@@ -448,21 +448,6 @@ func (v *EdgeFileView) FindEdges(props map[string]string) []EdgeMatch {
 		}
 		return out[i].TimeOrder < out[j].TimeOrder
 	})
-	return out
-}
-
-// searchLists returns, for every occurrence of pattern in the text, the
-// edge whose property list it lies in (-1 before the first): on an
-// anchored store, the list the hit's walk reaches; on any other source,
-// the last list to start at or before the hit's offset.
-func (v *EdgeFileView) searchLists(pattern []byte) []int {
-	if s, ok := anchoredStore(v.src); ok {
-		return s.SearchAnchored(pattern)
-	}
-	var out []int
-	for _, off := range v.src.Search(pattern) {
-		out = append(out, v.cols.Props.SearchGE(0, v.cols.Dsts.Len(), uint64(off)+1)-1)
-	}
 	return out
 }
 

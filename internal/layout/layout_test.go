@@ -192,7 +192,9 @@ func nodeViews(t testing.TB, nodes []Node, schema *PropertySchema) (raw, compres
 }
 
 // nodeViewsAlpha is nodeViews with the compressed view at sampling rate
-// alpha.
+// alpha; alpha 0 compresses the NodeFile as a shard does
+// (CompressNodeFile): at its records' delimiters if it has one property,
+// else at the default α.
 func nodeViewsAlpha(t testing.TB, nodes []Node, schema *PropertySchema, alpha int) (raw, compressed *NodeFileView) {
 	t.Helper()
 	flat, ids, offs, err := BuildNodeFile(nodes, schema)
@@ -200,7 +202,12 @@ func nodeViewsAlpha(t testing.TB, nodes []Node, schema *PropertySchema, alpha in
 		t.Fatal(err)
 	}
 	raw = NewNodeFileView(NewRawSource(flat), schema, ids, PackOffsets(offs), nil)
-	st := succinct.Build(flat, succinct.Options{SamplingRate: alpha})
+	var st *succinct.Store
+	if alpha == 0 {
+		st = CompressNodeFile(flat, schema, succinct.Options{})
+	} else {
+		st = succinct.Build(flat, succinct.Options{SamplingRate: alpha})
+	}
 	compressed = NewNodeFileView(st, schema, ids, PackOffsets(offs), nil)
 	return raw, compressed
 }

@@ -7,6 +7,7 @@ import (
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
+	"zipg/internal/succinct"
 )
 
 // NodeID identifies a node. EdgeType tags an edge with its kind (§2.1).
@@ -50,13 +51,42 @@ func BuildNodeFile(nodes []Node, schema *PropertySchema) (flat []byte, ids []Nod
 	return flat, ids, offsets, nil
 }
 
+// NodeFileAnchored reports whether a NodeFile under schema is compressed
+// by a store sampled at its records' delimiters rather than on the α
+// grid: when it has exactly one property. Then every read — a property,
+// the wildcard, a search hit — starts at a record's delimiter, so
+// samples anywhere else go unused; with more, a read skips to a value
+// inside the record, and the grid's interior samples are what reach it.
+func NodeFileAnchored(schema *PropertySchema) bool {
+	return schema.NumProperties() == 1
+}
+
+// CompressNodeFile compresses a NodeFile's text under schema: at its
+// records' delimiters if NodeFileAnchored, else on the α grid at
+// opts.SamplingRate.
+func CompressNodeFile(flat []byte, schema *PropertySchema, opts succinct.Options) *succinct.Store {
+	if NodeFileAnchored(schema) {
+		return succinct.BuildAnchored(flat, schema.ListAnchor(), opts.Medium)
+	}
+	return succinct.Build(flat, opts)
+}
+
 // NodeFileView executes node queries over a serialized NodeFile (§3.4).
 // The same view works over a compressed succinct source (immutable
 // shards) or raw bytes (LogStore).
+//
+// A one-property NodeFile is compressed by a store sampled at its
+// records' delimiters (CompressNodeFile). The delimiter is the only such
+// byte in a record — values are printable, the length digits too — so
+// record k's is anchor k. Every read of such a record wants its one
+// value, which runs from the delimiter to the end marker, so the view
+// reads it from its anchor to the record's end, which the offsets give,
+// and reads no length digit.
 type NodeFileView struct {
-	src    ByteSource
-	schema *PropertySchema
-	ids    []NodeID
+	src      ByteSource
+	schema   *PropertySchema
+	ids      []NodeID
+	anchored bool // src is sampled at the records' delimiters
 	// offs holds the per-record start offsets: record starts ascend, so
 	// the column compresses from 8 bytes/node to roughly its delta
 	// entropy.
@@ -72,6 +102,7 @@ type NodeFileView struct {
 // accounting at all.
 func NewNodeFileView(src ByteSource, schema *PropertySchema, ids []NodeID, offs *bitutil.MonotoneVector, med *memsim.Medium) *NodeFileView {
 	v := &NodeFileView{src: src, schema: schema, ids: ids, offs: offs, med: med}
+	_, v.anchored = anchoredStore(src)
 	if med != nil {
 		// The index charge stays at the historical 16 bytes/node so
 		// medium-pressure experiments remain comparable; the Go-heap
@@ -133,6 +164,10 @@ func (v *NodeFileView) GetProperty(id NodeID, propertyID string) (string, bool) 
 	if order < 0 {
 		return "", false
 	}
+	if v.anchored {
+		val, ok := v.anchoredValue(k)
+		return val, ok && val != ""
+	}
 	sc := getScratch()
 	defer putScratch(sc)
 	hs := v.schema.Figure1Header()
@@ -165,6 +200,9 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	k := v.indexOf(id)
 	if k < 0 {
 		return nil, false
+	}
+	if v.anchored {
+		return v.anchoredProperties(k, propertyIDs)
 	}
 	sc := getScratch()
 	defer putScratch(sc)
@@ -229,6 +267,46 @@ func (v *NodeFileView) GetProperties(id NodeID, propertyIDs []string) ([]string,
 	return out, true
 }
 
+// anchoredValue reads record k of an anchored NodeFile in one walk from
+// its delimiter, anchor k, to its end: the next record's offset, or the
+// text's. Its one value lies between the delimiter and the end marker.
+func (v *NodeFileView) anchoredValue(k int) (string, bool) {
+	start := int(v.offs.Get(k)) + v.schema.Figure1Header()
+	end := v.src.InputLen()
+	if k+1 < v.offs.Len() {
+		end = int(v.offs.Get(k + 1))
+	}
+	delim, n := len(v.schema.Delimiter(0)), end-start
+	if n < delim+1 {
+		return "", false // offsets that leave no room for the list: a damaged archive
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	if sc.buf = readSpan(v.src, sc.buf[:0], k, start, n, nil); len(sc.buf) < n {
+		return "", false
+	}
+	return string(sc.buf[delim : n-1]), true
+}
+
+// anchoredProperties is GetProperties on an anchored NodeFile: the one
+// value, wherever its ID is asked for.
+func (v *NodeFileView) anchoredProperties(k int, propertyIDs []string) ([]string, bool) {
+	val, ok := v.anchoredValue(k)
+	if !ok {
+		return nil, false
+	}
+	if len(propertyIDs) == 0 {
+		return []string{val}, true
+	}
+	out := make([]string, len(propertyIDs))
+	for i, pid := range propertyIDs {
+		if v.schema.Order(pid) == 0 {
+			out[i] = val
+		}
+	}
+	return out, true
+}
+
 // GetAllProps returns the node's full property map.
 func (v *NodeFileView) GetAllProps(id NodeID) (map[string]string, bool) {
 	vals, ok := v.GetProperties(id, nil)
@@ -248,7 +326,9 @@ func (v *NodeFileView) GetAllProps(id NodeID) (map[string]string, bool) {
 // every (propertyID, value) pair (§3.4's get_node_ids): each value is
 // wrapped in its property's delimiter and the next delimiter, located
 // with the search primitive, and translated back to node IDs via binary
-// search over the offset index. Multiple pairs intersect.
+// search over the offset index — or, on an anchored NodeFile, where each
+// hit is its own record's delimiter, by the anchor it sits on. Multiple
+// pairs intersect.
 func (v *NodeFileView) FindNodes(props map[string]string) []NodeID {
 	if len(props) == 0 {
 		return nil
@@ -262,14 +342,11 @@ func (v *NodeFileView) FindNodes(props map[string]string) []NodeID {
 		pattern := append([]byte(nil), v.schema.Delimiter(order)...)
 		pattern = append(pattern, val...)
 		pattern = append(pattern, v.schema.NextDelimiter(order)...)
-		matches := v.src.Search(pattern)
-		ids := make(map[NodeID]bool, len(matches))
-		for _, off := range matches {
-			// The record holding the hit: the last one starting at or
-			// before off.
-			k := v.offs.SearchGE(0, v.offs.Len(), uint64(off)+1) - 1
-			v.chargeIndexAt(k)
-			if k >= 0 {
+		recs := searchStarts(v.src, pattern, v.offs, v.offs.Len())
+		ids := make(map[NodeID]bool, len(recs))
+		for _, k := range recs {
+			if k >= 0 && k < len(v.ids) {
+				v.chargeIndexAt(k)
 				ids[v.ids[k]] = true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,9 @@ func randomProps(rng *rand.Rand, ids []string, maxLen int) map[string]string {
 
 // nodeSchemaCases are the node sets the NodeFile differential runs on:
 // the TAO-style four properties, one property, and forty properties with
-// empty values (two-byte delimiters past 24).
+// empty values (two-byte delimiters past 24). The one-property nodes
+// hold an empty value too, and values that are prefixes of others — the
+// last record's among the longer ones.
 func nodeSchemaCases(t testing.TB) map[string]struct {
 	nodes  []Node
 	schema *PropertySchema
@@ -63,6 +66,12 @@ func nodeSchemaCases(t testing.TB) map[string]struct {
 			nodes[i] = Node{ID: int64(7 * i), Props: randomProps(rng, ids, c.maxLen)}
 		}
 		nodes[3].Props = nil // a record of delimiters alone
+		if c.props == 1 {
+			nodes[4].Props = map[string]string{ids[0]: ""}
+			nodes[5].Props = map[string]string{ids[0]: "pre"}
+			nodes[6].Props = map[string]string{ids[0]: "pref"}
+			nodes[len(nodes)-1].Props = map[string]string{ids[0]: "prefix"}
+		}
 		cases[c.name] = struct {
 			nodes  []Node
 			schema *PropertySchema
@@ -74,14 +83,24 @@ func nodeSchemaCases(t testing.TB) map[string]struct {
 // TestNodeFileRawAgainstCompressed holds a view over the compressed text
 // to one over the raw text and both to the input: every node's wildcard
 // read, each single property (GetProperty and a one-ID GetProperties),
-// and random subsets with repeats and unknown IDs, at two sampling rates.
+// random subsets with repeats and unknown IDs, unknown nodes, and
+// FindNodes on every value of the first property, the empty one and
+// values that are prefixes of others among them — on the α grid at two
+// rates, and compressed as a shard compresses it, which samples a
+// one-property NodeFile at its records' delimiters.
 func TestNodeFileRawAgainstCompressed(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for name, c := range nodeSchemaCases(t) {
 		ids := c.schema.IDs()
-		for _, alpha := range []int{4, 32} {
+		for _, alpha := range []int{0, 4, 32} {
 			raw, comp := nodeViewsAlpha(t, c.nodes, c.schema, alpha)
 			where := fmt.Sprintf("%s, α=%d", name, alpha)
+			if alpha == 0 {
+				where = name + ", compressed as a shard"
+				if comp.anchored != (len(ids) == 1) {
+					t.Fatalf("%s: anchored %v with %d properties", where, comp.anchored, len(ids))
+				}
+			}
 			for _, n := range c.nodes {
 				want := make([]string, len(ids))
 				for i, id := range ids {
@@ -119,16 +138,39 @@ func TestNodeFileRawAgainstCompressed(t *testing.T) {
 				if got, ok := v.GetProperties(1, nil); ok || got != nil {
 					t.Fatalf("%s: a missing node reads %q, %v", where, got, ok)
 				}
+				if got, ok := v.GetProperties(1, []string{ids[0], "absent"}); ok || got != nil {
+					t.Fatalf("%s: a missing node's subset reads %q, %v", where, got, ok)
+				}
+				if got, ok := v.GetProperty(1, ids[0]); ok || got != "" {
+					t.Fatalf("%s: a missing node's property reads %q, %v", where, got, ok)
+				}
+			}
+			holders := map[string][]NodeID{} // value of ids[0] → its nodes, ascending
+			for _, n := range c.nodes {
+				holders[n.Props[ids[0]]] = append(holders[n.Props[ids[0]]], n.ID)
+			}
+			holders["no such value"] = nil
+			for val, want := range holders {
+				for _, v := range []*NodeFileView{raw, comp} {
+					if got := v.FindNodes(map[string]string{ids[0]: val}); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: FindNodes(%s=%q) = %v, want %v", where, ids[0], val, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestNodeReadsTakeTheirBytes: over a compressed NodeFile a wildcard read
-// is one walk: its anchor (the record's offset mod α), the record's
+// TestNodeReadsTakeTheirBytes: over a NodeFile on the α grid a wildcard
+// read is one walk: its anchor (the record's offset mod α), the record's
 // length header, then exactly its body — the delimiters and values — in
 // Ψ steps; and GetProperty is at most α − 1 steps to the record, the
-// header, at most α − 1 more to reach the value, and the value.
+// header, at most α − 1 more to reach the value, and the value. Over a
+// one-property NodeFile compressed as a shard compresses it, at its
+// records' delimiters, the wildcard and GetProperty are exactly the
+// record's property list — its delimiter through its end marker — in Ψ
+// steps from one ISA lookup, and a FindNodes hit, which sits on its
+// record's anchor, takes no Ψ step beyond the search.
 func TestNodeReadsTakeTheirBytes(t *testing.T) {
 	const alpha = 32
 	for name, c := range nodeSchemaCases(t) {
@@ -151,6 +193,27 @@ func TestNodeReadsTakeTheirBytes(t *testing.T) {
 				if steps < hdr+n || steps > 2*(alpha-1)+hdr+n {
 					t.Fatalf("%s node %d: GetProperty(%s) of %d bytes took %d Ψ steps", name, id, pid, n, steps)
 				}
+			}
+		}
+		if !NodeFileAnchored(c.schema) {
+			continue
+		}
+		_, anch := nodeViewsAlpha(t, c.nodes, c.schema, 0)
+		pid := c.schema.IDs()[0]
+		for _, id := range anch.IDs() {
+			props := byID[id]
+			list := c.schema.PropsEncodedSize(props)
+			for what, read := range map[string]func(){
+				"wildcard":    func() { anch.GetProperties(id, nil) },
+				"GetProperty": func() { anch.GetProperty(id, pid) },
+			} {
+				if steps, lookups := walkCounts(read); int(steps) != list || lookups != 1 {
+					t.Fatalf("%s node %d: anchored %s took %v Ψ steps and %v ISA lookups, want its list's %d and 1", name, id, what, steps, lookups, list)
+				}
+			}
+			var hits []NodeID
+			if steps, _ := walkCounts(func() { hits = anch.FindNodes(map[string]string{pid: props[pid]}) }); steps != 0 || !slices.Contains(hits, id) {
+				t.Fatalf("%s node %d: anchored FindNodes(%q) = %v in %v Ψ steps, want it among the hits in 0", name, id, props[pid], hits, steps)
 			}
 		}
 	}

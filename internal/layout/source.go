@@ -12,6 +12,7 @@ package layout
 import (
 	"bytes"
 
+	"zipg/internal/bitutil"
 	"zipg/internal/succinct"
 )
 
@@ -55,7 +56,8 @@ func extractAppend(src ByteSource, dst []byte, off, n int) []byte {
 }
 
 // anchoredStore returns src as a succinct store sampled at anchors, if
-// it is one: an EdgeFile's, which is read from its lists' starts.
+// it is one: an EdgeFile's, read from its lists' starts, or a
+// one-property NodeFile's, read from its records' delimiters.
 func anchoredStore(src ByteSource) (*succinct.Store, bool) {
 	s, ok := src.(*succinct.Store)
 	if !ok {
@@ -63,6 +65,35 @@ func anchoredStore(src ByteSource) (*succinct.Store, bool) {
 	}
 	_, anchored := s.AnchorByte()
 	return s, anchored
+}
+
+// readSpan appends the n bytes of text at offset off to dst. On an
+// anchored store off is anchor j's offset, where the read starts at no
+// Ψ step, and cuts are the offsets of the later anchors the span
+// crosses, each stepped as a chain of its own; any other source extracts
+// the span.
+func readSpan(src ByteSource, dst []byte, j, off, n int, cuts []int) []byte {
+	if s, ok := anchoredStore(src); ok {
+		w := s.WalkAnchor(j, off, cuts)
+		return w.Append(dst, n)
+	}
+	return extractAppend(src, dst, off, n)
+}
+
+// searchStarts returns, for every occurrence of pattern in the text, the
+// span it lies in (-1 before the first), where span i starts at
+// starts[i], i < n: on an anchored store, whose spans start at its
+// anchors, the anchor the hit's walk reaches; on any other source, the
+// last span to start at or before the hit's offset.
+func searchStarts(src ByteSource, pattern []byte, starts *bitutil.MonotoneVector, n int) []int {
+	if s, ok := anchoredStore(src); ok {
+		return s.SearchAnchored(pattern)
+	}
+	var out []int
+	for _, off := range src.Search(pattern) {
+		out = append(out, starts.SearchGE(0, n, uint64(off)+1)-1)
+	}
+	return out
 }
 
 // recWalk reads one record's bytes front to back over any ByteSource.

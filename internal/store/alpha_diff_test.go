@@ -141,8 +141,9 @@ func TestAlphaPersistDifferential(t *testing.T) {
 }
 
 // TestCodecReportFieldNames is the golden test of the codecs admin
-// surface (/debug/codecs, zipg-cli codecs): every region line carries
-// the same labelled fields, the Ψ lines add the run-block share and the
+// surface (/debug/codecs, zipg-cli codecs): every fragment header says
+// where its NodeFile is sampled, every region line carries the same
+// labelled fields, the Ψ lines add the run-block share and the
 // directory/payload split, and the numbers behind them add up.
 func TestCodecReportFieldNames(t *testing.T) {
 	ns, es := testSchemas(t)
@@ -159,7 +160,11 @@ func TestCodecReportFieldNames(t *testing.T) {
 	var regions, psis int
 	for _, l := range lines {
 		switch {
-		case strings.HasPrefix(l, "#"), strings.HasPrefix(l, "primary/"):
+		case strings.HasPrefix(l, "primary/"):
+			if !regexp.MustCompile(`^primary/\d+  alpha=8$`).MatchString(l) {
+				t.Errorf("fragment header does not name its NodeFile's sampling:\n%s", l)
+			}
+		case strings.HasPrefix(l, "#"):
 		case !line.MatchString(l):
 			t.Errorf("region line does not match the golden format:\n%s", l)
 		default:
@@ -174,6 +179,23 @@ func TestCodecReportFieldNames(t *testing.T) {
 	}
 	if regions != 2*12 || psis != 2*2 {
 		t.Errorf("report has %d region lines, %d of them psi; want 24 and 4:\n%s", regions, psis, strings.Join(lines, "\n"))
+	}
+	// A one-property NodeFile is sampled at its records' delimiter: its
+	// header says so, and it has no α-grid marks.
+	one, err := layout.NewPropertySchema([]string{"name"}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make([]layout.Node, len(nodes))
+	for i, n := range nodes {
+		named[i] = layout.Node{ID: n.ID, Props: map[string]string{"name": n.Props["name"]}}
+	}
+	anch, err := New(named, edges, one, es, Config{NumShards: 1, SamplingRate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatCodecReport(anch.CodecReport()); !strings.Contains(got, "primary/0  anchored 0x02\n") || strings.Contains(got, "node/marks") {
+		t.Errorf("one-property NodeFile's report:\n%s", got)
 	}
 	for _, fc := range s.CodecReport() {
 		for _, rc := range fc.Regions {

@@ -8,19 +8,23 @@ import (
 )
 
 // FragmentCodecs describes one compressed fragment for the admin report
-// (zipg-cli codecs, /debug/codecs): which fragment, the α its succinct
-// stores sample at, and every encoded region.
+// (zipg-cli codecs, /debug/codecs): which fragment, where its NodeFile
+// store is sampled, and every encoded region.
 type FragmentCodecs struct {
 	// Fragment names the shard: "primary/<p>" or "frozen/<gen>".
 	Fragment string
-	// Alpha is the sampling rate the fragment was built with.
-	Alpha int
+	// Sampling is where the fragment's NodeFile store is sampled:
+	// "alpha=<α>", or "anchored 0x<byte>" for a one-property NodeFile
+	// sampled at its records' delimiter. (The EdgeFile's store is always
+	// sampled at its property lists' starts.) Empty for a fragment not
+	// yet compressed.
+	Sampling string
 	// Regions lists the fragment's encoded regions.
 	Regions []succinct.RegionCodec
 }
 
 // CodecReport describes every compressed fragment's region sizes and
-// sampling rate — the data behind the codecs admin surface.
+// NodeFile sampling — the data behind the codecs admin surface.
 func (s *Store) CodecReport() []FragmentCodecs {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -28,7 +32,7 @@ func (s *Store) CodecReport() []FragmentCodecs {
 	for p, sh := range s.primaries {
 		out = append(out, FragmentCodecs{
 			Fragment: fmt.Sprintf("primary/%d", p),
-			Alpha:    sh.SamplingRate(),
+			Sampling: sh.NodeSampling(),
 			Regions:  sh.CodecReport(),
 		})
 	}
@@ -42,7 +46,7 @@ func (s *Store) CodecReport() []FragmentCodecs {
 		}
 		out = append(out, FragmentCodecs{
 			Fragment: fmt.Sprintf("frozen/%d", g),
-			Alpha:    f.shard.SamplingRate(),
+			Sampling: f.shard.NodeSampling(),
 			Regions:  f.shard.CodecReport(),
 		})
 	}
@@ -55,12 +59,16 @@ func (s *Store) CodecReport() []FragmentCodecs {
 // served — and, for a monotone region (Ψ above all), the share of its
 // blocks that are payload-free runs, the share that write a directory
 // record and the directory/payload split of its bytes — grouped under
-// per-fragment headers that carry α.
+// per-fragment headers that say where the NodeFile is sampled.
 func FormatCodecReport(report []FragmentCodecs) string {
 	var b strings.Builder
-	b.WriteString("# per-shard region report: fragment (alpha) then one line per encoded region\n")
+	b.WriteString("# per-shard region report: fragment (NodeFile sampling) then one line per encoded region\n")
 	for _, fc := range report {
-		fmt.Fprintf(&b, "%s  alpha=%d\n", fc.Fragment, fc.Alpha)
+		b.WriteString(fc.Fragment)
+		if fc.Sampling != "" {
+			b.WriteString("  " + fc.Sampling)
+		}
+		b.WriteString("\n")
 		for _, rc := range fc.Regions {
 			fmt.Fprintf(&b, "  %-13s %-9s %9d elems %10d bytes  %6.3f bits/row",
 				rc.Region, rc.Encoding, rc.Elems, rc.Bytes, rc.BitsPerRow)

@@ -199,40 +199,58 @@ func TestLoadRejectsInconsistentArchive(t *testing.T) {
 		{"pointer at generation -1", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], -1) }},
 		{"pointer past the live log", "Ptrs", func(w *storeWire) { w.Ptrs[100] = append(w.Ptrs[100], len(w.Frozen)+1) }},
 		// One corrupt EdgeFile column per check UnmarshalShard makes.
-		{"a destination short", "disagree in length", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"a destination short", "disagree in length", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeDsts = repack(t, c.EdgeDsts, func(v []uint64) []uint64 { return v[:len(v)-1] })
 		})},
-		{"record starts repeat", "record starts", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"record starts repeat", "record starts", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeStarts = remono(t, c.EdgeStarts, func(v []uint64) { v[1] = v[0] })
 		})},
-		{"record starts short of the edges", "record starts", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"record starts short of the edges", "record starts", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeStarts = remono(t, c.EdgeStarts, func(v []uint64) { v[len(v)-1]-- })
 		})},
-		{"property offsets repeat", "property offsets", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"property offsets repeat", "property offsets", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeProps = remono(t, c.EdgeProps, func(v []uint64) { v[1] = v[0] })
 		})},
-		{"property offsets past the text", "property offsets", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"property offsets past the text", "property offsets", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeProps = remono(t, c.EdgeProps, func(v []uint64) { v[len(v)-1] += 5 })
 		})},
-		{"timestamps 65 bits wide", "timestamps", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"timestamps 65 bits wide", "timestamps", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeTs[0] = 65
 		})},
 		// An EdgeFile store that is not sampled at its property lists.
-		{"edge store on the α grid", "property lists' first byte", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"edge store on the α grid", "property lists' first byte", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeStore = succinct.Build(edgeText(t, c, 'a'), succinct.Options{SamplingRate: 8}).MarshalBinary()
 		})},
-		{"edge store anchored at another byte", "property lists' first byte", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"edge store anchored at another byte", "property lists' first byte", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeStore = succinct.BuildAnchored(edgeText(t, c, 'a'), 'a', nil).MarshalBinary()
 		})},
-		{"anchor byte missing from the text", "anchors", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"anchor byte missing from the text", "anchors", doctorShard(t, func(c *shardWireCopy) {
 			c.EdgeStore = succinct.BuildAnchored(edgeText(t, c, 'a'), layout.EndOfRecord+1, nil).MarshalBinary()
 		})},
-		{"one anchor fewer than the edges", "anchors", edgeColumn(t, func(c *edgeColumnsWire) {
+		{"one anchor fewer than the edges", "anchors", doctorShard(t, func(c *shardWireCopy) {
 			text := edgeText(t, c, 'a')
 			for i := range text[:count(t, c)-1] {
 				text[i] = layout.EndOfRecord + 1
 			}
 			c.EdgeStore = succinct.BuildAnchored(text, layout.EndOfRecord+1, nil).MarshalBinary()
+		})},
+		// A NodeFile store sampled where its reads do not start: a
+		// three-property one at anchors, a one-property one (the schema
+		// cut to its first property) on the α grid, at a byte other than
+		// its records' delimiter, or at one anchor fewer than its nodes.
+		{"three-property node store at anchors", "3 properties is sampled at anchors", doctorShard(t, func(c *shardWireCopy) {
+			c.NodeStore = succinct.BuildAnchored(bytes.Repeat([]byte("\x02a\x01"), len(c.NodeIDs)), 0x02, nil).MarshalBinary()
+		})},
+		{"one-property node store on the α grid", "sampled on the α grid", doctorShard(t, func(c *shardWireCopy) {
+			c.NodeSchema.PropertyIDs = c.NodeSchema.PropertyIDs[:1]
+		})},
+		{"one-property node store anchored at another byte", "not at its records' delimiter", doctorShard(t, func(c *shardWireCopy) {
+			c.NodeSchema.PropertyIDs = c.NodeSchema.PropertyIDs[:1]
+			c.NodeStore = succinct.BuildAnchored(bytes.Repeat([]byte("\x02a\x01"), len(c.NodeIDs)), 'a', nil).MarshalBinary()
+		})},
+		{"one node anchor fewer than the nodes", "record anchors", doctorShard(t, func(c *shardWireCopy) {
+			c.NodeSchema.PropertyIDs = c.NodeSchema.PropertyIDs[:1]
+			c.NodeStore = succinct.BuildAnchored(bytes.Repeat([]byte("\x02a\x01"), len(c.NodeIDs)-1), 0x02, nil).MarshalBinary()
 		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,9 +288,9 @@ func TestSaveDeterministicQueries(t *testing.T) {
 	}
 }
 
-// edgeColumnsWire is core's shard wire form, declared again so a test
-// can doctor a shard's EdgeFile columns (gob matches fields by name).
-type edgeColumnsWire struct {
+// shardWireCopy is core's shard wire form, declared again so a test
+// can doctor a shard's stores and columns (gob matches fields by name).
+type shardWireCopy struct {
 	NodeStore    []byte
 	EdgeStore    []byte
 	NodeIDs      []int64
@@ -291,11 +309,11 @@ type edgeColumnsWire struct {
 	EdgeDsts     []byte
 }
 
-// edgeColumn returns a storeWire mutation that doctors the first
+// doctorShard returns a storeWire mutation that doctors the first
 // primary shard's wire form with mutate.
-func edgeColumn(t *testing.T, mutate func(c *edgeColumnsWire)) func(w *storeWire) {
+func doctorShard(t *testing.T, mutate func(c *shardWireCopy)) func(w *storeWire) {
 	return func(w *storeWire) {
-		var c edgeColumnsWire
+		var c shardWireCopy
 		if err := gob.NewDecoder(bytes.NewReader(w.Primaries[0])).Decode(&c); err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +328,7 @@ func edgeColumn(t *testing.T, mutate func(c *edgeColumnsWire)) func(w *storeWire
 
 // edgeText returns a text as long as the shard's EdgeFile text, filled
 // with fill: a stand-in the columns accept.
-func edgeText(t *testing.T, c *edgeColumnsWire, fill byte) []byte {
+func edgeText(t *testing.T, c *shardWireCopy, fill byte) []byte {
 	mv, _, err := bitutil.DecodeMonotoneVector(c.EdgeProps)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +337,7 @@ func edgeText(t *testing.T, c *edgeColumnsWire, fill byte) []byte {
 }
 
 // count returns how many edges the shard's columns hold.
-func count(t *testing.T, c *edgeColumnsWire) int {
+func count(t *testing.T, c *shardWireCopy) int {
 	pv, _, err := bitutil.DecodePackedVector(c.EdgeDsts)
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,11 @@ type Config struct {
 	// NumShards is the number of initial hash partitions (the paper's
 	// default is one per core). 0 means 1.
 	NumShards int
-	// SamplingRate is Succinct's α for compressed shards' NodeFiles:
-	// larger is smaller but slower (0 = succinct.DefaultSamplingRate,
-	// 32). An EdgeFile is sampled at its property lists' starts.
+	// SamplingRate is Succinct's α for compressed shards' NodeFiles of
+	// more than one property: larger is smaller but slower (0 =
+	// succinct.DefaultSamplingRate, 32). α moves nothing else: an
+	// EdgeFile is sampled at its property lists' starts, and a
+	// one-property NodeFile at its records' delimiters.
 	SamplingRate int
 	// Medium places the store on a simulated storage hierarchy, which
 	// the paper figures (internal/bench) use to model memory pressure
